@@ -1,17 +1,10 @@
-//! Criterion micro-benchmarks for the host-profiler phase taxonomy's hot
-//! paths — the per-phase companions to `repro hostbench`'s whole-workload
-//! numbers. Group names match `kernel_sim::hostprof::HostPhase::name()`, so
-//! a hostbench phase table row and a criterion group here describe the same
-//! code.
-//!
-//! The `hook_overhead` group measures the profiler's own tax on the hottest
-//! hook site (`Machine::charge`): `dormant` is the price every ordinary run
-//! pays (one relaxed atomic load), `armed` is the price a hostbench run
-//! pays (span counting plus stride-sampled timing).
+//! Criterion micro-benchmarks for the simulator's host hot paths, one group
+//! per layer (translate, cache, charge, trace_write) plus the fused versus
+//! layered reference paths — the per-call companions to the whole-workload
+//! figures of the repository benchmark (`perfbench`, see `BENCHMARK.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use kernel_sim::hostprof;
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::trace::{TraceEvent, TraceRecord, TraceRing};
 use kernel_sim::{Kernel, KernelConfig};
@@ -100,8 +93,8 @@ fn bench_translate(c: &mut Criterion) {
     g.finish();
 }
 
-/// cache: the `MemSystem` read path, hit and miss — the single hottest
-/// phase in the hostbench profile.
+/// cache: the `MemSystem` read path, hit and miss — under every simulated
+/// data reference that misses the fused path.
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
     g.bench_function("data_read_hit", |b| {
@@ -122,7 +115,7 @@ fn bench_cache(c: &mut Criterion) {
 }
 
 /// charge: the cycle-ledger add — trivial work, but called once per priced
-/// event, so hook overhead shows up here first.
+/// event, so any per-call overhead shows up here first.
 fn bench_charge(c: &mut Criterion) {
     let mut g = c.benchmark_group("charge");
     g.bench_function("charge_1", |b| {
@@ -161,8 +154,8 @@ fn bench_trace_write(c: &mut Criterion) {
 /// a resident straight-line fetch — served by the fused single-function
 /// fast path versus the layered translate→charge→cache path (DESIGN.md
 /// §16). Both variants simulate identical cycles and counters; the host-ns
-/// ratio between the `_fused` and `_layered` rows is the microscopic
-/// version of the `repro hostbench` headline speedup.
+/// ratio between the `_fused` and `_layered` rows is what the fused path
+/// buys per reference.
 fn bench_fused_hot_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("fused_hot_paths");
     let boot = |fused: bool| {
@@ -205,36 +198,12 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// hook_overhead: what the profiler itself costs at the hottest hook site.
-fn bench_hook_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hook_overhead");
-    g.bench_function("charge_dormant", |b| {
-        hostprof::disarm();
-        let mut m = Machine::new(MachineConfig::ppc604_133());
-        b.iter(|| {
-            m.charge(1);
-            black_box(m.cycles)
-        });
-    });
-    g.bench_function("charge_armed", |b| {
-        hostprof::arm();
-        let mut m = Machine::new(MachineConfig::ppc604_133());
-        b.iter(|| {
-            m.charge(1);
-            black_box(m.cycles)
-        });
-        hostprof::disarm();
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_translate,
     bench_cache,
     bench_charge,
     bench_fused_hot_paths,
-    bench_trace_write,
-    bench_hook_overhead
+    bench_trace_write
 );
 criterion_main!(benches);

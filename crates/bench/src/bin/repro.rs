@@ -26,7 +26,6 @@
 //! repro perf report [--in <path>] [--folded <path>]
 //! repro perf annotate [--in <path>]
 //! repro perf diff A.perf B.perf [--folded <path>] # profile/flamegraph diff
-//! repro hostbench [--iters N] [--json <path>]     # simulator speed/alloc baseline
 //! repro tail [--json <path>]                      # p99 exemplars + causal attribution
 //! repro causal [--json <path>]                    # exact virtual-speedup payoff curves
 //! ```
@@ -47,7 +46,6 @@ use mmu_tricks::chaos::{chaos_report, ChaosConfig};
 use mmu_tricks::diff::{diff_perf, diff_reports, parse_report};
 use mmu_tricks::experiments as ex;
 use mmu_tricks::experiments::TraceArtifacts;
-use mmu_tricks::hostbench::{run_hostbench, DEFAULT_ITERS};
 use mmu_tricks::matrix::run_matrix_jobs;
 use mmu_tricks::perf::{perf_record_on, PerfData, PerfWorkload};
 use mmu_tricks::tables::Table;
@@ -85,7 +83,6 @@ fn main() {
         "tune" => return tune_main(&args, depth),
         "diff" => return diff_main(&args, &wanted),
         "report" => return report_main(depth),
-        "hostbench" => return hostbench_main(&args, depth),
         "tail" => return tail_main(&args, depth),
         "causal" => return causal_main(&args, depth),
         _ => {}
@@ -419,23 +416,6 @@ fn perf_main(args: &[String], depth: Depth) {
     }
 }
 
-/// `repro hostbench`: the simulator's own speed/allocation baseline. One
-/// counting pass (exact, deterministic) plus `--iters` timing passes over
-/// the fixed basket; `--json` writes the `mmu-tricks-hostbench-v1`
-/// artifact whose `"timing"` section is the only non-reproducible part.
-fn hostbench_main(args: &[String], depth: Depth) {
-    let iters: u32 = numeric_flag(args, "--iters", DEFAULT_ITERS);
-    if iters == 0 {
-        eprintln!("bad --iters 0 (need at least one timing pass)");
-        std::process::exit(2);
-    }
-    let result = run_hostbench(depth, iters);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &result.to_json()),
-        None => print!("{}", result.render()),
-    }
-}
-
 /// `repro tail`: p99 forensics over the traced reference run — exemplar
 /// percentiles per latency path, the ranked causal attribution, and the
 /// retained exemplar dumps. `--json` writes the `mmu-tricks-tail-v1`
@@ -524,10 +504,6 @@ fn usage_text() -> String {
          [--period N] [--config unopt|opt] [--out <path>] [--in <path>] [--folded <path>]"
     );
     let _ = writeln!(s, "  repro perf diff <a.perf> <b.perf> [--folded <path>]");
-    let _ = writeln!(
-        s,
-        "  repro hostbench [--depth quick|full] [--iters N] [--json <path>]"
-    );
     let _ = writeln!(s, "  repro tail [--depth quick|full] [--json <path>]");
     let _ = writeln!(s, "  repro causal [--depth quick|full] [--json <path>]\n");
     let _ = writeln!(s, "experiments:");
@@ -571,10 +547,6 @@ fn usage_text() -> String {
     let _ = writeln!(
         s,
         "--check     chaos: shadow-MM oracle + invariants on|off (default on)"
-    );
-    let _ = writeln!(
-        s,
-        "--iters     hostbench: timing passes after the counting pass (default {DEFAULT_ITERS})"
     );
     let _ = write!(
         s,

@@ -56,7 +56,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--steps",
     "--verbose-from",
     "--check",
-    "--iters",
 ];
 
 /// Flags that stand alone (no value argument).
@@ -64,7 +63,7 @@ pub const BARE_FLAGS: &[&str] = &["--full", "--markdown", "--csv", "--help"];
 
 /// Every `repro` subcommand (dispatch names that are not experiment ids),
 /// with a one-line summary. The binary's usage text renders this list, and
-/// `tools/host_gate.sh` asserts `repro --help` mentions every entry — so a
+/// `tools/chaos_gate.sh` asserts `repro --help` mentions every entry — so a
 /// new subcommand that forgets to register here fails CI, not code review.
 pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("bench", "benchmark-regression baseline (mmu-tricks-bench-v1)"),
@@ -74,10 +73,6 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("diff", "structured comparison of two run reports"),
     ("chaos", "adversarial fuzzing under the shadow-MM checker"),
     ("perf", "sampled profiling: record/report/annotate/diff"),
-    (
-        "hostbench",
-        "simulator speed + allocation baseline (mmu-tricks-hostbench-v1)",
-    ),
     (
         "tail",
         "p99 exemplar capture + causal attribution (mmu-tricks-tail-v1)",
@@ -128,11 +123,6 @@ pub const ARTIFACTS: &[(&str, &str, &str)] = &[
         "mmu-tricks-perf-v1",
         "repro perf record",
         "sampled profile (perf.data text)",
-    ),
-    (
-        "mmu-tricks-hostbench-v1",
-        "repro hostbench",
-        "simulator speed + allocation baseline",
     ),
     (
         "mmu-tricks-tail-v1",
@@ -369,7 +359,6 @@ mod tests {
                 "subcommand {n} shadows an experiment id"
             );
         }
-        assert!(SUBCOMMANDS.iter().any(|(n, _)| *n == "hostbench"));
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod causal;
 pub mod chaos;
 pub mod diff;
 pub mod experiments;
-pub mod hostbench;
 pub mod matrix;
 pub mod perf;
 pub mod tables;
@@ -42,8 +41,7 @@ pub mod tail;
 pub mod tune;
 
 pub use kernel_sim::{
-    hostprof, HandlerStyle, HostPhase, Kernel, KernelConfig, KernelStats, OsModel, PageClearing,
-    PhaseCounters, VsidPolicy,
+    HandlerStyle, Kernel, KernelConfig, KernelStats, OsModel, PageClearing, VsidPolicy,
 };
 pub use lmbench::{run_suite, CompileConfig, LmbenchResults, SuiteConfig};
 pub use ppc_machine::{CpuModel, Machine, MachineConfig, SimTime};

@@ -29,7 +29,6 @@ use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress};
 use ppc_mmu::pte::Pte;
 use ppc_mmu::translate::AccessType;
 
-use crate::hostprof;
 use crate::kernel::Kernel;
 use crate::layout::{is_io, is_kernel_linear, kva_to_pa};
 use crate::oracle::{ShadowEntry, ShadowMm};
@@ -148,7 +147,6 @@ impl Kernel {
         let Some(mut c) = self.check.take() else {
             return;
         };
-        let _host = hostprof::span(hostprof::HostPhase::Checker);
         if c.cfg.invariants {
             if let Some(v) = self.invariant_violation(&mut c.last_generation) {
                 self.check = Some(c);
@@ -176,7 +174,6 @@ impl Kernel {
         let Some(mut c) = self.check.take() else {
             return;
         };
-        let _host = hostprof::span(hostprof::HostPhase::Checker);
         c.heavy_sweeps += 1;
         if let Some(v) = self.heavy_sweep_violation(&mut c) {
             self.check = Some(c);
@@ -430,10 +427,6 @@ impl Kernel {
         cached: bool,
         writable: bool,
     ) {
-        if self.check.is_none() {
-            return;
-        }
-        let _host = hostprof::span(hostprof::HostPhase::Checker);
         let Some(c) = self.check.take() else { return };
         if c.cfg.oracle {
             let va = self.machine.mmu.segments.translate(ea);
@@ -459,10 +452,6 @@ impl Kernel {
     /// Cross-checks a hash-table hit against the oracle.
     #[inline]
     pub(crate) fn check_on_htab_hit(&mut self, va: VirtualAddress, pte: &Pte) {
-        if self.check.is_none() {
-            return;
-        }
-        let _host = hostprof::span(hostprof::HostPhase::Checker);
         let Some(c) = self.check.take() else { return };
         if c.cfg.oracle {
             if let Some(v) = c.oracle.check_observation(

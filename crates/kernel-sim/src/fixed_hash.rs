@@ -4,11 +4,12 @@
 //! results are unaffected, but *allocation behavior* is not: once a map has
 //! seen removals, the decision between rehashing in place and growing to a
 //! fresh table depends on where the seed scattered the surviving entries.
-//! The host profiler ([`crate::hostprof`]) counts every allocation, and the
-//! hostbench artifact gates on those counts being byte-identical across
-//! processes — so every sim-state map that sees removals uses this
-//! fixed-seed FNV-1a hasher instead. Same semantics, reproducible host
-//! profile.
+//! Allocation counts are part of what the repository pins (the allocation
+//! budgets in `crates/core/tests/alloc_budget.rs` are exact `==`
+//! assertions), and a per-process random seed would make them vary from
+//! run to run — so every sim-state map that sees removals uses this
+//! fixed-seed FNV-1a hasher instead. Same semantics, reproducible
+//! allocation profile, and host time that does not depend on the seed.
 //!
 //! Simulated behavior never depends on map iteration order (the
 //! cross-process determinism of every committed artifact already proves

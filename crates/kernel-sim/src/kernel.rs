@@ -8,7 +8,6 @@ use ppc_mmu::translate::{AccessType, Translation};
 
 use crate::errors::KResult;
 use crate::fs::File;
-use crate::hostprof;
 use crate::inject::FaultInjector;
 use crate::kconfig::{HandlerStyle, KernelConfig};
 use crate::layout::{
@@ -365,7 +364,6 @@ impl Kernel {
     #[inline]
     pub(crate) fn t_event(&mut self, event: impl FnOnce() -> TraceEvent) {
         if self.tracer.is_some() {
-            let _host = hostprof::span(hostprof::HostPhase::TraceWrite);
             let rec = TraceRecord {
                 cycle: self.machine.cycles,
                 pid: self.current_pid(),
@@ -396,6 +394,16 @@ impl Kernel {
         self.tune_poll();
         // Check last: invariants are evaluated over post-retune state.
         self.check_poll();
+        self.span_push(s)
+    }
+
+    /// Pushes `s` onto every span stack together: the tracer's exact
+    /// profiler, the PMU's attribution mirror and the causal state, so a
+    /// sampled, an exact and a what-if view always agree on which
+    /// subsystem is running. Returns the entry cycle. Polls nothing — the
+    /// callers decide what runs before the stack changes.
+    #[inline]
+    fn span_push(&mut self, s: Subsystem) -> Cycles {
         let now = self.machine.cycles;
         if let Some(t) = self.tracer.as_mut() {
             t.prof.enter(s, now);
@@ -403,8 +411,28 @@ impl Kernel {
         if let Some(p) = self.pmu.as_mut() {
             p.stack.push(s);
         }
-        self.causal_push(s);
+        if let Some(c) = self.causal.as_mut() {
+            c.push(s);
+            self.causal_rescale();
+        }
         now
+    }
+
+    /// Pops the innermost span off every span stack (see
+    /// [`Kernel::span_push`]).
+    #[inline]
+    fn span_pop(&mut self) {
+        let now = self.machine.cycles;
+        if let Some(t) = self.tracer.as_mut() {
+            t.prof.exit(now);
+        }
+        if let Some(p) = self.pmu.as_mut() {
+            p.stack.pop();
+        }
+        if let Some(c) = self.causal.as_mut() {
+            c.pop();
+            self.causal_rescale();
+        }
     }
 
     /// Re-derives the machine charge scale from the causal span state; a
@@ -416,26 +444,6 @@ impl Kernel {
         if let Some(c) = self.causal.as_ref() {
             let (num, den) = c.scale();
             self.machine.set_scale(num, den);
-        }
-    }
-
-    /// Mirrors a span push into the causal state. Called at the same
-    /// transition instants as the profiler/PMU stack pushes, so the scale
-    /// in force between two transitions is exactly the innermost span's.
-    #[inline]
-    pub(crate) fn causal_push(&mut self, s: Subsystem) {
-        if let Some(c) = self.causal.as_mut() {
-            c.push(s);
-            self.causal_rescale();
-        }
-    }
-
-    /// Mirrors a span pop into the causal state.
-    #[inline]
-    pub(crate) fn causal_pop(&mut self) {
-        if let Some(c) = self.causal.as_mut() {
-            c.pop();
-            self.causal_rescale();
         }
     }
 
@@ -455,14 +463,7 @@ impl Kernel {
     pub(crate) fn t_exit(&mut self) {
         self.pmu_poll();
         self.telemetry_poll();
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.pop();
-        }
-        self.causal_pop();
+        self.span_pop();
         // Tune *after* the span closes so the retune charge is attributed
         // to [`Subsystem::Mmtune`], not the subsystem that just exited.
         self.tune_poll();
@@ -486,19 +487,14 @@ impl Kernel {
             (Some(tl), Some(t)) => tl.armed(lat, t.latency(path)),
             _ => false,
         };
-        let mut stack: Vec<Subsystem> = Vec::new();
+        let stack = match self.tracer.as_ref() {
+            Some(t) if capture => t.prof.stack().to_vec(),
+            _ => Vec::new(),
+        };
+        self.span_pop();
         if let Some(t) = self.tracer.as_mut() {
-            if capture {
-                let _host = hostprof::span(hostprof::HostPhase::Telemetry);
-                stack = t.prof.stack().to_vec();
-            }
-            t.prof.exit(now);
             t.record_latency(path, lat);
         }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.pop();
-        }
-        self.causal_pop();
         // Instrumented-path latencies are the model's duration events: feed
         // the threshold comparator (paper: "loads lasting longer than
         // threshold"; here: reloads/faults/deliveries).
@@ -534,7 +530,6 @@ impl Kernel {
         if self.tail.is_none() {
             return;
         }
-        let _host = hostprof::span(hostprof::HostPhase::Telemetry);
         let stats = self.stats;
         let htab_stats = *self.htab.stats();
         if !capture {
@@ -631,23 +626,15 @@ impl Kernel {
             weight: weight.min(u64::from(u32::MAX)) as u32,
         });
         // Charge the exception: entry, handler body, exit. Attributed to
-        // the Pmu bucket directly on the profiler (not through t_enter,
-        // which would re-poll and recurse).
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(Subsystem::Pmu, now);
-        }
-        self.causal_push(Subsystem::Pmu);
+        // the Pmu bucket on every span stack (not through t_enter, which
+        // would re-poll and recurse).
+        self.span_push(Subsystem::Pmu);
         let costs = self.machine.cfg.costs;
         self.machine
             .charge(costs.exception_entry + costs.exception_exit);
         self.machine
             .exec_code_pa(HANDLER_STUB_PA + 0x200, PM_HANDLER_INSNS, true);
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        self.causal_pop();
+        self.span_pop();
         // The handler froze counting while it ran (a real PM handler sets
         // MMCR0[FC] first thing): skip its own cycles out of the next
         // counting window so sampling does not sample itself.
@@ -674,7 +661,6 @@ impl Kernel {
         if !self.telemetry.as_ref().is_some_and(|t| t.due(now)) {
             return;
         }
-        let _host = hostprof::span(hostprof::HostPhase::Telemetry);
         let readings = self.mmu_readings();
         let stats = self.stats;
         if let Some(t) = self.telemetry.as_mut() {
@@ -710,7 +696,6 @@ impl Kernel {
         if !due {
             return;
         }
-        let _host = hostprof::span(hostprof::HostPhase::Telemetry);
         let readings = self.mmu_readings();
         let stats = self.stats;
         if let Some(t) = self.telemetry.as_mut() {
@@ -777,15 +762,10 @@ impl Kernel {
     }
 
     /// Applies one retune decision, charging its cost to
-    /// [`Subsystem::Mmtune`] (bracketed directly on the profiler, like the
+    /// [`Subsystem::Mmtune`] (bracketed with [`Kernel::span_push`], like the
     /// PM handler — not through [`Kernel::t_enter`], which would re-poll).
     fn apply_retune(&mut self, m: &mut Mmtune, action: TuneAction) {
-        let now = self.machine.cycles;
-        let epoch = now / m.cfg.epoch_cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(Subsystem::Mmtune, now);
-        }
-        self.causal_push(Subsystem::Mmtune);
+        let epoch = self.span_push(Subsystem::Mmtune) / m.cfg.epoch_cycles;
         let (knob, from, to) = match action {
             TuneAction::EnableBats => {
                 // The §5.1 layout, exactly as boot would have programmed it.
@@ -845,10 +825,11 @@ impl Kernel {
             self.reclaim_chunk(32, cached);
         }
         let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        self.causal_pop();
+        // Sync the PMU while Mmtune is still on its stack, as `t_exit` does
+        // before every pop: the retune's own cycles are sampled as Mmtune,
+        // not as whichever span happens to be open at the next poll.
+        self.pmu_poll();
+        self.span_pop();
         m.log(RetuneDecision {
             cycle: now,
             epoch,

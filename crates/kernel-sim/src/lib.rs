@@ -50,7 +50,6 @@ pub mod fault;
 pub mod fixed_hash;
 pub mod flush;
 pub mod fs;
-pub mod hostprof;
 pub mod idle;
 pub mod inject;
 pub mod kconfig;
@@ -94,7 +93,6 @@ pub mod vsid;
 pub use causal::{CausalConfig, CausalPath, CausalState, Ratio};
 pub use check::{CheckConfig, CheckState};
 pub use errors::{KResult, KernelError, Signal};
-pub use hostprof::{HostPhase, HostSnapshot, PhaseCounters};
 pub use inject::{FaultInjection, FaultInjector};
 pub use kconfig::{HandlerStyle, KernelConfig, PageClearing, PmuConfig, VsidPolicy};
 pub use kernel::Kernel;

@@ -25,7 +25,7 @@
 use crate::prof::Subsystem;
 use crate::stats::KernelStats;
 use crate::task::Pid;
-use crate::trace::{Histogram, LatencyPath, TraceRecord, HIST_BUCKETS};
+use crate::trace::{Histogram, LatencyPath, TraceRecord};
 use ppc_machine::Cycles;
 use ppc_mmu::HtabStats;
 
@@ -85,17 +85,6 @@ impl TailConfig {
         if let Some(t) = self.threshold {
             assert!(t > 0, "tail threshold must be positive");
         }
-    }
-}
-
-/// The log2 bucket a latency value lands in — the same mapping
-/// [`Histogram`] uses, duplicated here because the histogram's buckets are
-/// (deliberately) private.
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (63 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
     }
 }
 
@@ -313,14 +302,6 @@ pub struct TailState {
     captured: u64,
 }
 
-fn path_index(path: LatencyPath) -> usize {
-    match path {
-        LatencyPath::TlbReload => 0,
-        LatencyPath::PageFault => 1,
-        LatencyPath::Signal => 2,
-    }
-}
-
 impl TailState {
     /// Fresh state for `cfg`.
     ///
@@ -347,7 +328,9 @@ impl TailState {
     pub fn armed(&self, lat: u64, hist: &Histogram) -> bool {
         match self.cfg.threshold {
             Some(t) => lat >= t,
-            None => hist.count() == 0 || bucket_of(lat) >= bucket_of(hist.max()),
+            None => {
+                hist.count() == 0 || Histogram::bucket_of(lat) >= Histogram::bucket_of(hist.max())
+            }
         }
     }
 
@@ -398,7 +381,7 @@ impl TailState {
             d_htab,
             cause,
         };
-        let res = &mut self.reservoirs[path_index(path)];
+        let res = &mut self.reservoirs[path.index()];
         let pos = res.partition_point(|e| {
             e.latency > ex.latency
                 || (e.latency == ex.latency
@@ -410,7 +393,7 @@ impl TailState {
 
     /// The retained exemplars for `path`, slowest first.
     pub fn exemplars(&self, path: LatencyPath) -> &[TailExemplar] {
-        &self.reservoirs[path_index(path)]
+        &self.reservoirs[path.index()]
     }
 
     /// Drains the reservoirs and the capture counter, keeping the arming
@@ -438,7 +421,7 @@ impl TailState {
         let mut cycles = [0u64; NUM_CAUSES];
         let mut counts = [0u64; NUM_CAUSES];
         for path in LatencyPath::ALL {
-            let i = path_index(path);
+            let i = path.index();
             for e in self.exemplars(path) {
                 let r = e.cause.rank();
                 cycles[r] += e.latency.saturating_sub(p50[i]);

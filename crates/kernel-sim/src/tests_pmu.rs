@@ -11,6 +11,7 @@ use crate::kernel::Kernel;
 use crate::prof::Subsystem;
 use crate::sched::USER_BASE;
 use crate::trace::TraceEvent;
+use crate::tune::MmtuneConfig;
 
 /// A workload exercising faults, reloads, signals, fork/COW, mmap and idle.
 fn workload(k: &mut Kernel) {
@@ -109,38 +110,57 @@ fn sampling_charges_interrupt_cost_and_collects_samples() {
 
 #[test]
 fn sampled_attribution_tracks_the_exact_profiler() {
-    let mut cfg = KernelConfig::optimized();
-    cfg.trace = true;
-    cfg.pmu = Some(PmuConfig::sampling(512));
-    let mut k = run(cfg);
-    let now = k.machine.cycles;
-    let t = k.tracer.as_mut().unwrap();
-    t.prof.finish(now);
-    // Exact shares excluding the Pmu bucket (the sampler never samples its
-    // own frozen handler windows).
-    let exact_total: u64 = Subsystem::ALL
-        .iter()
-        .filter(|s| **s != Subsystem::Pmu)
-        .map(|s| t.prof.self_cycles(*s))
-        .sum();
-    let st = k.pmu.as_ref().unwrap();
-    let sampled_total = st.total_weight();
-    assert!(sampled_total > 0 && exact_total > 0);
-    for s in Subsystem::ALL {
-        if s == Subsystem::Pmu {
-            assert_eq!(st.by_subsystem[s as usize], 0, "handler never sampled");
-            continue;
+    // Second case: a hair-trigger mmtune controller, so retunes (and their
+    // hash-table rehashes) run inside the sampled window.
+    let eager = MmtuneConfig {
+        epoch_cycles: 1 << 12,
+        min_tlb_misses: 1,
+        ..MmtuneConfig::default()
+    };
+    for mmtune in [None, Some(eager)] {
+        let mut cfg = KernelConfig::optimized();
+        cfg.trace = true;
+        cfg.pmu = Some(PmuConfig::sampling(512));
+        cfg.mmtune = mmtune;
+        let mut k = run(cfg);
+        let now = k.machine.cycles;
+        let t = k.tracer.as_mut().unwrap();
+        t.prof.finish(now);
+        // Exact shares excluding the Pmu bucket (the sampler never samples
+        // its own frozen handler windows).
+        let exact_total: u64 = Subsystem::ALL
+            .iter()
+            .filter(|s| **s != Subsystem::Pmu)
+            .map(|s| t.prof.self_cycles(*s))
+            .sum();
+        let st = k.pmu.as_ref().unwrap();
+        let sampled_total = st.total_weight();
+        assert!(sampled_total > 0 && exact_total > 0);
+        for s in Subsystem::ALL {
+            if s == Subsystem::Pmu {
+                assert_eq!(st.by_subsystem[s as usize], 0, "handler never sampled");
+                continue;
+            }
+            let exact_ppm = t.prof.self_cycles(s) * 1_000_000 / exact_total;
+            let sampled_ppm = st.by_subsystem[s as usize] * 1_000_000 / sampled_total;
+            let err = exact_ppm.abs_diff(sampled_ppm);
+            // 5% absolute-share tolerance at a 512-cycle period (E-PMU
+            // tightens this into a convergence curve).
+            assert!(
+                err < 50_000,
+                "{} (mmtune {}): exact {exact_ppm} ppm vs sampled {sampled_ppm} ppm",
+                s.name(),
+                mmtune.is_some()
+            );
         }
-        let exact_ppm = t.prof.self_cycles(s) * 1_000_000 / exact_total;
-        let sampled_ppm = st.by_subsystem[s as usize] * 1_000_000 / sampled_total;
-        let err = exact_ppm.abs_diff(sampled_ppm);
-        // 5% absolute-share tolerance at a 512-cycle period (E-PMU tightens
-        // this into a convergence curve).
-        assert!(
-            err < 50_000,
-            "{}: exact {exact_ppm} ppm vs sampled {sampled_ppm} ppm",
-            s.name()
-        );
+        if mmtune.is_some() {
+            assert!(k.stats.mmtune_htab_resizes > 0, "no rehash fired");
+            assert!(t.prof.self_cycles(Subsystem::Mmtune) > 0);
+            assert!(
+                st.by_subsystem[Subsystem::Mmtune as usize] > 0,
+                "retune cycles were never sampled as mmtune"
+            );
+        }
     }
 }
 

@@ -276,7 +276,8 @@ impl Histogram {
         }
     }
 
-    fn bucket_of(v: u64) -> usize {
+    /// The log2 bucket `v` lands in.
+    pub(crate) fn bucket_of(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -370,6 +371,12 @@ impl LatencyPath {
         LatencyPath::Signal,
     ];
 
+    /// Position in [`LatencyPath::ALL`]: the index of this path's slot in
+    /// every per-path array (histograms, tail reservoirs, medians).
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable machine-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -423,21 +430,12 @@ impl Tracer {
 
     /// Records a latency sample for `path`.
     pub fn record_latency(&mut self, path: LatencyPath, cycles: Cycles) {
-        let i = match path {
-            LatencyPath::TlbReload => 0,
-            LatencyPath::PageFault => 1,
-            LatencyPath::Signal => 2,
-        };
-        self.lat[i].record(cycles);
+        self.lat[path.index()].record(cycles);
     }
 
     /// The histogram for `path`.
     pub fn latency(&self, path: LatencyPath) -> &Histogram {
-        match path {
-            LatencyPath::TlbReload => &self.lat[0],
-            LatencyPath::PageFault => &self.lat[1],
-            LatencyPath::Signal => &self.lat[2],
-        }
+        &self.lat[path.index()]
     }
 
     /// Counts a hash-table insert into `pteg` (and a collision when
@@ -513,6 +511,13 @@ mod tests {
         let cycles: Vec<u64> = r.iter().map(|x| x.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
         assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn latency_path_index_is_its_position_in_all() {
+        for (i, p) in LatencyPath::ALL.iter().enumerate() {
+            assert_eq!(p.index(), i, "{}", p.name());
+        }
     }
 
     #[test]

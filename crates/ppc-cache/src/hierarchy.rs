@@ -135,7 +135,6 @@ impl MemSystem {
     /// Fetches an instruction from `pa`. `cached = false` models
     /// cache-inhibited (e.g. I/O space or an uncached idle loop).
     pub fn insn_fetch(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
-        let _host = crate::host::span(crate::host::PHASE_CACHE);
         if !cached {
             self.icache.access_inhibited();
             return self.bus.read_beat;
@@ -150,17 +149,10 @@ impl MemSystem {
 
     /// Loads a word from `pa` through the data cache.
     pub fn data_read(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
-        let _host = crate::host::span(crate::host::PHASE_CACHE);
         if !cached {
             self.dcache.access_inhibited();
             return self.bus.read_beat;
         }
-        self.data_read_cached(pa)
-    }
-
-    /// The cached read path without the profiler span — the fused bulk
-    /// loops below report their span counts in one exact batch instead.
-    fn data_read_cached(&mut self, pa: PhysAddr) -> Cycles {
         let out = self.dcache.access(pa, AccessKind::Read);
         let mut cost = if out.hit {
             self.dcache.config().hit_cycles
@@ -175,17 +167,10 @@ impl MemSystem {
 
     /// Stores a word to `pa` through the data cache.
     pub fn data_write(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
-        let _host = crate::host::span(crate::host::PHASE_CACHE);
         if !cached {
             self.dcache.access_inhibited();
             return self.bus.write_beat;
         }
-        self.data_write_cached(pa)
-    }
-
-    /// The cached write path without the profiler span (see
-    /// [`MemSystem::data_read_cached`]).
-    fn data_write_cached(&mut self, pa: PhysAddr) -> Cycles {
         let out = self.dcache.access(pa, AccessKind::Write);
         let mut cost = if out.hit {
             self.dcache.config().hit_cycles
@@ -241,7 +226,7 @@ impl MemSystem {
             cost += match self.dcache.fast_hit(addr, AccessKind::Write) {
                 Some(true) => hit_cycles + write_beat,
                 Some(false) => hit_cycles,
-                None => self.data_write_cached(addr),
+                None => self.data_write(addr, true),
             };
             let rest = u64::from(words - 1);
             cost += match self.dcache.fast_hit_n(addr + 4, AccessKind::Write, rest) {
@@ -253,7 +238,7 @@ impl MemSystem {
                         c += match self.dcache.fast_hit(addr + w * 4, AccessKind::Write) {
                             Some(true) => hit_cycles + write_beat,
                             Some(false) => hit_cycles,
-                            None => self.data_write_cached(addr + w * 4),
+                            None => self.data_write(addr + w * 4, true),
                         };
                     }
                     c
@@ -261,7 +246,6 @@ impl MemSystem {
             };
             addr += line;
         }
-        crate::host::bulk_cache(u64::from(page_bytes / 4));
         cost
     }
 
@@ -270,29 +254,26 @@ impl MemSystem {
     /// plus two loop cycles of address arithmetic per line — the memory
     /// half of kernel `copy_to/from_user` and pipe buffer copies. The
     /// resident-line common case takes the flat probe; misses take the full
-    /// fill/writeback paths. One batched span count per call.
+    /// fill/writeback paths.
     pub fn copy_range(&mut self, src: PhysAddr, dst: PhysAddr, bytes: u32) -> Cycles {
         let line = self.dcache.config().line_bytes;
         let hit_cycles = self.dcache.config().hit_cycles;
         let write_beat = self.bus.write_beat;
         let mut c: Cycles = 0;
         let mut off = 0;
-        let mut lines: u64 = 0;
         while off < bytes {
             c += match self.dcache.fast_hit(src + off, AccessKind::Read) {
                 Some(_) => hit_cycles,
-                None => self.data_read_cached(src + off),
+                None => self.data_read(src + off, true),
             };
             c += match self.dcache.fast_hit(dst + off, AccessKind::Write) {
                 Some(true) => hit_cycles + write_beat,
                 Some(false) => hit_cycles,
-                None => self.data_write_cached(dst + off),
+                None => self.data_write(dst + off, true),
             };
             c += 2;
             off += line;
-            lines += 1;
         }
-        crate::host::bulk_cache(2 * lines);
         c
     }
 

@@ -35,7 +35,6 @@ pub mod bus;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod host;
 pub mod stats;
 
 pub use bus::Bus;

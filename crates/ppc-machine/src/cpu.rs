@@ -137,13 +137,6 @@ impl Machine {
 
     /// Adds raw cycles (pipeline work not tied to a memory reference).
     pub fn charge(&mut self, cycles: Cycles) {
-        // Host-profiler charge phase, reported as a batched count (the
-        // charge phase lives in ppc-mmu's host module, the lowest crate
-        // both this one and the profiler can see). `charge` allocates
-        // nothing and nests no spans, so the RAII guard's thread-phase
-        // bookkeeping buys no attribution — the exact count is all the
-        // deterministic artifact needs.
-        ppc_mmu::host::bulk(0, 0, 1);
         self.advance(cycles);
     }
 
@@ -151,8 +144,7 @@ impl Machine {
     /// something external (an I/O stall), not work the CPU performs.
     /// Deliberately bypasses the causal charge scale: a virtual speedup can
     /// make work cheaper, but it cannot make a device answer sooner. With
-    /// the scale at its 1/1 default this is exactly [`Machine::charge`]
-    /// minus the host-profiler hook.
+    /// the scale at its 1/1 default this is exactly [`Machine::charge`].
     pub fn wait(&mut self, cycles: Cycles) {
         self.cycles += cycles;
     }
@@ -189,9 +181,7 @@ impl Machine {
     /// has committed, a cache miss no longer bails: the miss tail delegates
     /// to the real [`Machine::charge`] + [`Machine::data_read_pa`] /
     /// [`Machine::data_write_pa`], which handle fills, evictions, and
-    /// writebacks — and open the real host-profiler spans. On the all-hit
-    /// path the per-access RAII spans are replaced by one exact
-    /// `ppc_mmu::host::bulk(1, 1, 1)` count.
+    /// writebacks.
     pub fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
         if self.scale_num != self.scale_den {
             return None;
@@ -225,14 +215,12 @@ impl Machine {
                 if wrote_through {
                     cost += self.mem.bus.write_beat;
                 }
-                ppc_mmu::host::bulk(1, 1, 1);
                 self.cycles += 1 + cost;
                 Some(1 + cost)
             }
             None => {
-                // Translation is committed; only the translate span was
-                // skipped. The layered tail does the rest for real.
-                ppc_mmu::host::bulk(1, 0, 0);
+                // Translation is committed; the layered tail does the rest
+                // for real.
                 self.charge(1);
                 let c = if write {
                     self.data_write_pa(pa, true)
@@ -284,19 +272,15 @@ impl Machine {
         let line = self.mem.icache.config().line_bytes;
         let hit_cycles = self.mem.icache.config().hit_cycles;
         let mut fetched: Cycles = 0;
-        let mut fast_lines: u64 = 0;
         let mut a = pa & !(line - 1);
         while a < pa + bytes {
             if self.mem.icache.fast_hit(a, AccessKind::Read).is_some() {
                 fetched += hit_cycles;
-                fast_lines += 1;
             } else {
                 fetched += self.mem.insn_fetch(a, true);
             }
             a += line;
         }
-        // One translate span; `exec_code_pa` never opens a charge span.
-        ppc_mmu::host::bulk(1, fast_lines, 0);
         let total = fetched + n_insns as Cycles;
         self.cycles += total;
         Some(total)

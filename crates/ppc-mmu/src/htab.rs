@@ -225,7 +225,6 @@ impl HashTable {
         page_index: u32,
         mut visit: impl FnMut(PhysAddr),
     ) -> SearchOutcome {
-        let _host = crate::host::span(crate::host::PHASE_TRANSLATE);
         self.stats.searches += 1;
         let mut probes = 0u32;
         for secondary in [false, true] {
@@ -269,7 +268,6 @@ impl HashTable {
     /// `visit` receives the address of every slot examined plus the slot
     /// written.
     pub fn insert_with(&mut self, mut pte: Pte, mut visit: impl FnMut(PhysAddr)) -> InsertOutcome {
-        let _host = crate::host::span(crate::host::PHASE_TRANSLATE);
         self.stats.inserts += 1;
         pte.valid = true;
         let mut probes = 0u32;
@@ -493,7 +491,6 @@ impl HashTable {
         new_groups: u32,
         mut visit: impl FnMut(PhysAddr),
     ) -> ResizeOutcome {
-        let _host = crate::host::span(crate::host::PHASE_TRANSLATE);
         let old_groups = self.hash.num_groups();
         let old = std::mem::replace(
             &mut self.groups,

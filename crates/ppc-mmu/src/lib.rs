@@ -40,7 +40,6 @@
 pub mod addr;
 pub mod bat;
 pub mod hash;
-pub mod host;
 pub mod htab;
 pub mod pte;
 pub mod segment;

@@ -134,7 +134,6 @@ impl Mmu {
     /// Runs the hardware translation attempt for `ea`: BATs first (they win
     /// in parallel with the page lookup, paper §3), then the TLB.
     pub fn translate(&mut self, ea: EffectiveAddress, at: AccessType) -> Translation {
-        let _host = crate::host::span(crate::host::PHASE_TRANSLATE);
         let bat = if at.is_data() {
             self.bats.translate_data(ea)
         } else {

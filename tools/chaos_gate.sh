@@ -12,117 +12,86 @@
 #    (MMU_TRICKS_BUG_STALE_TLB skips the VSID bump in flush_context), the
 #    oracle catches it within one run, names the staleness, and prints the
 #    seed/step/config repro block.
-# 5. CLI contract (the silent-exit-0 fix): no arguments, an unknown
+# 5. CLI contract: `repro --help` exits 0 and prints the usage on stdout,
+#    listing every registered subcommand; no arguments, an unknown
 #    subcommand, and a typo'd --flag all print usage to stderr and exit
-#    nonzero; the chaos artifact carries the "check" header the diff
-#    refusal keys on.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+#    nonzero (the silent-exit-0 fix); the chaos artifact carries the
+#    "check" header the diff refusal keys on.
+. "$(dirname "$0")/gate_lib.sh"
 
-out="$(mktemp -d)"
-trap 'rm -rf "$out"' EXIT
-
-fail=0
 SEEDS=20
 STEPS=300
 
 # --- 1. the fixed-seed fleet -------------------------------------------------
-if ! cargo run --release -p bench --bin repro -- chaos \
-        --seed 1 --runs "$SEEDS" --steps "$STEPS" \
+if ! repro chaos --seed 1 --runs "$SEEDS" --steps "$STEPS" \
         --json "$out/chaos-a.json" > "$out/fleet.txt"; then
-    echo "FAIL: checked chaos fleet had a violation:" >&2
-    tail -5 "$out/fleet.txt" >&2 || true
-    fail=1
+    gate_fail "checked chaos fleet had a violation" "$out/fleet.txt"
 fi
 clean=$(grep -c ': clean' "$out/fleet.txt" || true)
 if [ "$clean" -ne "$SEEDS" ]; then
-    echo "FAIL: expected $SEEDS clean chaos runs, got $clean" >&2
-    fail=1
+    gate_fail "expected $SEEDS clean chaos runs, got $clean"
 fi
-if grep -q 'oracle_obs=0 ' "$out/fleet.txt"; then
-    echo "FAIL: a chaos run saw zero oracle observations (checker idle)" >&2
-    fail=1
-fi
-if grep -q 'injected=0 ' "$out/fleet.txt"; then
-    echo "FAIL: a chaos run injected zero faults (injector idle)" >&2
-    fail=1
-fi
+require_absent "$out/fleet.txt" 'oracle_obs=0 ' \
+    "a chaos run saw zero oracle observations (checker idle)"
+require_absent "$out/fleet.txt" 'injected=0 ' \
+    "a chaos run injected zero faults (injector idle)"
 
 # --- 2. same-seed determinism ------------------------------------------------
-cargo run --release -p bench --bin repro -- chaos \
-    --seed 1 --runs "$SEEDS" --steps "$STEPS" \
-    --json "$out/chaos-b.json" >/dev/null
-if ! cmp -s "$out/chaos-a.json" "$out/chaos-b.json"; then
-    echo "FAIL: two same-seed chaos fleets are not byte-identical" >&2
-    diff "$out/chaos-a.json" "$out/chaos-b.json" | head -5 >&2 || true
-    fail=1
-fi
-if ! grep -q '"check": "on"' "$out/chaos-a.json"; then
-    echo "FAIL: chaos artifact is missing the check header" >&2
-    fail=1
-fi
+repro chaos --seed 1 --runs "$SEEDS" --steps "$STEPS" \
+    --json "$out/chaos-b.json" > /dev/null
+require_byte_identical "$out/chaos-a.json" "$out/chaos-b.json" \
+    "two same-seed chaos fleets are not byte-identical"
+require_contains "$out/chaos-a.json" '"check": "on"' \
+    "chaos artifact is missing the check header"
 
 # --- 3. check-off cycle identity ---------------------------------------------
-cargo run --release -p bench --bin repro -- chaos \
-    --seed 1 --steps "$STEPS" > "$out/on.txt"
-cargo run --release -p bench --bin repro -- chaos \
-    --seed 1 --steps "$STEPS" --check off > "$out/off.txt"
+repro chaos --seed 1 --steps "$STEPS" > "$out/on.txt"
+repro chaos --seed 1 --steps "$STEPS" --check off > "$out/off.txt"
 cycles_on=$(sed -n 's/.*cycles=\([0-9]*\).*/\1/p' "$out/on.txt")
 cycles_off=$(sed -n 's/.*cycles=\([0-9]*\).*/\1/p' "$out/off.txt")
 if [ -z "$cycles_on" ] || [ "$cycles_on" != "$cycles_off" ]; then
-    echo "FAIL: checker is not zero-cost (on=$cycles_on off=$cycles_off)" >&2
-    fail=1
+    gate_fail "checker is not zero-cost (on=$cycles_on off=$cycles_off)"
 fi
 
 # --- 4. the planted bug is caught --------------------------------------------
-if MMU_TRICKS_BUG_STALE_TLB=1 cargo run --release -p bench --bin repro -- \
-        chaos --seed 1 --steps "$STEPS" > "$out/bug.txt" 2>&1; then
-    echo "FAIL: the planted stale-TLB bug escaped the oracle" >&2
-    fail=1
+if MMU_TRICKS_BUG_STALE_TLB=1 repro chaos --seed 1 --steps "$STEPS" \
+        > "$out/bug.txt" 2>&1; then
+    gate_fail "the planted stale-TLB bug escaped the oracle"
 else
-    if ! grep -q 'MM check violation' "$out/bug.txt"; then
-        echo "FAIL: planted-bug run failed without an oracle violation:" >&2
-        tail -3 "$out/bug.txt" >&2
-        fail=1
-    fi
-    if ! grep -q 'stale' "$out/bug.txt"; then
-        echo "FAIL: planted-bug violation does not name the staleness" >&2
-        fail=1
-    fi
-    if ! grep -q 'repro: repro chaos --seed' "$out/bug.txt"; then
-        echo "FAIL: planted-bug violation has no one-command repro line" >&2
-        fail=1
-    fi
+    require_contains "$out/bug.txt" 'MM check violation' \
+        "planted-bug run failed without an oracle violation"
+    require_contains "$out/bug.txt" 'stale' \
+        "planted-bug violation does not name the staleness"
+    require_contains "$out/bug.txt" 'repro: repro chaos --seed' \
+        "planted-bug violation has no one-command repro line"
 fi
 
 # --- 5. CLI exit-code contract -----------------------------------------------
-run_repro() { cargo run -q --release -p bench --bin repro -- "$@"; }
-if run_repro > "$out/noargs.out" 2> "$out/noargs.err"; then
-    echo "FAIL: repro with no arguments exited 0" >&2
-    fail=1
+if ! repro --help > "$out/help.out"; then
+    gate_fail "repro --help exited nonzero"
 fi
-if [ -s "$out/noargs.out" ] || ! grep -q 'usage:' "$out/noargs.err"; then
-    echo "FAIL: repro with no arguments must print usage to stderr only" >&2
-    fail=1
+require_contains "$out/help.out" 'usage:' "repro --help must print usage on stdout"
+for sub in bench matrix tune report diff chaos perf tail causal; do
+    require_contains "$out/help.out" "^  $sub " \
+        "repro --help does not list the '$sub' subcommand"
+done
+if repro > "$out/noargs.out" 2> "$out/noargs.err"; then
+    gate_fail "repro with no arguments exited 0"
 fi
-if run_repro no-such-subcommand >/dev/null 2> "$out/unknown.err"; then
-    echo "FAIL: repro with an unknown subcommand exited 0" >&2
-    fail=1
+if [ -s "$out/noargs.out" ]; then
+    gate_fail "repro with no arguments must print nothing on stdout" "$out/noargs.out"
 fi
-if ! grep -q 'unknown experiment' "$out/unknown.err"; then
-    echo "FAIL: unknown subcommand error is not diagnostic" >&2
-    fail=1
+require_contains "$out/noargs.err" 'usage:' \
+    "repro with no arguments must print usage to stderr"
+if repro no-such-subcommand > /dev/null 2> "$out/unknown.err"; then
+    gate_fail "repro with an unknown subcommand exited 0"
 fi
-if run_repro bench --dpeth full >/dev/null 2> "$out/badflag.err"; then
-    echo "FAIL: repro with a typo'd flag exited 0" >&2
-    fail=1
+require_contains "$out/unknown.err" 'unknown experiment' \
+    "unknown subcommand error is not diagnostic"
+if repro bench --dpeth full > /dev/null 2> "$out/badflag.err"; then
+    gate_fail "repro with a typo'd flag exited 0"
 fi
-if ! grep -q -- '--dpeth' "$out/badflag.err"; then
-    echo "FAIL: typo'd-flag error does not name the flag" >&2
-    fail=1
-fi
+require_contains "$out/badflag.err" '--dpeth' \
+    "typo'd-flag error does not name the flag"
 
-if [ "$fail" -ne 0 ]; then
-    exit 1
-fi
-echo "chaos gate OK: $clean/$SEEDS seeds clean, deterministic artifact, check-off cycle-identical, planted bug caught, CLI exit codes honest"
+gate_ok "chaos gate OK: $clean/$SEEDS seeds clean, deterministic artifact, check-off cycle-identical, planted bug caught, CLI contract honest"
