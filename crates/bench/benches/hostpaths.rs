@@ -9,12 +9,14 @@ use kernel_sim::sched::USER_BASE;
 use kernel_sim::trace::{TraceEvent, TraceRecord, TraceRing};
 use kernel_sim::{Kernel, KernelConfig};
 use ppc_cache::hierarchy::{MemSystem, MemSystemConfig};
+use ppc_cache::AccessKind;
 use ppc_machine::{Machine, MachineConfig};
 use ppc_mmu::addr::{EffectiveAddress, Vsid};
-use ppc_mmu::htab::HashTable;
+use ppc_mmu::htab::{HashTable, PTE_BYTES};
 use ppc_mmu::pte::Pte;
 use ppc_mmu::tlb::TlbEntry;
 use ppc_mmu::translate::AccessType;
+use ppc_mmu::{Tlb, TlbConfig};
 
 fn pte(vsid: u32, pi: u32) -> Pte {
     Pte {
@@ -31,10 +33,30 @@ fn pte(vsid: u32, pi: u32) -> Pte {
 }
 
 /// translate: the full `Mmu::translate` path (segments → BAT → TLB), the
-/// htab insert, and the htab rehash — the paths behind every memory
-/// reference and every reload.
+/// bare TLB probe, the htab insert, and the htab rehash — the paths behind
+/// every memory reference and every reload.
 fn bench_translate(c: &mut Criterion) {
     let mut g = c.benchmark_group("translate");
+    g.bench_function("tlb_peek", |b| {
+        // Every way of every set valid; the probes alternate ways.
+        let mut t = Tlb::new(TlbConfig::ppc604_side());
+        for pi in 0..128 {
+            t.insert(TlbEntry {
+                vsid: Vsid::new(1),
+                page_index: pi,
+                rpn: pi,
+                cached: true,
+                writable: true,
+            });
+        }
+        let mut pi = 0u32;
+        b.iter(|| {
+            pi = (pi + 1) % 128;
+            // Read the fields the fused path reads, rather than spill the
+            // whole entry.
+            black_box(t.peek(Vsid::new(1), pi).map(|(i, e)| (i, e.rpn, e.cached)))
+        });
+    });
     g.bench_function("mmu_tlb_hit", |b| {
         let mut m = Machine::new(MachineConfig::ppc604_133());
         for pi in 0..64 {
@@ -94,9 +116,39 @@ fn bench_translate(c: &mut Criterion) {
 }
 
 /// cache: the `MemSystem` read path, hit and miss — under every simulated
-/// data reference that misses the fused path.
+/// data reference that misses the fused path — and the two word runs the
+/// kernel charges most: a page clear and a hash-table probe.
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
+    g.bench_function("zero_page_stores_4k", |b| {
+        // Eight pages cleared in turn: each clear evicts the dirty lines
+        // the clear before it left, so every line fills and writes back
+        // through the L2.
+        let mut mem = MemSystem::new(MemSystemConfig::ppc603());
+        for pa in (0..0x4000).step_by(32) {
+            mem.data_write(pa, true);
+        }
+        let mut page = 0u32;
+        b.iter(|| {
+            page = (page + 1) % 8;
+            black_box(mem.zero_page_stores(0x10_0000 + page * 4096, 4096))
+        });
+    });
+    g.bench_function("pteg_probe_miss", |b| {
+        // Both PTEGs of an empty table: sixteen slot reads, charged through
+        // the data cache as the kernel's reload does.
+        let mut mem = MemSystem::new(MemSystemConfig::ppc604());
+        let mut h = HashTable::new(2048, 0x20_0000);
+        let mut pi = 0u32;
+        b.iter(|| {
+            pi = (pi + 1) & 0xffff;
+            let mut cost = 0;
+            h.search_with(Vsid::new(9), pi, |pa, slots| {
+                cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, true);
+            });
+            black_box(cost)
+        });
+    });
     g.bench_function("data_read_hit", |b| {
         let mut mem = MemSystem::new(MemSystemConfig::ppc604());
         mem.data_read(0x4000, true);

@@ -1,7 +1,9 @@
 //! TLB and hash-table flush strategies (paper §7).
 
+use ppc_cache::AccessKind;
 use ppc_machine::Cycles;
 use ppc_mmu::addr::{EffectiveAddress, Vsid, PAGE_SIZE};
+use ppc_mmu::htab::PTE_BYTES;
 
 use crate::kernel::Kernel;
 use crate::layout::is_user;
@@ -63,8 +65,10 @@ impl Kernel {
             let cached = self.cfg.htab_cached;
             let mut cost: Cycles = 0;
             let machine = &mut self.machine;
-            let (_, cleared) = self.htab.invalidate_with(vsid, page_index, |pa| {
-                cost += machine.mem.data_read(pa, cached);
+            let (_, cleared) = self.htab.invalidate_with(vsid, page_index, |pa, slots| {
+                cost += machine
+                    .mem
+                    .data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached);
             });
             if cleared {
                 // Write the cleared valid bit back.
@@ -118,29 +122,23 @@ impl Kernel {
             self.machine.charge(8);
         } else {
             let old = self.tasks[idx].vsids;
-            let old_set: std::collections::HashSet<u32> = old.iter().map(|v| v.raw()).collect();
             // Under PID-derived VSIDs, "retiring" leaves liveness unchanged
             // (the same VSIDs come right back); the cost is the scan.
             self.vsids.retire(&old);
             let pid = self.tasks[idx].pid;
             self.tasks[idx].vsids = self.vsids.alloc_context(pid);
             if self.uses_htab() {
-                let (scanned, _cleared) = self
-                    .htab
-                    .invalidate_matching(|v| old_set.contains(&v.raw()));
-                // The scan reads every slot; charge it as a sequential sweep
-                // through the data cache.
+                let (scanned, _cleared) = self.htab.invalidate_matching(|v| old.contains(&v));
+                // The scan reads every slot, one read per PTE; charge it as a
+                // sequential sweep through the data cache.
                 let cached = self.cfg.htab_cached;
-                let mut cost: Cycles = 0;
-                for g in 0..scanned / 8 {
-                    // One read per PTE; slots share cache lines (4 per line).
-                    for s in 0..8 {
-                        cost += self
-                            .machine
-                            .mem
-                            .data_read(self.htab.slot_pa(g, s as usize), cached);
-                    }
-                }
+                let cost = self.machine.mem.data_run(
+                    self.htab.slot_pa(0, 0),
+                    scanned,
+                    PTE_BYTES,
+                    AccessKind::Read,
+                    cached,
+                );
                 self.machine.charge(cost);
             }
             self.machine.mmu.flush_tlbs();

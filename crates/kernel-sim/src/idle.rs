@@ -9,7 +9,9 @@
 //!    demand path — through the cache (the §9 pessimization) or with the
 //!    cache inhibited (the win).
 
+use ppc_cache::AccessKind;
 use ppc_machine::Cycles;
+use ppc_mmu::htab::PTE_BYTES;
 
 use crate::kernel::Kernel;
 use crate::layout::KernelPath;
@@ -103,10 +105,10 @@ impl Kernel {
         // Charge the slot reads at the addresses actually scanned, plus the
         // valid-bit writes for cleared zombies.
         let base = self.htab.slot_pa(start_group, 0);
-        let mut cost: Cycles = 0;
-        for i in 0..scanned {
-            cost += self.machine.mem.data_read(base + i * 8, cached);
-        }
+        let mut cost =
+            self.machine
+                .mem
+                .data_run(base, scanned, PTE_BYTES, AccessKind::Read, cached);
         cost += cleared as Cycles * 2;
         self.machine.charge(cost);
         self.t_event(|| TraceEvent::Reclaim { scanned, cleared });

@@ -1,9 +1,10 @@
 //! The kernel proper: state, boot, and the translate-and-access engine.
 
+use ppc_cache::AccessKind;
 use ppc_machine::{Cycles, Machine, MachineConfig};
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
 use ppc_mmu::bat::BatEntry;
-use ppc_mmu::htab::HashTable;
+use ppc_mmu::htab::{HashTable, PTE_BYTES};
 use ppc_mmu::translate::{AccessType, Translation};
 
 use crate::errors::KResult;
@@ -1163,15 +1164,17 @@ impl Kernel {
             // catch, and how it was first caught.) No cycles are charged:
             // uninjected runs are untouched, and within injected runs the
             // fault is the adversity, not a cost model.
-            self.htab.invalidate_with(va.vsid, va.page_index, |_| {});
+            self.htab.invalidate(va.vsid, va.page_index);
             self.stats.htab_misses += 1;
             return false;
         }
         let cached = self.cfg.htab_cached;
         let mut probe_cycles: Cycles = 0;
         let machine = &mut self.machine;
-        let out = self.htab.search_with(va.vsid, va.page_index, |pa| {
-            probe_cycles += machine.mem.data_read(pa, cached);
+        let out = self.htab.search_with(va.vsid, va.page_index, |pa, slots| {
+            probe_cycles += machine
+                .mem
+                .data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached);
         });
         machine.charge(probe_cycles);
         match out.pte {
@@ -1352,8 +1355,10 @@ impl Kernel {
             let htab_cached = self.cfg.htab_cached;
             let mut cost: Cycles = 0;
             let machine = &mut self.machine;
-            let out = self.htab.insert_with(hw_pte, |pa| {
-                cost += machine.mem.data_read(pa, htab_cached);
+            let out = self.htab.insert_with(hw_pte, |pa, slots| {
+                cost += machine
+                    .mem
+                    .data_run(pa, slots, PTE_BYTES, AccessKind::Read, htab_cached);
             });
             // The final slot write.
             let (g, s) = out.location;

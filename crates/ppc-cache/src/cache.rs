@@ -40,7 +40,7 @@ impl CacheOutcome {
     };
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     valid: bool,
     dirty: bool,
@@ -65,7 +65,7 @@ struct Line {
 /// assert!(!c.access(0x100, AccessKind::Read).hit);
 /// assert!(c.access(0x104, AccessKind::Read).hit); // same 32-byte line
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// Every line in one contiguous allocation, indexed `set * ways + way`.
@@ -85,6 +85,8 @@ pub struct Cache {
     tick: u64,
     set_shift: u32,
     set_mask: u32,
+    /// `set_shift + log2(sets)`: a line's tag is `addr >> tag_shift`.
+    tag_shift: u32,
 }
 
 /// Tag sentinel for an invalid way (see [`Cache::tags`]).
@@ -112,6 +114,7 @@ impl Cache {
             tick: 0,
             set_shift,
             set_mask,
+            tag_shift: set_shift + set_mask.count_ones(),
         }
     }
 
@@ -133,19 +136,21 @@ impl Cache {
     #[inline]
     fn index(&self, addr: PhysAddr) -> (usize, u32) {
         let set = (addr >> self.set_shift) & self.set_mask;
-        let tag = addr >> (self.set_shift + self.set_mask.count_ones());
-        (set as usize, tag)
+        (set as usize, addr >> self.tag_shift)
     }
 
     /// Finds the resident line for `(set, tag)`, as a flat index into
-    /// `self.lines`.
+    /// `self.lines`. Tags are unique within a set (a line is only filled
+    /// after this scan missed), so the scan visits every way without an
+    /// early exit and selects the match branch-free.
     #[inline]
     fn find(&self, set: usize, tag: u32) -> Option<usize> {
         let base = set * self.ways;
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|w| base + w)
+        let mut found = usize::MAX;
+        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            found = if t == tag { base + w } else { found };
+        }
+        (found != usize::MAX).then_some(found)
     }
 
     /// Picks the replacement victim in `set`: an invalid way if one exists,
@@ -175,90 +180,76 @@ impl Cache {
     pub fn fast_hit(&mut self, addr: PhysAddr, kind: AccessKind) -> Option<bool> {
         let (set, tag) = self.index(addr);
         let idx = self.find(set, tag)?;
-        self.tick += 1;
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        let mut wrote_through = false;
-        let line = &mut self.lines[idx];
-        line.lru = self.tick;
-        if kind == AccessKind::Write {
-            match self.cfg.write_policy {
-                WritePolicy::WriteBack => line.dirty = true,
-                WritePolicy::WriteThrough => wrote_through = true,
-            }
-        }
-        Some(wrote_through)
+        Some(self.hits_at(idx, kind, 1))
     }
 
-    /// Burst form of [`Cache::fast_hit`]: commits the bookkeeping of `n`
-    /// consecutive [`Cache::fast_hit`] calls to the *same* line in one step
-    /// (the tick, demand and hit counters each advance by `n`; the LRU stamp
-    /// lands on the final tick, exactly where `n` repeated probes would leave
-    /// it; the dirty/write-through resolution is identical for every access
-    /// in the burst, so it is applied once and returned). Returns `None` on a
-    /// miss *without touching any state*. `n == 0` is also a no-op.
+    /// Commits `n` hits of `kind` on the resident line at flat index `idx`:
+    /// exactly the bookkeeping of `n` consecutive [`Cache::access`] hits on
+    /// that line. The tick and the demand and hit counters advance by `n`,
+    /// the LRU stamp lands on the last tick, and the dirty/write-through
+    /// resolution, the same for every access, is applied once and returned.
     #[inline]
-    pub fn fast_hit_n(&mut self, addr: PhysAddr, kind: AccessKind, n: u64) -> Option<bool> {
-        if n == 0 {
-            return Some(false);
-        }
-        let (set, tag) = self.index(addr);
-        let idx = self.find(set, tag)?;
+    pub(crate) fn hits_at(&mut self, idx: usize, kind: AccessKind, n: u64) -> bool {
         self.tick += n;
         self.stats.accesses += n;
         self.stats.hits += n;
-        let mut wrote_through = false;
         let line = &mut self.lines[idx];
         line.lru = self.tick;
+        let mut wrote_through = false;
         if kind == AccessKind::Write {
             match self.cfg.write_policy {
                 WritePolicy::WriteBack => line.dirty = true,
                 WritePolicy::WriteThrough => wrote_through = true,
             }
         }
-        Some(wrote_through)
+        wrote_through
     }
 
     /// Performs a cacheable access and returns what happened.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheOutcome {
-        self.tick += 1;
-        self.stats.accesses += 1;
+        self.access_at(addr, kind).0
+    }
+
+    /// [`Cache::access`], also returning the flat index of the line the
+    /// access left resident (the line it hit or the way it filled), so a
+    /// caller can commit further hits on it with [`Cache::hits_at`]. The
+    /// index is `None` when every way of the set is locked and the access
+    /// bypassed the cache.
+    #[inline]
+    pub(crate) fn access_at(
+        &mut self,
+        addr: PhysAddr,
+        kind: AccessKind,
+    ) -> (CacheOutcome, Option<usize>) {
         let (set, tag) = self.index(addr);
         if let Some(idx) = self.find(set, tag) {
-            self.stats.hits += 1;
-            let line = &mut self.lines[idx];
-            line.lru = self.tick;
-            let mut wrote_through = false;
-            if kind == AccessKind::Write {
-                match self.cfg.write_policy {
-                    WritePolicy::WriteBack => line.dirty = true,
-                    WritePolicy::WriteThrough => wrote_through = true,
-                }
-            }
-            return CacheOutcome {
+            let wrote_through = self.hits_at(idx, kind, 1);
+            let out = CacheOutcome {
                 wrote_through,
                 ..CacheOutcome::HIT
             };
+            return (out, Some(idx));
         }
+        self.tick += 1;
+        self.stats.accesses += 1;
         self.stats.misses += 1;
         let Some(idx) = self.victim(set) else {
             // Every way locked: treat as an uncached access.
             self.stats.inhibited += 1;
-            return CacheOutcome {
+            let out = CacheOutcome {
                 hit: false,
                 evicted: false,
                 writeback: false,
                 wrote_through: kind == AccessKind::Write,
                 victim_pa: None,
             };
+            return (out, None);
         };
         let line = &mut self.lines[idx];
         let evicted = line.valid;
         let writeback = line.valid && line.dirty;
-        let victim_pa = writeback.then(|| {
-            (line.tag << (self.set_shift + self.set_mask.count_ones()))
-                | ((set as u32) << self.set_shift)
-        });
+        let victim_pa =
+            writeback.then(|| (line.tag << self.tag_shift) | ((set as u32) << self.set_shift));
         if evicted {
             self.stats.evictions += 1;
         }
@@ -282,18 +273,24 @@ impl Cache {
             lru: self.tick,
         };
         self.tags[idx] = tag;
-        CacheOutcome {
+        let out = CacheOutcome {
             hit: false,
             evicted,
             writeback,
             wrote_through,
             victim_pa,
-        }
+        };
+        (out, Some(idx))
     }
 
     /// Records a cache-inhibited access: the cache state is untouched.
     pub fn access_inhibited(&mut self) {
-        self.stats.inhibited += 1;
+        self.access_inhibited_n(1);
+    }
+
+    /// Records `n` cache-inhibited accesses at once.
+    pub(crate) fn access_inhibited_n(&mut self, n: u64) {
+        self.stats.inhibited += n;
     }
 
     /// `dcbz`-style line zeroing: establishes the line in the cache, dirty,

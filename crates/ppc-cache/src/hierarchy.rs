@@ -71,7 +71,7 @@ impl MemSystemConfig {
 /// let hit = mem.data_write(0x2004, true);
 /// assert!(miss > hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSystem {
     /// L1 instruction cache.
     pub icache: Cache,
@@ -153,16 +153,7 @@ impl MemSystem {
             self.dcache.access_inhibited();
             return self.bus.read_beat;
         }
-        let out = self.dcache.access(pa, AccessKind::Read);
-        let mut cost = if out.hit {
-            self.dcache.config().hit_cycles
-        } else {
-            self.fill_from_below(pa)
-        };
-        if out.writeback {
-            cost += self.writeback_below(out.victim_pa);
-        }
-        cost
+        self.data_access(pa, AccessKind::Read).0
     }
 
     /// Stores a word to `pa` through the data cache.
@@ -171,7 +162,15 @@ impl MemSystem {
             self.dcache.access_inhibited();
             return self.bus.write_beat;
         }
-        let out = self.dcache.access(pa, AccessKind::Write);
+        self.data_access(pa, AccessKind::Write).0
+    }
+
+    /// One cacheable data access: its cost, and the flat index of the L1
+    /// line it left resident (`None` when a fully locked set bypassed the
+    /// cache).
+    #[inline]
+    fn data_access(&mut self, pa: PhysAddr, kind: AccessKind) -> (Cycles, Option<usize>) {
+        let (out, idx) = self.dcache.access_at(pa, kind);
         let mut cost = if out.hit {
             self.dcache.config().hit_cycles
         } else {
@@ -182,6 +181,66 @@ impl MemSystem {
         }
         if out.wrote_through {
             cost += self.bus.write_beat;
+        }
+        (cost, idx)
+    }
+
+    /// A run of word accesses: defined as exactly `count`
+    /// [`MemSystem::data_read`] (or [`MemSystem::data_write`]) calls at
+    /// `pa + i * stride`, with their costs summed. Every cycle and counter
+    /// is the same as the word loop's. The accesses that follow a probe on
+    /// the same L1 line cannot miss, so they commit in one step: the tick
+    /// and the demand and hit counters go up by their number, and the LRU
+    /// stamp is the last tick. Only a fully locked set, which allocates
+    /// nothing, falls back to one probe per word.
+    ///
+    /// Callers must charge the sum once: a per-access `charge` floors on its
+    /// own under a causal charge scale, so a loop that charges per access
+    /// may not be folded into a run.
+    pub fn data_run(
+        &mut self,
+        pa: PhysAddr,
+        count: u32,
+        stride: u32,
+        kind: AccessKind,
+        cached: bool,
+    ) -> Cycles {
+        if !cached {
+            self.dcache.access_inhibited_n(u64::from(count));
+            let beat = match kind {
+                AccessKind::Read => self.bus.read_beat,
+                AccessKind::Write => self.bus.write_beat,
+            };
+            return Cycles::from(count) * beat;
+        }
+        let line = self.dcache.config().line_bytes;
+        let hit_cycles = self.dcache.config().hit_cycles;
+        // How many further accesses fit in the `room` bytes left on a line;
+        // a shift for the power-of-two strides the kernel's runs use.
+        let fit = |room: u32| match stride {
+            0 => u32::MAX,
+            s if s.is_power_of_two() => room >> s.trailing_zeros(),
+            s => room / s,
+        };
+        let mut cost = 0;
+        let mut i = 0;
+        while i < count {
+            let addr = pa + i * stride;
+            let (c, idx) = self.data_access(addr, kind);
+            cost += c;
+            i += 1;
+            let Some(idx) = idx else { continue };
+            // The later accesses of the run that land on the same line.
+            let same = fit((addr | (line - 1)) - addr).min(count - i);
+            if same > 0 {
+                let n = u64::from(same);
+                cost += if self.dcache.hits_at(idx, kind, n) {
+                    n * (hit_cycles + self.bus.write_beat)
+                } else {
+                    n * hit_cycles
+                };
+                i += same;
+            }
         }
         cost
     }
@@ -209,68 +268,23 @@ impl MemSystem {
     /// Zeroes a whole page with ordinary cached stores (write-allocate: each
     /// line is filled from memory, dirtied, and left resident). This is how
     /// Linux/PPC cleared pages — the paper (§9) deliberately avoided `dcbz`
-    /// "for the same reason" (its effect on the data cache). Returns the
-    /// total cycle cost.
+    /// "for the same reason" (its effect on the data cache). One word store
+    /// per word, as a [`MemSystem::data_run`]. Returns the total cycle cost.
     pub fn zero_page_stores(&mut self, page_pa: PhysAddr, page_bytes: u32) -> Cycles {
-        let line = self.dcache.config().line_bytes;
-        let hit_cycles = self.dcache.config().hit_cycles;
-        let write_beat = self.bus.write_beat;
-        let words = line / 4;
-        let mut cost = 0;
-        let mut addr = page_pa;
-        while addr < page_pa + page_bytes {
-            // One store per word; the first store of a line pays the fill,
-            // and the remaining words hit the now-resident line, so their
-            // bookkeeping commits in one burst probe. A locked set (the
-            // first store allocated nothing) falls back to per-word stores.
-            cost += match self.dcache.fast_hit(addr, AccessKind::Write) {
-                Some(true) => hit_cycles + write_beat,
-                Some(false) => hit_cycles,
-                None => self.data_write(addr, true),
-            };
-            let rest = u64::from(words - 1);
-            cost += match self.dcache.fast_hit_n(addr + 4, AccessKind::Write, rest) {
-                Some(true) => rest * (hit_cycles + write_beat),
-                Some(false) => rest * hit_cycles,
-                None => {
-                    let mut c = 0;
-                    for w in 1..words {
-                        c += match self.dcache.fast_hit(addr + w * 4, AccessKind::Write) {
-                            Some(true) => hit_cycles + write_beat,
-                            Some(false) => hit_cycles,
-                            None => self.data_write(addr + w * 4, true),
-                        };
-                    }
-                    c
-                }
-            };
-            addr += line;
-        }
-        cost
+        self.data_run(page_pa, page_bytes / 4, 4, AccessKind::Write, true)
     }
 
     /// Copies `bytes` between two physical regions through the data cache:
     /// one read of each source line, one write of each destination line,
     /// plus two loop cycles of address arithmetic per line — the memory
-    /// half of kernel `copy_to/from_user` and pipe buffer copies. The
-    /// resident-line common case takes the flat probe; misses take the full
-    /// fill/writeback paths.
+    /// half of kernel `copy_to/from_user` and pipe buffer copies.
     pub fn copy_range(&mut self, src: PhysAddr, dst: PhysAddr, bytes: u32) -> Cycles {
         let line = self.dcache.config().line_bytes;
-        let hit_cycles = self.dcache.config().hit_cycles;
-        let write_beat = self.bus.write_beat;
         let mut c: Cycles = 0;
         let mut off = 0;
         while off < bytes {
-            c += match self.dcache.fast_hit(src + off, AccessKind::Read) {
-                Some(_) => hit_cycles,
-                None => self.data_read(src + off, true),
-            };
-            c += match self.dcache.fast_hit(dst + off, AccessKind::Write) {
-                Some(true) => hit_cycles + write_beat,
-                Some(false) => hit_cycles,
-                None => self.data_write(dst + off, true),
-            };
+            c += self.data_read(src + off, true);
+            c += self.data_write(dst + off, true);
             c += 2;
             off += line;
         }

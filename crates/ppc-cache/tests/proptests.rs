@@ -6,6 +6,38 @@ use ppc_cache::cache::{AccessKind, Cache};
 use ppc_cache::config::{CacheConfig, WritePolicy};
 use ppc_cache::hierarchy::{MemSystem, MemSystemConfig};
 
+/// One of the memory systems a run can meet: 603 or 604 geometry, with or
+/// without the board L2, with a write-back or a write-through L1.
+fn run_config(pick: u32) -> MemSystemConfig {
+    let base = if pick & 1 == 0 {
+        MemSystemConfig::ppc603()
+    } else {
+        MemSystemConfig::ppc604()
+    };
+    let write_policy = if pick & 4 == 0 {
+        WritePolicy::WriteBack
+    } else {
+        WritePolicy::WriteThrough
+    };
+    MemSystemConfig {
+        l2: if pick & 2 == 0 { base.l2 } else { None },
+        dcache: CacheConfig {
+            write_policy,
+            ..base.dcache
+        },
+        ..base
+    }
+}
+
+/// One word access, the unit a [`MemSystem::data_run`] is defined by.
+fn word(m: &mut MemSystem, pa: u32, write: bool, cached: bool) -> u64 {
+    if write {
+        m.data_write(pa, cached)
+    } else {
+        m.data_read(pa, cached)
+    }
+}
+
 fn small_cfg(ways: u32) -> CacheConfig {
     CacheConfig {
         size_bytes: 1024,
@@ -94,6 +126,58 @@ proptest! {
                 prop_assert_eq!(m.dcache.contains(a), resident_before);
             }
         }
+    }
+
+    /// A run is exactly its word loop: over random runs (start, length,
+    /// stride, read or write, cached or not) on every memory-system shape,
+    /// into a warmed, dirty cache with some sets partly or fully locked,
+    /// `data_run` and per-word `data_read`/`data_write` calls leave equal
+    /// costs, equal L1 and L2 counters and an equal memory system (LRU
+    /// stamps and dirty bits included), and a follow-up stream of
+    /// conflicting accesses then costs the same on both.
+    #[test]
+    fn data_run_equals_word_loop(
+        pick in 0u32..8,
+        warm in proptest::collection::vec((0u32..0x8_0000, any::<bool>()), 0..400),
+        lock in (0u32..128, 0u32..5),
+        runs in proptest::collection::vec(
+            ((0u32..0x1_0000, 1u32..300),
+             (prop::sample::select(vec![4u32, 8, 32, 64]), any::<bool>(), any::<bool>())),
+            1..12),
+        follow in proptest::collection::vec((0u32..0x8_0000, any::<bool>()), 1..300),
+    ) {
+        let mut run = MemSystem::new(run_config(pick));
+        for &(pa, write) in &warm {
+            word(&mut run, pa, write, true);
+        }
+        // Lock `ways` lines of one set (all of them when `ways` covers the
+        // associativity, so runs through it bypass the cache).
+        let (set, ways) = lock;
+        let span = run.dcache.config().num_sets() * run.dcache.config().line_bytes;
+        for k in 0..ways.min(run.dcache.config().ways) {
+            let pa = set * 32 + k * span;
+            word(&mut run, pa, false, true);
+            prop_assert!(run.dcache.set_locked(pa, true));
+        }
+        let mut words = run.clone();
+        for &((pa, count), (stride, write, cached)) in &runs {
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let got = run.data_run(pa, count, stride, kind, cached);
+            let want: u64 = (0..count)
+                .map(|i| word(&mut words, pa + i * stride, write, cached))
+                .sum();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(run.dcache.stats(), words.dcache.stats());
+            prop_assert_eq!(
+                run.l2.as_ref().map(|c| *c.stats()),
+                words.l2.as_ref().map(|c| *c.stats())
+            );
+            prop_assert!(run == words, "memory systems diverged after a run");
+        }
+        for &(pa, write) in &follow {
+            prop_assert_eq!(word(&mut run, pa, write, true), word(&mut words, pa, write, true));
+        }
+        prop_assert_eq!(run.dcache.stats(), words.dcache.stats());
     }
 
     /// dcbz never reads memory: zeroing N cold lines in an empty cache

@@ -217,34 +217,38 @@ impl HashTable {
 
     /// Searches for `(vsid, page_index)`: primary PTEG first, then secondary,
     /// probing slots in order exactly as the 604's hardware walker does.
-    /// `visit` is called with the physical address of every slot probed so
-    /// the caller can charge cache/bus traffic.
+    /// `visit` is called once per PTEG probed with `(first_slot_pa, slots)`:
+    /// the run of consecutive slots read, `PTE_BYTES` apart, so the caller
+    /// can charge cache/bus traffic.
     pub fn search_with(
         &mut self,
         vsid: Vsid,
         page_index: u32,
-        mut visit: impl FnMut(PhysAddr),
+        mut visit: impl FnMut(PhysAddr, u32),
     ) -> SearchOutcome {
         self.stats.searches += 1;
         let mut probes = 0u32;
         for secondary in [false, true] {
             let g = self.hash.pteg_index(vsid, page_index, secondary);
-            for (slot, pte) in self.groups[g as usize].iter().enumerate() {
-                probes += 1;
-                visit(self.slot_pa(g, slot));
-                if pte.matches(vsid, page_index, secondary) {
-                    self.stats.probes += probes as u64;
-                    if secondary {
-                        self.stats.found_secondary += 1;
-                    } else {
-                        self.stats.found_primary += 1;
-                    }
-                    return SearchOutcome {
-                        pte: Some(*pte),
-                        location: Some((g, slot)),
-                        probes,
-                    };
+            let group = &self.groups[g as usize];
+            let hit = group
+                .iter()
+                .position(|pte| pte.matches(vsid, page_index, secondary));
+            let slots = hit.map_or(PTES_PER_GROUP, |s| s + 1) as u32;
+            probes += slots;
+            visit(self.slot_pa(g, 0), slots);
+            if let Some(slot) = hit {
+                self.stats.probes += probes as u64;
+                if secondary {
+                    self.stats.found_secondary += 1;
+                } else {
+                    self.stats.found_primary += 1;
                 }
+                return SearchOutcome {
+                    pte: Some(group[slot]),
+                    location: Some((g, slot)),
+                    probes,
+                };
             }
         }
         self.stats.probes += probes as u64;
@@ -258,37 +262,42 @@ impl HashTable {
 
     /// [`HashTable::search_with`] without the probe callback.
     pub fn search(&mut self, vsid: Vsid, page_index: u32) -> SearchOutcome {
-        self.search_with(vsid, page_index, |_| {})
+        self.search_with(vsid, page_index, |_, _| {})
     }
 
     /// Inserts `pte`, preferring an empty slot in the primary PTEG, then the
     /// secondary PTEG, then round-robin displacement in the primary group
     /// (the paper's §7 policy: the reload code "replace\[s\] an entry when
     /// needed, not checking if it has a currently valid VSID or not").
-    /// `visit` receives the address of every slot examined plus the slot
-    /// written.
-    pub fn insert_with(&mut self, mut pte: Pte, mut visit: impl FnMut(PhysAddr)) -> InsertOutcome {
+    /// `visit` receives each run of slots examined as
+    /// `(first_slot_pa, slots)`, as in [`HashTable::search_with`], plus the
+    /// slot written as a run of one.
+    pub fn insert_with(
+        &mut self,
+        mut pte: Pte,
+        mut visit: impl FnMut(PhysAddr, u32),
+    ) -> InsertOutcome {
         self.stats.inserts += 1;
         pte.valid = true;
         let mut probes = 0u32;
         for secondary in [false, true] {
             let g = self.hash.pteg_index(pte.vsid, pte.page_index, secondary);
-            for slot in 0..PTES_PER_GROUP {
-                probes += 1;
-                visit(self.slot_pa(g, slot));
-                if !self.groups[g as usize][slot].valid {
-                    pte.secondary = secondary;
-                    self.groups[g as usize][slot] = pte;
-                    visit(self.slot_pa(g, slot));
-                    self.stats.inserts_into_empty += 1;
-                    return InsertOutcome {
-                        location: (g, slot),
-                        displaced: None,
-                        secondary,
-                        probes,
-                        overflow: false,
-                    };
-                }
+            let free = self.groups[g as usize].iter().position(|p| !p.valid);
+            let slots = free.map_or(PTES_PER_GROUP, |s| s + 1) as u32;
+            probes += slots;
+            visit(self.slot_pa(g, 0), slots);
+            if let Some(slot) = free {
+                pte.secondary = secondary;
+                self.groups[g as usize][slot] = pte;
+                visit(self.slot_pa(g, slot), 1);
+                self.stats.inserts_into_empty += 1;
+                return InsertOutcome {
+                    location: (g, slot),
+                    displaced: None,
+                    secondary,
+                    probes,
+                    overflow: false,
+                };
             }
         }
         // Both groups full: displace per the configured policy in the
@@ -314,7 +323,7 @@ impl HashTable {
         let displaced = self.groups[g as usize][slot];
         pte.secondary = false;
         self.groups[g as usize][slot] = pte;
-        visit(self.slot_pa(g, slot));
+        visit(self.slot_pa(g, slot), 1);
         self.stats.evictions += 1;
         self.stats.overflows += 1;
         InsertOutcome {
@@ -328,17 +337,18 @@ impl HashTable {
 
     /// [`HashTable::insert_with`] without the probe callback.
     pub fn insert(&mut self, pte: Pte) -> InsertOutcome {
-        self.insert_with(pte, |_| {})
+        self.insert_with(pte, |_, _| {})
     }
 
     /// Invalidates the entry for `(vsid, page_index)` if present, searching
-    /// both PTEGs (up to 16 memory references — the §7 flush cost). Returns
-    /// the probe count and whether an entry was cleared.
+    /// both PTEGs (up to 16 memory references — the §7 flush cost; `visit`
+    /// sees the runs of [`HashTable::search_with`]). Returns the probe count
+    /// and whether an entry was cleared.
     pub fn invalidate_with(
         &mut self,
         vsid: Vsid,
         page_index: u32,
-        visit: impl FnMut(PhysAddr),
+        visit: impl FnMut(PhysAddr, u32),
     ) -> (u32, bool) {
         let found = self.search_with(vsid, page_index, visit);
         if let Some((g, slot)) = found.location {
@@ -352,7 +362,7 @@ impl HashTable {
 
     /// [`HashTable::invalidate_with`] without the probe callback.
     pub fn invalidate(&mut self, vsid: Vsid, page_index: u32) -> (u32, bool) {
-        self.invalidate_with(vsid, page_index, |_| {})
+        self.invalidate_with(vsid, page_index, |_, _| {})
     }
 
     /// Scans up to `max_groups` PTEGs from the rotating reclaim cursor and
@@ -824,16 +834,84 @@ mod tests {
         h.resize(96);
     }
 
+    /// Expands `(first_slot_pa, slots)` runs into one address per slot.
+    fn expand(runs: &[(PhysAddr, u32)]) -> Vec<PhysAddr> {
+        runs.iter()
+            .flat_map(|&(pa, n)| (0..n).map(move |i| pa + i * PTE_BYTES))
+            .collect()
+    }
+
+    /// The slots a one-slot-at-a-time search reads: each candidate PTEG in
+    /// order, up to and including the match.
+    fn slotwise_search(h: &HashTable, vsid: Vsid, pi: u32) -> Vec<PhysAddr> {
+        let mut out = Vec::new();
+        for secondary in [false, true] {
+            let g = h.hash.pteg_index(vsid, pi, secondary);
+            for (slot, pte) in h.groups[g as usize].iter().enumerate() {
+                out.push(h.slot_pa(g, slot));
+                if pte.matches(vsid, pi, secondary) {
+                    return out;
+                }
+            }
+        }
+        out
+    }
+
+    /// The slots a one-slot-at-a-time insert visits: each candidate PTEG in
+    /// order up to the first empty slot, then that slot again (the write);
+    /// with both groups full, the round-robin victim in the primary group.
+    fn slotwise_insert(h: &HashTable, p: Pte) -> Vec<PhysAddr> {
+        let mut out = Vec::new();
+        for secondary in [false, true] {
+            let g = h.hash.pteg_index(p.vsid, p.page_index, secondary);
+            for slot in 0..PTES_PER_GROUP {
+                out.push(h.slot_pa(g, slot));
+                if !h.groups[g as usize][slot].valid {
+                    out.push(h.slot_pa(g, slot));
+                    return out;
+                }
+            }
+        }
+        let g = h.hash.pteg_index(p.vsid, p.page_index, false);
+        out.push(h.slot_pa(g, h.rr[g as usize] as usize % PTES_PER_GROUP));
+        out
+    }
+
     #[test]
     fn search_visit_reports_slot_addresses() {
         let mut h = HashTable::new(256, 0x10_0000);
-        let mut addrs = Vec::new();
-        h.search_with(Vsid::new(7), 0x31, |pa| addrs.push(pa));
+        let mut runs = Vec::new();
+        h.search_with(Vsid::new(7), 0x31, |pa, n| runs.push((pa, n)));
+        let addrs = expand(&runs);
         assert_eq!(addrs.len(), 16);
         // The first eight probes are consecutive slots of one PTEG.
         for w in addrs[..8].windows(2) {
             assert_eq!(w[1] - w[0], PTE_BYTES);
         }
         assert!(addrs.iter().all(|&a| a >= 0x10_0000));
+
+        // Twenty keys that share a primary PTEG: the inserts fill it, spill
+        // into the secondary, then overflow and displace.
+        let keys: Vec<u32> = (0..20).map(|k| 0x42 + (k << 8)).collect();
+        for &pi in &keys {
+            let want = slotwise_insert(&h, pte(3, pi));
+            let mut runs = Vec::new();
+            h.insert_with(pte(3, pi), |pa, n| runs.push((pa, n)));
+            assert_eq!(expand(&runs), want, "insert of {pi:#x}");
+        }
+        assert_eq!(h.stats().overflows, 4);
+        // Hits in either group, misses on displaced and absent keys.
+        for &pi in keys.iter().chain(&[0x43, 0x1042]) {
+            let want = slotwise_search(&h, Vsid::new(3), pi);
+            let mut runs = Vec::new();
+            h.search_with(Vsid::new(3), pi, |pa, n| runs.push((pa, n)));
+            assert_eq!(expand(&runs), want, "search for {pi:#x}");
+        }
+        for &pi in &keys[5..12] {
+            let want = slotwise_search(&h, Vsid::new(3), pi);
+            let mut runs = Vec::new();
+            h.invalidate_with(Vsid::new(3), pi, |pa, n| runs.push((pa, n)));
+            assert_eq!(expand(&runs), want, "invalidate of {pi:#x}");
+        }
     }
 }

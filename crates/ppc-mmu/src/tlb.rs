@@ -100,8 +100,34 @@ impl TlbStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
+    /// [`match_key`] of the entry, or [`EMPTY_KEY`] when the slot is
+    /// empty: the probe compares this one word per way.
+    key: u64,
     entry: Option<TlbEntry>,
     lru: u64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        key: EMPTY_KEY,
+        entry: None,
+        lru: 0,
+    };
+
+    /// Invalidates the slot, returning whether it held an entry.
+    fn clear(&mut self) -> bool {
+        self.key = EMPTY_KEY;
+        self.entry.take().is_some()
+    }
+}
+
+/// Key of an empty slot. VSIDs are 24 bits wide, so no real key reaches it.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// The `(VSID, page index)` tag of a translation as one word.
+#[inline]
+fn match_key(vsid: Vsid, page_index: u32) -> u64 {
+    u64::from(vsid.raw()) << 32 | u64::from(page_index)
 }
 
 /// A set-associative TLB indexed by the low bits of the page index (i.e. by
@@ -133,6 +159,8 @@ pub struct Tlb {
     /// probe.
     slots: Box<[Slot]>,
     ways: usize,
+    /// `sets - 1`: the set of a page index is `page_index & set_mask`.
+    set_mask: u32,
     stats: TlbStats,
     tick: u64,
 }
@@ -146,12 +174,12 @@ impl Tlb {
     pub fn new(cfg: TlbConfig) -> Self {
         cfg.validate();
         let ways = cfg.ways as usize;
-        let slots =
-            vec![Slot { entry: None, lru: 0 }; ways * cfg.sets() as usize].into_boxed_slice();
+        let slots = vec![Slot::EMPTY; ways * cfg.sets() as usize].into_boxed_slice();
         Self {
             cfg,
             slots,
             ways,
+            set_mask: cfg.sets() - 1,
             stats: TlbStats::default(),
             tick: 0,
         }
@@ -172,8 +200,9 @@ impl Tlb {
         self.stats = TlbStats::default();
     }
 
+    #[inline]
     fn set_of(&self, page_index: u32) -> usize {
-        (page_index & (self.cfg.sets() - 1)) as usize
+        (page_index & self.set_mask) as usize
     }
 
     /// Looks up a translation. Counts a hit or miss.
@@ -199,14 +228,17 @@ impl Tlb {
     /// the TLB exactly as it was, so a layered re-lookup counts once.
     #[inline]
     pub fn peek(&self, vsid: Vsid, page_index: u32) -> Option<(usize, TlbEntry)> {
+        let key = match_key(vsid, page_index);
         let base = self.set_of(page_index) * self.ways;
         self.slots[base..base + self.ways]
             .iter()
             .enumerate()
-            .find_map(|(w, slot)| {
-                slot.entry
-                    .filter(|e| e.vsid == vsid && e.page_index == page_index)
-                    .map(|e| (base + w, e))
+            .find(|(_, slot)| slot.key == key)
+            .and_then(|(w, slot)| {
+                // The key matched, so the tag fields equal the arguments;
+                // taking them from there leaves only the payload to copy.
+                let e = slot.entry?;
+                Some((base + w, TlbEntry { vsid, page_index, ..e }))
             })
     }
 
@@ -240,6 +272,7 @@ impl Tlb {
                     .expect("TLB set cannot be empty")
             });
         self.slots[base + way] = Slot {
+            key: match_key(entry.vsid, entry.page_index),
             entry: Some(entry),
             lru: tick,
         };
@@ -253,7 +286,7 @@ impl Tlb {
         let base = self.set_of(page_index) * self.ways;
         let mut dropped = 0;
         for slot in &mut self.slots[base..base + self.ways] {
-            if slot.entry.take().is_some() {
+            if slot.clear() {
                 dropped += 1;
             }
         }
@@ -264,7 +297,7 @@ impl Tlb {
     pub fn flush_all(&mut self) {
         self.stats.flush_all += 1;
         for slot in &mut self.slots {
-            slot.entry = None;
+            slot.clear();
         }
     }
 

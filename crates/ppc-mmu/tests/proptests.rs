@@ -140,6 +140,40 @@ proptest! {
         }
     }
 
+    /// The keyed probe agrees with a linear scan of the valid entries after
+    /// any mix of reloads, lookups, `tlbie`s and whole flushes, so a key
+    /// left behind by an invalidation or a displacement never matches.
+    #[test]
+    fn tlb_peek_matches_entry_scan(
+        ops in proptest::collection::vec((0u32..16, 0u32..4, 0u32..96), 1..200),
+        queries in proptest::collection::vec((0u32..4, 0u32..96), 1..64),
+    ) {
+        let mut t = Tlb::new(TlbConfig::ppc603_side());
+        for &(op, vsid, pi) in &ops {
+            match op {
+                0 => t.flush_all(),
+                1..=3 => {
+                    t.tlbie(pi);
+                }
+                4..=8 => {
+                    t.lookup(Vsid::new(vsid), pi);
+                }
+                _ => t.insert(TlbEntry {
+                    vsid: Vsid::new(vsid),
+                    page_index: pi,
+                    rpn: op << 8 | pi,
+                    cached: op & 1 == 0,
+                    writable: op & 2 == 0,
+                }),
+            }
+        }
+        for &(vsid, pi) in &queries {
+            let vsid = Vsid::new(vsid);
+            let scan = t.entries().find(|e| e.vsid == vsid && e.page_index == pi);
+            prop_assert_eq!(t.peek(vsid, pi).map(|(_, e)| e), scan);
+        }
+    }
+
     /// PTE architected encoding round-trips every field the format keeps.
     #[test]
     fn pte_encode_decode(vsid in 0u32..0x100_0000, api in 0u32..64,
