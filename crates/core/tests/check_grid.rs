@@ -1,49 +1,29 @@
 //! Integration gate: the shadow-MM oracle and runtime invariants hold over
-//! the *entire* benchmark grid — every machine row, every kernel variant,
-//! every workload — not just the configurations the unit tests happen to
-//! exercise. A checker that is only green on the optimized 604 would miss
-//! exactly the interactions this repository exists to measure (603 without
-//! a hash table, eager flushes, uncached page tables, ...).
-//!
-//! Each cell runs twice: once with [`CheckConfig::full`] armed (any oracle
-//! or invariant violation panics the cell and fails the test), once bare.
-//! The pair must be cycle- and counter-identical — the zero-cost-when-off
-//! obligation of DESIGN.md §12, proven across all 96 coordinates.
+//! the entire benchmark grid, and no observer is seen in the results. Each
+//! cell runs as configured and again with every observational observer
+//! armed: trace, counting PMU, telemetry, the oracle and invariants (which
+//! also force the layered path), tail capture and an identity causal config.
+//! Any oracle or invariant violation panics the cell (DESIGN.md §12); any
+//! observer that charges a cycle or moves a counter breaks the identity.
+
+mod grid;
 
 use kernel_sim::check::CheckConfig;
-use mmu_tricks::matrix::{paper_machines, paper_variants, run_cell, WORKLOADS};
-use mmu_tricks::Depth;
+use kernel_sim::{CausalConfig, KernelConfig, PmuConfig, TailConfig, TelemetryConfig};
+use ppc_machine::pmu::PmcEvent;
 
 #[test]
 fn oracle_and_invariants_green_across_the_full_grid() {
-    let machines = paper_machines();
-    let variants = paper_variants();
-    let mut cells = 0;
-    for m in &machines {
-        for (name, cfg) in &variants {
-            for &wl in WORKLOADS {
-                let mut checked = *cfg;
-                checked.check = Some(CheckConfig::full());
-                let on = run_cell(m, name, checked, wl, Depth::Quick);
-                let off = run_cell(m, name, *cfg, wl, Depth::Quick);
-                assert_eq!(
-                    on.cycles, off.cycles,
-                    "check mode shifted cycles at {} / {name} / {wl}",
-                    m.id
-                );
-                assert_eq!(
-                    on.stats, off.stats,
-                    "check mode perturbed counters at {} / {name} / {wl}",
-                    m.id
-                );
-                cells += 1;
-            }
-        }
-    }
-    assert_eq!(
-        cells,
-        machines.len() * variants.len() * WORKLOADS.len(),
-        "grid shrank: the gate no longer covers every coordinate"
-    );
-    assert_eq!(cells, 96, "expected 4 machines x 8 configs x 3 workloads");
+    grid::for_each_cell(|cfg, run, at| {
+        let (tlb, cache) = (PmcEvent::TlbMissBoth, PmcEvent::CacheMissBoth);
+        let observed = KernelConfig {
+            pmu: Some(PmuConfig::counting(tlb, cache)),
+            telemetry: Some(TelemetryConfig::default_epochs()),
+            check: Some(CheckConfig::full()),
+            tail: Some(TailConfig::auto()),
+            causal: Some(CausalConfig::identity()),
+            ..cfg
+        };
+        assert_eq!(run(observed), run(cfg), "the observers perturbed {at}");
+    });
 }

@@ -1,48 +1,22 @@
 //! Integration gate: the fused fast path (DESIGN.md §16) is a pure
 //! *host-side encoding choice* — a fused run and a layered run of the same
-//! cell are simulated-cycle- and counter-identical across the *entire*
-//! benchmark grid: every machine row, every kernel variant, every workload.
-//!
-//! This is the companion to `check_grid.rs` (which, because the checker
-//! forces the layered path, already compares checked-layered against
-//! bare-fused runs); here the checker stays out of the picture and the only
-//! thing varied is the `fused` flag itself.
+//! cell produce the same cell (cycles, counters, self-time attribution,
+//! latency percentiles) across the entire benchmark grid. The observers stay
+//! out of the picture here (`check_grid.rs` arms them); the only thing
+//! varied is the `fused` flag itself.
 
-use mmu_tricks::matrix::{paper_machines, paper_variants, run_cell, WORKLOADS};
-use mmu_tricks::Depth;
+mod grid;
+
+use kernel_sim::KernelConfig;
 
 #[test]
 fn fused_and_layered_paths_are_identical_across_the_full_grid() {
-    let machines = paper_machines();
-    let variants = paper_variants();
-    let mut cells = 0;
-    for m in &machines {
-        for (name, cfg) in &variants {
-            for &wl in WORKLOADS {
-                let mut layered = *cfg;
-                layered.fused = false;
-                let mut fused = *cfg;
-                fused.fused = true;
-                let a = run_cell(m, name, fused, wl, Depth::Quick);
-                let b = run_cell(m, name, layered, wl, Depth::Quick);
-                assert_eq!(
-                    a.cycles, b.cycles,
-                    "fused path shifted cycles at {} / {name} / {wl}",
-                    m.id
-                );
-                assert_eq!(
-                    a.stats, b.stats,
-                    "fused path perturbed counters at {} / {name} / {wl}",
-                    m.id
-                );
-                cells += 1;
-            }
-        }
-    }
-    assert_eq!(
-        cells,
-        machines.len() * variants.len() * WORKLOADS.len(),
-        "grid shrank: the gate no longer covers every coordinate"
-    );
-    assert_eq!(cells, 96, "expected 4 machines x 8 configs x 3 workloads");
+    grid::for_each_cell(|cfg, run, at| {
+        let fused = run(KernelConfig { fused: true, ..cfg });
+        let layered = run(KernelConfig {
+            fused: false,
+            ..cfg
+        });
+        assert_eq!(layered, fused, "the layered path diverged at {at}");
+    });
 }

@@ -210,44 +210,37 @@ impl Default for CausalConfig {
     }
 }
 
-/// Runtime state: the kernel's own span stack (independent of the tracer,
-/// which may be off) plus per-path extent depths. Recomputed into a single
-/// `(num, den)` machine scale at every span transition.
+/// Runtime state: per-path extent depths, folded with the kernel's top of
+/// span stack into a single `(num, den)` machine scale at every span
+/// transition.
 #[derive(Debug, Clone)]
 pub struct CausalState {
     /// The configuration being applied.
     pub cfg: CausalConfig,
-    stack: Vec<Subsystem>,
     path_depth: [u32; NUM_PATHS],
 }
 
 impl CausalState {
-    /// Fresh state for `cfg` (empty stack: charges attribute to
-    /// [`Subsystem::User`], matching the exact profiler's convention).
+    /// Fresh state for `cfg`, with no path extent active.
     pub fn new(cfg: CausalConfig) -> Self {
         cfg.validate();
         Self {
             cfg,
-            stack: Vec::with_capacity(8),
             path_depth: [0; NUM_PATHS],
         }
     }
 
-    /// Opens a span of subsystem `s`; activates the path it roots, if any.
-    pub fn push(&mut self, s: Subsystem) {
-        self.stack.push(s);
+    /// A span of subsystem `s` opened: activates the path it roots, if any.
+    pub fn enter(&mut self, s: Subsystem) {
         if let Some(p) = CausalPath::of_span_root(s) {
-            self.path_depth[p as usize] += 1;
+            self.path_mark(p, true);
         }
     }
 
-    /// Closes the innermost span.
-    pub fn pop(&mut self) {
-        if let Some(s) = self.stack.pop() {
-            if let Some(p) = CausalPath::of_span_root(s) {
-                let d = &mut self.path_depth[p as usize];
-                *d = d.saturating_sub(1);
-            }
+    /// A span of subsystem `s` closed: leaves the path it roots, if any.
+    pub fn exit(&mut self, s: Subsystem) {
+        if let Some(p) = CausalPath::of_span_root(s) {
+            self.path_mark(p, false);
         }
     }
 
@@ -262,13 +255,12 @@ impl CausalState {
         }
     }
 
-    /// The effective machine scale right now: the innermost span's
-    /// subsystem ratio (empty stack ⇒ [`Subsystem::User`]) times every
+    /// The effective machine scale with `top` the innermost open span
+    /// ([`Subsystem::User`] when none is): its subsystem ratio times every
     /// active path's ratio, each path counted once regardless of nesting
     /// depth. Reduced to lowest terms so an all-identity product collapses
     /// to `(1, 1)` and the machine's fast path engages.
-    pub fn scale(&self) -> (u64, u64) {
-        let top = self.stack.last().copied().unwrap_or(Subsystem::User);
+    pub fn scale(&self, top: Subsystem) -> (u64, u64) {
         let r = self.cfg.subsystem[top as usize];
         let mut num = r.num as u64;
         let mut den = r.den as u64;
@@ -316,7 +308,7 @@ mod tests {
     #[test]
     fn identity_config_scales_to_one() {
         let st = CausalState::new(CausalConfig::identity());
-        assert_eq!(st.scale(), (1, 1));
+        assert_eq!(st.scale(Subsystem::User), (1, 1));
         assert!(CausalConfig::identity().is_identity());
     }
 
@@ -327,15 +319,15 @@ mod tests {
         let mut st = CausalState::new(cfg);
         // Translate ratio is a *self-time* multiplier, but pushing a
         // Translate span also enters the TlbReload path (identity here).
-        st.push(Subsystem::Translate);
-        assert_eq!(st.scale(), (1, 2));
+        st.enter(Subsystem::Translate);
+        assert_eq!(st.scale(Subsystem::Translate), (1, 2));
         // A nested HtabInsert span masks the Translate self-time ratio.
-        st.push(Subsystem::HtabInsert);
-        assert_eq!(st.scale(), (1, 1));
-        st.pop();
-        assert_eq!(st.scale(), (1, 2));
-        st.pop();
-        assert_eq!(st.scale(), (1, 1));
+        st.enter(Subsystem::HtabInsert);
+        assert_eq!(st.scale(Subsystem::HtabInsert), (1, 1));
+        st.exit(Subsystem::HtabInsert);
+        assert_eq!(st.scale(Subsystem::Translate), (1, 2));
+        st.exit(Subsystem::Translate);
+        assert_eq!(st.scale(Subsystem::User), (1, 1));
     }
 
     #[test]
@@ -343,18 +335,18 @@ mod tests {
         let cfg =
             CausalConfig::identity().scale_path(CausalPath::TlbReload, Ratio { num: 1, den: 4 });
         let mut st = CausalState::new(cfg);
-        st.push(Subsystem::Translate);
-        assert_eq!(st.scale(), (1, 4));
+        st.enter(Subsystem::Translate);
+        assert_eq!(st.scale(Subsystem::Translate), (1, 4));
         // Nested spans stay inside the extent.
-        st.push(Subsystem::HtabInsert);
-        assert_eq!(st.scale(), (1, 4));
+        st.enter(Subsystem::HtabInsert);
+        assert_eq!(st.scale(Subsystem::HtabInsert), (1, 4));
         // Nested re-entry of the same path does not square the ratio.
-        st.push(Subsystem::Translate);
-        assert_eq!(st.scale(), (1, 4));
-        st.pop();
-        st.pop();
-        st.pop();
-        assert_eq!(st.scale(), (1, 1));
+        st.enter(Subsystem::Translate);
+        assert_eq!(st.scale(Subsystem::Translate), (1, 4));
+        st.exit(Subsystem::Translate);
+        st.exit(Subsystem::HtabInsert);
+        st.exit(Subsystem::Translate);
+        assert_eq!(st.scale(Subsystem::User), (1, 1));
     }
 
     #[test]
@@ -363,16 +355,16 @@ mod tests {
             .scale_path(CausalPath::PageFault, Ratio { num: 1, den: 2 })
             .scale_subsystem(Subsystem::PageFault, Ratio { num: 3, den: 4 });
         let mut st = CausalState::new(cfg);
-        st.push(Subsystem::PageFault);
-        assert_eq!(st.scale(), (3, 8));
+        st.enter(Subsystem::PageFault);
+        assert_eq!(st.scale(Subsystem::PageFault), (3, 8));
     }
 
     #[test]
     fn zero_ratio_reduces_to_zero_over_one() {
         let cfg = CausalConfig::identity().scale_path(CausalPath::Flush, Ratio::ZERO);
         let mut st = CausalState::new(cfg);
-        st.push(Subsystem::Flush);
-        assert_eq!(st.scale(), (0, 1));
+        st.enter(Subsystem::Flush);
+        assert_eq!(st.scale(Subsystem::Flush), (0, 1));
     }
 
     #[test]
@@ -380,12 +372,12 @@ mod tests {
         let cfg =
             CausalConfig::identity().scale_path(CausalPath::HtabRehash, Ratio { num: 1, den: 10 });
         let mut st = CausalState::new(cfg);
-        st.push(Subsystem::Mmtune);
-        assert_eq!(st.scale(), (1, 1));
+        st.enter(Subsystem::Mmtune);
+        assert_eq!(st.scale(Subsystem::Mmtune), (1, 1));
         st.path_mark(CausalPath::HtabRehash, true);
-        assert_eq!(st.scale(), (1, 10));
+        assert_eq!(st.scale(Subsystem::Mmtune), (1, 10));
         st.path_mark(CausalPath::HtabRehash, false);
-        assert_eq!(st.scale(), (1, 1));
+        assert_eq!(st.scale(Subsystem::Mmtune), (1, 1));
     }
 
     #[test]

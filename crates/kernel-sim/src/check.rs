@@ -33,6 +33,7 @@ use crate::kernel::Kernel;
 use crate::layout::{is_io, is_kernel_linear, kva_to_pa};
 use crate::oracle::{ShadowEntry, ShadowMm};
 use crate::task::TaskState;
+use crate::telemetry::EpochClock;
 
 /// Default cycles between heavy consistency sweeps (the same epoch grain as
 /// telemetry and mmtune).
@@ -76,8 +77,8 @@ pub struct CheckState {
     pub invariant_passes: u64,
     /// Heavy epoch sweeps performed.
     pub heavy_sweeps: u64,
-    /// Next heavy-sweep boundary.
-    next_boundary: Cycles,
+    /// The next heavy-sweep boundary.
+    clock: EpochClock,
     /// Highest VSID-allocator generation seen (must never decrease).
     last_generation: u32,
     /// Scratch for the heavy sweep's occupancy histogram, reused across
@@ -94,7 +95,7 @@ impl CheckState {
             checked_observations: 0,
             invariant_passes: 0,
             heavy_sweeps: 0,
-            next_boundary: cfg.epoch_cycles.max(1),
+            clock: EpochClock::new(cfg.epoch_cycles.max(1)),
             last_generation: 0,
             hist_scratch: Vec::new(),
         }
@@ -155,10 +156,8 @@ impl Kernel {
             c.invariant_passes += 1;
         }
         let now = self.machine.cycles;
-        if now >= c.next_boundary {
-            while c.next_boundary <= now {
-                c.next_boundary += c.cfg.epoch_cycles.max(1);
-            }
+        if c.clock.due(now) {
+            c.clock.advance(now);
             c.heavy_sweeps += 1;
             if let Some(v) = self.heavy_sweep_violation(&mut c) {
                 self.check = Some(c);

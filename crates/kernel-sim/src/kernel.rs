@@ -19,12 +19,12 @@ use crate::linuxpt::LinuxPageTables;
 use crate::physmem::{FrameAllocator, PhysMem};
 use crate::pipe::Pipe;
 use crate::pmu::PmuState;
-use crate::prof::Subsystem;
+use crate::prof::{SpanStack, Subsystem};
 use crate::stats::KernelStats;
 use crate::task::{Pid, Task};
 use crate::telemetry::{MmuReadings, Telemetry};
 use crate::trace::{LatencyPath, TraceEvent, TraceRecord, Tracer};
-use crate::tune::{Mmtune, RetuneDecision, TuneAction, TuneInputs, TuneKnob};
+use crate::tune::{Mmtune, RetuneDecision, TuneAction, TuneKnob};
 use crate::vsid::{is_kernel_vsid, kernel_vsid, VsidAllocator};
 
 /// Per-path instruction counts: how long each kernel code path is.
@@ -210,11 +210,14 @@ pub struct Kernel {
     /// [`KernelStats`], never writes the trace ring.
     pub tail: Option<Box<crate::tail::TailState>>,
     /// Causal what-if profiling state, when [`KernelConfig::causal`] is
-    /// set: its own span stack (the tracer may be off) plus per-path
-    /// extent depths, folded into one `(num, den)` machine charge scale at
-    /// every span transition. With `None` the machine scale is never
-    /// touched and stays at its bit-identical 1/1 default.
+    /// set: per-path extent depths, folded with the top of the span stack
+    /// into one `(num, den)` machine charge scale at every span transition.
+    /// With `None` the machine scale is never touched and stays at its
+    /// bit-identical 1/1 default.
     pub causal: Option<Box<crate::causal::CausalState>>,
+    /// The one span stack ([`Kernel::spans`]), kept whether or not an
+    /// observer is armed.
+    spans: SpanStack,
     /// Depth of in-flight scheduler mutations (context switch / teardown):
     /// the checker suspends its SchedInv clauses while nonzero. Maintained
     /// unconditionally (integer bookkeeping, no cycles).
@@ -317,6 +320,7 @@ impl Kernel {
             causal: cfg
                 .causal
                 .map(|cc| Box::new(crate::causal::CausalState::new(cc))),
+            spans: SpanStack::default(),
             sched_mutation_depth: 0,
             buggy_skip_vsid_flush: std::env::var_os("MMU_TRICKS_BUG_STALE_TLB").is_some(),
         };
@@ -376,74 +380,132 @@ impl Kernel {
         }
     }
 
+    /// The open subsystem spans, outermost first (empty = user time): the
+    /// one stack every observer reads.
+    pub fn spans(&self) -> &[Subsystem] {
+        self.spans.as_slice()
+    }
+
     /// Opens a profiler span for `s`. Returns the entry cycle so the
     /// matching [`Kernel::t_exit_lat`] can compute a latency sample; the
     /// caller must close the span on every path out of its scope.
     ///
-    /// The PMU is polled **before** the span stack changes (here and in the
-    /// exit hooks): between two consecutive polls the stack is constant, so
+    /// Tune and check run *before* the span opens: retune work charged
+    /// here is bracketed by its own [`Subsystem::Mmtune`] span and never
+    /// lands inside the span that is about to start.
+    #[inline]
+    pub(crate) fn t_enter(&mut self, s: Subsystem) -> Cycles {
+        self.poll_window_readers();
+        self.poll_outside_span();
+        self.span_push(s)
+    }
+
+    /// Closes the innermost profiler span. Tune and check run *after* it
+    /// closes, so retune cost is attributed to [`Subsystem::Mmtune`], not
+    /// to the subsystem that just exited.
+    #[inline]
+    pub(crate) fn t_exit(&mut self) {
+        self.poll_window_readers();
+        self.span_pop();
+        self.poll_outside_span();
+    }
+
+    /// Closes the innermost span and records `now - t0` as a latency sample
+    /// for `path`.
+    #[inline]
+    pub(crate) fn t_exit_lat(&mut self, t0: Cycles, path: LatencyPath) {
+        self.poll_window_readers();
+        let lat = self.machine.cycles.saturating_sub(t0);
+        self.note_latency(path, lat);
+        self.span_pop();
+        self.poll_outside_span();
+    }
+
+    /// The observers that read a window ending at this transition: the PMU
+    /// and the telemetry sampler. They run **before** the span stack
+    /// changes, so between two consecutive polls the stack is constant and
     /// a counter found negative at a poll is attributed to the subsystem
     /// that actually ran the elapsed window — the invariant that makes
     /// sampled attribution converge to the exact profiler.
     #[inline]
-    pub(crate) fn t_enter(&mut self, s: Subsystem) -> Cycles {
+    fn poll_window_readers(&mut self) {
         self.pmu_poll();
         self.telemetry_poll();
-        // Tune *before* the span opens: retune work charged here is
-        // bracketed by its own [`Subsystem::Mmtune`] span and never lands
-        // inside the span that is about to start.
-        self.tune_poll();
-        // Check last: invariants are evaluated over post-retune state.
-        self.check_poll();
-        self.span_push(s)
     }
 
-    /// Pushes `s` onto every span stack together: the tracer's exact
-    /// profiler, the PMU's attribution mirror and the causal state, so a
-    /// sampled, an exact and a what-if view always agree on which
-    /// subsystem is running. Returns the entry cycle. Polls nothing — the
-    /// callers decide what runs before the stack changes.
+    /// The observers that run outside any span they might charge into:
+    /// mmtune (whose retunes bracket their own [`Subsystem::Mmtune`] span),
+    /// then the checker, so invariants are evaluated over post-retune state.
+    #[inline]
+    fn poll_outside_span(&mut self) {
+        self.tune_poll();
+        self.check_poll();
+    }
+
+    /// Feeds one instrumented-path latency, before its span pops, to tail
+    /// capture (judged against the *pre-sample* histogram), the tracer's
+    /// histogram, the machine PMU's threshold comparator and mmtune's
+    /// slow-path counter. Host-side only: the simulated run is untouched.
+    #[inline]
+    fn note_latency(&mut self, path: LatencyPath, lat: Cycles) {
+        if self.tail.is_some() {
+            self.tail_sample(path, lat);
+        }
+        if let Some(t) = self.tracer.as_mut() {
+            t.record_latency(path, lat);
+        }
+        // Instrumented-path latencies are the model's duration events
+        // (paper: "loads lasting longer than threshold"; here:
+        // reloads/faults/deliveries).
+        if let Some(hw) = self.machine.pmu.as_mut() {
+            hw.note_duration(lat, true);
+        }
+        if let Some(m) = self.mmtune.as_mut() {
+            m.note_latency(lat);
+        }
+    }
+
+    /// Pushes `s` onto the span stack. Returns the entry cycle. Polls
+    /// nothing — the callers decide what runs before the stack changes.
     #[inline]
     fn span_push(&mut self, s: Subsystem) -> Cycles {
+        self.spans.push(s);
+        if let Some(c) = self.causal.as_mut() {
+            c.enter(s);
+        }
+        self.span_changed()
+    }
+
+    /// Pops the innermost span (see [`Kernel::span_push`]).
+    #[inline]
+    fn span_pop(&mut self) {
+        if let Some(c) = self.causal.as_mut() {
+            c.exit(self.spans.top());
+        }
+        self.spans.pop();
+        self.span_changed();
+    }
+
+    /// Hands the new top of the span stack to the exact profiler and the
+    /// causal charge scale. Returns the transition cycle.
+    #[inline]
+    fn span_changed(&mut self) -> Cycles {
         let now = self.machine.cycles;
         if let Some(t) = self.tracer.as_mut() {
-            t.prof.enter(s, now);
+            t.prof.switch(self.spans.top(), now);
         }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.push(s);
-        }
-        if let Some(c) = self.causal.as_mut() {
-            c.push(s);
-            self.causal_rescale();
-        }
+        self.causal_rescale();
         now
     }
 
-    /// Pops the innermost span off every span stack (see
-    /// [`Kernel::span_push`]).
-    #[inline]
-    fn span_pop(&mut self) {
-        let now = self.machine.cycles;
-        if let Some(t) = self.tracer.as_mut() {
-            t.prof.exit(now);
-        }
-        if let Some(p) = self.pmu.as_mut() {
-            p.stack.pop();
-        }
-        if let Some(c) = self.causal.as_mut() {
-            c.pop();
-            self.causal_rescale();
-        }
-    }
-
-    /// Re-derives the machine charge scale from the causal span state; a
-    /// no-op when causal profiling is off (the machine keeps its 1/1
-    /// default and `advance` short-circuits — plain runs never pay for
-    /// this feature existing).
+    /// Re-derives the machine charge scale from the causal state and the
+    /// top of the span stack; a no-op when causal profiling is off (the
+    /// machine keeps its 1/1 default and `advance` short-circuits — plain
+    /// runs never pay for this feature existing).
     #[inline]
     fn causal_rescale(&mut self) {
         if let Some(c) = self.causal.as_ref() {
-            let (num, den) = c.scale();
+            let (num, den) = c.scale(self.spans.top());
             self.machine.set_scale(num, den);
         }
     }
@@ -459,78 +521,16 @@ impl Kernel {
         }
     }
 
-    /// Closes the innermost profiler span.
-    #[inline]
-    pub(crate) fn t_exit(&mut self) {
-        self.pmu_poll();
-        self.telemetry_poll();
-        self.span_pop();
-        // Tune *after* the span closes so the retune charge is attributed
-        // to [`Subsystem::Mmtune`], not the subsystem that just exited.
-        self.tune_poll();
-        self.check_poll();
-    }
-
-    /// Closes the innermost span and records `now - t0` as a latency sample
-    /// for `path`.
-    #[inline]
-    pub(crate) fn t_exit_lat(&mut self, t0: Cycles, path: LatencyPath) {
-        self.pmu_poll();
-        self.telemetry_poll();
-        let now = self.machine.cycles;
-        let lat = now.saturating_sub(t0);
-        // Decide capture against the *pre-sample* histogram, so auto arming
-        // tracks the running top bucket without the sample judging itself —
-        // and read the span stack before `exit` pops the span this sample
-        // belongs to. Both are host-side reads; the simulated run is
-        // untouched.
+    /// The tail-forensics half of [`Kernel::note_latency`]: advance the
+    /// delta window on every sample, and capture an exemplar when the
+    /// sample arms. Read-only on kernel, MMU and tracer state — never
+    /// charges cycles, never touches [`KernelStats`], never writes the
+    /// trace ring.
+    fn tail_sample(&mut self, path: LatencyPath, lat: Cycles) {
         let capture = match (self.tail.as_ref(), self.tracer.as_ref()) {
             (Some(tl), Some(t)) => tl.armed(lat, t.latency(path)),
             _ => false,
         };
-        let stack = match self.tracer.as_ref() {
-            Some(t) if capture => t.prof.stack().to_vec(),
-            _ => Vec::new(),
-        };
-        self.span_pop();
-        if let Some(t) = self.tracer.as_mut() {
-            t.record_latency(path, lat);
-        }
-        // Instrumented-path latencies are the model's duration events: feed
-        // the threshold comparator (paper: "loads lasting longer than
-        // threshold"; here: reloads/faults/deliveries).
-        if let Some(hw) = self.machine.pmu.as_mut() {
-            hw.note_duration(lat, true);
-        }
-        // The controller's own PMU sees the same duration events as the
-        // machine PMU — its slow-reload counter is what feeds the htab grow
-        // condition.
-        if let Some(m) = self.mmtune.as_mut() {
-            m.pmu.note_duration(lat, true);
-        }
-        self.tail_poll(path, lat, now, capture, stack);
-        // Tune last: the latency sample above stays clean of retune cost.
-        self.tune_poll();
-        self.check_poll();
-    }
-
-    /// The tail-forensics hook at an instrumented-path completion: advance
-    /// the delta window on every sample, and capture an exemplar when the
-    /// sample armed. Read-only on kernel, MMU and tracer state — never
-    /// charges cycles, never touches [`KernelStats`], never writes the
-    /// trace ring. A single `None` test when tail forensics is off.
-    #[inline]
-    fn tail_poll(
-        &mut self,
-        path: LatencyPath,
-        lat: Cycles,
-        now: Cycles,
-        capture: bool,
-        stack: Vec<Subsystem>,
-    ) {
-        if self.tail.is_none() {
-            return;
-        }
         let stats = self.stats;
         let htab_stats = *self.htab.stats();
         if !capture {
@@ -548,19 +548,9 @@ impl Kernel {
                 .copied()
                 .collect()
         });
-        let mmu = crate::tail::MmuSnapshot {
-            htab_groups: u64::from(self.htab.hash().num_groups()),
-            htab_valid: u64::from(self.htab.valid_entries()),
-            htab_live: u64::from(self.htab.live_entries(|v| self.vsids.is_live(v))),
-            htab_full_groups: u64::from(self.htab.full_groups()),
-            vsid_generation: u64::from(self.vsids.generation()),
-            vsid_live: self.vsids.live_count() as u64,
-            dbats: self.machine.mmu.bats.dbat_in_use() as u64,
-            ibats: self.machine.mmu.bats.ibat_in_use() as u64,
-            retunes: self.mmtune.as_ref().map_or(0, |m| m.decisions.len()) as u64,
-            free_frames: self.frames.free_frames() as u64,
-        };
-        let pid = self.current_pid();
+        let mmu = self.mmu_readings();
+        let (now, pid) = (self.machine.cycles, self.current_pid());
+        let stack = self.spans().to_vec();
         if let Some(tl) = self.tail.as_mut() {
             tl.offer(path, lat, now, pid, stack, window, mmu, &stats, &htab_stats);
         }
@@ -577,10 +567,7 @@ impl Kernel {
         }
         // Supervisor state: inside any kernel span, or no task is current
         // (boot, idle, kernel-driven workload phases).
-        let supervisor = self
-            .pmu
-            .as_ref()
-            .is_some_and(|p| !p.stack.is_empty() || self.current.is_none());
+        let supervisor = !self.spans().is_empty() || self.current.is_none();
         self.machine.pmu_sync(supervisor);
         let pending = self
             .machine
@@ -615,20 +602,17 @@ impl Kernel {
         let cycle = self.machine.cycles;
         let pid = self.current_pid();
         if let Some(p) = self.pmu.as_mut() {
-            p.record(cycle, pid, supervisor, weight);
+            p.record(cycle, pid, supervisor, weight, self.spans.as_slice());
         }
         self.stats.pmu_interrupts += 1;
-        let sub = self
-            .pmu
-            .as_ref()
-            .map_or(Subsystem::User, |p| p.current_subsystem());
+        let sub = self.spans.top();
         self.t_event(|| TraceEvent::PmuSample {
             sub,
             weight: weight.min(u64::from(u32::MAX)) as u32,
         });
         // Charge the exception: entry, handler body, exit. Attributed to
-        // the Pmu bucket on every span stack (not through t_enter, which
-        // would re-poll and recurse).
+        // the Pmu span (not through t_enter, which would re-poll and
+        // recurse).
         self.span_push(Subsystem::Pmu);
         let costs = self.machine.cfg.costs;
         self.machine
@@ -659,9 +643,13 @@ impl Kernel {
     #[inline]
     pub(crate) fn telemetry_poll(&mut self) {
         let now = self.machine.cycles;
-        if !self.telemetry.as_ref().is_some_and(|t| t.due(now)) {
-            return;
+        if self.telemetry.as_ref().is_some_and(|t| t.clock.due(now)) {
+            self.telemetry_record(now);
         }
+    }
+
+    /// Records one telemetry sample at `now`.
+    fn telemetry_record(&mut self, now: Cycles) {
         let readings = self.mmu_readings();
         let stats = self.stats;
         if let Some(t) = self.telemetry.as_mut() {
@@ -669,18 +657,24 @@ impl Kernel {
         }
     }
 
-    /// One read-only snapshot of MMU state for the telemetry sampler.
+    /// One read-only snapshot of MMU state for the observers that read it:
+    /// telemetry, mmtune and tail capture.
     fn mmu_readings(&self) -> MmuReadings {
-        let live = |v| self.vsids.is_live(v);
-        let kernel = self.machine.mmu.itlb.entries_matching(is_kernel_vsid)
-            + self.machine.mmu.dtlb.entries_matching(is_kernel_vsid);
-        let total = self.machine.mmu.itlb.valid_entries() + self.machine.mmu.dtlb.valid_entries();
+        let mmu = &self.machine.mmu;
+        let kernel =
+            mmu.itlb.entries_matching(is_kernel_vsid) + mmu.dtlb.entries_matching(is_kernel_vsid);
+        let total = mmu.itlb.valid_entries() + mmu.dtlb.valid_entries();
         MmuReadings {
+            htab_groups: self.htab.hash().num_groups(),
+            htab_capacity: self.htab.capacity(),
             htab_valid: self.htab.valid_entries(),
-            htab_live: self.htab.live_entries(live),
-            full_groups: self.htab.full_groups(),
+            htab_live: self.htab.live_entries(|v| self.vsids.is_live(v)),
+            htab_full_groups: self.htab.full_groups(),
+            uses_htab: self.uses_htab(),
+            scatter: self.vsids.policy().constant(),
             tlb_kernel: kernel,
             tlb_user: total - kernel,
+            free_frames: self.frames.free_frames(),
         }
     }
 
@@ -690,28 +684,19 @@ impl Kernel {
     /// empty).
     pub fn telemetry_finish(&mut self) {
         let now = self.machine.cycles;
-        let due = self
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.epochs.last().map_or(now > 0, |e| e.cycle < now));
-        if !due {
-            return;
-        }
-        let readings = self.mmu_readings();
-        let stats = self.stats;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.record(now, readings, &stats);
+        let tail = |t: &Telemetry| t.epochs.last().map_or(now > 0, |e| e.cycle < now);
+        if self.telemetry.as_deref().is_some_and(tail) {
+            self.telemetry_record(now);
         }
     }
 
     /// Evaluates one mmtune epoch when the ledger has crossed the next
     /// tuning boundary. Called at every span transition; a single `None`
-    /// test when mmtune is off, so a disabled controller is cycle-free
-    /// (and a proptest holds it to that).
+    /// test when mmtune is off, so a disabled controller is cycle-free.
     #[inline]
     pub(crate) fn tune_poll(&mut self) {
         let now = self.machine.cycles;
-        if !self.mmtune.as_ref().is_some_and(|m| m.due(now)) {
+        if !self.mmtune.as_ref().is_some_and(|m| m.clock.due(now)) {
             return;
         }
         self.tune_epoch(now);
@@ -732,14 +717,7 @@ impl Kernel {
         let Some(mut m) = self.mmtune.take() else {
             return;
         };
-        let inputs = TuneInputs {
-            htab_live: self.htab.live_entries(|v| self.vsids.is_live(v)),
-            htab_capacity: self.htab.capacity(),
-            full_groups: self.htab.full_groups(),
-            num_groups: self.htab.hash().num_groups(),
-            uses_htab: self.uses_htab(),
-            current_scatter: self.vsids.policy().constant(),
-        };
+        let inputs = self.mmu_readings();
         let snap = self.machine.snapshot();
         let stats = self.stats;
         self.stats.mmtune_epochs += 1;

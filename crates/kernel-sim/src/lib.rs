@@ -79,6 +79,8 @@ mod tests_check;
 #[cfg(test)]
 mod tests_edge;
 #[cfg(test)]
+mod tests_observers;
+#[cfg(test)]
 mod tests_pmu;
 #[cfg(test)]
 mod tests_subsystems;
@@ -101,7 +103,7 @@ pub use os_model::OsModel;
 pub use pmu::{PmuSample, PmuState};
 pub use prof::{Profiler, Subsystem};
 pub use stats::KernelStats;
-pub use tail::{MmuSnapshot, TailCause, TailConfig, TailExemplar, TailState};
+pub use tail::{TailCause, TailConfig, TailExemplar, TailState};
 pub use task::{Pid, Task};
 pub use telemetry::{EpochSample, MmuReadings, Telemetry, TelemetryConfig};
 pub use trace::{Histogram, LatencyPath, TraceEvent, TraceRecord, TraceRing, Tracer};

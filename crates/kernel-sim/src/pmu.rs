@@ -55,19 +55,13 @@ pub struct PmuSample {
     pub weight: u64,
 }
 
-/// The kernel's sampling state: configuration, the live span-stack mirror,
-/// and every aggregate the `perf` surface reports.
-///
-/// The span-stack mirror exists so sampling works with the event tracer off
-/// — the PMU must not require paying for a [`crate::trace::Tracer`] ring
-/// and heatmap nobody asked for.
+/// The kernel's sampling state: configuration and every aggregate the
+/// `perf` surface reports. Samples read the kernel's own span stack
+/// (`Kernel::spans`), so sampling works with the event tracer off.
 #[derive(Debug, Clone)]
 pub struct PmuState {
     /// The boot-time programming.
     pub cfg: PmuConfig,
-    /// Mirror of the profiler span stack (pushed/popped by the kernel's
-    /// `t_enter`/`t_exit` hooks).
-    pub stack: Vec<Subsystem>,
     /// Raw samples, newest last, capped at [`SAMPLE_CAP`].
     pub samples: Vec<PmuSample>,
     /// Weighted sample counts per subsystem (the sampled self-time profile,
@@ -91,7 +85,6 @@ impl PmuState {
     pub fn new(cfg: PmuConfig) -> Self {
         Self {
             cfg,
-            stack: Vec::with_capacity(16),
             samples: Vec::new(),
             by_subsystem: [0; NUM_SUBSYSTEMS],
             by_pid: BTreeMap::new(),
@@ -102,14 +95,17 @@ impl PmuState {
         }
     }
 
-    /// The subsystem a sample taken right now would be attributed to.
-    pub fn current_subsystem(&self) -> Subsystem {
-        *self.stack.last().unwrap_or(&Subsystem::User)
-    }
-
-    /// Records one delivered sampling interrupt.
-    pub fn record(&mut self, cycle: Cycles, pid: Pid, supervisor: bool, weight: u64) {
-        let subsystem = self.current_subsystem();
+    /// Records one delivered sampling interrupt taken with the kernel span
+    /// stack `stack` (outermost first).
+    pub fn record(
+        &mut self,
+        cycle: Cycles,
+        pid: Pid,
+        supervisor: bool,
+        weight: u64,
+        stack: &[Subsystem],
+    ) {
+        let subsystem = stack.last().copied().unwrap_or(Subsystem::User);
         self.interrupts += 1;
         self.by_subsystem[subsystem as usize] += weight;
         *self.by_pid.entry(pid).or_insert(0) += weight;
@@ -118,14 +114,14 @@ impl PmuState {
         } else {
             self.user_weight += weight;
         }
-        *self.folded.entry(Self::fold(pid, &self.stack)).or_insert(0) += weight;
+        *self.folded.entry(Self::fold(pid, stack)).or_insert(0) += weight;
         if self.samples.len() < SAMPLE_CAP {
             self.samples.push(PmuSample {
                 cycle,
                 pid,
                 supervisor,
                 subsystem,
-                stack: self.stack.clone(),
+                stack: stack.to_vec(),
                 weight,
             });
         }
@@ -167,12 +163,10 @@ mod tests {
     #[test]
     fn record_aggregates_by_every_axis() {
         let mut st = PmuState::new(PmuConfig::sampling(1000));
-        st.stack.push(Subsystem::Translate);
-        st.record(100, 3, true, 2);
-        st.stack.push(Subsystem::HtabInsert);
-        st.record(200, 3, true, 1);
-        st.stack.clear();
-        st.record(300, 4, false, 5);
+        let (translate, insert) = (Subsystem::Translate, Subsystem::HtabInsert);
+        st.record(100, 3, true, 2, &[translate]);
+        st.record(200, 3, true, 1, &[translate, insert]);
+        st.record(300, 4, false, 5, &[]);
 
         assert_eq!(st.interrupts, 3);
         assert_eq!(st.total_weight(), 8);
@@ -193,7 +187,7 @@ mod tests {
     fn sample_cap_keeps_aggregates_complete() {
         let mut st = PmuState::new(PmuConfig::sampling(10));
         for i in 0..(SAMPLE_CAP as u64 + 10) {
-            st.record(i, 1, false, 1);
+            st.record(i, 1, false, 1, &[]);
         }
         assert_eq!(st.samples.len(), SAMPLE_CAP);
         assert_eq!(st.total_weight(), SAMPLE_CAP as u64 + 10, "aggregates uncapped");
@@ -203,6 +197,5 @@ mod tests {
     fn empty_state_shares_are_zero() {
         let st = PmuState::new(PmuConfig::sampling(10));
         assert_eq!(st.share_ppm(Subsystem::Idle), 0);
-        assert_eq!(st.current_subsystem(), Subsystem::User);
     }
 }

@@ -6,23 +6,23 @@
 //! subsystem span is open is attributed to that subsystem's self-time, so a
 //! run can print "34% hash insert, 21% flush" instead of a raw event count.
 //!
-//! Attribution is a state machine over the cycle ledger, not a sampling
-//! profiler: the kernel brackets each code path with
-//! [`Profiler::enter`]/[`Profiler::exit`], and the cycles the machine clock
-//! advanced since the previous transition are credited to whatever subsystem
-//! was on top of the span stack at the time (or [`Subsystem::User`] when no
-//! span is open). Because the profiler only ever *reads* the clock, the
+//! The kernel owns the one span stack every observer reads; it brackets
+//! each code path with a push and a pop and hands the [`Profiler`] the new
+//! top of stack at every transition ([`Profiler::switch`]). The cycles the
+//! machine clock advanced since the previous transition are credited to the
+//! subsystem that was on top until then ([`Subsystem::User`] when no span
+//! is open). Because the profiler only ever *reads* the clock, the
 //! attribution sums to the total cycles of the window exactly, and a traced
 //! run is cycle-identical to an untraced one.
 
 use ppc_machine::Cycles;
 
-/// The ~10-way subsystem taxonomy every charged cycle is bucketed into.
+/// The 13-way subsystem taxonomy every charged cycle is bucketed into.
 ///
 /// The discriminants index [`Profiler`]'s bucket array; [`Subsystem::ALL`]
 /// and [`Subsystem::name`] are the single source of truth for iteration and
 /// rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(usize)]
 pub enum Subsystem {
     /// TLB-miss reload machinery: hash-table search, Linux page-table walk,
@@ -55,6 +55,7 @@ pub enum Subsystem {
     Mmtune = 11,
     /// Everything else: user-mode compute, pipe/file bodies, unbracketed
     /// kernel work.
+    #[default]
     User = 12,
 }
 
@@ -104,7 +105,48 @@ impl Subsystem {
     }
 }
 
-/// Self-time cycle attribution over a span stack.
+/// Deepest span nesting the kernel supports. The deepest chain measured in
+/// the tests, a chaos fleet and the benchmark is five
+/// (`PageFault › Signal › Flush › Translate › HtabInsert`).
+pub(crate) const MAX_SPAN_DEPTH: usize = 16;
+
+/// The kernel's span stack: a fixed-capacity inline array, so pushing and
+/// popping never touches the heap.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SpanStack {
+    spans: [Subsystem; MAX_SPAN_DEPTH],
+    len: usize,
+}
+
+impl SpanStack {
+    /// Opens a span for `s`. Nesting deeper than [`MAX_SPAN_DEPTH`] is a
+    /// simulator-internal invariant panic.
+    pub(crate) fn push(&mut self, s: Subsystem) {
+        let slot = self.spans.get_mut(self.len);
+        *slot.expect("span stack overflow: kernel paths nest at most MAX_SPAN_DEPTH deep") = s;
+        self.len += 1;
+    }
+
+    /// Closes the innermost span. Popping an empty stack is an unbalanced
+    /// exit: a debug assertion, and a no-op in release builds.
+    pub(crate) fn pop(&mut self) {
+        debug_assert!(self.len > 0, "span stack underflow: exit without enter");
+        self.len = self.len.saturating_sub(1);
+    }
+
+    /// The open spans, outermost first (empty = user time).
+    pub(crate) fn as_slice(&self) -> &[Subsystem] {
+        &self.spans[..self.len]
+    }
+
+    /// The innermost open span, or [`Subsystem::User`] when none is open.
+    pub(crate) fn top(&self) -> Subsystem {
+        self.as_slice().last().copied().unwrap_or(Subsystem::User)
+    }
+}
+
+/// Self-time cycle attribution: one bucket per subsystem, credited at every
+/// span transition.
 ///
 /// # Examples
 ///
@@ -112,8 +154,8 @@ impl Subsystem {
 /// use kernel_sim::prof::{Profiler, Subsystem};
 ///
 /// let mut p = Profiler::new(0);
-/// p.enter(Subsystem::Flush, 10);   // cycles 0..10 were user time
-/// p.exit(30);                      // cycles 10..30 belong to the flush
+/// p.switch(Subsystem::Flush, 10);  // cycles 0..10 were user time
+/// p.switch(Subsystem::User, 30);   // cycles 10..30 belong to the flush
 /// p.finish(35);                    // trailing 5 are user time again
 /// assert_eq!(p.self_cycles(Subsystem::Flush), 20);
 /// assert_eq!(p.self_cycles(Subsystem::User), 15);
@@ -122,46 +164,34 @@ impl Subsystem {
 #[derive(Debug, Clone)]
 pub struct Profiler {
     buckets: [Cycles; NUM_SUBSYSTEMS],
-    stack: Vec<Subsystem>,
+    top: Subsystem,
     last: Cycles,
     start: Cycles,
 }
 
 impl Profiler {
-    /// A profiler whose window starts at cycle `now`.
+    /// A profiler whose window starts at cycle `now`, in user time.
     pub fn new(now: Cycles) -> Self {
         Self {
             buckets: [0; NUM_SUBSYSTEMS],
-            stack: Vec::with_capacity(16),
+            top: Subsystem::User,
             last: now,
             start: now,
         }
     }
 
-    /// Credits the cycles since the last transition to the current top of
-    /// stack (or [`Subsystem::User`] when no span is open).
-    fn attribute(&mut self, now: Cycles) {
-        let cur = *self.stack.last().unwrap_or(&Subsystem::User);
-        self.buckets[cur as usize] += now.saturating_sub(self.last);
+    /// Credits the cycles since the last transition to the subsystem that
+    /// was running, then makes `top` the running subsystem from `now` on.
+    pub fn switch(&mut self, top: Subsystem, now: Cycles) {
+        self.buckets[self.top as usize] += now.saturating_sub(self.last);
         self.last = now;
-    }
-
-    /// Opens a span for `s` at cycle `now`.
-    pub fn enter(&mut self, s: Subsystem, now: Cycles) {
-        self.attribute(now);
-        self.stack.push(s);
-    }
-
-    /// Closes the innermost span at cycle `now`.
-    pub fn exit(&mut self, now: Cycles) {
-        self.attribute(now);
-        self.stack.pop();
+        self.top = top;
     }
 
     /// Flushes the tail of the window up to cycle `now` (call before
     /// reading the buckets; idempotent).
     pub fn finish(&mut self, now: Cycles) {
-        self.attribute(now);
+        self.switch(self.top, now);
     }
 
     /// Self-time cycles attributed to `s` so far.
@@ -179,17 +209,6 @@ impl Profiler {
     pub fn window_start(&self) -> Cycles {
         self.start
     }
-
-    /// Current span-stack depth (0 = user time).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// The current span stack, outermost first (a read-only view for
-    /// observers like the tail-forensics capture).
-    pub fn stack(&self) -> &[Subsystem] {
-        &self.stack
-    }
 }
 
 #[cfg(test)]
@@ -199,10 +218,10 @@ mod tests {
     #[test]
     fn attribution_sums_to_window() {
         let mut p = Profiler::new(100);
-        p.enter(Subsystem::Translate, 110);
-        p.enter(Subsystem::HtabInsert, 120); // nested
-        p.exit(150);
-        p.exit(160);
+        p.switch(Subsystem::Translate, 110);
+        p.switch(Subsystem::HtabInsert, 120); // nested
+        p.switch(Subsystem::Translate, 150);
+        p.switch(Subsystem::User, 160);
         p.finish(200);
         assert_eq!(p.self_cycles(Subsystem::User), 10 + 40);
         assert_eq!(p.self_cycles(Subsystem::Translate), 10 + 10);
@@ -213,10 +232,10 @@ mod tests {
     #[test]
     fn nested_spans_credit_self_time_only() {
         let mut p = Profiler::new(0);
-        p.enter(Subsystem::PageFault, 0);
-        p.enter(Subsystem::Translate, 50);
-        p.exit(70);
-        p.exit(100);
+        p.switch(Subsystem::PageFault, 0);
+        p.switch(Subsystem::Translate, 50);
+        p.switch(Subsystem::PageFault, 70);
+        p.switch(Subsystem::User, 100);
         p.finish(100);
         assert_eq!(p.self_cycles(Subsystem::PageFault), 80);
         assert_eq!(p.self_cycles(Subsystem::Translate), 20);
@@ -225,11 +244,23 @@ mod tests {
     #[test]
     fn finish_is_idempotent() {
         let mut p = Profiler::new(0);
-        p.enter(Subsystem::Idle, 0);
-        p.exit(40);
+        p.switch(Subsystem::Idle, 0);
+        p.switch(Subsystem::User, 40);
         p.finish(60);
         p.finish(60);
         assert_eq!(p.total(), 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "span stack overflow")]
+    fn span_stack_overflow_is_an_invariant_panic() {
+        let mut st = SpanStack::default();
+        st.push(Subsystem::Flush);
+        st.pop();
+        assert_eq!(st.top(), Subsystem::User);
+        for _ in 0..=MAX_SPAN_DEPTH {
+            st.push(Subsystem::Flush);
+        }
     }
 
     #[test]

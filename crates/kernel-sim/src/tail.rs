@@ -4,7 +4,7 @@
 //! reload or fault was slow, never *why*: log2 buckets keep counts, not
 //! context. This module is the attribution layer. When an instrumented-path
 //! latency sample lands at or above an armed threshold, the kernel captures
-//! a [`TailExemplar`] — the exact latency, the live profiler span stack, the
+//! a [`TailExemplar`] — the exact latency, the kernel span stack, the
 //! last-K trace-ring events as a causal window, a read-only MMU-context
 //! snapshot, and the [`crate::KernelStats`] / [`ppc_mmu::HtabStats`] deltas
 //! since the previous instrumented-path completion — and files it in a
@@ -17,14 +17,16 @@
 //!
 //! Like the tracer, telemetry sampler and checker before it, capture is
 //! **purely observational**: a tail-armed traced run charges exactly the
-//! same cycles and counts exactly the same [`crate::KernelStats`] as a plain
-//! traced run (`tests_tail` proves it over a matrix sample). The state
+//! same cycles, counts exactly the same [`crate::KernelStats`] and records
+//! exactly the same trace events as a plain traced run (the observer
+//! property test in `tests_observers` proves it). The state
 //! ([`TailState`]) hangs off the kernel as `Option<Box<_>>`, so a kernel
 //! without tail forensics carries one pointer and a single `None` branch.
 
 use crate::prof::Subsystem;
 use crate::stats::KernelStats;
 use crate::task::Pid;
+use crate::telemetry::MmuReadings;
 use crate::trace::{Histogram, LatencyPath, TraceRecord};
 use ppc_machine::Cycles;
 use ppc_mmu::HtabStats;
@@ -85,42 +87,6 @@ impl TailConfig {
         if let Some(t) = self.threshold {
             assert!(t > 0, "tail threshold must be positive");
         }
-    }
-}
-
-/// A read-only MMU-context snapshot taken at capture time.
-///
-/// Everything here is a plain read of existing state — no cache or TLB
-/// replacement state is touched, no cycles are charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MmuSnapshot {
-    /// Hash-table size in PTEGs.
-    pub htab_groups: u64,
-    /// Valid PTEs in the hash table (live + zombie).
-    pub htab_valid: u64,
-    /// Valid PTEs whose VSID is still live (the rest are zombies).
-    pub htab_live: u64,
-    /// PTEGs with all eight slots valid — the displacement pressure gauge.
-    pub htab_full_groups: u64,
-    /// VSID generation counter (bumps on lazy context flushes).
-    pub vsid_generation: u64,
-    /// Live VSIDs.
-    pub vsid_live: u64,
-    /// Data BATs in use.
-    pub dbats: u64,
-    /// Instruction BATs in use.
-    pub ibats: u64,
-    /// Retune decisions the mmtune controller has applied so far (a change
-    /// between exemplars means a retune landed in between).
-    pub retunes: u64,
-    /// Free page frames (the memory-pressure gauge).
-    pub free_frames: u64,
-}
-
-impl MmuSnapshot {
-    /// Zombie PTEs in the hash table (valid but dead-VSID).
-    pub fn zombies(&self) -> u64 {
-        self.htab_valid.saturating_sub(self.htab_live)
     }
 }
 
@@ -268,14 +234,14 @@ pub struct TailExemplar {
     pub path: LatencyPath,
     /// Exact latency in cycles.
     pub latency: u64,
-    /// The live profiler span stack at completion, outermost first — still
+    /// The kernel span stack at completion, outermost first — still
     /// including the exiting span itself.
     pub stack: Vec<Subsystem>,
     /// The last-K trace-ring events before completion (causal window),
     /// oldest first.
     pub window: Vec<TraceRecord>,
     /// Read-only MMU-context snapshot at capture time.
-    pub mmu: MmuSnapshot,
+    pub mmu: MmuReadings,
     /// Kernel-counter delta since the previous instrumented-path
     /// completion.
     pub d_stats: KernelStats,
@@ -358,7 +324,7 @@ impl TailState {
         pid: Pid,
         stack: Vec<Subsystem>,
         window: Vec<TraceRecord>,
-        mmu: MmuSnapshot,
+        mmu: MmuReadings,
         stats: &KernelStats,
         htab: &HtabStats,
     ) {
@@ -452,7 +418,7 @@ mod tests {
             1,
             vec![Subsystem::Translate],
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &stats,
             &htab,
         );
@@ -606,7 +572,7 @@ mod tests {
             1,
             vec![Subsystem::Translate],
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &stats,
             &htab,
         );
@@ -631,7 +597,7 @@ mod tests {
             1,
             Vec::new(),
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &stats,
             &htab,
         );
@@ -643,7 +609,7 @@ mod tests {
             1,
             Vec::new(),
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &stats,
             &htab,
         );
@@ -654,7 +620,7 @@ mod tests {
             1,
             Vec::new(),
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &stats,
             &htab,
         );
@@ -691,7 +657,7 @@ mod tests {
             1,
             Vec::new(),
             Vec::new(),
-            MmuSnapshot::default(),
+            MmuReadings::default(),
             &later,
             &htab,
         );
@@ -716,7 +682,7 @@ mod tests {
 
     #[test]
     fn snapshot_zombies() {
-        let m = MmuSnapshot {
+        let m = MmuReadings {
             htab_valid: 10,
             htab_live: 7,
             ..Default::default()

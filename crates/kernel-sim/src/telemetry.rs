@@ -128,21 +128,67 @@ impl EpochSample {
     }
 }
 
-/// The readings the kernel gathers for one sample (everything that needs
-/// borrows of kernel structures, separated so the hook can read first and
-/// record second).
-#[derive(Debug, Clone, Copy)]
+/// The MMU state telemetry, mmtune and tail capture read, filled by one
+/// function (`Kernel::mmu_readings`) with plain reads — no cache or TLB
+/// replacement state is touched, no cycles are charged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MmuReadings {
-    /// Valid hash-table entries.
+    /// Hash-table size in PTEGs.
+    pub htab_groups: u32,
+    /// Total PTE capacity of the hash table.
+    pub htab_capacity: u32,
+    /// Valid hash-table entries (live + zombie).
     pub htab_valid: u32,
-    /// Valid entries with a live VSID.
+    /// Valid entries whose VSID is still live.
     pub htab_live: u32,
-    /// Completely full PTEGs.
-    pub full_groups: u32,
+    /// PTEGs with all eight slots valid — the displacement pressure gauge.
+    pub htab_full_groups: u32,
+    /// [`crate::kernel::Kernel::uses_htab`].
+    pub uses_htab: bool,
+    /// The VSID scatter constant in force.
+    pub scatter: u32,
     /// Kernel-side TLB entries (both sides).
     pub tlb_kernel: u32,
     /// User-side TLB entries (both sides).
     pub tlb_user: u32,
+    /// Free page frames (the memory-pressure gauge).
+    pub free_frames: usize,
+}
+
+impl MmuReadings {
+    /// Zombie PTEs: valid entries whose context has been retired.
+    pub fn zombies(&self) -> u32 {
+        self.htab_valid.saturating_sub(self.htab_live)
+    }
+}
+
+/// The boundary of the fixed-width epochs telemetry, mmtune and the
+/// checker's heavy sweeps fire at (the first span transition past it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EpochClock {
+    width: Cycles,
+    next: Cycles,
+}
+
+impl EpochClock {
+    /// A clock of `width`-cycle epochs; the first boundary is `width`.
+    pub(crate) fn new(width: Cycles) -> Self {
+        Self { width, next: width }
+    }
+
+    /// Whether the ledger at `now` has crossed the next boundary.
+    #[inline]
+    pub(crate) fn due(&self, now: Cycles) -> bool {
+        now >= self.next
+    }
+
+    /// Moves the next boundary past `now` (skipped epochs fire once) and
+    /// returns the index of the epoch `now` lies in.
+    pub(crate) fn advance(&mut self, now: Cycles) -> u64 {
+        let epoch = now / self.width;
+        self.next = (epoch + 1) * self.width;
+        epoch
+    }
 }
 
 /// The epoch sampler state a telemetry-enabled kernel carries.
@@ -152,8 +198,8 @@ pub struct Telemetry {
     pub cfg: TelemetryConfig,
     /// Samples, oldest first, one per crossed epoch boundary.
     pub epochs: Vec<EpochSample>,
-    /// Next cycle boundary that triggers a sample.
-    next_boundary: Cycles,
+    /// The next sample boundary.
+    pub(crate) clock: EpochClock,
     /// Counter snapshot at the previous sample (for window deltas).
     last_stats: KernelStats,
 }
@@ -165,15 +211,9 @@ impl Telemetry {
         Self {
             cfg,
             epochs: Vec::new(),
-            next_boundary: cfg.epoch_cycles,
+            clock: EpochClock::new(cfg.epoch_cycles),
             last_stats: KernelStats::default(),
         }
-    }
-
-    /// Whether the ledger at `now` has crossed the next epoch boundary.
-    #[inline]
-    pub fn due(&self, now: Cycles) -> bool {
-        now >= self.next_boundary
     }
 
     /// Records one sample from `readings` and the counter deltas since the
@@ -182,14 +222,14 @@ impl Telemetry {
         let d = stats.diff(&self.last_stats);
         self.last_stats = *stats;
         let lookups = d.htab_hits + d.htab_misses;
-        let epoch = now / self.cfg.epoch_cycles;
+        let epoch = self.clock.advance(now);
         self.epochs.push(EpochSample {
             epoch,
             cycle: now,
             htab_valid: readings.htab_valid,
             htab_live: readings.htab_live,
-            zombie_ptes: readings.htab_valid.saturating_sub(readings.htab_live),
-            full_groups: readings.full_groups,
+            zombie_ptes: readings.zombies(),
+            full_groups: readings.htab_full_groups,
             tlb_kernel: readings.tlb_kernel,
             tlb_user: readings.tlb_user,
             htab_hits: d.htab_hits,
@@ -201,7 +241,6 @@ impl Telemetry {
             evict_live: d.evict_live,
             evict_zombie: d.evict_zombie,
         });
-        self.next_boundary = (epoch + 1) * self.cfg.epoch_cycles;
     }
 
     /// One series as a value-per-sample vector (for sparklines/plots).
@@ -218,17 +257,18 @@ mod tests {
         MmuReadings {
             htab_valid: valid,
             htab_live: live,
-            full_groups: 1,
+            htab_full_groups: 1,
             tlb_kernel: 10,
             tlb_user: 20,
+            ..MmuReadings::default()
         }
     }
 
     #[test]
     fn samples_fire_at_boundaries_and_bucket_deltas() {
         let mut t = Telemetry::new(TelemetryConfig::with_epoch(1000));
-        assert!(!t.due(999));
-        assert!(t.due(1000));
+        assert!(!t.clock.due(999));
+        assert!(t.clock.due(1000));
         let mut s = KernelStats {
             htab_hits: 9,
             htab_misses: 1,
@@ -243,8 +283,8 @@ mod tests {
         assert_eq!(e.htab_hit_ppm, 900_000);
         assert_eq!(e.tlb_reloads, 10);
         // Boundary advanced past the sample cycle.
-        assert!(!t.due(1999));
-        assert!(t.due(2000));
+        assert!(!t.clock.due(1999));
+        assert!(t.clock.due(2000));
 
         // Second window: only the delta since the first sample counts.
         s.htab_hits += 1;
@@ -266,8 +306,8 @@ mod tests {
         // stamped with the epoch it landed in, and the boundary follows it.
         t.record(1050, readings(0, 0), &s);
         assert_eq!(t.epochs[0].epoch, 10);
-        assert!(!t.due(1099));
-        assert!(t.due(1100));
+        assert!(!t.clock.due(1099));
+        assert!(t.clock.due(1100));
         // An empty window reads as a perfect hit rate, not a 0/0 panic.
         assert_eq!(t.epochs[0].htab_hit_ppm, 1_000_000);
     }

@@ -3,35 +3,13 @@
 //! configurations, and the scaling semantics on a real workload.
 
 use ppc_machine::MachineConfig;
-use ppc_mmu::addr::PAGE_SIZE;
 
 use crate::causal::{CausalConfig, CausalPath, Ratio};
-use crate::kconfig::KernelConfig;
+use crate::kconfig::{KernelConfig, PmuConfig};
 use crate::kernel::Kernel;
 use crate::prof::Subsystem;
-use crate::sched::USER_BASE;
-
-/// The same every-path workload the trace identity tests use: faults,
-/// reloads, flushes, signals, fork/COW, reclaim, idle, syscalls.
-fn workload(k: &mut Kernel) {
-    let a = k.spawn_process(16).unwrap();
-    let b = k.spawn_process(8).unwrap();
-    k.switch_to(a);
-    k.user_write(USER_BASE, 8 * PAGE_SIZE).unwrap();
-    k.sys_signal_install();
-    k.signal_roundtrip(USER_BASE).unwrap();
-    let child = k.sys_fork().unwrap();
-    k.switch_to(child);
-    k.user_write(USER_BASE, 2 * PAGE_SIZE).unwrap();
-    k.exit_current();
-    k.switch_to(b);
-    k.user_read(USER_BASE, 4 * PAGE_SIZE).unwrap();
-    let m = k.sys_mmap(None, 32 * PAGE_SIZE);
-    k.prefault(m, 32).unwrap();
-    k.sys_munmap(m, 32 * PAGE_SIZE);
-    k.run_idle(40_000);
-    k.sys_null();
-}
+use crate::tests_observers::{assert_invisible, workload, CAUSAL};
+use crate::tune::MmtuneConfig;
 
 fn run(machine: MachineConfig, mut cfg: KernelConfig, causal: Option<CausalConfig>) -> Kernel {
     cfg.causal = causal;
@@ -40,41 +18,22 @@ fn run(machine: MachineConfig, mut cfg: KernelConfig, causal: Option<CausalConfi
     k
 }
 
-/// A small matrix sample: both presets, both processor families, plus the
-/// observability stack layered on (tracing + sampling PMU + mmtune), since
-/// those are exactly the features whose own cycle-identity guarantees a
-/// buggy causal layer would break.
-fn config_sample() -> Vec<(MachineConfig, KernelConfig)> {
+#[test]
+fn all_one_causal_is_cycle_and_counter_identical_across_matrix_sample() {
+    // Both presets, both processor families, plus the observability stack
+    // (tracing + sampling PMU + mmtune), whose own identity guarantees a
+    // buggy causal layer would break.
     let mut instrumented = KernelConfig::optimized();
     instrumented.trace = true;
-    instrumented.pmu = Some(crate::kconfig::PmuConfig::sampling(4096));
-    instrumented.mmtune = Some(crate::tune::MmtuneConfig::default());
-    vec![
+    instrumented.pmu = Some(PmuConfig::sampling(4096));
+    instrumented.mmtune = Some(MmtuneConfig::default());
+    for (machine, cfg) in [
         (MachineConfig::ppc604_185(), KernelConfig::unoptimized()),
         (MachineConfig::ppc604_185(), KernelConfig::optimized()),
         (MachineConfig::ppc603_133(), KernelConfig::optimized()),
         (MachineConfig::ppc604_185(), instrumented),
-    ]
-}
-
-#[test]
-fn all_one_causal_is_cycle_and_counter_identical_across_matrix_sample() {
-    for (machine, cfg) in config_sample() {
-        let plain = run(machine, cfg, None);
-        let ident = run(machine, cfg, Some(CausalConfig::identity()));
-        assert_eq!(
-            ident.machine.cycles, plain.machine.cycles,
-            "all-1/1 causal must charge identical cycles ({})",
-            cfg.summary()
-        );
-        assert_eq!(
-            ident.stats, plain.stats,
-            "and count identical kernel events ({})",
-            cfg.summary()
-        );
-        let (_, snap_i) = ident.stats_snapshot();
-        let (_, snap_p) = plain.stats_snapshot();
-        assert_eq!(snap_i, snap_p, "down to the cache/TLB monitors");
+    ] {
+        assert_invisible(machine, cfg, CAUSAL);
     }
 }
 
@@ -165,6 +124,7 @@ fn causal_state_is_exposed_and_balanced_at_rest() {
     let causal = CausalConfig::identity();
     let k = run(MachineConfig::ppc604_185(), KernelConfig::optimized(), Some(causal));
     let st = k.causal.as_ref().expect("causal state installed");
-    assert_eq!(st.scale(), (1, 1), "identity config folds to 1/1");
+    assert!(k.spans().is_empty());
+    assert_eq!(st.scale(Subsystem::User), (1, 1), "identity folds to 1/1");
     assert_eq!(k.machine.scale(), (1, 1));
 }

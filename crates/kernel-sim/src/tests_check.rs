@@ -8,42 +8,7 @@ use crate::inject::FaultInjection;
 use crate::kconfig::KernelConfig;
 use crate::kernel::Kernel;
 use crate::sched::USER_BASE;
-
-/// A small but MM-diverse workload: faults, COW forks, exec unmaps, brks,
-/// munmaps, pipes, signals, and enough context switches to cross epoch
-/// boundaries.
-fn drive(k: &mut Kernel) {
-    let bin = k.create_file(4 * 4096).unwrap();
-    let a = k.spawn_process(16).unwrap();
-    let b = k.spawn_process(16).unwrap();
-    k.switch_to(a);
-    k.user_write(USER_BASE, 16 * 4096).unwrap();
-    let child = k.sys_fork().unwrap();
-    // COW break in the parent.
-    k.user_write(USER_BASE, 8 * 4096).unwrap();
-    k.switch_to(child);
-    k.user_read(USER_BASE, 4 * 4096).unwrap();
-    k.sys_exec(bin, 4, 8).unwrap();
-    // Text is read-only after exec; the heap starts above it.
-    k.user_read(USER_BASE, 4 * 4096).unwrap();
-    k.user_write(USER_BASE + 4 * 4096, 4 * 4096).unwrap();
-    k.sys_brk(24).unwrap();
-    k.user_write(USER_BASE + 16 * 4096, 8 * 4096).unwrap();
-    let m = k.sys_mmap(None, 8 * 4096);
-    k.user_write(m, 8 * 4096).unwrap();
-    k.sys_munmap(m, 8 * 4096);
-    k.switch_to(b);
-    k.user_write(USER_BASE, 16 * 4096).unwrap();
-    k.signal_roundtrip(USER_BASE).unwrap();
-    for _ in 0..64 {
-        k.yield_next();
-        k.sys_null();
-        k.user_read(USER_BASE, 4096).unwrap();
-    }
-    k.switch_to(child);
-    k.exit_current();
-    k.check_finish();
-}
+use crate::tests_observers::{assert_invisible, workload, CHECK};
 
 fn cfg_with(check: Option<CheckConfig>, inject: Option<FaultInjection>) -> KernelConfig {
     KernelConfig {
@@ -55,27 +20,9 @@ fn cfg_with(check: Option<CheckConfig>, inject: Option<FaultInjection>) -> Kerne
 
 #[test]
 fn check_mode_is_cycle_and_counter_identical_when_off() {
-    let mut off = Kernel::boot(MachineConfig::ppc604_185(), cfg_with(None, None));
-    let mut on = Kernel::boot(
-        MachineConfig::ppc604_185(),
-        cfg_with(Some(CheckConfig::full()), None),
-    );
-    drive(&mut off);
-    drive(&mut on);
-    assert_eq!(
-        off.machine.cycles, on.machine.cycles,
-        "check mode must charge zero cycles"
-    );
-    assert_eq!(off.stats, on.stats, "check mode must not perturb counters");
-    assert_eq!(
-        off.machine.snapshot(),
-        on.machine.snapshot(),
-        "check mode must not touch hardware monitor state"
-    );
-    let c = on.check.as_ref().unwrap();
-    assert!(c.checked_observations > 0, "oracle saw no observations");
-    assert!(c.invariant_passes > 0, "invariants never evaluated");
-    assert!(c.heavy_sweeps > 0, "no heavy sweep ran");
+    // The check also requires oracle observations, invariant passes and a
+    // heavy sweep.
+    assert_invisible(MachineConfig::ppc604_185(), cfg_with(None, None), CHECK);
 }
 
 #[test]
@@ -87,7 +34,8 @@ fn check_survives_chaotic_injection() {
             Some(FaultInjection::chaotic(0xC0FFEE)),
         ),
     );
-    drive(&mut k);
+    workload(&mut k);
+    k.check_finish();
     let c = k.check.as_ref().unwrap();
     assert!(c.checked_observations > 0);
 }
@@ -149,7 +97,8 @@ fn unoptimized_kernel_is_oracle_clean() {
         ..KernelConfig::unoptimized()
     };
     let mut k = Kernel::boot(MachineConfig::ppc603_133(), cfg);
-    drive(&mut k);
+    workload(&mut k);
+    k.check_finish();
     let c = k.check.as_ref().unwrap();
     assert!(c.checked_observations > 0);
     assert!(c.heavy_sweeps > 0);

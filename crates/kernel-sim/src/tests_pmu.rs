@@ -1,65 +1,23 @@
 //! Integration tests for the PMU sampling layer: counting agrees with the
 //! hardware monitor, sampling charges its cost, sampled attribution tracks
-//! the exact profiler, and the configurable trace ring keeps newest-N.
+//! the exact profiler, counting never perturbs the run, and the
+//! configurable trace ring keeps newest-N.
 
 use ppc_machine::pmu::PmcEvent;
 use ppc_machine::MachineConfig;
-use ppc_mmu::addr::PAGE_SIZE;
 
 use crate::kconfig::{KernelConfig, PmuConfig};
 use crate::kernel::Kernel;
 use crate::prof::Subsystem;
-use crate::sched::USER_BASE;
+use crate::tests_observers::{assert_invisible, workload, COUNTING_PMU};
 use crate::trace::TraceEvent;
 use crate::tune::MmtuneConfig;
-
-/// A workload exercising faults, reloads, signals, fork/COW, mmap and idle.
-fn workload(k: &mut Kernel) {
-    let a = k.spawn_process(16).unwrap();
-    let b = k.spawn_process(8).unwrap();
-    k.switch_to(a);
-    k.user_write(USER_BASE, 8 * PAGE_SIZE).unwrap();
-    k.sys_signal_install();
-    k.signal_roundtrip(USER_BASE).unwrap();
-    let child = k.sys_fork().unwrap();
-    k.switch_to(child);
-    k.user_write(USER_BASE, 2 * PAGE_SIZE).unwrap();
-    k.exit_current();
-    k.switch_to(b);
-    k.user_read(USER_BASE, 4 * PAGE_SIZE).unwrap();
-    let m = k.sys_mmap(None, 32 * PAGE_SIZE);
-    k.prefault(m, 32).unwrap();
-    k.sys_munmap(m, 32 * PAGE_SIZE);
-    k.run_idle(40_000);
-    k.sys_null();
-}
 
 fn run(cfg: KernelConfig) -> Kernel {
     let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
     workload(&mut k);
     k.pmu_finish();
     k
-}
-
-#[test]
-fn no_pmu_and_counting_pmu_are_cycle_identical() {
-    let off = run(KernelConfig::optimized());
-    let mut cfg = KernelConfig::optimized();
-    cfg.pmu = Some(PmuConfig::counting(
-        PmcEvent::TlbMissBoth,
-        PmcEvent::CacheMissBoth,
-    ));
-    let on = run(cfg);
-    assert_eq!(
-        on.machine.cycles, off.machine.cycles,
-        "counting never perturbs the run"
-    );
-    let mut stats_off = off.stats;
-    let mut stats_on = on.stats;
-    stats_off.pmu_interrupts = 0;
-    stats_on.pmu_interrupts = 0;
-    assert_eq!(stats_on, stats_off);
-    assert_eq!(on.stats.pmu_interrupts, 0, "no interrupts without sampling");
 }
 
 #[test]
@@ -75,6 +33,13 @@ fn counting_pmcs_agree_with_the_hardware_monitor() {
     assert_eq!(u64::from(hw.read_pmc(0)), snap.tlb_misses());
     assert_eq!(u64::from(hw.read_pmc(1)), snap.dcache.misses);
     assert!(snap.tlb_misses() > 0, "workload must miss the TLB");
+}
+
+#[test]
+fn no_pmu_and_counting_pmu_are_cycle_identical() {
+    let cfg = KernelConfig::optimized();
+    let k = assert_invisible(MachineConfig::ppc604_185(), cfg, COUNTING_PMU);
+    assert_eq!(k.stats.pmu_interrupts, 0, "no interrupts without sampling");
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Integration tests for the observability layer: zero-overhead guarantee,
-//! attribution accounting, and event capture on a real workload.
+//! attribution accounting, span balance, and event capture on a real
+//! workload.
 
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
@@ -8,33 +9,13 @@ use crate::kconfig::KernelConfig;
 use crate::kernel::Kernel;
 use crate::prof::Subsystem;
 use crate::sched::USER_BASE;
+use crate::tests_observers::{assert_invisible, workload, TELEMETRY, TRACE};
 use crate::trace::{LatencyPath, TraceEvent};
 
-/// A workload that exercises every instrumented path: faults, reloads,
-/// flushes, signals, context switches, fork/COW, reclaim and idle.
-fn workload(k: &mut Kernel) {
-    let a = k.spawn_process(16).unwrap();
-    let b = k.spawn_process(8).unwrap();
-    k.switch_to(a);
-    k.user_write(USER_BASE, 8 * PAGE_SIZE).unwrap();
-    k.sys_signal_install();
-    k.signal_roundtrip(USER_BASE).unwrap();
-    let child = k.sys_fork().unwrap();
-    k.switch_to(child);
-    k.user_write(USER_BASE, 2 * PAGE_SIZE).unwrap();
-    k.exit_current();
-    k.switch_to(b);
-    k.user_read(USER_BASE, 4 * PAGE_SIZE).unwrap();
-    let m = k.sys_mmap(None, 32 * PAGE_SIZE);
-    k.prefault(m, 32).unwrap();
-    k.sys_munmap(m, 32 * PAGE_SIZE);
-    k.run_idle(40_000);
-    k.sys_null();
-}
-
-fn run(trace: bool) -> Kernel {
+/// A traced run of the shared observer workload.
+fn run() -> Kernel {
     let mut cfg = KernelConfig::optimized();
-    cfg.trace = trace;
+    cfg.trace = true;
     let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
     workload(&mut k);
     k
@@ -42,27 +23,17 @@ fn run(trace: bool) -> Kernel {
 
 #[test]
 fn tracing_is_cycle_identical_to_disabled() {
-    let off = run(false);
-    let on = run(true);
-    assert_eq!(
-        on.machine.cycles, off.machine.cycles,
-        "a traced run must charge exactly the same cycles"
-    );
-    assert_eq!(on.stats, off.stats, "and count exactly the same events");
-    let (_, snap_on) = on.stats_snapshot();
-    let (_, snap_off) = off.stats_snapshot();
-    assert_eq!(snap_on, snap_off, "down to the cache/TLB monitors");
-    assert!(off.tracer.is_none());
-    assert!(on.tracer.is_some());
+    let cfg = KernelConfig::optimized();
+    assert_invisible(MachineConfig::ppc604_185(), cfg, TRACE);
 }
 
 #[test]
 fn attribution_sums_to_total_cycles() {
-    let mut k = run(true);
+    let mut k = run();
+    assert!(k.spans().is_empty(), "all spans must be balanced at rest");
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().unwrap();
     t.prof.finish(now);
-    assert_eq!(t.prof.depth(), 0, "all spans must be balanced at rest");
     assert_eq!(
         t.prof.total(),
         now - t.prof.window_start(),
@@ -86,7 +57,7 @@ fn attribution_sums_to_total_cycles() {
 
 #[test]
 fn ring_captures_the_workloads_events() {
-    let k = run(true);
+    let k = run();
     let t = k.tracer.as_ref().unwrap();
     assert!(!t.ring.is_empty());
     let has = |pred: &dyn Fn(&TraceEvent) -> bool| t.ring.iter().any(|r| pred(&r.event));
@@ -105,7 +76,7 @@ fn ring_captures_the_workloads_events() {
 
 #[test]
 fn latency_histograms_cover_all_three_paths() {
-    let k = run(true);
+    let k = run();
     let t = k.tracer.as_ref().unwrap();
     for path in LatencyPath::ALL {
         let h = t.latency(path);
@@ -118,7 +89,7 @@ fn latency_histograms_cover_all_three_paths() {
 
 #[test]
 fn pteg_heatmap_matches_ring_inserts() {
-    let k = run(true);
+    let k = run();
     let t = k.tracer.as_ref().unwrap();
     let total: u32 = t.pteg_inserts.iter().sum();
     let collisions: u32 = t.pteg_collisions.iter().sum();
@@ -137,7 +108,7 @@ fn pteg_heatmap_matches_ring_inserts() {
 
 #[test]
 fn chrome_export_of_a_real_run_is_balanced() {
-    let k = run(true);
+    let k = run();
     let j = k.tracer.as_ref().unwrap().chrome_trace_json();
     assert!(j.contains("\"traceEvents\":["));
     assert!(j.contains("\"name\":\"tlb_miss\""));
@@ -156,10 +127,10 @@ fn fatal_signal_paths_keep_the_span_stack_balanced() {
     // SIGSEGV: the page-fault span unwinds through the error return.
     k.user_write(0x6000_0000, 4).unwrap_err();
     assert_eq!(k.stats.sigsegvs, 1);
+    assert!(k.spans().is_empty(), "spans must unwind on fatal signals");
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().unwrap();
     t.prof.finish(now);
-    assert_eq!(t.prof.depth(), 0, "spans must unwind on fatal signals");
     assert_eq!(t.prof.total(), now - t.prof.window_start());
     assert!(t
         .ring
@@ -167,56 +138,30 @@ fn fatal_signal_paths_keep_the_span_stack_balanced() {
         .any(|r| matches!(r.event, TraceEvent::Signal { fatal: true })));
 }
 
-/// A run with optional tracing and optional epoch telemetry (tight epochs so
-/// the quick workload crosses many boundaries).
-fn run_obs(trace: bool, telemetry: bool) -> Kernel {
-    let mut cfg = KernelConfig::optimized();
-    cfg.trace = trace;
-    if telemetry {
-        cfg.telemetry = Some(crate::telemetry::TelemetryConfig::with_epoch(10_000));
-    }
-    let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
-    workload(&mut k);
-    k.telemetry_finish();
-    k
-}
-
 #[test]
 fn telemetry_is_cycle_identical_to_disabled() {
-    let off = run_obs(false, false);
-    let on = run_obs(false, true);
-    assert_eq!(
-        on.machine.cycles, off.machine.cycles,
-        "the epoch sampler must never charge cycles"
-    );
-    assert_eq!(on.stats, off.stats);
-    let (_, snap_on) = on.stats_snapshot();
-    let (_, snap_off) = off.stats_snapshot();
-    assert_eq!(snap_on, snap_off, "down to the cache/TLB monitors");
-    let t = on.telemetry.as_ref().unwrap();
+    let cfg = KernelConfig::optimized();
+    let k = assert_invisible(MachineConfig::ppc604_185(), cfg, TELEMETRY);
+    let t = k.telemetry.as_ref().unwrap();
     assert!(t.epochs.len() >= 4, "tight epochs must yield a real series");
 }
 
 #[test]
 fn telemetry_never_evicts_trace_events() {
-    // Trace ring and epoch sampler on together: the sampler stores samples
-    // in its own buffer, so the ring must see the exact same event stream —
-    // same pushes, same drops, same retained records — and the run must stay
-    // cycle-identical.
-    let bare = run_obs(true, false);
-    let both = run_obs(true, true);
-    assert_eq!(both.machine.cycles, bare.machine.cycles);
-    let rb = &bare.tracer.as_ref().unwrap().ring;
-    let rt = &both.tracer.as_ref().unwrap().ring;
-    assert_eq!(rt.total_pushed(), rb.total_pushed(), "event streams diverge");
-    assert_eq!(rt.dropped(), rb.dropped(), "sampling evicted trace events");
-    assert!(rt.iter().zip(rb.iter()).all(|(a, b)| a == b));
-    assert!(!both.telemetry.as_ref().unwrap().epochs.is_empty());
+    // The sampler stores samples in its own buffer, so the ring sees the
+    // trace-only run's exact event stream: same pushes, drops and records.
+    let cfg = KernelConfig::optimized();
+    assert_invisible(MachineConfig::ppc604_185(), cfg, TRACE | TELEMETRY);
 }
 
 #[test]
 fn telemetry_series_track_mmu_state() {
-    let k = run_obs(false, true);
+    // Tight epochs, so the workload crosses many boundaries.
+    let mut cfg = KernelConfig::optimized();
+    cfg.telemetry = Some(crate::telemetry::TelemetryConfig::with_epoch(10_000));
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
+    workload(&mut k);
+    k.telemetry_finish();
     let t = k.telemetry.as_ref().unwrap();
     // Sample cycles strictly increase; epoch indices never go backwards
     // (the final tail sample may share the last boundary's epoch).

@@ -5,9 +5,11 @@
 //! constant statically chosen and measured them with the 604's performance
 //! monitor by hand. This module puts the monitor in the loop: an epoch
 //! controller on the same span-transition boundary the telemetry sampler
-//! uses ([`crate::telemetry`]) reads PMU event deltas — BAT hits vs TLB
-//! misses ([`PmcEvent::BatHitBoth`] / [`PmcEvent::TlbMissBoth`]) and
-//! threshold-exceeded slow reloads ([`PmcEvent::ThresholdExceeded`]) — plus
+//! uses ([`crate::telemetry`]) reads the monitor's event deltas
+//! through the PMU event selects — BAT hits vs TLB misses
+//! ([`PmcEvent::BatHitBoth`] / [`PmcEvent::TlbMissBoth`]) — and counts
+//! slow instrumented paths the way a [`PmcEvent::ThresholdExceeded`]
+//! counter would, plus
 //! the PTEG collision pressure the heatmap renders (full groups, live
 //! occupancy, overflow counts read straight from the kernel's structures, so
 //! decisions never depend on whether tracing is enabled), and online adjusts
@@ -42,12 +44,14 @@
 //!
 //! When [`crate::kconfig::KernelConfig::mmtune`] is `None` the kernel
 //! carries no controller and the poll is a single branch — mmtune-off runs
-//! are cycle-identical to pre-mmtune kernels, and a proptest asserts it.
+//! are cycle-identical to pre-mmtune kernels, and the observer property
+//! test holds a dormant controller to the same bar.
 
-use ppc_machine::pmu::{Mmcr0, PmcEvent, Pmu};
+use ppc_machine::pmu::PmcEvent;
 use ppc_machine::{Cycles, MonitorSnapshot};
 
 use crate::stats::KernelStats;
+use crate::telemetry::{EpochClock, MmuReadings};
 
 /// Default tuning epoch width in cycles (matches the telemetry default).
 pub const DEFAULT_EPOCH_CYCLES: u64 = 65_536;
@@ -71,8 +75,8 @@ pub struct MmtuneConfig {
     /// Grow the table when the full-group fraction (full PTEGs / PTEGs,
     /// ppm) exceeds this — inserts are displacing live entries.
     pub grow_full_ppm: u32,
-    /// Minimum TLB-miss deltas per epoch (PMC1, [`PmcEvent::TlbMissBoth`])
-    /// before any htab move: a quiet MMU is not worth retuning.
+    /// Minimum TLB-miss deltas per epoch ([`PmcEvent::TlbMissBoth`]) before
+    /// any htab move: a quiet MMU is not worth retuning.
     pub min_tlb_misses: u64,
     /// Enable the kernel BAT pair when an epoch sees at least this many
     /// kernel-side reloads while [`PmcEvent::BatHitBoth`] reads zero.
@@ -82,9 +86,9 @@ pub struct MmtuneConfig {
     pub scatter_target: u32,
     /// Epochs every retune decision freezes the controller for.
     pub cooldown_epochs: u32,
-    /// MMCR0 threshold (cycles) for the slow-reload counter (PMC2,
-    /// [`PmcEvent::ThresholdExceeded`]): instrumented paths longer than
-    /// this count as slow.
+    /// Threshold (cycles) of the slow-path counter — the rule
+    /// [`PmcEvent::ThresholdExceeded`] applies to MMCR0's threshold:
+    /// instrumented paths longer than this count as slow.
     pub slow_reload_cycles: u32,
 }
 
@@ -191,42 +195,19 @@ pub enum TuneAction {
     },
 }
 
-/// The epoch readings the kernel hands the controller (everything that
-/// needs borrows of kernel structures, read before the controller mutates
-/// anything — same split as [`crate::telemetry::MmuReadings`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TuneInputs {
-    /// Valid hash-table entries whose VSID is still live.
-    pub htab_live: u32,
-    /// Total PTE capacity of the table.
-    pub htab_capacity: u32,
-    /// Completely full PTEGs (the heatmap's saturated rows).
-    pub full_groups: u32,
-    /// Current group count.
-    pub num_groups: u32,
-    /// Whether this kernel keeps PTEs in the hash table at all
-    /// ([`crate::kernel::Kernel::uses_htab`]).
-    pub uses_htab: bool,
-    /// The scatter constant currently in force.
-    pub current_scatter: u32,
-}
-
 /// The controller state an mmtune-enabled kernel carries.
 #[derive(Debug, Clone)]
 pub struct Mmtune {
     /// Configuration.
     pub cfg: MmtuneConfig,
-    /// The controller's own counting PMU: PMC1 counts
-    /// [`PmcEvent::TlbMissBoth`], PMC2 counts
-    /// [`PmcEvent::ThresholdExceeded`] over
-    /// [`MmtuneConfig::slow_reload_cycles`]. Synced once per epoch; fed
-    /// duration events from the same `t_exit_lat` hook as the machine PMU.
-    pub pmu: Pmu,
     /// Every applied retune, oldest first.
     pub decisions: Vec<RetuneDecision>,
-    /// Next cycle boundary that triggers an evaluation.
-    next_boundary: Cycles,
-    /// Machine counters at the previous evaluation (for BAT-hit deltas).
+    /// The next evaluation boundary.
+    pub(crate) clock: EpochClock,
+    /// Instrumented paths slower than [`MmtuneConfig::slow_reload_cycles`]
+    /// since the previous evaluation.
+    slow_paths: u64,
+    /// Machine counters at the previous evaluation (for event deltas).
     last_snap: MonitorSnapshot,
     /// Kernel counters at the previous evaluation (for reload deltas).
     last_stats: KernelStats,
@@ -247,17 +228,9 @@ impl Mmtune {
         cfg.validate();
         Self {
             cfg,
-            pmu: Pmu::new(Mmcr0 {
-                freeze: false,
-                freeze_supervisor: false,
-                freeze_problem: false,
-                enint: false,
-                threshold: cfg.slow_reload_cycles,
-                pmc1: PmcEvent::TlbMissBoth,
-                pmc2: PmcEvent::ThresholdExceeded,
-            }),
             decisions: Vec::new(),
-            next_boundary: cfg.epoch_cycles,
+            clock: EpochClock::new(cfg.epoch_cycles),
+            slow_paths: 0,
             last_snap: MonitorSnapshot::default(),
             last_stats: KernelStats::default(),
             bats_on,
@@ -267,34 +240,34 @@ impl Mmtune {
         }
     }
 
-    /// Whether the ledger at `now` has crossed the next epoch boundary.
+    /// Feeds one instrumented-path latency: counts it as slow when it
+    /// exceeds [`MmtuneConfig::slow_reload_cycles`], exactly as an
+    /// unfrozen [`PmcEvent::ThresholdExceeded`] counter would.
     #[inline]
-    pub fn due(&self, now: Cycles) -> bool {
-        now >= self.next_boundary
+    pub fn note_latency(&mut self, lat: Cycles) {
+        if lat > u64::from(self.cfg.slow_reload_cycles) {
+            self.slow_paths += 1;
+        }
     }
 
-    /// Evaluates one tuning epoch: syncs the controller PMU, reads the
-    /// event deltas, and returns at most one knob move. Pure bookkeeping —
-    /// the kernel applies (and charges) the returned action.
+    /// Evaluates one tuning epoch from the monitor window since the last
+    /// one and returns at most one knob move. Pure bookkeeping — the kernel
+    /// applies (and charges) the returned action.
     pub fn observe(
         &mut self,
         now: Cycles,
         snap: &MonitorSnapshot,
         stats: &KernelStats,
-        inp: TuneInputs,
+        inp: MmuReadings,
     ) -> Option<TuneAction> {
-        let epoch = now / self.cfg.epoch_cycles;
-        self.next_boundary = (epoch + 1) * self.cfg.epoch_cycles;
-        // PMU window: TLB misses and slow reloads since the last epoch.
-        self.pmu.sync(snap, true);
-        let tlb_misses = u64::from(self.pmu.read_pmc(0));
-        let slow_reloads = u64::from(self.pmu.read_pmc(1));
-        self.pmu.reset_counters();
-        // BAT hits via the event select applied to the same window — the
-        // counter a third PMC would hold if the 604 had one.
+        self.clock.advance(now);
+        // The window since the last epoch, read through the PMU's event
+        // selects, plus the slow paths counted since then.
         let window = snap.delta(&self.last_snap);
         self.last_snap = *snap;
+        let tlb_misses = PmcEvent::TlbMissBoth.count_in(&window);
         let bat_hits = PmcEvent::BatHitBoth.count_in(&window);
+        let slow_reloads = std::mem::take(&mut self.slow_paths);
         let d = stats.diff(&self.last_stats);
         self.last_stats = *stats;
         if self.cooldown > 0 {
@@ -314,44 +287,44 @@ impl Mmtune {
         // an untuned constant means the hash is hot-spotting (§5.2).
         if inp.uses_htab
             && !self.scatter_done
-            && inp.current_scatter != self.cfg.scatter_target
+            && inp.scatter != self.cfg.scatter_target
             && d.htab_overflows > 0
         {
             self.scatter_done = true;
             self.cooldown = self.cfg.cooldown_epochs;
             return Some(TuneAction::SetScatter {
-                from: inp.current_scatter,
+                from: inp.scatter,
                 to: self.cfg.scatter_target,
             });
         }
         // Knob 3 — hash-table size (shrink phase, then grow phase).
         if inp.uses_htab && tlb_misses >= self.cfg.min_tlb_misses {
             let live_ppm = u64::from(inp.htab_live) * 1_000_000 / u64::from(inp.htab_capacity);
-            let full_ppm = u64::from(inp.full_groups) * 1_000_000 / u64::from(inp.num_groups);
+            let full_ppm = u64::from(inp.htab_full_groups) * 1_000_000 / u64::from(inp.htab_groups);
             // Grow when full groups (or slow reloads — overflowing probe
             // chains are exactly what the threshold counter sees) say the
             // table is displacing live entries.
-            if inp.num_groups < self.cfg.max_groups
+            if inp.htab_groups < self.cfg.max_groups
                 && (full_ppm > u64::from(self.cfg.grow_full_ppm) && slow_reloads > 0)
             {
                 self.grew = true;
                 self.cooldown = self.cfg.cooldown_epochs;
                 return Some(TuneAction::ResizeHtab {
-                    from: inp.num_groups,
-                    to: inp.num_groups * 2,
+                    from: inp.htab_groups,
+                    to: inp.htab_groups * 2,
                 });
             }
             // Shrink while the live working set rattles around a table
             // whose probe footprint is polluting the data cache (§8) —
             // but never after a grow (the one-way door).
             if !self.grew
-                && inp.num_groups > self.cfg.min_groups
+                && inp.htab_groups > self.cfg.min_groups
                 && live_ppm < u64::from(self.cfg.shrink_live_ppm)
             {
                 self.cooldown = self.cfg.cooldown_epochs;
                 return Some(TuneAction::ResizeHtab {
-                    from: inp.num_groups,
-                    to: inp.num_groups / 2,
+                    from: inp.htab_groups,
+                    to: inp.htab_groups / 2,
                 });
             }
         }
@@ -380,14 +353,15 @@ impl Mmtune {
 mod tests {
     use super::*;
 
-    fn inputs(live: u32, capacity: u32, full: u32, groups: u32) -> TuneInputs {
-        TuneInputs {
+    fn inputs(live: u32, capacity: u32, full: u32, groups: u32) -> MmuReadings {
+        MmuReadings {
             htab_live: live,
             htab_capacity: capacity,
-            full_groups: full,
-            num_groups: groups,
+            htab_full_groups: full,
+            htab_groups: groups,
             uses_htab: true,
-            current_scatter: 897,
+            scatter: 897,
+            ..MmuReadings::default()
         }
     }
 
@@ -422,7 +396,7 @@ mod tests {
             ..MmtuneConfig::default()
         };
         let mut m = Mmtune::new(cfg, true);
-        assert!(m.due(cfg.epoch_cycles));
+        assert!(m.clock.due(cfg.epoch_cycles));
         // Plenty of misses, table nearly empty: shrink.
         let a = m.observe(
             cfg.epoch_cycles,
@@ -470,7 +444,7 @@ mod tests {
         let mut m = Mmtune::new(cfg, true);
         // Full-group pressure with slow reloads: grow. (The duration
         // counter needs a >threshold event fed first.)
-        m.pmu.note_duration(u64::from(cfg.slow_reload_cycles) + 1, true);
+        m.note_latency(u64::from(cfg.slow_reload_cycles) + 1);
         let a = m.observe(
             cfg.epoch_cycles,
             &snap(cfg.epoch_cycles, 100),
@@ -551,7 +525,7 @@ mod tests {
         };
         let mut m = Mmtune::new(cfg, true);
         let mut inp = inputs(3000, 2048 * 8, 0, 2048);
-        inp.current_scatter = 16;
+        inp.scatter = 16;
         let stats = KernelStats {
             htab_overflows: 5,
             ..Default::default()
@@ -600,7 +574,7 @@ mod tests {
         let mut groups = 2048u32;
         let mut decisions = 0;
         for e in 1..1000u64 {
-            m.pmu.note_duration(u64::from(cfg.slow_reload_cycles) + 1, true);
+            m.note_latency(u64::from(cfg.slow_reload_cycles) + 1);
             let stats = KernelStats {
                 kernel_reloads: e * 100,
                 htab_overflows: e,
@@ -613,7 +587,7 @@ mod tests {
                 inputs(groups * 8, groups * 8, groups, groups)
             };
             let mut inp = inp;
-            inp.current_scatter = 16;
+            inp.scatter = 16;
             if let Some(a) = m.observe(e * cfg.epoch_cycles, &snap(e * cfg.epoch_cycles, e * 100), &stats, inp)
             {
                 decisions += 1;

@@ -398,7 +398,8 @@ proptest! {
         offers in proptest::collection::vec((0u64..6, 0usize..3), 1..80),
         top_n in 1usize..6,
     ) {
-        use kernel_sim::tail::{MmuSnapshot, TailConfig, TailState};
+        use kernel_sim::tail::{TailConfig, TailState};
+        use kernel_sim::telemetry::MmuReadings;
         use kernel_sim::trace::LatencyPath;
         use kernel_sim::KernelStats;
         use ppc_mmu::HtabStats;
@@ -416,7 +417,7 @@ proptest! {
                     1,
                     Vec::new(),
                     Vec::new(),
-                    MmuSnapshot::default(),
+                    MmuReadings::default(),
                     &KernelStats::default(),
                     &HtabStats::default(),
                 );

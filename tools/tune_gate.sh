@@ -15,42 +15,20 @@
 # 4. `repro etune` renders all gates as "pass".
 # 5. Tune artifacts ride the shared diff semantics: self-diff is clean and
 #    a tune-vs-bench diff is refused on the schema axis.
-set -euo pipefail
-cd "$(dirname "$0")/.."
-
-out="$(mktemp -d)"
-trap 'rm -rf "$out"' EXIT
-
-fail=0
+. "$(dirname "$0")/gate_lib.sh"
 
 # --- 1. determinism ---------------------------------------------------------
-cargo run --release -p bench --bin repro -- tune --depth quick \
-    --json "$out/tune-a.json" >/dev/null
-cargo run --release -p bench --bin repro -- tune --depth quick --jobs 4 \
-    --json "$out/tune-b.json" >/dev/null
-if ! cmp -s "$out/tune-a.json" "$out/tune-b.json"; then
-    echo "FAIL: serial and --jobs 4 repro tune runs are not byte-identical" >&2
-    diff "$out/tune-a.json" "$out/tune-b.json" | head -5 >&2 || true
-    fail=1
-fi
+repro tune --depth quick --json "$out/tune-a.json" >/dev/null
+repro tune --depth quick --jobs 4 --json "$out/tune-b.json" >/dev/null
+require_byte_identical "$out/tune-a.json" "$out/tune-b.json" \
+    "serial and --jobs 4 repro tune runs are not byte-identical"
 
 # --- 2. artifact shape ------------------------------------------------------
-if ! grep -q '"schema": "mmu-tricks-tune-v1"' "$out/tune-a.json"; then
-    echo "FAIL: tune artifact has the wrong schema" >&2
-    fail=1
-fi
-for m in 603-swload 603-nohtab 604-133 604-200; do
-    if ! grep -q "\"machine\": \"$m\"" "$out/tune-a.json"; then
-        echo "FAIL: tune artifact has no row for machine $m" >&2
-        fail=1
-    fi
-done
-for axis in mmtune bats scatter handler flush idle_reclaim page_clearing; do
-    if ! grep -q "\"$axis\": \"" "$out/tune-a.json"; then
-        echo "FAIL: tune artifact config objects are missing the $axis axis" >&2
-        fail=1
-    fi
-done
+require_keys "$out/tune-a.json" '"schema": "mmu-tricks-tune-v1"' \
+    '"machine": "603-swload"' '"machine": "603-nohtab"' \
+    '"machine": "604-133"' '"machine": "604-200"' \
+    '"mmtune": "' '"bats": "' '"scatter": "' '"handler": "' '"flush": "' \
+    '"idle_reclaim": "' '"page_clearing": "'
 
 # --- 3. E-TUNE signs from the artifact --------------------------------------
 wins=0
@@ -61,55 +39,34 @@ while read -r machine static tuned; do
         wins=$((wins + 1))
     fi
     if [ "$((tuned * 100))" -gt "$((static * 102))" ]; then
-        echo "FAIL: tuned config loses past the 2% hysteresis bound on $machine (${static} -> ${tuned})" >&2
-        fail=1
+        gate_fail "tuned config loses past the 2% hysteresis bound on $machine (${static} -> ${tuned})"
     fi
 done < <(grep -o '"machine": "[^"]*", "static_cycles": [0-9]*, "tuned_cycles": [0-9]*' "$out/tune-a.json" \
     | sed 's/"machine": "\([^"]*\)", "static_cycles": \([0-9]*\), "tuned_cycles": \([0-9]*\)/\1 \2 \3/')
 if [ "$rows" -ne 4 ]; then
-    echo "FAIL: expected 4 tune rows, parsed $rows" >&2
-    fail=1
+    gate_fail "expected 4 tune rows, parsed $rows"
 fi
 if [ "$wins" -lt 2 ]; then
-    echo "FAIL: tuned config beats static opt on only $wins of $rows machines (need >= 2)" >&2
-    fail=1
+    gate_fail "tuned config beats static opt on only $wins of $rows machines (need >= 2)"
 else
     echo "tune gate: tuned beats static opt on $wins of $rows machines"
 fi
 
 # --- 4. the E-TUNE experiment agrees ----------------------------------------
-cargo run --release -p bench --bin repro -- etune --depth quick > "$out/etune.txt"
-if grep -q 'FAIL' "$out/etune.txt"; then
-    echo "FAIL: repro etune reports a failing gate:" >&2
-    grep 'FAIL' "$out/etune.txt" >&2
-    fail=1
-fi
-if ! grep -q 'pass' "$out/etune.txt"; then
-    echo "FAIL: repro etune rendered no passing gates:" >&2
-    cat "$out/etune.txt" >&2
-    fail=1
-fi
+repro etune --depth quick > "$out/etune.txt"
+require_absent "$out/etune.txt" 'FAIL' "repro etune reports a failing gate"
+require_contains "$out/etune.txt" 'pass' "repro etune rendered no passing gates"
 
 # --- 5. shared diff semantics -----------------------------------------------
-cargo run --release -p bench --bin repro -- diff "$out/tune-a.json" "$out/tune-b.json" \
-    --json "$out/tune-diff.json" >/dev/null
-if ! grep -q '"changed": 0' "$out/tune-diff.json"; then
-    echo "FAIL: tune self-diff reported nonzero changes" >&2
-    fail=1
-fi
-cargo run --release -p bench --bin repro -- bench --depth quick \
-    --json "$out/bench.json" >/dev/null
-if cargo run --release -p bench --bin repro -- diff \
-       "$out/tune-a.json" "$out/bench.json" >/dev/null 2>"$out/refusal.txt"; then
-    echo "FAIL: diff accepted a tune artifact against a bench artifact" >&2
-    fail=1
-elif ! grep -q 'schema mismatch' "$out/refusal.txt"; then
-    echo "FAIL: tune/bench refusal lacks a clear error message:" >&2
-    cat "$out/refusal.txt" >&2
-    fail=1
+repro diff "$out/tune-a.json" "$out/tune-b.json" --json "$out/tune-diff.json" >/dev/null
+require_contains "$out/tune-diff.json" '"changed": 0' \
+    "tune self-diff reported nonzero changes"
+repro bench --depth quick --json "$out/bench.json" >/dev/null
+if repro diff "$out/tune-a.json" "$out/bench.json" >/dev/null 2>"$out/refusal.txt"; then
+    gate_fail "diff accepted a tune artifact against a bench artifact"
+else
+    require_contains "$out/refusal.txt" 'schema mismatch' \
+        "tune/bench refusal lacks a clear error message"
 fi
 
-if [ "$fail" -ne 0 ]; then
-    exit 1
-fi
-echo "tune gate OK: deterministic artifact, $wins/$rows wins, hysteresis bound held, diff semantics shared"
+gate_ok "tune gate OK: deterministic artifact, $wins/$rows wins, hysteresis bound held, diff semantics shared"
