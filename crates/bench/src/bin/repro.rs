@@ -34,27 +34,32 @@
 //! deterministic `perf.data` text file; `report`/`annotate` render it (or
 //! record in-memory when no `--in` is given); `--folded` exports collapsed
 //! stacks for flamegraph tooling. `diff` and `perf diff` refuse to compare
-//! artifacts whose machine/depth/workload headers disagree — only the
-//! kernel-config axis may differ between the two sides.
+//! artifacts whose identity axes disagree — only the kernel-config axis
+//! may differ between the two sides.
+//!
+//! A typo'd flag or flag value exits 2 and names it. `matrix`, `tune` and
+//! `causal` run on every available core; their output is byte-identical
+//! for any worker count. `ARTIFACTS.lock` pins every artifact's digest at
+//! quick depth.
 
 use bench::{
     depth_from_args, flag_value, positional_args, unknown_flags, ARTIFACTS, EXPERIMENTS,
     SUBCOMMANDS,
 };
+use mmu_tricks::artifact::Json;
 use mmu_tricks::bench::bench_report;
-use mmu_tricks::chaos::{chaos_report, ChaosConfig};
+use mmu_tricks::chaos::{chaos_report, fleet_json, ChaosConfig};
 use mmu_tricks::diff::{diff_perf, diff_reports, parse_report};
 use mmu_tricks::experiments as ex;
 use mmu_tricks::experiments::TraceArtifacts;
-use mmu_tricks::matrix::run_matrix_jobs;
+use mmu_tricks::matrix::run_matrix;
 use mmu_tricks::perf::{perf_record_on, PerfData, PerfWorkload};
 use mmu_tricks::tables::Table;
-use mmu_tricks::tune::tune_workload_jobs;
+use mmu_tricks::tune::tune_workload;
 use mmu_tricks::{Depth, KernelConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let depth = depth_from_args(&args);
     let markdown = args.iter().any(|a| a == "--markdown");
     let csv = args.iter().any(|a| a == "--csv");
     let json_path = flag_value(&args, "--json");
@@ -75,6 +80,10 @@ fn main() {
         usage();
         std::process::exit(2);
     }
+    let depth = depth_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     match wanted[0] {
         "bench" => return bench_main(&args, depth),
         "chaos" => return chaos_main(&args),
@@ -110,7 +119,7 @@ fn main() {
     }
     if let Some(path) = json_path {
         let report = out.run_report(depth);
-        write_artifact(&path, &report);
+        write_artifact(&path, &report.write());
     }
     if let Some(path) = trace_out {
         let chrome = out.ensure_artifacts(depth).chrome_json.clone();
@@ -129,22 +138,11 @@ fn bench_main(args: &[String], depth: Depth) {
     }
 }
 
-/// `repro matrix`: the full machine × config × workload grid. `--jobs N`
-/// runs up to N cells concurrently; the output is byte-identical to a
-/// serial run.
+/// `repro matrix`: the full machine × config × workload grid.
 fn matrix_main(args: &[String], depth: Depth) {
-    let jobs = flag_value(args, "--jobs")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("bad --jobs {v:?} (expected a positive worker count)");
-                std::process::exit(1);
-            }
-        })
-        .unwrap_or(1);
-    let grid = run_matrix_jobs(depth, jobs);
+    let grid = run_matrix(depth);
     match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &grid.to_json()),
+        Some(path) => write_artifact(&path, &grid.to_json().write()),
         None => {
             for t in grid.tables() {
                 println!("{}", t.render());
@@ -155,45 +153,34 @@ fn matrix_main(args: &[String], depth: Depth) {
 
 /// `repro tune`: offline coordinate descent per machine, emitting the
 /// `mmu-tricks-tune-v1` artifact naming each winning configuration.
-/// `--jobs N` descends up to N machines concurrently; the artifact is
-/// byte-identical to a serial run.
 fn tune_main(args: &[String], depth: Depth) {
     let wl = flag_value(args, "--workload").unwrap_or_else(|| "fault_storm".into());
     let workload = mmu_tricks::matrix::WORKLOADS
         .iter()
         .copied()
         .find(|w| *w == wl)
-        .unwrap_or_else(|| {
-            eprintln!(
-                "unknown --workload {wl:?} (expected one of {:?})",
-                mmu_tricks::matrix::WORKLOADS
-            );
-            std::process::exit(1);
-        });
-    let jobs = flag_value(args, "--jobs")
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("bad --jobs {v:?} (expected a positive worker count)");
-                std::process::exit(1);
-            }
-        })
-        .unwrap_or(1);
-    let result = tune_workload_jobs(workload, depth, jobs);
+        .unwrap_or_else(|| bad_value("--workload", &wl, "compile|fault_storm|trace_ref"));
+    let result = tune_workload(workload, depth);
     match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &result.to_json()),
+        Some(path) => write_artifact(&path, &result.to_json().write()),
         None => println!("{}", result.table().render()),
     }
 }
 
-/// Parses a numeric `--flag N`, exiting with a diagnostic on garbage.
+/// Exits 2 naming a flag's bad value: a typo'd value is an error, like a
+/// typo'd flag.
+fn bad_value(flag: &str, value: &str, expected: &str) -> ! {
+    eprintln!("bad {flag} {value:?} (expected {expected})");
+    std::process::exit(2);
+}
+
+/// Parses a numeric `--flag N`, exiting 2 on garbage.
 fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     match flag_value(args, flag) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad {flag} {v:?} (expected a number)");
-            std::process::exit(2);
-        }),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| bad_value(flag, &v, "a number")),
     }
 }
 
@@ -206,18 +193,13 @@ fn chaos_main(args: &[String]) {
     let runs: u64 = numeric_flag(args, "--runs", 1);
     let steps: u32 = numeric_flag(args, "--steps", 400);
     let verbose_from = flag_value(args, "--verbose-from").map(|v| {
-        v.parse::<u32>().unwrap_or_else(|_| {
-            eprintln!("bad --verbose-from {v:?} (expected a step number)");
-            std::process::exit(2);
-        })
+        v.parse::<u32>()
+            .unwrap_or_else(|_| bad_value("--verbose-from", &v, "a step number"))
     });
     let check = match flag_value(args, "--check").as_deref() {
         None | Some("on") => true,
         Some("off") => false,
-        Some(other) => {
-            eprintln!("bad --check {other:?} (expected on|off)");
-            std::process::exit(2);
-        }
+        Some(other) => bad_value("--check", other, "on|off"),
     };
     let mut lines = Vec::new();
     let mut failures = 0u64;
@@ -249,24 +231,7 @@ fn chaos_main(args: &[String]) {
         }
     }
     if let Some(path) = flag_value(args, "--json") {
-        let mut j = String::from("{\n  \"schema\": \"mmu-tricks-chaos-v1\",\n");
-        j.push_str(&format!(
-            "  \"check\": \"{}\",\n  \"steps\": {steps},\n  \"seeds\": [\n",
-            if check { "on" } else { "off" }
-        ));
-        for (i, (seed, o)) in lines.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"seed\": {seed}, \"cycles\": {}, \"injected\": {}, \"fatals\": {}, \"oracle_obs\": {}, \"sweeps\": {}}}{}\n",
-                o.cycles,
-                o.stats.injected_faults,
-                o.fatals,
-                o.checked_observations,
-                o.heavy_sweeps,
-                if i + 1 < lines.len() { "," } else { "" }
-            ));
-        }
-        j.push_str("  ]\n}\n");
-        write_artifact(&path, &j);
+        write_artifact(&path, &fleet_json(check, steps, &lines).write());
     }
     if failures > 0 {
         eprintln!("{failures} chaos run(s) FAILED");
@@ -304,14 +269,12 @@ fn diff_main(args: &[String], wanted: &[&str]) {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    let limit = flag_value(args, "--limit")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(25);
+    let limit: usize = numeric_flag(args, "--limit", 25);
     println!("config A: {}", d.config_a);
     println!("config B: {}\n", d.config_b);
     println!("{}", d.table(limit).render());
     if let Some(path) = flag_value(args, "--json") {
-        write_artifact(&path, &d.to_json());
+        write_artifact(&path, &d.to_json().write());
     }
 }
 
@@ -348,10 +311,7 @@ fn config_preset(args: &[String]) -> KernelConfig {
     match flag_value(args, "--config").as_deref() {
         None | Some("opt") => KernelConfig::optimized(),
         Some("unopt") => KernelConfig::unoptimized(),
-        Some(other) => {
-            eprintln!("unknown --config {other:?} (expected unopt|opt)");
-            std::process::exit(1);
-        }
+        Some(other) => bad_value("--config", other, "unopt|opt"),
     }
 }
 
@@ -376,17 +336,12 @@ fn perf_main(args: &[String], depth: Depth) {
         }
         None => {
             let wl = flag_value(args, "--workload").unwrap_or_else(|| "compile".into());
-            let workload = PerfWorkload::from_name(&wl).unwrap_or_else(|| {
-                eprintln!("unknown --workload {wl:?} (expected compile|storm)");
-                std::process::exit(1);
-            });
+            let workload = PerfWorkload::from_name(&wl)
+                .unwrap_or_else(|| bad_value("--workload", &wl, "compile|storm"));
             let period = flag_value(args, "--period")
                 .map(|p| match p.parse::<u32>() {
                     Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("bad --period {p:?} (expected a positive cycle count)");
-                        std::process::exit(1);
-                    }
+                    _ => bad_value("--period", &p, "a positive cycle count"),
                 })
                 .unwrap_or(4096);
             perf_record_on(depth, workload, period, config_preset(args))
@@ -423,7 +378,7 @@ fn perf_main(args: &[String], depth: Depth) {
 fn tail_main(args: &[String], depth: Depth) {
     let (report, tables) = mmu_tricks::tail::tail_report(depth);
     match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &report.to_json()),
+        Some(path) => write_artifact(&path, &report.to_json().write()),
         None => {
             for t in &tables {
                 println!("{}", t.render());
@@ -439,7 +394,7 @@ fn tail_main(args: &[String], depth: Depth) {
 fn causal_main(args: &[String], depth: Depth) {
     let (report, tables) = mmu_tricks::causal::causal_report(depth);
     match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &report.to_json()),
+        Some(path) => write_artifact(&path, &report.to_json().write()),
         None => {
             for t in &tables {
                 println!("{}", t.render());
@@ -483,13 +438,10 @@ fn usage_text() -> String {
     }
     let _ = writeln!(s, "\nsubcommand usage:");
     let _ = writeln!(s, "  repro bench [--json <path>]");
+    let _ = writeln!(s, "  repro matrix [--depth quick|full] [--json <path>]");
     let _ = writeln!(
         s,
-        "  repro matrix [--depth quick|full] [--jobs N] [--json <path>]"
-    );
-    let _ = writeln!(
-        s,
-        "  repro tune [--workload compile|fault_storm|trace_ref] [--jobs N] [--json <path>]"
+        "  repro tune [--workload compile|fault_storm|trace_ref] [--json <path>]"
     );
     let _ = writeln!(s, "  repro report [--depth quick|full]");
     let _ = writeln!(s, "  repro diff <a.json> <b.json> [--json <path>] [--limit N]");
@@ -536,11 +488,6 @@ fn usage_text() -> String {
         "--folded    perf: collapsed stacks (flamegraph input; diff writes signed weights)"
     );
     let _ = writeln!(s, "--limit     diff: ranked rows to render (default 25)");
-    let _ = writeln!(
-        s,
-        "--jobs      matrix/tune: cells or machines to run concurrently (default 1; \
-         output is byte-identical)"
-    );
     let _ = writeln!(s, "--seed      chaos: first fuzzer seed (default 1)");
     let _ = writeln!(s, "--runs      chaos: number of consecutive seeds to run (default 1)");
     let _ = writeln!(s, "--steps     chaos: fuzzed operations per run (default 400)");
@@ -571,24 +518,13 @@ impl RunOutput {
         self.artifacts.as_ref().unwrap()
     }
 
-    /// The `--json` run report: the metrics payload spliced with one JSON
-    /// object per rendered table. Deterministic — no timestamps, no paths.
-    fn run_report(&mut self, depth: Depth) -> String {
-        let metrics = self.ensure_artifacts(depth).metrics_fragment();
-        let mut s = String::from("{\n");
-        s.push_str(&metrics);
-        s.push_str(",\n  \"experiments\": [\n");
-        for (i, t) in self.tables.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&t.render_json());
-            s.push_str(if i + 1 < self.tables.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The `--json` run report: the metrics artifact with one object per
+    /// rendered table appended. Deterministic — no timestamps, no paths.
+    fn run_report(&mut self, depth: Depth) -> Json {
+        let tables = Json::arr(self.tables.iter().map(Table::to_json));
+        self.ensure_artifacts(depth)
+            .metrics_json()
+            .field("experiments", tables)
     }
 }
 

@@ -11,21 +11,14 @@
 use mmu_tricks::Depth;
 
 /// Parses the depth flags: `--depth quick|full`, or the `--full` shorthand.
-pub fn depth_from_args(args: &[String]) -> Depth {
-    if let Some(v) = flag_value(args, "--depth") {
-        match v.as_str() {
-            "full" => return Depth::Full,
-            "quick" => return Depth::Quick,
-            other => {
-                eprintln!("unknown --depth {other:?} (expected quick|full), using quick");
-                return Depth::Quick;
-            }
-        }
-    }
-    if args.iter().any(|a| a == "--full") {
-        Depth::Full
-    } else {
-        Depth::Quick
+/// Any other `--depth` value is an error naming it, like a typo'd flag.
+pub fn depth_from_args(args: &[String]) -> Result<Depth, String> {
+    match flag_value(args, "--depth").as_deref() {
+        Some("full") => Ok(Depth::Full),
+        Some("quick") => Ok(Depth::Quick),
+        Some(other) => Err(format!("bad --depth {other:?} (expected quick|full)")),
+        None if args.iter().any(|a| a == "--full") => Ok(Depth::Full),
+        None => Ok(Depth::Quick),
     }
 }
 
@@ -50,7 +43,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--folded",
     "--config",
     "--limit",
-    "--jobs",
     "--seed",
     "--runs",
     "--steps",
@@ -63,8 +55,9 @@ pub const BARE_FLAGS: &[&str] = &["--full", "--markdown", "--csv", "--help"];
 
 /// Every `repro` subcommand (dispatch names that are not experiment ids),
 /// with a one-line summary. The binary's usage text renders this list, and
-/// `tools/chaos_gate.sh` asserts `repro --help` mentions every entry — so a
-/// new subcommand that forgets to register here fails CI, not code review.
+/// `tests/artifacts.rs` asserts `repro --help` mentions every entry — so a
+/// new subcommand that forgets to register here fails a test, not code
+/// review.
 pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("bench", "benchmark-regression baseline (mmu-tricks-bench-v1)"),
     ("matrix", "machine × config × workload grid (mmu-tricks-matrix-v1)"),
@@ -85,9 +78,10 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
 
 /// Every artifact schema the harness can emit, with the producer and a
 /// one-line contents summary. `repro --help` renders this table, and
-/// `tools/causal_gate.sh` greps the workspace for `mmu-tricks-*-v*` schema
-/// literals and asserts each one is registered here — an artifact added
-/// without a registry row fails CI, not code review.
+/// `tests/artifacts.rs` scans the workspace sources for `mmu-tricks-*-v*`
+/// literals and asserts each one is registered here and pinned by exactly
+/// one `ARTIFACTS.lock` row — an artifact added without both fails a
+/// test, not code review.
 pub const ARTIFACTS: &[(&str, &str, &str)] = &[
     (
         "mmu-tricks-bench-v1",
@@ -281,21 +275,20 @@ mod tests {
 
     #[test]
     fn depth_parsing() {
-        assert_eq!(depth_from_args(&[]), Depth::Quick);
-        assert_eq!(depth_from_args(&["--full".into()]), Depth::Full);
+        let parse = |args: &[&str]| {
+            depth_from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse(&[]), Ok(Depth::Quick));
+        assert_eq!(parse(&["--full"]), Ok(Depth::Full));
+        assert_eq!(parse(&["all", "--full"]), Ok(Depth::Full));
+        assert_eq!(parse(&["--depth", "full"]), Ok(Depth::Full));
         assert_eq!(
-            depth_from_args(&["all".into(), "--full".into()]),
-            Depth::Full
-        );
-        assert_eq!(
-            depth_from_args(&["--depth".into(), "full".into()]),
-            Depth::Full
-        );
-        assert_eq!(
-            depth_from_args(&["--depth".into(), "quick".into(), "--full".into()]),
-            Depth::Quick,
+            parse(&["--depth", "quick", "--full"]),
+            Ok(Depth::Quick),
             "--depth wins over --full"
         );
+        let err = parse(&["--depth", "ful"]).unwrap_err();
+        assert!(err.contains("\"ful\""), "{err}");
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //!   PMU-off/trace-off identity the gates pin.
 //!
 //! The emitted JSON (`mmu-tricks-bench-v1`) is integer-only and
-//! byte-reproducible; cycle-regression gating rides on the committed
-//! `BENCH_PR5.json` tune rows (`tools/bench_gate.sh`).
+//! byte-reproducible; `ARTIFACTS.lock` pins its digest, like every other
+//! artifact's.
 //!
 //! [`trace_artifacts`]: crate::experiments::trace_artifacts
 
 use kernel_sim::{Kernel, KernelConfig, KernelStats};
 use ppc_machine::MachineConfig;
 
+use crate::artifact::Json;
 use crate::experiments::artifacts::reference_workload;
 use crate::experiments::pressure::{run_pressure, PressureRun};
 use crate::Depth;
@@ -116,10 +117,7 @@ pub fn bench_baseline(depth: Depth) -> BenchBaseline {
     let mut k = Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
     reference_workload(&mut k, depth);
     BenchBaseline {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         machine: MachineConfig::ppc604_133().id(),
         config: KernelConfig::optimized().summary(),
         compile,
@@ -131,56 +129,54 @@ pub fn bench_baseline(depth: Depth) -> BenchBaseline {
 }
 
 impl BenchBaseline {
-    /// The `mmu-tricks-bench-v1` JSON document (integer-only,
-    /// byte-reproducible).
-    pub fn to_json(&self) -> String {
+    /// The `mmu-tricks-bench-v1` artifact.
+    pub fn to_json(&self) -> Json {
         let c = &self.compile;
         let s = &self.storm.stats;
-        format!(
-            "{{\n  \"schema\": \"mmu-tricks-bench-v1\",\n  \"depth\": \"{}\",\n  \
-             \"machine\": \"{}\",\n  \"config\": \"{}\",\n  \
-             \"workloads\": {{\n    \"compile\": {{\"cycles\": {}, \"itlb_misses\": {}, \
-             \"dtlb_misses\": {}, \"icache_misses\": {}, \"dcache_misses\": {}, \
-             \"tlb_reloads\": {}, \"page_faults\": {}, \"htab_hit_ppm\": {}, \
-             \"itlb_miss_ppm\": {}, \"dtlb_miss_ppm\": {}, \"icache_miss_ppm\": {}, \
-             \"dcache_miss_ppm\": {}}},\n    \"fault_storm\": {{\"cycles\": {}, \
-             \"survivors\": {}, \"sigsegvs\": {}, \"sigbus\": {}, \"oom_kills\": {}, \
-             \"reclaimed_pages\": {}, \"injected_faults\": {}, \"tlb_reloads\": {}}},\n    \
-             \"trace_ref\": {{\"cycles\": {}, \"tlb_reloads\": {}, \"page_faults\": {}}}\n  \
-             }}\n}}\n",
-            self.depth,
-            self.machine,
-            self.config,
-            c.cycles,
-            c.itlb_misses,
-            c.dtlb_misses,
-            c.icache_misses,
-            c.dcache_misses,
-            c.tlb_reloads,
-            c.page_faults,
-            c.htab_hit_ppm,
-            c.itlb_miss_ppm,
-            c.dtlb_miss_ppm,
-            c.icache_miss_ppm,
-            c.dcache_miss_ppm,
-            self.storm.cycles,
-            self.storm.survivors,
-            s.sigsegvs,
-            s.sigbus,
-            s.oom_kills,
-            s.reclaimed_pages,
-            s.injected_faults,
-            s.tlb_reloads,
-            self.trace_ref_cycles,
-            self.trace_ref_reloads,
-            self.trace_ref_faults,
-        )
+        let compile = Json::object()
+            .field("cycles", c.cycles)
+            .field("itlb_misses", c.itlb_misses)
+            .field("dtlb_misses", c.dtlb_misses)
+            .field("icache_misses", c.icache_misses)
+            .field("dcache_misses", c.dcache_misses)
+            .field("tlb_reloads", c.tlb_reloads)
+            .field("page_faults", c.page_faults)
+            .field("htab_hit_ppm", c.htab_hit_ppm)
+            .field("itlb_miss_ppm", c.itlb_miss_ppm)
+            .field("dtlb_miss_ppm", c.dtlb_miss_ppm)
+            .field("icache_miss_ppm", c.icache_miss_ppm)
+            .field("dcache_miss_ppm", c.dcache_miss_ppm);
+        let storm = Json::object()
+            .field("cycles", self.storm.cycles)
+            .field("survivors", self.storm.survivors)
+            .field("sigsegvs", s.sigsegvs)
+            .field("sigbus", s.sigbus)
+            .field("oom_kills", s.oom_kills)
+            .field("reclaimed_pages", s.reclaimed_pages)
+            .field("injected_faults", s.injected_faults)
+            .field("tlb_reloads", s.tlb_reloads);
+        let trace_ref = Json::object()
+            .field("cycles", self.trace_ref_cycles)
+            .field("tlb_reloads", self.trace_ref_reloads)
+            .field("page_faults", self.trace_ref_faults);
+        Json::object()
+            .field("schema", "mmu-tricks-bench-v1")
+            .field("depth", self.depth)
+            .field("machine", &self.machine)
+            .field("config", &self.config)
+            .field(
+                "workloads",
+                Json::object()
+                    .field("compile", compile)
+                    .field("fault_storm", storm)
+                    .field("trace_ref", trace_ref),
+            )
     }
 }
 
-/// `repro bench --json` body: runs the baseline and renders the JSON.
+/// `repro bench --json` body: runs the baseline and writes the artifact.
 pub fn bench_report(depth: Depth) -> String {
-    bench_baseline(depth).to_json()
+    bench_baseline(depth).to_json().write()
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 use kernel_sim::causal::{CausalConfig, CausalPath, Ratio};
 use kernel_sim::{FaultInjection, Kernel, KernelConfig, Subsystem};
 
+use crate::artifact::Json;
 use crate::experiments::pressure::run_pressure_on_machine;
 use crate::matrix::{paper_machines, MatrixMachine};
 use crate::tables::Table;
-use crate::Depth;
+use crate::{par_map, workers, Depth};
 
 /// Virtual speedup factors (percent) of every payoff curve, in order.
 /// Factor 0 is a real all-1/1 causal run, doubling as the identity proof.
@@ -193,38 +194,49 @@ fn payoff_ppm(baseline: u64, scaled: u64) -> i64 {
 }
 
 /// Runs an arbitrary sub-grid (tests and E-CAUSAL trim the axes;
-/// `repro causal` runs the default grid).
+/// `repro causal` runs the default grid). Every simulator run of the grid
+/// is independent, so they all go through one [`par_map`] on every core.
 pub fn causal_report_on(
     machines: &[MatrixMachine],
     workloads: &[&'static str],
     targets: &[CausalTarget],
     depth: Depth,
 ) -> CausalReport {
+    // Per cell: the plain baseline, the all-1/1 identity run (factor 0 of
+    // every curve, shared across targets: one config, same effect), then
+    // each target at each nonzero factor.
+    let mut runs: Vec<(&MatrixMachine, &'static str, Option<CausalConfig>)> = Vec::new();
+    for m in machines {
+        for &w in workloads {
+            runs.push((m, w, None));
+            runs.push((m, w, Some(CausalConfig::identity())));
+            for t in targets {
+                for &f in &FACTORS[1..] {
+                    runs.push((m, w, Some(t.config(f))));
+                }
+            }
+        }
+    }
+    let mut results = par_map(workers(), &runs, |&(m, w, causal)| {
+        let mut cfg = cell_config();
+        cfg.causal = causal;
+        measure_cycles(m, cfg, w, depth)
+    })
+    .into_iter();
+    let mut next = move || results.next().expect("one result per run");
     let mut cells = Vec::new();
     for m in machines {
         for &w in workloads {
-            let baseline = measure_cycles(m, cell_config(), w, depth);
-            let mut cfg_ident = cell_config();
-            cfg_ident.causal = Some(CausalConfig::identity());
-            let identity = measure_cycles(m, cfg_ident, w, depth);
+            let baseline = next();
+            let identity = next();
             let curves = targets
                 .iter()
                 .map(|t| {
-                    let mut cycles = [0u64; 4];
-                    let mut ppm = [0i64; 4];
-                    for (i, &f) in FACTORS.iter().enumerate() {
-                        let c = if f == 0 {
-                            // Factor 0 is the identity run, shared across
-                            // targets (one all-1/1 config, same effect).
-                            identity
-                        } else {
-                            let mut cfg = cell_config();
-                            cfg.causal = Some(t.config(f));
-                            measure_cycles(m, cfg, w, depth)
-                        };
-                        cycles[i] = c;
-                        ppm[i] = payoff_ppm(baseline, c);
+                    let mut cycles = [identity; 4];
+                    for c in &mut cycles[1..] {
+                        *c = next();
                     }
+                    let ppm = cycles.map(|c| payoff_ppm(baseline, c));
                     TargetCurve {
                         target: t.id(),
                         cycles,
@@ -259,10 +271,7 @@ pub fn causal_report_on(
         .collect();
     ranking.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     CausalReport {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         config: KernelConfig::optimized().summary(),
         causal: causal_mode(),
         cells,
@@ -284,8 +293,8 @@ pub fn causal_report(depth: Depth) -> (CausalReport, Vec<Table>) {
 
 impl CausalReport {
     /// Whether every cell's all-1/1 run matched its plain baseline — the
-    /// identity guarantee, live in every recording (1 in the artifact;
-    /// `tools/causal_gate.sh` fails on 0).
+    /// identity guarantee, live in every recording (`identity_ok` 1 in the
+    /// artifact, pinned by `ARTIFACTS.lock`).
     pub fn identity_ok(&self) -> bool {
         self.cells
             .iter()
@@ -343,61 +352,37 @@ impl CausalReport {
         out
     }
 
-    /// The deterministic `mmu-tricks-causal-v1` artifact: integer-only
-    /// JSON with escape-free header strings, byte-for-byte reproducible,
-    /// parseable by [`crate::diff::parse_report`]. Carries the `causal`
-    /// identity header so `repro diff` refuses causal-vs-plain diffs.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mmu-tricks-causal-v1\",\n");
-        s.push_str(&format!("  \"depth\": \"{}\",\n", self.depth));
-        s.push_str(&format!("  \"config\": \"{}\",\n", self.config));
-        s.push_str(&format!("  \"causal\": \"{}\",\n", self.causal));
-        s.push_str(&format!(
-            "  \"identity_ok\": {},\n",
-            i32::from(self.identity_ok())
-        ));
-        s.push_str("  \"cells\": {\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"baseline_cycles\": {}, \"identity_cycles\": {}, \"targets\": {{\n",
-                cell.key(),
-                cell.baseline_cycles,
-                cell.identity_cycles
-            ));
-            for (j, c) in cell.targets.iter().enumerate() {
-                s.push_str(&format!(
-                    "      \"{}\": {{\"cycles\": [{}, {}, {}, {}], \
-                     \"payoff_ppm\": [{}, {}, {}, {}], \"marginal_ppm_per_pct\": {}}}",
-                    c.target,
-                    c.cycles[0],
-                    c.cycles[1],
-                    c.cycles[2],
-                    c.cycles[3],
-                    c.payoff_ppm[0],
-                    c.payoff_ppm[1],
-                    c.payoff_ppm[2],
-                    c.payoff_ppm[3],
-                    c.marginal_ppm_per_pct
-                ));
-                s.push_str(if j + 1 < cell.targets.len() { ",\n" } else { "\n" });
-            }
-            s.push_str("    }}");
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"ranking\": {\n");
-        for (i, (id, m)) in self.ranking.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"rank\": {}, \"sum_marginal_ppm_per_pct\": {}}}",
-                id,
-                i + 1,
-                m
-            ));
-            s.push_str(if i + 1 < self.ranking.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  }\n}\n");
-        s
+    /// The `mmu-tricks-causal-v1` artifact. Carries the `causal` identity
+    /// axis so `repro diff` refuses causal-vs-plain diffs.
+    pub fn to_json(&self) -> Json {
+        let cell = |cell: &CausalCell| {
+            let targets = cell.targets.iter().map(|c| {
+                let curve = Json::object()
+                    .field("cycles", Json::arr(c.cycles))
+                    .field("payoff_ppm", Json::arr(c.payoff_ppm))
+                    .field("marginal_ppm_per_pct", c.marginal_ppm_per_pct);
+                (c.target.as_str(), curve)
+            });
+            let row = Json::object()
+                .field("baseline_cycles", cell.baseline_cycles)
+                .field("identity_cycles", cell.identity_cycles)
+                .field("targets", Json::obj(targets));
+            (cell.key(), row)
+        };
+        let ranking = self.ranking.iter().enumerate().map(|(i, (id, m))| {
+            let row = Json::object()
+                .field("rank", i + 1)
+                .field("sum_marginal_ppm_per_pct", *m);
+            (id.as_str(), row)
+        });
+        Json::object()
+            .field("schema", "mmu-tricks-causal-v1")
+            .field("depth", self.depth)
+            .field("config", &self.config)
+            .field("causal", &self.causal)
+            .field("identity_ok", u32::from(self.identity_ok()))
+            .field("cells", Json::obj(self.cells.iter().map(cell)))
+            .field("ranking", Json::obj(ranking))
     }
 }
 
@@ -408,7 +393,7 @@ mod tests {
 
     /// The trimmed grid the tests run: one machine, one workload, one path
     /// and one subsystem target — 8 simulator runs, not the full default
-    /// grid (the CI gate covers that).
+    /// grid (`ARTIFACTS.lock` pins that).
     fn trimmed() -> CausalReport {
         let machines: Vec<MatrixMachine> = paper_machines()
             .into_iter()
@@ -426,7 +411,11 @@ mod tests {
         let a = trimmed();
         let b = trimmed();
         assert!(a.identity_ok(), "all-1/1 must match the plain baseline");
-        assert_eq!(a.to_json(), b.to_json(), "artifact must be byte-identical");
+        assert_eq!(
+            a.to_json().write(),
+            b.to_json().write(),
+            "artifact must be byte-identical"
+        );
         // Payoff at factor 0 is exactly zero by the identity guarantee.
         for c in a.cells.iter().flat_map(|c| &c.targets) {
             assert_eq!(c.payoff_ppm[0], 0, "{}", c.target);
@@ -455,10 +444,10 @@ mod tests {
     #[test]
     fn artifact_parses_carries_causal_header_and_refuses_plain() {
         let r = trimmed();
-        let j = r.to_json();
+        let j = r.to_json().write();
         let flat = parse_report(&j).expect("artifact must satisfy the differ");
-        assert_eq!(flat.schema, "mmu-tricks-causal-v1");
-        assert_eq!(flat.causal, causal_mode());
+        assert_eq!(flat.axis("schema"), "mmu-tricks-causal-v1");
+        assert_eq!(flat.axis("causal"), causal_mode());
         assert_eq!(flat.numbers["identity_ok"], 1);
         assert_eq!(
             flat.numbers["cells.604-133/compile.baseline_cycles"] as u64,
@@ -468,7 +457,7 @@ mod tests {
         assert!(d.entries.iter().all(|e| e.delta == 0));
         // A plain artifact (empty causal header) must refuse.
         let mut plain = flat.clone();
-        plain.causal = String::new();
+        plain.axes.remove("causal");
         let err = diff_reports(&flat, &plain).unwrap_err();
         assert!(err.contains("causal mismatch"), "{err}");
     }

@@ -27,6 +27,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kernel_sim::fixed_hash::DetHashMap;
 
+use crate::artifact::Json;
+
 use kernel_sim::task::TaskState;
 use kernel_sim::{CheckConfig, FaultInjection, Kernel, KernelConfig, KernelError, KernelStats};
 use ppc_machine::MachineConfig;
@@ -482,6 +484,25 @@ fn run_chaos_tracked(cfg: &ChaosConfig, at_step: &mut u32) -> ChaosOutcome {
 
 fn resident_cache(k: &Kernel) -> usize {
     k.files.iter().map(|f| f.resident_pages()).sum()
+}
+
+/// The `mmu-tricks-chaos-v1` artifact of a fleet: the `check` axis, the
+/// step budget, and one line per clean seed.
+pub fn fleet_json(check: bool, steps: u32, runs: &[(u64, ChaosOutcome)]) -> Json {
+    let seed = |(seed, o): &(u64, ChaosOutcome)| {
+        Json::object()
+            .field("seed", *seed)
+            .field("cycles", o.cycles)
+            .field("injected", o.stats.injected_faults)
+            .field("fatals", o.fatals)
+            .field("oracle_obs", o.checked_observations)
+            .field("sweeps", o.heavy_sweeps)
+    };
+    Json::object()
+        .field("schema", "mmu-tricks-chaos-v1")
+        .field("check", if check { "on" } else { "off" })
+        .field("steps", steps)
+        .field("seeds", Json::arr(runs.iter().map(seed)))
 }
 
 /// Runs a chaos program, converting any panic into a [`ChaosFailure`] with

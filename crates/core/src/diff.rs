@@ -1,201 +1,46 @@
 //! `repro diff`: structured comparison of two run artifacts.
 //!
-//! Every artifact this repository emits (`mmu-tricks-bench-v1`,
-//! `mmu-tricks-metrics-v1`, `mmu-tricks-matrix-v1`) is integer-only JSON,
-//! so a diff is exact: parse both documents, flatten every numeric leaf to
-//! a dotted path (`workloads.compile.cycles`, `latency.page_fault.p99`,
+//! Every JSON artifact this repository emits is written in the one
+//! [`crate::artifact`] format, integer-only, so a diff is exact: parse
+//! both documents, flatten every numeric leaf to a dotted path
+//! (`workloads.compile.cycles`, `latency.page_fault.p99`,
 //! `pteg.inserts[17]`), and subtract. The differ *refuses* to compare
-//! documents whose identity headers (schema, depth, machine, workload)
-//! disagree — a cycles delta between a 603 run and a 604 run is
-//! meaningless, and the tool says so instead of printing it. The `config`
-//! header is the one axis allowed to differ: comparing the unoptimized
-//! kernel against the optimized one is the entire point.
+//! documents whose identity axes — their top-level strings: schema, depth,
+//! machine, workload, check, tail, causal, ... — disagree: a cycles delta
+//! between a 603 run and a 604 run is meaningless, and the tool says so
+//! instead of printing it. The `config` axis is the one allowed to
+//! differ: comparing the unoptimized kernel against the optimized one is
+//! the entire point.
 //!
 //! `repro perf diff` is the folded-stack counterpart over two `perf.data`
 //! profiles: per-subsystem weight/exact deltas plus a flamegraph diff in
 //! collapsed format with signed weights (feed it to difffolded.pl-style
 //! tooling or read the rendered ranking).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::artifact::{self, Json};
 use crate::perf::PerfData;
 use crate::tables::Table;
 
-/// A parsed JSON value (just enough for this repository's integer-only
-/// artifacts; floats are rejected on purpose — none of our schemas emit
-/// them, and exact diffing depends on that).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("JSON parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            if c == b'\\' {
-                return Err(self.err("escapes are not used by any repro artifact"));
-            }
-            if c == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            return Err(self.err("floats are not valid in repro artifacts"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<i64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-}
-
-/// A run artifact flattened for diffing: identity headers plus every
-/// numeric leaf keyed by dotted path.
+/// A run artifact flattened for diffing: identity axes plus every numeric
+/// leaf keyed by dotted path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlatReport {
-    /// `schema` header ("" when absent).
-    pub schema: String,
-    /// `depth` header.
-    pub depth: String,
-    /// `machine` header.
-    pub machine: String,
-    /// `workload` header.
-    pub workload: String,
-    /// `config` header (the one identity field a diff may legitimately
-    /// cross).
-    pub config: String,
-    /// `check` header ("" when absent). Artifacts recorded with the runtime
-    /// checker on carry `"check": "on"`; checked and unchecked runs are
-    /// cycle-identical by construction, but the header still refuses the
-    /// diff — a disagreement here means one run was *observed* differently,
-    /// and any delta should be re-recorded under one observer setting.
-    pub check: String,
-    /// `tail` header ("" when absent). Artifacts recorded with tail
-    /// forensics armed declare the arming mode; like `check`, tail-armed
-    /// and dormant runs are cycle-identical by construction, but the
-    /// header still refuses the diff — pre-tail artifacts carry no header
-    /// at all and flatten to `""`, so they stay diffable against each
-    /// other.
-    pub tail: String,
-    /// `causal` header ("" when absent). Artifacts recorded with causal
-    /// what-if scaling declare the virtual-speedup grid; a causal run's
-    /// cycles are *deliberately* counterfactual, so diffing one against a
-    /// plain recording would manufacture exactly the deltas the scaling
-    /// injected. Pre-causal artifacts carry no header and flatten to `""`,
-    /// so they stay diffable against each other.
-    pub causal: String,
+    /// The identity axes: the document's top-level strings
+    /// ([`Json::axes`]). Strings nested deeper are labels, not identity,
+    /// and are dropped.
+    pub axes: BTreeMap<String, String>,
     /// Every numeric leaf: dotted path → value.
     pub numbers: BTreeMap<String, i64>,
+}
+
+impl FlatReport {
+    /// The value of an identity axis (`""` when the document lacks it, so
+    /// an artifact that predates an axis still diffs against its peers).
+    pub fn axis(&self, name: &str) -> &str {
+        self.axes.get(name).map_or("", String::as_str)
+    }
 }
 
 fn flatten(prefix: &str, v: &Json, out: &mut FlatReport) {
@@ -203,17 +48,7 @@ fn flatten(prefix: &str, v: &Json, out: &mut FlatReport) {
         Json::Num(n) => {
             out.numbers.insert(prefix.to_string(), *n);
         }
-        Json::Str(s) => match prefix {
-            "schema" => out.schema = s.clone(),
-            "depth" => out.depth = s.clone(),
-            "machine" => out.machine = s.clone(),
-            "workload" => out.workload = s.clone(),
-            "config" => out.config = s.clone(),
-            "check" => out.check = s.clone(),
-            "tail" => out.tail = s.clone(),
-            "causal" => out.causal = s.clone(),
-            _ => {}
-        },
+        Json::Str(_) => {}
         Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 flatten(&format!("{prefix}[{i}]"), item, out);
@@ -234,12 +69,15 @@ fn flatten(prefix: &str, v: &Json, out: &mut FlatReport) {
 
 /// Parses an artifact into a [`FlatReport`].
 pub fn parse_report(text: &str) -> Result<FlatReport, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    if p.peek().is_some() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    let mut out = FlatReport::default();
+    let v = artifact::parse(text)?;
+    let mut out = FlatReport {
+        axes: v
+            .axes()
+            .into_iter()
+            .map(|(k, s)| (k.to_string(), s.to_string()))
+            .collect(),
+        ..FlatReport::default()
+    };
     flatten("", &v, &mut out);
     Ok(out)
 }
@@ -272,12 +110,10 @@ pub struct ReportDiff {
 
 /// Refuses to relate two artifacts whose identity axes differ.
 ///
-/// Every comparison surface in this repository — `repro diff`, `repro perf
-/// diff`, and anything diffing `mmu-tricks-tune-v1` artifacts — funnels its
-/// identity headers through this one function, so a new artifact schema
-/// gets refusal semantics (and the same error wording gates grep for) by
-/// listing its axes here instead of re-implementing the check. Each tuple
-/// is `(axis name, value in A, value in B)`.
+/// Every comparison surface in this repository — `repro diff` and `repro
+/// perf diff` — funnels its identity axes through this one function, so
+/// every schema gets the same refusal wording. Each tuple is `(axis name,
+/// value in A, value in B)`; the first mismatch is reported.
 pub fn check_identity(axes: &[(&str, &str, &str)]) -> Result<(), String> {
     for (name, a, b) in axes {
         if a != b {
@@ -290,22 +126,24 @@ pub fn check_identity(axes: &[(&str, &str, &str)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Diffs two reports, refusing incompatible cells.
+/// Diffs two reports, refusing incompatible ones.
 ///
-/// The identity headers (`schema`, `depth`, `machine`, `workload`,
-/// `check`) must match exactly; `config` may differ — that is the
-/// before/after use case. Pre-checker artifacts carry no `check` header and
-/// flatten to `""`, so they stay diffable against each other.
+/// Every identity axis of either document must match exactly, `schema`
+/// first; `config` may differ — that is the before/after use case. An
+/// axis one document lacks compares as `""`.
 pub fn diff_reports(a: &FlatReport, b: &FlatReport) -> Result<ReportDiff, String> {
-    check_identity(&[
-        ("schema", &a.schema, &b.schema),
-        ("depth", &a.depth, &b.depth),
-        ("machine", &a.machine, &b.machine),
-        ("workload", &a.workload, &b.workload),
-        ("check", &a.check, &b.check),
-        ("tail", &a.tail, &b.tail),
-        ("causal", &a.causal, &b.causal),
-    ])?;
+    let names: BTreeSet<&str> = a
+        .axes
+        .keys()
+        .chain(b.axes.keys())
+        .map(String::as_str)
+        .filter(|n| !matches!(*n, "schema" | "config"))
+        .collect();
+    let axes: Vec<(&str, &str, &str)> = std::iter::once("schema")
+        .chain(names)
+        .map(|n| (n, a.axis(n), b.axis(n)))
+        .collect();
+    check_identity(&axes)?;
     let mut keys: Vec<&String> = a.numbers.keys().chain(b.numbers.keys()).collect();
     keys.sort();
     keys.dedup();
@@ -323,9 +161,9 @@ pub fn diff_reports(a: &FlatReport, b: &FlatReport) -> Result<ReportDiff, String
         })
         .collect();
     Ok(ReportDiff {
-        schema: a.schema.clone(),
-        config_a: a.config.clone(),
-        config_b: b.config.clone(),
+        schema: a.axis("schema").to_string(),
+        config_a: a.axis("config").to_string(),
+        config_b: b.axis("config").to_string(),
         entries,
     })
 }
@@ -344,27 +182,27 @@ impl ReportDiff {
         v
     }
 
-    /// The deterministic `mmu-tricks-diff-v1` JSON: identity header plus
-    /// one line per changed leaf (plus a summary count of unchanged ones).
-    pub fn to_json(&self) -> String {
+    /// The `mmu-tricks-diff-v1` artifact: identity header plus one entry
+    /// per changed leaf (plus a summary count of unchanged ones).
+    pub fn to_json(&self) -> Json {
         let changed = self.ranked();
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mmu-tricks-diff-v1\",\n");
-        s.push_str(&format!("  \"compared_schema\": \"{}\",\n", self.schema));
-        s.push_str(&format!("  \"config_a\": \"{}\",\n", self.config_a));
-        s.push_str(&format!("  \"config_b\": \"{}\",\n", self.config_b));
-        s.push_str(&format!("  \"keys\": {},\n", self.entries.len()));
-        s.push_str(&format!("  \"changed\": {},\n", changed.len()));
-        s.push_str("  \"deltas\": [\n");
-        for (i, e) in changed.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"key\": \"{}\", \"a\": {}, \"b\": {}, \"delta\": {}}}",
-                e.key, e.a, e.b, e.delta
-            ));
-            s.push_str(if i + 1 < changed.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Json::object()
+            .field("schema", "mmu-tricks-diff-v1")
+            .field("compared_schema", &self.schema)
+            .field("config_a", &self.config_a)
+            .field("config_b", &self.config_b)
+            .field("keys", self.entries.len())
+            .field("changed", changed.len())
+            .field(
+                "deltas",
+                Json::arr(changed.iter().map(|e| {
+                    Json::object()
+                        .field("key", &e.key)
+                        .field("a", e.a)
+                        .field("b", e.b)
+                        .field("delta", e.delta)
+                })),
+            )
     }
 
     /// The rendered ranking: top `limit` deltas with percentages.
@@ -536,7 +374,8 @@ impl PerfDiff {
         t
     }
 
-    /// Flat `key value` summary lines (gates grep these).
+    /// Flat `key value` summary lines (`cycles_delta` is negative when B
+    /// is faster).
     pub fn summary(&self) -> String {
         format!(
             "cycles_a {}\ncycles_b {}\ncycles_delta {:+}\nweight_a {}\nweight_b {}\n\
@@ -561,17 +400,40 @@ mod tests {
             "{{\"schema\": \"mmu-tricks-bench-v1\", \"depth\": \"quick\", \
              \"machine\": \"604-133\", \"config\": \"{config}\", \
              \"workloads\": {{\"compile\": {{\"cycles\": {cycles}, \
-             \"page_faults\": {faults}}}, \"list\": [1, 2, 3]}}}}"
+             \"page_faults\": {faults}, \"label\": \"not an axis\"}}, \
+             \"list\": [1, 2, 3]}}}}"
         )
+    }
+
+    fn with_axis(r: &FlatReport, name: &str, value: &str) -> FlatReport {
+        let mut out = r.clone();
+        out.axes.insert(name.into(), value.into());
+        out
+    }
+
+    /// `name` refuses in both directions, with the re-record hint, and
+    /// equal values on both sides diff fine.
+    fn assert_axis_refuses(name: &str, value: &str) {
+        let a = parse_report(&doc("opt", 100, 5)).unwrap();
+        let b = with_axis(&a, name, value);
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let err = diff_reports(x, y).unwrap_err();
+            assert!(err.contains(&format!("{name} mismatch")), "{err}");
+            assert!(err.contains("re-record"), "{err}");
+        }
+        assert!(diff_reports(&b, &b.clone()).is_ok());
+        assert!(diff_reports(&a, &a.clone()).is_ok());
     }
 
     #[test]
     fn parser_handles_every_artifact_shape() {
         let r = parse_report(&doc("opt", 100, 5)).unwrap();
-        assert_eq!(r.schema, "mmu-tricks-bench-v1");
-        assert_eq!(r.machine, "604-133");
+        assert_eq!(r.axis("schema"), "mmu-tricks-bench-v1");
+        assert_eq!(r.axis("machine"), "604-133");
         assert_eq!(r.numbers["workloads.compile.cycles"], 100);
         assert_eq!(r.numbers["workloads.list[2]"], 3);
+        // Only top-level strings are axes.
+        assert_eq!(r.axes.len(), 4);
         assert!(parse_report("{\"x\": 1.5}").is_err(), "floats rejected");
         assert!(parse_report("{\"x\": 1} trailing").is_err());
         assert!(parse_report("").is_err());
@@ -593,74 +455,52 @@ mod tests {
         assert_eq!(d.ranked()[0].key, "workloads.compile.cycles");
         assert_eq!(d.config_a, "unopt");
         assert_eq!(d.config_b, "opt");
-        let j = d.to_json();
+        let j = d.to_json().write();
         assert!(j.contains("\"schema\": \"mmu-tricks-diff-v1\""));
         assert!(j.contains("\"delta\": -100"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(parse_report(&j).unwrap().numbers["changed"], 2);
     }
 
     #[test]
     fn incompatible_cells_are_refused_with_a_clear_error() {
         let a = parse_report(&doc("opt", 100, 5)).unwrap();
-        let mut b = a.clone();
-        b.machine = "603-133".into();
+        let b = with_axis(&a, "machine", "603-133");
         let err = diff_reports(&a, &b).unwrap_err();
         assert!(err.contains("machine mismatch"), "{err}");
         assert!(err.contains("604-133") && err.contains("603-133"), "{err}");
-        let mut c = a.clone();
-        c.depth = "full".into();
+        let c = with_axis(&a, "depth", "full");
         assert!(diff_reports(&a, &c).unwrap_err().contains("depth mismatch"));
+        // The schema axis is reported first, whatever else differs.
+        let d = with_axis(&c, "schema", "mmu-tricks-matrix-v1");
+        let err = diff_reports(&a, &d).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
         // Config difference is the use case, never an error.
-        let mut d = a.clone();
-        d.config = "other".into();
-        assert!(diff_reports(&a, &d).is_ok());
+        let e = with_axis(&a, "config", "other");
+        assert!(diff_reports(&a, &e).is_ok());
     }
 
     #[test]
     fn check_header_mismatch_is_refused() {
         // An artifact recorded under the runtime checker declares it; a
         // checked run must not be diffed against an unchecked one.
-        let a = parse_report(&doc("opt", 100, 5)).unwrap();
-        let mut b = a.clone();
-        b.check = "on".into();
-        let err = diff_reports(&a, &b).unwrap_err();
-        assert!(err.contains("check mismatch"), "{err}");
-        assert!(err.contains("re-record"), "{err}");
-        // Symmetric: A checked, B not.
-        let err = diff_reports(&b, &a).unwrap_err();
-        assert!(err.contains("check mismatch"), "{err}");
-        // Both checked (or both unchecked) diff fine.
-        let c = b.clone();
-        assert!(diff_reports(&b, &c).is_ok());
-        assert!(diff_reports(&a, &a.clone()).is_ok());
+        assert_axis_refuses("check", "on");
     }
 
     #[test]
     fn tail_header_mismatch_is_refused() {
         // An artifact recorded with tail forensics armed declares it; it
         // must not be diffed against a dormant recording.
-        let a = parse_report(&doc("opt", 100, 5)).unwrap();
-        let mut b = a.clone();
-        b.tail = "auto".into();
-        let err = diff_reports(&a, &b).unwrap_err();
-        assert!(err.contains("tail mismatch"), "{err}");
-        assert!(err.contains("re-record"), "{err}");
-        let err = diff_reports(&b, &a).unwrap_err();
-        assert!(err.contains("tail mismatch"), "{err}");
-        // Both armed the same way (or both dormant) diff fine.
-        assert!(diff_reports(&b, &b.clone()).is_ok());
-        assert!(diff_reports(&a, &a.clone()).is_ok());
+        assert_axis_refuses("tail", "auto");
     }
 
     #[test]
     fn tail_header_parses_and_old_artifacts_default_to_empty() {
         let with = "{\"schema\": \"mmu-tricks-tail-v1\", \"tail\": \"auto\", \"n\": 1}";
-        let r = parse_report(with).unwrap();
-        assert_eq!(r.tail, "auto");
-        // Every pre-tail artifact (BENCH_PR*.json, matrix, metrics) has no
-        // header at all: it must parse, default to "", and stay diffable.
+        assert_eq!(parse_report(with).unwrap().axis("tail"), "auto");
+        // An artifact without the header parses, reads "", and stays
+        // diffable against its peers.
         let without = parse_report(&doc("opt", 1, 1)).unwrap();
-        assert_eq!(without.tail, "");
+        assert_eq!(without.axis("tail"), "");
         assert!(diff_reports(&without, &without.clone()).is_ok());
     }
 
@@ -669,39 +509,27 @@ mod tests {
         // A causal artifact's cycles are deliberately counterfactual:
         // diffing one against a plain recording would just print the
         // virtual speedups back as "regressions".
-        let a = parse_report(&doc("opt", 100, 5)).unwrap();
-        let mut b = a.clone();
-        b.causal = "grid-f0-25-50-75".into();
-        let err = diff_reports(&a, &b).unwrap_err();
-        assert!(err.contains("causal mismatch"), "{err}");
-        assert!(err.contains("re-record"), "{err}");
-        let err = diff_reports(&b, &a).unwrap_err();
-        assert!(err.contains("causal mismatch"), "{err}");
-        // Same grid on both sides (or neither) diffs fine.
-        assert!(diff_reports(&b, &b.clone()).is_ok());
-        assert!(diff_reports(&a, &a.clone()).is_ok());
+        assert_axis_refuses("causal", "grid-f0-25-50-75");
     }
 
     #[test]
     fn causal_header_parses_and_old_artifacts_default_to_empty() {
-        let with = "{\"schema\": \"mmu-tricks-causal-v1\", \"causal\": \"grid-f0-25-50-75\", \"n\": 1}";
-        let r = parse_report(with).unwrap();
-        assert_eq!(r.causal, "grid-f0-25-50-75");
-        // Every pre-causal artifact has no header at all: it must parse,
-        // default to "", and stay diffable.
+        let with = "{\"schema\": \"mmu-tricks-causal-v1\", \"causal\": \"grid\", \"n\": 1}";
+        assert_eq!(parse_report(with).unwrap().axis("causal"), "grid");
         let without = parse_report(&doc("opt", 1, 1)).unwrap();
-        assert_eq!(without.causal, "");
+        assert_eq!(without.axis("causal"), "");
         assert!(diff_reports(&without, &without.clone()).is_ok());
     }
 
     #[test]
     fn check_header_parses_and_old_artifacts_default_to_empty() {
         let with = "{\"schema\": \"mmu-tricks-bench-v1\", \"check\": \"on\", \"n\": 1}";
-        let r = parse_report(with).unwrap();
-        assert_eq!(r.check, "on");
-        // Pre-checker artifacts (BENCH_PR3/4/5.json) have no header at all.
+        assert_eq!(parse_report(with).unwrap().axis("check"), "on");
         let without = parse_report(&doc("opt", 1, 1)).unwrap();
-        assert_eq!(without.check, "");
+        assert_eq!(without.axis("check"), "");
+        // An axis no schema had before refuses the same way: the rule is
+        // generic over the top-level strings.
+        assert_axis_refuses("observer", "new");
     }
 
     #[test]

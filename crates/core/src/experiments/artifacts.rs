@@ -2,7 +2,7 @@
 //!
 //! [`trace_artifacts`] runs one deterministic workload twice — tracer off,
 //! then tracer on — and packages everything the observability layer
-//! captured into two artifacts a CI job can diff across commits:
+//! captured into two artifacts that can be diffed across commits:
 //!
 //! * `metrics.json` — flat counters: total cycles, the measured tracer
 //!   overhead (zero by construction, and *checked* here), per-subsystem
@@ -23,6 +23,7 @@ use kernel_sim::{
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
 
+use crate::artifact::Json;
 use crate::tables::{sparkline, Table};
 use crate::Depth;
 
@@ -79,7 +80,7 @@ pub struct TraceArtifacts {
     /// Total cycles of the traced run.
     pub total_cycles: u64,
     /// `|traced - untraced|` cycles for the same workload. The tracer is
-    /// purely observational, so this is zero; CI fails if it ever is not.
+    /// purely observational, so this is zero; `ARTIFACTS.lock` pins it.
     pub overhead_cycles: u64,
     /// `(subsystem, self cycles)` in [`Subsystem::ALL`] order; sums to
     /// [`TraceArtifacts::total_cycles`] exactly.
@@ -115,106 +116,60 @@ impl TraceArtifacts {
         self.attribution.iter().map(|(_, c)| c).sum()
     }
 
-    /// The `metrics.json` body: a single flat, deterministic JSON object.
-    pub fn metrics_json(&self) -> String {
-        format!("{{\n{}\n}}\n", self.metrics_fragment())
-    }
-
-    /// The key/value pairs of [`TraceArtifacts::metrics_json`] without the
-    /// surrounding braces, so callers can splice them into a larger
-    /// document (the `repro --json` run report does).
-    pub fn metrics_fragment(&self) -> String {
-        let mut s = String::new();
-        s.push_str("  \"schema\": \"mmu-tricks-metrics-v1\",\n");
-        s.push_str("  \"workload\": \"compile+signals\",\n");
-        s.push_str(&format!("  \"depth\": \"{}\",\n", self.depth));
-        s.push_str(&format!("  \"machine\": \"{}\",\n", self.machine));
-        s.push_str(&format!("  \"config\": \"{}\",\n", self.config));
-        s.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
-        s.push_str(&format!(
-            "  \"overhead_cycles\": {},\n",
-            self.overhead_cycles
-        ));
-        s.push_str("  \"attribution\": {");
-        for (i, (name, cycles)) in self.attribution.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {cycles}"));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!(
-            "  \"attribution_total\": {},\n",
-            self.attribution_total()
-        ));
-        s.push_str("  \"latency\": {\n");
-        for (i, l) in self.latency.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean_millicycles\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                 \"p99_exact\": {}}}",
-                l.path,
-                l.count,
-                l.min,
-                l.max,
-                l.mean_millicycles,
-                l.p50,
-                l.p90,
-                l.p99,
-                l.p99_exact
-            ));
-            s.push_str(if i + 1 < self.latency.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"stats\": {");
-        for (i, (name, v)) in self.stats.as_named_pairs().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{name}\": {v}"));
-        }
-        s.push_str("},\n");
-        let join = |v: &[u32]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        s.push_str(&format!(
-            "  \"pteg\": {{\"groups\": {}, \"inserts_total\": {}, \"collisions_total\": {}, \
-             \"inserts\": [{}], \"collisions\": [{}]}},\n",
-            self.pteg_inserts.len(),
-            self.pteg_inserts.iter().map(|&n| u64::from(n)).sum::<u64>(),
-            self.pteg_collisions
-                .iter()
-                .map(|&n| u64::from(n))
-                .sum::<u64>(),
-            join(&self.pteg_inserts),
-            join(&self.pteg_collisions),
-        ));
-        s.push_str(&format!(
-            "  \"ring\": {{\"capacity\": {}, \"recorded\": {}, \"pushed\": {}, \"dropped\": {}}},\n",
-            self.ring_capacity, self.ring_recorded, self.ring_pushed, self.ring_dropped
-        ));
-        s.push_str(&format!(
-            "  \"telemetry\": {{\"epoch_cycles\": {}, \"samples\": {}, \"series\": {{",
-            self.telemetry_epoch_cycles,
-            self.telemetry.len()
-        ));
-        for (i, name) in SERIES_NAMES.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let vals = self
-                .telemetry
-                .iter()
-                .map(|e| e.series(name).to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            s.push_str(&format!("\"{name}\": [{vals}]"));
-        }
-        s.push_str("}}");
-        s
+    /// The `mmu-tricks-metrics-v1` artifact: the traced run's counters,
+    /// attribution, latency, PTEG heatmap and telemetry. The `repro --json`
+    /// run report is this object with its tables appended.
+    pub fn metrics_json(&self) -> Json {
+        let latency = self.latency.iter().map(|l| {
+            let summary = Json::object()
+                .field("count", l.count)
+                .field("min", l.min)
+                .field("max", l.max)
+                .field("mean_millicycles", l.mean_millicycles)
+                .field("p50", l.p50)
+                .field("p90", l.p90)
+                .field("p99", l.p99)
+                .field("p99_exact", l.p99_exact);
+            (l.path, summary)
+        });
+        let total = |v: &[u32]| v.iter().map(|&n| u64::from(n)).sum::<u64>();
+        let pteg = Json::object()
+            .field("groups", self.pteg_inserts.len())
+            .field("inserts_total", total(&self.pteg_inserts))
+            .field("collisions_total", total(&self.pteg_collisions))
+            .field("inserts", Json::arr(self.pteg_inserts.iter().copied()))
+            .field(
+                "collisions",
+                Json::arr(self.pteg_collisions.iter().copied()),
+            );
+        let ring = Json::object()
+            .field("capacity", self.ring_capacity)
+            .field("recorded", self.ring_recorded)
+            .field("pushed", self.ring_pushed)
+            .field("dropped", self.ring_dropped);
+        let series = SERIES_NAMES.iter().map(|name| {
+            let values = self.telemetry.iter().map(|e| e.series(name));
+            (*name, Json::arr(values))
+        });
+        let telemetry = Json::object()
+            .field("epoch_cycles", self.telemetry_epoch_cycles)
+            .field("samples", self.telemetry.len())
+            .field("series", Json::obj(series));
+        Json::object()
+            .field("schema", "mmu-tricks-metrics-v1")
+            .field("workload", "compile+signals")
+            .field("depth", self.depth)
+            .field("machine", &self.machine)
+            .field("config", &self.config)
+            .field("total_cycles", self.total_cycles)
+            .field("overhead_cycles", self.overhead_cycles)
+            .field("attribution", Json::obj(self.attribution.iter().copied()))
+            .field("attribution_total", self.attribution_total())
+            .field("latency", Json::obj(latency))
+            .field("stats", Json::obj(self.stats.as_named_pairs()))
+            .field("pteg", pteg)
+            .field("ring", ring)
+            .field("telemetry", telemetry)
     }
 
     /// The telemetry time series as a sparkline table (the `repro report`
@@ -351,10 +306,7 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
         .collect();
 
     let art = TraceArtifacts {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         machine: MachineConfig::ppc604_133().id(),
         config: KernelConfig::optimized().summary(),
         total_cycles,
@@ -435,7 +387,7 @@ mod tests {
         let (a, _) = trace_artifacts(Depth::Quick);
         let (b, _) = trace_artifacts(Depth::Quick);
         assert_eq!(a.overhead_cycles, 0, "tracing must not charge cycles");
-        assert_eq!(a.metrics_json(), b.metrics_json());
+        assert_eq!(a.metrics_json().write(), b.metrics_json().write());
         assert_eq!(a.chrome_json, b.chrome_json);
     }
 
@@ -468,7 +420,7 @@ mod tests {
     #[test]
     fn metrics_json_has_the_required_keys_and_balances() {
         let (a, _) = trace_artifacts(Depth::Quick);
-        let j = a.metrics_json();
+        let j = a.metrics_json().write();
         for key in [
             "\"schema\"",
             "\"total_cycles\"",

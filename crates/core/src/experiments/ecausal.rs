@@ -143,10 +143,7 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
             "E-CAUSAL: virtual speedups vs ground truth (delta on compile, \
              idle on fault_storm; {}; eps {DELTA_EPSILON_PPM} ppm, idle \
              bound {IDLE_PAYOFF_BOUND_PPM} ppm)",
-            match depth {
-                Depth::Quick => "quick",
-                Depth::Full => "full",
-            }
+            depth.name()
         ),
         vec!["gate".into(), "measured".into(), "predicted".into(), "verdict".into()],
     );

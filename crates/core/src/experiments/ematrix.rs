@@ -145,10 +145,7 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
         .collect();
 
     let result = MatrixResult {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         endpoints,
         rows,
         opt_beats_unopt_everywhere,

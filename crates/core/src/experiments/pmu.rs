@@ -131,10 +131,7 @@ pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
     }
 
     let result = PmuResult {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         baseline_cycles,
         counting_cycles,
         counting_identical: counting_cycles == baseline_cycles,
@@ -218,6 +215,6 @@ mod tests {
         let (a, ta) = exp_pmu(Depth::Quick);
         let (b, tb) = exp_pmu(Depth::Quick);
         assert_eq!(a.rows, b.rows);
-        assert_eq!(ta.render_json(), tb.render_json());
+        assert_eq!(ta.to_json(), tb.to_json());
     }
 }

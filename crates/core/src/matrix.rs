@@ -9,17 +9,18 @@
 //! [machine](paper_machines) × [variant](paper_variants) cell, capturing
 //! per-cell cycles, the full kernel counter set, profiler self-time and
 //! latency percentiles, and emits a deterministic `mmu-tricks-matrix-v1`
-//! JSON one line per cell (so shell gates can grep a cell and its cycles in
-//! one pass). The E-MATRIX experiment gates that the grid reproduces the
-//! paper's ordering.
+//! artifact, one line per cell (grep a cell and its cycles in one pass).
+//! The E-MATRIX experiment gates that the grid reproduces the paper's
+//! ordering.
 
 use kernel_sim::{FaultInjection, Kernel, KernelConfig, KernelStats, LatencyPath, Subsystem};
 use ppc_machine::MachineConfig;
 
+use crate::artifact::Json;
 use crate::experiments::artifacts::reference_workload;
 use crate::experiments::pressure::run_pressure_on_machine;
 use crate::tables::Table;
-use crate::Depth;
+use crate::{par_map, workers, Depth};
 
 /// One machine row of the matrix: a board plus the 603 reload strategy
 /// forced on it (the paper treats "603 with hash table" and "603 without"
@@ -259,8 +260,9 @@ pub fn run_cell(
     }
 }
 
-/// Runs an arbitrary sub-grid (tests and the E-MATRIX experiment trim the
-/// axes; `repro matrix` runs the full grid).
+/// Runs an arbitrary sub-grid serially on the calling thread (tests trim
+/// the axes; the allocation budgets count this thread's allocations).
+/// `repro matrix` runs the full grid on every core ([`run_matrix`]).
 pub fn run_matrix_on(
     machines: &[MatrixMachine],
     variants: &[(&'static str, KernelConfig)],
@@ -270,15 +272,12 @@ pub fn run_matrix_on(
     run_matrix_on_jobs(machines, variants, workloads, depth, 1)
 }
 
-/// [`run_matrix_on`] with up to `jobs` cells in flight at once.
+/// [`run_matrix_on`] on up to `jobs` workers ([`par_map`]).
 ///
 /// Cells are independent simulations (each boots its own kernel and
-/// machine; nothing is shared), so the grid parallelizes trivially: workers
-/// claim cell indices from an atomic counter and write into pre-indexed
-/// slots, and the grid is assembled in serial cell order afterwards — the
-/// output, including [`BenchMatrix::to_json`], is **byte-identical** to a
-/// serial run for every `jobs` value (`tools/matrix_gate.sh` asserts it).
-/// `jobs <= 1` takes the serial path with no thread machinery at all.
+/// machine; nothing is shared), and [`par_map`] returns them in serial
+/// cell order, so the grid — and its artifact — is byte-identical for
+/// every `jobs`.
 pub fn run_matrix_on_jobs(
     machines: &[MatrixMachine],
     variants: &[(&'static str, KernelConfig)],
@@ -294,41 +293,11 @@ pub fn run_matrix_on_jobs(
             }
         }
     }
-    let cells: Vec<MatrixCell> = if jobs <= 1 {
-        work.iter()
-            .map(|(m, config, cfg, w)| run_cell(m, config, *cfg, w, depth))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let slots: Vec<std::sync::Mutex<Option<MatrixCell>>> =
-            work.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs.min(work.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((m, config, cfg, w)) = work.get(i) else {
-                        break;
-                    };
-                    let cell = run_cell(m, config, *cfg, w, depth);
-                    *slots[i].lock().expect("matrix worker panicked") = Some(cell);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("matrix worker panicked")
-                    .expect("every claimed cell is filled before scope exit")
-            })
-            .collect()
-    };
+    let cells = par_map(jobs, &work, |(m, config, cfg, w)| {
+        run_cell(m, config, *cfg, w, depth)
+    });
     BenchMatrix {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         machines: machines.iter().map(|m| (m.id, m.label.to_string())).collect(),
         configs: variants
             .iter()
@@ -339,14 +308,10 @@ pub fn run_matrix_on_jobs(
     }
 }
 
-/// The full paper grid: 4 machines × 8 configs × 3 workloads.
+/// The full paper grid: 4 machines × 8 configs × 3 workloads, on every
+/// available core.
 pub fn run_matrix(depth: Depth) -> BenchMatrix {
-    run_matrix_jobs(depth, 1)
-}
-
-/// [`run_matrix`] with up to `jobs` cells in flight (`repro matrix --jobs`).
-pub fn run_matrix_jobs(depth: Depth, jobs: usize) -> BenchMatrix {
-    run_matrix_on_jobs(&paper_machines(), &paper_variants(), WORKLOADS, depth, jobs)
+    run_matrix_on_jobs(&paper_machines(), &paper_variants(), WORKLOADS, depth, workers())
 }
 
 impl BenchMatrix {
@@ -357,74 +322,38 @@ impl BenchMatrix {
             .find(|c| c.machine == machine && c.config == config && c.workload == workload)
     }
 
-    /// The deterministic `mmu-tricks-matrix-v1` JSON: header objects for
-    /// each axis, then exactly one line per cell (grep a cell key and its
-    /// cycles in one pass).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mmu-tricks-matrix-v1\",\n");
-        s.push_str(&format!("  \"depth\": \"{}\",\n", self.depth));
-        s.push_str("  \"machines\": {");
-        for (i, (id, label)) in self.machines.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{id}\": \"{label}\""));
-        }
-        s.push_str("},\n  \"configs\": {");
-        for (i, (id, summary)) in self.configs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{id}\": \"{summary}\""));
-        }
-        s.push_str("},\n  \"workloads\": [");
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{w}\""));
-        }
-        s.push_str("],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"machine\": \"{}\", \"config\": \"{}\", \
-                 \"workload\": \"{}\", \"cycles\": {}, \"wall_us\": {}, \"stats\": {{",
-                c.key(),
-                c.machine,
-                c.config,
-                c.workload,
-                c.cycles,
-                c.wall_us
-            ));
-            for (j, (name, v)) in c.stats.as_named_pairs().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{name}\": {v}"));
-            }
-            s.push_str("}, \"self\": {");
-            for (j, (name, v)) in c.self_cycles.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{name}\": {v}"));
-            }
-            s.push_str("}, \"latency\": {");
-            for (j, l) in c.latency.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "\"{}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    l.path, l.count, l.p50, l.p90, l.p99
-                ));
-            }
-            s.push_str("}}");
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The `mmu-tricks-matrix-v1` artifact: one object per axis, then one
+    /// line per cell.
+    pub fn to_json(&self) -> Json {
+        let cell = |c: &MatrixCell| {
+            Json::object()
+                .field("cell", c.key())
+                .field("machine", c.machine)
+                .field("config", c.config)
+                .field("workload", c.workload)
+                .field("cycles", c.cycles)
+                .field("wall_us", c.wall_us)
+                .field("stats", Json::obj(c.stats.as_named_pairs()))
+                .field("self", Json::obj(c.self_cycles.iter().copied()))
+                .field(
+                    "latency",
+                    Json::obj(c.latency.iter().map(|l| {
+                        let pcts = Json::object()
+                            .field("count", l.count)
+                            .field("p50", l.p50)
+                            .field("p90", l.p90)
+                            .field("p99", l.p99);
+                        (l.path, pcts)
+                    })),
+                )
+        };
+        Json::object()
+            .field("schema", "mmu-tricks-matrix-v1")
+            .field("depth", self.depth)
+            .field("machines", Json::obj(self.machines.iter().cloned()))
+            .field("configs", Json::obj(self.configs.iter().cloned()))
+            .field("workloads", Json::arr(self.workloads.iter().copied()))
+            .field("cells", Json::arr(self.cells.iter().map(cell)))
     }
 
     /// One cycles table per workload: machine rows × config columns.
@@ -506,23 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrix_is_byte_identical_to_serial() {
-        let machines = paper_machines();
-        let variants: Vec<_> = paper_variants()
-            .into_iter()
-            .filter(|(id, _)| matches!(*id, "unopt" | "opt"))
-            .collect();
-        // The serial half of the comparison is the shared grid fixture.
-        let serial = grid().to_json();
-        let par =
-            run_matrix_on_jobs(&machines[..], &variants, WORKLOADS, Depth::Quick, 3);
-        assert_eq!(par.to_json(), serial, "--jobs must not change a byte");
-    }
-
-    #[test]
     fn json_shape_is_grepable_and_balanced() {
         let g = grid();
-        let j = g.to_json();
+        let j = g.to_json().write();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains("\"schema\": \"mmu-tricks-matrix-v1\""));
         for c in &g.cells {

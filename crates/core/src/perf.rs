@@ -234,8 +234,7 @@ impl PerfData {
         s
     }
 
-    /// The `perf report` header: flat `key value` summary lines (the trace
-    /// gate greps these).
+    /// The `perf report` header: flat `key value` summary lines.
     pub fn summary(&self) -> String {
         format!(
             "workload {}\ndepth {}\nmachine {}\nconfig {}\nsample_period {}\ntotal_cycles {}\n\
@@ -398,10 +397,7 @@ pub fn perf_record_on(
 
     PerfData {
         workload: workload.name().to_string(),
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        }
+        depth: depth.name()
         .to_string(),
         machine: MachineConfig::ppc604_133().id(),
         config: kcfg.summary(),
@@ -475,9 +471,13 @@ mod tests {
         let tables = d.report();
         assert_eq!(tables.len(), 3);
         assert!(!tables[0].rows.is_empty());
+        for column in ["sampled_share_ppm", "exact_share_ppm"] {
+            assert!(tables[0].columns.iter().any(|c| c == column), "{column}");
+        }
         let s = d.summary();
         for key in [
             "total_cycles ",
+            "baseline_cycles ",
             "sampling_overhead_cycles ",
             "interrupts ",
             "weighted_samples ",

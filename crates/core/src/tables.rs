@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the reproduction harness.
 
+use crate::artifact::Json;
+
 /// A rectangular table with a title, column headers, and string cells.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -82,29 +84,13 @@ impl Table {
         out
     }
 
-    /// Renders as a JSON object `{"title", "columns", "rows"}` — the shape
-    /// the `repro --json` run report embeds, one object per experiment.
-    pub fn render_json(&self) -> String {
-        let arr = |cells: &[String]| {
-            let inner = cells
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("[{inner}]")
-        };
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| arr(r))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"title\": \"{}\", \"columns\": {}, \"rows\": [{}]}}",
-            json_escape(&self.title),
-            arr(&self.columns),
-            rows
-        )
+    /// The table as a JSON object `{"title", "columns", "rows"}` — the
+    /// shape the `repro --json` run report embeds, one per experiment.
+    pub fn to_json(&self) -> Json {
+        Json::object()
+            .field("title", &self.title)
+            .field("columns", Json::arr(&self.columns))
+            .field("rows", Json::arr(self.rows.iter().map(Json::arr)))
     }
 
     /// Renders as a GitHub-flavoured markdown table.
@@ -118,23 +104,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a series as a Unicode sparkline (▁▂▃▄▅▆▇█), scaled to its own
@@ -182,6 +151,7 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::parse;
 
     #[test]
     fn render_aligns_columns() {
@@ -223,12 +193,13 @@ mod tests {
     fn json_escapes_and_balances() {
         let mut t = Table::new("Quote \"me\"", vec!["a".into(), "b".into()]);
         t.push_row(vec!["x\\y".into(), "line\nbreak".into()]);
-        let j = t.render_json();
+        let j = t.to_json().write();
         assert!(j.contains("Quote \\\"me\\\""));
         assert!(j.contains("x\\\\y"));
         assert!(j.contains("line\\nbreak"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        // A table holding a quote survives the round trip, so a run report
+        // with one can be diffed.
+        assert_eq!(parse(&j).unwrap(), t.to_json());
     }
 
     #[test]

@@ -9,20 +9,21 @@
 //!
 //! * rendered tables — per-path percentiles, the ranked causes, and a dump
 //!   of the top exemplars with their span stacks;
-//! * the `mmu-tricks-tail-v1` artifact — integer-only JSON (plus
-//!   escape-free header strings) that [`crate::diff`] can parse, with
-//!   `schema`/`depth`/`machine`/`workload`/`config`/`tail` identity
-//!   headers so `repro diff` refuses cross-mode comparisons.
+//! * the `mmu-tricks-tail-v1` artifact, with
+//!   `schema`/`depth`/`machine`/`workload`/`config`/`tail` identity axes
+//!   so `repro diff` refuses cross-mode comparisons.
 //!
 //! The report runs the workload twice, tail dormant and tail armed, and
 //! records `overhead_cycles` — zero by construction (capture is purely
-//! observational), and gated in CI like the tracer's own overhead.
+//! observational), and pinned in `ARTIFACTS.lock` like the tracer's own
+//! overhead.
 
 use kernel_sim::{
     Kernel, KernelConfig, LatencyPath, TailCause, TailConfig, TailExemplar, TailState,
 };
 use ppc_machine::MachineConfig;
 
+use crate::artifact::Json;
 use crate::experiments::reference_workload;
 use crate::tables::Table;
 use crate::Depth;
@@ -43,9 +44,8 @@ pub fn percentile_tail() -> TailConfig {
     }
 }
 
-/// Stable identity string for an arming mode — the artifact's `tail` header
-/// (and a [`crate::diff`] identity axis, so differently-armed recordings
-/// refuse to diff). No escapes: the differ's parser rejects them.
+/// Stable identity string for an arming mode — the artifact's `tail` axis
+/// (so differently-armed recordings refuse to diff).
 pub fn tail_mode(cfg: &TailConfig) -> String {
     match cfg.threshold {
         None => format!("auto-top{}-win{}", cfg.top_n, cfg.window),
@@ -162,10 +162,7 @@ pub fn tail_report_with(depth: Depth, tcfg: TailConfig) -> (TailReport, Vec<Tabl
         .collect();
 
     let report = TailReport {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         machine: MachineConfig::ppc604_133().id(),
         config: KernelConfig::optimized().summary(),
         tail: tail_mode(&tcfg),
@@ -188,7 +185,7 @@ pub fn tail_report(depth: Depth) -> (TailReport, Vec<Table>) {
 
 impl TailReport {
     /// The top-ranked cause's stable name (`unattributed` when nothing was
-    /// captured) — what the planted-regression gate greps for.
+    /// captured) — what the planted-regression gate checks.
     pub fn top_cause(&self) -> &'static str {
         self.ranked_causes
             .first()
@@ -301,90 +298,64 @@ impl TailReport {
         vec![pct, causes, dump]
     }
 
-    /// The deterministic `mmu-tricks-tail-v1` artifact: integer-only JSON
-    /// with escape-free header strings, byte-for-byte reproducible, and
-    /// parseable by [`crate::diff::parse_report`]. The `causes` object
-    /// keeps the full taxonomy in fixed order (zeros included) so diffs
-    /// between recordings always compare the same keys.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mmu-tricks-tail-v1\",\n");
-        s.push_str("  \"workload\": \"compile+signals\",\n");
-        s.push_str(&format!("  \"depth\": \"{}\",\n", self.depth));
-        s.push_str(&format!("  \"machine\": \"{}\",\n", self.machine));
-        s.push_str(&format!("  \"config\": \"{}\",\n", self.config));
-        s.push_str(&format!("  \"tail\": \"{}\",\n", self.tail));
-        s.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
-        s.push_str(&format!(
-            "  \"overhead_cycles\": {},\n",
-            self.overhead_cycles
-        ));
-        s.push_str(&format!("  \"captured\": {},\n", self.captured));
-        s.push_str(&format!("  \"top_cause\": \"{}\",\n", self.top_cause()));
-        s.push_str("  \"paths\": {\n");
-        for (i, p) in self.paths.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \
-                 \"p99\": {}, \"p99_exact\": {}, \"max\": {}, \"retained\": {}}}",
-                p.path, p.count, p.min, p.p50, p.p90, p.p99, p.p99_exact, p.max, p.retained
-            ));
-            s.push_str(if i + 1 < self.paths.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"causes\": {\n");
-        for (i, cause) in TailCause::ALL.iter().enumerate() {
+    /// The `mmu-tricks-tail-v1` artifact. The `causes` object keeps the
+    /// full taxonomy in fixed order (zeros included) so diffs between
+    /// recordings always compare the same keys; the top cause is the one
+    /// with the most cycles above the median.
+    pub fn to_json(&self) -> Json {
+        let paths = self.paths.iter().map(|p| {
+            let tail = Json::object()
+                .field("count", p.count)
+                .field("min", p.min)
+                .field("p50", p.p50)
+                .field("p90", p.p90)
+                .field("p99", p.p99)
+                .field("p99_exact", p.p99_exact)
+                .field("max", p.max)
+                .field("retained", p.retained);
+            (p.path, tail)
+        });
+        let causes = TailCause::ALL.iter().map(|cause| {
             let (cycles, n) = self
                 .ranked_causes
                 .iter()
                 .find(|(c, _, _)| c == cause)
                 .map_or((0, 0), |(_, cy, n)| (*cy, *n));
-            s.push_str(&format!(
-                "    \"{}\": {{\"above_median_cycles\": {}, \"exemplars\": {}}}",
-                cause.name(),
-                cycles,
-                n
-            ));
-            s.push_str(if i + 1 < TailCause::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
+            let row = Json::object()
+                .field("above_median_cycles", cycles)
+                .field("exemplars", n);
+            (cause.name(), row)
+        });
+        let exemplars = LatencyPath::ALL.iter().enumerate().map(|(i, path)| {
+            let dump = self.exemplars[i].iter().map(|e| {
+                Json::object()
+                    .field("seq", e.seq)
+                    .field("cycle", e.cycle)
+                    .field("pid", e.pid)
+                    .field("latency", e.latency)
+                    .field("above_median", e.latency.saturating_sub(self.p50_of(i)))
+                    .field("cause", e.cause.name())
+                    .field("stack_depth", e.stack.len())
+                    .field("window_events", e.window.len())
+                    .field("htab_full_groups", e.mmu.htab_full_groups)
+                    .field("zombies", e.mmu.zombies())
+                    .field("free_frames", e.mmu.free_frames)
             });
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"exemplars\": {\n");
-        for (i, path) in LatencyPath::ALL.iter().enumerate() {
-            s.push_str(&format!("    \"{}\": [", path.name()));
-            for (j, e) in self.exemplars[i].iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"seq\": {}, \"cycle\": {}, \"pid\": {}, \"latency\": {}, \
-                     \"above_median\": {}, \"cause\": \"{}\", \"stack_depth\": {}, \
-                     \"window_events\": {}, \"htab_full_groups\": {}, \"zombies\": {}, \
-                     \"free_frames\": {}}}",
-                    e.seq,
-                    e.cycle,
-                    e.pid,
-                    e.latency,
-                    e.latency.saturating_sub(self.p50_of(i)),
-                    e.cause.name(),
-                    e.stack.len(),
-                    e.window.len(),
-                    e.mmu.htab_full_groups,
-                    e.mmu.zombies(),
-                    e.mmu.free_frames
-                ));
-            }
-            s.push(']');
-            s.push_str(if i + 1 < LatencyPath::ALL.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  }\n}\n");
-        s
+            (path.name(), Json::arr(dump))
+        });
+        Json::object()
+            .field("schema", "mmu-tricks-tail-v1")
+            .field("workload", "compile+signals")
+            .field("depth", self.depth)
+            .field("machine", &self.machine)
+            .field("config", &self.config)
+            .field("tail", &self.tail)
+            .field("total_cycles", self.total_cycles)
+            .field("overhead_cycles", self.overhead_cycles)
+            .field("captured", self.captured)
+            .field("paths", Json::obj(paths))
+            .field("causes", Json::obj(causes))
+            .field("exemplars", Json::obj(exemplars))
     }
 }
 
@@ -398,7 +369,7 @@ mod tests {
         let (a, tables) = tail_report(Depth::Quick);
         let (b, _) = tail_report(Depth::Quick);
         assert_eq!(a.overhead_cycles, 0, "tail capture must not charge cycles");
-        assert_eq!(a.to_json(), b.to_json(), "artifact must be byte-identical");
+        assert_eq!(a.to_json().write(), b.to_json().write(), "artifact must be byte-identical");
         assert!(a.captured > 0);
         assert_eq!(tables.len(), 3);
     }
@@ -443,14 +414,13 @@ mod tests {
     #[test]
     fn artifact_parses_and_diffs_against_itself() {
         let (r, _) = tail_report(Depth::Quick);
-        let j = r.to_json();
+        let j = r.to_json().write();
         for key in [
             "\"schema\": \"mmu-tricks-tail-v1\"",
             "\"workload\": \"compile+signals\"",
             "\"machine\": \"604-133\"",
             "\"tail\": \"fixed1-top512-win16\"",
             "\"overhead_cycles\": 0",
-            "\"top_cause\"",
             "\"p99_exact\"",
             "\"causes\"",
             "\"secondary_probe_storm\"",
@@ -459,20 +429,21 @@ mod tests {
         ] {
             assert!(j.contains(key), "artifact missing {key}");
         }
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
         let flat = parse_report(&j).expect("artifact must satisfy the differ");
-        assert_eq!(flat.schema, "mmu-tricks-tail-v1");
-        assert_eq!(flat.tail, "fixed1-top512-win16");
+        assert_eq!(flat.axis("schema"), "mmu-tricks-tail-v1");
+        assert_eq!(flat.axis("tail"), "fixed1-top512-win16");
+        // The derived top cause is not an identity axis: two recordings
+        // whose ranking differs must still diff.
+        assert_eq!(flat.axis("top_cause"), "");
         assert_eq!(
             flat.numbers["paths.tlb_reload.p99_exact"] as u64,
             r.paths[0].p99_exact
         );
         let d = diff_reports(&flat, &flat.clone()).expect("self-diff");
         assert!(d.entries.iter().all(|e| e.delta == 0));
-        // A dormant recording (no tail header) must refuse against this one.
+        // A dormant recording (no tail axis) must refuse against this one.
         let mut dormant = flat.clone();
-        dormant.tail = String::new();
+        dormant.axes.remove("tail");
         let err = diff_reports(&flat, &dormant).unwrap_err();
         assert!(err.contains("tail mismatch"), "{err}");
     }

@@ -22,9 +22,10 @@
 
 use kernel_sim::{HandlerStyle, KernelConfig, MmtuneConfig, PageClearing, VsidPolicy};
 
+use crate::artifact::Json;
 use crate::matrix::{paper_machines, run_cell, MatrixMachine, WORKLOADS};
 use crate::tables::Table;
-use crate::Depth;
+use crate::{par_map, workers, Depth};
 
 /// The tuning axes, in descent order, each with its candidate settings
 /// (first candidate = the static `opt` value). These are exactly the
@@ -161,20 +162,20 @@ pub fn tune_cell(m: &MatrixMachine, workload: &'static str, depth: Depth) -> Mac
     }
 }
 
-/// Runs the descent on every matrix machine for `workload`.
+/// Runs the descent on every matrix machine for `workload`, one machine
+/// per available core.
 ///
 /// # Panics
 ///
 /// Panics if `workload` is not one of [`WORKLOADS`].
 pub fn tune_workload(workload: &'static str, depth: Depth) -> TuneResult {
-    tune_workload_jobs(workload, depth, 1)
+    tune_workload_jobs(workload, depth, workers())
 }
 
-/// [`tune_workload`] with up to `jobs` machines descending concurrently.
-/// Each machine's descent is an independent deterministic computation and
-/// the outcomes are assembled in [`paper_machines`] order, so the result —
-/// and the `mmu-tricks-tune-v1` artifact — is byte-identical to a serial
-/// run (`tools/tune_gate.sh` cmp-checks this).
+/// [`tune_workload`] on up to `jobs` workers ([`par_map`]). Each machine's
+/// descent is an independent deterministic computation and the outcomes
+/// come back in [`paper_machines`] order, so the result — and the
+/// `mmu-tricks-tune-v1` artifact — is byte-identical for every `jobs`.
 ///
 /// # Panics
 ///
@@ -184,45 +185,10 @@ pub fn tune_workload_jobs(workload: &'static str, depth: Depth, jobs: usize) -> 
         WORKLOADS.contains(&workload),
         "unknown tune workload {workload:?} (expected one of {WORKLOADS:?})"
     );
-    let machines = paper_machines();
-    let outcomes: Vec<MachineTune> = if jobs <= 1 {
-        machines
-            .iter()
-            .map(|m| tune_cell(m, workload, depth))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let slots: Vec<std::sync::Mutex<Option<MachineTune>>> =
-            machines.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs.min(machines.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(m) = machines.get(i) else {
-                        break;
-                    };
-                    let outcome = tune_cell(m, workload, depth);
-                    *slots[i].lock().expect("tune worker panicked") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("tune worker panicked")
-                    .expect("every claimed machine is filled before scope exit")
-            })
-            .collect()
-    };
     TuneResult {
-        depth: match depth {
-            Depth::Quick => "quick",
-            Depth::Full => "full",
-        },
+        depth: depth.name(),
         workload,
-        outcomes,
+        outcomes: par_map(jobs, &paper_machines(), |m| tune_cell(m, workload, depth)),
     }
 }
 
@@ -242,41 +208,26 @@ impl TuneResult {
             .all(|o| o.tuned_cycles * 100 <= o.static_cycles * 102)
     }
 
-    /// The deterministic `mmu-tricks-tune-v1` artifact: identity headers,
-    /// then one line per machine naming the winning configuration and its
-    /// delta vs static `opt`. Integer-only, so `repro diff` can compare two
-    /// tune artifacts — and refuse mismatched depth/workload headers — with
-    /// the same [`crate::diff::check_identity`] semantics as every other
-    /// artifact.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"mmu-tricks-tune-v1\",\n");
-        s.push_str(&format!("  \"depth\": \"{}\",\n", self.depth));
-        s.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        s.push_str(&format!("  \"wins\": {},\n", self.wins()));
-        s.push_str("  \"machines\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"machine\": \"{}\", \"static_cycles\": {}, \"tuned_cycles\": {}, \
-                 \"delta\": {}, \"evals\": {}, \"retunes\": {}, \"config\": {{",
-                o.machine,
-                o.static_cycles,
-                o.tuned_cycles,
-                o.delta(),
-                o.evals,
-                o.mmtune_retunes
-            ));
-            for (j, (axis, choice)) in o.choices.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{axis}\": \"{choice}\""));
-            }
-            s.push_str("}}");
-            s.push_str(if i + 1 < self.outcomes.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+    /// The `mmu-tricks-tune-v1` artifact: identity axes, then one line
+    /// per machine naming the winning configuration and its delta vs
+    /// static `opt`.
+    pub fn to_json(&self) -> Json {
+        let machine = |o: &MachineTune| {
+            Json::object()
+                .field("machine", o.machine)
+                .field("static_cycles", o.static_cycles)
+                .field("tuned_cycles", o.tuned_cycles)
+                .field("delta", o.delta())
+                .field("evals", o.evals)
+                .field("retunes", o.mmtune_retunes)
+                .field("config", Json::obj(o.choices.iter().copied()))
+        };
+        Json::object()
+            .field("schema", "mmu-tricks-tune-v1")
+            .field("depth", self.depth)
+            .field("workload", self.workload)
+            .field("wins", self.wins())
+            .field("machines", Json::arr(self.outcomes.iter().map(machine)))
     }
 
     /// Rendered per-machine summary.
@@ -362,16 +313,16 @@ mod tests {
                 mmtune_retunes: 0,
             }],
         };
-        let j = r.to_json();
+        let j = r.to_json().write();
         assert!(j.contains("\"schema\": \"mmu-tricks-tune-v1\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let flat = parse_report(&j).unwrap();
         assert_eq!(flat.numbers["machines[0].delta"], -50);
-        // Same headers diff fine; a different workload header is refused —
-        // the shared check_identity semantics, for free.
+        // Same axes diff fine; a different workload axis is refused — the
+        // shared identity rule, for free.
         assert!(diff_reports(&flat, &flat).is_ok());
         let mut other = flat.clone();
-        other.workload = "compile".into();
+        other.axes.insert("workload".into(), "compile".into());
         let err = diff_reports(&flat, &other).unwrap_err();
         assert!(err.contains("workload mismatch"), "{err}");
     }

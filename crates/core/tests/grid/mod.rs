@@ -6,31 +6,32 @@
 
 use kernel_sim::KernelConfig;
 use mmu_tricks::matrix::{paper_machines, paper_variants, run_cell, MatrixCell, WORKLOADS};
-use mmu_tricks::Depth;
+use mmu_tricks::{par_map, workers, Depth};
 
-/// Calls `check(cfg, run, at)` once per grid cell: `cfg` is the cell's
-/// kernel variant, `run` runs the cell's machine and workload under any
-/// config, and `at` names the cell. Fails unless the walk covered all 96
-/// cells.
+/// Calls `check(cfg, run, at)` once per grid cell, on every available core:
+/// `cfg` is the cell's kernel variant, `run` runs the cell's machine and
+/// workload under any config, and `at` names the cell. Fails unless the
+/// walk covers all 96 cells.
 pub fn for_each_cell(
-    mut check: impl FnMut(KernelConfig, &dyn Fn(KernelConfig) -> MatrixCell, &str),
+    check: impl Fn(KernelConfig, &dyn Fn(KernelConfig) -> MatrixCell, &str) + Sync,
 ) {
     let machines = paper_machines();
     let variants = paper_variants();
-    let mut cells = 0;
+    let mut cells = Vec::new();
     for m in &machines {
         for (name, cfg) in &variants {
             for &wl in WORKLOADS {
-                let run = |cfg| run_cell(m, name, cfg, wl, Depth::Quick);
-                check(*cfg, &run, &format!("{} / {name} / {wl}", m.id));
-                cells += 1;
+                cells.push((m, *name, *cfg, wl));
             }
         }
     }
     assert_eq!(
-        cells,
-        machines.len() * variants.len() * WORKLOADS.len(),
-        "grid shrank: the gate no longer covers every coordinate"
+        cells.len(),
+        96,
+        "expected 4 machines x 8 configs x 3 workloads"
     );
-    assert_eq!(cells, 96, "expected 4 machines x 8 configs x 3 workloads");
+    par_map(workers(), &cells, |&(m, name, cfg, wl)| {
+        let run = |cfg| run_cell(m, name, cfg, wl, Depth::Quick);
+        check(cfg, &run, &format!("{} / {name} / {wl}", m.id));
+    });
 }

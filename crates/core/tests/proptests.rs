@@ -1,11 +1,13 @@
-//! Property-based tests for the differ (the algebra a diff tool must obey
-//! regardless of what the two artifacts contain) and for the mmtune
-//! controller (deterministic, and free when absent or dormant).
+//! Property-based tests for the artifact format (what is written reads back
+//! unchanged), the differ (the algebra a diff tool must obey regardless of
+//! what the two artifacts contain) and the mmtune controller
+//! (deterministic, and free when absent or dormant).
 
 use proptest::prelude::*;
 
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::{Kernel, KernelConfig, MmtuneConfig, VsidPolicy};
+use mmu_tricks::artifact::{parse, Json};
 use mmu_tricks::diff::{diff_perf, diff_reports, FlatReport};
 use mmu_tricks::perf::PerfData;
 use ppc_machine::MachineConfig;
@@ -27,17 +29,22 @@ fn keys() -> Vec<&'static str> {
     ]
 }
 
-/// A report with fixed identity headers and the given numeric leaves
-/// (values stay in u32 so deltas never overflow i64).
+/// The identity axes every generated report carries.
+const AXES: [(&str, &str); 5] = [
+    ("schema", "mmu-tricks-bench-v1"),
+    ("depth", "quick"),
+    ("machine", "604-133"),
+    ("workload", "compile"),
+    ("config", "opt"),
+];
+
+/// A report with fixed identity axes and the given numeric leaves (values
+/// stay in u32 so deltas never overflow i64).
 fn report_from(pairs: &[(&'static str, u32)]) -> FlatReport {
-    let mut r = FlatReport {
-        schema: "mmu-tricks-bench-v1".into(),
-        depth: "quick".into(),
-        machine: "604-133".into(),
-        workload: "compile".into(),
-        config: "opt".into(),
-        ..FlatReport::default()
-    };
+    let mut r = FlatReport::default();
+    for (axis, value) in AXES {
+        r.axes.insert(axis.into(), value.into());
+    }
     for (k, v) in pairs {
         r.numbers.insert((*k).to_string(), i64::from(*v));
     }
@@ -82,7 +89,53 @@ fn perf_from(pairs: &[(&'static str, u32)]) -> PerfData {
     }
 }
 
+/// Arbitrary artifact values, up to four levels deep: any integer, and
+/// strings (keys too) drawn from characters the writer must escape — `"`,
+/// `\`, newlines, other controls — mixed with JSON punctuation and
+/// multi-byte text.
+struct AnyJson;
+
+impl Strategy for AnyJson {
+    type Value = Json;
+    fn generate(&self, rng: &mut proptest::TestRng) -> Json {
+        fn string(rng: &mut proptest::TestRng) -> String {
+            const CHARS: &[char] = &[
+                'a', 'Z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/', '{', '}',
+                '[', ']', ',', ':', 'é', '—', '▁', '😀',
+            ];
+            (0..rng.below(0, 12))
+                .map(|_| CHARS[rng.below(0, CHARS.len())])
+                .collect()
+        }
+        fn value(rng: &mut proptest::TestRng, depth: usize) -> Json {
+            match rng.below(0, if depth < 4 { 4 } else { 2 }) {
+                0 => Json::Num(rng.next_u64() as i64 >> rng.below(0, 64)),
+                1 => Json::Str(string(rng)),
+                2 => Json::Arr(
+                    (0..rng.below(0, 5))
+                        .map(|_| value(rng, depth + 1))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..rng.below(0, 5))
+                        .map(|_| (string(rng), value(rng, depth + 1)))
+                        .collect(),
+                ),
+            }
+        }
+        value(rng, 0)
+    }
+}
+
 proptest! {
+    /// The one writer and the one parser agree on every value:
+    /// parse(write(v)) == v, escapes included.
+    #[test]
+    fn artifact_write_then_parse_is_identity(v in AnyJson) {
+        let text = v.write();
+        prop_assert_eq!(parse(&text), Ok(v));
+    }
+
     /// diff(A, A) is identically zero on every leaf.
     #[test]
     fn self_diff_is_all_zero(
@@ -96,7 +149,7 @@ proptest! {
             prop_assert_eq!(e.a, e.b);
         }
         prop_assert!(d.ranked().is_empty());
-        prop_assert!(d.to_json().contains("\"changed\": 0"));
+        prop_assert!(d.to_json().write().contains("\"changed\": 0"));
     }
 
     /// diff(A, B) = -diff(B, A), leaf for leaf, even when the two reports
@@ -126,16 +179,12 @@ proptest! {
     ) {
         let a = report_from(&pairs);
         let mut b = a.clone();
-        match which {
-            0 => b.schema = "mmu-tricks-matrix-v1".into(),
-            1 => b.depth = "full".into(),
-            2 => b.machine = "603-swload".into(),
-            _ => b.workload = "fault_storm".into(),
-        }
+        let (axis, value) = AXES[which];
+        b.axes.insert(axis.into(), format!("{value}-other"));
         prop_assert!(diff_reports(&a, &b).is_err());
         // The config axis alone never refuses.
         let mut c = a.clone();
-        c.config = "unopt".into();
+        c.axes.insert("config".into(), "unopt".into());
         prop_assert!(diff_reports(&a, &c).is_ok());
     }
 
@@ -253,8 +302,8 @@ proptest! {
     /// cycle-identical to `mmtune: None` — observation is free, only
     /// applied retunes may cost. With `None` the kernel carries no
     /// controller at all, which is why mmtune-off runs are also
-    /// cycle-identical to pre-mmtune kernels (BENCH_PR5.json pins that
-    /// against the PR4 baselines).
+    /// cycle-identical to pre-mmtune kernels (`ARTIFACTS.lock` pins the
+    /// bench and matrix artifacts, whose kernels all run mmtune-off).
     #[test]
     fn dormant_mmtune_is_cycle_identical_to_none(
         procs in 1u32..4,

@@ -25,7 +25,7 @@
 //! reads them evolve from the (scaled) clock exactly as a real faster
 //! handler would cause — that is the "exact causal" semantics. A config of
 //! all 1/1 ratios is cycle- and counter-identical to `causal = None`,
-//! proven by tests and the CI causal gate.
+//! proven by tests and by the causal artifact's `identity_ok`.
 
 use crate::prof::{Subsystem, NUM_SUBSYSTEMS};
 

@@ -16,7 +16,8 @@
 //! is **purely observational**: it never charges cycles, never touches
 //! cache or TLB state, and never writes into the trace ring (so it cannot
 //! evict trace events). A telemetry-on run is cycle-identical to a
-//! telemetry-off run, and `tools/trace_gate.sh` pins that.
+//! telemetry-off run: the metrics artifact records the difference as
+//! `overhead_cycles`, and `ARTIFACTS.lock` pins it at zero.
 
 use ppc_machine::Cycles;
 

@@ -12,7 +12,12 @@
 # compile exactly, and traced spans cover the wall time. There is no
 # throughput floor: speed is compared between two commits on one host by
 # the benchmark itself, never against a committed number.
-. "$(dirname "$0")/gate_lib.sh"
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+fail=0
 
 mapfile -t command < <(python3 -c \
     'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
@@ -25,9 +30,14 @@ for workload in "${workloads[@]}"; do
         "${command[@]}" --workload "$workload" --seed 1 --seconds 3 \
             --trace "$trace" > "$log"
         if ! tail -n 1 "$log" | grep -q '"correct": true'; then
-            gate_fail "perfbench $workload --trace $trace did not report correct" "$log"
+            echo "FAIL: perfbench $workload --trace $trace did not report correct" >&2
+            cat "$log" >&2
+            fail=1
         fi
     done
 done
 
-gate_ok "perfbench smoke OK: ${workloads[*]} correct untraced and traced"
+if [ "$fail" -ne 0 ]; then
+    exit 1
+fi
+echo "perfbench smoke OK: ${workloads[*]} correct untraced and traced"
