@@ -10,32 +10,32 @@
 //! `--json` writes a machine-readable run report: every rendered table plus,
 //! for the `trace` experiment, the full `metrics.json` payload (cycle
 //! attribution, latency percentiles, PTEG heatmap, tracer overhead).
-//! `--trace-out` writes the Chrome `trace_event` timeline. Both artifacts
-//! are deterministic, so CI can diff them across commits.
+//! `--trace-out` writes the trace ring as a Chrome `trace_event` timeline.
+//! Both artifacts are deterministic, so they diff across commits.
 //!
-//! Two subcommands sit next to the experiments:
+//! Subcommands sit next to the experiments:
 //!
 //! ```text
-//! repro bench [--json <path>]                     # regression baseline JSON
 //! repro matrix [--json <path>]                    # machine × config × workload grid
 //! repro report                                    # counters, latency, telemetry sparklines
-//! repro diff A.json B.json [--json <path>]        # structured report comparison
+//! repro diff A.json B.json [--json <path>]        # structured artifact comparison
 //! repro chaos [--seed N] [--runs N] [--steps N]   # adversarial fuzzing under the checker
 //!             [--check on|off] [--verbose-from N] [--json <path>]
-//! repro perf record [--workload compile|storm] [--period N] [--config unopt|opt]
+//! repro perf record [--workload compile|fault_storm|trace_ref] [--period N]
+//!                   [--config unopt|opt] [--json <path>]
 //! repro perf report [--in <path>] [--folded <path>]
 //! repro perf annotate [--in <path>]
-//! repro perf diff A.perf B.perf [--folded <path>] # profile/flamegraph diff
 //! repro tail [--json <path>]                      # p99 exemplars + causal attribution
 //! repro causal [--json <path>]                    # exact virtual-speedup payoff curves
 //! ```
 //!
-//! `perf record` samples the workload with the modeled 604 PMU and writes a
-//! deterministic `perf.data` text file; `report`/`annotate` render it (or
-//! record in-memory when no `--in` is given); `--folded` exports collapsed
-//! stacks for flamegraph tooling. `diff` and `perf diff` refuse to compare
-//! artifacts whose identity axes disagree — only the kernel-config axis
-//! may differ between the two sides.
+//! `perf record` samples a matrix workload with the modeled 604 PMU and
+//! writes the `mmu-tricks-perf-v1` artifact; `report`/`annotate` render
+//! one (or record in memory when no `--in` is given); `--folded` exports
+//! collapsed stacks for flamegraph tooling. `repro diff` compares any two
+//! artifacts of one schema, two profiles included, and refuses when their
+//! identity axes disagree — only the kernel-config axis may differ between
+//! the two sides.
 //!
 //! A typo'd flag or flag value exits 2 and names it. `matrix`, `tune` and
 //! `causal` run on every available core; their output is byte-identical
@@ -46,14 +46,13 @@ use bench::{
     depth_from_args, flag_value, positional_args, unknown_flags, ARTIFACTS, EXPERIMENTS,
     SUBCOMMANDS,
 };
-use mmu_tricks::artifact::Json;
-use mmu_tricks::bench::bench_report;
+use mmu_tricks::artifact::{self, Json};
 use mmu_tricks::chaos::{chaos_report, fleet_json, ChaosConfig};
-use mmu_tricks::diff::{diff_perf, diff_reports, parse_report};
+use mmu_tricks::diff::{diff_reports, parse_report};
 use mmu_tricks::experiments as ex;
 use mmu_tricks::experiments::TraceArtifacts;
-use mmu_tricks::matrix::run_matrix;
-use mmu_tricks::perf::{perf_record_on, PerfData, PerfWorkload};
+use mmu_tricks::matrix::{run_matrix, WORKLOADS};
+use mmu_tricks::perf::{perf_record, PerfData};
 use mmu_tricks::tables::Table;
 use mmu_tricks::tune::tune_workload;
 use mmu_tricks::{Depth, KernelConfig};
@@ -85,7 +84,6 @@ fn main() {
         std::process::exit(2);
     });
     match wanted[0] {
-        "bench" => return bench_main(&args, depth),
         "chaos" => return chaos_main(&args),
         "perf" => return perf_main(&args, depth),
         "matrix" => return matrix_main(&args, depth),
@@ -122,19 +120,8 @@ fn main() {
         write_artifact(&path, &report.write());
     }
     if let Some(path) = trace_out {
-        let chrome = out.ensure_artifacts(depth).chrome_json.clone();
-        write_artifact(&path, &chrome);
-    }
-}
-
-/// `repro bench`: the benchmark-regression baseline (headline cycle counts
-/// and miss rates for the compile and fault-storm workloads, plus the
-/// PMU-off reference total the gates pin).
-fn bench_main(args: &[String], depth: Depth) {
-    let json = bench_report(depth);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &json),
-        None => print!("{json}"),
+        let timeline = out.ensure_artifacts(depth).timeline_json();
+        write_artifact(&path, &timeline.write());
     }
 }
 
@@ -154,13 +141,7 @@ fn matrix_main(args: &[String], depth: Depth) {
 /// `repro tune`: offline coordinate descent per machine, emitting the
 /// `mmu-tricks-tune-v1` artifact naming each winning configuration.
 fn tune_main(args: &[String], depth: Depth) {
-    let wl = flag_value(args, "--workload").unwrap_or_else(|| "fault_storm".into());
-    let workload = mmu_tricks::matrix::WORKLOADS
-        .iter()
-        .copied()
-        .find(|w| *w == wl)
-        .unwrap_or_else(|| bad_value("--workload", &wl, "compile|fault_storm|trace_ref"));
-    let result = tune_workload(workload, depth);
+    let result = tune_workload(workload_flag(args, "fault_storm"), depth);
     match flag_value(args, "--json") {
         Some(path) => write_artifact(&path, &result.to_json().write()),
         None => println!("{}", result.table().render()),
@@ -172,6 +153,17 @@ fn tune_main(args: &[String], depth: Depth) {
 fn bad_value(flag: &str, value: &str, expected: &str) -> ! {
     eprintln!("bad {flag} {value:?} (expected {expected})");
     std::process::exit(2);
+}
+
+/// The matrix workload named by `--workload` (`default` without one),
+/// exiting 2 on any other name.
+fn workload_flag(args: &[String], default: &'static str) -> &'static str {
+    let wl = flag_value(args, "--workload").unwrap_or_else(|| default.into());
+    WORKLOADS
+        .iter()
+        .copied()
+        .find(|w| *w == wl)
+        .unwrap_or_else(|| bad_value("--workload", &wl, &WORKLOADS.join("|")))
 }
 
 /// Parses a numeric `--flag N`, exiting 2 on garbage.
@@ -278,34 +270,6 @@ fn diff_main(args: &[String], wanted: &[&str]) {
     }
 }
 
-/// `repro perf diff A B`: profile comparison (subsystems + folded stacks).
-fn perf_diff_main(args: &[String], positional: &[&str]) {
-    let (Some(a_path), Some(b_path)) = (positional.get(2), positional.get(3)) else {
-        eprintln!("usage: repro perf diff <a.perf> <b.perf> [--folded <path>]\n");
-        std::process::exit(1);
-    };
-    let read = |path: &str| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        PerfData::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let d = diff_perf(&read(a_path), &read(b_path)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    print!("{}", d.summary());
-    println!();
-    println!("{}", d.table().render());
-    if let Some(path) = flag_value(args, "--folded") {
-        write_artifact(&path, &d.folded_diff_lines());
-    }
-}
-
 /// Maps `--config unopt|opt` to a kernel configuration for `perf record`.
 fn config_preset(args: &[String]) -> KernelConfig {
     match flag_value(args, "--config").as_deref() {
@@ -315,13 +279,13 @@ fn config_preset(args: &[String]) -> KernelConfig {
     }
 }
 
-/// `repro perf <record|report|annotate|diff>`: the sampled-profiling
-/// surface.
+/// `repro perf <record|report|annotate>`: the sampled-profiling surface.
 fn perf_main(args: &[String], depth: Depth) {
-    let positional = positional_args(args);
-    let sub = positional.get(1).copied().unwrap_or("report");
-    if sub == "diff" {
-        return perf_diff_main(args, &positional);
+    let sub = positional_args(args).get(1).copied().unwrap_or("report");
+    if !["record", "report", "annotate"].contains(&sub) {
+        eprintln!("unknown perf subcommand {sub:?} (expected record|report|annotate)\n");
+        usage();
+        std::process::exit(1);
     }
     let data = match flag_value(args, "--in") {
         Some(path) => {
@@ -329,29 +293,29 @@ fn perf_main(args: &[String], depth: Depth) {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(1);
             });
-            PerfData::parse(&text).unwrap_or_else(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                std::process::exit(1);
-            })
+            artifact::parse(&text)
+                .and_then(|doc| PerfData::from_json(&doc))
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot load {path}: {e}");
+                    std::process::exit(1);
+                })
         }
         None => {
-            let wl = flag_value(args, "--workload").unwrap_or_else(|| "compile".into());
-            let workload = PerfWorkload::from_name(&wl)
-                .unwrap_or_else(|| bad_value("--workload", &wl, "compile|storm"));
+            let workload = workload_flag(args, "trace_ref");
             let period = flag_value(args, "--period")
                 .map(|p| match p.parse::<u32>() {
                     Ok(n) if n > 0 => n,
                     _ => bad_value("--period", &p, "a positive cycle count"),
                 })
                 .unwrap_or(4096);
-            perf_record_on(depth, workload, period, config_preset(args))
+            perf_record(depth, workload, period, config_preset(args))
         }
     };
     match sub {
-        "record" => {
-            let path = flag_value(args, "--out").unwrap_or_else(|| "perf.data".into());
-            write_artifact(&path, &data.serialize());
-        }
+        "record" => match flag_value(args, "--json") {
+            Some(path) => write_artifact(&path, &data.to_json().write()),
+            None => print!("{}", data.to_json().write()),
+        },
         "report" => {
             print!("{}", data.summary());
             println!();
@@ -359,12 +323,7 @@ fn perf_main(args: &[String], depth: Depth) {
                 println!("{}", t.render());
             }
         }
-        "annotate" => print!("{}", data.annotate()),
-        other => {
-            eprintln!("unknown perf subcommand {other:?} (expected record|report|annotate|diff)\n");
-            usage();
-            std::process::exit(1);
-        }
+        _ => print!("{}", data.annotate()),
     }
     if let Some(path) = flag_value(args, "--folded") {
         write_artifact(&path, &data.folded_lines());
@@ -437,7 +396,6 @@ fn usage_text() -> String {
         let _ = writeln!(s, "  {name:<16} {desc}");
     }
     let _ = writeln!(s, "\nsubcommand usage:");
-    let _ = writeln!(s, "  repro bench [--json <path>]");
     let _ = writeln!(s, "  repro matrix [--depth quick|full] [--json <path>]");
     let _ = writeln!(
         s,
@@ -452,10 +410,9 @@ fn usage_text() -> String {
     );
     let _ = writeln!(
         s,
-        "  repro perf <record|report|annotate> [--workload compile|storm] \
-         [--period N] [--config unopt|opt] [--out <path>] [--in <path>] [--folded <path>]"
+        "  repro perf <record|report|annotate> [--workload compile|fault_storm|trace_ref] \
+         [--period N] [--config unopt|opt] [--json <path>] [--in <path>] [--folded <path>]"
     );
-    let _ = writeln!(s, "  repro perf diff <a.perf> <b.perf> [--folded <path>]");
     let _ = writeln!(s, "  repro tail [--depth quick|full] [--json <path>]");
     let _ = writeln!(s, "  repro causal [--depth quick|full] [--json <path>]\n");
     let _ = writeln!(s, "experiments:");
@@ -464,28 +421,31 @@ fn usage_text() -> String {
     }
     let _ = writeln!(s, "\nartifact schemas:");
     for (schema, producer, desc) in ARTIFACTS {
-        let _ = writeln!(s, "  {schema:<26} {producer:<28} {desc}");
+        let _ = writeln!(s, "  {schema:<26} {producer:<30} {desc}");
     }
     let _ = writeln!(s, "\n--depth     quick (CI-sized, default) or full (paper-sized)");
     let _ = writeln!(s, "--full      shorthand for --depth full");
     let _ = writeln!(s, "--markdown  render tables as markdown");
     let _ = writeln!(s, "--csv       render tables as CSV");
-    let _ = writeln!(s, "--json      write a machine-readable run report (metrics.json)");
+    let _ = writeln!(
+        s,
+        "--json      write the artifact (experiments: the metrics.json run report)"
+    );
     let _ = writeln!(s, "--trace-out write the Chrome trace_event timeline JSON");
     let _ = writeln!(
         s,
-        "--workload  perf: workload to sample (compile, storm; default compile)"
+        "--workload  perf, tune: matrix workload (compile, fault_storm, trace_ref; \
+         default trace_ref for perf, fault_storm for tune)"
     );
     let _ = writeln!(s, "--period    perf: sampling period in cycles (default 4096)");
     let _ = writeln!(
         s,
         "--config    perf record: kernel preset to sample (unopt, opt; default opt)"
     );
-    let _ = writeln!(s, "--out       perf record: output path (default perf.data)");
-    let _ = writeln!(s, "--in        perf report/annotate: read an existing perf.data");
+    let _ = writeln!(s, "--in        perf report/annotate: read a profile");
     let _ = writeln!(
         s,
-        "--folded    perf: collapsed stacks (flamegraph input; diff writes signed weights)"
+        "--folded    perf: write collapsed stacks (flamegraph input)"
     );
     let _ = writeln!(s, "--limit     diff: ranked rows to render (default 25)");
     let _ = writeln!(s, "--seed      chaos: first fuzzer seed (default 1)");

@@ -38,7 +38,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--trace-out",
     "--workload",
     "--period",
-    "--out",
     "--in",
     "--folded",
     "--config",
@@ -59,13 +58,12 @@ pub const BARE_FLAGS: &[&str] = &["--full", "--markdown", "--csv", "--help"];
 /// new subcommand that forgets to register here fails a test, not code
 /// review.
 pub const SUBCOMMANDS: &[(&str, &str)] = &[
-    ("bench", "benchmark-regression baseline (mmu-tricks-bench-v1)"),
     ("matrix", "machine × config × workload grid (mmu-tricks-matrix-v1)"),
     ("tune", "offline per-machine coordinate descent (mmu-tricks-tune-v1)"),
     ("report", "counters, self-time, latency, telemetry sparklines"),
-    ("diff", "structured comparison of two run reports"),
+    ("diff", "structured comparison of two artifacts of one schema"),
     ("chaos", "adversarial fuzzing under the shadow-MM checker"),
-    ("perf", "sampled profiling: record/report/annotate/diff"),
+    ("perf", "sampled profiling: record/report/annotate (mmu-tricks-perf-v1)"),
     (
         "tail",
         "p99 exemplar capture + causal attribution (mmu-tricks-tail-v1)",
@@ -84,11 +82,6 @@ pub const SUBCOMMANDS: &[(&str, &str)] = &[
 /// test, not code review.
 pub const ARTIFACTS: &[(&str, &str, &str)] = &[
     (
-        "mmu-tricks-bench-v1",
-        "repro bench",
-        "headline cycles + miss rates per workload",
-    ),
-    (
         "mmu-tricks-matrix-v1",
         "repro matrix",
         "machine × config × workload grid cells",
@@ -104,6 +97,11 @@ pub const ARTIFACTS: &[(&str, &str, &str)] = &[
         "run report: tables + trace metrics",
     ),
     (
+        "mmu-tricks-timeline-v1",
+        "repro <experiment> --trace-out",
+        "trace ring as a Chrome trace_event timeline",
+    ),
+    (
         "mmu-tricks-diff-v1",
         "repro diff --json",
         "structured report comparison",
@@ -115,8 +113,8 @@ pub const ARTIFACTS: &[(&str, &str, &str)] = &[
     ),
     (
         "mmu-tricks-perf-v1",
-        "repro perf record",
-        "sampled profile (perf.data text)",
+        "repro perf record --json",
+        "sampled profile next to the exact self-time",
     ),
     (
         "mmu-tricks-tail-v1",
@@ -325,7 +323,7 @@ mod tests {
         assert_eq!(unknown_flags(&args), vec!["--dpeth"]);
         // "full" after the unknown flag is NOT skipped: it stays positional,
         // which is also wrong — hence the hard error in the binary.
-        let clean: Vec<String> = ["bench", "--json", "b.json", "--full"]
+        let clean: Vec<String> = ["matrix", "--json", "m.json", "--full"]
             .iter()
             .map(|s| s.to_string())
             .collect();

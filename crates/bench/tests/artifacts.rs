@@ -15,12 +15,11 @@ use std::sync::OnceLock;
 use bench::{ARTIFACTS, SUBCOMMANDS};
 use kernel_sim::fixed_hash::FnvHasher;
 use mmu_tricks::artifact::{self, Json};
-use mmu_tricks::diff::{diff_perf, parse_report};
+use mmu_tricks::diff::parse_report;
 use mmu_tricks::par_map;
 use mmu_tricks::perf::PerfData;
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
-const PERF_SCHEMA: &str = "mmu-tricks-perf-v1";
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -157,11 +156,15 @@ fn lock_rows_match_the_registry_and_every_schema_literal() {
         );
         assert_eq!(r.digest.len(), 16, "{}: digest is 16 hex digits", r.schema);
     }
-    // Every schema literal in the sources is registered, so an artifact
-    // added without a registry row (and so without a lock row) fails here.
+    // Every schema literal in the sources and tests is registered, so an
+    // artifact added without a registry row (and so without a lock row)
+    // fails here, and so does a fixture naming a retired schema.
     let mut literals = Vec::new();
     for krate in std::fs::read_dir(root().join("crates")).expect("crates/") {
-        schema_literals(&krate.expect("crate dir").path().join("src"), &mut literals);
+        let krate = krate.expect("crate dir").path();
+        for dir in ["src", "tests"] {
+            schema_literals(&krate.join(dir), &mut literals);
+        }
     }
     assert!(
         !literals.is_empty(),
@@ -266,7 +269,7 @@ fn with_axis(doc: &Json, axis: &str, value: &str) -> Json {
 
 #[test]
 fn artifacts_parse_self_diff_to_zero_and_refuse_every_axis_but_config() {
-    for (row, _) in recorded().iter().filter(|(r, _)| r.schema != PERF_SCHEMA) {
+    for (row, _) in recorded() {
         let schema = row.schema.as_str();
         let path = output_path(schema, 0);
         let p = path.display().to_string();
@@ -321,73 +324,106 @@ fn artifacts_parse_self_diff_to_zero_and_refuse_every_axis_but_config() {
     }
 }
 
+/// The `ARTIFACTS.lock` row that records the perf profile.
+fn perf_row() -> &'static Row {
+    let (row, _) = recorded()
+        .iter()
+        .find(|(r, _)| r.schema == "mmu-tricks-perf-v1")
+        .expect("ARTIFACTS.lock has a perf row");
+    row
+}
+
+fn read_json(path: &Path) -> Json {
+    let body = std::fs::read_to_string(path).expect("recorded artifact");
+    artifact::parse(&body).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 #[test]
 fn perf_data_parses_diffs_and_refuses_foreign_profiles() {
-    let path = output_path(PERF_SCHEMA, 0);
-    let _ = recorded();
-    let body = std::fs::read_to_string(&path).expect("recorded perf.data");
-    let opt = PerfData::parse(&body).expect("perf.data parses");
-    assert_eq!(opt.serialize(), body, "perf.data round-trips");
-    let own = diff_perf(&opt, &opt).expect("self-diff");
-    assert_eq!((own.cycles_delta(), own.weight_delta()), (0, 0));
-    assert!(own.folded_diff_lines().is_empty());
-    let mut foreign = [opt.clone(), opt.clone(), opt.clone(), opt.clone()];
-    foreign[0].workload = "storm".into();
-    foreign[1].depth = "full".into();
-    foreign[2].machine = "603-swload".into();
-    foreign[3].period *= 2;
-    for (axis, b) in ["workload", "depth", "machine", "period"]
+    // The lock row's profile is the optimized kernel; record the same
+    // workload and period on the unoptimized one.
+    let row = perf_row();
+    let opt = output_path(&row.schema, 0);
+    let unopt = scratch().join("perf-unopt.json");
+    let mut args = row.args.clone();
+    args.extend(["--config".to_string(), "unopt".to_string()]);
+    let unopt_row = Row {
+        schema: row.schema.clone(),
+        digest: String::new(),
+        args,
+    };
+    run_row(&unopt_row, &unopt);
+    for path in [&opt, &unopt] {
+        let doc = read_json(path);
+        let profile = PerfData::from_json(&doc).expect("a recorded profile loads");
+        assert_eq!(profile.to_json(), doc, "{} round-trips", path.display());
+    }
+
+    // Only the config axis differs, so `repro diff` accepts the pair.
+    let (u, o) = (unopt.display().to_string(), opt.display().to_string());
+    let diff = scratch().join("perf-unopt-opt.diff");
+    let out = repro(&["diff", &u, &o, "--json", &diff.display().to_string()]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let Some(Json::Arr(deltas)) = read_json(&diff).get("deltas").cloned() else {
+        panic!("the diff artifact has no deltas");
+    };
+    let delta_of = |d: &Json| match (d.get("key"), d.get("delta")) {
+        (Some(Json::Str(k)), Some(&Json::Num(n))) => (k.clone(), n),
+        _ => panic!("malformed delta {d:?}"),
+    };
+    let deltas: Vec<(String, i64)> = deltas.iter().map(delta_of).collect();
+    let delta = |key: &str| deltas.iter().find(|(k, _)| k == key).map_or(0, |d| d.1);
+    assert!(delta("total_cycles") < 0, "opt must beat unopt: {deltas:?}");
+    let folded: Vec<i64> = deltas
         .iter()
-        .zip(&foreign)
-    {
-        let err = diff_perf(&opt, b).expect_err("foreign profile refused");
-        assert!(err.contains(&format!("{axis} mismatch")), "{err}");
-    }
-    // The config axis may differ: the optimized kernel beats the
-    // unoptimized one, and the folded diff carries signed weights.
-    let unopt = scratch().join("unopt.perf");
-    let folded = scratch().join("unopt-opt.folded");
-    let u = unopt.display().to_string();
-    let o = repro(&[
-        "perf",
-        "record",
-        "--depth",
-        "quick",
-        "--workload",
-        "compile",
-        "--period",
-        "16384",
-        "--config",
-        "unopt",
-        "--out",
-        &u,
-    ]);
-    assert!(o.status.success(), "{}", text(&o.stderr));
-    let o = repro(&[
-        "perf",
-        "diff",
-        &u,
-        &path.display().to_string(),
-        "--folded",
-        &folded.display().to_string(),
-    ]);
-    assert!(o.status.success(), "{}", text(&o.stderr));
-    let summary = text(&o.stdout);
-    for key in ["\nweight_delta ", "\nstacks_changed "] {
-        assert!(summary.contains(key), "perf diff summary lacks {key:?}");
-    }
+        .filter(|(k, _)| k.starts_with("folded."))
+        .map(|d| d.1)
+        .collect();
     assert!(
-        summary.contains("\ncycles_delta -"),
-        "opt must beat unopt:\n{summary}"
+        folded.iter().any(|&d| d > 0) && folded.iter().any(|&d| d < 0),
+        "the flamegraph diff has stacks of both signs: {folded:?}"
     );
-    let lines = std::fs::read_to_string(&folded).expect("folded diff");
-    assert!(
-        lines.lines().any(|l| l
-            .rsplit(' ')
-            .next()
-            .is_some_and(|w| w.starts_with(['+', '-']))),
-        "folded diff has no signed weights"
+    assert_eq!(
+        folded.iter().sum::<i64>(),
+        delta("weighted_samples"),
+        "per-stack deltas account for every sample"
     );
+
+    // A foreign artifact is refused, whatever its numbers.
+    let matrix = output_path("mmu-tricks-matrix-v1", 0);
+    let out = repro(&["diff", &o, &matrix.display().to_string()]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a profile diffed against the matrix"
+    );
+    assert!(text(&out.stderr).contains("schema mismatch"));
+}
+
+#[test]
+fn perf_report_in_prints_what_an_in_memory_recording_prints() {
+    // `perf report` with the lock row's recording flags, once recording in
+    // memory and once reading the row's artifact.
+    let row = perf_row();
+    let mut live = Vec::new();
+    let mut args = row.args.iter().map(String::as_str);
+    while let Some(a) = args.next() {
+        match a {
+            "record" => live.push("report"),
+            "--json" => {
+                args.next();
+            }
+            a => live.push(a),
+        }
+    }
+    let path = output_path(&row.schema, 0).display().to_string();
+    let from_file = repro(&["perf", "report", "--in", &path]);
+    let in_memory = repro(&live);
+    for o in [&from_file, &in_memory] {
+        assert!(o.status.success(), "{}", text(&o.stderr));
+    }
+    assert_eq!(text(&from_file.stdout), text(&in_memory.stdout));
+    assert!(text(&from_file.stdout).contains("weighted_samples "));
 }
 
 #[test]
@@ -408,7 +444,7 @@ fn help_usage_and_exit_codes_keep_their_contract() {
     let unknown = repro(&["no-such-subcommand"]);
     assert_eq!(unknown.status.code(), Some(1));
     assert!(text(&unknown.stderr).contains("unknown experiment"));
-    for flag in ["--dpeth", "--jobs"] {
+    for flag in ["--dpeth", "--jobs", "--out"] {
         let o = repro(&["matrix", flag, "4"]);
         assert_eq!(o.status.code(), Some(2), "{flag} must be refused");
         assert!(text(&o.stderr).contains(flag), "the error names {flag}");
@@ -418,10 +454,14 @@ fn help_usage_and_exit_codes_keep_their_contract() {
 #[test]
 fn a_typo_in_a_flag_value_exits_2_and_names_it() {
     let doc = scratch().join("typo.json");
-    std::fs::write(&doc, "{\"schema\": \"mmu-tricks-bench-v1\", \"n\": 1}\n").expect("write");
+    let fixture = Json::object()
+        .field("schema", "mmu-tricks-matrix-v1")
+        .field("n", 1u32);
+    std::fs::write(&doc, fixture.write()).expect("write");
     let d = doc.display().to_string();
     for (args, bad) in [
-        (vec!["bench", "--depth", "ful"], "\"ful\""),
+        (vec!["matrix", "--depth", "ful"], "\"ful\""),
+        (vec!["perf", "record", "--workload", "storm"], "\"storm\""),
         (vec!["diff", &d, &d, "--limit", "abc"], "\"abc\""),
         (vec!["tune", "--workload", "compil"], "\"compil\""),
         (vec!["chaos", "--check", "maybe"], "\"maybe\""),

@@ -65,6 +65,14 @@ impl Json {
         Json::Arr(items.into_iter().map(Into::into).collect())
     }
 
+    /// The value of field `key`, if this is an object that has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The identity axes: every top-level string field, in document order.
     pub fn axes(&self) -> Vec<(&str, &str)> {
         match self {
@@ -349,7 +357,7 @@ mod tests {
 
     fn sample() -> Json {
         Json::object()
-            .field("schema", "mmu-tricks-bench-v1")
+            .field("schema", "mmu-tricks-matrix-v1")
             .field("depth", "quick")
             .field("n", 7u64)
             .field("rows", Json::arr([Json::obj([("a", 1i64), ("b", -2i64)])]))
@@ -360,7 +368,7 @@ mod tests {
     fn layout_breaks_the_top_two_levels_only_around_containers() {
         assert_eq!(
             sample().write(),
-            "{\n  \"schema\": \"mmu-tricks-bench-v1\",\n  \"depth\": \"quick\",\n  \
+            "{\n  \"schema\": \"mmu-tricks-matrix-v1\",\n  \"depth\": \"quick\",\n  \
              \"n\": 7,\n  \"rows\": [\n    {\"a\": 1, \"b\": -2}\n  ],\n  \
              \"flat\": {\"x\": 1}\n}\n"
         );
@@ -371,9 +379,12 @@ mod tests {
     fn axes_are_the_top_level_strings() {
         assert_eq!(
             sample().axes(),
-            vec![("schema", "mmu-tricks-bench-v1"), ("depth", "quick")]
+            vec![("schema", "mmu-tricks-matrix-v1"), ("depth", "quick")]
         );
         assert!(Json::Num(1).axes().is_empty());
+        assert_eq!(sample().get("n"), Some(&Json::Num(7)));
+        assert_eq!(sample().get("missing"), None);
+        assert_eq!(Json::Num(1).get("n"), None);
     }
 
     #[test]

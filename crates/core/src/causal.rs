@@ -21,11 +21,10 @@
 //! — every recording carries its own live proof of the identity guarantee.
 
 use kernel_sim::causal::{CausalConfig, CausalPath, Ratio};
-use kernel_sim::{FaultInjection, Kernel, KernelConfig, Subsystem};
+use kernel_sim::{KernelConfig, Subsystem};
 
 use crate::artifact::Json;
-use crate::experiments::pressure::run_pressure_on_machine;
-use crate::matrix::{paper_machines, MatrixMachine};
+use crate::matrix::{paper_machines, run_workload, MatrixMachine};
 use crate::tables::Table;
 use crate::{par_map, workers, Depth};
 
@@ -95,35 +94,6 @@ pub fn cell_config() -> KernelConfig {
     let mut cfg = KernelConfig::optimized();
     cfg.mmtune = Some(kernel_sim::MmtuneConfig::default());
     cfg
-}
-
-/// Runs `workload` on machine row `m` under `cfg` and returns end-to-end
-/// cycles (bench-baseline semantics per workload, mirroring the matrix).
-pub fn measure_cycles(
-    m: &MatrixMachine,
-    mut cfg: KernelConfig,
-    workload: &str,
-    depth: Depth,
-) -> u64 {
-    cfg = m.apply(cfg);
-    match workload {
-        "compile" => {
-            let mut k = Kernel::boot(m.machine, cfg);
-            let c0 = k.machine.cycles;
-            lmbench::compile::kernel_compile(&mut k, depth.compile());
-            k.machine.cycles - c0
-        }
-        "fault_storm" => {
-            cfg.fault_injection = Some(FaultInjection::light(42));
-            let hogs = match depth {
-                Depth::Quick => 10,
-                Depth::Full => 24,
-            };
-            let (run, _k) = run_pressure_on_machine(m.machine, cfg, hogs);
-            run.cycles
-        }
-        other => panic!("unknown causal workload {other:?}"),
-    }
 }
 
 /// One target's payoff curve in one cell.
@@ -220,7 +190,7 @@ pub fn causal_report_on(
     let mut results = par_map(workers(), &runs, |&(m, w, causal)| {
         let mut cfg = cell_config();
         cfg.causal = causal;
-        measure_cycles(m, cfg, w, depth)
+        run_workload(m, cfg, w, depth).cycles
     })
     .into_iter();
     let mut next = move || results.next().expect("one result per run");

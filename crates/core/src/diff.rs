@@ -12,15 +12,14 @@
 //! differ: comparing the unoptimized kernel against the optimized one is
 //! the entire point.
 //!
-//! `repro perf diff` is the folded-stack counterpart over two `perf.data`
-//! profiles: per-subsystem weight/exact deltas plus a flamegraph diff in
-//! collapsed format with signed weights (feed it to difffolded.pl-style
-//! tooling or read the rendered ranking).
+//! Two `repro perf record` profiles diff the same way: their subsystems,
+//! pids and collapsed stacks are object keys, so the diff holds the
+//! per-subsystem weight and exact-cycle deltas and a flamegraph diff with
+//! signed per-stack weights ([`crate::perf`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::artifact::{self, Json};
-use crate::perf::PerfData;
 use crate::tables::Table;
 
 /// A run artifact flattened for diffing: identity axes plus every numeric
@@ -108,29 +107,12 @@ pub struct ReportDiff {
     pub entries: Vec<DiffEntry>,
 }
 
-/// Refuses to relate two artifacts whose identity axes differ.
-///
-/// Every comparison surface in this repository — `repro diff` and `repro
-/// perf diff` — funnels its identity axes through this one function, so
-/// every schema gets the same refusal wording. Each tuple is `(axis name,
-/// value in A, value in B)`; the first mismatch is reported.
-pub fn check_identity(axes: &[(&str, &str, &str)]) -> Result<(), String> {
-    for (name, a, b) in axes {
-        if a != b {
-            return Err(format!(
-                "refusing to diff: {name} mismatch (A is \"{a}\", B is \"{b}\") — \
-                 these runs measure different things; re-record them on the same {name}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Diffs two reports, refusing incompatible ones.
 ///
-/// Every identity axis of either document must match exactly, `schema`
-/// first; `config` may differ — that is the before/after use case. An
-/// axis one document lacks compares as `""`.
+/// Every identity axis of either document must match exactly; `config`
+/// may differ — that is the before/after use case. An axis one document
+/// lacks compares as `""`. The refusal names the first mismatched axis,
+/// `schema` first and then the others in name order.
 pub fn diff_reports(a: &FlatReport, b: &FlatReport) -> Result<ReportDiff, String> {
     let names: BTreeSet<&str> = a
         .axes
@@ -139,11 +121,15 @@ pub fn diff_reports(a: &FlatReport, b: &FlatReport) -> Result<ReportDiff, String
         .map(String::as_str)
         .filter(|n| !matches!(*n, "schema" | "config"))
         .collect();
-    let axes: Vec<(&str, &str, &str)> = std::iter::once("schema")
-        .chain(names)
-        .map(|n| (n, a.axis(n), b.axis(n)))
-        .collect();
-    check_identity(&axes)?;
+    for name in std::iter::once("schema").chain(names) {
+        let (va, vb) = (a.axis(name), b.axis(name));
+        if va != vb {
+            return Err(format!(
+                "refusing to diff: {name} mismatch (A is \"{va}\", B is \"{vb}\") — \
+                 these runs measure different things; re-record them on the same {name}"
+            ));
+        }
+    }
     let mut keys: Vec<&String> = a.numbers.keys().chain(b.numbers.keys()).collect();
     keys.sort();
     keys.dedup();
@@ -244,165 +230,27 @@ impl ReportDiff {
     }
 }
 
-/// A flamegraph/profile diff of two `perf.data` recordings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PerfDiff {
-    /// `config` header of A.
-    pub config_a: String,
-    /// `config` header of B.
-    pub config_b: String,
-    /// Exact-cycle totals of A and B.
-    pub total_cycles: (u64, u64),
-    /// Weighted-sample totals of A and B.
-    pub total_weight: (u64, u64),
-    /// `(subsystem, weight in A, weight in B, exact cycles in A, exact
-    /// cycles in B)`, one row per subsystem appearing in either profile.
-    pub subsystems: Vec<(String, u64, u64, u64, u64)>,
-    /// `(collapsed stack, weight in A, weight in B)`, union of both folded
-    /// profiles sorted by stack.
-    pub folded: Vec<(String, u64, u64)>,
-}
-
-/// Diffs two profiles, refusing incompatible recordings: workload, depth,
-/// machine and sampling period must all match (weights are only comparable
-/// at equal periods); kernel config may differ.
-pub fn diff_perf(a: &PerfData, b: &PerfData) -> Result<PerfDiff, String> {
-    check_identity(&[
-        ("workload", &a.workload, &b.workload),
-        ("depth", &a.depth, &b.depth),
-        ("machine", &a.machine, &b.machine),
-        ("period", &a.period.to_string(), &b.period.to_string()),
-    ])?;
-    let mut subs: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-    for (name, w, e) in &a.subsystems {
-        let s = subs.entry(name.clone()).or_default();
-        s.0 = *w;
-        s.2 = *e;
-    }
-    for (name, w, e) in &b.subsystems {
-        let s = subs.entry(name.clone()).or_default();
-        s.1 = *w;
-        s.3 = *e;
-    }
-    let mut folded: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (k, w) in &a.folded {
-        folded.entry(k.clone()).or_default().0 = *w;
-    }
-    for (k, w) in &b.folded {
-        folded.entry(k.clone()).or_default().1 = *w;
-    }
-    Ok(PerfDiff {
-        config_a: a.config.clone(),
-        config_b: b.config.clone(),
-        total_cycles: (a.total_cycles, b.total_cycles),
-        total_weight: (a.total_weight(), b.total_weight()),
-        subsystems: subs
-            .into_iter()
-            .map(|(n, (wa, wb, ea, eb))| (n, wa, wb, ea, eb))
-            .collect(),
-        folded: folded
-            .into_iter()
-            .map(|(k, (wa, wb))| (k, wa, wb))
-            .collect(),
-    })
-}
-
-impl PerfDiff {
-    /// Exact-cycle delta (B − A): negative means B is faster.
-    pub fn cycles_delta(&self) -> i64 {
-        self.total_cycles.1 as i64 - self.total_cycles.0 as i64
-    }
-
-    /// Weighted-sample delta (B − A).
-    pub fn weight_delta(&self) -> i64 {
-        self.total_weight.1 as i64 - self.total_weight.0 as i64
-    }
-
-    /// The folded flamegraph diff: one `stack signed-delta` line per stack
-    /// whose weight changed, sorted by stack. The deltas sum exactly to
-    /// [`PerfDiff::weight_delta`] (every sample is accounted for).
-    pub fn folded_diff_lines(&self) -> String {
-        let mut s = String::new();
-        for (key, wa, wb) in &self.folded {
-            let d = *wb as i64 - *wa as i64;
-            if d != 0 {
-                s.push_str(&format!("{key} {d:+}\n"));
-            }
-        }
-        s
-    }
-
-    /// Rendered per-subsystem ranking, largest exact-cycle delta first.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            format!(
-                "perf diff: {} -> {} exact cycles ({:+})",
-                self.total_cycles.0,
-                self.total_cycles.1,
-                self.cycles_delta()
-            ),
-            vec![
-                "subsystem".into(),
-                "weight_a".into(),
-                "weight_b".into(),
-                "weight_delta".into(),
-                "exact_a".into(),
-                "exact_b".into(),
-                "exact_delta".into(),
-            ],
-        );
-        let mut rows = self.subsystems.clone();
-        rows.sort_by(|x, y| {
-            let dx = (x.4 as i64 - x.3 as i64).unsigned_abs();
-            let dy = (y.4 as i64 - y.3 as i64).unsigned_abs();
-            dy.cmp(&dx).then(x.0.cmp(&y.0))
-        });
-        for (name, wa, wb, ea, eb) in rows {
-            if wa == 0 && wb == 0 && ea == 0 && eb == 0 {
-                continue;
-            }
-            t.push_row(vec![
-                name,
-                format!("{wa}"),
-                format!("{wb}"),
-                format!("{:+}", wb as i64 - wa as i64),
-                format!("{ea}"),
-                format!("{eb}"),
-                format!("{:+}", eb as i64 - ea as i64),
-            ]);
-        }
-        t
-    }
-
-    /// Flat `key value` summary lines (`cycles_delta` is negative when B
-    /// is faster).
-    pub fn summary(&self) -> String {
-        format!(
-            "cycles_a {}\ncycles_b {}\ncycles_delta {:+}\nweight_a {}\nweight_b {}\n\
-             weight_delta {:+}\nstacks_changed {}\n",
-            self.total_cycles.0,
-            self.total_cycles.1,
-            self.cycles_delta(),
-            self.total_weight.0,
-            self.total_weight.1,
-            self.weight_delta(),
-            self.folded.iter().filter(|(_, wa, wb)| wa != wb).count(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn doc(config: &str, cycles: u64, faults: u64) -> String {
-        format!(
-            "{{\"schema\": \"mmu-tricks-bench-v1\", \"depth\": \"quick\", \
-             \"machine\": \"604-133\", \"config\": \"{config}\", \
-             \"workloads\": {{\"compile\": {{\"cycles\": {cycles}, \
-             \"page_faults\": {faults}, \"label\": \"not an axis\"}}, \
-             \"list\": [1, 2, 3]}}}}"
-        )
+        let compile = Json::object()
+            .field("cycles", cycles)
+            .field("page_faults", faults)
+            .field("label", "not an axis");
+        Json::object()
+            .field("schema", "mmu-tricks-matrix-v1")
+            .field("depth", "quick")
+            .field("machine", "604-133")
+            .field("config", config)
+            .field(
+                "workloads",
+                Json::object()
+                    .field("compile", compile)
+                    .field("list", Json::arr([1u32, 2, 3])),
+            )
+            .write()
     }
 
     fn with_axis(r: &FlatReport, name: &str, value: &str) -> FlatReport {
@@ -428,7 +276,7 @@ mod tests {
     #[test]
     fn parser_handles_every_artifact_shape() {
         let r = parse_report(&doc("opt", 100, 5)).unwrap();
-        assert_eq!(r.axis("schema"), "mmu-tricks-bench-v1");
+        assert_eq!(r.axis("schema"), "mmu-tricks-matrix-v1");
         assert_eq!(r.axis("machine"), "604-133");
         assert_eq!(r.numbers["workloads.compile.cycles"], 100);
         assert_eq!(r.numbers["workloads.list[2]"], 3);
@@ -471,7 +319,7 @@ mod tests {
         let c = with_axis(&a, "depth", "full");
         assert!(diff_reports(&a, &c).unwrap_err().contains("depth mismatch"));
         // The schema axis is reported first, whatever else differs.
-        let d = with_axis(&c, "schema", "mmu-tricks-matrix-v1");
+        let d = with_axis(&c, "schema", "mmu-tricks-tune-v1");
         let err = diff_reports(&a, &d).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
         // Config difference is the use case, never an error.
@@ -523,7 +371,7 @@ mod tests {
 
     #[test]
     fn check_header_parses_and_old_artifacts_default_to_empty() {
-        let with = "{\"schema\": \"mmu-tricks-bench-v1\", \"check\": \"on\", \"n\": 1}";
+        let with = "{\"schema\": \"mmu-tricks-chaos-v1\", \"check\": \"on\", \"n\": 1}";
         assert_eq!(parse_report(with).unwrap().axis("check"), "on");
         let without = parse_report(&doc("opt", 1, 1)).unwrap();
         assert_eq!(without.axis("check"), "");
@@ -534,15 +382,15 @@ mod tests {
 
     #[test]
     fn check_identity_reports_the_first_mismatched_axis() {
-        assert!(check_identity(&[("depth", "quick", "quick")]).is_ok());
-        assert!(check_identity(&[]).is_ok());
-        let err = check_identity(&[
-            ("depth", "quick", "quick"),
-            ("machine", "604-133", "603-swload"),
-            ("workload", "compile", "storm"),
-        ])
-        .unwrap_err();
+        // The identity check inside `diff_reports` names one axis: the
+        // first mismatch in name order after `schema`.
+        let a = parse_report(&doc("opt", 1, 1)).unwrap();
+        let b = with_axis(&with_axis(&a, "workload", "storm"), "machine", "603-swload");
+        let err = diff_reports(&a, &b).unwrap_err();
         assert!(err.contains("machine mismatch"), "{err}");
+        assert!(!err.contains("workload"), "{err}");
+        let c = with_axis(&b, "depth", "full");
+        assert!(diff_reports(&a, &c).unwrap_err().contains("depth mismatch"));
     }
 
     #[test]

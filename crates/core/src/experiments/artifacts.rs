@@ -4,13 +4,14 @@
 //! then tracer on — and packages everything the observability layer
 //! captured into two artifacts that can be diffed across commits:
 //!
-//! * `metrics.json` — flat counters: total cycles, the measured tracer
-//!   overhead (zero by construction, and *checked* here), per-subsystem
-//!   cycle attribution, latency percentiles for the three hot paths,
-//!   every [`KernelStats`] counter, and the per-PTEG insert/collision
-//!   heatmap;
-//! * a Chrome `trace_event` JSON timeline (load it in `about:tracing` or
-//!   Perfetto) with cycle stamps as timestamps.
+//! * `metrics.json` (`mmu-tricks-metrics-v1`) — flat counters: total
+//!   cycles, the measured tracer overhead (zero by construction, and
+//!   *checked* here), per-subsystem cycle attribution, latency percentiles
+//!   for the three hot paths, every [`KernelStats`] counter, and the
+//!   per-PTEG insert/collision heatmap;
+//! * the trace ring as a Chrome `trace_event` timeline
+//!   (`mmu-tricks-timeline-v1`; load it in `about:tracing` or Perfetto)
+//!   with cycle stamps as timestamps.
 //!
 //! Both are byte-for-byte reproducible: no wall-clock timestamps, no
 //! paths, no floating-point formatting that varies run to run.
@@ -19,6 +20,7 @@ use kernel_sim::sched::USER_BASE;
 use kernel_sim::telemetry::SERIES_NAMES;
 use kernel_sim::{
     EpochSample, Kernel, KernelConfig, KernelStats, LatencyPath, Subsystem, TelemetryConfig,
+    TraceEvent, TraceRecord,
 };
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
@@ -101,8 +103,8 @@ pub struct TraceArtifacts {
     pub ring_pushed: u64,
     /// Records overwritten by wrap-around.
     pub ring_dropped: u64,
-    /// Chrome `trace_event` JSON of the ring.
-    pub chrome_json: String,
+    /// The ring's records, oldest first.
+    pub events: Vec<TraceRecord>,
     /// Epoch width of the telemetry sampler (cycles).
     pub telemetry_epoch_cycles: u64,
     /// The MMU time series, one sample per crossed epoch (plus the final
@@ -172,6 +174,40 @@ impl TraceArtifacts {
             .field("telemetry", telemetry)
     }
 
+    /// The `mmu-tricks-timeline-v1` artifact: the trace ring as a Chrome
+    /// `trace_event` document (the object form: a `traceEvents` array of
+    /// instant events after one process-name record). Timestamps are the
+    /// cycle stamps themselves, so the time axis in `about:tracing` or
+    /// Perfetto reads in simulated cycles; booleans in `args` are 0 or 1.
+    pub fn timeline_json(&self) -> Json {
+        let process = Json::object()
+            .field("name", "process_name")
+            .field("ph", "M")
+            .field("pid", 0u32)
+            .field("tid", 0u32)
+            .field("args", Json::obj([("name", "kernel-sim")]));
+        let events = self.events.iter().map(|r| {
+            Json::object()
+                .field("name", r.event.name())
+                .field("ph", "i")
+                .field("s", "t")
+                .field("ts", r.cycle)
+                .field("pid", r.pid)
+                .field("tid", 0u32)
+                .field("args", event_args(&r.event))
+        });
+        Json::object()
+            .field("schema", "mmu-tricks-timeline-v1")
+            .field("depth", self.depth)
+            .field("machine", &self.machine)
+            .field("config", &self.config)
+            .field("displayTimeUnit", "ns")
+            .field(
+                "traceEvents",
+                Json::Arr(std::iter::once(process).chain(events).collect()),
+            )
+    }
+
     /// The telemetry time series as a sparkline table (the `repro report`
     /// view): one row per series with its range and an ASCII plot over the
     /// run's epochs.
@@ -209,6 +245,35 @@ impl TraceArtifacts {
     }
 }
 
+/// A trace event's payload: the Chrome `args` object.
+fn event_args(e: &TraceEvent) -> Json {
+    let flag = u32::from;
+    let args = Json::object();
+    match *e {
+        TraceEvent::TlbMiss { ea, kernel } => args.field("ea", ea).field("kernel", flag(kernel)),
+        TraceEvent::HtabInsert { pteg, evicted } => {
+            args.field("pteg", pteg).field("evicted", flag(evicted))
+        }
+        TraceEvent::Flush { pages } => args.field("pages", pages),
+        TraceEvent::ContextBump | TraceEvent::Syscall => args,
+        TraceEvent::PageFault { ea } | TraceEvent::CowFault { ea } => args.field("ea", ea),
+        TraceEvent::CtxSwitch { to } => args.field("to", to),
+        TraceEvent::Signal { fatal } => args.field("fatal", flag(fatal)),
+        TraceEvent::Reclaim { scanned, cleared } => {
+            args.field("scanned", scanned).field("cleared", cleared)
+        }
+        TraceEvent::OomKill { victim } => args.field("victim", victim),
+        TraceEvent::Idle { budget } => args.field("budget", budget),
+        TraceEvent::PmuSample { sub, weight } => {
+            args.field("sub", sub.name()).field("weight", weight)
+        }
+        TraceEvent::Retune { knob, from, to } => args
+            .field("knob", knob.name())
+            .field("from", from)
+            .field("to", to),
+    }
+}
+
 /// Reduces a series to at most `width` points by taking the max of each
 /// chunk (peaks are what a trend plot must not lose).
 fn downsample(vals: &[u64], width: usize) -> Vec<f64> {
@@ -223,9 +288,9 @@ fn downsample(vals: &[u64], width: usize) -> Vec<f64> {
 
 /// The reference workload: the paper's compile, then a signal-heavy coda so
 /// all three latency paths (TLB reload, page fault, signal delivery) carry
-/// samples, then an idle sweep. Fully deterministic — the `repro bench`
-/// artifact, the perf recorder and the E-PMU experiment all run exactly
-/// this, so their cycle totals are comparable.
+/// samples, then an idle sweep. Fully deterministic — the matrix's
+/// `trace_ref` workload (which the perf recorder also samples) and the
+/// E-PMU experiment run exactly this, so their cycle totals are comparable.
 pub fn reference_workload(k: &mut Kernel, depth: Depth) {
     lmbench::compile::kernel_compile(k, depth.compile());
     let pid = k.spawn_process(8).expect("room for the signal task");
@@ -320,7 +385,7 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
         ring_recorded: t.ring.len(),
         ring_pushed: t.ring.total_pushed(),
         ring_dropped: t.ring.dropped(),
-        chrome_json: t.chrome_trace_json(),
+        events: t.ring.iter().copied().collect(),
         telemetry_epoch_cycles: kernel_sim::telemetry::DEFAULT_EPOCH_CYCLES,
         telemetry,
     };
@@ -381,19 +446,83 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::parse;
+    use std::sync::OnceLock;
+
+    /// One quick traced run shared by the tests that only read it.
+    fn quick() -> &'static (TraceArtifacts, Vec<Table>) {
+        static QUICK: OnceLock<(TraceArtifacts, Vec<Table>)> = OnceLock::new();
+        QUICK.get_or_init(|| trace_artifacts(Depth::Quick))
+    }
+
+    /// The timeline written and read back through the one artifact parser,
+    /// and its `traceEvents` array.
+    fn timeline(a: &TraceArtifacts) -> (Json, Vec<Json>) {
+        let doc = parse(&a.timeline_json().write()).expect("the timeline parses");
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+            panic!("the timeline has no traceEvents array");
+        };
+        let events = events.clone();
+        (doc, events)
+    }
 
     #[test]
     fn artifacts_are_deterministic_and_overhead_free() {
-        let (a, _) = trace_artifacts(Depth::Quick);
+        let (a, _) = quick();
         let (b, _) = trace_artifacts(Depth::Quick);
         assert_eq!(a.overhead_cycles, 0, "tracing must not charge cycles");
         assert_eq!(a.metrics_json().write(), b.metrics_json().write());
-        assert_eq!(a.chrome_json, b.chrome_json);
+        assert_eq!(a.timeline_json().write(), b.timeline_json().write());
+    }
+
+    #[test]
+    fn chrome_json_shape() {
+        let mut a = quick().0.clone();
+        a.events = vec![TraceRecord {
+            cycle: 42,
+            pid: 7,
+            event: TraceEvent::HtabInsert {
+                pteg: 3,
+                evicted: true,
+            },
+        }];
+        let (doc, events) = timeline(&a);
+        let schema = Json::from("mmu-tricks-timeline-v1");
+        assert_eq!(doc.get("schema"), Some(&schema));
+        assert_eq!(doc.get("displayTimeUnit"), Some(&Json::from("ns")));
+        assert_eq!(events.len(), 2, "the process-name record, then the event");
+        assert_eq!(events[0].get("ph"), Some(&Json::from("M")));
+        let insert = Json::object()
+            .field("name", "htab_insert")
+            .field("ph", "i")
+            .field("s", "t")
+            .field("ts", 42u32)
+            .field("pid", 7u32)
+            .field("tid", 0u32)
+            .field("args", Json::obj([("pteg", 3u32), ("evicted", 1)]));
+        assert_eq!(events[1], insert, "booleans are written as 0/1");
+    }
+
+    #[test]
+    fn chrome_export_of_a_real_run_is_balanced() {
+        let (a, _) = quick();
+        let (_, events) = timeline(a);
+        assert_eq!(events.len(), a.ring_recorded + 1);
+        let names: Vec<&Json> = events.iter().filter_map(|e| e.get("name")).collect();
+        assert_eq!(names.len(), events.len(), "every event is named");
+        assert!(names.contains(&&Json::from("tlb_miss")));
+        // Events carry their cycle stamps, oldest first.
+        let stamps: Vec<&Json> = events[1..].iter().filter_map(|e| e.get("ts")).collect();
+        assert_eq!(stamps.len(), a.ring_recorded);
+        assert!(stamps.windows(2).all(|w| match (w[0], w[1]) {
+            (Json::Num(x), Json::Num(y)) => x <= y,
+            _ => false,
+        }));
     }
 
     #[test]
     fn attribution_sums_and_latency_paths_populate() {
-        let (a, tables) = trace_artifacts(Depth::Quick);
+        let (a, tables) = quick();
         assert_eq!(a.attribution_total(), a.total_cycles);
         assert_eq!(a.latency.len(), 3);
         for l in &a.latency {
@@ -419,7 +548,7 @@ mod tests {
 
     #[test]
     fn metrics_json_has_the_required_keys_and_balances() {
-        let (a, _) = trace_artifacts(Depth::Quick);
+        let (a, _) = quick();
         let j = a.metrics_json().write();
         for key in [
             "\"schema\"",

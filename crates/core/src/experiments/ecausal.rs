@@ -28,8 +28,8 @@
 use kernel_sim::causal::{CausalConfig, CausalPath, Ratio};
 use kernel_sim::{KernelConfig, Subsystem};
 
-use crate::causal::{causal_report_on, measure_cycles, CausalTarget};
-use crate::matrix::{paper_machines, MatrixMachine};
+use crate::causal::{causal_report_on, CausalTarget};
+use crate::matrix::{machine_row, run_workload};
 use crate::tables::Table;
 use crate::Depth;
 
@@ -73,13 +73,6 @@ impl CausalGateResult {
     }
 }
 
-fn machine_row(id: &str) -> MatrixMachine {
-    paper_machines()
-        .into_iter()
-        .find(|m| m.id == id)
-        .unwrap_or_else(|| panic!("unknown matrix machine {id:?}"))
-}
-
 fn ppm_of(delta: i64, baseline: u64) -> i64 {
     (delta as i128 * 1_000_000 / (baseline as i128).max(1)) as i64
 }
@@ -98,10 +91,10 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
     };
     let sw = machine_row("603-swload");
     let no = machine_row("603-nohtab");
-    let c_sw = measure_cycles(&sw, plain(), "compile", depth);
-    let c_no = measure_cycles(&no, plain(), "compile", depth);
-    let c_sw_z = measure_cycles(&sw, with_zero(), "compile", depth);
-    let c_no_z = measure_cycles(&no, with_zero(), "compile", depth);
+    let c_sw = run_workload(&sw, plain(), "compile", depth).cycles;
+    let c_no = run_workload(&no, plain(), "compile", depth).cycles;
+    let c_sw_z = run_workload(&sw, with_zero(), "compile", depth).cycles;
+    let c_no_z = run_workload(&no, with_zero(), "compile", depth).cycles;
     let measured_delta = c_sw as i64 - c_no as i64;
     let explained_delta = (c_sw as i64 - c_sw_z as i64) - (c_no as i64 - c_no_z as i64);
     let residual_ppm = ppm_of((measured_delta - explained_delta).abs(), c_sw);
@@ -120,7 +113,7 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
     let cell = &report.cells[0];
     let mut cfg_idle_zero = crate::causal::cell_config();
     cfg_idle_zero.causal = Some(CausalConfig::identity().scale_subsystem(Subsystem::Idle, Ratio::ZERO));
-    let c_idle_zero = measure_cycles(&m604[0], cfg_idle_zero, "fault_storm", depth);
+    let c_idle_zero = run_workload(&m604[0], cfg_idle_zero, "fault_storm", depth).cycles;
     let idle_payoff_ppm = ppm_of(cell.baseline_cycles as i64 - c_idle_zero as i64, cell.baseline_cycles);
     let rank_of = |id: &str| report.ranking.iter().position(|(t, _)| t == id);
     let idle_ranked_below_reload = rank_of("sub:idle") > rank_of("path:tlb_reload");

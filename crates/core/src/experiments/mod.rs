@@ -65,5 +65,5 @@ pub use narrative::{
 };
 pub use paper_tables::{table1, table2, table3};
 pub use pmu::{exp_pmu, PmuConvergenceRow, PmuResult};
-pub use pressure::{exp_pressure, run_pressure, run_pressure_on};
+pub use pressure::{exp_pressure, run_pressure};
 pub use trace::{memory_hierarchy, trace_compile};

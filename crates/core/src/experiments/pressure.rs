@@ -31,35 +31,30 @@ pub struct PressureRun {
     pub survivors: usize,
 }
 
-/// Drives the storm on a freshly booted kernel with injector seed `seed`:
-/// a victim pool of faulting tasks, a memory-hog pool that outgrows RAM,
-/// and a page-cache working set for the reclaimer to feed on.
+/// Drives the storm on a freshly booted kernel with injector seed `seed`
+/// (boot excluded from the window).
 pub fn run_pressure(seed: u64, hogs: u32) -> PressureRun {
     let cfg = KernelConfig {
         fault_injection: Some(FaultInjection::light(seed)),
         ..KernelConfig::optimized()
     };
-    run_pressure_on(cfg, hogs).0
-}
-
-/// As [`run_pressure`], but on an arbitrary kernel configuration (the perf
-/// recorder runs the same storm with the PMU sampling), returning the
-/// kernel too so callers can read tracer/PMU state.
-pub fn run_pressure_on(cfg: KernelConfig, hogs: u32) -> (PressureRun, Kernel) {
-    run_pressure_on_machine(MachineConfig::ppc604_133(), cfg, hogs)
-}
-
-/// The fully parameterized storm: any machine, any kernel configuration —
-/// one bench-matrix cell's worth of fault-storm work.
-pub fn run_pressure_on_machine(
-    machine: MachineConfig,
-    cfg: KernelConfig,
-    hogs: u32,
-) -> (PressureRun, Kernel) {
-    let mut k = Kernel::boot(machine, cfg);
+    let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
     let k0 = k.stats;
     let c0 = k.machine.cycles;
+    let survivors = fault_storm(&mut k, hogs);
+    PressureRun {
+        stats: k.stats.delta(&k0),
+        cycles: k.machine.cycles - c0,
+        survivors,
+    }
+}
 
+/// The storm itself, on any booted kernel: a victim pool of faulting
+/// tasks, `hogs` memory hogs that outgrow RAM, and a page-cache working set
+/// for the reclaimer to feed on. Returns the tasks alive when the storm
+/// ended; every one of them has exited by the time this returns. The
+/// bench matrix's `fault_storm` workload is this on every machine row.
+pub fn fault_storm(k: &mut Kernel, hogs: u32) -> usize {
     // Page-cache fodder: a file the reclaimer can evict from (reads fill
     // the cache; nothing maps it, so every page is fair game).
     let cache_file = k
@@ -126,24 +121,12 @@ pub fn run_pressure_on_machine(
         }
     }
 
-    k.pmu_finish();
-    (
-        PressureRun {
-            stats: k.stats.delta(&k0),
-            cycles: k.machine.cycles - c0,
-            survivors,
-        },
-        k,
-    )
+    survivors
 }
 
 /// Runs the pressure storm and renders its fault ledger.
 pub fn exp_pressure(depth: Depth) -> (PressureRun, Table) {
-    let hogs = match depth {
-        Depth::Quick => 10,
-        Depth::Full => 24,
-    };
-    let run = run_pressure(42, hogs);
+    let run = run_pressure(42, depth.storm_hogs());
     let mut t = Table::new(
         "Fault storm (604 133MHz, seeded injector): the kernel survives",
         vec!["counter".into(), "count".into()],

@@ -32,7 +32,6 @@
 //! ```
 
 pub mod artifact;
-pub mod bench;
 pub mod causal;
 pub mod chaos;
 pub mod diff;
@@ -73,6 +72,14 @@ impl Depth {
         match self {
             Depth::Quick => CompileConfig::small(),
             Depth::Full => CompileConfig::full(),
+        }
+    }
+
+    /// Memory hogs in the E-PRESSURE fault storm at this depth.
+    pub fn storm_hogs(self) -> u32 {
+        match self {
+            Depth::Quick => 10,
+            Depth::Full => 24,
         }
     }
 

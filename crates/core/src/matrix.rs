@@ -14,11 +14,13 @@
 //! ordering.
 
 use kernel_sim::{FaultInjection, Kernel, KernelConfig, KernelStats, LatencyPath, Subsystem};
-use ppc_machine::MachineConfig;
+use ppc_cache::stats::CacheStats;
+use ppc_machine::{MachineConfig, MonitorSnapshot};
+use ppc_mmu::tlb::TlbStats;
 
 use crate::artifact::Json;
 use crate::experiments::artifacts::reference_workload;
-use crate::experiments::pressure::run_pressure_on_machine;
+use crate::experiments::pressure::fault_storm;
 use crate::tables::Table;
 use crate::{par_map, workers, Depth};
 
@@ -77,6 +79,18 @@ pub fn paper_machines() -> Vec<MatrixMachine> {
             htab_on_603: None,
         },
     ]
+}
+
+/// The paper machine row named `id`.
+///
+/// # Panics
+///
+/// Panics if `id` is not a [`paper_machines`] row.
+pub fn machine_row(id: &str) -> MatrixMachine {
+    paper_machines()
+        .into_iter()
+        .find(|m| m.id == id)
+        .unwrap_or_else(|| panic!("unknown matrix machine {id:?}"))
 }
 
 /// The optimization columns: the two endpoint kernels plus one ablation
@@ -155,6 +169,8 @@ pub struct MatrixCell {
     pub wall_us: u64,
     /// Kernel counter deltas over the measurement window.
     pub stats: KernelStats,
+    /// Hardware-monitor deltas over the measurement window.
+    pub monitor: MonitorSnapshot,
     /// Profiler self-cycles per subsystem ([`Subsystem::ALL`] order) for
     /// the whole traced run.
     pub self_cycles: Vec<(&'static str, u64)>,
@@ -184,16 +200,77 @@ pub struct BenchMatrix {
     pub cells: Vec<MatrixCell>,
 }
 
-fn finish_cell(
+/// What one headline workload measured over its window.
+pub struct HeadlineRun {
+    /// Cycles in the window.
+    pub cycles: u64,
+    /// Kernel counter deltas over the window.
+    pub stats: KernelStats,
+    /// Hardware-monitor deltas over the window.
+    pub monitor: MonitorSnapshot,
+    /// The kernel after the run, for its tracer and PMU.
+    pub kernel: Kernel,
+}
+
+/// Runs headline `workload` on machine row `m` under `cfg`, whose
+/// observers (tracing, PMU, causal scaling) are the caller's choice.
+///
+/// The window is the workload proper: `compile` and `fault_storm` (seed
+/// 42, [`Depth::storm_hogs`] hogs) exclude boot; `trace_ref`, the
+/// reference workload, is the whole run from power-on. Any PMU sample
+/// still pending when the workload ends is taken inside the window.
+///
+/// # Panics
+///
+/// Panics if `workload` is not one of [`WORKLOADS`].
+pub fn run_workload(
+    m: &MatrixMachine,
+    cfg: KernelConfig,
+    workload: &str,
+    depth: Depth,
+) -> HeadlineRun {
+    let mut cfg = m.apply(cfg);
+    if workload == "fault_storm" {
+        cfg.fault_injection = Some(FaultInjection::light(42));
+    }
+    let mut k = Kernel::boot(m.machine, cfg);
+    let (c0, s0, m0) = if workload == "trace_ref" {
+        Default::default()
+    } else {
+        (k.machine.cycles, k.stats, k.machine.snapshot())
+    };
+    match workload {
+        "compile" => {
+            lmbench::compile::kernel_compile(&mut k, depth.compile());
+        }
+        "fault_storm" => {
+            fault_storm(&mut k, depth.storm_hogs());
+        }
+        "trace_ref" => reference_workload(&mut k, depth),
+        other => panic!("unknown matrix workload {other:?}"),
+    }
+    k.pmu_finish();
+    HeadlineRun {
+        cycles: k.machine.cycles - c0,
+        stats: k.stats.delta(&s0),
+        monitor: k.machine.snapshot().delta(&m0),
+        kernel: k,
+    }
+}
+
+/// Runs one cell: [`run_workload`] with tracing on (it is proven free), so
+/// every cell carries attribution and latency percentiles.
+pub fn run_cell(
     m: &MatrixMachine,
     config: &'static str,
+    mut cfg: KernelConfig,
     workload: &'static str,
-    cycles: u64,
-    stats: KernelStats,
-    k: &mut Kernel,
+    depth: Depth,
 ) -> MatrixCell {
-    let now = k.machine.cycles;
-    let t = k.tracer.as_mut().expect("matrix cells always trace");
+    cfg.trace = true;
+    let mut run = run_workload(m, cfg, workload, depth);
+    let now = run.kernel.machine.cycles;
+    let t = run.kernel.tracer.as_mut().expect("cells always trace");
     t.prof.finish(now);
     let self_cycles = Subsystem::ALL
         .iter()
@@ -211,52 +288,12 @@ fn finish_cell(
         machine: m.id,
         config,
         workload,
-        cycles,
-        wall_us: cycles / u64::from(m.machine.clock_mhz),
-        stats,
+        cycles: run.cycles,
+        wall_us: run.cycles / u64::from(m.machine.clock_mhz),
+        stats: run.stats,
+        monitor: run.monitor,
         self_cycles,
         latency,
-    }
-}
-
-/// Runs one cell. Tracing is always on (it is proven free), so every cell
-/// carries attribution and latency percentiles.
-pub fn run_cell(
-    m: &MatrixMachine,
-    config: &'static str,
-    cfg: KernelConfig,
-    workload: &'static str,
-    depth: Depth,
-) -> MatrixCell {
-    let mut cfg = m.apply(cfg);
-    cfg.trace = true;
-    match workload {
-        "compile" => {
-            let mut k = Kernel::boot(m.machine, cfg);
-            let c0 = k.machine.cycles;
-            let s0 = k.stats;
-            lmbench::compile::kernel_compile(&mut k, depth.compile());
-            let cycles = k.machine.cycles - c0;
-            let stats = k.stats.delta(&s0);
-            finish_cell(m, config, workload, cycles, stats, &mut k)
-        }
-        "fault_storm" => {
-            cfg.fault_injection = Some(FaultInjection::light(42));
-            let hogs = match depth {
-                Depth::Quick => 10,
-                Depth::Full => 24,
-            };
-            let (run, mut k) = run_pressure_on_machine(m.machine, cfg, hogs);
-            finish_cell(m, config, workload, run.cycles, run.stats, &mut k)
-        }
-        "trace_ref" => {
-            let mut k = Kernel::boot(m.machine, cfg);
-            reference_workload(&mut k, depth);
-            let cycles = k.machine.cycles;
-            let stats = k.stats;
-            finish_cell(m, config, workload, cycles, stats, &mut k)
-        }
-        other => panic!("unknown matrix workload {other:?}"),
     }
 }
 
@@ -314,6 +351,36 @@ pub fn run_matrix(depth: Depth) -> BenchMatrix {
     run_matrix_on_jobs(&paper_machines(), &paper_variants(), WORKLOADS, depth, workers())
 }
 
+/// A window's TLB and cache counts, one object per unit.
+fn monitor_json(m: &MonitorSnapshot) -> Json {
+    let tlb = |t: &TlbStats| {
+        Json::object()
+            .field("lookups", t.lookups)
+            .field("hits", t.hits)
+            .field("misses", t.misses)
+            .field("reloads", t.reloads)
+            .field("tlbie", t.tlbie)
+            .field("flush_all", t.flush_all)
+    };
+    let cache = |c: &CacheStats| {
+        Json::object()
+            .field("accesses", c.accesses)
+            .field("hits", c.hits)
+            .field("misses", c.misses)
+            .field("evictions", c.evictions)
+            .field("writebacks", c.writebacks)
+            .field("inhibited", c.inhibited)
+            .field("zero_fills", c.zero_fills)
+            .field("prefetch_fills", c.prefetch_fills)
+            .field("prefetch_redundant", c.prefetch_redundant)
+    };
+    Json::object()
+        .field("itlb", tlb(&m.itlb))
+        .field("dtlb", tlb(&m.dtlb))
+        .field("icache", cache(&m.icache))
+        .field("dcache", cache(&m.dcache))
+}
+
 impl BenchMatrix {
     /// Looks a cell up by its axes.
     pub fn cell(&self, machine: &str, config: &str, workload: &str) -> Option<&MatrixCell> {
@@ -334,6 +401,7 @@ impl BenchMatrix {
                 .field("cycles", c.cycles)
                 .field("wall_us", c.wall_us)
                 .field("stats", Json::obj(c.stats.as_named_pairs()))
+                .field("monitor", monitor_json(&c.monitor))
                 .field("self", Json::obj(c.self_cycles.iter().copied()))
                 .field(
                     "latency",
@@ -417,6 +485,26 @@ mod tests {
                 c.key()
             );
         }
+        // The optimized 604/133 headline counters. (Its ITLB misses are
+        // legitimately zero: instruction fetches hit the IBATs, §5.1.)
+        let cell = |w| g.cell("604-133", "opt", w).unwrap();
+        let compile = cell("compile");
+        let dtlb = compile.monitor.dtlb;
+        assert!(dtlb.misses > 0 && dtlb.misses < dtlb.lookups);
+        let s = compile.stats;
+        assert!(s.htab_hits > s.htab_misses, "optimized htab mostly hits");
+        assert!(cell("fault_storm").stats.oom_kills > 0);
+        let trace_ref = cell("trace_ref");
+        assert!(trace_ref.cycles > compile.cycles, "ref includes boot+coda");
+        // Tracing is free: the traced cell counts what an untraced run does.
+        let untraced = run_workload(
+            &machine_row("604-133"),
+            KernelConfig::optimized(),
+            "trace_ref",
+            Depth::Quick,
+        );
+        assert_eq!(untraced.cycles, trace_ref.cycles);
+        assert_eq!(untraced.monitor, trace_ref.monitor);
     }
 
     #[test]
@@ -448,6 +536,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {}", c.key()));
             assert!(line.contains(&format!("\"cycles\": {}", c.cycles)));
             assert!(line.contains("\"tlb_reloads\""));
+            let dtlb = format!("\"dtlb\": {{\"lookups\": {}", c.monitor.dtlb.lookups);
+            assert!(line.contains(&dtlb));
             assert!(line.contains("\"p99\""));
         }
         // Config summaries ride in the header for diff refusal.

@@ -1,80 +1,36 @@
 //! The `repro perf` engine: record / report / annotate over PMU samples.
 //!
 //! This is the §4 measurement methodology turned into a tool: `record` runs
-//! a workload with the 604 PMU sampling on cycles, captures the weighted
-//! sample aggregates next to the exact profiler's ground truth from the
-//! *same run*, and serializes everything into a `perf.data`-style text file.
-//! `report` renders self-time tables from such a file, `annotate` draws
-//! ASCII share bars, and the folded view exports Brendan Gregg's
-//! collapsed-stack format for flamegraph tooling.
+//! a headline workload ([`run_workload`]) with the 604 PMU sampling on
+//! cycles and captures the weighted sample aggregates next to the exact
+//! profiler's ground truth from the *same run*. `report` renders self-time
+//! tables from a recording, `annotate` draws ASCII share bars, and the
+//! folded view exports Brendan Gregg's collapsed-stack format for
+//! flamegraph tooling.
 //!
-//! The file format is line-based, deterministic and diff-friendly:
-//!
-//! ```text
-//! # perf.data mmu-tricks-perf-v1
-//! workload compile
-//! depth quick
-//! machine 604-133
-//! config bats=1 io_bat=0 vsid=ctx*897 ...
-//! period 4096
-//! total_cycles 8123456
-//! baseline_cycles 8000000
-//! interrupts 1940
-//! supervisor_weight 1102
-//! user_weight 860
-//! sub translate 410 3291002
-//! pid 1 1204
-//! fold pid1;translate;htab_insert 88
-//! ```
-//!
-//! No timestamps, no floats, no hash-order iteration — recording the same
-//! workload twice produces byte-identical files.
+//! A recording is the `mmu-tricks-perf-v1` artifact ([`PerfData::to_json`]),
+//! written in the one [`crate::artifact`] format. `subsystems`, `pids` and
+//! `folded` are objects keyed by subsystem, pid and collapsed stack, so
+//! `repro diff` of two recordings aligns them by key: it gives the
+//! per-subsystem weight and exact-cycle deltas and the signed per-stack
+//! (flamegraph) deltas, which sum to the `weighted_samples` delta. The
+//! sampling period is a top-level string, so it is an identity axis: a
+//! diff of profiles sampled at different periods is refused.
 
-use kernel_sim::{FaultInjection, Kernel, KernelConfig, PmuConfig, Subsystem};
-use ppc_machine::MachineConfig;
+use kernel_sim::{KernelConfig, PmuConfig, Subsystem};
 
-use crate::experiments::artifacts::reference_workload;
-use crate::experiments::pressure::run_pressure_on;
+use crate::artifact::Json;
+use crate::matrix::{machine_row, run_workload};
 use crate::tables::Table;
 use crate::Depth;
 
-/// File-format magic line.
-pub const PERF_MAGIC: &str = "# perf.data mmu-tricks-perf-v1";
-
-/// Workloads the recorder knows how to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PerfWorkload {
-    /// The reference workload: kernel compile + signal coda + idle sweep
-    /// (identical to the trace-artifacts and bench-baseline runs).
-    Compile,
-    /// The E-PRESSURE fault storm (seeded injector, OOM churn).
-    Storm,
-}
-
-impl PerfWorkload {
-    /// Stable name used in files and on the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            PerfWorkload::Compile => "compile",
-            PerfWorkload::Storm => "storm",
-        }
-    }
-
-    /// Parses a CLI/file name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "compile" => Some(PerfWorkload::Compile),
-            "storm" => Some(PerfWorkload::Storm),
-            _ => None,
-        }
-    }
-}
+const SCHEMA: &str = "mmu-tricks-perf-v1";
 
 /// One recorded profile: the PMU sample aggregates plus the exact profiler's
 /// per-subsystem cycles from the same run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfData {
-    /// Workload name (`compile` or `storm`).
+    /// Headline workload name ([`crate::matrix::WORKLOADS`]).
     pub workload: String,
     /// `quick` or `full`.
     pub depth: String,
@@ -85,7 +41,8 @@ pub struct PerfData {
     pub config: String,
     /// Sampling period in cycles.
     pub period: u32,
-    /// Total cycles of the sampled run.
+    /// Total cycles of the sampled run, boot included (the span the exact
+    /// profile covers).
     pub total_cycles: u64,
     /// Total cycles of the same workload with the PMU off (so
     /// `total_cycles - baseline_cycles` is the sampling cost).
@@ -116,112 +73,98 @@ impl PerfData {
         self.total_cycles.saturating_sub(self.baseline_cycles)
     }
 
-    /// Serializes to the deterministic `perf.data` text format.
-    pub fn serialize(&self) -> String {
-        let mut s = String::new();
-        s.push_str(PERF_MAGIC);
-        s.push('\n');
-        s.push_str(&format!("workload {}\n", self.workload));
-        s.push_str(&format!("depth {}\n", self.depth));
-        s.push_str(&format!("machine {}\n", self.machine));
-        s.push_str(&format!("config {}\n", self.config));
-        s.push_str(&format!("period {}\n", self.period));
-        s.push_str(&format!("total_cycles {}\n", self.total_cycles));
-        s.push_str(&format!("baseline_cycles {}\n", self.baseline_cycles));
-        s.push_str(&format!("interrupts {}\n", self.interrupts));
-        s.push_str(&format!("supervisor_weight {}\n", self.supervisor_weight));
-        s.push_str(&format!("user_weight {}\n", self.user_weight));
-        for (name, weight, exact) in &self.subsystems {
-            s.push_str(&format!("sub {name} {weight} {exact}\n"));
-        }
-        for (pid, weight) in &self.pids {
-            s.push_str(&format!("pid {pid} {weight}\n"));
-        }
-        for (key, weight) in &self.folded {
-            s.push_str(&format!("fold {key} {weight}\n"));
-        }
-        s
+    /// The `mmu-tricks-perf-v1` artifact.
+    pub fn to_json(&self) -> Json {
+        let subsystems = self.subsystems.iter().map(|(name, weight, exact)| {
+            let row = Json::object()
+                .field("weight", *weight)
+                .field("exact", *exact);
+            (name.as_str(), row)
+        });
+        Json::object()
+            .field("schema", SCHEMA)
+            .field("workload", &self.workload)
+            .field("depth", &self.depth)
+            .field("machine", &self.machine)
+            .field("config", &self.config)
+            .field("period", self.period.to_string())
+            .field("total_cycles", self.total_cycles)
+            .field("baseline_cycles", self.baseline_cycles)
+            .field("interrupts", self.interrupts)
+            .field("weighted_samples", self.total_weight())
+            .field("supervisor_weight", self.supervisor_weight)
+            .field("user_weight", self.user_weight)
+            .field("subsystems", Json::obj(subsystems))
+            .field(
+                "pids",
+                Json::obj(self.pids.iter().map(|(pid, w)| (pid.to_string(), *w))),
+            )
+            .field(
+                "folded",
+                Json::obj(self.folded.iter().map(|(stack, w)| (stack.as_str(), *w))),
+            )
     }
 
-    /// Parses a file produced by [`PerfData::serialize`].
-    pub fn parse(text: &str) -> Result<PerfData, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(PERF_MAGIC) {
-            return Err(format!("not a perf.data file (expected `{PERF_MAGIC}`)"));
-        }
-        let mut d = PerfData {
-            workload: String::new(),
-            depth: String::new(),
-            machine: String::new(),
-            config: String::new(),
-            period: 0,
-            total_cycles: 0,
-            baseline_cycles: 0,
-            interrupts: 0,
-            supervisor_weight: 0,
-            user_weight: 0,
-            subsystems: Vec::new(),
-            pids: Vec::new(),
-            folded: Vec::new(),
+    /// Loads a recording written by [`PerfData::to_json`].
+    pub fn from_json(doc: &Json) -> Result<PerfData, String> {
+        let bad = |what: String| format!("not a {SCHEMA} recording: {what}");
+        let get = |key: &str| doc.get(key).ok_or_else(|| bad(format!("no `{key}`")));
+        let string = |key: &str| match get(key)? {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(bad(format!("`{key}` is not a string"))),
         };
-        let num = |v: &str, line: &str| -> Result<u64, String> {
-            v.parse::<u64>().map_err(|_| format!("bad number in `{line}`"))
+        let count = |v: Option<&Json>, key: &str| match v {
+            Some(&Json::Num(n)) => u64::try_from(n).map_err(|_| bad(format!("`{key}` < 0"))),
+            _ => Err(bad(format!("`{key}` is not a count"))),
         };
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut f = line.split_whitespace();
-            let key = f.next().unwrap_or("");
-            let rest: Vec<&str> = f.collect();
-            let one = || -> Result<&str, String> {
-                rest.first()
-                    .copied()
-                    .ok_or_else(|| format!("missing value in `{line}`"))
-            };
-            match key {
-                "workload" => d.workload = one()?.to_string(),
-                "depth" => d.depth = one()?.to_string(),
-                "machine" => d.machine = one()?.to_string(),
-                // The config summary is a whole space-separated toggle list.
-                "config" => d.config = rest.join(" "),
-                "period" => d.period = num(one()?, line)? as u32,
-                "total_cycles" => d.total_cycles = num(one()?, line)?,
-                "baseline_cycles" => d.baseline_cycles = num(one()?, line)?,
-                "interrupts" => d.interrupts = num(one()?, line)?,
-                "supervisor_weight" => d.supervisor_weight = num(one()?, line)?,
-                "user_weight" => d.user_weight = num(one()?, line)?,
-                "sub" => {
-                    if rest.len() != 3 {
-                        return Err(format!("expected `sub name weight exact`: `{line}`"));
-                    }
-                    d.subsystems.push((
-                        rest[0].to_string(),
-                        num(rest[1], line)?,
-                        num(rest[2], line)?,
-                    ));
-                }
-                "pid" => {
-                    if rest.len() != 2 {
-                        return Err(format!("expected `pid n weight`: `{line}`"));
-                    }
-                    d.pids
-                        .push((num(rest[0], line)? as u32, num(rest[1], line)?));
-                }
-                "fold" => {
-                    if rest.len() != 2 {
-                        return Err(format!("expected `fold key weight`: `{line}`"));
-                    }
-                    d.folded.push((rest[0].to_string(), num(rest[1], line)?));
-                }
-                other => return Err(format!("unknown record `{other}` in `{line}`")),
-            }
+        let number = |key: &str| count(doc.get(key), key);
+        let entries = |key: &str| match get(key)? {
+            Json::Obj(fields) => Ok(fields),
+            _ => Err(bad(format!("`{key}` is not an object"))),
+        };
+        let schema = string("schema")?;
+        if schema != SCHEMA {
+            return Err(bad(format!("schema {schema:?}")));
         }
-        if d.workload.is_empty() || d.period == 0 {
-            return Err("perf.data missing workload/period header".into());
-        }
-        Ok(d)
+        let period = string("period")?;
+        let period = period
+            .parse()
+            .ok()
+            .filter(|&p: &u32| p > 0)
+            .ok_or_else(|| bad(format!("period {period:?}")))?;
+        Ok(PerfData {
+            workload: string("workload")?,
+            depth: string("depth")?,
+            machine: string("machine")?,
+            config: string("config")?,
+            period,
+            total_cycles: number("total_cycles")?,
+            baseline_cycles: number("baseline_cycles")?,
+            interrupts: number("interrupts")?,
+            supervisor_weight: number("supervisor_weight")?,
+            user_weight: number("user_weight")?,
+            subsystems: entries("subsystems")?
+                .iter()
+                .map(|(name, v)| {
+                    Ok((
+                        name.clone(),
+                        count(v.get("weight"), name)?,
+                        count(v.get("exact"), name)?,
+                    ))
+                })
+                .collect::<Result<_, String>>()?,
+            pids: entries("pids")?
+                .iter()
+                .map(|(pid, w)| {
+                    let n = pid.parse().map_err(|_| bad(format!("pid {pid:?}")))?;
+                    Ok((n, count(Some(w), pid)?))
+                })
+                .collect::<Result<_, String>>()?,
+            folded: entries("folded")?
+                .iter()
+                .map(|(stack, w)| Ok((stack.clone(), count(Some(w), stack)?)))
+                .collect::<Result<_, String>>()?,
+        })
     }
 
     /// The flamegraph export: `stack weight` lines in Brendan Gregg's
@@ -351,42 +294,20 @@ impl PerfData {
     }
 }
 
-/// Records a profile on the optimized kernel (see [`perf_record_on`]).
-pub fn perf_record(depth: Depth, workload: PerfWorkload, period: u32) -> PerfData {
-    perf_record_on(depth, workload, period, KernelConfig::optimized())
-}
-
-/// Records a profile: runs `workload` once with the PMU off (baseline) and
-/// once with cycle sampling at `period`, reading sampled aggregates and the
-/// exact profile from the same sampled run — on an arbitrary kernel
-/// configuration, so `repro perf diff` can compare profiles across
-/// optimization levels (the machine and config land in the file header).
-pub fn perf_record_on(
-    depth: Depth,
-    workload: PerfWorkload,
-    period: u32,
-    kcfg: KernelConfig,
-) -> PerfData {
-    let run = |pmu: Option<PmuConfig>| -> Kernel {
-        let mut cfg = kcfg;
-        cfg.trace = true;
-        cfg.pmu = pmu;
-        match workload {
-            PerfWorkload::Compile => {
-                let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
-                reference_workload(&mut k, depth);
-                k.pmu_finish();
-                k
-            }
-            PerfWorkload::Storm => {
-                cfg.fault_injection = Some(FaultInjection::light(42));
-                let hogs = match depth {
-                    Depth::Quick => 10,
-                    Depth::Full => 24,
-                };
-                run_pressure_on(cfg, hogs).1
-            }
-        }
+/// Records a profile of headline `workload` ([`run_workload`]) on the
+/// 604/133 row under `kcfg`: runs it once with the PMU off (baseline) and
+/// once with cycle sampling at `period`, reading the sampled aggregates
+/// and the exact profile from the same sampled run. The config lands in
+/// the artifact's `config` axis, the one a diff may cross.
+pub fn perf_record(depth: Depth, workload: &str, period: u32, kcfg: KernelConfig) -> PerfData {
+    let m = machine_row("604-133");
+    let run = |pmu| {
+        let cfg = KernelConfig {
+            trace: true,
+            pmu,
+            ..kcfg
+        };
+        run_workload(&m, cfg, workload, depth).kernel
     };
     let baseline_cycles = run(None).machine.cycles;
     let mut k = run(Some(PmuConfig::sampling(period)));
@@ -396,10 +317,9 @@ pub fn perf_record_on(
     let st = k.pmu.as_ref().expect("perf record always samples");
 
     PerfData {
-        workload: workload.name().to_string(),
-        depth: depth.name()
-        .to_string(),
-        machine: MachineConfig::ppc604_133().id(),
+        workload: workload.to_string(),
+        depth: depth.name().to_string(),
+        machine: m.machine.id(),
         config: kcfg.summary(),
         period,
         total_cycles: now,
@@ -425,19 +345,49 @@ pub fn perf_record_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact;
+    use std::sync::OnceLock;
 
-    fn sample() -> PerfData {
-        perf_record(Depth::Quick, PerfWorkload::Compile, 8192)
+    fn record() -> PerfData {
+        perf_record(Depth::Quick, "trace_ref", 8192, KernelConfig::optimized())
+    }
+
+    /// One recording shared by the tests that only read it.
+    fn sample() -> &'static PerfData {
+        static SAMPLE: OnceLock<PerfData> = OnceLock::new();
+        SAMPLE.get_or_init(record)
+    }
+
+    /// A small hand-made profile on fixed axes.
+    fn tiny() -> PerfData {
+        PerfData {
+            workload: "compile".into(),
+            depth: "quick".into(),
+            machine: "604-133".into(),
+            config: "opt".into(),
+            period: 4096,
+            total_cycles: 9000,
+            baseline_cycles: 8000,
+            interrupts: 2,
+            supervisor_weight: 1,
+            user_weight: 1,
+            subsystems: vec![("translate".into(), 1, 5000), ("user".into(), 1, 4000)],
+            pids: vec![(0, 1), (7, 1)],
+            folded: vec![("pid0;translate".into(), 1), ("pid7;user".into(), 1)],
+        }
+    }
+
+    fn load(text: &str) -> Result<PerfData, String> {
+        PerfData::from_json(&artifact::parse(text)?)
     }
 
     #[test]
     fn record_serialize_parse_roundtrips_exactly() {
         let d = sample();
-        let text = d.serialize();
-        let back = PerfData::parse(&text).expect("own output parses");
-        assert_eq!(back, d);
+        let text = d.to_json().write();
+        assert_eq!(&load(&text).expect("own artifact loads"), d);
         // And recording again is byte-identical.
-        assert_eq!(sample().serialize(), text);
+        assert_eq!(record().to_json().write(), text);
     }
 
     #[test]
@@ -497,17 +447,33 @@ mod tests {
 
     #[test]
     fn storm_workload_records_too() {
-        let d = perf_record(Depth::Quick, PerfWorkload::Storm, 65_536);
-        assert_eq!(d.workload, "storm");
+        let opt = KernelConfig::optimized();
+        let d = perf_record(Depth::Quick, "fault_storm", 65_536, opt);
+        assert_eq!(d.workload, "fault_storm");
         assert!(d.interrupts > 0);
-        assert_eq!(PerfData::parse(&d.serialize()).unwrap(), d);
+        assert_eq!(load(&d.to_json().write()).unwrap(), d);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(PerfData::parse("not a perf file").is_err());
-        assert!(PerfData::parse(PERF_MAGIC).is_err(), "headers required");
-        let bad = format!("{PERF_MAGIC}\nworkload compile\nperiod 4096\nsub onlytwo 1\n");
-        assert!(PerfData::parse(&bad).is_err());
+        let good = tiny().to_json();
+        assert_eq!(PerfData::from_json(&good), Ok(tiny()));
+        let edit = |key: &str, value: Json| {
+            let mut doc = good.clone();
+            if let Json::Obj(fields) = &mut doc {
+                fields.retain(|(k, _)| k != key);
+                fields.push((key.into(), value));
+            }
+            PerfData::from_json(&doc)
+        };
+        assert!(edit("schema", "mmu-tricks-matrix-v1".into()).is_err());
+        assert!(edit("period", "0".into()).is_err());
+        assert!(edit("period", Json::Num(4096)).is_err(), "a string");
+        assert!(edit("total_cycles", Json::Num(-1)).is_err());
+        assert!(edit("pids", Json::obj([("one", 1u64)])).is_err());
+        let no_exact = Json::obj([("translate", Json::obj([("weight", 1u64)]))]);
+        assert!(edit("subsystems", no_exact).is_err());
+        assert!(PerfData::from_json(&Json::arr([1u64])).is_err());
+        assert!(load("not a perf file").is_err());
     }
 }

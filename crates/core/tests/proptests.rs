@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::{Kernel, KernelConfig, MmtuneConfig, VsidPolicy};
 use mmu_tricks::artifact::{parse, Json};
-use mmu_tricks::diff::{diff_perf, diff_reports, FlatReport};
+use mmu_tricks::diff::{diff_reports, parse_report, FlatReport};
 use mmu_tricks::perf::PerfData;
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
@@ -31,7 +31,7 @@ fn keys() -> Vec<&'static str> {
 
 /// The identity axes every generated report carries.
 const AXES: [(&str, &str); 5] = [
-    ("schema", "mmu-tricks-bench-v1"),
+    ("schema", "mmu-tricks-matrix-v1"),
     ("depth", "quick"),
     ("machine", "604-133"),
     ("workload", "compile"),
@@ -188,25 +188,27 @@ proptest! {
         prop_assert!(diff_reports(&a, &c).is_ok());
     }
 
-    /// The folded flamegraph diff conserves weight: per-stack deltas sum
-    /// exactly to the headline weight delta (no stack dropped or double
-    /// counted, including stacks present on only one side).
+    /// The diff of two profile artifacts conserves weight: the `folded.*`
+    /// deltas sum exactly to the `weighted_samples` delta (no stack dropped
+    /// or double counted, including stacks present on only one side).
     #[test]
     fn folded_diff_weights_sum_to_headline_delta(
         pa in prop::collection::vec((prop::sample::select(stacks()), 0u32..10_000), 0..8),
         pb in prop::collection::vec((prop::sample::select(stacks()), 0u32..10_000), 0..8),
     ) {
-        let (a, b) = (perf_from(&pa), perf_from(&pb));
-        let d = diff_perf(&a, &b).unwrap();
-        let folded_sum: i64 = d.folded.iter().map(|(_, wa, wb)| *wb as i64 - *wa as i64).sum();
-        prop_assert_eq!(folded_sum, d.weight_delta());
-        // And the rendered folded-diff lines carry the same sum.
-        let line_sum: i64 = d
-            .folded_diff_lines()
-            .lines()
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<i64>().unwrap())
+        let flat = |d: PerfData| parse_report(&d.to_json().write()).unwrap();
+        let (a, b) = (flat(perf_from(&pa)), flat(perf_from(&pb)));
+        let d = diff_reports(&a, &b).unwrap();
+        let delta = |key: &str| d.entries.iter().find(|e| e.key == key).map_or(0, |e| e.delta);
+        let folded_sum: i64 = d
+            .entries
+            .iter()
+            .filter(|e| e.key.starts_with("folded."))
+            .map(|e| e.delta)
             .sum();
-        prop_assert_eq!(line_sum, d.weight_delta());
+        prop_assert_eq!(folded_sum, delta("weighted_samples"));
+        // The exact-cycle and headline deltas move with the weights.
+        prop_assert_eq!(delta("total_cycles"), 4096 * folded_sum);
     }
 }
 

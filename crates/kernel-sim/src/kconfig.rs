@@ -357,7 +357,7 @@ impl KernelConfig {
     }
 
     /// A deterministic one-line summary of every paper-relevant toggle, for
-    /// artifact headers (`repro bench --json`, `perf.data`, the matrix).
+    /// artifact headers (the perf profile, the metrics, the matrix).
     /// Two runs are comparable cell-for-cell only when their summaries'
     /// *shapes* match; the differ uses this string to refuse cross-machine
     /// or cross-schema comparisons with a clear error instead of emitting

@@ -107,16 +107,6 @@ fn pteg_heatmap_matches_ring_inserts() {
 }
 
 #[test]
-fn chrome_export_of_a_real_run_is_balanced() {
-    let k = run();
-    let j = k.tracer.as_ref().unwrap().chrome_trace_json();
-    assert!(j.contains("\"traceEvents\":["));
-    assert!(j.contains("\"name\":\"tlb_miss\""));
-    assert_eq!(j.matches('{').count(), j.matches('}').count());
-    assert_eq!(j.matches('[').count(), j.matches(']').count());
-}
-
-#[test]
 fn fatal_signal_paths_keep_the_span_stack_balanced() {
     let mut cfg = KernelConfig::optimized();
     cfg.trace = true;

@@ -1,6 +1,6 @@
 //! The ftrace-style event tracer: a fixed-capacity ring of cycle-stamped
-//! kernel events, log2-bucket latency histograms, per-PTEG heatmaps, and a
-//! Chrome `trace_event` exporter.
+//! kernel events, log2-bucket latency histograms and per-PTEG heatmaps.
+//! The harness exports the ring as a Chrome `trace_event` timeline.
 //!
 //! Tracing is **purely observational**: no code in this module (or in the
 //! instrumentation hooks that feed it) ever calls `Machine::charge` or
@@ -123,37 +123,6 @@ impl TraceEvent {
             TraceEvent::Idle { .. } => "idle",
             TraceEvent::PmuSample { .. } => "pmu_sample",
             TraceEvent::Retune { .. } => "retune",
-        }
-    }
-
-    /// The event payload as a deterministic JSON object (Chrome `args`).
-    pub fn args_json(&self) -> String {
-        match self {
-            TraceEvent::TlbMiss { ea, kernel } => {
-                format!("{{\"ea\":{ea},\"kernel\":{kernel}}}")
-            }
-            TraceEvent::HtabInsert { pteg, evicted } => {
-                format!("{{\"pteg\":{pteg},\"evicted\":{evicted}}}")
-            }
-            TraceEvent::Flush { pages } => format!("{{\"pages\":{pages}}}"),
-            TraceEvent::ContextBump => "{}".to_string(),
-            TraceEvent::PageFault { ea } | TraceEvent::CowFault { ea } => {
-                format!("{{\"ea\":{ea}}}")
-            }
-            TraceEvent::CtxSwitch { to } => format!("{{\"to\":{to}}}"),
-            TraceEvent::Signal { fatal } => format!("{{\"fatal\":{fatal}}}"),
-            TraceEvent::Syscall => "{}".to_string(),
-            TraceEvent::Reclaim { scanned, cleared } => {
-                format!("{{\"scanned\":{scanned},\"cleared\":{cleared}}}")
-            }
-            TraceEvent::OomKill { victim } => format!("{{\"victim\":{victim}}}"),
-            TraceEvent::Idle { budget } => format!("{{\"budget\":{budget}}}"),
-            TraceEvent::PmuSample { sub, weight } => {
-                format!("{{\"sub\":\"{}\",\"weight\":{weight}}}", sub.name())
-            }
-            TraceEvent::Retune { knob, from, to } => {
-                format!("{{\"knob\":\"{}\",\"from\":{from},\"to\":{to}}}", knob.name())
-            }
         }
     }
 }
@@ -450,31 +419,6 @@ impl Tracer {
             }
         }
     }
-
-    /// Renders the ring as Chrome `trace_event` JSON (the object form, with
-    /// a `traceEvents` array of instant events). Timestamps are the cycle
-    /// stamps themselves — deterministic across runs — so the time axis in
-    /// `chrome://tracing` / Perfetto reads in simulated cycles, not µs.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 96 + 256);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"kernel-sim\"}}",
-        );
-        for rec in self.ring.iter() {
-            out.push(',');
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{}}}",
-                rec.event.name(),
-                rec.cycle,
-                rec.pid,
-                rec.event.args_json()
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -565,30 +509,5 @@ mod tests {
         assert_eq!(t.pteg_collisions[3], 1);
         assert_eq!(t.pteg_collisions[7], 1);
         assert_eq!(t.pteg_inserts.iter().sum::<u32>(), 3);
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let mut t = Tracer::new(4, 0);
-        t.ring.push(TraceRecord {
-            cycle: 42,
-            pid: 7,
-            event: TraceEvent::HtabInsert {
-                pteg: 3,
-                evicted: true,
-            },
-        });
-        let j = t.chrome_trace_json();
-        assert!(j.starts_with("{\"displayTimeUnit\""));
-        assert!(j.contains("\"traceEvents\":["));
-        assert!(j.contains("\"name\":\"htab_insert\""));
-        assert!(j.contains("\"ts\":42"));
-        assert!(j.contains("\"pteg\":3"));
-        assert!(j.ends_with("]}"));
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "braces balance"
-        );
     }
 }

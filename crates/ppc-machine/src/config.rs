@@ -146,8 +146,8 @@ impl MachineConfig {
         }
     }
 
-    /// A stable machine-readable slug derived from the name, for JSON and
-    /// perf.data headers: lowercase, `MHz` dropped, punctuation collapsed to
+    /// A stable machine-readable slug derived from the name, for artifact
+    /// headers: lowercase, `MHz` dropped, punctuation collapsed to
     /// single dashes — `"604 133MHz"` → `"604-133"`,
     /// `"603 133MHz (no L2)"` → `"603-133-no-l2"`.
     pub fn id(&self) -> String {

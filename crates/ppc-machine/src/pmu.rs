@@ -91,7 +91,7 @@ impl PmcEvent {
         PmcEvent::ThresholdExceeded,
     ];
 
-    /// Stable machine-readable name (perf.data and metrics keys).
+    /// Stable machine-readable name (artifact keys).
     pub fn name(self) -> &'static str {
         match self {
             PmcEvent::None => "none",
