@@ -7,17 +7,18 @@
 //!     [--json <path>] [--trace-out <path>]
 //! ```
 //!
-//! `--json` writes a machine-readable run report: every rendered table plus,
-//! for the `trace` experiment, the full `metrics.json` payload (cycle
-//! attribution, latency percentiles, PTEG heatmap, tracer overhead).
-//! `--trace-out` writes the trace ring as a Chrome `trace_event` timeline.
-//! Both artifacts are deterministic, so they diff across commits.
+//! `--json` writes a machine-readable run report: every rendered table plus
+//! the `metrics.json` payload of the observed reference run (cycle
+//! attribution, latency percentiles with the exact p99, the ranked tail
+//! causes and exemplars, PTEG heatmap, telemetry). `repro trace` prints
+//! that run's tables. `--trace-out` writes the trace ring as a Chrome
+//! `trace_event` timeline. Both artifacts are deterministic, so they diff
+//! across commits.
 //!
 //! Subcommands sit next to the experiments:
 //!
 //! ```text
 //! repro matrix [--json <path>]                    # machine × config × workload grid
-//! repro report                                    # counters, latency, telemetry sparklines
 //! repro diff A.json B.json [--json <path>]        # structured artifact comparison
 //! repro chaos [--seed N] [--runs N] [--steps N]   # adversarial fuzzing under the checker
 //!             [--check on|off] [--verbose-from N] [--json <path>]
@@ -25,7 +26,6 @@
 //!                   [--config unopt|opt] [--json <path>]
 //! repro perf report [--in <path>] [--folded <path>]
 //! repro perf annotate [--in <path>]
-//! repro tail [--json <path>]                      # p99 exemplars + causal attribution
 //! repro causal [--json <path>]                    # exact virtual-speedup payoff curves
 //! ```
 //!
@@ -89,8 +89,6 @@ fn main() {
         "matrix" => return matrix_main(&args, depth),
         "tune" => return tune_main(&args, depth),
         "diff" => return diff_main(&args, &wanted),
-        "report" => return report_main(depth),
-        "tail" => return tail_main(&args, depth),
         "causal" => return causal_main(&args, depth),
         _ => {}
     }
@@ -231,16 +229,6 @@ fn chaos_main(args: &[String]) {
     }
 }
 
-/// `repro report`: the traced reference run's observability artifacts —
-/// counters, self-time, latency percentiles, and the epoch-telemetry
-/// sparklines.
-fn report_main(depth: Depth) {
-    let (_, tables) = ex::trace_artifacts(depth);
-    for t in &tables {
-        println!("{}", t.render());
-    }
-}
-
 /// `repro diff A.json B.json`: structured report comparison.
 fn diff_main(args: &[String], wanted: &[&str]) {
     let (Some(a_path), Some(b_path)) = (wanted.get(1), wanted.get(2)) else {
@@ -330,22 +318,6 @@ fn perf_main(args: &[String], depth: Depth) {
     }
 }
 
-/// `repro tail`: p99 forensics over the traced reference run — exemplar
-/// percentiles per latency path, the ranked causal attribution, and the
-/// retained exemplar dumps. `--json` writes the `mmu-tricks-tail-v1`
-/// artifact, which `repro diff` compares like any other run report.
-fn tail_main(args: &[String], depth: Depth) {
-    let (report, tables) = mmu_tricks::tail::tail_report(depth);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &report.to_json().write()),
-        None => {
-            for t in &tables {
-                println!("{}", t.render());
-            }
-        }
-    }
-}
-
 /// `repro causal`: exact what-if profiling — re-runs the deterministic
 /// grid under virtual speedups of each instrumented path and subsystem,
 /// printing payoff curves and the marginal ranking ("1% faster X buys Y
@@ -401,7 +373,6 @@ fn usage_text() -> String {
         s,
         "  repro tune [--workload compile|fault_storm|trace_ref] [--json <path>]"
     );
-    let _ = writeln!(s, "  repro report [--depth quick|full]");
     let _ = writeln!(s, "  repro diff <a.json> <b.json> [--json <path>] [--limit N]");
     let _ = writeln!(
         s,
@@ -413,7 +384,6 @@ fn usage_text() -> String {
         "  repro perf <record|report|annotate> [--workload compile|fault_storm|trace_ref] \
          [--period N] [--config unopt|opt] [--json <path>] [--in <path>] [--folded <path>]"
     );
-    let _ = writeln!(s, "  repro tail [--depth quick|full] [--json <path>]");
     let _ = writeln!(s, "  repro causal [--depth quick|full] [--json <path>]\n");
     let _ = writeln!(s, "experiments:");
     for (id, desc) in EXPERIMENTS {

@@ -60,14 +60,9 @@ pub const BARE_FLAGS: &[&str] = &["--full", "--markdown", "--csv", "--help"];
 pub const SUBCOMMANDS: &[(&str, &str)] = &[
     ("matrix", "machine × config × workload grid (mmu-tricks-matrix-v1)"),
     ("tune", "offline per-machine coordinate descent (mmu-tricks-tune-v1)"),
-    ("report", "counters, self-time, latency, telemetry sparklines"),
     ("diff", "structured comparison of two artifacts of one schema"),
     ("chaos", "adversarial fuzzing under the shadow-MM checker"),
     ("perf", "sampled profiling: record/report/annotate (mmu-tricks-perf-v1)"),
-    (
-        "tail",
-        "p99 exemplar capture + causal attribution (mmu-tricks-tail-v1)",
-    ),
     (
         "causal",
         "exact virtual speedups: payoff curves + ranking (mmu-tricks-causal-v1)",
@@ -94,7 +89,7 @@ pub const ARTIFACTS: &[(&str, &str, &str)] = &[
     (
         "mmu-tricks-metrics-v1",
         "repro <experiment> --json",
-        "run report: tables + trace metrics",
+        "run report: tables + the observed reference run",
     ),
     (
         "mmu-tricks-timeline-v1",
@@ -115,11 +110,6 @@ pub const ARTIFACTS: &[(&str, &str, &str)] = &[
         "mmu-tricks-perf-v1",
         "repro perf record --json",
         "sampled profile next to the exact self-time",
-    ),
-    (
-        "mmu-tricks-tail-v1",
-        "repro tail",
-        "p99 exemplars + ranked causal attribution",
     ),
     (
         "mmu-tricks-causal-v1",
@@ -199,7 +189,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "trace",
-        "Observability: counter trace, self-time, latency percentiles (4)",
+        "Observability: counter trace, self-time, latency, tail causes (4)",
     ),
     (
         "memhier",

@@ -441,9 +441,12 @@ fn help_usage_and_exit_codes_keep_their_contract() {
     let none = repro(&[]);
     assert_eq!(none.status.code(), Some(2));
     assert!(none.stdout.is_empty() && text(&none.stderr).contains("usage:"));
-    let unknown = repro(&["no-such-subcommand"]);
-    assert_eq!(unknown.status.code(), Some(1));
-    assert!(text(&unknown.stderr).contains("unknown experiment"));
+    // `tail` and `report` are gone: `repro trace` prints what they did.
+    for name in ["no-such-subcommand", "tail", "report"] {
+        let unknown = repro(&[name]);
+        assert_eq!(unknown.status.code(), Some(1), "repro {name}");
+        assert!(text(&unknown.stderr).contains("unknown experiment"));
+    }
     for flag in ["--dpeth", "--jobs", "--out"] {
         let o = repro(&["matrix", flag, "4"]);
         assert_eq!(o.status.code(), Some(2), "{flag} must be refused");

@@ -6,7 +6,7 @@
 //! (`workloads.compile.cycles`, `latency.page_fault.p99`,
 //! `pteg.inserts[17]`), and subtract. The differ *refuses* to compare
 //! documents whose identity axes — their top-level strings: schema, depth,
-//! machine, workload, check, tail, causal, ... — disagree: a cycles delta
+//! machine, workload, check, causal, ... — disagree: a cycles delta
 //! between a 603 run and a 604 run is meaningless, and the tool says so
 //! instead of printing it. The `config` axis is the one allowed to
 //! differ: comparing the unoptimized kernel against the optimized one is
@@ -336,14 +336,14 @@ mod tests {
 
     #[test]
     fn tail_header_mismatch_is_refused() {
-        // An artifact recorded with tail forensics armed declares it; it
-        // must not be diffed against a dormant recording.
+        // A recording that declared a tail-arming mode must not be diffed
+        // against one armed otherwise, nor against a dormant one.
         assert_axis_refuses("tail", "auto");
     }
 
     #[test]
     fn tail_header_parses_and_old_artifacts_default_to_empty() {
-        let with = "{\"schema\": \"mmu-tricks-tail-v1\", \"tail\": \"auto\", \"n\": 1}";
+        let with = "{\"schema\": \"mmu-tricks-metrics-v1\", \"tail\": \"auto\", \"n\": 1}";
         assert_eq!(parse_report(with).unwrap().axis("tail"), "auto");
         // An artifact without the header parses, reads "", and stays
         // diffable against its peers.

@@ -6,51 +6,27 @@
 //! none of them crash, they just translate *wrong*. This experiment gates
 //! the checking subsystem (shadow-MM oracle + runtime invariants, DESIGN.md
 //! §12) against a seeded syscall fuzzer with the full-spectrum fault
-//! injector armed:
+//! injector armed: every seed's chaos run must complete with no oracle
+//! violation, no invariant failure, no panic, and both frame pools
+//! returning exactly to their boot baselines (never-leak).
 //!
-//! 1. **Clean** — every seed's chaos run completes with no oracle
-//!    violation, no invariant failure, no panic, and both frame pools
-//!    returning exactly to their boot baselines (never-leak).
-//! 2. **Zero-cost** — the same seed with the checker off is cycle- and
-//!    counter-identical: observation must not perturb the measurement.
-//! 3. **Determinism** — re-running a seed reproduces the outcome field for
-//!    field, so a failing seed is always a one-command repro.
-//! 4. **Sensitivity** — the planted stale-TLB bug (skipping the VSID bump
-//!    in `flush_context`) is caught by the oracle, with a violation message
-//!    naming the staleness. A checker that never fires gates nothing.
+//! The checker's other guarantees are tests, not re-runs here: check-off
+//! cycle identity (`chaos::tests::check_off_is_cycle_identical`), same-seed
+//! determinism (`checked_chaos_run_is_clean_and_deterministic` and the
+//! chaos row of `ARTIFACTS.lock`), and that the planted stale-TLB bug is
+//! caught (`tests_check::oracle_catches_deliberate_stale_vsid_bug`).
 
 use crate::chaos::{chaos_report, ChaosConfig, ChaosOutcome};
 use crate::tables::Table;
 use crate::Depth;
-
-use kernel_sim::check::CheckConfig;
-use kernel_sim::kconfig::KernelConfig;
-use kernel_sim::kernel::Kernel;
-use ppc_machine::MachineConfig;
 
 /// The complete E-CHECK result.
 #[derive(Debug, Clone)]
 pub struct CheckGateResult {
     /// Per-seed outcomes of the checked chaos runs.
     pub outcomes: Vec<(u64, ChaosOutcome)>,
-    /// Gate 1: every seed ran clean (any violation is reported here).
+    /// The gate: every seed ran clean (any violation is reported here).
     pub first_failure: Option<String>,
-    /// Gate 2: check-off is cycle- and counter-identical on the probe seed.
-    pub cycle_identical: bool,
-    /// Gate 3: re-running the probe seed reproduces its outcome exactly.
-    pub deterministic: bool,
-    /// Gate 4: the planted stale-TLB bug trips the oracle.
-    pub bug_caught: bool,
-}
-
-impl CheckGateResult {
-    /// All four gates at once (what CI checks).
-    pub fn holds(&self) -> bool {
-        self.first_failure.is_none()
-            && self.cycle_identical
-            && self.deterministic
-            && self.bug_caught
-    }
 }
 
 /// Seed set per depth: enough quick seeds to cross every injection family,
@@ -62,35 +38,7 @@ fn seeds(depth: Depth) -> (Vec<u64>, u32) {
     }
 }
 
-/// Plants the deliberate stale-TLB bug in a checked kernel and returns the
-/// violation message the oracle dies with (None if it escaped).
-fn planted_bug_violation() -> Option<String> {
-    let result = std::panic::catch_unwind(|| {
-        let cfg = KernelConfig {
-            check: Some(CheckConfig::full()),
-            ..KernelConfig::extended()
-        };
-        let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
-        let pid = k.spawn_process(8).expect("spawn");
-        k.switch_to(pid);
-        k.user_write(0x1000_0000, 8 * 4096).expect("touch");
-        k.set_buggy_skip_vsid_flush(true);
-        let idx = k.task_idx(pid).expect("idx");
-        k.flush_context(idx);
-        for _ in 0..8 {
-            k.user_read(0x1000_0000, 8 * 4096).expect("reread");
-        }
-        k.check_finish();
-    });
-    let payload = result.err()?;
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-}
-
-/// Runs the checked chaos fleet and gates clean/zero-cost/determinism/
-/// sensitivity.
+/// Runs the checked chaos fleet and gates that every seed runs clean.
 pub fn exp_check(depth: Depth) -> (CheckGateResult, Table) {
     let (seed_set, steps) = seeds(depth);
     let mut outcomes = Vec::new();
@@ -104,30 +52,9 @@ pub fn exp_check(depth: Depth) -> (CheckGateResult, Table) {
         }
     }
 
-    // Probe seed for the identity gates: the first of the fleet.
-    let probe = seed_set[0];
-    let checked = outcomes.iter().find(|(s, _)| *s == probe).map(|(_, o)| o);
-    let (cycle_identical, deterministic) = match checked {
-        Some(on) => {
-            let off = chaos_report(&ChaosConfig::unchecked(probe, steps)).ok();
-            let again = chaos_report(&ChaosConfig::checked(probe, steps)).ok();
-            (
-                off.is_some_and(|o| o.cycles == on.cycles && o.stats == on.stats),
-                again.is_some_and(|a| a == *on),
-            )
-        }
-        None => (false, false),
-    };
-
-    let bug_caught = planted_bug_violation()
-        .is_some_and(|msg| msg.contains("MM check violation") && msg.contains("stale"));
-
     let gates = CheckGateResult {
         outcomes,
         first_failure,
-        cycle_identical,
-        deterministic,
-        bug_caught,
     };
 
     let mut t = Table::new(
@@ -165,26 +92,16 @@ pub fn exp_check(depth: Depth) -> (CheckGateResult, Table) {
         ]);
     }
     t.push_row(vec![
-        "(gates)".into(),
+        "(gate)".into(),
         format!("{}/{} clean", gates.outcomes.len(), seed_set.len()),
         String::new(),
         String::new(),
-        if gates.cycle_identical {
-            "zero-cost: pass"
+        String::new(),
+        String::new(),
+        if gates.first_failure.is_none() {
+            "clean: pass"
         } else {
-            "zero-cost: FAIL"
-        }
-        .into(),
-        if gates.deterministic {
-            "deterministic: pass"
-        } else {
-            "deterministic: FAIL"
-        }
-        .into(),
-        if gates.bug_caught {
-            "planted bug caught: pass"
-        } else {
-            "planted bug caught: FAIL"
+            "clean: FAIL"
         }
         .into(),
     ]);
@@ -203,10 +120,6 @@ mod tests {
             "chaos violation: {}",
             r.first_failure.as_deref().unwrap_or("")
         );
-        assert!(r.cycle_identical, "checker perturbed the measurement");
-        assert!(r.deterministic, "same seed diverged between runs");
-        assert!(r.bug_caught, "planted stale-TLB bug escaped the oracle");
-        assert!(r.holds());
         assert_eq!(r.outcomes.len(), 6);
         // Every seed must actually exercise the checker and the injector.
         for (seed, o) in &r.outcomes {

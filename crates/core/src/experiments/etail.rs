@@ -3,27 +3,24 @@
 //! A forensics layer that captures exemplars but misattributes them is
 //! worse than a histogram — it prints a confident wrong answer. This
 //! experiment plants a regression whose cause is known by construction and
-//! gates that the attribution ranking finds it:
+//! gates that the attribution ranking finds it: booting with a 16-PTEG
+//! hash table (128 PTE slots) and cyclically sweeping a 192-page working
+//! set saturates every PTEG. Once the table is full, each reload miss
+//! forces an overflow insert that displaces a live entry, which turns the
+//! *next* touch of the displaced page into another miss — the §5.2
+//! secondary-hash probe storm, self-sustaining by round two. One warmup
+//! sweep takes the compulsory page faults and cold misses, then the
+//! reservoir is drained ([`kernel_sim::TailState::reset`]) so the
+//! retained tail describes steady state; the oracle-visible cause
+//! (`secondary_probe_storm`) must then *win* the cycles-above-median
+//! ranking, not merely appear in it.
 //!
-//! 1. **Attribution** — booting with a 16-PTEG hash table (128 PTE slots)
-//!    and cyclically sweeping a 192-page working set saturates every PTEG:
-//!    once the table is full, each reload miss forces an overflow insert
-//!    that displaces a live entry, which turns the *next* touch of the
-//!    displaced page into another miss — the §5.2 secondary-hash probe
-//!    storm, self-sustaining by round two. One warmup sweep takes the
-//!    compulsory page faults and cold misses, then the reservoir is
-//!    drained ([`kernel_sim::TailState::reset`]) so the retained tail
-//!    describes steady state; the oracle-visible cause
-//!    (`secondary_probe_storm`) must then *win* the cycles-above-median
-//!    ranking, not merely appear in it.
-//! 2. **Zero-cost** — the tail-armed storm run is cycle- and
-//!    counter-identical to the same run with capture dormant.
-//! 3. **Determinism** — re-running captures identical exemplars (sequence,
-//!    cycle, latency, cause — the whole reservoir), so a tail regression
-//!    in CI is always a one-command repro.
-//!
-//! The arming threshold is not a magic number: it is read off the dormant
+//! The arming threshold is not a magic number: it is read off a dormant
 //! run's reload median, so the experiment scales with machine timings.
+//! That arming the capture leaves a run cycle- and counter-identical, and
+//! that same-seed runs retain identical exemplars, are kernel-sim tests
+//! (`tests_tail`, the observer property test, and the reservoir
+//! determinism proptest), not re-runs here.
 
 use kernel_sim::{Kernel, KernelConfig, LatencyPath, TailCause, TailConfig};
 use ppc_machine::MachineConfig;
@@ -46,19 +43,8 @@ pub struct TailGateResult {
     pub captured: u64,
     /// The arming threshold derived from the dormant run (cycles).
     pub threshold: u64,
-    /// Gate 1: the planted secondary-hash storm tops the ranking.
+    /// The gate: the planted secondary-hash storm tops the ranking.
     pub storm_attributed: bool,
-    /// Gate 2: the armed run is cycle- and counter-identical to dormant.
-    pub cycle_identical: bool,
-    /// Gate 3: a re-run reproduces the reservoirs exactly.
-    pub deterministic: bool,
-}
-
-impl TailGateResult {
-    /// All three gates at once (what CI checks).
-    pub fn holds(&self) -> bool {
-        self.storm_attributed && self.cycle_identical && self.deterministic
-    }
 }
 
 /// The planted regression: a 16-PTEG hash table under a cyclic sweep of
@@ -92,10 +78,10 @@ fn storm_run(depth: Depth, tail: Option<TailConfig>) -> Kernel {
     k
 }
 
-/// Runs the planted storm and gates attribution, zero-cost and determinism.
+/// Runs the planted storm and gates its attribution.
 pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
-    // Dormant probe: supplies the identity baseline *and* the arming
-    // threshold (the reload median — capture the slow half of the path).
+    // Dormant probe: supplies the arming threshold (the reload median —
+    // capture the slow half of the path).
     let dormant = storm_run(depth, None);
     let threshold = dormant
         .tracer
@@ -107,7 +93,6 @@ pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
         .max(1);
     let tcfg = TailConfig::fixed(threshold);
     let armed = storm_run(depth, Some(tcfg));
-    let again = storm_run(depth, Some(tcfg));
 
     let tl = armed.tail.as_ref().expect("tail armed");
     let t = armed.tracer.as_ref().expect("tracer enabled");
@@ -120,21 +105,12 @@ pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
     let storm_attributed = ranked
         .first()
         .is_some_and(|(c, _, _)| *c == TailCause::SecondaryProbeStorm);
-    let cycle_identical =
-        armed.machine.cycles == dormant.machine.cycles && armed.stats == dormant.stats;
-    let tl2 = again.tail.as_ref().expect("tail armed");
-    let deterministic = tl.captured() == tl2.captured()
-        && LatencyPath::ALL
-            .iter()
-            .all(|&p| tl.exemplars(p) == tl2.exemplars(p));
 
     let gates = TailGateResult {
         ranked,
         captured: tl.captured(),
         threshold,
         storm_attributed,
-        cycle_identical,
-        deterministic,
     };
 
     let mut table = Table::new(
@@ -158,27 +134,15 @@ pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
         ]);
     }
     table.push_row(vec![
-        "(gates)".into(),
+        "(gate)".into(),
         format!("{} captures", gates.captured),
+        String::new(),
         if gates.storm_attributed {
             "storm attributed: pass"
         } else {
             "storm attributed: FAIL"
         }
         .into(),
-        format!(
-            "{}; {}",
-            if gates.cycle_identical {
-                "zero-cost: pass"
-            } else {
-                "zero-cost: FAIL"
-            },
-            if gates.deterministic {
-                "deterministic: pass"
-            } else {
-                "deterministic: FAIL"
-            }
-        ),
     ]);
     (gates, table)
 }
@@ -195,9 +159,6 @@ mod tests {
             "secondary-hash storm must top the ranking, got {:?}",
             r.ranked
         );
-        assert!(r.cycle_identical, "tail capture perturbed the storm run");
-        assert!(r.deterministic, "storm exemplars diverged between runs");
-        assert!(r.holds());
         assert!(r.captured > 0);
         assert!(r.threshold > 0);
         let s = t.render();

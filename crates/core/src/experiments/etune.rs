@@ -17,11 +17,13 @@
 //! 2. **Hysteresis bound** — no machine loses by more than 2%. The
 //!    descent's candidate set contains the baseline, so a regression means
 //!    the tuner itself is broken, not just unlucky.
-//! 3. **Determinism** — re-tuning the cheapest row reproduces the identical
-//!    outcome, byte for byte (the artifact is diffable and CI-pinnable).
+//!
+//! Determinism is not re-run here: the tune row of `ARTIFACTS.lock` pins
+//! the descent's output byte for byte, and the `mmtune_is_deterministic`
+//! property test the online controller it tunes.
 
 use crate::tables::Table;
-use crate::tune::{tune_cell, tune_workload, TuneResult};
+use crate::tune::{tune_workload, TuneResult};
 use crate::Depth;
 
 /// The complete E-TUNE result.
@@ -33,27 +35,21 @@ pub struct TuneGateResult {
     pub enough_wins: bool,
     /// Gate 2: no machine regresses past the 2% hysteresis bound.
     pub never_loses: bool,
-    /// Gate 3: re-running one cell's descent reproduces it exactly.
-    pub deterministic: bool,
 }
 
 impl TuneGateResult {
-    /// All three gates at once (what CI checks).
+    /// Both gates at once.
     pub fn holds(&self) -> bool {
-        self.enough_wins && self.never_loses && self.deterministic
+        self.enough_wins && self.never_loses
     }
 }
 
 /// Runs the fault-storm descent on every machine and gates the signs.
 pub fn exp_tune(depth: Depth) -> (TuneGateResult, Table) {
     let result = tune_workload("fault_storm", depth);
-    let machines = crate::matrix::paper_machines();
-    let again = tune_cell(&machines[1], "fault_storm", depth);
-    let deterministic = result.outcomes[1] == again;
     let gates = TuneGateResult {
         enough_wins: result.wins() >= 2,
         never_loses: result.never_loses(),
-        deterministic,
         result,
     };
 
@@ -69,12 +65,7 @@ pub fn exp_tune(depth: Depth) -> (TuneGateResult, Table) {
         }
         .into(),
         String::new(),
-        if gates.deterministic {
-            "deterministic: pass"
-        } else {
-            "deterministic: FAIL"
-        }
-        .into(),
+        String::new(),
     ]);
     (gates, t)
 }
@@ -96,7 +87,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(r.never_loses, "a tuned cell regressed past the 2% bound");
-        assert!(r.deterministic, "descent must be reproducible");
         assert!(r.holds());
         assert_eq!(r.result.outcomes.len(), 4);
         let s = t.render();

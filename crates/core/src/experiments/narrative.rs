@@ -534,7 +534,7 @@ pub fn exp_idle_reclaim(depth: Depth) -> (IdleReclaimResult, Table) {
         let evict_ratio = k.htab.stats().evict_ratio();
         let inuse = k.htab.live_entries(|v| k.vsids.is_live(v));
         let hit_rate = {
-            let d = k.stats.delta(&k0);
+            let d = k.stats.diff(&k0);
             let total = d.htab_hits + d.htab_misses;
             if total == 0 {
                 1.0

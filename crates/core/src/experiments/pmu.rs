@@ -3,26 +3,25 @@
 //! The paper's measurement methodology (§4) is the 604 hardware monitor;
 //! PR 2 gave the simulator an *exact* profiler (every charged cycle
 //! attributed at span boundaries) that no real machine can have. This
-//! experiment validates the PMU model against that ground truth three ways:
+//! experiment validates the PMU model against that ground truth two ways:
 //!
-//! 1. **Non-perturbation** — a PMU that only counts (no sampling
-//!    interrupts) leaves the run cycle-identical to a PMU-less kernel.
-//! 2. **Convergence** — cycle-sampled subsystem shares approach the exact
+//! 1. **Convergence** — cycle-sampled subsystem shares approach the exact
 //!    shares as the sampling period shrinks; the acceptance bar is
 //!    agreement within 5 % (50 000 ppm of absolute share) at the finest
 //!    period.
-//! 3. **Honest overhead** — sampling charges its modeled interrupt cost
+//! 2. **Honest overhead** — sampling charges its modeled interrupt cost
 //!    (exception entry/exit + handler body), visible as extra cycles over
 //!    the unsampled baseline and attributed to the `pmu` bucket.
 //!
 //! The sampled and exact profiles are read from the *same* run, so the
-//! comparison measures sampling error, not run-to-run divergence.
+//! comparison measures sampling error, not run-to-run divergence. That a
+//! PMU which only counts leaves the run cycle-identical is a kernel-sim
+//! test (`tests_pmu::no_pmu_and_counting_pmu_are_cycle_identical`), and
+//! `check_grid` holds it on this very cell.
 
-use kernel_sim::{Kernel, KernelConfig, PmuConfig, Subsystem};
-use ppc_machine::pmu::PmcEvent;
-use ppc_machine::MachineConfig;
+use kernel_sim::{KernelConfig, PmuConfig, Subsystem};
 
-use super::artifacts::reference_workload;
+use crate::matrix::{machine_row, run_workload};
 use crate::tables::Table;
 use crate::Depth;
 
@@ -51,11 +50,6 @@ pub struct PmuResult {
     pub depth: &'static str,
     /// Cycles of the traced, PMU-less reference run.
     pub baseline_cycles: u64,
-    /// Cycles of the same run with a counting-only PMU installed.
-    pub counting_cycles: u64,
-    /// Whether the counting run was cycle-identical to the baseline (the
-    /// non-perturbation guarantee; CI fails when false).
-    pub counting_identical: bool,
     /// One row per sampling period, coarsest first.
     pub rows: Vec<PmuConvergenceRow>,
 }
@@ -67,26 +61,13 @@ impl PmuResult {
     }
 }
 
-fn boot_run(cfg: KernelConfig, depth: Depth) -> Kernel {
-    let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
-    reference_workload(&mut k, depth);
-    k.pmu_finish();
-    k
-}
-
-/// Runs the convergence study and renders the agreement table.
+/// Runs the convergence study on the matrix's `604-133` `trace_ref` cell
+/// and renders the agreement table.
 pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
+    let m = machine_row("604-133");
     let mut base_cfg = KernelConfig::optimized();
     base_cfg.trace = true;
-    let base = boot_run(base_cfg, depth);
-    let baseline_cycles = base.machine.cycles;
-
-    let mut counting_cfg = base_cfg;
-    counting_cfg.pmu = Some(PmuConfig::counting(
-        PmcEvent::TlbMissBoth,
-        PmcEvent::CacheMissBoth,
-    ));
-    let counting_cycles = boot_run(counting_cfg, depth).machine.cycles;
+    let baseline_cycles = run_workload(&m, base_cfg, "trace_ref", depth).cycles;
 
     let periods: &[u32] = match depth {
         Depth::Quick => &[65_536, 8_192, 1_024],
@@ -96,7 +77,7 @@ pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
     for &period in periods {
         let mut cfg = base_cfg;
         cfg.pmu = Some(PmuConfig::sampling(period));
-        let mut k = boot_run(cfg, depth);
+        let mut k = run_workload(&m, cfg, "trace_ref", depth).kernel;
         let now = k.machine.cycles;
         let t = k.tracer.as_mut().expect("trace enabled");
         t.prof.finish(now);
@@ -133,8 +114,6 @@ pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
     let result = PmuResult {
         depth: depth.name(),
         baseline_cycles,
-        counting_cycles,
-        counting_identical: counting_cycles == baseline_cycles,
         rows,
     };
 
@@ -159,37 +138,12 @@ pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
             format!("{}", r.overhead_ppm),
         ]);
     }
-    t.push_row(vec![
-        "counting-only".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        format!(
-            "{}",
-            result.counting_cycles.abs_diff(result.baseline_cycles)
-        ),
-        if result.counting_identical {
-            "identical".into()
-        } else {
-            "PERTURBED".into()
-        },
-    ]);
     (result, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_pmu_never_perturbs_the_run() {
-        let (r, _) = exp_pmu(Depth::Quick);
-        assert!(
-            r.counting_identical,
-            "counting run diverged: {} vs {}",
-            r.counting_cycles, r.baseline_cycles
-        );
-    }
 
     #[test]
     fn sampling_converges_within_5_percent_at_the_finest_period() {
@@ -207,14 +161,6 @@ mod tests {
             assert!(row.overhead_cycles > 0, "period {} was free", row.period);
             assert!(row.interrupts > 0);
         }
-        assert_eq!(t.rows.len(), 4, "three periods + the counting row");
-    }
-
-    #[test]
-    fn results_are_deterministic() {
-        let (a, ta) = exp_pmu(Depth::Quick);
-        let (b, tb) = exp_pmu(Depth::Quick);
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(ta.to_json(), tb.to_json());
+        assert_eq!(t.rows.len(), 3, "one row per period");
     }
 }

@@ -43,7 +43,7 @@ pub fn run_pressure(seed: u64, hogs: u32) -> PressureRun {
     let c0 = k.machine.cycles;
     let survivors = fault_storm(&mut k, hogs);
     PressureRun {
-        stats: k.stats.delta(&k0),
+        stats: k.stats.diff(&k0),
         cycles: k.machine.cycles - c0,
         survivors,
     }

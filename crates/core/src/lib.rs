@@ -39,7 +39,6 @@ pub mod experiments;
 pub mod matrix;
 pub mod perf;
 pub mod tables;
-pub mod tail;
 pub mod tune;
 
 pub use kernel_sim::{

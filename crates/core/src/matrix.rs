@@ -252,7 +252,7 @@ pub fn run_workload(
     k.pmu_finish();
     HeadlineRun {
         cycles: k.machine.cycles - c0,
-        stats: k.stats.delta(&s0),
+        stats: k.stats.diff(&s0),
         monitor: k.machine.snapshot().delta(&m0),
         kernel: k,
     }

@@ -255,8 +255,7 @@ pub struct KernelConfig {
     /// charges exactly the same cycles and counts exactly the same
     /// [`crate::KernelStats`] as a plain traced one. Requires `trace` (the
     /// capture reads the histograms, span stack and trace ring). Excluded
-    /// from [`KernelConfig::summary`]; the `mmu-tricks-tail-v1` artifact
-    /// carries its own `tail` header instead.
+    /// from [`KernelConfig::summary`]: an observer, not a kernel toggle.
     pub tail: Option<crate::tail::TailConfig>,
 
     /// Causal what-if profiling (DESIGN.md §15): integer fixed-point

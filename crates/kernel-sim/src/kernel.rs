@@ -332,9 +332,11 @@ impl Kernel {
 
     /// Enables (or disables) the deliberate stale-TLB bug — the lazy
     /// context flush stops bumping VSIDs, leaving stale translations
-    /// matchable. Exists so tests and the chaos gate can prove the shadow
-    /// oracle catches it; the environment-variable latch
-    /// (`MMU_TRICKS_BUG_STALE_TLB`) does the same for whole processes.
+    /// matchable. Exists so tests can prove the shadow oracle catches it
+    /// (`tests_check::oracle_catches_deliberate_stale_vsid_bug`); the
+    /// environment-variable latch (`MMU_TRICKS_BUG_STALE_TLB`) does the
+    /// same for whole processes, which `crates/bench/tests/artifacts.rs`
+    /// drives through `repro chaos`.
     pub fn set_buggy_skip_vsid_flush(&mut self, on: bool) {
         self.buggy_skip_vsid_flush = on;
     }

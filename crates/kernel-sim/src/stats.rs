@@ -122,12 +122,6 @@ impl KernelStats {
             self.evict_live as f64 / total_inserts as f64
         }
     }
-
-    /// Difference `self - earlier` for a measurement window (alias of
-    /// [`KernelStats::diff`], kept for existing call sites).
-    pub fn delta(&self, earlier: &KernelStats) -> KernelStats {
-        self.diff(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +161,7 @@ mod tests {
             tlb_reloads: 20,
             ..Default::default()
         };
-        let d = b.delta(&a);
+        let d = b.diff(&a);
         assert_eq!(d.syscalls, 4);
         assert_eq!(d.tlb_reloads, 13);
     }

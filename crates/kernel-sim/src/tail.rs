@@ -12,7 +12,7 @@
 //!
 //! A closed cause taxonomy ([`TailCause`]) classifies each exemplar from its
 //! span stack and stats deltas, and cycles-above-median are attributed per
-//! cause, so `repro tail` can print "the p99 is secondary-hash probing"
+//! cause, so `repro trace` can print "the p99 is secondary-hash probing"
 //! instead of a bucket bound.
 //!
 //! Like the tracer, telemetry sampler and checker before it, capture is
@@ -163,8 +163,8 @@ impl TailCause {
         TailCause::Unattributed,
     ];
 
-    /// Stable machine-readable name (used in the `mmu-tricks-tail-v1`
-    /// artifact and tables).
+    /// Stable machine-readable name (used in the metrics artifact's
+    /// `causes` object and in tables).
     pub fn name(self) -> &'static str {
         match self {
             TailCause::HtabRehash => "htab_rehash",

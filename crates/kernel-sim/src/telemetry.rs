@@ -16,8 +16,8 @@
 //! is **purely observational**: it never charges cycles, never touches
 //! cache or TLB state, and never writes into the trace ring (so it cannot
 //! evict trace events). A telemetry-on run is cycle-identical to a
-//! telemetry-off run: the metrics artifact records the difference as
-//! `overhead_cycles`, and `ARTIFACTS.lock` pins it at zero.
+//! telemetry-off run (the observer property test in `tests_observers`
+//! proves it).
 
 use ppc_machine::Cycles;
 
@@ -107,25 +107,20 @@ pub const SERIES_NAMES: &[&str] = &[
 ];
 
 impl EpochSample {
-    /// The sample's value for a [`SERIES_NAMES`] entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown series name.
-    pub fn series(&self, name: &str) -> u64 {
-        match name {
-            "htab_valid" => u64::from(self.htab_valid),
-            "htab_live" => u64::from(self.htab_live),
-            "zombie_ptes" => u64::from(self.zombie_ptes),
-            "full_groups" => u64::from(self.full_groups),
-            "tlb_kernel" => u64::from(self.tlb_kernel),
-            "tlb_user" => u64::from(self.tlb_user),
-            "htab_hit_ppm" => self.htab_hit_ppm,
-            "tlb_reloads" => self.tlb_reloads,
-            "evict_live" => self.evict_live,
-            "evict_zombie" => self.evict_zombie,
-            other => panic!("unknown telemetry series {other:?}"),
-        }
+    /// The sample's series values, in [`SERIES_NAMES`] order.
+    pub fn values(&self) -> [u64; SERIES_NAMES.len()] {
+        [
+            u64::from(self.htab_valid),
+            u64::from(self.htab_live),
+            u64::from(self.zombie_ptes),
+            u64::from(self.full_groups),
+            u64::from(self.tlb_kernel),
+            u64::from(self.tlb_user),
+            self.htab_hit_ppm,
+            self.tlb_reloads,
+            self.evict_live,
+            self.evict_zombie,
+        ]
     }
 }
 
@@ -243,11 +238,6 @@ impl Telemetry {
             evict_zombie: d.evict_zombie,
         });
     }
-
-    /// One series as a value-per-sample vector (for sparklines/plots).
-    pub fn series(&self, name: &str) -> Vec<u64> {
-        self.epochs.iter().map(|e| e.series(name)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -317,12 +307,26 @@ mod tests {
     fn series_names_cover_every_exported_series() {
         let mut t = Telemetry::new(TelemetryConfig::default_epochs());
         t.record(DEFAULT_EPOCH_CYCLES, readings(8, 6), &KernelStats::default());
-        for name in SERIES_NAMES {
-            let v = t.series(name);
-            assert_eq!(v.len(), 1, "{name}");
-        }
-        assert_eq!(t.series("zombie_ptes")[0], 2);
-        assert_eq!(t.series("tlb_user")[0], 20);
+        let named: Vec<(&str, u64)> = SERIES_NAMES
+            .iter()
+            .copied()
+            .zip(t.epochs[0].values())
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("htab_valid", 8),
+                ("htab_live", 6),
+                ("zombie_ptes", 2),
+                ("full_groups", 1),
+                ("tlb_kernel", 10),
+                ("tlb_user", 20),
+                ("htab_hit_ppm", 1_000_000),
+                ("tlb_reloads", 0),
+                ("evict_live", 0),
+                ("evict_zombie", 0),
+            ]
+        );
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn kernel_compile(k: &mut Kernel, cfg: CompileConfig) -> CompileResult {
         cycles,
         wall_ms: k.machine.time_of(cycles).as_ms(),
         monitor: k.machine.snapshot().delta(&m0),
-        kernel: k.stats.delta(&k0),
+        kernel: k.stats.diff(&k0),
         htab_searches: h1.searches - h0.searches,
         htab_search_misses: h1.misses - h0.misses,
         kernel_tlb_highwater: kernel_tlb_hwm,

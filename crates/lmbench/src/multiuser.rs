@@ -203,7 +203,7 @@ pub fn run_multiuser(k: &mut Kernel, users: &[User], rounds: u32) -> MultiuserRe
         wall_ms: k.machine.time_of(cycles).as_ms(),
         idle_frac: (k.stats.idle_cycles - idle0) as f64 / cycles as f64,
         monitor: k.machine.snapshot().delta(&m0),
-        kernel: k.stats.delta(&k0),
+        kernel: k.stats.diff(&k0),
     }
 }
 
