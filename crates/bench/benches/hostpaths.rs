@@ -5,6 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use kernel_sim::check::CheckConfig;
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::trace::{TraceEvent, TraceRecord, TraceRing};
 use kernel_sim::{Kernel, KernelConfig};
@@ -207,12 +208,15 @@ fn bench_trace_write(c: &mut Criterion) {
 /// fast path versus the layered translate→charge→cache path (DESIGN.md
 /// §16). Both variants simulate identical cycles and counters; the host-ns
 /// ratio between the `_fused` and `_layered` rows is what the fused path
-/// buys per reference.
+/// buys per reference. `data_ref_audited` is the fused load with the
+/// consistency checker armed, once the warm-up has audited and marked the
+/// translation (DESIGN.md §12): what an audited hit costs over a plain one.
 fn bench_fused_hot_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("fused_hot_paths");
-    let boot = |fused: bool| {
+    let boot = |fused: bool, check: bool| {
         let mut cfg = KernelConfig::optimized();
         cfg.fused = fused;
+        cfg.check = check.then(CheckConfig::full);
         let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
         let pid = k.spawn_process(8).unwrap();
         k.switch_to(pid);
@@ -227,9 +231,14 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     };
     // Stride cache lines *within* one page: page-stride addresses all land
     // in cache set 0 and would measure the miss path instead of the hit.
-    for (name, fused) in [("data_ref_fused", true), ("data_ref_layered", false)] {
+    let data_rows = [
+        ("data_ref_fused", true, false),
+        ("data_ref_layered", false, false),
+        ("data_ref_audited", true, true),
+    ];
+    for (name, fused, check) in data_rows {
         g.bench_function(name, |b| {
-            let mut k = boot(fused);
+            let mut k = boot(fused, check);
             let mut i = 0u32;
             b.iter(|| {
                 i = (i + 1) % 64;
@@ -239,7 +248,7 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     }
     for (name, fused) in [("exec_code_fused", true), ("exec_code_layered", false)] {
         g.bench_function(name, |b| {
-            let mut k = boot(fused);
+            let mut k = boot(fused, false);
             let mut i = 0u32;
             b.iter(|| {
                 i = (i + 1) % 64;

@@ -228,7 +228,7 @@ impl TraceArtifacts {
             .field("series", Json::obj(series));
         Json::object()
             .field("schema", "mmu-tricks-metrics-v1")
-            .field("workload", "compile+signals")
+            .field("workload", "trace_ref")
             .field("depth", self.depth)
             .field("machine", &self.machine)
             .field("config", &self.config)

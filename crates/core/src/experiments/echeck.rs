@@ -113,7 +113,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn chaos_fleet_is_clean_zero_cost_deterministic_and_sensitive() {
+    fn chaos_fleet_runs_clean_and_exercises_checker_and_injector() {
         let (r, t) = exp_check(Depth::Quick);
         assert!(
             r.first_failure.is_none(),

@@ -152,7 +152,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn planted_storm_is_attributed_cheap_and_deterministic() {
+    fn planted_storm_tops_the_cause_ranking() {
         let (r, t) = exp_tail(Depth::Quick);
         assert!(
             r.storm_attributed,

@@ -177,13 +177,13 @@ fn chaos(seed: u64) {
 fn workload_allocation_budgets() {
     let budgets: [(&str, u64, &dyn Fn()); 8] = [
         ("compile", 89, &compile),
-        ("observed", 2_115, &compile_observed),
+        ("observed", 172, &compile_observed),
         ("fault_storm", 152, &fault_storm),
         ("matrix_row", 2_861, &matrix_row),
-        ("chaos seed 1", 1_301, &|| chaos(1)),
-        ("chaos seed 2", 940, &|| chaos(2)),
-        ("chaos seed 3", 1_165, &|| chaos(3)),
-        ("chaos seed 4", 1_015, &|| chaos(4)),
+        ("chaos seed 1", 1_300, &|| chaos(1)),
+        ("chaos seed 2", 939, &|| chaos(2)),
+        ("chaos seed 3", 1_164, &|| chaos(3)),
+        ("chaos seed 4", 1_014, &|| chaos(4)),
     ];
     for (name, budget, run) in budgets {
         let ((), allocs) = allocs_during(run);

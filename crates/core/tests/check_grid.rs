@@ -1,10 +1,12 @@
 //! Integration gate: the shadow-MM oracle and runtime invariants hold over
 //! the entire benchmark grid, and no observer is seen in the results. Each
 //! cell runs as configured and again with every observational observer
-//! armed: trace, counting PMU, telemetry, the oracle and invariants (which
-//! also force the layered path), tail capture and an identity causal config.
-//! Any oracle or invariant violation panics the cell (DESIGN.md §12); any
-//! observer that charges a cycle or moves a counter breaks the identity.
+//! armed: trace, counting PMU, telemetry, the oracle and invariants (on the
+//! audited fused path), tail capture and an identity causal config. Any
+//! oracle or invariant violation panics the cell (DESIGN.md §12), and in
+//! debug builds so does any disagreement between the incremental checker
+//! and the full one; any observer that charges a cycle or moves a counter
+//! breaks the identity.
 
 mod grid;
 

@@ -11,26 +11,47 @@
 //!   distinct), the MMInv analogue (the active address space is the current
 //!   task's: segment registers match its VSIDs; dead tasks hold no frames),
 //!   VSID liveness and generation monotonicity, and hash-table placement /
-//!   occupancy self-consistency — cheap ones at every span transition,
-//!   heavy sweeps at the checker's own epoch boundaries;
+//!   occupancy self-consistency — cheap ones at span transitions, heavy
+//!   sweeps at the checker's own epoch boundaries;
 //! * violation reporting that panics with the exact [`KernelConfig`]
 //!   summary and injector seed, so the adversarial driver (`repro chaos`)
 //!   can turn any red run into a one-command repro.
+//!
+//! Every check runs again only when its inputs change, with the verdicts of
+//! checking everything every time:
+//!
+//! * a translation is audited once, not at every hit: a TLB slot or BAT
+//!   register that passed its audit carries a mark, and the fused fast path
+//!   serves marked translations without a new audit. A refill or BAT
+//!   reprogram clears the marks it touches; any oracle removal or change of
+//!   a legal translation clears them all;
+//! * a heavy sweep visits only the hash-table PTEGs written since the last
+//!   sweep, the PTEGs where an entry for a key the oracle removed or changed
+//!   may sit, and the unaudited TLB slots;
+//! * the cheap invariants are evaluated again only after the kernel bumped
+//!   its scheduler/MM version (`Kernel::check_note_sched_change`), and at
+//!   every heavy sweep.
+//!
+//! Debug builds also make every skipped sweep and invariant evaluation in
+//! full and panic with their own message on any disagreement.
 //!
 //! Like the tracer, PMU sampler and telemetry, the checker is an observer
 //! behind `Option<Box<_>>`: disabled, the kernel carries one pointer and
 //! every hook is a single branch, and a checked run charges **exactly** the
 //! same cycles as an unchecked one (the checker never calls
-//! `Machine::charge`, never touches TLB/cache replacement state, and reads
-//! MMU structures only through the read-only sweep accessors).
+//! `Machine::charge`, never touches TLB/cache replacement state or any
+//! counter; the audit and PTEG marks are the only state it writes).
 
 use ppc_machine::Cycles;
-use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress};
+use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress, Vsid};
+use ppc_mmu::bat::BatEntry;
 use ppc_mmu::pte::Pte;
 use ppc_mmu::translate::AccessType;
 
 use crate::kernel::Kernel;
-use crate::layout::{is_io, is_kernel_linear, kva_to_pa};
+use crate::layout::{
+    is_io, is_kernel_linear, kva_to_pa, IO_BYTES, IO_VIRT_BASE, KERNEL_VIRT_BASE, RAM_BYTES,
+};
 use crate::oracle::{ShadowEntry, ShadowMm};
 use crate::task::TaskState;
 use crate::telemetry::EpochClock;
@@ -45,8 +66,8 @@ pub struct CheckConfig {
     /// Maintain the shadow oracle and cross-check every TLB hit, hash-table
     /// hit and BAT match against it.
     pub oracle: bool,
-    /// Evaluate the ported SchedInv/MMInv invariants at every span
-    /// transition and run the heavy structural sweeps at epoch boundaries.
+    /// Evaluate the ported SchedInv/MMInv invariants at span transitions
+    /// and run the heavy structural sweeps at epoch boundaries.
     pub invariants: bool,
     /// Cycles between heavy sweeps (TLB/htab containment, placement,
     /// occupancy cross-checks).
@@ -71,9 +92,14 @@ pub struct CheckState {
     pub cfg: CheckConfig,
     /// The shadow model of every currently-legal translation.
     pub oracle: ShadowMm,
-    /// Positive hardware observations cross-checked against the oracle.
+    /// Positive hardware observations cross-checked against the oracle:
+    /// every TLB hit, BAT match and hash-table hit while armed. A hit on an
+    /// audited TLB slot or BAT register is covered by that translation's
+    /// audit; those are counted from the TLB and BAT hit counters, folded in
+    /// at every span transition and by [`Kernel::check_finish`].
     pub checked_observations: u64,
-    /// Cheap invariant evaluations performed (one per span transition).
+    /// Cheap invariant evaluations actually made: one after each step that
+    /// changed what the invariants read, one per heavy sweep.
     pub invariant_passes: u64,
     /// Heavy epoch sweeps performed.
     pub heavy_sweeps: u64,
@@ -81,9 +107,20 @@ pub struct CheckState {
     clock: EpochClock,
     /// Highest VSID-allocator generation seen (must never decrease).
     last_generation: u32,
-    /// Scratch for the heavy sweep's occupancy histogram, reused across
-    /// epochs so the sweep only allocates when the hash table grows.
-    hist_scratch: Vec<u8>,
+    /// TLB and BAT hits already folded into `checked_observations`.
+    hits_folded: u64,
+    /// The kernel's scheduler/MM version at the last invariant evaluation.
+    invariants_seen: Option<u64>,
+    /// PTEG count of the hash table at the last heavy sweep.
+    swept_groups: u32,
+    /// The VSID scatter constant has been retuned: a later context may
+    /// reuse a retired VSID whose zombies a partial sweep would not revisit,
+    /// so every sweep from then on is full.
+    rescattered: bool,
+    /// Fingerprint of the invariants' inputs at the last evaluation, which
+    /// a skipped evaluation must still match.
+    #[cfg(debug_assertions)]
+    inputs_fingerprint: u64,
 }
 
 impl CheckState {
@@ -97,8 +134,29 @@ impl CheckState {
             heavy_sweeps: 0,
             clock: EpochClock::new(cfg.epoch_cycles.max(1)),
             last_generation: 0,
-            hist_scratch: Vec::new(),
+            hits_folded: 0,
+            invariants_seen: None,
+            swept_groups: 0,
+            rescattered: false,
+            #[cfg(debug_assertions)]
+            inputs_fingerprint: 0,
         }
+    }
+}
+
+/// Whether every address of BAT block `b` passes [`Kernel::check_on_bat_hit`]:
+/// the block lies in the kernel linear map, maps it to its physical image
+/// and is cacheable, or lies in the I/O aperture, maps it identity and is
+/// cache-inhibited.
+fn bat_block_is_legal(b: &BatEntry) -> bool {
+    let (start, end) = (b.ea_base, u64::from(b.ea_base) + u64::from(b.len_bytes));
+    let within = |base: u32, len: u32| base <= start && end <= u64::from(base) + u64::from(len);
+    if within(KERNEL_VIRT_BASE, RAM_BYTES) {
+        b.cached && b.pa_base == b.ea_base - KERNEL_VIRT_BASE
+    } else if within(IO_VIRT_BASE, IO_BYTES) {
+        !b.cached && b.pa_base == b.ea_base
+    } else {
+        false
     }
 }
 
@@ -130,9 +188,20 @@ impl Kernel {
         panic!("MM check violation: {msg}\n  [{}]", self.check_context());
     }
 
+    /// Reports a disagreement between a skipped (incremental) check and the
+    /// same check made in full — a checker bug, or a kernel mutation that
+    /// forgot its mark or version bump. Debug builds only.
+    ///
+    /// # Panics
+    ///
+    /// Always.
+    #[cfg(debug_assertions)]
+    fn check_diverged(&self, msg: &str) -> ! {
+        let context = self.check_context();
+        panic!("MM incremental check diverged from the full check: {msg}\n  [{context}]");
+    }
+
     /// The span-transition hook: a single branch when checking is off.
-    /// Cheap invariants every call; the heavy sweep when the epoch boundary
-    /// has been crossed.
     #[inline]
     pub(crate) fn check_poll(&mut self) {
         if self.check.is_none() {
@@ -141,54 +210,113 @@ impl Kernel {
         self.check_transition();
     }
 
-    /// The cold half of [`Kernel::check_poll`]. Takes the checker out while
-    /// working (same discipline as `tune_epoch`): the checks only read
-    /// kernel state, and a taken-out checker makes re-entry impossible.
+    /// The cold half of [`Kernel::check_poll`]: the cheap invariants when
+    /// their inputs changed or a heavy sweep is due, then the heavy sweep
+    /// when the epoch boundary has been crossed. Takes the checker out while
+    /// working (same discipline as `tune_epoch`): a taken-out checker makes
+    /// re-entry impossible.
     fn check_transition(&mut self) {
         let Some(mut c) = self.check.take() else {
             return;
         };
-        if c.cfg.invariants {
-            if let Some(v) = self.invariant_violation(&mut c.last_generation) {
-                self.check = Some(c);
-                self.check_fail(&v);
-            }
-            c.invariant_passes += 1;
-        }
         let now = self.machine.cycles;
-        if c.clock.due(now) {
+        let due = c.clock.due(now);
+        if c.cfg.invariants {
+            if due || c.invariants_seen != Some(self.sched_mm_version) {
+                self.check_invariants(&mut c);
+            } else {
+                #[cfg(debug_assertions)]
+                self.cross_check_skipped_invariants(&mut c);
+            }
+        }
+        if due {
             c.clock.advance(now);
             c.heavy_sweeps += 1;
-            if let Some(v) = self.heavy_sweep_violation(&mut c) {
-                self.check = Some(c);
-                self.check_fail(&v);
-            }
+            self.heavy_sweep(&mut c, false);
         }
+        self.fold_hits(&mut c);
         self.check = Some(c);
     }
 
-    /// Runs the heavy structural sweep once over the final state (call at
-    /// the end of a checked run; no-op when checking is off).
+    /// Runs the heavy structural sweep in full and the invariants once over
+    /// the final state, and brings `checked_observations` up to date (call
+    /// at the end of a checked run; no-op when checking is off).
     pub fn check_finish(&mut self) {
         let Some(mut c) = self.check.take() else {
             return;
         };
         c.heavy_sweeps += 1;
-        if let Some(v) = self.heavy_sweep_violation(&mut c) {
-            self.check = Some(c);
-            self.check_fail(&v);
-        }
+        self.heavy_sweep(&mut c, true);
         if c.cfg.invariants {
-            if let Some(v) = self.invariant_violation(&mut c.last_generation) {
-                self.check = Some(c);
-                self.check_fail(&v);
-            }
-            c.invariant_passes += 1;
+            self.check_invariants(&mut c);
         }
+        self.fold_hits(&mut c);
         self.check = Some(c);
     }
 
-    /// The cheap invariant set, evaluated at every span transition.
+    /// Folds the TLB and BAT hits since the last fold into
+    /// `checked_observations`: every such hit was audited on the layered
+    /// path or covered by its translation's audit mark. A measurement
+    /// window that reset the machine counters restarts the total.
+    fn fold_hits(&self, c: &mut CheckState) {
+        let mmu = &self.machine.mmu;
+        let hits =
+            mmu.itlb.stats().hits + mmu.dtlb.stats().hits + mmu.bats.ibat_hits + mmu.bats.dbat_hits;
+        c.checked_observations += hits.checked_sub(c.hits_folded).unwrap_or(hits);
+        c.hits_folded = hits;
+    }
+
+    /// Evaluates the cheap invariants, reporting any violation, and records
+    /// the scheduler/MM version they were evaluated at.
+    fn check_invariants(&self, c: &mut CheckState) {
+        if let Some(v) = self.invariant_violation(&mut c.last_generation) {
+            self.check_fail(&v);
+        }
+        c.invariant_passes += 1;
+        c.invariants_seen = Some(self.sched_mm_version);
+        #[cfg(debug_assertions)]
+        {
+            c.inputs_fingerprint = self.invariant_inputs_fingerprint();
+        }
+    }
+
+    /// Debug builds: a skipped evaluation is made in full anyway, and the
+    /// invariants' inputs must be exactly those of the last evaluation.
+    #[cfg(debug_assertions)]
+    fn cross_check_skipped_invariants(&self, c: &mut CheckState) {
+        if self.invariant_inputs_fingerprint() != c.inputs_fingerprint {
+            self.check_diverged(
+                "the invariants' inputs changed without a scheduler/MM version bump",
+            );
+        }
+        if let Some(v) = self.invariant_violation(&mut c.last_generation) {
+            self.check_diverged(&format!("a skipped invariant evaluation fails: {v}"));
+        }
+    }
+
+    /// A digest of everything [`Kernel::invariant_violation`] reads.
+    #[cfg(debug_assertions)]
+    fn invariant_inputs_fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.run_queue.hash(&mut h);
+        self.sched_mutation_depth.hash(&mut h);
+        self.current.hash(&mut h);
+        for t in &self.tasks {
+            std::mem::discriminant(&t.state).hash(&mut h);
+            t.frames.len().hash(&mut h);
+            for v in &t.vsids {
+                (v.raw(), self.vsids.is_live(*v)).hash(&mut h);
+            }
+        }
+        for v in self.machine.mmu.segments.snapshot() {
+            v.raw().hash(&mut h);
+        }
+        self.vsids.generation().hash(&mut h);
+        h.finish()
+    }
+
+    /// The cheap invariant set.
     ///
     /// Scheduler-state clauses are skipped while a scheduler mutation
     /// (context switch, task teardown) is in flight: those functions are the
@@ -278,9 +406,46 @@ impl Kernel {
         None
     }
 
-    /// The heavy epoch sweep: containment of resident translations in the
-    /// oracle, and hash-table structural self-consistency.
-    fn heavy_sweep_violation(&self, c: &mut CheckState) -> Option<String> {
+    /// One heavy sweep, `full` or over what changed since the last sweep,
+    /// reporting any violation. A passing sweep clears the PTEG marks. Debug
+    /// builds make a partial sweep in full as well and require the same
+    /// verdict.
+    fn heavy_sweep(&mut self, c: &mut CheckState, full: bool) {
+        let groups = self.htab.hash().num_groups();
+        let full = full || c.rescattered || groups != c.swept_groups;
+        let verdict = self.heavy_sweep_violation(c, full);
+        #[cfg(debug_assertions)]
+        if !full {
+            if let Some(whole) = self.heavy_sweep_violation(c, true) {
+                if verdict.is_none() {
+                    self.check_diverged(&format!("a partial sweep missed: {whole}"));
+                }
+            } else if let Some(v) = &verdict {
+                self.check_diverged(&format!("only the partial sweep reports: {v}"));
+            }
+        }
+        if let Some(v) = verdict {
+            self.check_fail(&v);
+        }
+        self.htab.clear_written_marks();
+        c.swept_groups = groups;
+    }
+
+    /// The heavy sweep: containment of resident translations in the oracle,
+    /// and hash-table structural self-consistency. A partial sweep visits
+    /// the unaudited TLB slots and the PTEGs marked written; everything else
+    /// passed an earlier sweep or audit and has not changed since.
+    fn heavy_sweep_violation(&self, c: &CheckState, full: bool) -> Option<String> {
+        let htab = &self.htab;
+        let visited = || {
+            (0..htab.hash().num_groups())
+                .filter(move |&g| full || htab.written(g))
+                .flat_map(move |g| {
+                    let group = htab.group(g);
+                    (0..group.len()).map(move |s| (g, s, group[s]))
+                })
+                .filter(|(_, _, pte)| pte.valid)
+        };
         if c.cfg.oracle {
             // Every resident TLB entry under a live VSID must still be
             // legal. (Zombie entries — retired VSIDs — are exactly what
@@ -292,7 +457,12 @@ impl Kernel {
                 ("dtlb", &self.machine.mmu.dtlb),
             ];
             for (name, tlb) in tlbs {
-                for e in tlb.entries().filter(|e| live(e.vsid)) {
+                let entries: &mut dyn Iterator<Item = _> = if full {
+                    &mut tlb.entries()
+                } else {
+                    &mut tlb.unaudited_entries()
+                };
+                for e in entries.filter(|e| live(e.vsid)) {
                     if let Some(v) = c.oracle.check_observation(
                         format_args!("{name} residency sweep"),
                         e.vsid,
@@ -306,7 +476,7 @@ impl Kernel {
                 }
             }
             // Same containment for live hash-table entries.
-            for (_, _, pte) in self.htab.entries().filter(|(_, _, p)| live(p.vsid)) {
+            for (_, _, pte) in visited().filter(|(_, _, p)| live(p.vsid)) {
                 if let Some(v) = c.oracle.check_observation(
                     "htab residency sweep",
                     pte.vsid,
@@ -323,8 +493,8 @@ impl Kernel {
             // PTEG placement: every valid entry sits in the group its hash
             // (primary or secondary, per its H bit) selects — the invariant
             // a botched mid-run rehash would break.
-            let hash = self.htab.hash();
-            for (g, s, pte) in self.htab.entries() {
+            let hash = htab.hash();
+            for (g, s, pte) in visited() {
                 let expect = hash.pteg_index(pte.vsid, pte.page_index, pte.secondary);
                 if expect != g {
                     return Some(format!(
@@ -336,38 +506,64 @@ impl Kernel {
                     ));
                 }
             }
-            // Occupancy summaries agree with the group contents.
-            self.htab.group_histogram_into(&mut c.hist_scratch);
-            let hist = &c.hist_scratch;
-            if hist.len() != self.htab.hash().num_groups() as usize {
+            // Occupancy: the table's per-group counts agree with the group
+            // contents, and its totals with the per-group counts.
+            let (mut sum, mut full_groups) = (0, 0);
+            for g in 0..hash.num_groups() {
+                let count = htab.group_valid(g);
+                if full || htab.written(g) {
+                    let actual = htab.group(g).iter().filter(|p| p.valid).count() as u32;
+                    if actual != count {
+                        return Some(format!(
+                            "htab occupancy: group {g} holds {actual} valid entries, \
+                             its count says {count}"
+                        ));
+                    }
+                }
+                sum += count;
+                full_groups += u32::from(count as usize == ppc_mmu::htab::PTES_PER_GROUP);
+            }
+            if sum != htab.valid_entries() {
                 return Some(format!(
-                    "htab occupancy: histogram covers {} groups, hash says {}",
-                    hist.len(),
-                    self.htab.hash().num_groups()
+                    "htab occupancy: group counts sum to {sum}, valid_entries says {}",
+                    htab.valid_entries()
                 ));
             }
-            let sum: u32 = hist.iter().map(|&c| u32::from(c)).sum();
-            if sum != self.htab.valid_entries() {
+            if full_groups != htab.full_groups() {
                 return Some(format!(
-                    "htab occupancy: histogram sums to {sum}, valid_entries says {}",
-                    self.htab.valid_entries()
-                ));
-            }
-            let full = hist.iter().filter(|&&c| c as usize == 8).count() as u32;
-            if full != self.htab.full_groups() {
-                return Some(format!(
-                    "htab occupancy: histogram counts {full} full groups, \
+                    "htab occupancy: group counts show {full_groups} full groups, \
                      full_groups says {}",
-                    self.htab.full_groups()
+                    htab.full_groups()
                 ));
             }
         }
         None
     }
 
+    // ---- scheduler/MM version -------------------------------------------
+
+    /// Records a change to something the cheap invariants read: the run
+    /// queue, the current task, a task's state, frames or VSIDs, the segment
+    /// registers, the VSID allocator or the scheduler-mutation depth.
+    /// Integer bookkeeping, maintained whether or not a checker is armed.
+    #[inline]
+    pub(crate) fn check_note_sched_change(&mut self) {
+        self.sched_mm_version = self.sched_mm_version.wrapping_add(1);
+    }
+
+    /// Records a VSID scatter retune (see [`CheckState`]'s `rescattered`).
+    pub(crate) fn check_note_rescatter(&mut self) {
+        self.check_note_sched_change();
+        if let Some(c) = self.check.as_mut() {
+            c.rescattered = true;
+        }
+    }
+
     // ---- oracle mutation mirrors (called at the kernel's mutation sites) --
 
-    /// Mirrors a translation install into the oracle.
+    /// Mirrors a translation install into the oracle. Reinstalling a key
+    /// with a different translation changes legality: every audit mark goes
+    /// and the key's PTEGs are swept again.
     #[inline]
     pub(crate) fn check_note_install(
         &mut self,
@@ -378,25 +574,28 @@ impl Kernel {
     ) {
         if let Some(c) = self.check.as_mut() {
             if c.cfg.oracle {
-                c.oracle.install(
-                    va.vsid,
-                    va.page_index,
-                    ShadowEntry {
-                        rpn: pfn,
-                        writable,
-                        cached,
-                    },
-                );
+                let entry = ShadowEntry {
+                    rpn: pfn,
+                    writable,
+                    cached,
+                };
+                let old = c.oracle.install(va.vsid, va.page_index, entry);
+                if old.is_some_and(|old| old != entry) {
+                    self.machine.mmu.clear_audit_marks();
+                    self.htab.mark_key_written(va.vsid, va.page_index);
+                }
             }
         }
     }
 
-    /// Mirrors a single-page flush into the oracle.
+    /// Mirrors a single-page flush into the oracle (see
+    /// [`Kernel::check_note_install`] for the marks).
     #[inline]
-    pub(crate) fn check_note_flush_page(&mut self, vsid: ppc_mmu::addr::Vsid, page_index: u32) {
+    pub(crate) fn check_note_flush_page(&mut self, vsid: Vsid, page_index: u32) {
         if let Some(c) = self.check.as_mut() {
-            if c.cfg.oracle {
-                c.oracle.flush_page(vsid, page_index);
+            if c.cfg.oracle && c.oracle.flush_page(vsid, page_index) {
+                self.machine.mmu.clear_audit_marks();
+                self.htab.mark_key_written(vsid, page_index);
             }
         }
     }
@@ -404,19 +603,27 @@ impl Kernel {
     /// Mirrors a whole-context retirement into the oracle. Called *before*
     /// the kernel bumps the VSIDs, so a kernel that forgets the bump (the
     /// deliberate `MMU_TRICKS_BUG_STALE_TLB` bug) leaves resident
-    /// translations the oracle now holds illegal — caught at the next hit.
+    /// translations the oracle now holds illegal — caught at the next hit,
+    /// since the retirement also clears every audit mark.
     #[inline]
-    pub(crate) fn check_note_retire(&mut self, vsids: &[ppc_mmu::addr::Vsid]) {
+    pub(crate) fn check_note_retire(&mut self, vsids: &[Vsid]) {
         if let Some(c) = self.check.as_mut() {
             if c.cfg.oracle {
-                c.oracle.retire_vsids(vsids);
+                let htab = &mut self.htab;
+                let removed = c
+                    .oracle
+                    .retire_vsids(vsids, |vsid, page| htab.mark_key_written(vsid, page));
+                if removed > 0 {
+                    self.machine.mmu.clear_audit_marks();
+                }
             }
         }
     }
 
     // ---- positive-observation cross-checks --------------------------------
 
-    /// Cross-checks a TLB hit for `ea` against the oracle.
+    /// Audits a TLB hit for `ea` against the oracle, then marks the slot so
+    /// the fused path serves its later hits.
     #[inline]
     pub(crate) fn check_on_tlb_hit(
         &mut self,
@@ -426,10 +633,10 @@ impl Kernel {
         cached: bool,
         writable: bool,
     ) {
-        let Some(c) = self.check.take() else { return };
+        let Some(c) = self.check.as_ref() else { return };
+        let va = self.machine.mmu.segments.translate(ea);
+        let side = if at.is_data() { "dtlb" } else { "itlb" };
         if c.cfg.oracle {
-            let va = self.machine.mmu.segments.translate(ea);
-            let side = if at.is_data() { "dtlb" } else { "itlb" };
             if let Some(v) = c.oracle.check_observation(
                 format_args!("{side} hit for ea={:#x}", ea.0),
                 va.vsid,
@@ -438,20 +645,22 @@ impl Kernel {
                 writable,
                 cached,
             ) {
-                self.check = Some(c);
                 self.check_fail(&v);
             }
         }
-        self.check = Some(c);
-        if let Some(c) = self.check.as_mut() {
-            c.checked_observations += 1;
-        }
+        let mmu = &mut self.machine.mmu;
+        let tlb = if at.is_data() {
+            &mut mmu.dtlb
+        } else {
+            &mut mmu.itlb
+        };
+        tlb.mark_audited(va.vsid, va.page_index);
     }
 
-    /// Cross-checks a hash-table hit against the oracle.
+    /// Audits a hash-table hit against the oracle.
     #[inline]
     pub(crate) fn check_on_htab_hit(&mut self, va: VirtualAddress, pte: &Pte) {
-        let Some(c) = self.check.take() else { return };
+        let Some(c) = self.check.as_ref() else { return };
         if c.cfg.oracle {
             if let Some(v) = c.oracle.check_observation(
                 "htab hit",
@@ -461,21 +670,26 @@ impl Kernel {
                 pte.pp == 2,
                 !pte.cache_inhibited,
             ) {
-                self.check = Some(c);
                 self.check_fail(&v);
             }
         }
-        self.check = Some(c);
         if let Some(c) = self.check.as_mut() {
             c.checked_observations += 1;
         }
     }
 
-    /// Cross-checks a BAT match: BATs cover exactly the kernel linear map
+    /// Audits a BAT match: BATs cover exactly the kernel linear map
     /// (identity minus the virtual base, cacheable) and the I/O aperture
-    /// (identity, cache-inhibited).
+    /// (identity, cache-inhibited). A register whose whole block passes is
+    /// marked, so the fused path serves its later matches.
     #[inline]
-    pub(crate) fn check_on_bat_hit(&mut self, ea: EffectiveAddress, pa: PhysAddr, cached: bool) {
+    pub(crate) fn check_on_bat_hit(
+        &mut self,
+        ea: EffectiveAddress,
+        at: AccessType,
+        pa: PhysAddr,
+        cached: bool,
+    ) {
         if self.check.is_none() {
             return;
         }
@@ -493,9 +707,10 @@ impl Kernel {
                 ea.0
             ));
         }
-        if let Some(c) = self.check.as_mut() {
-            c.checked_observations += 1;
-        }
+        self.machine
+            .mmu
+            .bats
+            .mark_audited(at.is_data(), ea, bat_block_is_legal);
     }
 
     // ---- scheduler-mutation bracketing ------------------------------------
@@ -505,6 +720,7 @@ impl Kernel {
     #[inline]
     pub(crate) fn check_sched_enter(&mut self) {
         self.sched_mutation_depth += 1;
+        self.check_note_sched_change();
     }
 
     /// Marks exit from a scheduler mutation.
@@ -512,5 +728,34 @@ impl Kernel {
     pub(crate) fn check_sched_exit(&mut self) {
         debug_assert!(self.sched_mutation_depth > 0);
         self.sched_mutation_depth -= 1;
+        self.check_note_sched_change();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bat_blocks_are_legal_only_inside_one_aperture() {
+        let linear = BatEntry::new(KERNEL_VIRT_BASE, 0, RAM_BYTES, true);
+        assert!(bat_block_is_legal(&linear));
+        let uncached = BatEntry {
+            cached: false,
+            ..linear
+        };
+        assert!(!bat_block_is_legal(&uncached));
+        let shifted = BatEntry::new(KERNEL_VIRT_BASE, RAM_BYTES, RAM_BYTES, true);
+        assert!(!bat_block_is_legal(&shifted), "mistranslated block");
+        let past_ram = BatEntry::new(KERNEL_VIRT_BASE, 0, 2 * RAM_BYTES, true);
+        assert!(
+            !bat_block_is_legal(&past_ram),
+            "block overhangs the linear map"
+        );
+        let io = BatEntry::new(IO_VIRT_BASE, IO_VIRT_BASE, IO_BYTES, false);
+        assert!(bat_block_is_legal(&io));
+        assert!(!bat_block_is_legal(&BatEntry { cached: true, ..io }));
+        let user = BatEntry::new(0x1000_0000, 0, RAM_BYTES, true);
+        assert!(!bat_block_is_legal(&user));
     }
 }

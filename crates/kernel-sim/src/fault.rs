@@ -72,6 +72,7 @@ impl Kernel {
             VmaKind::Anon => {
                 let pa = self.get_free_page_charged(true)?;
                 self.tasks[cur].frames.push((page_ea.0, pa));
+                self.check_note_sched_change();
                 (pa, true)
             }
             VmaKind::File { file, offset } => {

@@ -117,6 +117,7 @@ impl Kernel {
                     }
                     self.machine.charge(16 + 3);
                 }
+                self.check_note_sched_change();
             }
             // The increment of the context counter itself.
             self.machine.charge(8);
@@ -127,6 +128,7 @@ impl Kernel {
             self.vsids.retire(&old);
             let pid = self.tasks[idx].pid;
             self.tasks[idx].vsids = self.vsids.alloc_context(pid);
+            self.check_note_sched_change();
             if self.uses_htab() {
                 let (scanned, _cleared) = self.htab.invalidate_matching(|v| old.contains(&v));
                 // The scan reads every slot, one read per PTE; charge it as a

@@ -222,6 +222,10 @@ pub struct Kernel {
     /// the checker suspends its SchedInv clauses while nonzero. Maintained
     /// unconditionally (integer bookkeeping, no cycles).
     pub(crate) sched_mutation_depth: u32,
+    /// Bumped by [`Kernel::check_note_sched_change`] at every change to what
+    /// the checker's cheap invariants read; the checker re-evaluates them
+    /// only when it moved. Maintained unconditionally, like the depth above.
+    pub(crate) sched_mm_version: u64,
     /// Deliberately skip the VSID bump in lazy context flushes — the seeded
     /// stale-TLB bug the shadow oracle exists to catch. Latched at boot from
     /// the `MMU_TRICKS_BUG_STALE_TLB` environment variable (or
@@ -322,6 +326,7 @@ impl Kernel {
                 .map(|cc| Box::new(crate::causal::CausalState::new(cc))),
             spans: SpanStack::default(),
             sched_mutation_depth: 0,
+            sched_mm_version: 0,
             buggy_skip_vsid_flush: std::env::var_os("MMU_TRICKS_BUG_STALE_TLB").is_some(),
         };
         // With an empty span stack the causal scale is the User ratio; an
@@ -525,23 +530,31 @@ impl Kernel {
 
     /// The tail-forensics half of [`Kernel::note_latency`]: advance the
     /// delta window on every sample, and capture an exemplar when the
-    /// sample arms. Read-only on kernel, MMU and tracer state — never
-    /// charges cycles, never touches [`KernelStats`], never writes the
-    /// trace ring.
+    /// sample arms and its reservoir would keep it (a capture the reservoir
+    /// would drop is only counted). Read-only on kernel, MMU and tracer
+    /// state — never charges cycles, never touches [`KernelStats`], never
+    /// writes the trace ring.
     fn tail_sample(&mut self, path: LatencyPath, lat: Cycles) {
-        let capture = match (self.tail.as_ref(), self.tracer.as_ref()) {
-            (Some(tl), Some(t)) => tl.armed(lat, t.latency(path)),
-            _ => false,
-        };
+        let Some(tl) = self.tail.as_ref() else { return };
+        let now = self.machine.cycles;
+        let capture = self
+            .tracer
+            .as_ref()
+            .is_some_and(|t| tl.armed(lat, t.latency(path)));
+        let retain = capture && tl.would_retain(path, lat, now);
         let stats = self.stats;
         let htab_stats = *self.htab.stats();
-        if !capture {
+        if !retain {
             if let Some(tl) = self.tail.as_mut() {
-                tl.note(&stats, &htab_stats);
+                if capture {
+                    tl.discard(&stats, &htab_stats);
+                } else {
+                    tl.note(&stats, &htab_stats);
+                }
             }
             return;
         }
-        let window_len = self.tail.as_ref().map_or(0, |tl| tl.cfg.window);
+        let window_len = tl.cfg.window;
         let window: Vec<TraceRecord> = self.tracer.as_ref().map_or_else(Vec::new, |t| {
             let n = t.ring.len();
             t.ring
@@ -551,7 +564,7 @@ impl Kernel {
                 .collect()
         });
         let mmu = self.mmu_readings();
-        let (now, pid) = (self.machine.cycles, self.current_pid());
+        let pid = self.current_pid();
         let stack = self.spans().to_vec();
         if let Some(tl) = self.tail.as_mut() {
             tl.offer(path, lat, now, pid, stack, window, mmu, &stats, &htab_stats);
@@ -759,6 +772,7 @@ impl Kernel {
             }
             TuneAction::SetScatter { from, to } => {
                 self.vsids.set_scatter_constant(to);
+                self.check_note_rescatter();
                 self.machine.charge(4);
                 (TuneKnob::Scatter, from, to)
             }
@@ -864,7 +878,7 @@ impl Kernel {
         for _ in 0..8 {
             match self.machine.mmu.translate(ea, at) {
                 Translation::Bat { pa, cached } => {
-                    self.check_on_bat_hit(ea, pa, cached);
+                    self.check_on_bat_hit(ea, at, pa, cached);
                     return Ok((pa, cached));
                 }
                 Translation::TlbHit {
@@ -893,21 +907,39 @@ impl Kernel {
         panic!("translation for {:#x} did not converge", ea.0)
     }
 
-    /// Whether the fused fast path may serve memory references: enabled in
-    /// the config and no checker armed (the oracle audits every BAT/TLB hit,
-    /// which requires the layered path). The causal charge scale is checked
-    /// *inside* the fused functions — it can flip mid-run.
+    /// One data reference on the fused fast path (DESIGN.md §16), when
+    /// `KernelConfig.fused` allows it. With the checker armed the audited
+    /// instance runs: it serves only translations the checker has audited
+    /// and marked, and leaves the rest to the layered path, which audits
+    /// and marks them. The causal charge scale is checked *inside* the
+    /// fused functions — it can flip mid-run.
     #[inline]
-    fn fastpath_ok(&self) -> bool {
-        self.cfg.fused && self.check.is_none()
+    fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
+        if !self.cfg.fused {
+            None
+        } else if self.check.is_some() {
+            self.machine.fused_data_ref_audited(ea, write)
+        } else {
+            self.machine.fused_data_ref(ea, write)
+        }
+    }
+
+    /// The fetch twin of [`Kernel::fused_data_ref`].
+    #[inline]
+    fn fused_exec_code(&mut self, ea: EffectiveAddress, n_insns: u32) -> Option<Cycles> {
+        if !self.cfg.fused {
+            None
+        } else if self.check.is_some() {
+            self.machine.fused_exec_code_audited(ea, n_insns)
+        } else {
+            self.machine.fused_exec_code(ea, n_insns)
+        }
     }
 
     /// One user/kernel data reference (a load or store of one word).
     pub fn data_ref(&mut self, ea: EffectiveAddress, write: bool) -> KResult<Cycles> {
-        if self.fastpath_ok() {
-            if let Some(c) = self.machine.fused_data_ref(ea, write) {
-                return Ok(c);
-            }
+        if let Some(c) = self.fused_data_ref(ea, write) {
+            return Ok(c);
         }
         let at = if write {
             AccessType::DataWrite
@@ -933,12 +965,10 @@ impl Kernel {
         while remaining > 0 {
             let page_end = (addr & !(PAGE_SIZE - 1)) + PAGE_SIZE;
             let insns_here = remaining.min((page_end - addr) / 4);
-            let fused = self.fastpath_ok()
-                && self
-                    .machine
-                    .fused_exec_code(EffectiveAddress(addr), insns_here)
-                    .is_some();
-            if !fused {
+            if self
+                .fused_exec_code(EffectiveAddress(addr), insns_here)
+                .is_none()
+            {
                 let (pa, cached) =
                     self.translate_ref(EffectiveAddress(addr), AccessType::InsnFetch)?;
                 self.machine.exec_code_pa(pa, insns_here, cached);

@@ -59,27 +59,41 @@ impl ShadowMm {
     /// Records a translation install (mirror of the kernel's
     /// `install_translation`). Overwrites any previous entry for the page —
     /// a reinstall after a protection upgrade is a legality change, not a
-    /// conflict.
-    pub fn install(&mut self, vsid: Vsid, page_index: u32, entry: ShadowEntry) {
-        self.map.insert((vsid.raw(), page_index), entry);
+    /// conflict — and returns it.
+    pub fn install(
+        &mut self,
+        vsid: Vsid,
+        page_index: u32,
+        entry: ShadowEntry,
+    ) -> Option<ShadowEntry> {
+        self.map.insert((vsid.raw(), page_index), entry)
     }
 
-    /// Records a single-page flush (mirror of `flush_one_page`). Removing a
-    /// translation that was never installed is fine: flushes are issued for
-    /// ranges that may never have faulted in.
-    pub fn flush_page(&mut self, vsid: Vsid, page_index: u32) {
-        self.map.remove(&(vsid.raw(), page_index));
+    /// Records a single-page flush (mirror of `flush_one_page`); returns
+    /// whether a legal translation was removed. Removing a translation that
+    /// was never installed is fine: flushes are issued for ranges that may
+    /// never have faulted in.
+    pub fn flush_page(&mut self, vsid: Vsid, page_index: u32) -> bool {
+        self.map.remove(&(vsid.raw(), page_index)).is_some()
     }
 
     /// Records a whole-context retirement (mirror of `flush_context`): every
     /// translation under any of `vsids` stops being legal, whether the
     /// kernel flushed it eagerly or merely bumped the VSIDs and left zombies
-    /// behind.
-    pub fn retire_vsids(&mut self, vsids: &[Vsid]) {
+    /// behind. Calls `removed` with each retired `(vsid, page_index)` and
+    /// returns how many there were.
+    pub fn retire_vsids(&mut self, vsids: &[Vsid], mut removed: impl FnMut(Vsid, u32)) -> usize {
         // 16 VSIDs at most (one address space): a linear scan beats
         // allocating a scratch Vec on this per-context-switch path.
-        self.map
-            .retain(|(v, _), _| !vsids.iter().any(|x| x.raw() == *v));
+        let before = self.map.len();
+        self.map.retain(|&(v, page), _| {
+            let keep = !vsids.iter().any(|x| x.raw() == v);
+            if !keep {
+                removed(Vsid::new(v), page);
+            }
+            keep
+        });
+        before - self.map.len()
     }
 
     /// The modelled translation for `(vsid, page_index)`, if legal.
@@ -146,13 +160,14 @@ mod tests {
     #[test]
     fn install_lookup_flush_round_trip() {
         let mut s = ShadowMm::new();
-        s.install(Vsid::new(7), 3, e(0x42));
+        assert_eq!(s.install(Vsid::new(7), 3, e(0x42)), None);
         assert_eq!(s.lookup(Vsid::new(7), 3), Some(e(0x42)));
         assert_eq!(s.len(), 1);
-        s.flush_page(Vsid::new(7), 3);
+        assert_eq!(s.install(Vsid::new(7), 3, e(0x43)), Some(e(0x42)));
+        assert!(s.flush_page(Vsid::new(7), 3));
         assert!(s.is_empty());
         // Flushing a never-installed page is a no-op, not an error.
-        s.flush_page(Vsid::new(7), 3);
+        assert!(!s.flush_page(Vsid::new(7), 3));
     }
 
     #[test]
@@ -161,7 +176,10 @@ mod tests {
         s.install(Vsid::new(7), 1, e(1));
         s.install(Vsid::new(7), 2, e(2));
         s.install(Vsid::new(8), 1, e(3));
-        s.retire_vsids(&[Vsid::new(7)]);
+        let mut gone = Vec::new();
+        let n = s.retire_vsids(&[Vsid::new(7)], |v, page| gone.push((v.raw(), page)));
+        gone.sort_unstable();
+        assert_eq!((n, gone), (2, vec![(7, 1), (7, 2)]));
         assert!(s.lookup(Vsid::new(7), 1).is_none());
         assert!(s.lookup(Vsid::new(7), 2).is_none());
         assert_eq!(s.lookup(Vsid::new(8), 1), Some(e(3)));

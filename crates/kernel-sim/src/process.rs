@@ -47,6 +47,7 @@ impl Kernel {
         self.phys.zero_page(child_pgd);
         self.machine.zero_page_pa(child_pgd, true);
         let vsids = self.vsids.alloc_context(child_pid);
+        self.check_note_sched_change();
         let mut child = Task::new(child_pid, vsids, LinuxPageTables::new(child_pgd));
         child.vmas = self.tasks[parent_idx].vmas.clone();
         // Share every anonymous frame copy-on-write.
@@ -115,6 +116,7 @@ impl Kernel {
         let idx = self.tasks.len();
         self.tasks.push(child);
         self.run_queue.push_back(idx);
+        self.check_note_sched_change();
         self.stats.processes_spawned += 1;
         self.syscall_exit();
         Ok(child_pid)
@@ -261,6 +263,7 @@ impl Kernel {
                 slot.1 = new_pa;
             } else {
                 task.frames.push((page_ea.0, new_pa));
+                self.check_note_sched_change();
             }
             self.map_user_page(cur, page_ea, new_pa)?;
         } else {

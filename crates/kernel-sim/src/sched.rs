@@ -54,6 +54,9 @@ impl Kernel {
         let idx = self.tasks.len();
         self.tasks.push(task);
         self.run_queue.push_back(idx);
+        // One bump covers the VSID allocation too: no span transition
+        // separates the two.
+        self.check_note_sched_change();
         self.stats.processes_spawned += 1;
         Ok(pid)
     }
@@ -86,7 +89,10 @@ impl Kernel {
         self.t_enter(Subsystem::Sched);
         // The switch body transiently violates SchedInv (the outgoing task
         // is pushed onto the queue while still `current`); bracket it so the
-        // checker treats it as one atomic step, as the TLA model does.
+        // checker treats it as one atomic step, as the TLA model does. The
+        // bracket's version bumps also cover the switch's run-queue,
+        // segment-register and current-task changes: no span transition
+        // separates those from the bracket.
         self.check_sched_enter();
         // The chosen task leaves the ready queue while it runs; the
         // displaced task goes back on it if still runnable.
@@ -146,6 +152,7 @@ impl Kernel {
     pub fn block_current(&mut self) {
         let cur = self.current.expect("block with no current task");
         self.tasks[cur].state = TaskState::Blocked;
+        self.check_note_sched_change();
         let next = self.pick_next().expect("deadlock: all tasks blocked");
         self.context_switch(next);
     }
@@ -155,11 +162,13 @@ impl Kernel {
         if self.tasks[idx].state == TaskState::Blocked {
             self.tasks[idx].state = TaskState::Runnable;
             self.run_queue.push_back(idx);
+            self.check_note_sched_change();
         }
     }
 
     fn pick_next(&mut self) -> Option<usize> {
         while let Some(idx) = self.run_queue.pop_front() {
+            self.check_note_sched_change();
             if self.tasks[idx].state == TaskState::Runnable {
                 return Some(idx);
             }
@@ -224,6 +233,7 @@ impl Kernel {
         let frames: Vec<_> = task.frames.drain(..).collect();
         let pgd = task.pt.pgd_pa;
         let vmas: Vec<_> = task.vmas.drain(..).collect();
+        self.check_note_sched_change();
         for (_, pa) in frames {
             self.release_user_frame(pa, true);
         }
@@ -248,6 +258,8 @@ impl Kernel {
             }
         }
         self.frames.free_pt_page(pgd);
+        // The bracket exit (or the switch below) bumps the version for the
+        // run-queue and current-task changes.
         self.run_queue.retain(|&i| i != idx);
         if self.current == Some(idx) {
             self.current = None;

@@ -141,6 +141,7 @@ impl Kernel {
                     if let Some(pos) = task.frames.iter().position(|&(a, _)| a == ea) {
                         let (_, pa) = task.frames.swap_remove(pos);
                         freed.push(pa);
+                        self.check_note_sched_change();
                     } else {
                         self.file_map_unref(old_pte.pfn() << 12);
                     }

@@ -220,6 +220,13 @@ impl TailCause {
     }
 }
 
+/// Whether retained exemplar `e` sorts ahead of a capture with the given
+/// latency, completion cycle and sequence number (the reservoir order).
+fn precedes(e: &TailExemplar, latency: u64, cycle: Cycles, seq: u64) -> bool {
+    e.latency > latency
+        || (e.latency == latency && (e.cycle < cycle || (e.cycle == cycle && e.seq < seq)))
+}
+
 /// One captured slow sample: everything needed to say *why* it was slow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailExemplar {
@@ -309,6 +316,26 @@ impl TailState {
         self.last_htab = *htab;
     }
 
+    /// Whether a capture of `lat` cycles completing at `cycle`, offered now,
+    /// would stay in its path's reservoir: there is room, or it sorts ahead
+    /// of the last exemplar retained. The kernel builds an exemplar only
+    /// then, and hands every other capture to [`TailState::discard`].
+    pub fn would_retain(&self, path: LatencyPath, lat: u64, cycle: Cycles) -> bool {
+        let res = &self.reservoirs[path.index()];
+        res.len() < self.cfg.top_n
+            || res
+                .last()
+                .is_some_and(|last| !precedes(last, lat, cycle, self.captured))
+    }
+
+    /// Counts a capture that [`TailState::would_retain`] rejected and
+    /// advances the delta window: the state [`TailState::offer`] would have
+    /// left behind, without building the exemplar it would have dropped.
+    pub fn discard(&mut self, stats: &KernelStats, htab: &HtabStats) {
+        self.note(stats, htab);
+        self.captured += 1;
+    }
+
     /// Captures one exemplar and files it in its path's reservoir.
     ///
     /// The reservoir keeps the top-N by latency, deterministically: sorted
@@ -348,11 +375,7 @@ impl TailState {
             cause,
         };
         let res = &mut self.reservoirs[path.index()];
-        let pos = res.partition_point(|e| {
-            e.latency > ex.latency
-                || (e.latency == ex.latency
-                    && (e.cycle < ex.cycle || (e.cycle == ex.cycle && e.seq < ex.seq)))
-        });
+        let pos = res.partition_point(|e| precedes(e, ex.latency, ex.cycle, ex.seq));
         res.insert(pos, ex);
         res.truncate(self.cfg.top_n);
     }
@@ -536,6 +559,35 @@ mod tests {
         assert_eq!(lats, vec![60, 50, 40]);
         assert!(tl.exemplars(LatencyPath::PageFault).is_empty());
         assert_eq!(tl.captured(), 5);
+    }
+
+    #[test]
+    fn would_retain_predicts_what_offer_keeps() {
+        // Random-ish latencies and cycles, including ties and a cycle that
+        // goes backward: every prediction must match the reservoir after
+        // the offer, and a discard must leave the state an offer would.
+        let cfg = TailConfig {
+            top_n: 3,
+            ..TailConfig::fixed(1)
+        };
+        let mut offered = TailState::new(cfg);
+        let mut skipped = TailState::new(cfg);
+        let path = LatencyPath::PageFault;
+        let samples = [(5, 10), (9, 20), (5, 30), (7, 40), (5, 50), (9, 5), (9, 60), (8, 70)];
+        for (i, (lat, cyc)) in samples.into_iter().enumerate() {
+            let keep = offered.would_retain(path, lat, cyc);
+            assert_eq!(keep, skipped.would_retain(path, lat, cyc));
+            offer_simple(&mut offered, path, lat, cyc);
+            let retained = offered.exemplars(path).iter().any(|e| e.seq == i as u64);
+            assert_eq!(keep, retained, "sample {i} ({lat}, {cyc})");
+            if keep {
+                offer_simple(&mut skipped, path, lat, cyc);
+            } else {
+                skipped.discard(&KernelStats::default(), &HtabStats::default());
+            }
+            assert_eq!(offered.exemplars(path), skipped.exemplars(path));
+            assert_eq!(offered.captured(), skipped.captured());
+        }
     }
 
     #[test]

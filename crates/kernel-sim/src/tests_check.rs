@@ -2,6 +2,8 @@
 //! runtime invariants, and the zero-cost-when-off obligation.
 
 use ppc_machine::MachineConfig;
+use ppc_mmu::addr::EffectiveAddress;
+use ppc_mmu::pte::Pte;
 
 use crate::check::CheckConfig;
 use crate::inject::FaultInjection;
@@ -62,15 +64,101 @@ fn oracle_catches_deliberate_stale_vsid_bug() {
         }
         k.check_finish();
     });
-    let err = result.expect_err("stale-TLB bug escaped the oracle");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+    let msg = panic_message(result);
     assert!(msg.contains("MM check violation"), "wrong panic: {msg}");
     assert!(
         msg.contains("stale"),
         "violation is not a staleness report: {msg}"
+    );
+}
+
+/// The message of the panic `result` carries.
+fn panic_message(result: std::thread::Result<()>) -> String {
+    let err = result.expect_err("the checker stayed silent");
+    err.downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap())
+}
+
+#[test]
+fn stale_audited_slot_is_caught_at_its_next_hit() {
+    // The stale slot has been audited and served on the audited fused path
+    // before the buggy flush. The retirement must clear its audit mark, so
+    // the very next hit is audited again — on the layered path, naming the
+    // D-TLB — instead of riding the fused path until a sweep.
+    let result = std::panic::catch_unwind(|| {
+        let mut k = Kernel::boot(
+            MachineConfig::ppc604_185(),
+            cfg_with(Some(CheckConfig::full()), None),
+        );
+        let a = k.spawn_process(8).unwrap();
+        k.switch_to(a);
+        k.user_write(USER_BASE, 8 * 4096).unwrap();
+        k.user_read(USER_BASE, 8 * 4096).unwrap();
+        let ea = EffectiveAddress(USER_BASE);
+        let va = k.machine.mmu.segments.translate(ea);
+        let (slot, _) = k.machine.mmu.dtlb.peek(va.vsid, va.page_index).unwrap();
+        assert!(k.machine.mmu.dtlb.audited(slot), "warm slot left unaudited");
+        assert!(
+            k.machine.fused_data_ref_audited(ea, false).is_some(),
+            "the audited fused path refused an audited slot"
+        );
+        k.user_read(USER_BASE, 8 * 4096).unwrap();
+        k.set_buggy_skip_vsid_flush(true);
+        let idx = k.task_idx(a).unwrap();
+        k.flush_context(idx);
+        k.user_read(USER_BASE, 4).unwrap();
+    });
+    let msg = panic_message(result);
+    assert!(msg.contains("MM check violation"), "wrong panic: {msg}");
+    assert!(
+        msg.contains("dtlb hit") && msg.contains("stale"),
+        "the stale hit was not audited: {msg}"
+    );
+}
+
+#[test]
+fn pte_written_after_a_sweep_is_reported_by_the_next_epoch() {
+    // A live-VSID entry the oracle never installed, written straight into
+    // the table just after a heavy sweep cleared every PTEG mark: only the
+    // write's own mark brings its group into the next (partial) sweep.
+    let result = std::panic::catch_unwind(|| {
+        let check = CheckConfig {
+            epoch_cycles: 4096,
+            ..CheckConfig::full()
+        };
+        let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg_with(Some(check), None));
+        let a = k.spawn_process(8).unwrap();
+        k.switch_to(a);
+        k.user_write(USER_BASE, 8 * 4096).unwrap();
+        let sweeps = |k: &Kernel| k.check.as_ref().map_or(0, |c| c.heavy_sweeps);
+        let last = sweeps(&k);
+        while sweeps(&k) == last {
+            k.sys_null();
+        }
+        let vsid = k.cur().vsids[1];
+        assert!(k.vsids.is_live(vsid));
+        k.htab.insert(Pte {
+            valid: true,
+            vsid,
+            secondary: false,
+            page_index: 0xabc,
+            rpn: 0x123,
+            referenced: false,
+            changed: false,
+            cache_inhibited: false,
+            pp: 2,
+        });
+        let last = sweeps(&k);
+        while sweeps(&k) == last {
+            k.sys_null();
+        }
+    });
+    let msg = panic_message(result);
+    assert!(msg.contains("MM check violation"), "wrong panic: {msg}");
+    assert!(
+        msg.contains("htab residency sweep") && msg.contains("stale"),
+        "the planted entry was not swept: {msg}"
     );
 }
 

@@ -183,21 +183,42 @@ impl Machine {
     /// [`Machine::data_write_pa`], which handle fills, evictions, and
     /// writebacks.
     pub fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
+        self.fused_data_ref_as::<false>(ea, write)
+    }
+
+    /// [`Machine::fused_data_ref`] for a kernel whose consistency checker
+    /// audits every translation: it also bails when the BAT register or TLB
+    /// slot carries no audit mark, so the layered path can audit and mark
+    /// it.
+    pub fn fused_data_ref_audited(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
+        self.fused_data_ref_as::<true>(ea, write)
+    }
+
+    /// The body of [`Machine::fused_data_ref`] and
+    /// [`Machine::fused_data_ref_audited`], generic over auditing. Both
+    /// instances are compiled in this crate, where the charge and
+    /// memory-system calls they make inline.
+    #[inline(always)]
+    fn fused_data_ref_as<const AUDITED: bool>(
+        &mut self,
+        ea: EffectiveAddress,
+        write: bool,
+    ) -> Option<Cycles> {
         if self.scale_num != self.scale_den {
             return None;
         }
-        let pa = match self.mmu.bats.peek_data(ea) {
-            Some((pa, cached)) => {
-                if !cached {
+        let pa = match self.mmu.bats.probe_data(ea) {
+            Some(hit) => {
+                if !hit.cached || (AUDITED && !hit.audited) {
                     return None;
                 }
                 self.mmu.bats.dbat_hits += 1;
-                pa
+                hit.pa
             }
             None => {
                 let va = self.mmu.segments.translate(ea);
                 let (idx, e) = self.mmu.dtlb.peek(va.vsid, va.page_index)?;
-                if !e.cached || (write && !e.writable) {
+                if !e.cached || (write && !e.writable) || (AUDITED && !self.mmu.dtlb.audited(idx)) {
                     return None;
                 }
                 self.mmu.dtlb.commit_hit(idx);
@@ -243,21 +264,47 @@ impl Machine {
     /// Panics if the fetch crosses a page boundary (callers split at pages,
     /// exactly like the layered `exec_code` loop).
     pub fn fused_exec_code(&mut self, ea: EffectiveAddress, n_insns: u32) -> Option<Cycles> {
+        self.fused_exec_code_as::<false>(ea, n_insns)
+    }
+
+    /// [`Machine::fused_exec_code`] serving only audited translations, like
+    /// [`Machine::fused_data_ref_audited`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::fused_exec_code`].
+    pub fn fused_exec_code_audited(
+        &mut self,
+        ea: EffectiveAddress,
+        n_insns: u32,
+    ) -> Option<Cycles> {
+        self.fused_exec_code_as::<true>(ea, n_insns)
+    }
+
+    /// The body of [`Machine::fused_exec_code`] and
+    /// [`Machine::fused_exec_code_audited`] (see
+    /// [`Machine::fused_data_ref_as`]).
+    #[inline(always)]
+    fn fused_exec_code_as<const AUDITED: bool>(
+        &mut self,
+        ea: EffectiveAddress,
+        n_insns: u32,
+    ) -> Option<Cycles> {
         if self.scale_num != self.scale_den {
             return None;
         }
-        let pa = match self.mmu.bats.peek_insn(ea) {
-            Some((pa, cached)) => {
-                if !cached {
+        let pa = match self.mmu.bats.probe_insn(ea) {
+            Some(hit) => {
+                if !hit.cached || (AUDITED && !hit.audited) {
                     return None;
                 }
                 self.mmu.bats.ibat_hits += 1;
-                pa
+                hit.pa
             }
             None => {
                 let va = self.mmu.segments.translate(ea);
                 let (idx, e) = self.mmu.itlb.peek(va.vsid, va.page_index)?;
-                if !e.cached {
+                if !e.cached || (AUDITED && !self.mmu.itlb.audited(idx)) {
                     return None;
                 }
                 self.mmu.itlb.commit_hit(idx);
@@ -539,6 +586,37 @@ mod tests {
         assert!(m.fused_data_ref(EffectiveAddress(3 << 12), false).is_none());
         assert!(m.fused_exec_code(EffectiveAddress(3 << 12), 4).is_none());
         assert_eq!(m.snapshot(), before);
+    }
+
+    #[test]
+    fn audited_fused_path_serves_only_marked_translations() {
+        use ppc_mmu::addr::Vsid;
+        use ppc_mmu::bat::BatEntry;
+        let mut m = resident(MachineConfig::ppc604_133());
+        let ea = EffectiveAddress(3 << 12);
+        let before = m.snapshot();
+        assert!(m.fused_data_ref_audited(ea, false).is_none());
+        assert!(m.fused_exec_code_audited(ea, 4).is_none());
+        assert_eq!(
+            m.snapshot(),
+            before,
+            "an unmarked slot bails stat-neutrally"
+        );
+        m.mmu.dtlb.mark_audited(Vsid::new(0), 3);
+        m.mmu.itlb.mark_audited(Vsid::new(0), 3);
+        assert!(m.fused_data_ref_audited(ea, false).is_some());
+        assert!(m.fused_exec_code_audited(ea, 4).is_some());
+        m.mmu.clear_audit_marks();
+        assert!(m.fused_data_ref_audited(ea, false).is_none());
+
+        // A BAT register serves the audited path once its block is marked.
+        let kea = EffectiveAddress(0xc000_0040);
+        m.mmu
+            .bats
+            .set_dbat(0, Some(BatEntry::new(0xc000_0000, 0, 8 << 20, true)));
+        assert!(m.fused_data_ref_audited(kea, false).is_none());
+        m.mmu.bats.mark_audited(true, kea, |_| true);
+        assert!(m.fused_data_ref_audited(kea, false).is_some());
     }
 
     #[test]

@@ -70,6 +70,31 @@ impl BatEntry {
     }
 }
 
+/// A BAT match: the translation and whether its register carries an audit
+/// mark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatHit {
+    /// The translated physical address.
+    pub pa: PhysAddr,
+    /// Whether the block is cacheable.
+    pub cached: bool,
+    /// Whether the matching register's block has been audited.
+    pub audited: bool,
+}
+
+/// The first valid register of one side whose block holds `ea`.
+#[inline]
+fn probe(bats: &[Option<BatEntry>; 4], marks: &[bool; 4], ea: EffectiveAddress) -> Option<BatHit> {
+    bats.iter().zip(marks).find_map(|(b, &audited)| {
+        let (pa, cached) = b.as_ref()?.translate(ea)?;
+        Some(BatHit {
+            pa,
+            cached,
+            audited,
+        })
+    })
+}
+
 /// The four instruction and four data BAT register pairs.
 ///
 /// # Examples
@@ -89,6 +114,11 @@ impl BatEntry {
 pub struct BatSet {
     ibat: [Option<BatEntry>; 4],
     dbat: [Option<BatEntry>; 4],
+    /// Per-register audit marks, set by a consistency checker once it has
+    /// audited a register's whole block (DESIGN.md §12) and cleared when
+    /// the register is reprogrammed.
+    ibat_audited: [bool; 4],
+    dbat_audited: [bool; 4],
     /// Number of data accesses satisfied by a BAT.
     pub dbat_hits: u64,
     /// Number of instruction fetches satisfied by a BAT.
@@ -108,6 +138,7 @@ impl BatSet {
     /// Panics if `index >= 4`.
     pub fn set_ibat(&mut self, index: usize, entry: Option<BatEntry>) {
         self.ibat[index] = entry;
+        self.ibat_audited[index] = false;
     }
 
     /// Installs (or clears) data BAT `index`.
@@ -117,38 +148,64 @@ impl BatSet {
     /// Panics if `index >= 4`.
     pub fn set_dbat(&mut self, index: usize, entry: Option<BatEntry>) {
         self.dbat[index] = entry;
+        self.dbat_audited[index] = false;
     }
 
     /// Attempts a data-side BAT translation.
     pub fn translate_data(&mut self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        let hit = self.peek_data(ea);
-        if hit.is_some() {
-            self.dbat_hits += 1;
-        }
-        hit
+        let hit = self.probe_data(ea)?;
+        self.dbat_hits += 1;
+        Some((hit.pa, hit.cached))
     }
 
     /// Attempts an instruction-side BAT translation.
     pub fn translate_insn(&mut self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        let hit = self.peek_insn(ea);
-        if hit.is_some() {
-            self.ibat_hits += 1;
-        }
-        hit
+        let hit = self.probe_insn(ea)?;
+        self.ibat_hits += 1;
+        Some((hit.pa, hit.cached))
     }
 
     /// Stat-neutral data-side probe for the fused fast path: same match as
-    /// [`BatSet::translate_data`] but does not count the hit. A caller that
-    /// commits to the translation must bump `dbat_hits` itself.
+    /// [`BatSet::translate_data`], plus the matching register's audit mark,
+    /// but does not count the hit. A caller that commits to the translation
+    /// must bump `dbat_hits` itself.
     #[inline]
-    pub fn peek_data(&self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        self.dbat.iter().flatten().find_map(|b| b.translate(ea))
+    pub fn probe_data(&self, ea: EffectiveAddress) -> Option<BatHit> {
+        probe(&self.dbat, &self.dbat_audited, ea)
     }
 
-    /// Stat-neutral instruction-side probe; see [`BatSet::peek_data`].
+    /// Stat-neutral instruction-side probe; see [`BatSet::probe_data`].
     #[inline]
-    pub fn peek_insn(&self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        self.ibat.iter().flatten().find_map(|b| b.translate(ea))
+    pub fn probe_insn(&self, ea: EffectiveAddress) -> Option<BatHit> {
+        probe(&self.ibat, &self.ibat_audited, ea)
+    }
+
+    /// Marks the register that translates `ea` (data side when `data`) as
+    /// audited when `legal` accepts its whole block. Touches no counter.
+    pub fn mark_audited(
+        &mut self,
+        data: bool,
+        ea: EffectiveAddress,
+        legal: impl FnOnce(&BatEntry) -> bool,
+    ) {
+        let (bats, marks) = if data {
+            (&self.dbat, &mut self.dbat_audited)
+        } else {
+            (&self.ibat, &mut self.ibat_audited)
+        };
+        let hit = bats
+            .iter()
+            .enumerate()
+            .find_map(|(i, b)| b.filter(|b| b.translate(ea).is_some()).map(|b| (i, b)));
+        if let Some((i, b)) = hit {
+            marks[i] = legal(&b);
+        }
+    }
+
+    /// Clears every register's audit mark.
+    pub fn clear_audit_marks(&mut self) {
+        self.ibat_audited = [false; 4];
+        self.dbat_audited = [false; 4];
     }
 
     /// Number of valid data BATs.
@@ -244,6 +301,33 @@ mod tests {
         assert_eq!(bats.dbat_in_use(), 2);
         bats.set_dbat(0, None);
         assert_eq!(bats.dbat_in_use(), 1);
+    }
+
+    #[test]
+    fn audit_marks_follow_their_register() {
+        let mut bats = BatSet::new();
+        let block = BatEntry::new(0xc000_0000, 0, BAT_MIN_LEN, true);
+        bats.set_dbat(1, Some(block));
+        let ea = EffectiveAddress(0xc000_1000);
+        assert!(!bats.probe_data(ea).unwrap().audited);
+        bats.mark_audited(true, ea, |_| false);
+        assert!(
+            !bats.probe_data(ea).unwrap().audited,
+            "an illegal block stays unmarked"
+        );
+        bats.mark_audited(false, ea, |_| true);
+        assert!(!bats.probe_data(ea).unwrap().audited, "sides are separate");
+        bats.mark_audited(true, ea, |b| *b == block);
+        assert!(bats.probe_data(ea).unwrap().audited);
+        assert_eq!(bats.dbat_hits, 0, "marking is stat-neutral");
+        bats.set_dbat(1, Some(block));
+        assert!(
+            !bats.probe_data(ea).unwrap().audited,
+            "reprogramming clears"
+        );
+        bats.mark_audited(true, ea, |_| true);
+        bats.clear_audit_marks();
+        assert!(!bats.probe_data(ea).unwrap().audited);
     }
 
     #[test]

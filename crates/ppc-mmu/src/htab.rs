@@ -152,8 +152,12 @@ pub struct HashTable {
     hash: HashFunction,
     groups: Vec<[Pte; PTES_PER_GROUP]>,
     base_pa: PhysAddr,
-    /// Per-group round-robin eviction cursors (like Linux/PPC's next-slot).
-    rr: Vec<u8>,
+    /// Per-group bookkeeping, one entry per PTEG.
+    meta: Vec<GroupMeta>,
+    /// Slots whose valid bit is set (the sum of the per-group counts).
+    valid: u32,
+    /// Groups whose eight slots are all valid.
+    full: u32,
     stats: HtabStats,
     /// Cursor for the incremental idle-task reclaim scan.
     reclaim_cursor: u32,
@@ -161,6 +165,18 @@ pub struct HashTable {
     replacement: Replacement,
     /// Xorshift state for [`Replacement::Random`].
     rng_state: u32,
+}
+
+/// What the table keeps per PTEG besides its eight slots.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupMeta {
+    /// Round-robin eviction cursor (like Linux/PPC's next-slot).
+    rr: u8,
+    /// Valid slots in the group.
+    valid: u8,
+    /// Written since the mark was last cleared: a consistency checker
+    /// re-sweeps only marked groups (DESIGN.md §12).
+    written: bool,
 }
 
 impl HashTable {
@@ -177,7 +193,9 @@ impl HashTable {
             hash: HashFunction::new(num_groups),
             groups: vec![[Pte::invalid(); PTES_PER_GROUP]; num_groups as usize],
             base_pa,
-            rr: vec![0; num_groups as usize],
+            meta: vec![GroupMeta::default(); num_groups as usize],
+            valid: 0,
+            full: 0,
             stats: HtabStats::default(),
             reclaim_cursor: 0,
             replacement: Replacement::RoundRobin,
@@ -213,6 +231,30 @@ impl HashTable {
     /// Physical address of slot `(group, slot)`, for cache-traffic modelling.
     pub fn slot_pa(&self, group: u32, slot: usize) -> PhysAddr {
         self.base_pa + (group * PTES_PER_GROUP as u32 + slot as u32) * PTE_BYTES
+    }
+
+    /// Writes `pte` into slot `(g, s)`, keeping the occupancy counts and the
+    /// group's written mark in step. Every slot write goes through here.
+    #[inline]
+    fn write_slot(&mut self, g: usize, s: usize, pte: Pte) {
+        let was = std::mem::replace(&mut self.groups[g][s], pte).valid;
+        let m = &mut self.meta[g];
+        m.written = true;
+        let full_before = u32::from(usize::from(m.valid) == PTES_PER_GROUP);
+        match (was, pte.valid) {
+            (false, true) => (m.valid, self.valid) = (m.valid + 1, self.valid + 1),
+            (true, false) => (m.valid, self.valid) = (m.valid - 1, self.valid - 1),
+            _ => return,
+        }
+        self.full = self.full + u32::from(usize::from(m.valid) == PTES_PER_GROUP) - full_before;
+    }
+
+    /// Clears the valid bit of slot `(g, s)` (see [`HashTable::write_slot`]).
+    #[inline]
+    fn clear_slot(&mut self, g: usize, s: usize) {
+        let mut pte = self.groups[g][s];
+        pte.valid = false;
+        self.write_slot(g, s, pte);
     }
 
     /// Searches for `(vsid, page_index)`: primary PTEG first, then secondary,
@@ -288,7 +330,7 @@ impl HashTable {
             visit(self.slot_pa(g, 0), slots);
             if let Some(slot) = free {
                 pte.secondary = secondary;
-                self.groups[g as usize][slot] = pte;
+                self.write_slot(g as usize, slot, pte);
                 visit(self.slot_pa(g, slot), 1);
                 self.stats.inserts_into_empty += 1;
                 return InsertOutcome {
@@ -305,8 +347,9 @@ impl HashTable {
         let g = self.hash.pteg_index(pte.vsid, pte.page_index, false);
         let slot = match self.replacement {
             Replacement::RoundRobin => {
-                let s = self.rr[g as usize] as usize % PTES_PER_GROUP;
-                self.rr[g as usize] = self.rr[g as usize].wrapping_add(1);
+                let m = &mut self.meta[g as usize];
+                let s = m.rr as usize % PTES_PER_GROUP;
+                m.rr = m.rr.wrapping_add(1);
                 s
             }
             Replacement::Random => {
@@ -322,7 +365,7 @@ impl HashTable {
         };
         let displaced = self.groups[g as usize][slot];
         pte.secondary = false;
-        self.groups[g as usize][slot] = pte;
+        self.write_slot(g as usize, slot, pte);
         visit(self.slot_pa(g, slot), 1);
         self.stats.evictions += 1;
         self.stats.overflows += 1;
@@ -352,7 +395,7 @@ impl HashTable {
     ) -> (u32, bool) {
         let found = self.search_with(vsid, page_index, visit);
         if let Some((g, slot)) = found.location {
-            self.groups[g as usize][slot].valid = false;
+            self.clear_slot(g as usize, slot);
             self.stats.invalidates += 1;
             (found.probes, true)
         } else {
@@ -382,10 +425,11 @@ impl HashTable {
         for _ in 0..max_groups {
             let g = self.reclaim_cursor as usize;
             self.reclaim_cursor = (self.reclaim_cursor + 1) % n;
-            for pte in &mut self.groups[g] {
+            for s in 0..PTES_PER_GROUP {
                 scanned += 1;
+                let pte = self.groups[g][s];
                 if pte.valid && !is_live(pte.vsid) {
-                    pte.valid = false;
+                    self.clear_slot(g, s);
                     cleared += 1;
                 }
             }
@@ -400,11 +444,12 @@ impl HashTable {
     pub fn invalidate_matching(&mut self, mut pred: impl FnMut(Vsid) -> bool) -> (u32, u32) {
         let mut scanned = 0;
         let mut cleared = 0;
-        for g in &mut self.groups {
-            for pte in g {
+        for g in 0..self.groups.len() {
+            for s in 0..PTES_PER_GROUP {
                 scanned += 1;
+                let pte = self.groups[g][s];
                 if pte.valid && pred(pte.vsid) {
-                    pte.valid = false;
+                    self.clear_slot(g, s);
                     cleared += 1;
                     self.stats.invalidates += 1;
                 }
@@ -418,9 +463,10 @@ impl HashTable {
         self.reclaim_cursor
     }
 
-    /// Number of slots whose valid bit is set (live + zombie alike).
+    /// Number of slots whose valid bit is set (live + zombie alike). O(1):
+    /// the table keeps the count as it writes.
     pub fn valid_entries(&self) -> u32 {
-        self.groups.iter().flatten().filter(|p| p.valid).count() as u32
+        self.valid
     }
 
     /// Number of valid slots whose VSID `is_live` accepts.
@@ -442,21 +488,10 @@ impl HashTable {
     /// histogram" used to spot hot-spots while tuning the VSID scatter
     /// constant.
     pub fn group_histogram(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.group_histogram_into(&mut out);
-        out
-    }
-
-    /// [`HashTable::group_histogram`] into a caller-owned buffer, reusing
-    /// its capacity. The consistency checker's heavy sweep runs this every
-    /// epoch; with a reused scratch it allocates only when the table grows.
-    pub fn group_histogram_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend(
-            self.groups
-                .iter()
-                .map(|g| g.iter().filter(|p| p.valid).count() as u8),
-        );
+        self.groups
+            .iter()
+            .map(|g| g.iter().filter(|p| p.valid).count() as u8)
+            .collect()
     }
 
     /// Every valid entry with its `(group, slot)` location, in table order.
@@ -473,12 +508,43 @@ impl HashTable {
         })
     }
 
-    /// Number of completely full PTEGs (inserts there must evict).
+    /// Number of completely full PTEGs (inserts there must evict). O(1),
+    /// like [`HashTable::valid_entries`].
     pub fn full_groups(&self) -> u32 {
-        self.groups
-            .iter()
-            .filter(|g| g.iter().all(|p| p.valid))
-            .count() as u32
+        self.full
+    }
+
+    /// The eight slots of PTEG `g`. Read-only like [`HashTable::entries`].
+    pub fn group(&self, g: u32) -> &[Pte; PTES_PER_GROUP] {
+        &self.groups[g as usize]
+    }
+
+    /// The table's own count of valid slots in PTEG `g` (what
+    /// [`HashTable::valid_entries`] sums).
+    pub fn group_valid(&self, g: u32) -> u32 {
+        u32::from(self.meta[g as usize].valid)
+    }
+
+    /// Whether PTEG `g` has been written (or marked by
+    /// [`HashTable::mark_key_written`]) since its mark was last cleared.
+    pub fn written(&self, g: u32) -> bool {
+        self.meta[g as usize].written
+    }
+
+    /// Marks the primary and secondary PTEGs of `(vsid, page_index)` as
+    /// written: where an entry for that key may sit.
+    pub fn mark_key_written(&mut self, vsid: Vsid, page_index: u32) {
+        for secondary in [false, true] {
+            let g = self.hash.pteg_index(vsid, page_index, secondary);
+            self.meta[g as usize].written = true;
+        }
+    }
+
+    /// Clears every PTEG's written mark.
+    pub fn clear_written_marks(&mut self) {
+        for m in &mut self.meta {
+            m.written = false;
+        }
     }
 
     /// Rehashes the table into `new_groups` PTEGs at the same base address,
@@ -507,7 +573,8 @@ impl HashTable {
             vec![[Pte::invalid(); PTES_PER_GROUP]; new_groups as usize],
         );
         self.hash = HashFunction::new(new_groups);
-        self.rr = vec![0; new_groups as usize];
+        self.meta = vec![GroupMeta::default(); new_groups as usize];
+        (self.valid, self.full) = (0, 0);
         self.reclaim_cursor = 0;
         let mut out = ResizeOutcome {
             old_groups,
@@ -538,7 +605,7 @@ impl HashTable {
                         visit(self.slot_pa(ng, slot));
                         if !self.groups[ng as usize][slot].valid {
                             pte.secondary = secondary;
-                            self.groups[ng as usize][slot] = pte;
+                            self.write_slot(ng as usize, slot, pte);
                             visit(self.slot_pa(ng, slot));
                             placed = true;
                             break 'probe;
@@ -565,6 +632,10 @@ impl HashTable {
         for g in &mut self.groups {
             *g = [Pte::invalid(); PTES_PER_GROUP];
         }
+        for m in &mut self.meta {
+            (m.valid, m.written) = (0, true);
+        }
+        (self.valid, self.full) = (0, 0);
     }
 }
 
@@ -873,7 +944,7 @@ mod tests {
             }
         }
         let g = h.hash.pteg_index(p.vsid, p.page_index, false);
-        out.push(h.slot_pa(g, h.rr[g as usize] as usize % PTES_PER_GROUP));
+        out.push(h.slot_pa(g, h.meta[g as usize].rr as usize % PTES_PER_GROUP));
         out
     }
 

@@ -101,23 +101,49 @@ impl TlbStats {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// [`match_key`] of the entry, or [`EMPTY_KEY`] when the slot is
-    /// empty: the probe compares this one word per way.
+    /// empty: the probe compares this one word per way, and the entry's
+    /// VSID and page index are read back from it.
     key: u64,
-    entry: Option<TlbEntry>,
     lru: u64,
+    rpn: u32,
+    cached: bool,
+    writable: bool,
+    /// Set by a consistency checker once it has audited this translation
+    /// (DESIGN.md §12); cleared whenever the slot is rewritten.
+    audited: bool,
 }
+
+// The audit mark rides in padding: a slot stays within 32 bytes.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 impl Slot {
     const EMPTY: Slot = Slot {
         key: EMPTY_KEY,
-        entry: None,
         lru: 0,
+        rpn: 0,
+        cached: false,
+        writable: false,
+        audited: false,
     };
+
+    fn is_valid(&self) -> bool {
+        self.key != EMPTY_KEY
+    }
+
+    /// The entry the slot holds, if any.
+    fn entry(&self) -> Option<TlbEntry> {
+        self.is_valid().then(|| TlbEntry {
+            vsid: Vsid::new((self.key >> 32) as u32),
+            page_index: self.key as u32,
+            rpn: self.rpn,
+            cached: self.cached,
+            writable: self.writable,
+        })
+    }
 
     /// Invalidates the slot, returning whether it held an entry.
     fn clear(&mut self) -> bool {
-        self.key = EMPTY_KEY;
-        self.entry.take().is_some()
+        std::mem::replace(self, Slot::EMPTY).is_valid()
     }
 }
 
@@ -163,6 +189,9 @@ pub struct Tlb {
     set_mask: u32,
     stats: TlbStats,
     tick: u64,
+    /// Whether any slot may carry an audit mark, so clearing them all is
+    /// free while none is set.
+    any_audited: bool,
 }
 
 impl Tlb {
@@ -182,6 +211,7 @@ impl Tlb {
             set_mask: cfg.sets() - 1,
             stats: TlbStats::default(),
             tick: 0,
+            any_audited: false,
         }
     }
 
@@ -234,12 +264,42 @@ impl Tlb {
             .iter()
             .enumerate()
             .find(|(_, slot)| slot.key == key)
-            .and_then(|(w, slot)| {
+            .map(|(w, slot)| {
                 // The key matched, so the tag fields equal the arguments;
                 // taking them from there leaves only the payload to copy.
-                let e = slot.entry?;
-                Some((base + w, TlbEntry { vsid, page_index, ..e }))
+                let e = TlbEntry {
+                    vsid,
+                    page_index,
+                    rpn: slot.rpn,
+                    cached: slot.cached,
+                    writable: slot.writable,
+                };
+                (base + w, e)
             })
+    }
+
+    /// Whether the slot [`Tlb::peek`] found at `idx` carries an audit mark.
+    #[inline]
+    pub fn audited(&self, idx: usize) -> bool {
+        self.slots[idx].audited
+    }
+
+    /// Sets the audit mark on the slot holding `(vsid, page_index)`, if
+    /// resident. Touches no tick, LRU stamp or counter.
+    pub fn mark_audited(&mut self, vsid: Vsid, page_index: u32) {
+        if let Some((idx, _)) = self.peek(vsid, page_index) {
+            self.slots[idx].audited = true;
+            self.any_audited = true;
+        }
+    }
+
+    /// Clears every audit mark (a no-op when none is set).
+    pub fn clear_audit_marks(&mut self) {
+        if std::mem::take(&mut self.any_audited) {
+            for slot in &mut self.slots {
+                slot.audited = false;
+            }
+        }
     }
 
     /// Commits the hit found by [`Tlb::peek`]: exactly the bookkeeping
@@ -262,7 +322,7 @@ impl Tlb {
         let set_slots = &self.slots[base..base + self.ways];
         let way = set_slots
             .iter()
-            .position(|s| s.entry.is_none())
+            .position(|s| !s.is_valid())
             .unwrap_or_else(|| {
                 set_slots
                     .iter()
@@ -273,8 +333,11 @@ impl Tlb {
             });
         self.slots[base + way] = Slot {
             key: match_key(entry.vsid, entry.page_index),
-            entry: Some(entry),
             lru: tick,
+            rpn: entry.rpn,
+            cached: entry.cached,
+            writable: entry.writable,
+            audited: false,
         };
     }
 
@@ -303,7 +366,7 @@ impl Tlb {
 
     /// Number of valid entries.
     pub fn valid_entries(&self) -> u32 {
-        self.slots.iter().filter(|s| s.entry.is_some()).count() as u32
+        self.slots.iter().filter(|s| s.is_valid()).count() as u32
     }
 
     /// Number of valid entries whose VSID satisfies `pred` — used to measure
@@ -312,7 +375,7 @@ impl Tlb {
     pub fn entries_matching(&self, mut pred: impl FnMut(Vsid) -> bool) -> u32 {
         self.slots
             .iter()
-            .filter(|s| s.entry.is_some_and(|e| pred(e.vsid)))
+            .filter(|s| s.entry().is_some_and(|e| pred(e.vsid)))
             .count() as u32
     }
 
@@ -320,7 +383,16 @@ impl Tlb {
     /// state or statistics, so a sweep over the entries is invisible to the
     /// replacement policy (the consistency checker depends on this).
     pub fn entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
-        self.slots.iter().filter_map(|s| s.entry)
+        self.slots.iter().filter_map(Slot::entry)
+    }
+
+    /// Every valid entry without an audit mark, in set/way order. Read-only
+    /// like [`Tlb::entries`].
+    pub fn unaudited_entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| !s.audited)
+            .filter_map(Slot::entry)
     }
 }
 
@@ -445,6 +517,48 @@ mod tests {
         t.lookup(Vsid::new(1), 1);
         t.lookup(Vsid::new(1), 2);
         assert!((t.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn audit_marks_survive_hits_and_die_with_their_slot() {
+        let mut t = Tlb::new(TlbConfig {
+            entries: 4,
+            ways: 2,
+        });
+        t.insert(entry(1, 0));
+        t.insert(entry(1, 1));
+        let (idx, _) = t.peek(Vsid::new(1), 0).unwrap();
+        assert!(!t.audited(idx), "a refill starts unaudited");
+        let before = (*t.stats(), t.tick);
+        t.mark_audited(Vsid::new(1), 0);
+        t.mark_audited(Vsid::new(9), 0); // not resident: no-op
+        assert_eq!((*t.stats(), t.tick), before, "marking is stat-neutral");
+        assert!(t.audited(idx));
+        assert!(t.lookup(Vsid::new(1), 0).is_some());
+        assert!(t.audited(idx), "a hit keeps the mark");
+        let unaudited: Vec<u32> = t.unaudited_entries().map(|e| e.page_index).collect();
+        assert_eq!(unaudited, vec![1]);
+        // Refilling the slot clears its mark.
+        t.insert(entry(1, 2));
+        t.insert(entry(1, 4));
+        assert_eq!(t.unaudited_entries().count() as u32, t.valid_entries());
+        // So do clear_audit_marks, tlbie and flush_all.
+        for wipe in 0..3 {
+            t.mark_audited(Vsid::new(1), 1);
+            match wipe {
+                0 => t.clear_audit_marks(),
+                1 => {
+                    t.tlbie(1);
+                    t.insert(entry(1, 1));
+                }
+                _ => {
+                    t.flush_all();
+                    t.insert(entry(1, 1));
+                }
+            }
+            let (idx, _) = t.peek(Vsid::new(1), 1).unwrap();
+            assert!(!t.audited(idx), "wipe {wipe} left a mark");
+        }
     }
 
     #[test]

@@ -175,6 +175,13 @@ impl Mmu {
         self.itlb.tlbie(page_index) + self.dtlb.tlbie(page_index)
     }
 
+    /// Clears every audit mark in both TLBs and the BAT set (DESIGN.md §12).
+    pub fn clear_audit_marks(&mut self) {
+        self.itlb.clear_audit_marks();
+        self.dtlb.clear_audit_marks();
+        self.bats.clear_audit_marks();
+    }
+
     /// Invalidates both TLBs completely.
     pub fn flush_tlbs(&mut self) {
         self.itlb.flush_all();

@@ -90,6 +90,62 @@ proptest! {
         );
     }
 
+    /// The table's own occupancy counts equal what its slots hold after any
+    /// mix of inserts, invalidations, reclaims, eager flushes, rehashes and
+    /// clears, and every PTEG whose slots changed since the written marks
+    /// were last cleared carries a mark.
+    #[test]
+    fn htab_counts_and_written_marks_track_every_write(
+        ops in proptest::collection::vec((0u32..16, 0u32..0x40, 0u32..0x1_0000), 1..300),
+    ) {
+        let mut h = HashTable::new(32, 0);
+        let mut since: Vec<_> = (0..32).map(|g| *h.group(g)).collect();
+        for &(op, v, p) in &ops {
+            match op {
+                0 => {
+                    h.clear_written_marks();
+                    let n = h.hash().num_groups();
+                    since = (0..n).map(|g| *h.group(g)).collect();
+                }
+                1 => {
+                    h.invalidate(Vsid::new(v), p);
+                }
+                2 => {
+                    h.reclaim_zombies(p % 8, |vsid| vsid.raw() % 3 != 0);
+                }
+                3 => {
+                    h.invalidate_matching(|vsid| vsid.raw() == v);
+                }
+                4 => {
+                    let n = [16, 32, 64][p as usize % 3];
+                    h.resize(n);
+                    since = vec![[Pte::invalid(); 8]; n as usize];
+                }
+                5 if p % 16 == 0 => {
+                    h.clear();
+                }
+                _ => {
+                    h.insert(pte(v, p, 7));
+                }
+            }
+            let n = h.hash().num_groups();
+            let mut valid = 0;
+            let mut full = 0;
+            for g in 0..n {
+                let group = h.group(g);
+                let count = group.iter().filter(|e| e.valid).count() as u32;
+                prop_assert_eq!(h.group_valid(g), count, "group {} count", g);
+                valid += count;
+                full += u32::from(count == 8);
+                if *group != since[g as usize] {
+                    prop_assert!(h.written(g), "group {} changed unmarked", g);
+                }
+            }
+            prop_assert_eq!(h.valid_entries(), valid);
+            prop_assert_eq!(h.full_groups(), full);
+        }
+    }
+
     /// Reclaiming with an all-live predicate clears nothing; with a
     /// none-live predicate it clears everything (over a full sweep).
     #[test]
