@@ -118,7 +118,8 @@ fn bench_translate(c: &mut Criterion) {
 
 /// cache: the `MemSystem` read path, hit and miss — under every simulated
 /// data reference that misses the fused path — and the two word runs the
-/// kernel charges most: a page clear and a hash-table probe.
+/// kernel charges most: a page clear (L2-resident on a 603, and spread over
+/// RAM on a 604) and a hash-table probe.
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
     g.bench_function("zero_page_stores_4k", |b| {
@@ -133,6 +134,22 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             page = (page + 1) % 8;
             black_box(mem.zero_page_stores(0x10_0000 + page * 4096, 4096))
+        });
+    });
+    g.bench_function("zero_page_stores_spread", |b| {
+        // `churn`'s hog case: frames spread over all 32 MiB of RAM, cleared
+        // in turn on a 604 with its 512 KiB L2, so every line misses both
+        // levels, the L1 writes back a dirty victim and the L2 fill writes
+        // back its own. One lap warms the L2 with dirty lines first.
+        let mut mem = MemSystem::new(MemSystemConfig::ppc604());
+        let frames = 32 * 1024 * 1024 / 4096;
+        for frame in 0..frames {
+            mem.zero_page_stores(frame * 4096, 4096);
+        }
+        let mut frame = 0u32;
+        b.iter(|| {
+            frame = (frame + 1) % frames;
+            black_box(mem.zero_page_stores(frame * 4096, 4096))
         });
     });
     g.bench_function("pteg_probe_miss", |b| {

@@ -1,17 +1,29 @@
 //! Simulated physical memory and the page-frame allocator.
 
-use ppc_mmu::addr::{PhysAddr, PAGE_SIZE};
+use ppc_mmu::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::layout::{pfn, pfn_to_pa, FRAME_POOL_PA, PT_POOL_PA, RAM_BYTES, TOTAL_FRAMES};
+
+/// Words per page frame.
+const FRAME_WORDS: usize = (PAGE_SIZE / 4) as usize;
 
 /// Word-addressable simulated RAM.
 ///
 /// Page tables and other kernel structures genuinely live here, so the
 /// simulator's page-table walks read the same words the fault handlers
 /// wrote — semantics, not just costs.
+///
+/// Clearing a frame is lazy: [`PhysMem::zero_page`] sets the frame's zero
+/// mark instead of writing its words, a marked frame reads as zero, and the
+/// first write to it clears the words and the mark. Most cleared frames are
+/// user pages whose words nobody reads or writes, so the host never touches
+/// them: `words` is one zero-allocated block whose untouched pages the host
+/// never maps.
 #[derive(Clone)]
 pub struct PhysMem {
     words: Vec<u32>,
+    /// One zero mark per frame, held inline (no allocation of its own).
+    zeroed: [u64; TOTAL_FRAMES as usize / 64],
 }
 
 impl std::fmt::Debug for PhysMem {
@@ -27,42 +39,79 @@ impl PhysMem {
     pub fn new() -> Self {
         Self {
             words: vec![0; (RAM_BYTES / 4) as usize],
+            zeroed: [0; TOTAL_FRAMES as usize / 64],
         }
     }
 
-    /// Reads the aligned word containing `pa`.
+    /// The zero-mark word and bit of the frame holding `pa` (the word
+    /// index is out of bounds when `pa` is outside RAM).
+    fn mark(pa: PhysAddr) -> (usize, u64) {
+        let frame = (pa >> PAGE_SHIFT) as usize;
+        (frame / 64, 1 << (frame % 64))
+    }
+
+    /// Whether the frame holding `pa` carries its zero mark.
+    fn is_marked(&self, pa: PhysAddr) -> bool {
+        let (i, bit) = Self::mark(pa);
+        self.zeroed[i] & bit != 0
+    }
+
+    /// Sets (`true`) or clears the zero mark of the frame holding `pa`.
+    fn set_mark(&mut self, pa: PhysAddr, zero: bool) {
+        let (i, bit) = Self::mark(pa);
+        if zero {
+            self.zeroed[i] |= bit;
+        } else {
+            self.zeroed[i] &= !bit;
+        }
+    }
+
+    /// Reads the aligned word containing `pa`: zero in a marked frame.
     ///
     /// # Panics
     ///
     /// Panics if `pa` is outside RAM.
     pub fn read_u32(&self, pa: PhysAddr) -> u32 {
-        self.words[(pa / 4) as usize]
+        if self.is_marked(pa) {
+            0
+        } else {
+            self.words[(pa / 4) as usize]
+        }
     }
 
-    /// Writes the aligned word containing `pa`.
+    /// Writes the aligned word containing `pa`. The first write to a marked
+    /// frame clears the frame's words and its mark.
     ///
     /// # Panics
     ///
     /// Panics if `pa` is outside RAM.
     pub fn write_u32(&mut self, pa: PhysAddr, value: u32) {
+        if self.is_marked(pa) {
+            self.set_mark(pa, false);
+            let start = ((pa & !(PAGE_SIZE - 1)) / 4) as usize;
+            self.words[start..start + FRAME_WORDS].fill(0);
+        }
         self.words[(pa / 4) as usize] = value;
     }
 
-    /// Copies one page's contents (the semantic side of a COW break).
+    /// Copies one page's contents (the semantic side of a COW break). A
+    /// copy of a marked frame marks the destination instead.
     pub fn copy_page(&mut self, src_pa: PhysAddr, dst_pa: PhysAddr) {
         debug_assert_eq!(src_pa % PAGE_SIZE, 0);
         debug_assert_eq!(dst_pa % PAGE_SIZE, 0);
-        let words = (PAGE_SIZE / 4) as usize;
-        let src = (src_pa / 4) as usize;
-        let dst = (dst_pa / 4) as usize;
-        self.words.copy_within(src..src + words, dst);
+        let zero = self.is_marked(src_pa);
+        self.set_mark(dst_pa, zero);
+        if !zero {
+            let src = (src_pa / 4) as usize;
+            self.words
+                .copy_within(src..src + FRAME_WORDS, (dst_pa / 4) as usize);
+        }
     }
 
-    /// Zero-fills one page.
+    /// Zero-fills one page: sets its zero mark.
     pub fn zero_page(&mut self, page_pa: PhysAddr) {
         debug_assert_eq!(page_pa % PAGE_SIZE, 0);
-        let start = (page_pa / 4) as usize;
-        self.words[start..start + (PAGE_SIZE / 4) as usize].fill(0);
+        self.set_mark(page_pa, true);
     }
 }
 

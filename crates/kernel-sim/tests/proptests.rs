@@ -113,6 +113,42 @@ proptest! {
         }
     }
 
+    /// Lazily zeroed RAM reads exactly like eager RAM: over random
+    /// sequences of `zero_page`, `copy_page`, `write_u32` and `read_u32` on
+    /// four frames, every read, and every word of every frame at the end,
+    /// equals an array that clears and copies eagerly.
+    #[test]
+    fn lazily_zeroed_ram_reads_like_eager_ram(ops in proptest::collection::vec(
+        ((0u32..4, 0u32..4), (0u32..4, 0u32..(PAGE_SIZE / 4)), 1u32..u32::MAX), 1..120)) {
+        const BASE: u32 = 0x30_0000;
+        let words = (PAGE_SIZE / 4) as usize;
+        let pa = |frame: u32, word: u32| BASE + frame * PAGE_SIZE + word * 4;
+        let mut mem = PhysMem::new();
+        let mut eager = vec![0u32; 4 * words];
+        for &((op, frame), (other, word), value) in &ops {
+            let (f, o, w) = (frame as usize, other as usize, word as usize);
+            match op {
+                0 => {
+                    mem.zero_page(pa(frame, 0));
+                    eager[f * words..(f + 1) * words].fill(0);
+                }
+                1 => {
+                    mem.copy_page(pa(frame, 0), pa(other, 0));
+                    eager.copy_within(f * words..(f + 1) * words, o * words);
+                }
+                2 => {
+                    mem.write_u32(pa(frame, word), value);
+                    eager[f * words + w] = value;
+                }
+                _ => prop_assert_eq!(mem.read_u32(pa(frame, word)), eager[f * words + w]),
+            }
+        }
+        for (i, &want) in eager.iter().enumerate() {
+            let i = i as u32;
+            prop_assert_eq!(mem.read_u32(pa(i / (PAGE_SIZE / 4), i % (PAGE_SIZE / 4))), want);
+        }
+    }
+
     /// Page tables: map → walk returns the mapped frame; unmap removes it;
     /// distinct addresses never interfere.
     #[test]

@@ -30,22 +30,40 @@ pub struct CacheOutcome {
     pub victim_pa: Option<PhysAddr>,
 }
 
-impl CacheOutcome {
-    const HIT: CacheOutcome = CacheOutcome {
-        hit: true,
-        evicted: false,
-        writeback: false,
-        wrote_through: false,
-        victim_pa: None,
-    };
+/// How one probe left its line: what the memory system's miss tail reads
+/// from [`Cache::demand`], [`Cache::fill`] and [`Cache::establish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The line was resident.
+    Hit,
+    /// The line was filled into a victim way. `evicted`: the way held a
+    /// valid line; `victim`: that line's base address, when it was dirty
+    /// and must be written back.
+    Filled {
+        evicted: bool,
+        victim: Option<PhysAddr>,
+    },
+    /// Every way of the set is locked: nothing became resident.
+    Bypassed,
 }
 
+impl Probe {
+    /// The dirty line a fill displaced, which must be written back.
+    #[inline(always)]
+    pub(crate) fn victim(self) -> Option<PhysAddr> {
+        match self {
+            Probe::Filled { victim, .. } => victim,
+            Probe::Hit | Probe::Bypassed => None,
+        }
+    }
+}
+
+/// The per-way state beside the tag. A way is valid exactly when its tag
+/// (in [`Cache::tags`]) is not [`INVALID_TAG`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
-    valid: bool,
     dirty: bool,
     locked: bool,
-    tag: u32,
     /// Larger = more recently used.
     lru: u64,
 }
@@ -68,17 +86,17 @@ struct Line {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Every line in one contiguous allocation, indexed `set * ways + way`.
-    /// One slab instead of a `Vec<Vec<_>>` keeps a whole set on one or two
-    /// host cache lines — the hot probe touches no pointer indirection.
+    /// Every way's dirty, lock and LRU state in one contiguous allocation,
+    /// indexed `set * ways + way`. One slab instead of a `Vec<Vec<_>>`
+    /// keeps a whole set on one or two host cache lines.
     lines: Box<[Line]>,
-    /// The tag of each *valid* line, same indexing as `lines`, with invalid
-    /// ways parked at [`INVALID_TAG`]. The way scan in [`Cache::find`] — the
-    /// single hottest loop in the simulator, under every probe, fill and
-    /// burst — compares `ways` contiguous `u32`s and nothing else; the
-    /// sentinel folds the validity check into the tag compare (real tags
-    /// are `addr >> (set_shift + set_bits)` with `set_shift >= 2`, so they
-    /// can never reach `u32::MAX`).
+    /// The tag of each *valid* way, same indexing as `lines`, with invalid
+    /// ways parked at [`INVALID_TAG`]; the only record of validity. The way
+    /// scan in [`Cache::find`] — the single hottest loop in the simulator,
+    /// under every probe, fill and run — compares `ways` contiguous `u32`s
+    /// and nothing else; the sentinel folds the validity check into the tag
+    /// compare (real tags are `addr >> (set_shift + set_bits)` with
+    /// `set_shift >= 2`, so they can never reach `u32::MAX`).
     tags: Box<[u32]>,
     ways: usize,
     stats: CacheStats,
@@ -133,7 +151,26 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// The associativity, which picks the instance the memory system runs
+    /// this cache through.
     #[inline]
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
+    }
+
+    /// The width of instance `W` of the probe, victim and fill code: `W`
+    /// itself for a compiled instance, or the runtime associativity for the
+    /// runtime-width instance `W = 0`.
+    #[inline(always)]
+    fn width<const W: usize>(&self) -> usize {
+        if W == 0 {
+            self.ways
+        } else {
+            W
+        }
+    }
+
+    #[inline(always)]
     fn index(&self, addr: PhysAddr) -> (usize, u32) {
         let set = (addr >> self.set_shift) & self.set_mask;
         (set as usize, addr >> self.tag_shift)
@@ -143,144 +180,197 @@ impl Cache {
     /// `self.lines`. Tags are unique within a set (a line is only filled
     /// after this scan missed), so the scan visits every way without an
     /// early exit and selects the match branch-free.
-    #[inline]
-    fn find(&self, set: usize, tag: u32) -> Option<usize> {
-        let base = set * self.ways;
+    #[inline(always)]
+    fn find<const W: usize>(&self, set: usize, tag: u32) -> Option<usize> {
+        let ways = self.width::<W>();
+        let base = set * ways;
         let mut found = usize::MAX;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+        for (w, &t) in self.tags[base..base + ways].iter().enumerate() {
             found = if t == tag { base + w } else { found };
         }
         (found != usize::MAX).then_some(found)
     }
 
-    /// Picks the replacement victim in `set`: an invalid way if one exists,
-    /// otherwise the least recently used unlocked way. Returns `None` if every
-    /// way is locked (the access then bypasses the cache). Flat index.
-    fn victim(&self, set: usize) -> Option<usize> {
-        let base = set * self.ways;
-        let set_lines = &self.lines[base..base + self.ways];
-        if let Some(i) = set_lines.iter().position(|l| !l.valid) {
-            return Some(base + i);
+    /// Picks the replacement victim in `set`: the first invalid way, else
+    /// the least recently used unlocked way; `None` if every way is locked
+    /// (the access then bypasses the cache). Flat index.
+    ///
+    /// Each way gets a score — invalid 0, unlocked its stamp + 1 (stamps of
+    /// valid lines are unique), locked `u64::MAX` — and the lowest score
+    /// wins, the earliest way on a tie. The scan selects rather than
+    /// branches, so no branch depends on the LRU stamps.
+    #[inline(always)]
+    fn victim<const W: usize>(&self, set: usize) -> Option<usize> {
+        let ways = self.width::<W>();
+        let base = set * ways;
+        let tags = &self.tags[base..base + ways];
+        let lines = &self.lines[base..base + ways];
+        let mut best = usize::MAX;
+        let mut best_score = u64::MAX;
+        for (w, (&tag, line)) in tags.iter().zip(lines).enumerate() {
+            let valid = 0u64.wrapping_sub(u64::from(tag != INVALID_TAG));
+            let locked = 0u64.wrapping_sub(u64::from(line.locked));
+            let score = valid & (line.lru.wrapping_add(1) | locked);
+            let older = score < best_score;
+            best = std::hint::select_unpredictable(older, base + w, best);
+            best_score = std::hint::select_unpredictable(older, score, best_score);
         }
-        set_lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.locked)
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| base + i)
+        (best_score != u64::MAX).then_some(best)
     }
 
-    /// The fused fast path's hit probe: commits exactly the bookkeeping
-    /// [`Cache::access`] performs on a hit (tick, demand counters, LRU,
-    /// dirty/write-through) and returns the write-through flag — or returns
-    /// `None` on a miss *without touching any state*, so the caller can fall
-    /// back to the full [`Cache::access`], which then counts the miss (and
-    /// the tick) exactly once.
-    #[inline]
-    pub fn fast_hit(&mut self, addr: PhysAddr, kind: AccessKind) -> Option<bool> {
-        let (set, tag) = self.index(addr);
-        let idx = self.find(set, tag)?;
-        Some(self.hits_at(idx, kind, 1))
-    }
-
-    /// Commits `n` hits of `kind` on the resident line at flat index `idx`:
-    /// exactly the bookkeeping of `n` consecutive [`Cache::access`] hits on
-    /// that line. The tick and the demand and hit counters advance by `n`,
-    /// the LRU stamp lands on the last tick, and the dirty/write-through
-    /// resolution, the same for every access, is applied once and returned.
-    #[inline]
-    pub(crate) fn hits_at(&mut self, idx: usize, kind: AccessKind, n: u64) -> bool {
-        self.tick += n;
-        self.stats.accesses += n;
-        self.stats.hits += n;
+    /// Fills `tag` into way `idx` of `set`, stamped with the current tick:
+    /// counts the eviction (and writeback) of the valid (dirty) line it
+    /// displaces and reports that line.
+    #[inline(always)]
+    fn fill_at(&mut self, idx: usize, set: usize, tag: u32, dirty: bool) -> Probe {
+        let old = self.tags[idx];
         let line = &mut self.lines[idx];
-        line.lru = self.tick;
-        let mut wrote_through = false;
-        if kind == AccessKind::Write {
-            match self.cfg.write_policy {
-                WritePolicy::WriteBack => line.dirty = true,
-                WritePolicy::WriteThrough => wrote_through = true,
-            }
-        }
-        wrote_through
-    }
-
-    /// Performs a cacheable access and returns what happened.
-    pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheOutcome {
-        self.access_at(addr, kind).0
-    }
-
-    /// [`Cache::access`], also returning the flat index of the line the
-    /// access left resident (the line it hit or the way it filled), so a
-    /// caller can commit further hits on it with [`Cache::hits_at`]. The
-    /// index is `None` when every way of the set is locked and the access
-    /// bypassed the cache.
-    #[inline]
-    pub(crate) fn access_at(
-        &mut self,
-        addr: PhysAddr,
-        kind: AccessKind,
-    ) -> (CacheOutcome, Option<usize>) {
-        let (set, tag) = self.index(addr);
-        if let Some(idx) = self.find(set, tag) {
-            let wrote_through = self.hits_at(idx, kind, 1);
-            let out = CacheOutcome {
-                wrote_through,
-                ..CacheOutcome::HIT
-            };
-            return (out, Some(idx));
-        }
-        self.tick += 1;
-        self.stats.accesses += 1;
-        self.stats.misses += 1;
-        let Some(idx) = self.victim(set) else {
-            // Every way locked: treat as an uncached access.
-            self.stats.inhibited += 1;
-            let out = CacheOutcome {
-                hit: false,
-                evicted: false,
-                writeback: false,
-                wrote_through: kind == AccessKind::Write,
-                victim_pa: None,
-            };
-            return (out, None);
-        };
-        let line = &mut self.lines[idx];
-        let evicted = line.valid;
-        let writeback = line.valid && line.dirty;
-        let victim_pa =
-            writeback.then(|| (line.tag << self.tag_shift) | ((set as u32) << self.set_shift));
-        if evicted {
-            self.stats.evictions += 1;
-        }
-        if writeback {
-            self.stats.writebacks += 1;
-        }
-        let mut wrote_through = false;
-        let dirty = match (kind, self.cfg.write_policy) {
-            (AccessKind::Write, WritePolicy::WriteBack) => true,
-            (AccessKind::Write, WritePolicy::WriteThrough) => {
-                wrote_through = true;
-                false
-            }
-            (AccessKind::Read, _) => false,
-        };
+        let evicted = old != INVALID_TAG;
+        let writeback = evicted && line.dirty;
+        self.stats.evictions += u64::from(evicted);
+        self.stats.writebacks += u64::from(writeback);
         *line = Line {
-            valid: true,
             dirty,
             locked: false,
-            tag,
             lru: self.tick,
         };
         self.tags[idx] = tag;
-        let out = CacheOutcome {
-            hit: false,
-            evicted,
-            writeback,
-            wrote_through,
-            victim_pa,
+        let victim = writeback.then(|| (old << self.tag_shift) | ((set as u32) << self.set_shift));
+        Probe::Filled { evicted, victim }
+    }
+
+    /// Whether a store of `kind` dirties its line (write-back policy).
+    #[inline(always)]
+    fn dirties(&self, kind: AccessKind) -> bool {
+        kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteBack
+    }
+
+    /// Whether an access of `kind` that allocates or hits also goes
+    /// straight to memory (a store under the write-through policy).
+    #[inline(always)]
+    pub(crate) fn writes_through(&self, kind: AccessKind) -> bool {
+        kind == AccessKind::Write && self.cfg.write_policy == WritePolicy::WriteThrough
+    }
+
+    /// Probes for the line holding `addr` through instance `W`, touching
+    /// nothing: `Ok` with its flat index when resident, else `Err` with
+    /// the `(set, tag)` a [`Cache::fill`] takes.
+    #[inline(always)]
+    pub(crate) fn lookup<const W: usize>(&self, addr: PhysAddr) -> Result<usize, (usize, u32)> {
+        let (set, tag) = self.index(addr);
+        self.find::<W>(set, tag).ok_or((set, tag))
+    }
+
+    /// Commits `n` hits of `kind` on the resident line at flat index `idx`:
+    /// the tick and the demand and hit counters advance by `n`, the LRU
+    /// stamp lands on the last tick, and a write-back store dirties the line.
+    #[inline(always)]
+    pub(crate) fn hits_at(&mut self, idx: usize, kind: AccessKind, n: u64) {
+        self.tick += n;
+        self.stats.accesses += n;
+        self.stats.hits += n;
+        let dirty = self.dirties(kind);
+        let line = &mut self.lines[idx];
+        line.lru = self.tick;
+        line.dirty |= dirty;
+    }
+
+    /// The miss half of [`Cache::demand`], for the `(set, tag)` a
+    /// [`Cache::lookup`] missed: fills the victim way and commits the
+    /// `n - 1` accesses that follow the miss as hits, in the same step. A
+    /// fully locked set commits only the first access, counted as a miss
+    /// and an inhibited access.
+    #[inline(always)]
+    pub(crate) fn fill<const W: usize>(
+        &mut self,
+        (set, tag): (usize, u32),
+        kind: AccessKind,
+        n: u64,
+    ) -> Probe {
+        let Some(idx) = self.victim::<W>(set) else {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            self.stats.misses += 1;
+            self.stats.inhibited += 1;
+            return Probe::Bypassed;
         };
-        (out, Some(idx))
+        self.tick += n;
+        self.stats.accesses += n;
+        self.stats.misses += 1;
+        self.stats.hits += n - 1;
+        self.fill_at(idx, set, tag, self.dirties(kind))
+    }
+
+    /// The one probe-and-fill of a demand access, instance `W`: commits
+    /// `n` accesses of `kind` to the line holding `addr`, all of which lie
+    /// on that line — exactly the bookkeeping of `n` consecutive
+    /// single-word accesses. A hit commits `n` hits; a miss is a
+    /// [`Cache::fill`].
+    #[inline(always)]
+    pub(crate) fn demand<const W: usize>(
+        &mut self,
+        addr: PhysAddr,
+        kind: AccessKind,
+        n: u64,
+    ) -> Probe {
+        match self.lookup::<W>(addr) {
+            Ok(idx) => {
+                self.hits_at(idx, kind, n);
+                Probe::Hit
+            }
+            Err(miss) => self.fill::<W>(miss, kind, n),
+        }
+    }
+
+    /// The one probe-and-fill of a line establish (`dcbz`, or a whole-line
+    /// writeback arriving from above), instance `W`: a store that allocates
+    /// without reading memory, so a miss counts as a hit and a zero fill,
+    /// not as a demand miss. A fully locked set establishes nothing and
+    /// counts one inhibited access.
+    #[inline(always)]
+    pub(crate) fn establish<const W: usize>(&mut self, addr: PhysAddr) -> Probe {
+        let (set, tag) = self.index(addr);
+        if let Some(idx) = self.find::<W>(set, tag) {
+            self.hits_at(idx, AccessKind::Write, 1);
+            return Probe::Hit;
+        }
+        let Some(idx) = self.victim::<W>(set) else {
+            self.stats.inhibited += 1;
+            return Probe::Bypassed;
+        };
+        self.tick += 1;
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        self.stats.zero_fills += 1;
+        self.fill_at(idx, set, tag, self.dirties(AccessKind::Write))
+    }
+
+    /// The [`CacheOutcome`] of a single access of `kind` that left `probe`.
+    fn outcome(&self, probe: Probe, kind: AccessKind) -> CacheOutcome {
+        let (hit, evicted, victim_pa) = match probe {
+            Probe::Hit => (true, false, None),
+            Probe::Filled { evicted, victim } => (false, evicted, victim),
+            Probe::Bypassed => (false, false, None),
+        };
+        CacheOutcome {
+            hit,
+            evicted,
+            writeback: victim_pa.is_some(),
+            // A bypassed store goes to memory whatever the policy.
+            wrote_through: self.writes_through(kind)
+                || (probe == Probe::Bypassed && kind == AccessKind::Write),
+            victim_pa,
+        }
+    }
+
+    /// Performs a cacheable access and returns what happened.
+    ///
+    /// A driver for the standalone cache, which its tests use: the memory
+    /// system probes through [`MemSystem`](crate::hierarchy::MemSystem)'s
+    /// miss tail and never builds a [`CacheOutcome`].
+    pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheOutcome {
+        let probe = self.demand::<0>(addr, kind, 1);
+        self.outcome(probe, kind)
     }
 
     /// Records a cache-inhibited access: the cache state is untouched.
@@ -295,43 +385,40 @@ impl Cache {
 
     /// `dcbz`-style line zeroing: establishes the line in the cache, dirty,
     /// without reading memory. Returns the outcome of the establish (a "hit"
-    /// means the line was already present).
+    /// means the line was already present). In a fully locked set nothing
+    /// is established and one inhibited access is counted.
+    ///
+    /// A driver for the standalone cache, like [`Cache::access`]: the
+    /// memory system's `dcbz` establishes the line itself and lands the
+    /// victim through its miss tail.
     pub fn zero_line(&mut self, addr: PhysAddr) -> CacheOutcome {
-        let out = self.access(addr, AccessKind::Write);
-        if !out.hit {
-            self.stats.zero_fills += 1;
-            // The miss fill for dcbz does not read memory; the caller charges
-            // no bus read for it. Account it as a zero-fill, not a demand miss.
-            self.stats.misses -= 1;
-            self.stats.hits += 1;
-        }
-        out
+        let probe = self.establish::<0>(addr);
+        self.outcome(probe, AccessKind::Write)
     }
 
     /// Software prefetch (`dcbt`, paper §10.2): brings the line in as a read
-    /// without counting as a demand access. Returns `true` if a fill happened.
+    /// without counting as a demand access. Returns `true` if a fill
+    /// happened; a fully locked set fills nothing and counts nothing.
     pub fn prefetch(&mut self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
-        if self.find(set, tag).is_some() {
+        if self.find::<0>(set, tag).is_some() {
             self.stats.prefetch_redundant += 1;
             return false;
         }
-        let before = self.stats;
-        let out = self.access(addr, AccessKind::Read);
-        // Prefetches are not demand accesses; rewind the demand counters and
-        // record the fill explicitly.
-        self.stats.accesses = before.accesses;
-        self.stats.hits = before.hits;
-        self.stats.misses = before.misses;
+        let Some(idx) = self.victim::<0>(set) else {
+            return false;
+        };
+        self.tick += 1;
         self.stats.prefetch_fills += 1;
-        !out.hit
+        self.fill_at(idx, set, tag, false);
+        true
     }
 
     /// Locks or unlocks the line containing `addr`, if present. Returns
     /// whether the line was found.
     pub fn set_locked(&mut self, addr: PhysAddr, locked: bool) -> bool {
         let (set, tag) = self.index(addr);
-        match self.find(set, tag) {
+        match self.find::<0>(set, tag) {
             Some(idx) => {
                 self.lines[idx].locked = locked;
                 true
@@ -350,42 +437,40 @@ impl Cache {
     /// Returns whether the line containing `addr` is currently resident.
     pub fn contains(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index(addr);
-        self.find(set, tag).is_some()
+        self.find::<0>(set, tag).is_some()
     }
 
     /// Invalidates every line, discarding dirty data (like `hid0` flash
     /// invalidate). Dirty lines are *not* written back.
     pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.lines.fill(Line::default());
         self.tags.fill(INVALID_TAG);
     }
 
     /// Writes back and invalidates every line, returning the number of dirty
     /// lines flushed (each costs a bus write in the memory system).
     pub fn flush_all(&mut self) -> u64 {
-        let mut flushed = 0;
-        for line in &mut self.lines {
-            if line.valid && line.dirty {
-                flushed += 1;
-                self.stats.writebacks += 1;
-            }
-            *line = Line::default();
-        }
-        self.tags.fill(INVALID_TAG);
+        let flushed = self
+            .tags
+            .iter()
+            .zip(self.lines.iter())
+            .filter(|(&tag, line)| tag != INVALID_TAG && line.dirty)
+            .count() as u64;
+        self.stats.writebacks += flushed;
+        self.invalidate_all();
         flushed
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid).count() as u64
+        self.tags.iter().filter(|&&t| t != INVALID_TAG).count() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::CacheStats;
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 32B lines = 256B, easy to reason about.
@@ -515,6 +600,87 @@ mod tests {
         assert!(!out.hit && !out.evicted);
         assert!(!c.contains(addr(0, 3)));
         assert_eq!(c.stats().inhibited, 1);
+    }
+
+    /// Locks both ways of set 0 in the `small()` cache.
+    fn lock_set_0(c: &mut Cache) {
+        for tag in [1, 2] {
+            c.access(addr(0, tag), AccessKind::Read);
+            assert!(c.set_locked(addr(0, tag), true));
+        }
+    }
+
+    #[test]
+    fn prefetch_into_a_fully_locked_set_fills_and_counts_nothing() {
+        let mut c = small();
+        lock_set_0(&mut c);
+        let before = *c.stats();
+        assert!(!c.prefetch(addr(0, 3)), "nothing was filled");
+        assert!(!c.contains(addr(0, 3)));
+        assert_eq!(*c.stats(), before);
+    }
+
+    #[test]
+    fn zero_line_in_a_fully_locked_set_counts_one_inhibited_access() {
+        let mut c = small();
+        lock_set_0(&mut c);
+        let before = *c.stats();
+        let out = c.zero_line(addr(0, 3));
+        assert!(!out.hit && !out.evicted && !out.writeback);
+        assert!(!c.contains(addr(0, 3)));
+        assert_eq!(
+            *c.stats(),
+            CacheStats {
+                inhibited: before.inhibited + 1,
+                ..before
+            }
+        );
+    }
+
+    /// Drives one stream of demand runs and establishes, with a locked
+    /// line (so a fully locked set on a 1-way cache), through instance `W`
+    /// of a `W`-way cache and through the runtime-width instance (`W = 0`)
+    /// of the same code: equal probes, equal caches.
+    fn instance_matches_the_runtime_width_one<const W: usize>() {
+        let cfg = CacheConfig {
+            size_bytes: 1024,
+            ways: W as u32,
+            ..*small().config()
+        };
+        let mut fixed = Cache::new(cfg);
+        let mut runtime = Cache::new(cfg);
+        let mut x = 0x2545_f491_u32;
+        for step in 0..2_000u32 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let a = x & 0x3ffc;
+            let kind = if x & 0x4000 == 0 {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            let n = u64::from(x >> 28) % 8 + 1;
+            let (got, want) = if x & 0x8000 == 0 {
+                (
+                    fixed.demand::<W>(a, kind, n),
+                    runtime.demand::<0>(a, kind, n),
+                )
+            } else {
+                (fixed.establish::<W>(a), runtime.establish::<0>(a))
+            };
+            assert_eq!(got, want, "{W} ways, step {step}");
+            if step == 100 {
+                assert_eq!(fixed.set_locked(a, true), runtime.set_locked(a, true));
+            }
+        }
+        assert_eq!(fixed, runtime, "{W} ways");
+    }
+
+    #[test]
+    fn compiled_instances_match_the_runtime_width_instance() {
+        instance_matches_the_runtime_width_one::<1>();
+        instance_matches_the_runtime_width_one::<4>();
     }
 
     #[test]

@@ -1,10 +1,35 @@
 //! The combined L1 + bus memory system driven by the machine model.
 
 use crate::bus::Bus;
-use crate::cache::{AccessKind, Cache};
+use crate::cache::{AccessKind, Cache, Probe};
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 use crate::{Cycles, PhysAddr};
+
+/// The L1 associativity compiled as an instance of the cache code: the
+/// 604's 4-way L1s, which the benchmark runs. Every other L1 (the 603's
+/// 2 ways, the 750's 8) runs the runtime-width instance.
+const L1_INSTANCE: usize = 4;
+
+/// The L2 associativity compiled as an instance: the 1-way board L2.
+const L2_INSTANCE: usize = 1;
+
+/// Evaluates `$body` with the constant `$w` bound to `$n` when the
+/// associativity `$ways` is `$n`, through the instance compiled for that
+/// width, else to 0: the runtime-width instance of the same code. With the
+/// width a constant the way scans unroll; DESIGN.md §16 measures what each
+/// compiled instance buys.
+macro_rules! by_ways {
+    ($ways:expr, $n:expr, |$w:ident| $body:expr) => {
+        if $ways == $n {
+            const $w: usize = $n;
+            $body
+        } else {
+            const $w: usize = 0;
+            $body
+        }
+    };
+}
 
 /// Configuration for a complete memory system.
 #[derive(Debug, Clone, Copy)]
@@ -97,102 +122,137 @@ impl MemSystem {
         }
     }
 
-    /// Cost of filling an L1 line from the L2 (or memory).
-    fn fill_from_below(&mut self, pa: PhysAddr) -> Cycles {
-        match &mut self.l2 {
-            None => self.bus.line_fill,
-            Some(l2) => {
-                let out = l2.access(pa, AccessKind::Read);
-                if out.hit {
-                    self.l2_hit
+    /// Commits up to `n` accesses of `kind`, all on the L1 line holding
+    /// `pa`, through instance `W` of the instruction (`INSN`) or data
+    /// cache: the cost of exactly `n` single-word accesses, and how many
+    /// were committed — `n`, or 1 when a fully locked set bypassed the
+    /// cache (the next access then probes again). A hit commits all `n`
+    /// here at the hit cost; a miss goes straight into [`MemSystem::miss`].
+    #[inline(always)]
+    fn line<const W: usize, const INSN: bool>(
+        &mut self,
+        pa: PhysAddr,
+        kind: AccessKind,
+        n: u32,
+    ) -> (Cycles, u32) {
+        let l1 = if INSN {
+            &mut self.icache
+        } else {
+            &mut self.dcache
+        };
+        match l1.lookup::<W>(pa) {
+            Ok(idx) => {
+                l1.hits_at(idx, kind, u64::from(n));
+                let beat = if l1.writes_through(kind) {
+                    self.bus.write_beat
                 } else {
-                    let mut c = self.bus.line_fill;
-                    if out.writeback {
-                        c += self.bus.line_writeback;
-                    }
-                    c
-                }
+                    0
+                };
+                (u64::from(n) * (l1.config().hit_cycles + beat), n)
             }
+            Err(set_tag) => self.miss::<W, INSN>(pa, set_tag, kind, n),
         }
     }
 
-    /// Cost of an L1 dirty-line writeback landing in the L2 (or memory).
-    /// A full line arrives, so the L2 allocates without a memory read.
-    fn writeback_below(&mut self, victim_pa: Option<PhysAddr>) -> Cycles {
-        match (&mut self.l2, victim_pa) {
-            (None, _) | (_, None) => self.bus.line_writeback,
-            (Some(l2), Some(pa)) => {
-                let out = l2.zero_line(pa); // allocate-without-read, dirty
-                let mut c = 2;
-                if out.writeback {
-                    c += self.bus.line_writeback;
-                }
-                c
-            }
+    /// The L1 miss tail of [`MemSystem::line`], one function per L1
+    /// instance with every level below inlined in it: fills the victim way
+    /// (the `n - 1` accesses after the miss commit as hits), fills the line
+    /// from below and lands the dirty victim below ([`MemSystem::below`]).
+    #[inline(never)]
+    fn miss<const W: usize, const INSN: bool>(
+        &mut self,
+        pa: PhysAddr,
+        set_tag: (usize, u32),
+        kind: AccessKind,
+        n: u32,
+    ) -> (Cycles, u32) {
+        let l1 = if INSN {
+            &mut self.icache
+        } else {
+            &mut self.dcache
+        };
+        let hit = l1.config().hit_cycles;
+        let n64 = u64::from(n);
+        let beat = if l1.writes_through(kind) {
+            self.bus.write_beat
+        } else {
+            0
+        };
+        let probe = l1.fill::<W>(set_tag, kind, n64);
+        if probe == Probe::Bypassed {
+            // A bypassed store goes to memory whatever the policy.
+            let store = if kind == AccessKind::Write {
+                self.bus.write_beat
+            } else {
+                0
+            };
+            return (self.below(Some(pa), None) + store, 1);
         }
+        let below = self.below(Some(pa), probe.victim());
+        (below + (n64 - 1) * hit + n64 * beat, n)
+    }
+
+    /// The miss tail below the L1s: fills the line at `fill` from the L2
+    /// (or memory), then lands the dirty L1 `victim` line there, in that
+    /// order, and returns the cost. The L2 instance is picked once for
+    /// both; on the 1-way board L2 each step is one index, one tag compare
+    /// and at most one writeback of the L2's own dirty victim.
+    #[inline(always)]
+    fn below(&mut self, fill: Option<PhysAddr>, victim: Option<PhysAddr>) -> Cycles {
+        let (bus, l2_hit) = (self.bus, self.l2_hit);
+        let Some(l2) = &mut self.l2 else {
+            return fill.map_or(0, |_| bus.line_fill) + victim.map_or(0, |_| bus.line_writeback);
+        };
+        by_ways!(l2.ways(), L2_INSTANCE, |V| l2_steps::<V>(
+            l2, bus, l2_hit, fill, victim
+        ))
     }
 
     /// Fetches an instruction from `pa`. `cached = false` models
     /// cache-inhibited (e.g. I/O space or an uncached idle loop).
+    #[inline]
     pub fn insn_fetch(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
         if !cached {
             self.icache.access_inhibited();
             return self.bus.read_beat;
         }
-        let out = self.icache.access(pa, AccessKind::Read);
-        if out.hit {
-            self.icache.config().hit_cycles
-        } else {
-            self.fill_from_below(pa)
-        }
+        by_ways!(self.icache.ways(), L1_INSTANCE, |W| self
+            .line::<W, true>(pa, AccessKind::Read, 1)
+            .0)
     }
 
     /// Loads a word from `pa` through the data cache.
+    #[inline]
     pub fn data_read(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
         if !cached {
             self.dcache.access_inhibited();
             return self.bus.read_beat;
         }
-        self.data_access(pa, AccessKind::Read).0
+        by_ways!(self.dcache.ways(), L1_INSTANCE, |W| self
+            .line::<W, false>(pa, AccessKind::Read, 1)
+            .0)
     }
 
     /// Stores a word to `pa` through the data cache.
+    #[inline]
     pub fn data_write(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
         if !cached {
             self.dcache.access_inhibited();
             return self.bus.write_beat;
         }
-        self.data_access(pa, AccessKind::Write).0
-    }
-
-    /// One cacheable data access: its cost, and the flat index of the L1
-    /// line it left resident (`None` when a fully locked set bypassed the
-    /// cache).
-    #[inline]
-    fn data_access(&mut self, pa: PhysAddr, kind: AccessKind) -> (Cycles, Option<usize>) {
-        let (out, idx) = self.dcache.access_at(pa, kind);
-        let mut cost = if out.hit {
-            self.dcache.config().hit_cycles
-        } else {
-            self.fill_from_below(pa)
-        };
-        if out.writeback {
-            cost += self.writeback_below(out.victim_pa);
-        }
-        if out.wrote_through {
-            cost += self.bus.write_beat;
-        }
-        (cost, idx)
+        by_ways!(self.dcache.ways(), L1_INSTANCE, |W| self
+            .line::<W, false>(pa, AccessKind::Write, 1)
+            .0)
     }
 
     /// A run of word accesses: defined as exactly `count`
     /// [`MemSystem::data_read`] (or [`MemSystem::data_write`]) calls at
     /// `pa + i * stride`, with their costs summed. Every cycle and counter
-    /// is the same as the word loop's. The accesses that follow a probe on
-    /// the same L1 line cannot miss, so they commit in one step: the tick
-    /// and the demand and hit counters go up by their number, and the LRU
-    /// stamp is the last tick. Only a fully locked set, which allocates
-    /// nothing, falls back to one probe per word.
+    /// is the same as the word loop's. Each L1 line the run touches is
+    /// committed once: its first access and the ones that follow on it
+    /// update the tick, the counters, the LRU stamp and the dirty bit in
+    /// one step. Only a fully locked set, which allocates nothing, takes
+    /// one probe per word.
     ///
     /// Callers must charge the sum once: a per-access `charge` floors on its
     /// own under a causal charge scale, so a loop that charges per access
@@ -213,8 +273,20 @@ impl MemSystem {
             };
             return Cycles::from(count) * beat;
         }
+        by_ways!(self.dcache.ways(), L1_INSTANCE, |W| self
+            .run::<W>(pa, count, stride, kind))
+    }
+
+    /// The body of [`MemSystem::data_run`] for L1 instance `W`.
+    #[inline(always)]
+    fn run<const W: usize>(
+        &mut self,
+        pa: PhysAddr,
+        count: u32,
+        stride: u32,
+        kind: AccessKind,
+    ) -> Cycles {
         let line = self.dcache.config().line_bytes;
-        let hit_cycles = self.dcache.config().hit_cycles;
         // How many further accesses fit in the `room` bytes left on a line;
         // a shift for the power-of-two strides the kernel's runs use.
         let fit = |room: u32| match stride {
@@ -226,21 +298,10 @@ impl MemSystem {
         let mut i = 0;
         while i < count {
             let addr = pa + i * stride;
-            let (c, idx) = self.data_access(addr, kind);
+            let n = 1 + fit((addr | (line - 1)) - addr).min(count - i - 1);
+            let (c, done) = self.line::<W, false>(addr, kind, n);
             cost += c;
-            i += 1;
-            let Some(idx) = idx else { continue };
-            // The later accesses of the run that land on the same line.
-            let same = fit((addr | (line - 1)) - addr).min(count - i);
-            if same > 0 {
-                let n = u64::from(same);
-                cost += if self.dcache.hits_at(idx, kind, n) {
-                    n * (hit_cycles + self.bus.write_beat)
-                } else {
-                    n * hit_cycles
-                };
-                i += same;
-            }
+            i += done;
         }
         cost
     }
@@ -249,12 +310,14 @@ impl MemSystem {
     /// The paper (§9) avoided this instruction for `bzero()` because of its
     /// cache pollution; the model lets experiments measure that choice.
     pub fn dcbz(&mut self, pa: PhysAddr) -> Cycles {
-        let out = self.dcache.zero_line(pa);
-        let mut cost = self.dcache.config().hit_cycles;
-        if out.writeback {
-            cost += self.writeback_below(out.victim_pa);
+        let hit = self.dcache.config().hit_cycles;
+        let probe = by_ways!(self.dcache.ways(), L1_INSTANCE, |W| self
+            .dcache
+            .establish::<W>(pa));
+        match probe.victim() {
+            Some(v) => hit + self.below(None, Some(v)),
+            None => hit,
         }
-        cost
     }
 
     /// `dcbt`-style software prefetch (paper §10.2). Costs one issue cycle;
@@ -296,24 +359,14 @@ impl MemSystem {
     /// second and third experiments). Returns the total cycle cost.
     pub fn zero_page(&mut self, page_pa: PhysAddr, page_bytes: u32, through_cache: bool) -> Cycles {
         let line = self.dcache.config().line_bytes;
-        let mut cost = 0;
-        if through_cache {
-            let mut addr = page_pa;
-            while addr < page_pa + page_bytes {
-                cost += self.dcbz(addr);
-                addr += line;
-            }
-        } else {
+        let lines = page_bytes.div_ceil(line);
+        if !through_cache {
             // Word stores straight to memory; the bus pipelines consecutive
             // beats within a line, so charge one burst write per line.
-            let mut addr = page_pa;
-            while addr < page_pa + page_bytes {
-                self.dcache.access_inhibited();
-                cost += self.bus.line_writeback;
-                addr += line;
-            }
+            self.dcache.access_inhibited_n(u64::from(lines));
+            return Cycles::from(lines) * self.bus.line_writeback;
         }
-        cost
+        (0..lines).map(|i| self.dcbz(page_pa + i * line)).sum()
     }
 
     /// Combined I+D statistics.
@@ -328,6 +381,36 @@ impl MemSystem {
         self.icache.reset_stats();
         self.dcache.reset_stats();
     }
+}
+
+/// The two steps of [`MemSystem::below`] on the L2, through its instance
+/// `V`: a demand fill of the line at `fill`, then an establish of the dirty
+/// L1 `victim` line (a writeback delivers a whole line, so the L2 takes it
+/// without a memory read). Returns the cost of both.
+#[inline(always)]
+fn l2_steps<const V: usize>(
+    l2: &mut Cache,
+    bus: Bus,
+    l2_hit: Cycles,
+    fill: Option<PhysAddr>,
+    victim: Option<PhysAddr>,
+) -> Cycles {
+    let mut cost = 0;
+    if let Some(pa) = fill {
+        let probe = l2.demand::<V>(pa, AccessKind::Read, 1);
+        cost += if probe == Probe::Hit {
+            l2_hit
+        } else {
+            bus.line_fill + probe.victim().map_or(0, |_| bus.line_writeback)
+        };
+    }
+    if let Some(pa) = victim {
+        cost += 2 + l2
+            .establish::<V>(pa)
+            .victim()
+            .map_or(0, |_| bus.line_writeback);
+    }
+    cost
 }
 
 #[cfg(test)]

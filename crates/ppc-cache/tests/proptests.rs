@@ -6,21 +6,39 @@ use ppc_cache::cache::{AccessKind, Cache};
 use ppc_cache::config::{CacheConfig, WritePolicy};
 use ppc_cache::hierarchy::{MemSystem, MemSystemConfig};
 
-/// One of the memory systems a run can meet: 603 or 604 geometry, with or
-/// without the board L2, with a write-back or a write-through L1.
+/// One of the memory systems a run can meet: 603, 604 or 750 geometry
+/// (2-, 4- and 8-way L1s over a 1-way board L2), with or without the L2,
+/// with a write-back or a write-through L1. The 604's L1s and the L2 run
+/// compiled instances of the cache code, the 603's and the 750's L1s its
+/// runtime-width instance.
 fn run_config(pick: u32) -> MemSystemConfig {
-    let base = if pick & 1 == 0 {
-        MemSystemConfig::ppc603()
-    } else {
-        MemSystemConfig::ppc604()
+    let base = match pick % 3 {
+        0 => MemSystemConfig::ppc603(),
+        1 => MemSystemConfig::ppc604(),
+        // The 750: 32 KiB 8-way L1s and a 1 MiB L2.
+        _ => {
+            let l1 = CacheConfig {
+                size_bytes: 32 * 1024,
+                ways: 8,
+                ..CacheConfig::ppc604_data()
+            };
+            MemSystemConfig {
+                icache: l1,
+                dcache: l1,
+                l2: Some(CacheConfig::board_l2(1024 * 1024)),
+                l2_hit: 12,
+                ..MemSystemConfig::ppc604()
+            }
+        }
     };
-    let write_policy = if pick & 4 == 0 {
+    let shape = pick / 3;
+    let write_policy = if shape & 2 == 0 {
         WritePolicy::WriteBack
     } else {
         WritePolicy::WriteThrough
     };
     MemSystemConfig {
-        l2: if pick & 2 == 0 { base.l2 } else { None },
+        l2: if shape & 1 == 0 { base.l2 } else { None },
         dcache: CacheConfig {
             write_policy,
             ..base.dcache
@@ -129,20 +147,23 @@ proptest! {
     }
 
     /// A run is exactly its word loop: over random runs (start, length,
-    /// stride, read or write, cached or not) on every memory-system shape,
-    /// into a warmed, dirty cache with some sets partly or fully locked,
-    /// `data_run` and per-word `data_read`/`data_write` calls leave equal
-    /// costs, equal L1 and L2 counters and an equal memory system (LRU
-    /// stamps and dirty bits included), and a follow-up stream of
-    /// conflicting accesses then costs the same on both.
+    /// stride, read or write, cached or not, and page-aligned 4 KiB
+    /// `zero_page_stores` clears) on every memory-system shape — so through
+    /// every instance of the cache code — into a warmed,
+    /// dirty cache with some sets partly or fully locked, `data_run` and
+    /// per-word `data_read`/`data_write` calls leave equal costs, equal L1
+    /// and L2 counters and an equal memory system (LRU stamps and dirty
+    /// bits included), and a follow-up stream of conflicting accesses then
+    /// costs the same on both.
     #[test]
     fn data_run_equals_word_loop(
-        pick in 0u32..8,
+        pick in 0u32..12,
         warm in proptest::collection::vec((0u32..0x8_0000, any::<bool>()), 0..400),
-        lock in (0u32..128, 0u32..5),
+        lock in (0u32..128, 0u32..9),
         runs in proptest::collection::vec(
             ((0u32..0x1_0000, 1u32..300),
-             (prop::sample::select(vec![4u32, 8, 32, 64]), any::<bool>(), any::<bool>())),
+             (prop::sample::select(vec![4u32, 8, 32, 64]), any::<bool>(), any::<bool>()),
+             prop::sample::select(vec![false, false, false, true])),
             1..12),
         follow in proptest::collection::vec((0u32..0x8_0000, any::<bool>()), 1..300),
     ) {
@@ -160,12 +181,20 @@ proptest! {
             prop_assert!(run.dcache.set_locked(pa, true));
         }
         let mut words = run.clone();
-        for &((pa, count), (stride, write, cached)) in &runs {
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
-            let got = run.data_run(pa, count, stride, kind, cached);
-            let want: u64 = (0..count)
-                .map(|i| word(&mut words, pa + i * stride, write, cached))
-                .sum();
+        for &((pa, count), (stride, write, cached), clear) in &runs {
+            let (got, want) = if clear {
+                let page = pa & !0xfff;
+                let got = run.zero_page_stores(page, 4096);
+                let want: u64 = (0..1024).map(|i| word(&mut words, page + i * 4, true, true)).sum();
+                (got, want)
+            } else {
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                let got = run.data_run(pa, count, stride, kind, cached);
+                let want: u64 = (0..count)
+                    .map(|i| word(&mut words, pa + i * stride, write, cached))
+                    .sum();
+                (got, want)
+            };
             prop_assert_eq!(got, want);
             prop_assert_eq!(run.dcache.stats(), words.dcache.stats());
             prop_assert_eq!(

@@ -1,7 +1,6 @@
 //! The machine: MMU + memory system + cycle accumulator.
 
 use ppc_cache::hierarchy::MemSystem;
-use ppc_cache::AccessKind;
 use ppc_mmu::addr::{phys, EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
 use ppc_mmu::translate::Mmu;
 
@@ -178,10 +177,9 @@ impl Machine {
     /// condition fails (charge scale engaged, BAT/TLB translation missing or
     /// uncached, store through a read-only entry), so the caller's layered
     /// path re-runs the access and counts it exactly once. Once translation
-    /// has committed, a cache miss no longer bails: the miss tail delegates
-    /// to the real [`Machine::charge`] + [`Machine::data_read_pa`] /
-    /// [`Machine::data_write_pa`], which handle fills, evictions, and
-    /// writebacks.
+    /// has committed, the cache access is the real [`MemSystem::data_read`]
+    /// / [`MemSystem::data_write`]: a hit commits inline, and a miss takes
+    /// the memory system's one miss tail (fills, evictions, writebacks).
     pub fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
         self.fused_data_ref_as::<false>(ea, write)
     }
@@ -225,39 +223,23 @@ impl Machine {
                 phys(e.rpn, va.offset)
             }
         };
-        let kind = if write {
-            AccessKind::Write
+        // Translation is committed; the cache access is the layered one
+        // (a hit inline, a miss through the memory system's miss tail), and
+        // at charge scale 1/1 its cost and the reference's own cycle reach
+        // the clock unscaled.
+        let cost = 1 + if write {
+            self.mem.data_write(pa, true)
         } else {
-            AccessKind::Read
+            self.mem.data_read(pa, true)
         };
-        match self.mem.dcache.fast_hit(pa, kind) {
-            Some(wrote_through) => {
-                let mut cost = self.mem.dcache.config().hit_cycles;
-                if wrote_through {
-                    cost += self.mem.bus.write_beat;
-                }
-                self.cycles += 1 + cost;
-                Some(1 + cost)
-            }
-            None => {
-                // Translation is committed; the layered tail does the rest
-                // for real.
-                self.charge(1);
-                let c = if write {
-                    self.data_write_pa(pa, true)
-                } else {
-                    self.data_read_pa(pa, true)
-                };
-                Some(1 + c)
-            }
-        }
+        self.cycles += cost;
+        Some(cost)
     }
 
     /// The fused fast path for a straight-line instruction fetch within one
     /// page: the I-side twin of [`Machine::fused_data_ref`]. Same bail-out
     /// contract (`None` mutates nothing); after the translation commits,
-    /// lines that hit use the flat probe and lines that miss take the real
-    /// [`MemSystem::insn_fetch`] fill path, each opening its own cache span.
+    /// each line is one real [`MemSystem::insn_fetch`].
     ///
     /// # Panics
     ///
@@ -317,15 +299,10 @@ impl Machine {
             "fused fetch must not cross a page"
         );
         let line = self.mem.icache.config().line_bytes;
-        let hit_cycles = self.mem.icache.config().hit_cycles;
         let mut fetched: Cycles = 0;
         let mut a = pa & !(line - 1);
         while a < pa + bytes {
-            if self.mem.icache.fast_hit(a, AccessKind::Read).is_some() {
-                fetched += hit_cycles;
-            } else {
-                fetched += self.mem.insn_fetch(a, true);
-            }
+            fetched += self.mem.insn_fetch(a, true);
             a += line;
         }
         let total = fetched + n_insns as Cycles;
