@@ -1,18 +1,23 @@
 //! Criterion micro-benchmarks for the simulator's host hot paths, one group
 //! per layer (translate, cache, charge, trace_write) plus the fused versus
-//! layered reference paths — the per-call companions to the whole-workload
-//! figures of the repository benchmark (`perfbench`, see `BENCHMARK.json`).
+//! layered reference paths and what armed observers add to a TLB reload —
+//! the per-call companions to the whole-workload figures of the repository
+//! benchmark (`perfbench`, see `BENCHMARK.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use kernel_sim::check::CheckConfig;
+use kernel_sim::kconfig::PmuConfig;
 use kernel_sim::sched::USER_BASE;
+use kernel_sim::tail::TailConfig;
+use kernel_sim::telemetry::TelemetryConfig;
 use kernel_sim::trace::{TraceEvent, TraceRecord, TraceRing};
 use kernel_sim::{Kernel, KernelConfig};
 use ppc_cache::hierarchy::{MemSystem, MemSystemConfig};
 use ppc_cache::AccessKind;
+use ppc_machine::pmu::PmcEvent;
 use ppc_machine::{Machine, MachineConfig};
-use ppc_mmu::addr::{EffectiveAddress, Vsid};
+use ppc_mmu::addr::{EffectiveAddress, Vsid, PAGE_SIZE};
 use ppc_mmu::htab::{HashTable, PTE_BYTES};
 use ppc_mmu::pte::Pte;
 use ppc_mmu::tlb::TlbEntry;
@@ -276,12 +281,57 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// observers: one `data_ref` that reloads its translation from the hash
+/// table on every iteration (256 pages cycle through the 604's 128-entry
+/// DTLB), on the optimized kernel bare and under the benchmark's
+/// `compile_observed` observer set: trace, counting PMU, telemetry,
+/// checker and tail. The reload opens and closes a Translate span and
+/// audits its hash-table hit, so the row difference is what the armed
+/// observers cost one reload.
+fn bench_observers(c: &mut Criterion) {
+    const PAGES: u32 = 256;
+    let mut g = c.benchmark_group("observers");
+    let observed = KernelConfig {
+        trace: true,
+        pmu: Some(PmuConfig::counting(
+            PmcEvent::TlbMissBoth,
+            PmcEvent::CacheMissBoth,
+        )),
+        telemetry: Some(TelemetryConfig::default_epochs()),
+        check: Some(CheckConfig::full()),
+        tail: Some(TailConfig::auto()),
+        ..KernelConfig::optimized()
+    };
+    let rows = [
+        ("tlb_reload_bare", KernelConfig::optimized()),
+        ("tlb_reload_observed", observed),
+    ];
+    for (name, cfg) in rows {
+        g.bench_function(name, |b| {
+            let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
+            let pid = k.spawn_process(PAGES).unwrap();
+            k.switch_to(pid);
+            k.prefault(USER_BASE, PAGES).unwrap();
+            let mut i = 0u32;
+            b.iter(|| {
+                i = (i + 1) % PAGES;
+                // A different line per page, so the data access itself
+                // spreads over the cache sets.
+                let ea = USER_BASE + i * PAGE_SIZE + (i % 128) * 32;
+                black_box(k.data_ref(EffectiveAddress(ea), false).unwrap())
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_translate,
     bench_cache,
     bench_charge,
     bench_fused_hot_paths,
+    bench_observers,
     bench_trace_write
 );
 criterion_main!(benches);

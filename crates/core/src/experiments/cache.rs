@@ -47,23 +47,26 @@ pub fn exp_cache_pollution(depth: Depth) -> (CachePollutionResult, Table) {
     k.machine.mmu.flush_tlbs();
     let target = ppc_mmu::addr::EffectiveAddress(USER_BASE);
     let vsid = k.user_vsid(k.current.unwrap(), target);
-    k.htab.invalidate(vsid, target.page_index());
-    for j in 1..=16u32 {
-        // Same PTEG (the group index depends only on the low hash bits),
-        // different pages: these fill the primary then the secondary group.
-        let filler = ppc_mmu::pte::Pte {
-            valid: true,
-            vsid,
-            secondary: false,
-            page_index: target.page_index() ^ (j << 11),
-            rpn: 0x100 + j,
-            referenced: false,
-            changed: false,
-            cache_inhibited: false,
-            pp: 2,
-        };
-        k.htab.insert(filler);
-    }
+    k.write_htab(|htab| {
+        htab.invalidate(vsid, target.page_index());
+        for j in 1..=16u32 {
+            // Same PTEG (the group index depends only on the low hash
+            // bits), different pages: these fill the primary then the
+            // secondary group.
+            let filler = ppc_mmu::pte::Pte {
+                valid: true,
+                vsid,
+                secondary: false,
+                page_index: target.page_index() ^ (j << 11),
+                rpn: 0x100 + j,
+                referenced: false,
+                changed: false,
+                cache_inhibited: false,
+                pp: 2,
+            };
+            htab.insert(filler);
+        }
+    });
     k.machine.mem.dcache.invalidate_all();
     let s0 = *k.machine.mem.dcache.stats();
     let lines0 = k.machine.mem.dcache.resident_lines();

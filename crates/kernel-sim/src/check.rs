@@ -27,10 +27,15 @@
 //!   a legal translation clears them all;
 //! * a heavy sweep visits only the hash-table PTEGs written since the last
 //!   sweep, the PTEGs where an entry for a key the oracle removed or changed
-//!   may sit, and the unaudited TLB slots;
+//!   may sit, and the unaudited TLB slots; the table threads those PTEGs on
+//!   a list, and the occupancy totals move by each listed PTEG's change;
 //! * the cheap invariants are evaluated again only after the kernel bumped
 //!   its scheduler/MM version (`Kernel::check_note_sched_change`), and at
 //!   every heavy sweep.
+//!
+//! The checker runs only at the span transitions where the kernel's one
+//! poll deadline (`Kernel::next_poll`) has come: its epoch boundary, or the
+//! transition after a scheduler/MM version bump.
 //!
 //! Debug builds also make every skipped sweep and invariant evaluation in
 //! full and panic with their own message on any disagreement.
@@ -95,8 +100,10 @@ pub struct CheckState {
     /// Positive hardware observations cross-checked against the oracle:
     /// every TLB hit, BAT match and hash-table hit while armed. A hit on an
     /// audited TLB slot or BAT register is covered by that translation's
-    /// audit; those are counted from the TLB and BAT hit counters, folded in
-    /// at every span transition and by [`Kernel::check_finish`].
+    /// audit; those are counted from the machine's TLB and BAT hit total
+    /// ([`ppc_machine::Machine::translation_hits`], which no counter reset
+    /// moves backward), folded in whenever the checker runs and by
+    /// [`Kernel::check_finish`].
     pub checked_observations: u64,
     /// Cheap invariant evaluations actually made: one after each step that
     /// changed what the invariants read, one per heavy sweep.
@@ -111,8 +118,13 @@ pub struct CheckState {
     hits_folded: u64,
     /// The kernel's scheduler/MM version at the last invariant evaluation.
     invariants_seen: Option<u64>,
-    /// PTEG count of the hash table at the last heavy sweep.
+    /// PTEG count of the hash table at the last heavy sweep (0 before the
+    /// first and after a resize: the next sweep is full).
     swept_groups: u32,
+    /// The table's valid entries and full PTEGs at the last heavy sweep: a
+    /// partial sweep moves them by each written PTEG's change.
+    swept_valid: u32,
+    swept_full: u32,
     /// The VSID scatter constant has been retuned: a later context may
     /// reuse a retired VSID whose zombies a partial sweep would not revisit,
     /// so every sweep from then on is full.
@@ -137,9 +149,22 @@ impl CheckState {
             hits_folded: 0,
             invariants_seen: None,
             swept_groups: 0,
+            swept_valid: 0,
+            swept_full: 0,
             rescattered: false,
             #[cfg(debug_assertions)]
             inputs_fingerprint: 0,
+        }
+    }
+
+    /// The first cycle at which the checker has work: at once when the
+    /// invariants' inputs changed since their last evaluation, else the
+    /// heavy-sweep boundary.
+    pub(crate) fn next_poll(&self, sched_mm_version: u64) -> Cycles {
+        if self.cfg.invariants && self.invariants_seen != Some(sched_mm_version) {
+            0
+        } else {
+            self.clock.next()
         }
     }
 }
@@ -201,21 +226,12 @@ impl Kernel {
         panic!("MM incremental check diverged from the full check: {msg}\n  [{context}]");
     }
 
-    /// The span-transition hook: a single branch when checking is off.
-    #[inline]
-    pub(crate) fn check_poll(&mut self) {
-        if self.check.is_none() {
-            return;
-        }
-        self.check_transition();
-    }
-
-    /// The cold half of [`Kernel::check_poll`]: the cheap invariants when
-    /// their inputs changed or a heavy sweep is due, then the heavy sweep
-    /// when the epoch boundary has been crossed. Takes the checker out while
-    /// working (same discipline as `tune_epoch`): a taken-out checker makes
-    /// re-entry impossible.
-    fn check_transition(&mut self) {
+    /// The checker's part of a poll: the cheap invariants when their inputs
+    /// changed or a heavy sweep is due, then the heavy sweep when the epoch
+    /// boundary has been crossed. Takes the checker out while working (same
+    /// discipline as `tune_epoch`): a taken-out checker makes re-entry
+    /// impossible.
+    pub(crate) fn check_transition(&mut self) {
         let Some(mut c) = self.check.take() else {
             return;
         };
@@ -238,6 +254,32 @@ impl Kernel {
         self.check = Some(c);
     }
 
+    /// Debug builds: the checker part of a skipped poll. No heavy sweep was
+    /// due, the invariants' inputs had not changed, and the skipped
+    /// invariant evaluation agrees with a full one.
+    ///
+    /// # Panics
+    ///
+    /// With `poll skipped with work due` when a heavy sweep or an invariant
+    /// evaluation was due (a simulator-internal invariant, see
+    /// `Kernel::cross_check_skipped_poll`), and as
+    /// [`Kernel::check_diverged`] does.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_cross_check_skipped_poll(&mut self) {
+        let Some(mut c) = self.check.take() else {
+            return;
+        };
+        let now = self.machine.cycles;
+        assert!(
+            c.next_poll(self.sched_mm_version) > now,
+            "poll skipped with work due: the checker at cycle {now}"
+        );
+        if c.cfg.invariants {
+            self.cross_check_skipped_invariants(&mut c);
+        }
+        self.check = Some(c);
+    }
+
     /// Runs the heavy structural sweep in full and the invariants once over
     /// the final state, and brings `checked_observations` up to date (call
     /// at the end of a checked run; no-op when checking is off).
@@ -252,17 +294,16 @@ impl Kernel {
         }
         self.fold_hits(&mut c);
         self.check = Some(c);
+        self.schedule_poll();
     }
 
     /// Folds the TLB and BAT hits since the last fold into
     /// `checked_observations`: every such hit was audited on the layered
-    /// path or covered by its translation's audit mark. A measurement
-    /// window that reset the machine counters restarts the total.
+    /// path or covered by its translation's audit mark. The machine's total
+    /// survives counter resets, so folding late loses nothing.
     fn fold_hits(&self, c: &mut CheckState) {
-        let mmu = &self.machine.mmu;
-        let hits =
-            mmu.itlb.stats().hits + mmu.dtlb.stats().hits + mmu.bats.ibat_hits + mmu.bats.dbat_hits;
-        c.checked_observations += hits.checked_sub(c.hits_folded).unwrap_or(hits);
+        let hits = self.machine.translation_hits();
+        c.checked_observations += hits - c.hits_folded;
         c.hits_folded = hits;
     }
 
@@ -429,18 +470,28 @@ impl Kernel {
         }
         self.htab.clear_written_marks();
         c.swept_groups = groups;
+        (c.swept_valid, c.swept_full) = (self.htab.valid_entries(), self.htab.full_groups());
     }
 
     /// The heavy sweep: containment of resident translations in the oracle,
     /// and hash-table structural self-consistency. A partial sweep visits
-    /// the unaudited TLB slots and the PTEGs marked written; everything else
-    /// passed an earlier sweep or audit and has not changed since.
+    /// the unaudited TLB slots and the PTEGs on the table's written list;
+    /// everything else passed an earlier sweep or audit and has not changed
+    /// since.
     fn heavy_sweep_violation(&self, c: &CheckState, full: bool) -> Option<String> {
         let htab = &self.htab;
+        // The visited PTEGs, each with its valid count at the last sweep as
+        // far as the occupancy sum needs it: every PTEG (counted from 0) on
+        // a full sweep, the written ones (with their counts when marked) on
+        // a partial one.
+        let groups = || {
+            let every = 0..if full { htab.hash().num_groups() } else { 0 };
+            let written = htab.written_groups().filter(move |_| !full);
+            every.map(|g| (g, 0)).chain(written)
+        };
         let visited = || {
-            (0..htab.hash().num_groups())
-                .filter(move |&g| full || htab.written(g))
-                .flat_map(move |g| {
+            groups()
+                .flat_map(move |(g, _)| {
                     let group = htab.group(g);
                     (0..group.len()).map(move |s| (g, s, group[s]))
                 })
@@ -507,29 +558,34 @@ impl Kernel {
                 }
             }
             // Occupancy: the table's per-group counts agree with the group
-            // contents, and its totals with the per-group counts.
-            let (mut sum, mut full_groups) = (0, 0);
-            for g in 0..hash.num_groups() {
+            // contents, and its totals with the per-group counts — summed
+            // over every PTEG, or the last sweep's totals moved by each
+            // written PTEG's change since it was marked.
+            let is_full = |n: u32| i64::from(n as usize == ppc_mmu::htab::PTES_PER_GROUP);
+            let (mut sum, mut full_groups) = if full {
+                (0, 0)
+            } else {
+                (i64::from(c.swept_valid), i64::from(c.swept_full))
+            };
+            for (g, base) in groups() {
                 let count = htab.group_valid(g);
-                if full || htab.written(g) {
-                    let actual = htab.group(g).iter().filter(|p| p.valid).count() as u32;
-                    if actual != count {
-                        return Some(format!(
-                            "htab occupancy: group {g} holds {actual} valid entries, \
-                             its count says {count}"
-                        ));
-                    }
+                let actual = htab.group(g).iter().filter(|p| p.valid).count() as u32;
+                if actual != count {
+                    return Some(format!(
+                        "htab occupancy: group {g} holds {actual} valid entries, \
+                         its count says {count}"
+                    ));
                 }
-                sum += count;
-                full_groups += u32::from(count as usize == ppc_mmu::htab::PTES_PER_GROUP);
+                sum += i64::from(count) - i64::from(base);
+                full_groups += is_full(count) - is_full(base);
             }
-            if sum != htab.valid_entries() {
+            if sum != i64::from(htab.valid_entries()) {
                 return Some(format!(
                     "htab occupancy: group counts sum to {sum}, valid_entries says {}",
                     htab.valid_entries()
                 ));
             }
-            if full_groups != htab.full_groups() {
+            if full_groups != i64::from(htab.full_groups()) {
                 return Some(format!(
                     "htab occupancy: group counts show {full_groups} full groups, \
                      full_groups says {}",
@@ -545,10 +601,22 @@ impl Kernel {
     /// Records a change to something the cheap invariants read: the run
     /// queue, the current task, a task's state, frames or VSIDs, the segment
     /// registers, the VSID allocator or the scheduler-mutation depth.
-    /// Integer bookkeeping, maintained whether or not a checker is armed.
+    /// Integer bookkeeping, maintained whether or not a checker is armed;
+    /// an armed checker is then due at the next span transition.
     #[inline]
     pub(crate) fn check_note_sched_change(&mut self) {
         self.sched_mm_version = self.sched_mm_version.wrapping_add(1);
+        if self.check.is_some() {
+            self.next_poll = 0;
+        }
+    }
+
+    /// Records a hash-table resize: the written list and the last sweep's
+    /// totals describe the old geometry, so the next sweep is full.
+    pub(crate) fn check_note_resize(&mut self) {
+        if let Some(c) = self.check.as_mut() {
+            c.swept_groups = 0;
+        }
     }
 
     /// Records a VSID scatter retune (see [`CheckState`]'s `rescattered`).

@@ -71,6 +71,7 @@ impl Kernel {
                     .data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached);
             });
             if cleared {
+                self.vsids.note_removed(vsid);
                 // Write the cleared valid bit back.
                 cost += 2;
             }
@@ -108,7 +109,7 @@ impl Kernel {
                 let old = self.tasks[idx].vsids;
                 self.vsids.retire(&old);
                 let pid = self.tasks[idx].pid;
-                self.tasks[idx].vsids = self.vsids.alloc_context(pid);
+                self.tasks[idx].vsids = self.vsids.alloc_context(pid, &self.htab);
                 // Reload the segment registers if this is the running task.
                 if self.current == Some(idx) {
                     let vsids = self.tasks[idx].vsids;
@@ -123,14 +124,19 @@ impl Kernel {
             self.machine.charge(8);
         } else {
             let old = self.tasks[idx].vsids;
-            // Under PID-derived VSIDs, "retiring" leaves liveness unchanged
-            // (the same VSIDs come right back); the cost is the scan.
-            self.vsids.retire(&old);
-            let pid = self.tasks[idx].pid;
-            self.tasks[idx].vsids = self.vsids.alloc_context(pid);
-            self.check_note_sched_change();
+            // The scan runs before the old VSIDs retire. Under PID-derived
+            // VSIDs, "retiring" leaves liveness unchanged (the same VSIDs
+            // come right back), so they must come back with no entries left
+            // in the table; the cost is the scan.
             if self.uses_htab() {
-                let (scanned, _cleared) = self.htab.invalidate_matching(|v| old.contains(&v));
+                let vsids = &mut self.vsids;
+                let (scanned, _cleared) = self.htab.invalidate_matching(|v| {
+                    let hit = old.contains(&v);
+                    if hit {
+                        vsids.note_removed(v);
+                    }
+                    hit
+                });
                 // The scan reads every slot, one read per PTE; charge it as a
                 // sequential sweep through the data cache.
                 let cached = self.cfg.htab_cached;
@@ -143,6 +149,10 @@ impl Kernel {
                 );
                 self.machine.charge(cost);
             }
+            self.vsids.retire(&old);
+            let pid = self.tasks[idx].pid;
+            self.tasks[idx].vsids = self.vsids.alloc_context(pid, &self.htab);
+            self.check_note_sched_change();
             self.machine.mmu.flush_tlbs();
             self.machine.charge(32);
         }

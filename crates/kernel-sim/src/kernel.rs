@@ -226,6 +226,10 @@ pub struct Kernel {
     /// the checker's cheap invariants read; the checker re-evaluates them
     /// only when it moved. Maintained unconditionally, like the depth above.
     pub(crate) sched_mm_version: u64,
+    /// The one poll deadline: the first cycle at which an armed observer
+    /// has work due at a span transition (see [`Kernel::poll_due`]).
+    /// `Cycles::MAX` with no observer armed.
+    pub(crate) next_poll: Cycles,
     /// Deliberately skip the VSID bump in lazy context flushes — the seeded
     /// stale-TLB bug the shadow oracle exists to catch. Latched at boot from
     /// the `MMU_TRICKS_BUG_STALE_TLB` environment variable (or
@@ -327,11 +331,13 @@ impl Kernel {
             spans: SpanStack::default(),
             sched_mutation_depth: 0,
             sched_mm_version: 0,
+            next_poll: 0,
             buggy_skip_vsid_flush: std::env::var_os("MMU_TRICKS_BUG_STALE_TLB").is_some(),
         };
         // With an empty span stack the causal scale is the User ratio; an
         // identity config folds to (1, 1) and never perturbs the machine.
         kernel.causal_rescale();
+        kernel.schedule_poll();
         kernel
     }
 
@@ -359,7 +365,7 @@ impl Kernel {
         groups: u32,
     ) -> Self {
         let mut k = Self::boot(machine_cfg, cfg);
-        k.htab = HashTable::new(groups, HTAB_PA);
+        k.write_htab(|h| *h = HashTable::new(groups, HTAB_PA));
         if let Some(t) = k.tracer.as_mut() {
             t.resize_groups(groups);
         }
@@ -402,8 +408,10 @@ impl Kernel {
     /// lands inside the span that is about to start.
     #[inline]
     pub(crate) fn t_enter(&mut self, s: Subsystem) -> Cycles {
-        self.poll_window_readers();
-        self.poll_outside_span();
+        if self.poll_due() {
+            self.poll_before_span_change();
+            self.poll_after_span_change();
+        }
         self.span_push(s)
     }
 
@@ -412,20 +420,50 @@ impl Kernel {
     /// to the subsystem that just exited.
     #[inline]
     pub(crate) fn t_exit(&mut self) {
-        self.poll_window_readers();
+        let due = self.poll_due();
+        if due {
+            self.poll_before_span_change();
+        }
         self.span_pop();
-        self.poll_outside_span();
+        if due {
+            self.poll_after_span_change();
+        }
     }
 
     /// Closes the innermost span and records `now - t0` as a latency sample
     /// for `path`.
     #[inline]
     pub(crate) fn t_exit_lat(&mut self, t0: Cycles, path: LatencyPath) {
-        self.poll_window_readers();
+        let due = self.poll_due();
+        if due {
+            self.poll_before_span_change();
+        }
         let lat = self.machine.cycles.saturating_sub(t0);
         self.note_latency(path, lat);
         self.span_pop();
-        self.poll_outside_span();
+        if due {
+            self.poll_after_span_change();
+        }
+    }
+
+    /// The one poll point of every span transition: whether the clock has
+    /// reached [`Kernel::next_poll`], the first cycle at which an armed
+    /// observer has work due. Only then do the observers run, each doing
+    /// the work that is due. Between two polls nothing is: the deadline is
+    /// the minimum of the PMU's [`Pmu::sync_deadline`] and the telemetry,
+    /// mmtune and checker epoch boundaries, and a scheduler/MM change pulls
+    /// it to 0 while a checker is armed. Debug builds check every skipped
+    /// poll (see [`Kernel::cross_check_skipped_poll`]).
+    ///
+    /// [`Pmu::sync_deadline`]: ppc_machine::Pmu::sync_deadline
+    #[inline]
+    fn poll_due(&mut self) -> bool {
+        let due = self.machine.cycles >= self.next_poll;
+        #[cfg(debug_assertions)]
+        if !due {
+            self.cross_check_skipped_poll();
+        }
+        due
     }
 
     /// The observers that read a window ending at this transition: the PMU
@@ -434,19 +472,80 @@ impl Kernel {
     /// a counter found negative at a poll is attributed to the subsystem
     /// that actually ran the elapsed window — the invariant that makes
     /// sampled attribution converge to the exact profiler.
-    #[inline]
-    fn poll_window_readers(&mut self) {
-        self.pmu_poll();
-        self.telemetry_poll();
+    #[cold]
+    #[inline(never)]
+    fn poll_before_span_change(&mut self) {
+        self.pmu_sync_when_due();
+        let now = self.machine.cycles;
+        if self.telemetry.as_ref().is_some_and(|t| t.clock.due(now)) {
+            self.telemetry_record(now);
+        }
     }
 
     /// The observers that run outside any span they might charge into:
     /// mmtune (whose retunes bracket their own [`Subsystem::Mmtune`] span),
     /// then the checker, so invariants are evaluated over post-retune state.
-    #[inline]
-    fn poll_outside_span(&mut self) {
-        self.tune_poll();
-        self.check_poll();
+    /// Ends the poll by scheduling the next one.
+    #[cold]
+    #[inline(never)]
+    fn poll_after_span_change(&mut self) {
+        let now = self.machine.cycles;
+        if self.mmtune.as_ref().is_some_and(|m| m.clock.due(now)) {
+            self.tune_epoch(now);
+        }
+        if self.check.is_some() {
+            self.check_transition();
+        }
+        self.schedule_poll();
+    }
+
+    /// Recomputes [`Kernel::next_poll`] from every armed observer's
+    /// deadline. Runs after anything that moves one: an epoch advance, a
+    /// PMC write or re-arm, a retune, a checker evaluation.
+    pub(crate) fn schedule_poll(&mut self) {
+        let mut next = Cycles::MAX;
+        if let (Some(_), Some(hw)) = (&self.pmu, &self.machine.pmu) {
+            next = next.min(hw.sync_deadline());
+        }
+        if let Some(t) = &self.telemetry {
+            next = next.min(t.clock.next());
+        }
+        if let Some(m) = &self.mmtune {
+            next = next.min(m.clock.next());
+        }
+        if let Some(c) = &self.check {
+            next = next.min(c.next_poll(self.sched_mm_version));
+        }
+        self.next_poll = next;
+    }
+
+    /// Debug builds: a skipped poll had nothing due. A PMU sync made now
+    /// would latch nothing, no epoch boundary has been crossed, and the
+    /// checker's skipped work agrees with the same work done in full.
+    ///
+    /// # Panics
+    ///
+    /// With `poll skipped with work due` when [`Kernel::next_poll`] lies
+    /// past an observer's deadline — a deadline move that did not
+    /// reschedule the poll, a simulator-internal invariant.
+    #[cfg(debug_assertions)]
+    fn cross_check_skipped_poll(&mut self) {
+        let now = self.machine.cycles;
+        if let (Some(_), Some(mut hw)) = (&self.pmu, self.machine.pmu) {
+            hw.sync(&self.machine.snapshot(), self.supervisor());
+            assert!(
+                !hw.interrupt_pending(),
+                "poll skipped with work due: a PMU sync at cycle {now} latches an interrupt"
+            );
+        }
+        let telemetry = self.telemetry.as_ref().is_some_and(|t| t.clock.due(now));
+        let mmtune = self.mmtune.as_ref().is_some_and(|m| m.clock.due(now));
+        assert!(
+            !telemetry && !mmtune,
+            "poll skipped with work due: an epoch boundary at cycle {now} \
+             (telemetry {telemetry}, mmtune {mmtune})"
+        );
+        self.check_cross_check_skipped_poll();
     }
 
     /// Feeds one instrumented-path latency, before its span pops, to tail
@@ -463,9 +562,13 @@ impl Kernel {
         }
         // Instrumented-path latencies are the model's duration events
         // (paper: "loads lasting longer than threshold"; here:
-        // reloads/faults/deliveries).
+        // reloads/faults/deliveries). One that latches an interrupt makes
+        // the PMU due at the next transition.
         if let Some(hw) = self.machine.pmu.as_mut() {
             hw.note_duration(lat, true);
+            if hw.interrupt_pending() {
+                self.next_poll = 0;
+            }
         }
         if let Some(m) = self.mmtune.as_mut() {
             m.note_latency(lat);
@@ -571,18 +674,32 @@ impl Kernel {
         }
     }
 
+    /// Supervisor state: inside any kernel span, or no task is current
+    /// (boot, idle, kernel-driven workload phases).
+    fn supervisor(&self) -> bool {
+        !self.spans().is_empty() || self.current.is_none()
+    }
+
+    /// Synchronises the PMU once its [`Pmu::sync_deadline`] has come.
+    /// Before it a sync would latch nothing, and what it would count a later
+    /// sync counts as well.
+    ///
+    /// [`Pmu::sync_deadline`]: ppc_machine::Pmu::sync_deadline
+    fn pmu_sync_when_due(&mut self) {
+        let now = self.machine.cycles;
+        if self.machine.pmu.is_some_and(|hw| now >= hw.sync_deadline()) {
+            self.pmu_sync();
+        }
+    }
+
     /// Synchronises the PMU with the machine counters and services a
-    /// pending counter-negative exception. Called at every span transition
-    /// (before the stack changes) — the simulator's instruction boundary.
-    /// A single `None` test when the PMU is off.
-    #[inline]
-    pub(crate) fn pmu_poll(&mut self) {
+    /// pending counter-negative exception. A single `None` test when the
+    /// PMU is off.
+    fn pmu_sync(&mut self) {
         if self.pmu.is_none() {
             return;
         }
-        // Supervisor state: inside any kernel span, or no task is current
-        // (boot, idle, kernel-driven workload phases).
-        let supervisor = !self.spans().is_empty() || self.current.is_none();
+        let supervisor = self.supervisor();
         self.machine.pmu_sync(supervisor);
         let pending = self
             .machine
@@ -645,25 +762,16 @@ impl Kernel {
     }
 
     /// Final PMU synchronisation for a measurement window (call before
-    /// reading [`Kernel::pmu`] results; idempotent).
+    /// reading [`Kernel::pmu`] results or the PMCs; idempotent). Always
+    /// syncs: between deadlines the PMCs lag the machine counters.
     pub fn pmu_finish(&mut self) {
-        self.pmu_poll();
+        self.pmu_sync();
+        self.schedule_poll();
     }
 
-    /// Takes an epoch telemetry sample when the ledger has crossed the next
-    /// epoch boundary. Called at every span transition alongside
-    /// [`Kernel::pmu_poll`]; a single `None` test when telemetry is off, and
-    /// read-only on the MMU when it fires — never charges cycles, never
-    /// touches cache/TLB replacement state, never writes the trace ring.
-    #[inline]
-    pub(crate) fn telemetry_poll(&mut self) {
-        let now = self.machine.cycles;
-        if self.telemetry.as_ref().is_some_and(|t| t.clock.due(now)) {
-            self.telemetry_record(now);
-        }
-    }
-
-    /// Records one telemetry sample at `now`.
+    /// Records one telemetry sample at `now`: read-only on the MMU — never
+    /// charges cycles, never touches cache/TLB replacement state, never
+    /// writes the trace ring.
     fn telemetry_record(&mut self, now: Cycles) {
         let readings = self.mmu_readings();
         let stats = self.stats;
@@ -683,7 +791,7 @@ impl Kernel {
             htab_groups: self.htab.hash().num_groups(),
             htab_capacity: self.htab.capacity(),
             htab_valid: self.htab.valid_entries(),
-            htab_live: self.htab.live_entries(|v| self.vsids.is_live(v)),
+            htab_live: self.htab_live(),
             htab_full_groups: self.htab.full_groups(),
             uses_htab: self.uses_htab(),
             scatter: self.vsids.policy().constant(),
@@ -691,6 +799,36 @@ impl Kernel {
             tlb_user: total - kernel,
             free_frames: self.frames.free_frames(),
         }
+    }
+
+    /// Valid hash-table entries under live VSIDs: the count the VSID
+    /// allocator keeps in step with every table write, O(1).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, with `htab live-entry count diverged` when the count
+    /// differs from a walk of the table — a table write that did not keep
+    /// it in step, a simulator-internal invariant.
+    fn htab_live(&self) -> u32 {
+        let live = self.vsids.live_entries();
+        #[cfg(debug_assertions)]
+        {
+            let walk = self.htab.live_entries(|v| self.vsids.is_live(v));
+            if walk != live {
+                let cfg = self.cfg.summary();
+                panic!("htab live-entry count diverged: kept {live}, walk {walk}\n  {cfg}");
+            }
+        }
+        live
+    }
+
+    /// Writes the hash table outside the kernel's own paths (experiments
+    /// and tests that stage a table state), then recounts its live entries.
+    /// Charges nothing, like the writes themselves.
+    pub fn write_htab<R>(&mut self, f: impl FnOnce(&mut HashTable) -> R) -> R {
+        let r = f(&mut self.htab);
+        self.vsids.recount(&self.htab);
+        r
     }
 
     /// Takes a final telemetry sample covering the tail of the run — the
@@ -702,23 +840,13 @@ impl Kernel {
         let tail = |t: &Telemetry| t.epochs.last().map_or(now > 0, |e| e.cycle < now);
         if self.telemetry.as_deref().is_some_and(tail) {
             self.telemetry_record(now);
+            self.schedule_poll();
         }
     }
 
-    /// Evaluates one mmtune epoch when the ledger has crossed the next
-    /// tuning boundary. Called at every span transition; a single `None`
-    /// test when mmtune is off, so a disabled controller is cycle-free.
-    #[inline]
-    pub(crate) fn tune_poll(&mut self) {
-        let now = self.machine.cycles;
-        if !self.mmtune.as_ref().is_some_and(|m| m.clock.due(now)) {
-            return;
-        }
-        self.tune_epoch(now);
-    }
-
-    /// The epoch evaluation slow path: snapshot the inputs, ask the
-    /// controller, and apply (and charge) at most one knob move.
+    /// One mmtune epoch, once the ledger has crossed the tuning boundary:
+    /// snapshot the inputs, ask the controller, and apply (and charge) at
+    /// most one knob move.
     ///
     /// # Panics
     ///
@@ -791,6 +919,9 @@ impl Kernel {
                 let out = self.htab.resize_with(to, |pa| {
                     cost += mem.data_read(pa, cached);
                 });
+                // The rehash may drop entries: one recount.
+                self.vsids.recount(&self.htab);
+                self.check_note_resize();
                 // Store commit for every re-inserted PTE.
                 cost += Cycles::from(out.moved) * 2;
                 self.machine.charge(cost);
@@ -823,7 +954,7 @@ impl Kernel {
         // Sync the PMU while Mmtune is still on its stack, as `t_exit` does
         // before every pop: the retune's own cycles are sampled as Mmtune,
         // not as whichever span happens to be open at the next poll.
-        self.pmu_poll();
+        self.pmu_sync_when_due();
         self.span_pop();
         m.log(RetuneDecision {
             cycle: now,
@@ -1174,7 +1305,9 @@ impl Kernel {
             // catch, and how it was first caught.) No cycles are charged:
             // uninjected runs are untouched, and within injected runs the
             // fault is the adversity, not a cost model.
-            self.htab.invalidate(va.vsid, va.page_index);
+            if self.htab.invalidate(va.vsid, va.page_index).1 {
+                self.vsids.note_removed(va.vsid);
+            }
             self.stats.htab_misses += 1;
             return false;
         }
@@ -1378,6 +1511,7 @@ impl Kernel {
             if out.overflow {
                 self.stats.htab_overflows += 1;
             }
+            self.vsids.note_added(va.vsid);
             let evicted = out.displaced.is_some_and(|d| d.valid);
             self.t_event(|| TraceEvent::HtabInsert { pteg: g, evicted });
             if let Some(t) = self.tracer.as_mut() {
@@ -1385,7 +1519,7 @@ impl Kernel {
             }
             if let Some(d) = out.displaced {
                 if d.valid {
-                    if self.vsids.is_live(d.vsid) {
+                    if self.vsids.note_removed(d.vsid) {
                         self.stats.evict_live += 1;
                     } else {
                         self.stats.evict_zombie += 1;

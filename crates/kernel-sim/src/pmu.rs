@@ -11,12 +11,14 @@
 //!
 //! ## Why weighted samples converge to the exact profiler
 //!
-//! The kernel polls the PMU at **every span transition** (see
-//! `Kernel::pmu_poll`), before the span stack changes. Between two
-//! consecutive polls the stack is therefore constant, so every cycle of that
-//! window belongs to the subsystem on top of the stack — the same
-//! attribution rule the exact profiler ([`crate::prof`]) applies. When the
-//! sampling counter is found negative at a poll, the sample is recorded with
+//! The kernel syncs the PMU before the span stack changes, at the first span
+//! transition at or past the cycle the sampling counter goes negative (its
+//! [`ppc_machine::Pmu::sync_deadline`]): exactly the transition at which a
+//! sync at every transition would first find it negative. Between two
+//! consecutive transitions the stack is constant, so every cycle of the
+//! window before that poll belongs to the subsystem on top of the stack —
+//! the same attribution rule the exact profiler ([`crate::prof`]) applies.
+//! When the sampling counter is found negative at a poll, the sample is recorded with
 //! a *weight* of however many whole periods elapsed since the counter was
 //! armed, all of which lie inside windows topped by... possibly different
 //! subsystems — and that is the entire statistical error: a multi-span

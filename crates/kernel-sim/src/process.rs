@@ -46,7 +46,7 @@ impl Kernel {
         };
         self.phys.zero_page(child_pgd);
         self.machine.zero_page_pa(child_pgd, true);
-        let vsids = self.vsids.alloc_context(child_pid);
+        let vsids = self.vsids.alloc_context(child_pid, &self.htab);
         self.check_note_sched_change();
         let mut child = Task::new(child_pid, vsids, LinuxPageTables::new(child_pgd));
         child.vmas = self.tasks[parent_idx].vmas.clone();

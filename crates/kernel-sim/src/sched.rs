@@ -37,7 +37,7 @@ impl Kernel {
         let pgd = self.frames.get_pt_page().ok_or(KernelError::OutOfMemory)?;
         self.phys.zero_page(pgd);
         self.machine.zero_page_pa(pgd, true);
-        let vsids = self.vsids.alloc_context(pid);
+        let vsids = self.vsids.alloc_context(pid, &self.htab);
         let mut task = Task::new(pid, vsids, LinuxPageTables::new(pgd));
         if ws_pages > 0 {
             task.insert_vma(Vma {

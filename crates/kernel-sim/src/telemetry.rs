@@ -178,6 +178,11 @@ impl EpochClock {
         now >= self.next
     }
 
+    /// The next boundary.
+    pub(crate) fn next(&self) -> Cycles {
+        self.next
+    }
+
     /// Moves the next boundary past `now` (skipped epochs fire once) and
     /// returns the index of the epoch `now` lies in.
     pub(crate) fn advance(&mut self, now: Cycles) -> u64 {

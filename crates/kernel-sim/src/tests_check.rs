@@ -163,6 +163,50 @@ fn pte_written_after_a_sweep_is_reported_by_the_next_epoch() {
 }
 
 #[test]
+fn stale_pte_in_a_group_marked_only_by_its_key_is_reported_by_the_next_sweep() {
+    // A page flush that forgets the hash table: the oracle drops the key
+    // and marks where its entry may sit through `mark_key_written`, but no
+    // slot is written, so only that mark brings the stale entry's PTEG into
+    // the next (partial) sweep.
+    let result = std::panic::catch_unwind(|| {
+        let check = CheckConfig {
+            epoch_cycles: 4096,
+            ..CheckConfig::full()
+        };
+        let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg_with(Some(check), None));
+        let a = k.spawn_process(8).unwrap();
+        k.switch_to(a);
+        k.user_write(USER_BASE, 8 * 4096).unwrap();
+        let sweeps = |k: &Kernel| k.check.as_ref().map_or(0, |c| c.heavy_sweeps);
+        let last = sweeps(&k);
+        while sweeps(&k) == last {
+            k.sys_null();
+        }
+        let ea = EffectiveAddress(USER_BASE);
+        let vsid = k.user_vsid(k.task_idx(a).unwrap(), ea);
+        let (g, _, _) = k
+            .htab
+            .entries()
+            .find(|(_, _, p)| (p.vsid, p.page_index) == (vsid, ea.page_index()))
+            .expect("the page's entry is in the table");
+        assert!(!k.htab.written(g));
+        k.check_note_flush_page(vsid, ea.page_index());
+        k.machine.mmu.tlbie(ea.page_index());
+        assert!(k.htab.written(g));
+        let last = sweeps(&k);
+        while sweeps(&k) == last {
+            k.sys_null();
+        }
+    });
+    let msg = panic_message(result);
+    assert!(msg.contains("MM check violation"), "wrong panic: {msg}");
+    assert!(
+        msg.contains("htab residency sweep") && msg.contains("stale"),
+        "the stale entry was not swept: {msg}"
+    );
+}
+
+#[test]
 fn bug_without_checker_goes_unnoticed() {
     // The same planted bug with check mode off runs to completion — which
     // is exactly why the oracle has to exist.

@@ -4,10 +4,12 @@
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::{EffectiveAddress, PAGE_SIZE};
 
+use crate::inject::FaultInjection;
 use crate::kconfig::{KernelConfig, PageClearing};
 use crate::kernel::Kernel;
 use crate::sched::USER_BASE;
 use crate::task::TaskState;
+use crate::tune::MmtuneConfig;
 
 fn kernel() -> Kernel {
     Kernel::boot(MachineConfig::ppc604_185(), KernelConfig::optimized())
@@ -357,4 +359,113 @@ fn user_vsid_matches_segment_registers() {
         let ea = EffectiveAddress((sr as u32) << 28);
         assert_eq!(k.user_vsid(idx, ea), k.machine.mmu.segments.get(sr));
     }
+}
+
+// --- hash-table live-entry count ---
+
+/// The live-entry count the VSID allocator keeps, against a walk of the
+/// table.
+fn assert_live_count(k: &Kernel, step: &str) {
+    let walked = k.htab.live_entries(|v| k.vsids.is_live(v));
+    assert_eq!(k.vsids.live_entries(), walked, "after {step}");
+}
+
+#[test]
+fn live_entry_count_equals_the_table_walk_after_every_step() {
+    // Context-counter VSIDs, lazy flushes, a 16-PTEG table: 128 slots, so
+    // one working set overflows it.
+    let cfg = KernelConfig::optimized();
+    let mut k = Kernel::boot_with_htab_groups(MachineConfig::ppc604_185(), cfg, 16);
+    let a = k.spawn_process(256).unwrap();
+    k.switch_to(a);
+    let a_idx = k.task_idx(a).unwrap();
+    k.user_write(USER_BASE, PAGE_SIZE).unwrap();
+    assert_eq!(k.htab.stats().inserts, 1);
+    assert_live_count(&k, "an insert");
+    k.user_write(USER_BASE, 256 * PAGE_SIZE).unwrap();
+    assert!(k.stats.evict_live > 0);
+    assert_live_count(&k, "displacing live entries");
+    k.flush_one_page(a_idx, EffectiveAddress(USER_BASE + 255 * PAGE_SIZE));
+    assert_live_count(&k, "a per-page flush");
+    // Context 1 retires; its entries are zombies now.
+    let ctx1 = k.tasks[a_idx].vsids;
+    let sr = EffectiveAddress(USER_BASE).sr_index();
+    k.flush_context(a_idx);
+    assert!(!k.vsids.is_live(ctx1[sr]));
+    assert_live_count(&k, "a retire under the context counter");
+    // Scatter constant 299 gives context 3 context 1's VSIDs, and with them
+    // the zombies it left in the table.
+    k.vsids.set_scatter_constant(299);
+    let b = k.spawn_process(256).unwrap();
+    let b_idx = k.task_idx(b).unwrap();
+    assert_eq!(k.tasks[b_idx].vsids, ctx1);
+    assert!(k.htab.entries().any(|(_, _, p)| p.vsid == ctx1[sr]));
+    assert_live_count(&k, "a scatter retune that reuses a retired VSID");
+    // Task a fills the table under context 2 and retires it; its next
+    // context writes over the zombies.
+    k.user_write(USER_BASE, 256 * PAGE_SIZE).unwrap();
+    k.flush_context(a_idx);
+    k.user_write(USER_BASE, 256 * PAGE_SIZE).unwrap();
+    assert!(k.stats.evict_zombie > 0);
+    assert_live_count(&k, "displacing zombies");
+    k.flush_context(a_idx);
+    k.run_idle(400_000);
+    assert!(k.htab.stats().zombies_reclaimed > 0);
+    assert_live_count(&k, "idle reclaim");
+
+    // PID-derived VSIDs and eager flushes (kernel entries in the table
+    // too: no BATs), with a hair-trigger mmtune that grows the table.
+    let cfg = KernelConfig {
+        mmtune: Some(MmtuneConfig {
+            epoch_cycles: 1 << 12,
+            min_groups: 16,
+            max_groups: 64,
+            min_tlb_misses: 1,
+            bat_reload_threshold: u64::MAX,
+            scatter_target: 16,
+            ..MmtuneConfig::default()
+        }),
+        ..KernelConfig::unoptimized()
+    };
+    let mut k = Kernel::boot_with_htab_groups(MachineConfig::ppc604_185(), cfg, 16);
+    let a = k.spawn_process(256).unwrap();
+    k.switch_to(a);
+    let a_idx = k.task_idx(a).unwrap();
+    k.user_write(USER_BASE, 64 * PAGE_SIZE).unwrap();
+    let vsid = k.user_vsid(a_idx, EffectiveAddress(USER_BASE));
+    let vsids = k.tasks[a_idx].vsids;
+    assert!(k.htab.entries().any(|(_, _, p)| p.vsid == vsid));
+    k.flush_context(a_idx);
+    assert_eq!(k.tasks[a_idx].vsids, vsids, "the same VSIDs come back");
+    assert!(!k.htab.entries().any(|(_, _, p)| p.vsid == vsid));
+    assert_live_count(&k, "an eager context flush under PID-derived VSIDs");
+    for _ in 0..64 {
+        if k.stats.mmtune_htab_resizes > 0 {
+            break;
+        }
+        k.user_write(USER_BASE, 256 * PAGE_SIZE).unwrap();
+    }
+    assert!(k.stats.mmtune_htab_resizes > 0, "no resize fired");
+    assert_live_count(&k, "a resize");
+
+    // Injected reload faults invalidate the entries they are about to
+    // reload: 512 pages cycle through the 604's 256 TLB entries, so every
+    // page touch reloads from the table, and one lookup in eight faults.
+    let cfg = KernelConfig {
+        fault_injection: Some(FaultInjection {
+            alloc_fail_per_64k: 0,
+            htab_overflow_per_64k: 0,
+            tlb_fault_per_64k: 8192,
+            ..FaultInjection::light(7)
+        }),
+        ..KernelConfig::optimized()
+    };
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
+    let a = k.spawn_process(512).unwrap();
+    k.switch_to(a);
+    k.prefault(USER_BASE, 512).unwrap();
+    let misses = k.stats.htab_misses;
+    k.user_read(USER_BASE, 512 * PAGE_SIZE).unwrap();
+    assert!(k.stats.htab_misses > misses, "no reload was faulted");
+    assert_live_count(&k, "injected reload faults");
 }

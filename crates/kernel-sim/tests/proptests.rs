@@ -187,11 +187,12 @@ proptest! {
     #[test]
     fn vsid_liveness_model(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
         let mut a = VsidAllocator::new(VsidPolicy::ContextCounter { constant: 897 });
+        let htab = ppc_mmu::HashTable::new(64, 0);
         let mut live: Vec<[ppc_mmu::addr::Vsid; 12]> = Vec::new();
         let mut ever = std::collections::HashSet::new();
         for (i, &alloc) in ops.iter().enumerate() {
             if alloc || live.is_empty() {
-                let v = a.alloc_context(i as u32);
+                let v = a.alloc_context(i as u32, &htab);
                 for x in v {
                     prop_assert!(ever.insert(x.raw()), "VSID {:#x} reused", x.raw());
                 }

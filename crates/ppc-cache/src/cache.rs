@@ -13,36 +13,18 @@ pub enum AccessKind {
     Write,
 }
 
-/// Outcome of one cacheable access, from which the memory system derives the
-/// cycle cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheOutcome {
-    /// The access hit in the cache.
-    pub hit: bool,
-    /// A valid line was evicted to service a fill.
-    pub evicted: bool,
-    /// The evicted line was dirty and had to be written back.
-    pub writeback: bool,
-    /// A store went straight to memory (write-through policy).
-    pub wrote_through: bool,
-    /// Base address of the evicted line, when one was written back (lets
-    /// the memory system route the writeback into the next cache level).
-    pub victim_pa: Option<PhysAddr>,
-}
-
 /// How one probe left its line: what the memory system's miss tail reads
-/// from [`Cache::demand`], [`Cache::fill`] and [`Cache::establish`].
+/// from [`Cache::demand`], [`Cache::fill`], [`Cache::establish`] and
+/// [`Cache::touch`]. The eviction it may have caused is counted in the
+/// cache's [`CacheStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Probe {
     /// The line was resident.
     Hit,
-    /// The line was filled into a victim way. `evicted`: the way held a
-    /// valid line; `victim`: that line's base address, when it was dirty
-    /// and must be written back.
-    Filled {
-        evicted: bool,
-        victim: Option<PhysAddr>,
-    },
+    /// The line was filled into a victim way. `victim`: the base address
+    /// of the line the fill displaced, when it was dirty and must be
+    /// written back.
+    Filled { victim: Option<PhysAddr> },
     /// Every way of the set is locked: nothing became resident.
     Bypassed,
 }
@@ -52,7 +34,7 @@ impl Probe {
     #[inline(always)]
     pub(crate) fn victim(self) -> Option<PhysAddr> {
         match self {
-            Probe::Filled { victim, .. } => victim,
+            Probe::Filled { victim } => victim,
             Probe::Hit | Probe::Bypassed => None,
         }
     }
@@ -80,8 +62,9 @@ struct Line {
 /// use ppc_cache::{AccessKind, Cache, CacheConfig};
 ///
 /// let mut c = Cache::new(CacheConfig::ppc603_data());
-/// assert!(!c.access(0x100, AccessKind::Read).hit);
-/// assert!(c.access(0x104, AccessKind::Read).hit); // same 32-byte line
+/// assert!(!c.access(0x100, AccessKind::Read)); // cold miss
+/// assert!(c.access(0x104, AccessKind::Read)); // same 32-byte line: a hit
+/// assert_eq!(c.stats().misses, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
@@ -236,7 +219,7 @@ impl Cache {
         };
         self.tags[idx] = tag;
         let victim = writeback.then(|| (old << self.tag_shift) | ((set as u32) << self.set_shift));
-        Probe::Filled { evicted, victim }
+        Probe::Filled { victim }
     }
 
     /// Whether a store of `kind` dirties its line (write-back policy).
@@ -345,32 +328,14 @@ impl Cache {
         self.fill_at(idx, set, tag, self.dirties(AccessKind::Write))
     }
 
-    /// The [`CacheOutcome`] of a single access of `kind` that left `probe`.
-    fn outcome(&self, probe: Probe, kind: AccessKind) -> CacheOutcome {
-        let (hit, evicted, victim_pa) = match probe {
-            Probe::Hit => (true, false, None),
-            Probe::Filled { evicted, victim } => (false, evicted, victim),
-            Probe::Bypassed => (false, false, None),
-        };
-        CacheOutcome {
-            hit,
-            evicted,
-            writeback: victim_pa.is_some(),
-            // A bypassed store goes to memory whatever the policy.
-            wrote_through: self.writes_through(kind)
-                || (probe == Probe::Bypassed && kind == AccessKind::Write),
-            victim_pa,
-        }
-    }
-
-    /// Performs a cacheable access and returns what happened.
+    /// Performs a cacheable access; returns whether it hit. Evictions and
+    /// writebacks show in [`Cache::stats`], residency in [`Cache::contains`].
     ///
     /// A driver for the standalone cache, which its tests use: the memory
     /// system probes through [`MemSystem`](crate::hierarchy::MemSystem)'s
-    /// miss tail and never builds a [`CacheOutcome`].
-    pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheOutcome {
-        let probe = self.demand::<0>(addr, kind, 1);
-        self.outcome(probe, kind)
+    /// miss tail.
+    pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> bool {
+        self.demand::<0>(addr, kind, 1) == Probe::Hit
     }
 
     /// Records a cache-inhibited access: the cache state is untouched.
@@ -384,34 +349,38 @@ impl Cache {
     }
 
     /// `dcbz`-style line zeroing: establishes the line in the cache, dirty,
-    /// without reading memory. Returns the outcome of the establish (a "hit"
-    /// means the line was already present). In a fully locked set nothing
-    /// is established and one inhibited access is counted.
+    /// without reading memory. Returns whether the line was already
+    /// present. In a fully locked set nothing is established and one
+    /// inhibited access is counted.
     ///
     /// A driver for the standalone cache, like [`Cache::access`]: the
     /// memory system's `dcbz` establishes the line itself and lands the
     /// victim through its miss tail.
-    pub fn zero_line(&mut self, addr: PhysAddr) -> CacheOutcome {
-        let probe = self.establish::<0>(addr);
-        self.outcome(probe, AccessKind::Write)
+    pub fn zero_line(&mut self, addr: PhysAddr) -> bool {
+        self.establish::<0>(addr) == Probe::Hit
     }
 
     /// Software prefetch (`dcbt`, paper §10.2): brings the line in as a read
     /// without counting as a demand access. Returns `true` if a fill
     /// happened; a fully locked set fills nothing and counts nothing.
     pub fn prefetch(&mut self, addr: PhysAddr) -> bool {
+        matches!(self.touch(addr), Probe::Filled { .. })
+    }
+
+    /// The probe of a [`Cache::prefetch`]: a hit when the line was already
+    /// resident (a redundant prefetch), else the fill or a bypass.
+    pub(crate) fn touch(&mut self, addr: PhysAddr) -> Probe {
         let (set, tag) = self.index(addr);
         if self.find::<0>(set, tag).is_some() {
             self.stats.prefetch_redundant += 1;
-            return false;
+            return Probe::Hit;
         }
         let Some(idx) = self.victim::<0>(set) else {
-            return false;
+            return Probe::Bypassed;
         };
         self.tick += 1;
         self.stats.prefetch_fills += 1;
-        self.fill_at(idx, set, tag, false);
-        true
+        self.fill_at(idx, set, tag, false)
     }
 
     /// Locks or unlocks the line containing `addr`, if present. Returns
@@ -491,10 +460,10 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = small();
-        assert!(!c.access(0x40, AccessKind::Read).hit);
-        assert!(c.access(0x40, AccessKind::Read).hit);
+        assert!(!c.access(0x40, AccessKind::Read));
+        assert!(c.access(0x40, AccessKind::Read));
         assert!(
-            c.access(0x5c, AccessKind::Read).hit,
+            c.access(0x5c, AccessKind::Read),
             "same line, different offset"
         );
         assert_eq!(c.stats().misses, 1);
@@ -508,8 +477,8 @@ mod tests {
         c.access(addr(1, 2), AccessKind::Read);
         // Touch tag 1 so tag 2 is LRU.
         c.access(addr(1, 1), AccessKind::Read);
-        let out = c.access(addr(1, 3), AccessKind::Read);
-        assert!(out.evicted);
+        c.access(addr(1, 3), AccessKind::Read);
+        assert_eq!(c.stats().evictions, 1);
         assert!(c.contains(addr(1, 1)));
         assert!(!c.contains(addr(1, 2)));
         assert!(c.contains(addr(1, 3)));
@@ -520,9 +489,8 @@ mod tests {
         let mut c = small();
         c.access(addr(0, 1), AccessKind::Write);
         c.access(addr(0, 2), AccessKind::Read);
-        let out = c.access(addr(0, 3), AccessKind::Read); // evicts dirty tag 1
-        assert!(out.evicted && out.writeback);
-        assert_eq!(c.stats().writebacks, 1);
+        c.access(addr(0, 3), AccessKind::Read); // evicts dirty tag 1
+        assert_eq!((c.stats().evictions, c.stats().writebacks), (1, 1));
     }
 
     #[test]
@@ -530,8 +498,8 @@ mod tests {
         let mut c = small();
         c.access(addr(0, 1), AccessKind::Read);
         c.access(addr(0, 2), AccessKind::Read);
-        let out = c.access(addr(0, 3), AccessKind::Read);
-        assert!(out.evicted && !out.writeback);
+        c.access(addr(0, 3), AccessKind::Read);
+        assert_eq!((c.stats().evictions, c.stats().writebacks), (1, 0));
     }
 
     #[test]
@@ -540,26 +508,27 @@ mod tests {
             write_policy: WritePolicy::WriteThrough,
             ..*small().config()
         });
-        let out = c.access(addr(0, 1), AccessKind::Write);
-        assert!(out.wrote_through);
+        c.access(addr(0, 1), AccessKind::Write);
+        assert!(
+            c.writes_through(AccessKind::Write),
+            "the store went to memory"
+        );
         c.access(addr(0, 2), AccessKind::Read);
-        let out = c.access(addr(0, 3), AccessKind::Read);
-        assert!(out.evicted && !out.writeback);
-        assert_eq!(c.stats().writebacks, 0);
+        c.access(addr(0, 3), AccessKind::Read);
+        assert_eq!((c.stats().evictions, c.stats().writebacks), (1, 0));
     }
 
     #[test]
     fn zero_line_fills_without_demand_miss() {
         let mut c = small();
-        let out = c.zero_line(addr(2, 5));
-        assert!(!out.hit);
+        assert!(!c.zero_line(addr(2, 5)));
         assert_eq!(c.stats().zero_fills, 1);
         assert_eq!(c.stats().misses, 0, "dcbz fill is not a demand miss");
         assert!(c.contains(addr(2, 5)));
         // The established line is dirty: evicting it costs a writeback.
         c.access(addr(2, 6), AccessKind::Read);
-        let out = c.access(addr(2, 7), AccessKind::Read);
-        assert!(out.writeback);
+        c.access(addr(2, 7), AccessKind::Read);
+        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -568,7 +537,7 @@ mod tests {
         assert!(c.prefetch(addr(1, 9)));
         assert_eq!(c.stats().accesses, 0);
         assert_eq!(c.stats().prefetch_fills, 1);
-        assert!(c.access(addr(1, 9), AccessKind::Read).hit);
+        assert!(c.access(addr(1, 9), AccessKind::Read));
         assert!(!c.prefetch(addr(1, 9)));
         assert_eq!(c.stats().prefetch_redundant, 1);
     }
@@ -596,8 +565,8 @@ mod tests {
         c.access(addr(0, 2), AccessKind::Read);
         c.set_locked(addr(0, 1), true);
         c.set_locked(addr(0, 2), true);
-        let out = c.access(addr(0, 3), AccessKind::Read);
-        assert!(!out.hit && !out.evicted);
+        assert!(!c.access(addr(0, 3), AccessKind::Read));
+        assert_eq!(c.stats().evictions, 0);
         assert!(!c.contains(addr(0, 3)));
         assert_eq!(c.stats().inhibited, 1);
     }
@@ -625,8 +594,7 @@ mod tests {
         let mut c = small();
         lock_set_0(&mut c);
         let before = *c.stats();
-        let out = c.zero_line(addr(0, 3));
-        assert!(!out.hit && !out.evicted && !out.writeback);
+        assert!(!c.zero_line(addr(0, 3)));
         assert!(!c.contains(addr(0, 3)));
         assert_eq!(
             *c.stats(),

@@ -322,10 +322,14 @@ impl MemSystem {
 
     /// `dcbt`-style software prefetch (paper §10.2). Costs one issue cycle;
     /// the fill itself is overlapped (that is the point of prefetching), so
-    /// only a fraction of the fill latency is charged.
+    /// no fill latency is charged. The dirty line the fill displaces lands
+    /// in the L2 (or memory) through the miss tail and is charged like
+    /// [`MemSystem::dcbz`]'s: the writeback is not overlapped.
     pub fn prefetch(&mut self, pa: PhysAddr) -> Cycles {
-        self.dcache.prefetch(pa);
-        1
+        match self.dcache.touch(pa).victim() {
+            Some(v) => 1 + self.below(None, Some(v)),
+            None => 1,
+        }
     }
 
     /// Zeroes a whole page with ordinary cached stores (write-allocate: each
@@ -504,6 +508,28 @@ mod tests {
         assert_eq!(m.total_stats().accesses, 2);
         m.reset_stats();
         assert_eq!(m.total_stats().accesses, 0);
+    }
+
+    #[test]
+    fn prefetch_lands_its_dirty_victim_in_the_l2() {
+        let mut m = MemSystem::new(MemSystemConfig::ppc603());
+        // 128 two-way sets: addresses 4 KiB apart share a set.
+        let stride = 4096;
+        m.data_write(0, true);
+        m.data_write(stride, true);
+        let l2 = m.l2.as_mut().expect("the 603 board has an L2");
+        l2.invalidate_all();
+        let l2_before = *l2.stats();
+        // The fill evicts the least recently used dirty line, line 0.
+        let cost = m.prefetch(2 * stride);
+        assert_eq!(m.dcache.stats().writebacks, 1);
+        assert!(!m.dcache.contains(0) && m.dcache.contains(2 * stride));
+        let l2 = m.l2.as_ref().expect("the 603 board has an L2");
+        assert!(l2.contains(0), "the victim reached the L2");
+        assert_eq!(l2.stats().zero_fills, l2_before.zero_fills + 1);
+        // The prefetch's own cycle plus the L2 establish (2 cycles; the
+        // empty L2 displaces nothing it must write back).
+        assert_eq!(cost, 1 + 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod hierarchy;
 pub mod stats;
 
 pub use bus::Bus;
-pub use cache::{AccessKind, Cache, CacheOutcome};
+pub use cache::{AccessKind, Cache};
 pub use config::{CacheConfig, WritePolicy};
 pub use hierarchy::{MemSystem, MemSystemConfig};
 pub use stats::CacheStats;

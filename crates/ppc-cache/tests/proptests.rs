@@ -76,8 +76,8 @@ proptest! {
         for &a in &addrs {
             c.access(a, AccessKind::Read);
             prop_assert!(c.contains(a), "line {a:#x} must be resident after access");
-            let out = c.access(a, AccessKind::Read);
-            prop_assert!(out.hit, "immediate re-access of {a:#x} must hit");
+            let hit = c.access(a, AccessKind::Read);
+            prop_assert!(hit, "immediate re-access of {a:#x} must hit");
         }
     }
 

@@ -75,6 +75,9 @@ pub struct Machine {
     scale_num: u64,
     /// Causal-profiling charge scale denominator (never zero).
     scale_den: u64,
+    /// TLB and BAT hits cleared by [`Machine::reset_stats`] so far (see
+    /// [`Machine::translation_hits`]).
+    hits_reset: u64,
 }
 
 impl Machine {
@@ -88,6 +91,7 @@ impl Machine {
             pmu: None,
             scale_num: 1,
             scale_den: 1,
+            hits_reset: 0,
         }
     }
 
@@ -385,14 +389,34 @@ impl Machine {
         }
     }
 
+    /// TLB and BAT hits since boot, [`Machine::reset_stats`] or not: an
+    /// observer that folds them in lazily never sees the total move
+    /// backward.
+    pub fn translation_hits(&self) -> u64 {
+        let mmu = &self.mmu;
+        self.hits_reset
+            + mmu.itlb.stats().hits
+            + mmu.dtlb.stats().hits
+            + mmu.bats.ibat_hits
+            + mmu.bats.dbat_hits
+    }
+
     /// Clears all statistics counters (but not TLB/cache *state*), so an
-    /// experiment can measure a steady-state window.
+    /// experiment can measure a steady-state window. An armed PMU's open
+    /// window is carried across the clearing ([`Pmu::rebase`]), so its
+    /// deferred sync still counts every event of it.
     pub fn reset_stats(&mut self) {
+        let before = self.snapshot();
+        self.hits_reset = self.translation_hits();
         self.mmu.itlb.reset_stats();
         self.mmu.dtlb.reset_stats();
         self.mem.reset_stats();
         self.mmu.bats.ibat_hits = 0;
         self.mmu.bats.dbat_hits = 0;
+        let after = self.snapshot();
+        if let Some(pmu) = self.pmu.as_mut() {
+            pmu.rebase(&before, &after);
+        }
     }
 }
 

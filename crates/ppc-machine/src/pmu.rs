@@ -14,10 +14,13 @@
 //! This model keeps the same architecture but sources its events from the
 //! counters the simulated machine already maintains ([`MonitorSnapshot`]):
 //! the PMU holds the snapshot of its last synchronisation point and advances
-//! the PMCs by the selected-event deltas on every [`Pmu::sync`]. The OS side
-//! (`kernel-sim`) decides *when* to sync — at every span transition, which
-//! is this simulator's notion of an instruction boundary — and delivers the
-//! exception when [`Pmu::take_interrupt`] reports one pending.
+//! the PMCs by the selected-event deltas on every [`Pmu::sync`]. A sync adds
+//! window deltas, so one late sync counts exactly what many early ones
+//! would have; [`Pmu::sync_deadline`] says how late it may come. The OS side
+//! (`kernel-sim`) decides *when* to sync — at the first span transition (this
+//! simulator's notion of an instruction boundary) at or past that deadline —
+//! and delivers the exception when [`Pmu::take_interrupt`] reports one
+//! pending.
 //!
 //! The PMU is pure bookkeeping: nothing here charges cycles or touches
 //! MMU/cache state. The *cost* of taking the performance-monitor exception
@@ -25,6 +28,7 @@
 //! the kernel being measured.
 
 use crate::monitor::MonitorSnapshot;
+use crate::Cycles;
 
 /// The counter-negative boundary: a PMC with bit 0 (IBM numbering) set,
 /// i.e. value `>= 0x8000_0000`, is "negative" and can raise the
@@ -223,6 +227,10 @@ pub struct Pmu {
     /// Machine counters at the last [`Pmu::sync`] (the closed edge of the
     /// next counting window).
     base: MonitorSnapshot,
+    /// Each counter's events in the open window up to a clearing of the
+    /// machine counters ([`Pmu::rebase`]), counted with the rest of the
+    /// window at the next sync.
+    carried: [u64; 2],
     /// A counter went negative with ENINT set; cleared by
     /// [`Pmu::take_interrupt`].
     pending: bool,
@@ -236,6 +244,7 @@ impl Pmu {
             mmcr0,
             pmc: [0; 2],
             base: MonitorSnapshot::default(),
+            carried: [0; 2],
             pending: false,
         }
     }
@@ -275,22 +284,77 @@ impl Pmu {
     /// (unless frozen for `supervisor`), and `base` advances to `now`.
     ///
     /// The privilege state applies to the whole window, so the OS must sync
-    /// at privilege transitions for exact gating; the simulator syncs at
-    /// every span transition, which bounds the attribution error to one
-    /// unbracketed stretch.
+    /// at privilege transitions for exact gating while MMCR0 freezes by mode
+    /// (see [`Pmu::sync_deadline`]); the simulator then syncs at every span
+    /// transition, which bounds the attribution error to one unbracketed
+    /// stretch.
     ///
     /// Events are never lost to freezing skew: a frozen window advances
     /// `base` without counting, exactly like the real unit's gated clock.
     pub fn sync(&mut self, now: &MonitorSnapshot, supervisor: bool) {
         let delta = now.delta(&self.base);
         self.base = *now;
+        let carried = std::mem::take(&mut self.carried);
         if self.mmcr0.frozen(supervisor) {
             return;
         }
-        for i in 0..2 {
-            let n = self.mmcr0.select(i).count_in(&delta);
+        for (i, carried) in carried.into_iter().enumerate() {
+            let n = self.mmcr0.select(i).count_in(&delta) + carried;
             self.advance(i, n);
         }
+    }
+
+    /// The first cycle at which a [`Pmu::sync`] could latch an interrupt or
+    /// gate a window differently, so the OS may defer syncs until then:
+    ///
+    /// * the last sync's cycle (sync now) while an interrupt is pending or
+    ///   MMCR0 freezes by mode (FCS or FCP), whose gating needs a sync at
+    ///   every privilege change;
+    /// * never ([`Cycles::MAX`]) while FC freezes everything or ENINT is off;
+    /// * for a counter of [`PmcEvent::Cycles`], the exact cycle it reaches
+    ///   [`PMC_NEGATIVE`] — it counts the clock, so this holds under any
+    ///   causal charge scale;
+    /// * for any other event counter, the last sync's cycle: a scale below 1
+    ///   can fit any number of events into one cycle. Threshold events count
+    ///   through [`Pmu::note_duration`], which latches on its own.
+    pub fn sync_deadline(&self) -> Cycles {
+        let last = self.base.cycles;
+        let m = &self.mmcr0;
+        if self.pending || (!m.freeze && (m.freeze_supervisor || m.freeze_problem)) {
+            return last;
+        }
+        if m.freeze || !m.enint {
+            return Cycles::MAX;
+        }
+        let mut deadline = Cycles::MAX;
+        for i in 0..2 {
+            match m.select(i) {
+                PmcEvent::None | PmcEvent::ThresholdExceeded => {}
+                PmcEvent::Cycles => {
+                    let counted = u64::from(self.pmc[i]) + self.carried[i];
+                    let Some(left) = u64::from(PMC_NEGATIVE).checked_sub(counted) else {
+                        return last;
+                    };
+                    deadline = deadline.min(last + left);
+                }
+                _ => return last,
+            }
+        }
+        deadline
+    }
+
+    /// Moves the open window's edge across a clearing of the machine
+    /// counters from `before` to `after`: each counter's events so far in
+    /// the window are carried, and the next [`Pmu::sync`] counts them with
+    /// the rest of the window under the privilege state it is given. Without
+    /// this, the next window would start from counters the clearing took
+    /// away and lose the events on both sides of it.
+    pub fn rebase(&mut self, before: &MonitorSnapshot, after: &MonitorSnapshot) {
+        let delta = before.delta(&self.base);
+        for (i, carried) in self.carried.iter_mut().enumerate() {
+            *carried += self.mmcr0.select(i).count_in(&delta);
+        }
+        self.base = *after;
     }
 
     /// Advances the base snapshot to `now` without counting anything — the
@@ -298,6 +362,7 @@ impl Pmu {
     /// before doing its work so the profiler does not profile itself.
     pub fn skip_to(&mut self, now: &MonitorSnapshot) {
         self.base = *now;
+        self.carried = [0; 2];
     }
 
     /// Feeds one duration event (an instrumented path that took `cycles`):
@@ -406,6 +471,118 @@ mod tests {
         p.sync(&snap(350, 0), true);
         assert_eq!(p.periods_pending(0, 100), 3);
         assert_eq!(p.periods_pending(1, 100), 0);
+    }
+
+    /// Drives `p` over one transition snapshot per cycle of `cycles`,
+    /// syncing at every one (`eager`) or only from its deadline on, and
+    /// returns the index of the snapshot at which the interrupt latched,
+    /// with the PMCs there.
+    fn latch(mut p: Pmu, cycles: &[u64], eager: bool) -> Option<(usize, [u32; 2])> {
+        for (i, &c) in cycles.iter().enumerate() {
+            if eager || c >= p.sync_deadline() {
+                p.sync(&snap(c, c / 7), true);
+            }
+            if p.take_interrupt() {
+                return Some((i, [p.read_pmc(0), p.read_pmc(1)]));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn deferred_syncs_latch_at_the_same_transition_as_eager_ones() {
+        let mut p = Pmu::new(Mmcr0 {
+            pmc1: PmcEvent::Cycles,
+            enint: true,
+            ..Mmcr0::default()
+        });
+        p.write_pmc(0, PMC_NEGATIVE - 100);
+        assert_eq!(p.sync_deadline(), 100);
+        // The deadline on a transition cycle, then one cycle past one.
+        for (transition, latched_at) in [(100, 3), (99, 4)] {
+            let cycles = [10, 37, 64, transition, 140, 160];
+            let eager = latch(p, &cycles, true);
+            assert_eq!(eager.map(|(i, _)| i), Some(latched_at));
+            assert_eq!(latch(p, &cycles, false), eager, "transition {transition}");
+        }
+    }
+
+    #[test]
+    fn deadlines_follow_the_gating_bits() {
+        let cycles = Mmcr0 {
+            pmc1: PmcEvent::Cycles,
+            enint: true,
+            ..Mmcr0::default()
+        };
+        let mut p = Pmu::new(cycles);
+        p.sync(&snap(40, 0), true);
+        assert_eq!(p.sync_deadline(), 40 + u64::from(PMC_NEGATIVE) - 40);
+        for mmcr0 in [
+            Mmcr0 {
+                enint: false,
+                ..cycles
+            },
+            Mmcr0 {
+                freeze: true,
+                freeze_supervisor: true,
+                ..cycles
+            },
+            Mmcr0 {
+                pmc1: PmcEvent::ThresholdExceeded,
+                ..cycles
+            },
+        ] {
+            p.mmcr0 = mmcr0;
+            assert_eq!(p.sync_deadline(), Cycles::MAX, "{mmcr0:?}");
+        }
+        for mmcr0 in [
+            Mmcr0 {
+                freeze_problem: true,
+                enint: false,
+                ..cycles
+            },
+            Mmcr0 {
+                pmc2: PmcEvent::DtlbMiss,
+                ..cycles
+            },
+        ] {
+            p.mmcr0 = mmcr0;
+            assert_eq!(p.sync_deadline(), 40, "{mmcr0:?}");
+        }
+        p.mmcr0 = Mmcr0 {
+            pmc2: PmcEvent::ThresholdExceeded,
+            threshold: 10,
+            ..cycles
+        };
+        p.write_pmc(1, PMC_NEGATIVE - 1);
+        p.note_duration(11, true);
+        assert_eq!(p.sync_deadline(), 40, "a latched threshold event is due");
+    }
+
+    #[test]
+    fn a_rebase_carries_the_open_window_across_a_counter_reset() {
+        let mut p = Pmu::new(Mmcr0 {
+            pmc1: PmcEvent::Cycles,
+            pmc2: PmcEvent::DtlbMiss,
+            ..Mmcr0::default()
+        });
+        p.sync(&snap(10, 2), true);
+        // The machine counters clear at cycle 60; the clock does not.
+        p.rebase(&snap(60, 5), &snap(60, 0));
+        p.sync(&snap(90, 4), true);
+        assert_eq!([p.read_pmc(0), p.read_pmc(1)], [90, 5 + 4]);
+
+        let mut p = Pmu::new(Mmcr0 {
+            pmc1: PmcEvent::Cycles,
+            enint: true,
+            ..Mmcr0::default()
+        });
+        p.write_pmc(0, PMC_NEGATIVE - 100);
+        p.sync(&snap(10, 0), true);
+        p.rebase(&snap(60, 0), &snap(60, 0));
+        assert_eq!(p.sync_deadline(), 100, "the carried cycles still count");
+        p.sync(&snap(100, 0), true);
+        assert!(p.take_interrupt());
     }
 
     #[test]

@@ -154,6 +154,9 @@ pub struct HashTable {
     base_pa: PhysAddr,
     /// Per-group bookkeeping, one entry per PTEG.
     meta: Vec<GroupMeta>,
+    /// The most recently marked group of the written list threaded through
+    /// `meta` ([`NO_GROUP`] when no group is marked).
+    written_head: u32,
     /// Slots whose valid bit is set (the sum of the per-group counts).
     valid: u32,
     /// Groups whose eight slots are all valid.
@@ -175,9 +178,17 @@ struct GroupMeta {
     /// Valid slots in the group.
     valid: u8,
     /// Written since the mark was last cleared: a consistency checker
-    /// re-sweeps only marked groups (DESIGN.md §12).
+    /// re-sweeps only marked groups (DESIGN.md §12). A marked group is on
+    /// the table's written list.
     written: bool,
+    /// `valid` when the group was marked.
+    marked_valid: u8,
+    /// The next group on the written list ([`NO_GROUP`] ends it).
+    next_written: u32,
 }
+
+/// The end of the written list.
+const NO_GROUP: u32 = u32::MAX;
 
 impl HashTable {
     /// Creates an empty table of `num_groups` PTEGs based at `base_pa`.
@@ -194,6 +205,7 @@ impl HashTable {
             groups: vec![[Pte::invalid(); PTES_PER_GROUP]; num_groups as usize],
             base_pa,
             meta: vec![GroupMeta::default(); num_groups as usize],
+            written_head: NO_GROUP,
             valid: 0,
             full: 0,
             stats: HtabStats::default(),
@@ -233,13 +245,25 @@ impl HashTable {
         self.base_pa + (group * PTES_PER_GROUP as u32 + slot as u32) * PTE_BYTES
     }
 
+    /// Marks group `g` written: links it onto the written list with its
+    /// valid count at this moment, unless it is already marked.
+    #[inline]
+    fn mark(&mut self, g: usize) {
+        let m = &mut self.meta[g];
+        if !m.written {
+            m.written = true;
+            m.marked_valid = m.valid;
+            m.next_written = std::mem::replace(&mut self.written_head, g as u32);
+        }
+    }
+
     /// Writes `pte` into slot `(g, s)`, keeping the occupancy counts and the
     /// group's written mark in step. Every slot write goes through here.
     #[inline]
     fn write_slot(&mut self, g: usize, s: usize, pte: Pte) {
+        self.mark(g);
         let was = std::mem::replace(&mut self.groups[g][s], pte).valid;
         let m = &mut self.meta[g];
-        m.written = true;
         let full_before = u32::from(usize::from(m.valid) == PTES_PER_GROUP);
         match (was, pte.valid) {
             (false, true) => (m.valid, self.valid) = (m.valid + 1, self.valid + 1),
@@ -469,7 +493,9 @@ impl HashTable {
         self.valid
     }
 
-    /// Number of valid slots whose VSID `is_live` accepts.
+    /// Number of valid slots whose VSID `is_live` accepts: a walk of the
+    /// whole table. A kernel that keeps the count as it writes (the
+    /// simulated one does) uses this only to cross-check it.
     pub fn live_entries(&self, mut is_live: impl FnMut(Vsid) -> bool) -> u32 {
         self.groups
             .iter()
@@ -536,14 +562,31 @@ impl HashTable {
     pub fn mark_key_written(&mut self, vsid: Vsid, page_index: u32) {
         for secondary in [false, true] {
             let g = self.hash.pteg_index(vsid, page_index, secondary);
-            self.meta[g as usize].written = true;
+            self.mark(g as usize);
         }
     }
 
-    /// Clears every PTEG's written mark.
+    /// The PTEGs marked written since the marks were last cleared, most
+    /// recently marked first, each with its valid count when it was marked
+    /// (so a reader can tell how the table's totals moved since then). The
+    /// list is threaded through the per-group metadata: reading and keeping
+    /// it allocate nothing.
+    pub fn written_groups(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let head = (self.written_head != NO_GROUP).then_some(self.written_head);
+        std::iter::successors(head, |&g| {
+            let next = self.meta[g as usize].next_written;
+            (next != NO_GROUP).then_some(next)
+        })
+        .map(|g| (g, u32::from(self.meta[g as usize].marked_valid)))
+    }
+
+    /// Clears every PTEG's written mark: a walk of the written list.
     pub fn clear_written_marks(&mut self) {
-        for m in &mut self.meta {
+        let mut g = std::mem::replace(&mut self.written_head, NO_GROUP);
+        while g != NO_GROUP {
+            let m = &mut self.meta[g as usize];
             m.written = false;
+            g = m.next_written;
         }
     }
 
@@ -574,6 +617,7 @@ impl HashTable {
         );
         self.hash = HashFunction::new(new_groups);
         self.meta = vec![GroupMeta::default(); new_groups as usize];
+        self.written_head = NO_GROUP;
         (self.valid, self.full) = (0, 0);
         self.reclaim_cursor = 0;
         let mut out = ResizeOutcome {
@@ -627,13 +671,12 @@ impl HashTable {
         self.resize_with(new_groups, |_| {})
     }
 
-    /// Clears the whole table (used at boot and by tests).
+    /// Clears the whole table (used by tests), marking every group written.
     pub fn clear(&mut self) {
-        for g in &mut self.groups {
-            *g = [Pte::invalid(); PTES_PER_GROUP];
-        }
-        for m in &mut self.meta {
-            (m.valid, m.written) = (0, true);
+        for g in 0..self.groups.len() {
+            self.mark(g);
+            self.groups[g] = [Pte::invalid(); PTES_PER_GROUP];
+            self.meta[g].valid = 0;
         }
         (self.valid, self.full) = (0, 0);
     }
@@ -813,6 +856,38 @@ mod tests {
         h.search(Vsid::new(1), 2);
         assert!((h.stats().hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(h.stats().evict_ratio(), 0.0);
+    }
+
+    #[test]
+    fn written_list_holds_each_marked_group_once_with_its_count_when_marked() {
+        let mut h = HashTable::new(256, 0);
+        let group = |h: &HashTable, vsid, pi, secondary| {
+            h.hash().pteg_index(Vsid::new(vsid), pi, secondary)
+        };
+        // Pages 5 + k * 256 share a primary group.
+        let g1 = group(&h, 1, 5, false);
+        h.insert(pte(1, 5));
+        h.insert(pte(1, 5 + 256));
+        assert_eq!(h.written_groups().collect::<Vec<_>>(), [(g1, 0)]);
+        h.clear_written_marks();
+        assert_eq!(h.written_groups().count(), 0);
+        assert!(!h.written(g1));
+        h.insert(pte(1, 5 + 512));
+        h.insert(pte(1, 5 + 768));
+        // A mark without a write: where an entry for the key may sit.
+        let (p2, s2) = (group(&h, 2, 9, false), group(&h, 2, 9, true));
+        assert!(p2 != s2 && ![p2, s2].contains(&g1));
+        h.mark_key_written(Vsid::new(2), 9);
+        assert_eq!(
+            h.written_groups().collect::<Vec<_>>(),
+            [(s2, 0), (p2, 0), (g1, 2)],
+            "most recently marked first, each once, with its count when marked"
+        );
+        assert_eq!(h.group_valid(g1), 4);
+        h.clear_written_marks();
+        h.clear();
+        assert_eq!(h.written_groups().count(), 256);
+        assert!(h.written_groups().any(|m| m == (g1, 4)));
     }
 
     #[test]
