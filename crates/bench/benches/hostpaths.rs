@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the simulator's host hot paths, one group
-//! per layer (translate, cache, charge, trace_write) plus the fused versus
-//! layered reference paths and what armed observers add to a TLB reload —
+//! per layer (translate, cache, charge, trace_write) plus the kernel's
+//! reference paths and what armed observers add to a TLB reload —
 //! the per-call companions to the whole-workload figures of the repository
 //! benchmark (`perfbench`, see `BENCHMARK.json`).
 
@@ -58,7 +58,7 @@ fn bench_translate(c: &mut Criterion) {
         let mut pi = 0u32;
         b.iter(|| {
             pi = (pi + 1) % 128;
-            // Read the fields the fused path reads, rather than spill the
+            // Read the fields a reference reads, rather than spill the
             // whole entry.
             black_box(t.peek(Vsid::new(1), pi).map(|(i, e)| (i, e.rpn, e.cached)))
         });
@@ -82,7 +82,7 @@ fn bench_translate(c: &mut Criterion) {
             pi = (pi + 1) % 64;
             black_box(
                 m.mmu
-                    .translate(EffectiveAddress(pi << 12), AccessType::DataRead),
+                    .translate::<false>(EffectiveAddress(pi << 12), AccessType::DataRead),
             )
         });
     });
@@ -93,7 +93,7 @@ fn bench_translate(c: &mut Criterion) {
             pi = pi.wrapping_add(1) & 0xffff;
             black_box(
                 m.mmu
-                    .translate(EffectiveAddress(pi << 12), AccessType::DataRead),
+                    .translate::<false>(EffectiveAddress(pi << 12), AccessType::DataRead),
             )
         });
     });
@@ -122,7 +122,7 @@ fn bench_translate(c: &mut Criterion) {
 }
 
 /// cache: the `MemSystem` read path, hit and miss — under every simulated
-/// data reference that misses the fused path — and the two word runs the
+/// data reference — and the two word runs the
 /// kernel charges most: a page clear (L2-resident on a 603, and spread over
 /// RAM on a 604) and a hash-table probe.
 fn bench_cache(c: &mut Criterion) {
@@ -225,20 +225,19 @@ fn bench_trace_write(c: &mut Criterion) {
     g.finish();
 }
 
-/// fused_hot_paths: the common-case memory reference — a resident load and
-/// a resident straight-line fetch — served by the fused single-function
-/// fast path versus the layered translate→charge→cache path (DESIGN.md
-/// §16). Both variants simulate identical cycles and counters; the host-ns
-/// ratio between the `_fused` and `_layered` rows is what the fused path
-/// buys per reference. `data_ref_audited` is the fused load with the
-/// consistency checker armed, once the warm-up has audited and marked the
-/// translation (DESIGN.md §12): what an audited hit costs over a plain one.
-fn bench_fused_hot_paths(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fused_hot_paths");
-    let boot = |fused: bool, check: bool| {
-        let mut cfg = KernelConfig::optimized();
-        cfg.fused = fused;
-        cfg.check = check.then(CheckConfig::full);
+/// reference_paths: the common-case memory reference — a resident load and
+/// a resident straight-line fetch through `Kernel::data_ref` and
+/// `Kernel::exec_code`, whose first attempt completes without a miss
+/// (DESIGN.md §16). `data_ref_audited` is the load with the consistency
+/// checker armed, once the warm-up has audited and marked the translation
+/// (DESIGN.md §12): what an audited hit costs over a plain one.
+fn bench_reference_paths(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reference_paths");
+    let boot = |check: bool| {
+        let cfg = KernelConfig {
+            check: check.then(CheckConfig::full),
+            ..KernelConfig::optimized()
+        };
         let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
         let pid = k.spawn_process(8).unwrap();
         k.switch_to(pid);
@@ -253,31 +252,30 @@ fn bench_fused_hot_paths(c: &mut Criterion) {
     };
     // Stride cache lines *within* one page: page-stride addresses all land
     // in cache set 0 and would measure the miss path instead of the hit.
-    let data_rows = [
-        ("data_ref_fused", true, false),
-        ("data_ref_layered", false, false),
-        ("data_ref_audited", true, true),
-    ];
-    for (name, fused, check) in data_rows {
+    for (name, check) in [("data_ref", false), ("data_ref_audited", true)] {
         g.bench_function(name, |b| {
-            let mut k = boot(fused, check);
+            let mut k = boot(check);
             let mut i = 0u32;
             b.iter(|| {
                 i = (i + 1) % 64;
-                black_box(k.data_ref(EffectiveAddress(USER_BASE + i * 32), false).unwrap())
+                black_box(
+                    k.data_ref(EffectiveAddress(USER_BASE + i * 32), false)
+                        .unwrap(),
+                )
             });
         });
     }
-    for (name, fused) in [("exec_code_fused", true), ("exec_code_layered", false)] {
-        g.bench_function(name, |b| {
-            let mut k = boot(fused, false);
-            let mut i = 0u32;
-            b.iter(|| {
-                i = (i + 1) % 64;
-                black_box(k.exec_code(EffectiveAddress(USER_BASE + i * 32), 8).unwrap())
-            });
+    g.bench_function("exec_code", |b| {
+        let mut k = boot(false);
+        let mut i = 0u32;
+        b.iter(|| {
+            i = (i + 1) % 64;
+            black_box(
+                k.exec_code(EffectiveAddress(USER_BASE + i * 32), 8)
+                    .unwrap(),
+            )
         });
-    }
+    });
     g.finish();
 }
 
@@ -330,7 +328,7 @@ criterion_group!(
     bench_translate,
     bench_cache,
     bench_charge,
-    bench_fused_hot_paths,
+    bench_reference_paths,
     bench_observers,
     bench_trace_write
 );

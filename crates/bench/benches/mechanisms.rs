@@ -77,7 +77,11 @@ fn bench_tlb(c: &mut Criterion) {
         let mut pi = 0u32;
         b.iter(|| {
             pi = (pi + 1) % 128;
-            black_box(t.lookup(Vsid::new(1), pi))
+            let hit = t.peek(Vsid::new(1), pi);
+            if let Some((idx, _)) = hit {
+                t.commit_hit(idx);
+            }
+            black_box(hit)
         });
     });
     g.bench_function("miss_and_reload", |b| {
@@ -85,7 +89,10 @@ fn bench_tlb(c: &mut Criterion) {
         let mut pi = 0u32;
         b.iter(|| {
             pi = pi.wrapping_add(1) & 0xffff;
-            if t.lookup(Vsid::new(1), pi).is_none() {
+            if let Some((idx, _)) = t.peek(Vsid::new(1), pi) {
+                t.commit_hit(idx);
+            } else {
+                t.count_miss();
                 t.insert(TlbEntry {
                     vsid: Vsid::new(1),
                     page_index: pi,

@@ -77,10 +77,8 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// A booted kernel with one process whose 8-page working set is resident
 /// and warm in the TLBs and both caches.
-fn warmed(fused: bool) -> Kernel {
-    let mut cfg = KernelConfig::optimized();
-    cfg.fused = fused;
-    let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
+fn warmed() -> Kernel {
+    let mut k = Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
     let pid = k.spawn_process(8).expect("room for one process");
     k.switch_to(pid);
     k.prefault(USER_BASE, 8).expect("prefault the working set");
@@ -110,20 +108,13 @@ fn reference_loop(k: &mut Kernel) -> u64 {
 
 #[test]
 fn warmed_reference_paths_allocate_nothing() {
-    for fused in [true, false] {
-        let mut k = warmed(fused);
-        let before = k.machine.snapshot();
-        let (cycles, allocs) = allocs_during(|| reference_loop(&mut k));
-        let d = k.machine.snapshot().delta(&before);
-        assert!(cycles > 0);
-        assert!(d.dcache.misses > 0, "the loop must reach the miss tails");
-        assert_eq!(
-            allocs,
-            0,
-            "{} data_ref/exec_code allocated on the host",
-            if fused { "fused" } else { "layered" }
-        );
-    }
+    let mut k = warmed();
+    let before = k.machine.snapshot();
+    let (cycles, allocs) = allocs_during(|| reference_loop(&mut k));
+    let d = k.machine.snapshot().delta(&before);
+    assert!(cycles > 0);
+    assert!(d.dcache.misses > 0, "the loop must reach the miss tails");
+    assert_eq!(allocs, 0, "data_ref/exec_code allocated on the host");
 }
 
 /// The paper's §4 kernel compile at quick depth on the optimized kernel.

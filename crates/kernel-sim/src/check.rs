@@ -13,7 +13,7 @@
 //!   VSID liveness and generation monotonicity, and hash-table placement /
 //!   occupancy self-consistency — cheap ones at span transitions, heavy
 //!   sweeps at the checker's own epoch boundaries;
-//! * violation reporting that panics with the exact [`KernelConfig`]
+//! * violation reporting that panics with the exact [`crate::KernelConfig`]
 //!   summary and injector seed, so the adversarial driver (`repro chaos`)
 //!   can turn any red run into a one-command repro.
 //!
@@ -21,10 +21,11 @@
 //! checking everything every time:
 //!
 //! * a translation is audited once, not at every hit: a TLB slot or BAT
-//!   register that passed its audit carries a mark, and the fused fast path
-//!   serves marked translations without a new audit. A refill or BAT
-//!   reprogram clears the marks it touches; any oracle removal or change of
-//!   a legal translation clears them all;
+//!   register that passed its audit carries a mark, and the audited instance
+//!   of a reference (`Machine::data_ref::<true>`) serves marked translations
+//!   without a new audit; an unmarked one is a miss the kernel audits. A
+//!   refill or BAT reprogram clears the marks it touches; any oracle
+//!   removal or change of a legal translation clears them all;
 //! * a heavy sweep visits only the hash-table PTEGs written since the last
 //!   sweep, the PTEGs where an entry for a key the oracle removed or changed
 //!   may sit, and the unaudited TLB slots; the table threads those PTEGs on
@@ -298,9 +299,10 @@ impl Kernel {
     }
 
     /// Folds the TLB and BAT hits since the last fold into
-    /// `checked_observations`: every such hit was audited on the layered
-    /// path or covered by its translation's audit mark. The machine's total
-    /// survives counter resets, so folding late loses nothing.
+    /// `checked_observations`: every such hit was audited when the kernel
+    /// served its miss, or covered by its translation's audit mark. The
+    /// machine's total survives counter resets, so folding late loses
+    /// nothing.
     fn fold_hits(&self, c: &mut CheckState) {
         let hits = self.machine.translation_hits();
         c.checked_observations += hits - c.hits_folded;
@@ -691,7 +693,7 @@ impl Kernel {
     // ---- positive-observation cross-checks --------------------------------
 
     /// Audits a TLB hit for `ea` against the oracle, then marks the slot so
-    /// the fused path serves its later hits.
+    /// the audited instance serves its later hits.
     #[inline]
     pub(crate) fn check_on_tlb_hit(
         &mut self,
@@ -749,7 +751,7 @@ impl Kernel {
     /// Audits a BAT match: BATs cover exactly the kernel linear map
     /// (identity minus the virtual base, cacheable) and the I/O aperture
     /// (identity, cache-inhibited). A register whose whole block passes is
-    /// marked, so the fused path serves its later matches.
+    /// marked, so the audited instance serves its later matches.
     #[inline]
     pub(crate) fn check_on_bat_hit(
         &mut self,

@@ -25,11 +25,11 @@ pub struct PmuConfig {
     pub pmc1: PmcEvent,
     /// PMC2 event select (free for any event even while sampling).
     pub pmc2: PmcEvent,
-    /// MMCR0[FCS]: don't count in supervisor state.
+    /// `MMCR0[FCS]`: don't count in supervisor state.
     pub freeze_supervisor: bool,
-    /// MMCR0[FCP]: don't count in problem (user) state.
+    /// `MMCR0[FCP]`: don't count in problem (user) state.
     pub freeze_problem: bool,
-    /// MMCR0[THRESHOLD] for [`PmcEvent::ThresholdExceeded`], in cycles.
+    /// `MMCR0[THRESHOLD]` for [`PmcEvent::ThresholdExceeded`], in cycles.
     pub threshold: u32,
 }
 
@@ -266,16 +266,6 @@ pub struct KernelConfig {
     /// from [`KernelConfig::summary`]; the `mmu-tricks-causal-v1` artifact
     /// carries its own `causal` header instead.
     pub causal: Option<crate::causal::CausalConfig>,
-
-    /// Use the fused common-case fast path (DESIGN.md §16): TLB/BAT hit +
-    /// L1 hit + charge scale 1/1 memory references run through one flat
-    /// function instead of the layered translate → charge → cache chain.
-    /// Purely a *host-side encoding choice*: a fused run is simulated-cycle-
-    /// and counter-identical to a layered one (the grid identity test and
-    /// the differential proptest pin this), so it is excluded from
-    /// [`KernelConfig::summary`]. `false` exists for differential testing,
-    /// not as a feature knob.
-    pub fused: bool,
 }
 
 impl KernelConfig {
@@ -308,7 +298,6 @@ impl KernelConfig {
             check: None,
             tail: None,
             causal: None,
-            fused: true,
         }
     }
 
@@ -339,7 +328,6 @@ impl KernelConfig {
             check: None,
             tail: None,
             causal: None,
-            fused: true,
         }
     }
 

@@ -5,7 +5,7 @@ use ppc_machine::{Cycles, Machine, MachineConfig};
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
 use ppc_mmu::bat::BatEntry;
 use ppc_mmu::htab::{HashTable, PTE_BYTES};
-use ppc_mmu::translate::{AccessType, Translation};
+use ppc_mmu::translate::{AccessType, Miss};
 
 use crate::errors::KResult;
 use crate::fs::File;
@@ -992,99 +992,29 @@ impl Kernel {
         p
     }
 
-    /// Translates `ea`, servicing TLB misses and page faults, and returns
-    /// `(physical address, cacheable)`. This is the load/store pipeline.
-    /// Fails when the fault path killed the task (SIGSEGV, SIGBUS, the OOM
-    /// killer) or could not get memory.
+    /// One user/kernel data reference (a load or store of one word). Returns
+    /// the cycles the clock moved, a reload or fault it took included.
     ///
-    /// # Panics
-    ///
-    /// Panics if translation does not converge — a successfully serviced
-    /// fault or reload must make the retry hit (simulator invariant).
-    pub fn translate_ref(
-        &mut self,
-        ea: EffectiveAddress,
-        at: AccessType,
-    ) -> KResult<(PhysAddr, bool)> {
-        for _ in 0..8 {
-            match self.machine.mmu.translate(ea, at) {
-                Translation::Bat { pa, cached } => {
-                    self.check_on_bat_hit(ea, at, pa, cached);
-                    return Ok((pa, cached));
-                }
-                Translation::TlbHit {
-                    pa,
-                    cached,
-                    writable,
-                } => {
-                    // The hit itself is the observation the oracle audits —
-                    // checked even when it is about to protection-fault.
-                    self.check_on_tlb_hit(ea, at, pa, cached, writable);
-                    if at == AccessType::DataWrite && !writable {
-                        // Store through a read-only translation: the
-                        // protection fault that drives copy-on-write.
-                        self.protection_fault(ea)?;
-                        continue;
-                    }
-                    return Ok((pa, cached));
-                }
-                Translation::TlbMiss { va } => {
-                    if !self.tlb_reload(ea, va, at) {
-                        self.page_fault(ea, at)?;
-                    }
-                }
+    /// The reference is [`Machine::data_ref`]; a miss it returns is serviced
+    /// out of line (`Kernel::serve_miss`). With the checker armed the
+    /// audited instance runs, so the first hit on a translation is audited.
+    pub fn data_ref(&mut self, ea: EffectiveAddress, write: bool) -> KResult<Cycles> {
+        let done = if self.check.is_some() {
+            self.machine.data_ref::<true>(ea, write)
+        } else {
+            self.machine.data_ref::<false>(ea, write)
+        };
+        match done {
+            Ok(c) => Ok(c),
+            Err(miss) => {
+                let at = if write {
+                    AccessType::DataWrite
+                } else {
+                    AccessType::DataRead
+                };
+                self.serve_miss(ea, at, 0, miss)
             }
         }
-        panic!("translation for {:#x} did not converge", ea.0)
-    }
-
-    /// One data reference on the fused fast path (DESIGN.md §16), when
-    /// `KernelConfig.fused` allows it. With the checker armed the audited
-    /// instance runs: it serves only translations the checker has audited
-    /// and marked, and leaves the rest to the layered path, which audits
-    /// and marks them. The causal charge scale is checked *inside* the
-    /// fused functions — it can flip mid-run.
-    #[inline]
-    fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
-        if !self.cfg.fused {
-            None
-        } else if self.check.is_some() {
-            self.machine.fused_data_ref_audited(ea, write)
-        } else {
-            self.machine.fused_data_ref(ea, write)
-        }
-    }
-
-    /// The fetch twin of [`Kernel::fused_data_ref`].
-    #[inline]
-    fn fused_exec_code(&mut self, ea: EffectiveAddress, n_insns: u32) -> Option<Cycles> {
-        if !self.cfg.fused {
-            None
-        } else if self.check.is_some() {
-            self.machine.fused_exec_code_audited(ea, n_insns)
-        } else {
-            self.machine.fused_exec_code(ea, n_insns)
-        }
-    }
-
-    /// One user/kernel data reference (a load or store of one word).
-    pub fn data_ref(&mut self, ea: EffectiveAddress, write: bool) -> KResult<Cycles> {
-        if let Some(c) = self.fused_data_ref(ea, write) {
-            return Ok(c);
-        }
-        let at = if write {
-            AccessType::DataWrite
-        } else {
-            AccessType::DataRead
-        };
-        let (pa, cached) = self.translate_ref(ea, at)?;
-        // One cycle of pipeline work for the instruction itself.
-        self.machine.charge(1);
-        Ok(1 + if write {
-            self.machine.data_write_pa(pa, cached)
-        } else {
-            self.machine.data_read_pa(pa, cached)
-        })
     }
 
     /// Executes `n_insns` straight-line instructions starting at `ea`,
@@ -1096,18 +1026,92 @@ impl Kernel {
         while remaining > 0 {
             let page_end = (addr & !(PAGE_SIZE - 1)) + PAGE_SIZE;
             let insns_here = remaining.min((page_end - addr) / 4);
-            if self
-                .fused_exec_code(EffectiveAddress(addr), insns_here)
-                .is_none()
-            {
-                let (pa, cached) =
-                    self.translate_ref(EffectiveAddress(addr), AccessType::InsnFetch)?;
-                self.machine.exec_code_pa(pa, insns_here, cached);
+            let ea = EffectiveAddress(addr);
+            let done = if self.check.is_some() {
+                self.machine.exec_code::<true>(ea, insns_here)
+            } else {
+                self.machine.exec_code::<false>(ea, insns_here)
+            };
+            if let Err(miss) = done {
+                self.serve_miss(ea, AccessType::InsnFetch, insns_here, miss)?;
             }
             addr = page_end;
             remaining -= insns_here;
         }
         Ok(self.machine.cycles - start)
+    }
+
+    /// Services `miss`, the trap a reference at `ea` took, and executes the
+    /// reference again until it completes (DESIGN.md §16): a TLB miss
+    /// reloads the translation or takes a page fault, a store through a
+    /// read-only entry breaks copy-on-write, and an unaudited hit is audited
+    /// and then served without its audit mark. `n_insns` is the fetch
+    /// length of an instruction fetch. Returns the cycles since the
+    /// reference began (a miss charges nothing). Fails when the fault path
+    /// killed the task (SIGSEGV, SIGBUS, the OOM killer) or could not get
+    /// memory.
+    ///
+    /// Out of line, so the first attempt inlined into its caller stays
+    /// small.
+    ///
+    /// # Panics
+    ///
+    /// Panics if translation does not converge — a successfully serviced
+    /// fault or reload must make the retry hit (simulator invariant).
+    #[inline(never)]
+    fn serve_miss(
+        &mut self,
+        ea: EffectiveAddress,
+        at: AccessType,
+        n_insns: u32,
+        mut miss: Miss,
+    ) -> KResult<Cycles> {
+        let start = self.machine.cycles;
+        let write = at == AccessType::DataWrite;
+        // Each serviced miss is one attempt; an audit adds one to a
+        // translation, so the bound is twice the translations allowed.
+        for _ in 0..16 {
+            let mut audited = self.check.is_some();
+            match miss {
+                Miss::Tlb { va } => {
+                    if !self.tlb_reload(ea, va, at) {
+                        self.page_fault(ea, at)?;
+                    }
+                }
+                Miss::Protection { pa, cached } => {
+                    // The hit itself is the observation the oracle audits —
+                    // checked even though it protection-faults.
+                    self.check_on_tlb_hit(ea, at, pa, cached, false);
+                    self.protection_fault(ea)?;
+                }
+                Miss::Unaudited {
+                    bat,
+                    pa,
+                    cached,
+                    writable,
+                } => {
+                    if bat {
+                        self.check_on_bat_hit(ea, at, pa, cached);
+                    } else {
+                        self.check_on_tlb_hit(ea, at, pa, cached, writable);
+                    }
+                    // The audit may leave no mark (a BAT whose whole block
+                    // is not legal): the audited hit is served without one.
+                    audited = false;
+                }
+            }
+            let done = match (at, audited) {
+                (AccessType::InsnFetch, true) => self.machine.exec_code::<true>(ea, n_insns),
+                (AccessType::InsnFetch, false) => self.machine.exec_code::<false>(ea, n_insns),
+                (_, true) => self.machine.data_ref::<true>(ea, write),
+                (_, false) => self.machine.data_ref::<false>(ea, write),
+            };
+            match done {
+                Ok(_) => return Ok(self.machine.cycles - start),
+                Err(m) => miss = m,
+            }
+        }
+        panic!("translation for {:#x} did not converge", ea.0)
     }
 
     /// A kernel data reference through the linear map. Infallible: the

@@ -1,6 +1,6 @@
 //! Kernel-level event counters.
 //!
-//! The counter fields are declared once, in [`kernel_stats!`], which
+//! The counter fields are declared once, in `kernel_stats!`, which
 //! generates the struct, the window-difference [`KernelStats::diff`], and the
 //! name/value iterator [`KernelStats::as_named_pairs`] — so a counter added
 //! to the struct automatically appears in every diff, table, and

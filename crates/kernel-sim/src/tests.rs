@@ -395,3 +395,32 @@ fn wild_access_segfaults() {
     assert_eq!(k.stats.sigsegvs, 1);
     assert!(k.current.is_none(), "the faulting task died");
 }
+
+#[test]
+fn data_ref_returns_the_clock_delta_of_a_hash_table_reload() {
+    let mut k = boot(MachineConfig::ppc604_185(), KernelConfig::optimized());
+    k.prefault(USER_BASE, 1).unwrap();
+    let ea = EffectiveAddress(USER_BASE);
+    k.data_ref(ea, false).unwrap();
+    // With the TLBs empty, the next reference reloads from the hash table.
+    k.machine.mmu.flush_tlbs();
+    let (reloads, htab_hits) = (k.stats.tlb_reloads, k.stats.htab_hits);
+    let c0 = k.machine.cycles;
+    let c = k.data_ref(ea, false).unwrap();
+    assert_eq!(k.stats.tlb_reloads, reloads + 1);
+    assert_eq!(k.stats.htab_hits, htab_hits + 1);
+    assert_eq!(c, k.machine.cycles - c0, "the reload is part of the cost");
+}
+
+#[test]
+fn data_ref_returns_the_clock_delta_under_a_charge_scale() {
+    let mut k = boot(MachineConfig::ppc604_185(), KernelConfig::optimized());
+    k.prefault(USER_BASE, 1).unwrap();
+    let ea = EffectiveAddress(USER_BASE);
+    k.data_ref(ea, false).unwrap();
+    // At 1/2 the resident load's issue cycle and L1 hit each floor to 0.
+    k.machine.set_scale(1, 2);
+    let c0 = k.machine.cycles;
+    let c = k.data_ref(ea, false).unwrap();
+    assert_eq!(c, k.machine.cycles - c0);
+}

@@ -3,6 +3,7 @@
 
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::EffectiveAddress;
+use ppc_mmu::bat::BatEntry;
 use ppc_mmu::pte::Pte;
 
 use crate::check::CheckConfig;
@@ -81,11 +82,38 @@ fn panic_message(result: std::thread::Result<()>) -> String {
 }
 
 #[test]
+fn checked_references_through_an_unmarkable_bat_block_complete() {
+    // A 64 MiB data BAT over the 32 MiB linear map: every address in it
+    // passes the BAT audit, but its whole block is not legal, so the
+    // register is never marked and each reference is audited again. Each
+    // must still complete, with the cycles and BAT hits of an unchecked run.
+    let run = |check: Option<CheckConfig>| {
+        let mut k = Kernel::boot(
+            MachineConfig::ppc604_185(),
+            KernelConfig {
+                check,
+                ..KernelConfig::optimized()
+            },
+        );
+        let block = BatEntry::new(0xc000_0000, 0, 64 << 20, true);
+        k.machine.mmu.bats.set_dbat(0, Some(block));
+        let (c0, hits0) = (k.machine.cycles, k.machine.mmu.bats.dbat_hits);
+        for i in 0..1_000u32 {
+            k.kdata_ref((i * 4_160) % (16 << 20), i % 3 == 0);
+        }
+        (k.machine.cycles - c0, k.machine.mmu.bats.dbat_hits - hits0)
+    };
+    let unchecked = run(None);
+    assert_eq!(unchecked.1, 1_000);
+    assert_eq!(run(Some(CheckConfig::full())), unchecked);
+}
+
+#[test]
 fn stale_audited_slot_is_caught_at_its_next_hit() {
-    // The stale slot has been audited and served on the audited fused path
-    // before the buggy flush. The retirement must clear its audit mark, so
-    // the very next hit is audited again — on the layered path, naming the
-    // D-TLB — instead of riding the fused path until a sweep.
+    // The stale slot has been audited and served by the audited instance
+    // without a new audit before the buggy flush. The retirement must clear
+    // its audit mark, so the very next hit is audited again — naming the
+    // D-TLB — instead of being served unaudited until a sweep.
     let result = std::panic::catch_unwind(|| {
         let mut k = Kernel::boot(
             MachineConfig::ppc604_185(),
@@ -100,8 +128,8 @@ fn stale_audited_slot_is_caught_at_its_next_hit() {
         let (slot, _) = k.machine.mmu.dtlb.peek(va.vsid, va.page_index).unwrap();
         assert!(k.machine.mmu.dtlb.audited(slot), "warm slot left unaudited");
         assert!(
-            k.machine.fused_data_ref_audited(ea, false).is_some(),
-            "the audited fused path refused an audited slot"
+            k.machine.data_ref::<true>(ea, false).is_ok(),
+            "the audited instance refused an audited slot"
         );
         k.user_read(USER_BASE, 8 * 4096).unwrap();
         k.set_buggy_skip_vsid_flush(true);

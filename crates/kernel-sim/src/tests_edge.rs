@@ -15,6 +15,12 @@ fn boot(kcfg: KernelConfig) -> Kernel {
     k
 }
 
+/// The frame the current task's page tables map the page at `ea` to.
+fn frame_of(k: &Kernel, ea: u32) -> u32 {
+    let pte = k.cur().pt.walk(&k.phys, EffectiveAddress(ea)).pte;
+    pte.expect("mapped page").pfn() << 12
+}
+
 #[test]
 fn flush_cutoff_boundary_is_strict() {
     // `pages > cutoff` bumps; `pages == cutoff` flushes per page.
@@ -154,23 +160,13 @@ fn page_clearing_policies_preserve_zeroing_semantics() {
         // Dirty a frame, free it, reallocate it.
         let addr = k.sys_mmap(None, PAGE_SIZE);
         k.data_ref(EffectiveAddress(addr), true).unwrap();
-        let (pa, _) = k
-            .translate_ref(
-                EffectiveAddress(addr),
-                ppc_mmu::translate::AccessType::DataRead,
-            )
-            .unwrap();
+        let pa = frame_of(&k, addr);
         k.phys.write_u32(pa, 0xdead_beef);
         k.sys_munmap(addr, PAGE_SIZE);
         k.run_idle(200_000);
         let addr2 = k.sys_mmap(None, PAGE_SIZE);
         k.data_ref(EffectiveAddress(addr2), false).unwrap();
-        let (pa2, _) = k
-            .translate_ref(
-                EffectiveAddress(addr2),
-                ppc_mmu::translate::AccessType::DataRead,
-            )
-            .unwrap();
+        let pa2 = frame_of(&k, addr2);
         assert_eq!(
             k.phys.read_u32(pa2),
             0,

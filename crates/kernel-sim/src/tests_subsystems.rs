@@ -218,14 +218,9 @@ fn file_mmap_shares_page_cache_frames() {
     let addr = k.sys_mmap(Some(f), 16 * PAGE_SIZE);
     k.prefault(addr, 16).unwrap();
     // No anonymous frames were consumed for the file pages.
-    let (pa, _) = k
-        .translate_ref(
-            EffectiveAddress(addr),
-            ppc_mmu::translate::AccessType::DataRead,
-        )
-        .unwrap();
+    let pte = k.cur().pt.walk(&k.phys, EffectiveAddress(addr)).pte;
     assert_eq!(
-        pa & !0xfff,
+        pte.expect("mapped page").pfn() << 12,
         k.files[f].pages[0].expect("resident cache page"),
         "mapping points at the cache page"
     );

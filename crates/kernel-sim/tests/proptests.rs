@@ -211,8 +211,9 @@ proptest! {
     }
 
     /// End-to-end translation stability: after faulting a page in, repeated
-    /// references translate to the same physical frame, whatever mix of
-    /// reads and writes follows.
+    /// references translate to the same physical frame (the one the D-TLB
+    /// holds after each reference), whatever mix of reads and writes
+    /// follows.
     #[test]
     fn translation_is_stable(offsets in proptest::collection::vec(
         (0u32..16, 0u32..(PAGE_SIZE / 4), any::<bool>()), 1..60)) {
@@ -223,18 +224,15 @@ proptest! {
         let mut frame_of = std::collections::HashMap::new();
         for &(page, word, write) in &offsets {
             let ea = EffectiveAddress(USER_BASE + page * PAGE_SIZE + word * 4);
-            let (pa, cached) = k.translate_ref(ea, if write {
-                ppc_mmu::translate::AccessType::DataWrite
-            } else {
-                ppc_mmu::translate::AccessType::DataRead
-            }).unwrap();
-            prop_assert!(cached);
-            prop_assert_eq!(pa & 0xfff, ea.0 & 0xfff, "offset preserved");
-            let frame = pa >> 12;
+            k.data_ref(ea, write).unwrap();
+            let va = k.machine.mmu.segments.translate(ea);
+            let (_, e) = k.machine.mmu.dtlb.peek(va.vsid, va.page_index)
+                .expect("a completed reference leaves its translation resident");
+            prop_assert!(e.cached);
             if let Some(&prev) = frame_of.get(&page) {
-                prop_assert_eq!(prev, frame, "page {} moved frames", page);
+                prop_assert_eq!(prev, e.rpn, "page {} moved frames", page);
             }
-            frame_of.insert(page, frame);
+            frame_of.insert(page, e.rpn);
         }
     }
 
@@ -536,61 +534,5 @@ proptest! {
         let plain = run(None);
         let ident = run(Some(causal));
         prop_assert_eq!(plain, ident, "all-1/1 must be invisible");
-    }
-}
-
-proptest! {
-    /// Fast-path fusion is a pure host-side encoding choice (DESIGN.md
-    /// §16): one random stream of loads, stores and instruction fetches —
-    /// spanning BAT-covered kernel structures, TLB-resident user pages,
-    /// never-touched pages (hash-table reload and demand-fault territory),
-    /// read-only copy-on-write pages planted by `fork`, and wild pointers —
-    /// produces identical per-op outcomes, the same final cycle count, and
-    /// bit-identical kernel and hardware counters whether the kernel serves
-    /// it through the fused path or the layered one.
-    #[test]
-    fn fused_and_layered_streams_are_bit_identical(
-        ops in proptest::collection::vec((0u8..9, 0u32..48, 0u32..(PAGE_SIZE / 4)), 1..120),
-    ) {
-        let run = |fused: bool| {
-            let mut cfg = KernelConfig::optimized();
-            cfg.fused = fused;
-            let mut k = Kernel::boot(MachineConfig::ppc604_133(), cfg);
-            let pid = k.spawn_process(48).unwrap();
-            k.switch_to(pid);
-            // A prefaulted region for guaranteed TLB/cache hits; pages past
-            // it exercise the reload and fault paths on first touch.
-            k.prefault(USER_BASE, 12).unwrap();
-            let mut outcomes: Vec<Result<u64, kernel_sim::KernelError>> = Vec::new();
-            for &(op, page, word) in &ops {
-                if k.current.is_none() {
-                    // A wild pointer killed the task: respawn so both runs
-                    // continue the stream from identical state.
-                    let pid = k.spawn_process(48).unwrap();
-                    k.switch_to(pid);
-                    k.prefault(USER_BASE, 12).unwrap();
-                }
-                let hot = EffectiveAddress(USER_BASE + (page % 12) * PAGE_SIZE + word * 4);
-                let cold = EffectiveAddress(USER_BASE + page * PAGE_SIZE + word * 4);
-                let r = match op {
-                    0 => k.data_ref(hot, false),
-                    1 => k.data_ref(hot, true),
-                    2 => k.exec_code(hot, 1 + word % 32),
-                    3 => k.data_ref(cold, false),
-                    4 => k.data_ref(cold, true),
-                    5 => k.exec_code(cold, 1 + word % 32),
-                    // Kernel linear map: BAT-covered territory.
-                    6 => Ok(k.mem_map_ref(page * PAGE_SIZE, word % 2 == 0)),
-                    // Plants read-only COW pages: the next store to a hot
-                    // page protection-faults instead of hitting.
-                    7 => k.sys_fork().map(|_| 0),
-                    // Wild pointer between heap and stack: SIGSEGV.
-                    _ => k.data_ref(EffectiveAddress(0x5000_0000 + page * PAGE_SIZE), true),
-                };
-                outcomes.push(r);
-            }
-            (outcomes, k.machine.cycles, k.stats_snapshot())
-        };
-        prop_assert_eq!(run(true), run(false));
     }
 }

@@ -1,8 +1,8 @@
 //! The machine: MMU + memory system + cycle accumulator.
 
 use ppc_cache::hierarchy::MemSystem;
-use ppc_mmu::addr::{phys, EffectiveAddress, PhysAddr, VirtualAddress, PAGE_SIZE};
-use ppc_mmu::translate::Mmu;
+use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
+use ppc_mmu::translate::{AccessType, Miss, Mmu};
 
 use crate::config::MachineConfig;
 use crate::monitor::MonitorSnapshot;
@@ -10,49 +10,31 @@ use crate::pmu::Pmu;
 use crate::time::SimTime;
 use crate::Cycles;
 
-/// Outcome of a memory reference at the machine level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemRefOutcome {
-    /// Translated and performed.
-    Done {
-        /// Physical address accessed.
-        pa: PhysAddr,
-    },
-    /// The TLB missed and no reload source resolved it: a page fault the OS
-    /// must service.
-    Fault {
-        /// The faulting virtual address.
-        va: VirtualAddress,
-    },
-}
-
-/// What a TLB-miss reload found, reported by the OS layer back to the
-/// experiment harness for counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReloadOutcome {
-    /// Found in the hash table (a hash-table hit on a TLB miss).
-    HtabHit,
-    /// Hash table missed; the Linux page-table tree supplied the PTE.
-    LinuxPtHit,
-    /// Neither held the mapping: a real page fault.
-    PageFault,
-}
-
 /// One simulated machine: configuration, MMU state, cache state, and the
 /// cycle clock.
 ///
-/// The machine prices accesses but contains no OS policy; the kernel
-/// simulator (`kernel-sim`) drives it and implements reload/fault paths.
+/// The machine prices accesses but contains no OS policy: a reference
+/// either completes or returns the [`Miss`] it takes, and the kernel
+/// simulator (`kernel-sim`) services the miss and executes it again.
 ///
 /// # Examples
 ///
 /// ```
 /// use ppc_machine::{Machine, MachineConfig};
+/// use ppc_mmu::{AccessType, EffectiveAddress, Miss};
+/// use ppc_mmu::tlb::TlbEntry;
 ///
 /// let mut m = Machine::new(MachineConfig::ppc604_185());
-/// let before = m.cycles;
-/// m.data_read_pa(0x4000, true);
-/// assert!(m.cycles > before);
+/// let ea = EffectiveAddress(0x3040);
+/// let Err(Miss::Tlb { va }) = m.data_ref::<false>(ea, false) else {
+///     panic!("a cold TLB misses");
+/// };
+/// assert_eq!(m.cycles, 0, "a miss charges nothing");
+/// m.mmu.reload(AccessType::DataRead, TlbEntry {
+///     vsid: va.vsid, page_index: va.page_index, rpn: 0x40, cached: true, writable: true,
+/// });
+/// let cost = m.data_ref::<false>(ea, false).unwrap();
+/// assert_eq!(cost, m.cycles);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -158,166 +140,71 @@ impl Machine {
         self.advance(n);
     }
 
-    /// Performs a data read at a known physical address.
-    pub fn data_read_pa(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
-        let c = self.mem.data_read(pa, cached);
-        self.advance(c)
-    }
-
-    /// Performs a data write at a known physical address.
-    pub fn data_write_pa(&mut self, pa: PhysAddr, cached: bool) -> Cycles {
-        let c = self.mem.data_write(pa, cached);
-        self.advance(c)
-    }
-
-    /// The fused fast path for one data reference (DESIGN.md §16): BAT or
-    /// TLB hit, cacheable, protection-clean, charge scale 1/1 — one flat
-    /// function instead of the layered
-    /// `Mmu::translate` → `Machine::charge` → `data_read_pa`/`data_write_pa`
-    /// chain, committing *identical* state transitions (clock, TLB/BAT/cache
-    /// counters, LRU, dirty bits) in the same order.
+    /// One data reference (a load or, with `write`, a store of one word):
+    /// translates `ea` ([`Mmu::translate`], audited with `AUDITED`), then
+    /// performs the access through the memory system and charges it.
+    /// Returns the cycles charged, which are exactly the clock's advance, or
+    /// the [`Miss`] the reference takes, having charged nothing
+    /// (DESIGN.md §16). A cache-inhibited mapping is no miss: the access
+    /// bypasses the cache.
     ///
-    /// Returns `None` — with **no** state mutated — whenever any fast-path
-    /// condition fails (charge scale engaged, BAT/TLB translation missing or
-    /// uncached, store through a read-only entry), so the caller's layered
-    /// path re-runs the access and counts it exactly once. Once translation
-    /// has committed, the cache access is the real [`MemSystem::data_read`]
-    /// / [`MemSystem::data_write`]: a hit commits inline, and a miss takes
-    /// the memory system's one miss tail (fills, evictions, writebacks).
-    pub fn fused_data_ref(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
-        self.fused_data_ref_as::<false>(ea, write)
-    }
-
-    /// [`Machine::fused_data_ref`] for a kernel whose consistency checker
-    /// audits every translation: it also bails when the BAT register or TLB
-    /// slot carries no audit mark, so the layered path can audit and mark
-    /// it.
-    pub fn fused_data_ref_audited(&mut self, ea: EffectiveAddress, write: bool) -> Option<Cycles> {
-        self.fused_data_ref_as::<true>(ea, write)
-    }
-
-    /// The body of [`Machine::fused_data_ref`] and
-    /// [`Machine::fused_data_ref_audited`], generic over auditing. Both
-    /// instances are compiled in this crate, where the charge and
-    /// memory-system calls they make inline.
+    /// The issue cycle and the access are two charges, so under a causal
+    /// scale each floors on its own. Always inlined, translation and cache
+    /// hit arm included, so the caller's first attempt is one flat body.
     #[inline(always)]
-    fn fused_data_ref_as<const AUDITED: bool>(
+    pub fn data_ref<const AUDITED: bool>(
         &mut self,
         ea: EffectiveAddress,
         write: bool,
-    ) -> Option<Cycles> {
-        if self.scale_num != self.scale_den {
-            return None;
-        }
-        let pa = match self.mmu.bats.probe_data(ea) {
-            Some(hit) => {
-                if !hit.cached || (AUDITED && !hit.audited) {
-                    return None;
-                }
-                self.mmu.bats.dbat_hits += 1;
-                hit.pa
-            }
-            None => {
-                let va = self.mmu.segments.translate(ea);
-                let (idx, e) = self.mmu.dtlb.peek(va.vsid, va.page_index)?;
-                if !e.cached || (write && !e.writable) || (AUDITED && !self.mmu.dtlb.audited(idx)) {
-                    return None;
-                }
-                self.mmu.dtlb.commit_hit(idx);
-                phys(e.rpn, va.offset)
-            }
-        };
-        // Translation is committed; the cache access is the layered one
-        // (a hit inline, a miss through the memory system's miss tail), and
-        // at charge scale 1/1 its cost and the reference's own cycle reach
-        // the clock unscaled.
-        let cost = 1 + if write {
-            self.mem.data_write(pa, true)
+    ) -> Result<Cycles, Miss> {
+        let at = if write {
+            AccessType::DataWrite
         } else {
-            self.mem.data_read(pa, true)
+            AccessType::DataRead
         };
-        self.cycles += cost;
-        Some(cost)
+        let (pa, cached) = self.mmu.translate::<AUDITED>(ea, at)?;
+        let access = if write {
+            self.mem.data_write(pa, cached)
+        } else {
+            self.mem.data_read(pa, cached)
+        };
+        Ok(self.advance(1) + self.advance(access))
     }
 
-    /// The fused fast path for a straight-line instruction fetch within one
-    /// page: the I-side twin of [`Machine::fused_data_ref`]. Same bail-out
-    /// contract (`None` mutates nothing); after the translation commits,
-    /// each line is one real [`MemSystem::insn_fetch`].
+    /// A straight-line fetch of `n_insns` instructions within one page: the
+    /// fetch twin of [`Machine::data_ref`], charged once for the whole fetch
+    /// as [`Machine::exec_code_pa`] charges it.
     ///
     /// # Panics
     ///
-    /// Panics if the fetch crosses a page boundary (callers split at pages,
-    /// exactly like the layered `exec_code` loop).
-    pub fn fused_exec_code(&mut self, ea: EffectiveAddress, n_insns: u32) -> Option<Cycles> {
-        self.fused_exec_code_as::<false>(ea, n_insns)
-    }
-
-    /// [`Machine::fused_exec_code`] serving only audited translations, like
-    /// [`Machine::fused_data_ref_audited`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::fused_exec_code`].
-    pub fn fused_exec_code_audited(
-        &mut self,
-        ea: EffectiveAddress,
-        n_insns: u32,
-    ) -> Option<Cycles> {
-        self.fused_exec_code_as::<true>(ea, n_insns)
-    }
-
-    /// The body of [`Machine::fused_exec_code`] and
-    /// [`Machine::fused_exec_code_audited`] (see
-    /// [`Machine::fused_data_ref_as`]).
+    /// Panics if the fetch crosses a page boundary (callers split at pages).
     #[inline(always)]
-    fn fused_exec_code_as<const AUDITED: bool>(
+    pub fn exec_code<const AUDITED: bool>(
         &mut self,
         ea: EffectiveAddress,
         n_insns: u32,
-    ) -> Option<Cycles> {
-        if self.scale_num != self.scale_den {
-            return None;
-        }
-        let pa = match self.mmu.bats.probe_insn(ea) {
-            Some(hit) => {
-                if !hit.cached || (AUDITED && !hit.audited) {
-                    return None;
-                }
-                self.mmu.bats.ibat_hits += 1;
-                hit.pa
-            }
-            None => {
-                let va = self.mmu.segments.translate(ea);
-                let (idx, e) = self.mmu.itlb.peek(va.vsid, va.page_index)?;
-                if !e.cached || (AUDITED && !self.mmu.itlb.audited(idx)) {
-                    return None;
-                }
-                self.mmu.itlb.commit_hit(idx);
-                phys(e.rpn, va.offset)
-            }
-        };
-        let bytes = n_insns * 4;
+    ) -> Result<Cycles, Miss> {
+        let (pa, cached) = self.mmu.translate::<AUDITED>(ea, AccessType::InsnFetch)?;
         assert!(
-            (pa & (PAGE_SIZE - 1)) + bytes <= PAGE_SIZE,
-            "fused fetch must not cross a page"
+            (pa & (PAGE_SIZE - 1)) + n_insns * 4 <= PAGE_SIZE,
+            "a fetch must not cross a page"
         );
-        let line = self.mem.icache.config().line_bytes;
-        let mut fetched: Cycles = 0;
-        let mut a = pa & !(line - 1);
-        while a < pa + bytes {
-            fetched += self.mem.insn_fetch(a, true);
-            a += line;
-        }
-        let total = fetched + n_insns as Cycles;
-        self.cycles += total;
-        Some(total)
+        let c = self.fetch(pa, n_insns, cached);
+        Ok(self.advance(c))
     }
 
     /// Fetches instructions from a known physical address, one access per
     /// cache line covered by `n_insns` 4-byte instructions, plus 1 cycle per
     /// instruction of pipeline work.
     pub fn exec_code_pa(&mut self, pa: PhysAddr, n_insns: u32, cached: bool) -> Cycles {
+        let c = self.fetch(pa, n_insns, cached);
+        self.advance(c)
+    }
+
+    /// The unscaled cost of a fetch: [`Machine::exec_code_pa`] before its
+    /// one charge.
+    #[inline(always)]
+    fn fetch(&mut self, pa: PhysAddr, n_insns: u32, cached: bool) -> Cycles {
         let line = self.mem.icache.config().line_bytes;
         let bytes = n_insns * 4;
         let mut fetched = 0;
@@ -326,8 +213,7 @@ impl Machine {
             fetched += self.mem.insn_fetch(a, cached);
             a += line;
         }
-        let total = fetched + n_insns as Cycles;
-        self.advance(total)
+        fetched + n_insns as Cycles
     }
 
     /// Zeroes one page at `page_pa`, through or around the cache (paper §9).
@@ -424,6 +310,9 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use ppc_mmu::addr::Vsid;
+    use ppc_mmu::bat::BatEntry;
+    use ppc_mmu::tlb::TlbEntry;
 
     #[test]
     fn exec_code_charges_fetch_plus_pipeline() {
@@ -465,159 +354,241 @@ mod tests {
         assert_eq!(b.mem.dcache.resident_lines(), 0);
     }
 
+    /// A TLB entry for page `page_index` of VSID 0.
+    fn entry(page_index: u32, rpn: u32, cached: bool, writable: bool) -> TlbEntry {
+        TlbEntry {
+            vsid: Vsid::new(0),
+            page_index,
+            rpn,
+            cached,
+            writable,
+        }
+    }
+
+    /// A machine with one resident, writable, cached data+insn translation
+    /// for page 3 (rpn 0x40).
+    fn resident(cfg: MachineConfig) -> Machine {
+        let mut m = Machine::new(cfg);
+        m.mmu
+            .reload(AccessType::DataRead, entry(3, 0x40, true, true));
+        m.mmu
+            .reload(AccessType::InsnFetch, entry(3, 0x40, true, true));
+        m
+    }
+
     #[test]
     fn snapshot_delta_counts_window() {
-        let mut m = Machine::new(MachineConfig::ppc604_185());
-        m.data_read_pa(0, true);
+        let mut m = resident(MachineConfig::ppc604_185());
+        m.data_ref::<false>(EffectiveAddress(3 << 12), false)
+            .unwrap();
         let s1 = m.snapshot();
-        m.data_read_pa(0x10000, true);
+        m.data_ref::<false>(EffectiveAddress(3 << 12 | 0x800), false)
+            .unwrap();
         let s2 = m.snapshot();
         let d = s2.delta(&s1);
-        assert_eq!(d.dcache.accesses, 1);
+        assert_eq!((d.dcache.accesses, d.dtlb.hits), (1, 1));
         assert!(d.cycles > 0);
     }
 
     #[test]
     fn scale_halves_charges_and_returns_charged_amount() {
-        let mut m = Machine::new(MachineConfig::ppc604_185());
+        let mut m = resident(MachineConfig::ppc604_185());
         m.set_scale(1, 2);
         let before = m.cycles;
         m.charge(100);
         assert_eq!(m.cycles - before, 50);
-        // Returned cost equals the clock delta, not the unscaled cost.
+        // Returned costs equal the clock delta, not the unscaled cost.
         let c0 = m.cycles;
-        let c = m.data_read_pa(0x4000, true);
+        let c = m
+            .data_ref::<false>(EffectiveAddress(3 << 12), false)
+            .unwrap();
+        assert_eq!(c, m.cycles - c0);
+        let c0 = m.cycles;
+        let c = m.exec_code::<false>(EffectiveAddress(3 << 12), 16).unwrap();
         assert_eq!(c, m.cycles - c0);
     }
 
-    /// A machine with one resident, writable, cached data+insn translation
-    /// for page 3 (rpn 0x40), ready for fast-path probes.
-    fn resident(cfg: MachineConfig) -> Machine {
-        use ppc_mmu::tlb::TlbEntry;
-        use ppc_mmu::translate::AccessType;
-        let mut m = Machine::new(cfg);
-        let e = TlbEntry {
-            vsid: ppc_mmu::addr::Vsid::new(0),
-            page_index: 3,
-            rpn: 0x40,
-            cached: true,
-            writable: true,
-        };
-        m.mmu.reload(AccessType::DataRead, e);
-        m.mmu.reload(AccessType::InsnFetch, e);
-        m
-    }
-
     #[test]
-    fn fused_data_ref_matches_layered_on_hits_and_misses() {
-        use ppc_mmu::translate::{AccessType, Translation};
+    fn data_ref_charges_issue_cycle_plus_access() {
+        // A completed reference costs one issue cycle plus the memory
+        // system's price for its access, cold (the miss tail) and then warm,
+        // and leaves the data cache as a bare memory system driven alike.
+        let cfg = MachineConfig::ppc604_133();
         for write in [false, true] {
-            let mut f = resident(MachineConfig::ppc604_133());
-            let mut l = resident(MachineConfig::ppc604_133());
-            let ea = EffectiveAddress(3 << 12 | 0x40);
-            // First access: translation hits, cache misses (fused tail
-            // delegates); second: everything hits (flat fused path).
+            let mut m = resident(cfg);
+            let mut mem = MemSystem::new(cfg.mem);
+            let (ea, pa) = (EffectiveAddress(3 << 12 | 0x40), 0x40 << 12 | 0x40);
             for _ in 0..2 {
-                let cf = f.fused_data_ref(ea, write).expect("resident page must fuse");
-                let (pa, cached) = match l.mmu.translate(ea, AccessType::DataRead) {
-                    Translation::TlbHit { pa, cached, .. } => (pa, cached),
-                    t => panic!("layered reference must TLB-hit, got {t:?}"),
-                };
-                l.charge(1);
-                let cl = 1 + if write {
-                    l.data_write_pa(pa, cached)
+                let access = if write {
+                    mem.data_write(pa, true)
                 } else {
-                    l.data_read_pa(pa, cached)
+                    mem.data_read(pa, true)
                 };
-                assert_eq!(cf, cl, "fused cost diverged (write={write})");
-                assert_eq!(f.snapshot(), l.snapshot(), "counters diverged (write={write})");
+                let c0 = m.cycles;
+                assert_eq!(m.data_ref::<false>(ea, write), Ok(1 + access));
+                assert_eq!(m.cycles - c0, 1 + access);
+                assert_eq!(m.mem.dcache.stats(), mem.dcache.stats());
             }
+            assert_eq!(m.mmu.dtlb.stats().hits, 2);
         }
     }
 
     #[test]
-    fn fused_exec_code_matches_layered() {
-        use ppc_mmu::translate::{AccessType, Translation};
-        let mut f = resident(MachineConfig::ppc603_133());
-        let mut l = resident(MachineConfig::ppc603_133());
-        // 16 insns starting 16 bytes into a line: spans 3 lines, cold then
-        // warm, exactly like the layered exec_code_pa tests above.
+    fn exec_code_charges_like_exec_code_pa() {
+        let mut m = resident(MachineConfig::ppc603_133());
+        let mut pa_side = Machine::new(MachineConfig::ppc603_133());
+        // 16 instructions starting 16 bytes into a line span 3 lines; cold,
+        // then warm.
         let ea = EffectiveAddress(3 << 12 | 0x10);
         for _ in 0..2 {
-            let cf = f.fused_exec_code(ea, 16).expect("resident page must fuse");
-            let (pa, cached) = match l.mmu.translate(ea, AccessType::InsnFetch) {
-                Translation::TlbHit { pa, cached, .. } => (pa, cached),
-                t => panic!("layered reference must TLB-hit, got {t:?}"),
-            };
-            let cl = l.exec_code_pa(pa, 16, cached);
-            assert_eq!(cf, cl, "fused fetch cost diverged");
-            assert_eq!(f.snapshot(), l.snapshot(), "counters diverged");
+            let c = pa_side.exec_code_pa(0x40 << 12 | 0x10, 16, true);
+            assert_eq!(m.exec_code::<false>(ea, 16), Ok(c));
+            assert_eq!(m.cycles, pa_side.cycles);
+            assert_eq!(m.mem.icache.stats(), pa_side.mem.icache.stats());
         }
+        assert_eq!(m.mmu.itlb.stats().hits, 2);
     }
 
     #[test]
-    fn fused_bails_are_stat_neutral() {
-        // TLB miss: nothing resident at page 9.
+    fn tlb_miss_counts_one_lookup_and_one_miss_and_charges_nothing() {
         let mut m = resident(MachineConfig::ppc604_133());
         let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(9 << 12), false).is_none());
-        assert!(m.fused_exec_code(EffectiveAddress(9 << 12), 4).is_none());
-        assert_eq!(m.snapshot(), before, "a bail must not move any counter");
+        let ea = EffectiveAddress(9 << 12 | 0x24);
+        let miss = m.data_ref::<false>(ea, true);
+        let Err(Miss::Tlb { va }) = miss else {
+            panic!("expected a TLB miss, got {miss:?}");
+        };
+        assert_eq!((va.page_index, va.offset), (9, 0x24));
+        assert!(matches!(m.exec_code::<true>(ea, 4), Err(Miss::Tlb { .. })));
+        let d = m.snapshot().delta(&before);
+        assert_eq!((d.dtlb.lookups, d.dtlb.misses, d.dtlb.hits), (1, 1, 0));
+        assert_eq!((d.itlb.lookups, d.itlb.misses, d.itlb.hits), (1, 1, 0));
+        assert_eq!(d.cycles, 0, "a miss charges nothing");
+        assert_eq!((d.dcache.accesses, d.icache.accesses), (0, 0));
+    }
 
-        // Store through a read-only entry (copy-on-write territory).
+    #[test]
+    fn protection_miss_counts_the_hit_and_charges_nothing() {
         let mut m = Machine::new(MachineConfig::ppc604_133());
-        m.mmu.reload(
-            ppc_mmu::translate::AccessType::DataRead,
-            ppc_mmu::tlb::TlbEntry {
-                vsid: ppc_mmu::addr::Vsid::new(0),
-                page_index: 3,
-                rpn: 0x40,
-                cached: true,
-                writable: false,
-            },
-        );
+        // Two entries in one TLB set, the read-only one least recently used.
+        m.mmu
+            .reload(AccessType::DataRead, entry(3, 0x40, true, false));
+        m.mmu
+            .reload(AccessType::DataRead, entry(3 + 64, 0x41, true, true));
         let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(3 << 12), true).is_none());
-        assert_eq!(m.snapshot(), before);
-
-        // An engaged causal charge scale forces the layered path entirely.
-        let mut m = resident(MachineConfig::ppc604_133());
-        m.set_scale(1, 2);
-        let before = m.snapshot();
-        assert!(m.fused_data_ref(EffectiveAddress(3 << 12), false).is_none());
-        assert!(m.fused_exec_code(EffectiveAddress(3 << 12), 4).is_none());
-        assert_eq!(m.snapshot(), before);
+        let ea = EffectiveAddress(3 << 12 | 0x8);
+        let fault = Err(Miss::Protection {
+            pa: 0x40 << 12 | 0x8,
+            cached: true,
+        });
+        assert_eq!(m.data_ref::<false>(ea, true), fault);
+        let d = m.snapshot().delta(&before);
+        assert_eq!((d.dtlb.lookups, d.dtlb.hits, d.dtlb.misses), (1, 1, 0));
+        assert_eq!((d.cycles, d.dcache.accesses), (0, 0));
+        // The hit stamped the entry most recently used: a refill of the set
+        // evicts the other way.
+        m.mmu
+            .reload(AccessType::DataRead, entry(3 + 128, 0x42, true, true));
+        assert!(m.mmu.dtlb.peek(Vsid::new(0), 3).is_some());
+        assert!(m.mmu.dtlb.peek(Vsid::new(0), 3 + 64).is_none());
+        // Protection comes before the audit mark, and a load completes.
+        assert_eq!(m.data_ref::<true>(ea, true), fault);
+        assert!(m.data_ref::<false>(ea, false).is_ok());
     }
 
     #[test]
-    fn audited_fused_path_serves_only_marked_translations() {
-        use ppc_mmu::addr::Vsid;
-        use ppc_mmu::bat::BatEntry;
+    fn unaudited_miss_changes_nothing_and_an_audited_hit_commits() {
         let mut m = resident(MachineConfig::ppc604_133());
         let ea = EffectiveAddress(3 << 12);
         let before = m.snapshot();
-        assert!(m.fused_data_ref_audited(ea, false).is_none());
-        assert!(m.fused_exec_code_audited(ea, 4).is_none());
-        assert_eq!(
-            m.snapshot(),
-            before,
-            "an unmarked slot bails stat-neutrally"
-        );
+        let unaudited = Err(Miss::Unaudited {
+            bat: false,
+            pa: 0x40 << 12,
+            cached: true,
+            writable: true,
+        });
+        assert_eq!(m.data_ref::<true>(ea, false), unaudited);
+        assert!(matches!(
+            m.exec_code::<true>(ea, 4),
+            Err(Miss::Unaudited { bat: false, .. })
+        ));
+        assert_eq!(m.snapshot(), before, "an unaudited miss commits nothing");
         m.mmu.dtlb.mark_audited(Vsid::new(0), 3);
         m.mmu.itlb.mark_audited(Vsid::new(0), 3);
-        assert!(m.fused_data_ref_audited(ea, false).is_some());
-        assert!(m.fused_exec_code_audited(ea, 4).is_some());
+        assert!(m.data_ref::<true>(ea, false).is_ok());
+        assert!(m.exec_code::<true>(ea, 4).is_ok());
+        let d = m.snapshot().delta(&before);
+        assert_eq!((d.dtlb.hits, d.itlb.hits), (1, 1));
         m.mmu.clear_audit_marks();
-        assert!(m.fused_data_ref_audited(ea, false).is_none());
+        assert_eq!(m.data_ref::<true>(ea, false), unaudited);
+        assert!(m.data_ref::<false>(ea, false).is_ok(), "no mark needed");
 
-        // A BAT register serves the audited path once its block is marked.
+        // A BAT register serves the audited instance once it is marked.
         let kea = EffectiveAddress(0xc000_0040);
         m.mmu
             .bats
             .set_dbat(0, Some(BatEntry::new(0xc000_0000, 0, 8 << 20, true)));
-        assert!(m.fused_data_ref_audited(kea, false).is_none());
+        let before = m.snapshot();
+        assert_eq!(
+            m.data_ref::<true>(kea, false),
+            Err(Miss::Unaudited {
+                bat: true,
+                pa: 0x40,
+                cached: true,
+                writable: true,
+            })
+        );
+        assert_eq!(m.snapshot(), before);
         m.mmu.bats.mark_audited(true, kea, |_| true);
-        assert!(m.fused_data_ref_audited(kea, false).is_some());
+        assert!(m.data_ref::<true>(kea, false).is_ok());
+        assert_eq!(m.snapshot().delta(&before).dbat_hits, 1);
+    }
+
+    #[test]
+    fn uncached_bat_and_tlb_mappings_complete_cache_inhibited() {
+        let mut m = Machine::new(MachineConfig::ppc604_133());
+        let io = BatEntry::new(0xf000_0000, 0xf000_0000, 16 << 20, false);
+        m.mmu.bats.set_dbat(3, Some(io));
+        m.mmu.bats.set_ibat(3, Some(io));
+        m.mmu
+            .reload(AccessType::DataRead, entry(3, 0x40, false, true));
+        m.mmu
+            .reload(AccessType::InsnFetch, entry(3, 0x40, false, true));
+        let bus = m.mem.bus;
+        for (ea, bat) in [(0xf00b_0000, true), (3 << 12, false)] {
+            let ea = EffectiveAddress(ea);
+            let before = m.snapshot();
+            assert_eq!(m.data_ref::<false>(ea, false), Ok(1 + bus.read_beat));
+            assert_eq!(m.data_ref::<false>(ea, true), Ok(1 + bus.write_beat));
+            // Four instructions: one inhibited fetch.
+            assert_eq!(m.exec_code::<false>(ea, 4), Ok(bus.read_beat + 4));
+            let d = m.snapshot().delta(&before);
+            assert_eq!((d.dcache.inhibited, d.dcache.accesses), (2, 0));
+            assert_eq!((d.icache.inhibited, d.icache.accesses), (1, 0));
+            let hits = if bat {
+                d.dbat_hits + d.ibat_hits
+            } else {
+                d.dtlb.hits + d.itlb.hits
+            };
+            assert_eq!(hits, 3);
+        }
+    }
+
+    #[test]
+    fn scale_floors_issue_cycle_and_access_apart_and_a_fetch_once() {
+        // L1 hits cost 1 cycle. At 1/2 a data hit charges
+        // floor(1/2) + floor(1/2) = 0, not floor(2/2) = 1; a warm
+        // 16-instruction fetch over two lines charges floor((2 + 16)/2) = 9
+        // once, not 8 line by line.
+        let mut m = resident(MachineConfig::ppc604_133());
+        let ea = EffectiveAddress(3 << 12);
+        m.data_ref::<false>(ea, false).unwrap();
+        m.exec_code::<false>(ea, 16).unwrap();
+        m.set_scale(1, 2);
+        let c0 = m.cycles;
+        assert_eq!(m.data_ref::<false>(ea, false), Ok(0));
+        assert_eq!(m.exec_code::<false>(ea, 16), Ok(9));
+        assert_eq!(m.cycles, c0 + 9);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! | `ppc604_185` | 604 | 185 MHz | 256 | 16K+16K | hardware |
 //! | `ppc604_200` | 604 | 200 MHz | 256 | 16K+16K | hardware, fast board |
 //!
-//! The machine executes *abstract references*: the kernel simulator and the
-//! workload generators call [`Machine::data_read_pa`] / [`Machine::exec_code_pa`]
-//! and the machine prices each reference through the BAT → TLB → (reload)
-//! pipeline and the cache hierarchy. TLB-miss handling is a callback into
-//! the OS layer, because that is precisely the part the paper varies.
+//! The machine executes *abstract references*: [`Machine::data_ref`] and
+//! [`Machine::exec_code`] translate each one through the BAT → TLB pipeline
+//! and price it through the cache hierarchy. A reference either completes
+//! or returns the [`ppc_mmu::Miss`] it takes, charging nothing: the TLB
+//! miss, the protection fault or the unaudited translation is serviced by
+//! the OS layer (`kernel-sim`), which then executes the reference again,
+//! because the miss handling is precisely the part the paper varies.
 
 pub mod config;
 pub mod cpu;
@@ -26,7 +28,7 @@ pub mod pmu;
 pub mod time;
 
 pub use config::{CpuModel, MachineConfig};
-pub use cpu::{Machine, MemRefOutcome, ReloadOutcome};
+pub use cpu::Machine;
 pub use exceptions::ExceptionCosts;
 pub use monitor::MonitorSnapshot;
 pub use pmu::{Mmcr0, PmcEvent, Pmu, PMC_NEGATIVE};

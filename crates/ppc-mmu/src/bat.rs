@@ -106,9 +106,9 @@ fn probe(bats: &[Option<BatEntry>; 4], marks: &[bool; 4], ea: EffectiveAddress) 
 /// let mut bats = BatSet::new();
 /// // Map 8 MiB of kernel at 0xC0000000 -> physical 0.
 /// bats.set_dbat(0, Some(BatEntry::new(0xc000_0000, 0, 8 << 20, true)));
-/// let (pa, cached) = bats.translate_data(EffectiveAddress(0xc012_3456)).unwrap();
-/// assert_eq!(pa, 0x0012_3456);
-/// assert!(cached);
+/// let hit = bats.probe_data(EffectiveAddress(0xc012_3456)).unwrap();
+/// assert_eq!(hit.pa, 0x0012_3456);
+/// assert!(hit.cached);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatSet {
@@ -151,30 +151,16 @@ impl BatSet {
         self.dbat_audited[index] = false;
     }
 
-    /// Attempts a data-side BAT translation.
-    pub fn translate_data(&mut self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        let hit = self.probe_data(ea)?;
-        self.dbat_hits += 1;
-        Some((hit.pa, hit.cached))
-    }
-
-    /// Attempts an instruction-side BAT translation.
-    pub fn translate_insn(&mut self, ea: EffectiveAddress) -> Option<(PhysAddr, bool)> {
-        let hit = self.probe_insn(ea)?;
-        self.ibat_hits += 1;
-        Some((hit.pa, hit.cached))
-    }
-
-    /// Stat-neutral data-side probe for the fused fast path: same match as
-    /// [`BatSet::translate_data`], plus the matching register's audit mark,
-    /// but does not count the hit. A caller that commits to the translation
-    /// must bump `dbat_hits` itself.
+    /// The data-side register whose block holds `ea`: its translation and
+    /// audit mark. Counts nothing; [`crate::Mmu::translate`] counts the hit
+    /// it commits in `dbat_hits`.
     #[inline]
     pub fn probe_data(&self, ea: EffectiveAddress) -> Option<BatHit> {
         probe(&self.dbat, &self.dbat_audited, ea)
     }
 
-    /// Stat-neutral instruction-side probe; see [`BatSet::probe_data`].
+    /// The instruction-side twin of [`BatSet::probe_data`] (hits are
+    /// counted in `ibat_hits`).
     #[inline]
     pub fn probe_insn(&self, ea: EffectiveAddress) -> Option<BatHit> {
         probe(&self.ibat, &self.ibat_audited, ea)
@@ -260,10 +246,8 @@ mod tests {
     fn data_and_insn_sides_are_separate() {
         let mut bats = BatSet::new();
         bats.set_ibat(0, Some(BatEntry::new(0xc000_0000, 0, BAT_MIN_LEN, true)));
-        assert!(bats.translate_insn(EffectiveAddress(0xc000_1000)).is_some());
-        assert!(bats.translate_data(EffectiveAddress(0xc000_1000)).is_none());
-        assert_eq!(bats.ibat_hits, 1);
-        assert_eq!(bats.dbat_hits, 0);
+        assert!(bats.probe_insn(EffectiveAddress(0xc000_1000)).is_some());
+        assert!(bats.probe_data(EffectiveAddress(0xc000_1000)).is_none());
     }
 
     #[test]
@@ -277,8 +261,8 @@ mod tests {
             1,
             Some(BatEntry::new(0xc000_0000, 0x0200_0000, BAT_MIN_LEN, false)),
         );
-        let (pa, _) = bats.translate_data(EffectiveAddress(0xc000_0abc)).unwrap();
-        assert_eq!(pa, 0x0100_0abc);
+        let hit = bats.probe_data(EffectiveAddress(0xc000_0abc)).unwrap();
+        assert_eq!(hit.pa, 0x0100_0abc);
     }
 
     #[test]
@@ -288,8 +272,8 @@ mod tests {
             3,
             Some(BatEntry::new(0xf000_0000, 0xf000_0000, 16 << 20, false)),
         );
-        let (_, cached) = bats.translate_data(EffectiveAddress(0xf00b_0000)).unwrap();
-        assert!(!cached);
+        let hit = bats.probe_data(EffectiveAddress(0xf00b_0000)).unwrap();
+        assert!(!hit.cached);
     }
 
     #[test]

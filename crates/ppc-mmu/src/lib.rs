@@ -53,4 +53,4 @@ pub use htab::{HashTable, HtabStats, InsertOutcome, ResizeOutcome, SearchOutcome
 pub use pte::Pte;
 pub use segment::SegmentRegisters;
 pub use tlb::{Tlb, TlbConfig, TlbStats};
-pub use translate::{AccessType, Mmu, MmuConfig, Translation};
+pub use translate::{AccessType, Miss, Mmu, MmuConfig};

@@ -174,8 +174,8 @@ fn match_key(vsid: Vsid, page_index: u32) -> u64 {
 /// tlb.insert(TlbEntry {
 ///     vsid: Vsid::new(1), page_index: 5, rpn: 0x99, cached: true, writable: true,
 /// });
-/// assert!(tlb.lookup(Vsid::new(1), 5).is_some());
-/// assert!(tlb.lookup(Vsid::new(2), 5).is_none());
+/// assert_eq!(tlb.peek(Vsid::new(1), 5).map(|(_, e)| e.rpn), Some(0x99));
+/// assert!(tlb.peek(Vsid::new(2), 5).is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
@@ -235,27 +235,11 @@ impl Tlb {
         (page_index & self.set_mask) as usize
     }
 
-    /// Looks up a translation. Counts a hit or miss.
-    pub fn lookup(&mut self, vsid: Vsid, page_index: u32) -> Option<TlbEntry> {
-        match self.peek(vsid, page_index) {
-            Some((idx, e)) => {
-                self.commit_hit(idx);
-                Some(e)
-            }
-            None => {
-                self.tick += 1;
-                self.stats.lookups += 1;
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stat-neutral probe for the fused fast path: finds the matching slot
-    /// (as a flat index into `self.slots`) *without* touching the tick, the
-    /// LRU stamp, or any counter. A hit the caller decides to take must be
-    /// followed by [`Tlb::commit_hit`]; a `None` (or an abandoned peek) leaves
-    /// the TLB exactly as it was, so a layered re-lookup counts once.
+    /// Finds the slot matching `(vsid, page_index)` (as a flat index into
+    /// `self.slots`) *without* touching the tick, the LRU stamp or any
+    /// counter. A lookup is one peek followed by [`Tlb::commit_hit`] or
+    /// [`Tlb::count_miss`] ([`crate::Mmu::translate`]); an abandoned peek
+    /// leaves the TLB exactly as it was.
     #[inline]
     pub fn peek(&self, vsid: Vsid, page_index: u32) -> Option<(usize, TlbEntry)> {
         let key = match_key(vsid, page_index);
@@ -302,14 +286,23 @@ impl Tlb {
         }
     }
 
-    /// Commits the hit found by [`Tlb::peek`]: exactly the bookkeeping
-    /// [`Tlb::lookup`] performs on a hit (tick, lookup + hit counters, LRU).
+    /// Commits the hit found by [`Tlb::peek`]: tick, lookup and hit
+    /// counters, LRU stamp.
     #[inline]
     pub fn commit_hit(&mut self, idx: usize) {
         self.tick += 1;
         self.stats.lookups += 1;
         self.stats.hits += 1;
         self.slots[idx].lru = self.tick;
+    }
+
+    /// Counts a lookup that [`Tlb::peek`] found no slot for: tick, lookup
+    /// and miss counters.
+    #[inline]
+    pub fn count_miss(&mut self) {
+        self.tick += 1;
+        self.stats.lookups += 1;
+        self.stats.misses += 1;
     }
 
     /// Inserts (reloads) a translation, evicting the LRU way of its set.
@@ -400,6 +393,20 @@ impl Tlb {
 mod tests {
     use super::*;
 
+    /// One counted lookup, as `Mmu::translate` makes it.
+    fn lookup(t: &mut Tlb, vsid: Vsid, page_index: u32) -> Option<TlbEntry> {
+        match t.peek(vsid, page_index) {
+            Some((idx, e)) => {
+                t.commit_hit(idx);
+                Some(e)
+            }
+            None => {
+                t.count_miss();
+                None
+            }
+        }
+    }
+
     fn entry(vsid: u32, pi: u32) -> TlbEntry {
         TlbEntry {
             vsid: Vsid::new(vsid),
@@ -429,9 +436,9 @@ mod tests {
     #[test]
     fn miss_then_reload_then_hit() {
         let mut t = Tlb::new(TlbConfig::ppc603_side());
-        assert!(t.lookup(Vsid::new(1), 7).is_none());
+        assert!(lookup(&mut t, Vsid::new(1), 7).is_none());
         t.insert(entry(1, 7));
-        let e = t.lookup(Vsid::new(1), 7).unwrap();
+        let e = lookup(&mut t, Vsid::new(1), 7).unwrap();
         assert_eq!(e.rpn, 0x1007);
         assert_eq!(t.stats().misses, 1);
         assert_eq!(t.stats().hits, 1);
@@ -444,7 +451,7 @@ mod tests {
         // cornerstone): a stale entry under an old VSID can never match.
         let mut t = Tlb::new(TlbConfig::ppc603_side());
         t.insert(entry(1, 7));
-        assert!(t.lookup(Vsid::new(2), 7).is_none());
+        assert!(lookup(&mut t, Vsid::new(2), 7).is_none());
     }
 
     #[test]
@@ -456,11 +463,11 @@ mod tests {
         // Set = pi & 1. Three entries in set 0.
         t.insert(entry(1, 0));
         t.insert(entry(1, 2));
-        t.lookup(Vsid::new(1), 0); // make pi=0 MRU
+        lookup(&mut t, Vsid::new(1), 0); // make pi=0 MRU
         t.insert(entry(1, 4)); // evicts pi=2
-        assert!(t.lookup(Vsid::new(1), 0).is_some());
-        assert!(t.lookup(Vsid::new(1), 2).is_none());
-        assert!(t.lookup(Vsid::new(1), 4).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 0).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 2).is_none());
+        assert!(lookup(&mut t, Vsid::new(1), 4).is_some());
     }
 
     #[test]
@@ -474,7 +481,7 @@ mod tests {
         t.insert(entry(1, 1)); // other set
         let dropped = t.tlbie(4); // set 0
         assert_eq!(dropped, 2, "tlbie drops bystanders in the class too");
-        assert!(t.lookup(Vsid::new(1), 1).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 1).is_some());
         assert_eq!(t.stats().tlbie, 1);
     }
 
@@ -514,8 +521,8 @@ mod tests {
     fn hit_rate() {
         let mut t = Tlb::new(TlbConfig::ppc603_side());
         t.insert(entry(1, 1));
-        t.lookup(Vsid::new(1), 1);
-        t.lookup(Vsid::new(1), 2);
+        lookup(&mut t, Vsid::new(1), 1);
+        lookup(&mut t, Vsid::new(1), 2);
         assert!((t.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -534,7 +541,7 @@ mod tests {
         t.mark_audited(Vsid::new(9), 0); // not resident: no-op
         assert_eq!((*t.stats(), t.tick), before, "marking is stat-neutral");
         assert!(t.audited(idx));
-        assert!(t.lookup(Vsid::new(1), 0).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 0).is_some());
         assert!(t.audited(idx), "a hit keeps the mark");
         let unaudited: Vec<u32> = t.unaudited_entries().map(|e| e.page_index).collect();
         assert_eq!(unaudited, vec![1]);
@@ -574,7 +581,7 @@ mod tests {
             2,
             "both ways of set 0 in use, no eviction"
         );
-        assert!(t.lookup(Vsid::new(1), 0).is_some());
-        assert!(t.lookup(Vsid::new(1), 2).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 0).is_some());
+        assert!(lookup(&mut t, Vsid::new(1), 2).is_some());
     }
 }

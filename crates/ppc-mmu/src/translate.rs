@@ -23,32 +23,40 @@ impl AccessType {
     }
 }
 
-/// Result of the hardware's first-level translation attempt.
+/// Why a reference did not complete: the trap it takes before it executes
+/// again (DESIGN.md §16). The machine charges nothing for a miss; the OS
+/// services it and retries the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Translation {
-    /// A BAT matched; translation bypassed the TLB and page tables entirely.
-    Bat {
-        /// Resulting physical address.
-        pa: PhysAddr,
-        /// Whether the access is cacheable.
-        cached: bool,
-    },
-    /// The TLB held the translation.
-    TlbHit {
-        /// Resulting physical address.
-        pa: PhysAddr,
-        /// Whether the access is cacheable.
-        cached: bool,
-        /// Whether stores are permitted; a store through a read-only entry
-        /// is a protection fault (the copy-on-write mechanism).
-        writable: bool,
-    },
-    /// The TLB missed; the machine model must run the reload path (hardware
-    /// hash-table walk on the 604, software handler on the 603) for the
-    /// returned virtual address.
-    TlbMiss {
+pub enum Miss {
+    /// No BAT matched and the TLB missed: one lookup and one miss are
+    /// counted, and the OS reloads the translation of `va` (hardware
+    /// hash-table walk on the 604, software handler on the 603) or takes a
+    /// page fault.
+    Tlb {
         /// The virtual address needing a reload.
         va: VirtualAddress,
+    },
+    /// A store through a read-only TLB entry: the protection fault that
+    /// drives copy-on-write. The hit is counted.
+    Protection {
+        /// The physical address the entry translates to.
+        pa: PhysAddr,
+        /// Whether the entry is cacheable.
+        cached: bool,
+    },
+    /// Only on the audited instance of [`Mmu::translate`]: the BAT register
+    /// (`bat`) or TLB slot holding the translation carries no audit mark.
+    /// Nothing is counted; the OS audits the hit and retries without
+    /// requiring the mark.
+    Unaudited {
+        /// Whether a BAT register, not a TLB slot, holds the translation.
+        bat: bool,
+        /// The translated physical address.
+        pa: PhysAddr,
+        /// Whether the access is cacheable.
+        cached: bool,
+        /// Whether stores are permitted (always, through a BAT).
+        writable: bool,
     },
 }
 
@@ -82,31 +90,31 @@ impl MmuConfig {
 /// The MMU front end: segment registers, BAT registers and the two TLBs.
 ///
 /// The hash-table / Linux-page-table reload machinery deliberately lives a
-/// layer up (in `ppc-machine` and `kernel-sim`): on a [`Translation::TlbMiss`]
-/// the hardware (or the OS, on the 603) runs a reload and then calls
-/// [`Mmu::reload`].
+/// layer up (in `kernel-sim`): on a [`Miss::Tlb`] the hardware (or the OS,
+/// on the 603) runs a reload and then calls [`Mmu::reload`].
 ///
 /// # Examples
 ///
 /// ```
-/// use ppc_mmu::{AccessType, Mmu, MmuConfig, Translation};
+/// use ppc_mmu::{AccessType, Miss, Mmu, MmuConfig};
 /// use ppc_mmu::addr::{EffectiveAddress, Vsid};
 /// use ppc_mmu::tlb::TlbEntry;
 ///
 /// let mut mmu = Mmu::new(MmuConfig::ppc603());
 /// mmu.segments.set(0, Vsid::new(0x42));
 /// let ea = EffectiveAddress(0x0000_3123);
-/// let Translation::TlbMiss { va } = mmu.translate(ea, AccessType::DataRead) else {
+/// let Err(Miss::Tlb { va }) = mmu.translate::<false>(ea, AccessType::DataRead) else {
 ///     panic!("cold TLB must miss");
 /// };
 /// mmu.reload(AccessType::DataRead, TlbEntry {
 ///     vsid: va.vsid, page_index: va.page_index, rpn: 0x777, cached: true,
-///     writable: true,
+///     writable: false,
 /// });
-/// assert!(matches!(
-///     mmu.translate(ea, AccessType::DataRead),
-///     Translation::TlbHit { pa: 0x0077_7123, cached: true, writable: true }
-/// ));
+/// assert_eq!(mmu.translate::<false>(ea, AccessType::DataRead), Ok((0x0077_7123, true)));
+/// assert_eq!(
+///     mmu.translate::<false>(ea, AccessType::DataWrite),
+///     Err(Miss::Protection { pa: 0x0077_7123, cached: true })
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mmu {
@@ -132,30 +140,66 @@ impl Mmu {
     }
 
     /// Runs the hardware translation attempt for `ea`: BATs first (they win
-    /// in parallel with the page lookup, paper §3), then the TLB.
-    pub fn translate(&mut self, ea: EffectiveAddress, at: AccessType) -> Translation {
-        let bat = if at.is_data() {
-            self.bats.translate_data(ea)
+    /// in parallel with the page lookup, paper §3), then the TLB. Returns
+    /// the physical address and whether it is cacheable, having counted
+    /// the BAT or TLB hit, or the [`Miss`] the access takes.
+    ///
+    /// The one BAT and TLB probe of every reference: it peeks, then commits
+    /// a hit (hit counters, the TLB's LRU stamp) or counts a TLB miss. With
+    /// `AUDITED` it also refuses, committing nothing, a translation whose
+    /// BAT register or TLB slot carries no audit mark (DESIGN.md §12).
+    #[inline(always)]
+    pub fn translate<const AUDITED: bool>(
+        &mut self,
+        ea: EffectiveAddress,
+        at: AccessType,
+    ) -> Result<(PhysAddr, bool), Miss> {
+        let data = at.is_data();
+        let bat = if data {
+            self.bats.probe_data(ea)
         } else {
-            self.bats.translate_insn(ea)
+            self.bats.probe_insn(ea)
         };
-        if let Some((pa, cached)) = bat {
-            return Translation::Bat { pa, cached };
+        if let Some(hit) = bat {
+            if AUDITED && !hit.audited {
+                return Err(Miss::Unaudited {
+                    bat: true,
+                    pa: hit.pa,
+                    cached: hit.cached,
+                    writable: true,
+                });
+            }
+            if data {
+                self.bats.dbat_hits += 1;
+            } else {
+                self.bats.ibat_hits += 1;
+            }
+            return Ok((hit.pa, hit.cached));
         }
         let va = self.segments.translate(ea);
-        let tlb = if at.is_data() {
-            &mut self.dtlb
-        } else {
-            &mut self.itlb
+        let tlb = if data { &mut self.dtlb } else { &mut self.itlb };
+        let Some((idx, e)) = tlb.peek(va.vsid, va.page_index) else {
+            tlb.count_miss();
+            return Err(Miss::Tlb { va });
         };
-        match tlb.lookup(va.vsid, va.page_index) {
-            Some(e) => Translation::TlbHit {
-                pa: phys(e.rpn, va.offset),
+        let pa = phys(e.rpn, va.offset);
+        if at == AccessType::DataWrite && !e.writable {
+            tlb.commit_hit(idx);
+            return Err(Miss::Protection {
+                pa,
+                cached: e.cached,
+            });
+        }
+        if AUDITED && !tlb.audited(idx) {
+            return Err(Miss::Unaudited {
+                bat: false,
+                pa,
                 cached: e.cached,
                 writable: e.writable,
-            },
-            None => Translation::TlbMiss { va },
+            });
         }
+        tlb.commit_hit(idx);
+        Ok((pa, e.cached))
     }
 
     /// Installs a reloaded translation into the appropriate TLB.
@@ -211,31 +255,38 @@ mod tests {
         m
     }
 
+    fn entry(va: VirtualAddress, rpn: u32) -> TlbEntry {
+        TlbEntry {
+            vsid: va.vsid,
+            page_index: va.page_index,
+            rpn,
+            cached: true,
+            writable: true,
+        }
+    }
+
+    /// The unaudited instance, as a kernel without a checker runs it.
+    fn translate(
+        m: &mut Mmu,
+        ea: EffectiveAddress,
+        at: AccessType,
+    ) -> Result<(PhysAddr, bool), Miss> {
+        m.translate::<false>(ea, at)
+    }
+
     #[test]
     fn bat_wins_over_tlb() {
         let mut m = mmu();
         // Install a TLB entry for the same page, then a BAT covering it; the
         // BAT must win (hardware abandons the page translation on BAT hit).
         let va = m.segments.translate(EffectiveAddress(0xc000_0000));
-        m.reload(
-            AccessType::DataRead,
-            TlbEntry {
-                vsid: va.vsid,
-                page_index: va.page_index,
-                rpn: 0x111,
-                cached: true,
-                writable: true,
-            },
-        );
+        m.reload(AccessType::DataRead, entry(va, 0x111));
         m.bats
             .set_dbat(0, Some(BatEntry::new(0xc000_0000, 0, 8 << 20, true)));
-        match m.translate(EffectiveAddress(0xc000_0abc), AccessType::DataRead) {
-            Translation::Bat { pa, cached } => {
-                assert_eq!(pa, 0xabc);
-                assert!(cached);
-            }
-            other => panic!("expected BAT hit, got {other:?}"),
-        }
+        assert_eq!(
+            translate(&mut m, EffectiveAddress(0xc000_0abc), AccessType::DataRead),
+            Ok((0xabc, true))
+        );
     }
 
     #[test]
@@ -243,59 +294,39 @@ mod tests {
         let mut m = mmu();
         m.bats
             .set_dbat(0, Some(BatEntry::new(0xc000_0000, 0, 8 << 20, true)));
-        m.translate(EffectiveAddress(0xc000_0000), AccessType::DataRead);
+        translate(&mut m, EffectiveAddress(0xc000_0000), AccessType::DataRead).unwrap();
         assert_eq!(m.dtlb.stats().lookups, 0, "BAT hits never consult the TLB");
+        assert_eq!((m.bats.dbat_hits, m.bats.ibat_hits), (1, 0));
     }
 
     #[test]
     fn miss_reload_hit_round_trip() {
         let mut m = mmu();
         let ea = EffectiveAddress(0x0000_5678);
-        let Translation::TlbMiss { va } = m.translate(ea, AccessType::DataRead) else {
+        let Err(Miss::Tlb { va }) = translate(&mut m, ea, AccessType::DataRead) else {
             panic!("cold miss expected");
         };
         assert_eq!(va.vsid, Vsid::new(0x100));
-        m.reload(
-            AccessType::DataRead,
-            TlbEntry {
-                vsid: va.vsid,
-                page_index: va.page_index,
-                rpn: 0x2a,
-                cached: true,
-                writable: true,
-            },
+        m.reload(AccessType::DataRead, entry(va, 0x2a));
+        assert_eq!(
+            translate(&mut m, ea, AccessType::DataRead),
+            Ok((0x0002_a678, true))
         );
-        match m.translate(ea, AccessType::DataRead) {
-            Translation::TlbHit { pa, .. } => assert_eq!(pa, 0x0002_a678),
-            other => panic!("expected TLB hit, got {other:?}"),
-        }
     }
 
     #[test]
     fn itlb_and_dtlb_are_split() {
         let mut m = mmu();
         let ea = EffectiveAddress(0x0000_1000);
-        let Translation::TlbMiss { va } = m.translate(ea, AccessType::DataRead) else {
+        let Err(Miss::Tlb { va }) = translate(&mut m, ea, AccessType::DataRead) else {
             panic!();
         };
-        m.reload(
-            AccessType::DataRead,
-            TlbEntry {
-                vsid: va.vsid,
-                page_index: va.page_index,
-                rpn: 1,
-                cached: true,
-                writable: true,
-            },
-        );
+        m.reload(AccessType::DataRead, entry(va, 1));
         assert!(matches!(
-            m.translate(ea, AccessType::InsnFetch),
-            Translation::TlbMiss { .. }
+            translate(&mut m, ea, AccessType::InsnFetch),
+            Err(Miss::Tlb { .. })
         ));
-        assert!(matches!(
-            m.translate(ea, AccessType::DataRead),
-            Translation::TlbHit { .. }
-        ));
+        assert!(translate(&mut m, ea, AccessType::DataRead).is_ok());
     }
 
     #[test]
@@ -321,27 +352,15 @@ mod tests {
         // VSID, old TLB entries stop matching without being invalidated.
         let mut m = mmu();
         let ea = EffectiveAddress(0x0000_2000);
-        let Translation::TlbMiss { va } = m.translate(ea, AccessType::DataRead) else {
+        let Err(Miss::Tlb { va }) = translate(&mut m, ea, AccessType::DataRead) else {
             panic!();
         };
-        m.reload(
-            AccessType::DataRead,
-            TlbEntry {
-                vsid: va.vsid,
-                page_index: va.page_index,
-                rpn: 3,
-                cached: true,
-                writable: true,
-            },
-        );
-        assert!(matches!(
-            m.translate(ea, AccessType::DataRead),
-            Translation::TlbHit { .. }
-        ));
+        m.reload(AccessType::DataRead, entry(va, 3));
+        assert!(translate(&mut m, ea, AccessType::DataRead).is_ok());
         m.segments.set(0, Vsid::new(0x200)); // new address-space generation
         assert!(matches!(
-            m.translate(ea, AccessType::DataRead),
-            Translation::TlbMiss { .. }
+            translate(&mut m, ea, AccessType::DataRead),
+            Err(Miss::Tlb { .. })
         ));
         assert_eq!(
             m.dtlb.valid_entries(),
@@ -355,8 +374,8 @@ mod tests {
         let mut m = mmu();
         let ea = EffectiveAddress(0x0000_3000);
         assert!(matches!(
-            m.translate(ea, AccessType::DataWrite),
-            Translation::TlbMiss { .. }
+            translate(&mut m, ea, AccessType::DataWrite),
+            Err(Miss::Tlb { .. })
         ));
         assert_eq!(m.dtlb.stats().misses, 1);
         assert_eq!(m.itlb.stats().lookups, 0);

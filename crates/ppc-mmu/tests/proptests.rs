@@ -171,10 +171,10 @@ proptest! {
                       rpn in 0u32..0x10_0000, other in 0u32..0x100_0000) {
         let mut t = Tlb::new(TlbConfig::ppc604_side());
         t.insert(TlbEntry { vsid: Vsid::new(vsid), page_index: pi, rpn, cached: true, writable: true });
-        let e = t.lookup(Vsid::new(vsid), pi).expect("inserted entry must hit");
+        let (_, e) = t.peek(Vsid::new(vsid), pi).expect("inserted entry must hit");
         prop_assert_eq!(e.rpn, rpn);
         if other != vsid {
-            prop_assert!(t.lookup(Vsid::new(other), pi).is_none());
+            prop_assert!(t.peek(Vsid::new(other), pi).is_none());
         }
     }
 
@@ -190,7 +190,7 @@ proptest! {
         let sets = TlbConfig::ppc603_side().sets();
         for &pi in &pis {
             if pi % sets == victim % sets {
-                prop_assert!(t.lookup(Vsid::new(1), pi).is_none(),
+                prop_assert!(t.peek(Vsid::new(1), pi).is_none(),
                     "class member {pi:#x} must be invalidated");
             }
         }
@@ -211,9 +211,10 @@ proptest! {
                 1..=3 => {
                     t.tlbie(pi);
                 }
-                4..=8 => {
-                    t.lookup(Vsid::new(vsid), pi);
-                }
+                4..=8 => match t.peek(Vsid::new(vsid), pi) {
+                    Some((idx, _)) => t.commit_hit(idx),
+                    None => t.count_miss(),
+                },
                 _ => t.insert(TlbEntry {
                     vsid: Vsid::new(vsid),
                     page_index: pi,
