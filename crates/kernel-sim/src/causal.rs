@@ -10,8 +10,7 @@
 //! downstream scheduling, reclaim, and epoch-controller interaction — with
 //! no sampling error and no perturbation of the rest of the run.
 //!
-//! Multipliers are integer fixed-point ratios `num/den` (floored per
-//! charge, no remainder carry), keyed two ways:
+//! Multipliers are integer fixed-point ratios `num/den`, keyed two ways:
 //!
 //! * **by subsystem** ([`crate::prof::Subsystem`]) — scales *self-time*:
 //!   only charges made while that subsystem is the innermost open span;

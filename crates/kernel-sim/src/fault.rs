@@ -1,7 +1,6 @@
 //! The page-fault path: demand-zero and file-backed population, plus the
 //! memory-pressure path (page-cache eviction, zombie reclaim, OOM killer).
 
-use ppc_machine::Cycles;
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
 use ppc_mmu::translate::AccessType;
 
@@ -270,11 +269,10 @@ impl Kernel {
 
     /// Frees one page frame back to the allocator (a few cycles of list
     /// manipulation).
-    pub fn free_page_charged(&mut self, pa: PhysAddr) -> Cycles {
+    pub fn free_page_charged(&mut self, pa: PhysAddr) {
         self.machine.charge(6);
         self.mem_map_ref(pa, true);
         self.frames.free_page(pa);
-        6
     }
 
     /// Pre-faults every page of `[start, start + pages*4K)` in the current

@@ -115,10 +115,8 @@ impl Kernel {
         let ts = self.tasks[to].task_struct_pa();
         if self.cfg.cache_preloads {
             // §10.2: software prefetch of the new task struct before use.
-            for i in 0..4 {
-                let c = self.machine.mem.prefetch(ts + i * 32);
-                self.machine.charge(c);
-            }
+            let c = (0..4).map(|i| self.machine.mem.prefetch(ts + i * 32)).sum();
+            self.machine.charge(c);
         }
         for i in 0..32 {
             self.kdata_ref(ts + i * 4, false);

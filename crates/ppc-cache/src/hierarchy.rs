@@ -253,10 +253,6 @@ impl MemSystem {
     /// update the tick, the counters, the LRU stamp and the dirty bit in
     /// one step. Only a fully locked set, which allocates nothing, takes
     /// one probe per word.
-    ///
-    /// Callers must charge the sum once: a per-access `charge` floors on its
-    /// own under a causal charge scale, so a loop that charges per access
-    /// may not be folded into a run.
     pub fn data_run(
         &mut self,
         pa: PhysAddr,
