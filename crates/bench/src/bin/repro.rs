@@ -373,7 +373,10 @@ fn usage_text() -> String {
         s,
         "  repro tune [--workload compile|fault_storm|trace_ref] [--json <path>]"
     );
-    let _ = writeln!(s, "  repro diff <a.json> <b.json> [--json <path>] [--limit N]");
+    let _ = writeln!(
+        s,
+        "  repro diff <a.json> <b.json> [--json <path>] [--limit N]"
+    );
     let _ = writeln!(
         s,
         "  repro chaos [--seed N] [--runs N] [--steps N] [--check on|off] \
@@ -393,7 +396,10 @@ fn usage_text() -> String {
     for (schema, producer, desc) in ARTIFACTS {
         let _ = writeln!(s, "  {schema:<26} {producer:<30} {desc}");
     }
-    let _ = writeln!(s, "\n--depth     quick (CI-sized, default) or full (paper-sized)");
+    let _ = writeln!(
+        s,
+        "\n--depth     quick (CI-sized, default) or full (paper-sized)"
+    );
     let _ = writeln!(s, "--full      shorthand for --depth full");
     let _ = writeln!(s, "--markdown  render tables as markdown");
     let _ = writeln!(s, "--csv       render tables as CSV");
@@ -407,7 +413,10 @@ fn usage_text() -> String {
         "--workload  perf, tune: matrix workload (compile, fault_storm, trace_ref; \
          default trace_ref for perf, fault_storm for tune)"
     );
-    let _ = writeln!(s, "--period    perf: sampling period in cycles (default 4096)");
+    let _ = writeln!(
+        s,
+        "--period    perf: sampling period in cycles (default 4096)"
+    );
     let _ = writeln!(
         s,
         "--config    perf record: kernel preset to sample (unopt, opt; default opt)"
@@ -419,8 +428,14 @@ fn usage_text() -> String {
     );
     let _ = writeln!(s, "--limit     diff: ranked rows to render (default 25)");
     let _ = writeln!(s, "--seed      chaos: first fuzzer seed (default 1)");
-    let _ = writeln!(s, "--runs      chaos: number of consecutive seeds to run (default 1)");
-    let _ = writeln!(s, "--steps     chaos: fuzzed operations per run (default 400)");
+    let _ = writeln!(
+        s,
+        "--runs      chaos: number of consecutive seeds to run (default 1)"
+    );
+    let _ = writeln!(
+        s,
+        "--steps     chaos: fuzzed operations per run (default 400)"
+    );
     let _ = writeln!(
         s,
         "--check     chaos: shadow-MM oracle + invariants on|off (default on)"

@@ -58,11 +58,23 @@ pub const BARE_FLAGS: &[&str] = &["--full", "--markdown", "--csv", "--help"];
 /// new subcommand that forgets to register here fails a test, not code
 /// review.
 pub const SUBCOMMANDS: &[(&str, &str)] = &[
-    ("matrix", "machine × config × workload grid (mmu-tricks-matrix-v1)"),
-    ("tune", "offline per-machine coordinate descent (mmu-tricks-tune-v1)"),
-    ("diff", "structured comparison of two artifacts of one schema"),
+    (
+        "matrix",
+        "machine × config × workload grid (mmu-tricks-matrix-v1)",
+    ),
+    (
+        "tune",
+        "offline per-machine coordinate descent (mmu-tricks-tune-v1)",
+    ),
+    (
+        "diff",
+        "structured comparison of two artifacts of one schema",
+    ),
     ("chaos", "adversarial fuzzing under the shadow-MM checker"),
-    ("perf", "sampled profiling: record/report/annotate (mmu-tricks-perf-v1)"),
+    (
+        "perf",
+        "sampled profiling: record/report/annotate (mmu-tricks-perf-v1)",
+    ),
     (
         "causal",
         "exact virtual speedups: payoff curves + ranking (mmu-tricks-causal-v1)",

@@ -105,7 +105,8 @@ pub fn ablate_scatter(_depth: Depth) -> (Vec<ScatterPoint>, Table) {
             for _ in 0..8 {
                 let pid = k.spawn_process(900).expect("spawn");
                 k.switch_to(pid);
-                k.prefault(USER_BASE, 900).expect("experiment workload is well-formed");
+                k.prefault(USER_BASE, 900)
+                    .expect("experiment workload is well-formed");
             }
             let hist = k.htab.group_histogram();
             ScatterPoint {
@@ -176,12 +177,14 @@ pub fn ablate_reclaim_policy(depth: Depth) -> (Vec<ReclaimPolicyResult>, Table) 
         let mut k = Kernel::boot_with_htab_groups(MachineConfig::ppc604_133(), kcfg, 256);
         let pid = k.spawn_process(128).unwrap();
         k.switch_to(pid);
-        k.prefault(USER_BASE, 128).expect("experiment workload is well-formed");
+        k.prefault(USER_BASE, 128)
+            .expect("experiment workload is well-formed");
         let mut samples: Vec<u64> = Vec::new();
         for _ in 0..rounds {
             // Produce zombies...
             let addr = k.sys_mmap(None, 96 * PAGE_SIZE);
-            k.prefault(addr, 96).expect("experiment workload is well-formed");
+            k.prefault(addr, 96)
+                .expect("experiment workload is well-formed");
             k.sys_munmap(addr, 96 * PAGE_SIZE);
             k.run_idle(100_000);
             // ...then sample individual TLB-reload latencies: each re-touch
@@ -191,7 +194,8 @@ pub fn ablate_reclaim_policy(depth: Depth) -> (Vec<ReclaimPolicyResult>, Table) 
             k.machine.mmu.flush_tlbs();
             for i in 0..128 {
                 let c0 = k.machine.cycles;
-                k.data_ref(EffectiveAddress(USER_BASE + i * PAGE_SIZE), false).expect("experiment workload is well-formed");
+                k.data_ref(EffectiveAddress(USER_BASE + i * PAGE_SIZE), false)
+                    .expect("experiment workload is well-formed");
                 samples.push(k.machine.cycles - c0);
             }
         }
@@ -269,19 +273,22 @@ pub fn ablate_replacement(depth: Depth) -> (Vec<ReplacementRow>, Table) {
         let readers: Vec<_> = (0..4).map(|_| k.spawn_process(96).unwrap()).collect();
         for &pid in &readers {
             k.switch_to(pid);
-            k.prefault(USER_BASE, 96).expect("experiment workload is well-formed");
+            k.prefault(USER_BASE, 96)
+                .expect("experiment workload is well-formed");
         }
         for round in 0..rounds {
             for &pid in &producers {
                 k.switch_to(pid);
                 let addr = k.sys_mmap(None, 64 * PAGE_SIZE);
-                k.prefault(addr, 64).expect("experiment workload is well-formed");
+                k.prefault(addr, 64)
+                    .expect("experiment workload is well-formed");
                 k.sys_munmap(addr, 64 * PAGE_SIZE);
             }
             for &pid in &readers {
                 k.switch_to(pid);
                 k.machine.mmu.flush_tlbs();
-                k.user_read(USER_BASE, 96 * PAGE_SIZE).expect("experiment workload is well-formed");
+                k.user_read(USER_BASE, 96 * PAGE_SIZE)
+                    .expect("experiment workload is well-formed");
             }
             if round == rounds / 2 {
                 k.htab.reset_stats();

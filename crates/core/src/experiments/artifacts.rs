@@ -475,7 +475,8 @@ pub fn reference_workload(k: &mut Kernel, depth: Depth) {
     lmbench::compile::kernel_compile(k, depth.compile());
     let pid = k.spawn_process(8).expect("room for the signal task");
     k.switch_to(pid);
-    k.user_write(USER_BASE, PAGE_SIZE).expect("prefault handler page");
+    k.user_write(USER_BASE, PAGE_SIZE)
+        .expect("prefault handler page");
     k.sys_signal_install();
     let rounds = match depth {
         Depth::Quick => 32,
@@ -658,7 +659,10 @@ mod tests {
         // The telemetry series covers the run and plots non-trivially.
         assert!(a.telemetry.len() >= 4, "quick run spans many epochs");
         let telem = tables[2].render();
-        assert!(telem.contains("htab_valid") && telem.contains('▁'), "{telem}");
+        assert!(
+            telem.contains("htab_valid") && telem.contains('▁'),
+            "{telem}"
+        );
     }
 
     #[test]

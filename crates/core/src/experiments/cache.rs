@@ -40,7 +40,8 @@ pub fn exp_cache_pollution(depth: Depth) -> (CachePollutionResult, Table) {
     let mut k = Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
     let pid = k.spawn_process(8).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 8).expect("experiment workload is well-formed");
+    k.prefault(USER_BASE, 8)
+        .expect("experiment workload is well-formed");
     // Force the worst case the paper analyses: the translation lives only
     // in the Linux page tables, and both candidate PTEGs are full so the
     // insert must probe all sixteen slots before displacing one.
@@ -70,7 +71,8 @@ pub fn exp_cache_pollution(depth: Depth) -> (CachePollutionResult, Table) {
     k.machine.mem.dcache.invalidate_all();
     let s0 = *k.machine.mem.dcache.stats();
     let lines0 = k.machine.mem.dcache.resident_lines();
-    k.data_ref(ppc_mmu::addr::EffectiveAddress(USER_BASE), false).expect("experiment workload is well-formed");
+    k.data_ref(ppc_mmu::addr::EffectiveAddress(USER_BASE), false)
+        .expect("experiment workload is well-formed");
     let s1 = *k.machine.mem.dcache.stats();
     let lines1 = k.machine.mem.dcache.resident_lines();
     let fill_accesses = s1.accesses - s0.accesses;

@@ -114,12 +114,17 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
 
     let cell = &report.cells[0];
     let mut cfg_idle_zero = crate::causal::cell_config();
-    cfg_idle_zero.causal = Some(CausalConfig::identity().scale_subsystem(Subsystem::Idle, Ratio::ZERO));
+    cfg_idle_zero.causal =
+        Some(CausalConfig::identity().scale_subsystem(Subsystem::Idle, Ratio::ZERO));
     let c_idle_zero = run_workload(&m604[0], cfg_idle_zero, "fault_storm", depth).cycles;
-    let idle_payoff_ppm = ppm_of(cell.baseline_cycles as i64 - c_idle_zero as i64, cell.baseline_cycles);
+    let idle_payoff_ppm = ppm_of(
+        cell.baseline_cycles as i64 - c_idle_zero as i64,
+        cell.baseline_cycles,
+    );
     let rank_of = |id: &str| report.ranking.iter().position(|(t, _)| t == id);
     let idle_ranked_below_reload = rank_of("sub:idle") > rank_of("path:tlb_reload");
-    let idle_buys_nothing = idle_payoff_ppm.abs() <= IDLE_PAYOFF_BOUND_PPM && idle_ranked_below_reload;
+    let idle_buys_nothing =
+        idle_payoff_ppm.abs() <= IDLE_PAYOFF_BOUND_PPM && idle_ranked_below_reload;
 
     let gates = CausalGateResult {
         measured_delta,
@@ -138,7 +143,12 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
              bound {IDLE_PAYOFF_BOUND_PPM} ppm)",
             depth.name()
         ),
-        vec!["gate".into(), "measured".into(), "predicted".into(), "verdict".into()],
+        vec![
+            "gate".into(),
+            "measured".into(),
+            "predicted".into(),
+            "verdict".into(),
+        ],
     );
     table.push_row(vec![
         "htab-reload delta explained".into(),
@@ -156,7 +166,11 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
         format!("{idle_payoff_ppm} ppm end-to-end"),
         format!(
             "ranked {} reload path",
-            if idle_ranked_below_reload { "below" } else { "ABOVE" }
+            if idle_ranked_below_reload {
+                "below"
+            } else {
+                "ABOVE"
+            }
         ),
         if gates.idle_buys_nothing {
             "idle buys nothing: pass"

@@ -119,10 +119,8 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
     }
     let opt_cell = |id: &str| opt_cells.iter().find(|c| c.machine == id).unwrap();
     let opt_beats_unopt_everywhere = endpoints.iter().all(|&(_, u, o)| o < u);
-    let nohtab_beats_swload =
-        opt_cell("603-nohtab").cycles < opt_cell("603-swload").cycles;
-    let fast_board_wins_wall =
-        opt_cell("604-200").wall_us < opt_cell("604-133").wall_us;
+    let nohtab_beats_swload = opt_cell("603-nohtab").cycles < opt_cell("603-swload").cycles;
+    let fast_board_wins_wall = opt_cell("604-200").wall_us < opt_cell("604-133").wall_us;
 
     // One ablated cell per optimization, on its gate machine.
     let rows = ABLATION_GATES
@@ -173,7 +171,12 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
             format!("{}", r.opt_cycles),
             format!("{}", r.ablated_cycles),
             format!("{:+}", r.delta),
-            if r.sign_matches_paper { "matches paper" } else { "INVERTED" }.into(),
+            if r.sign_matches_paper {
+                "matches paper"
+            } else {
+                "INVERTED"
+            }
+            .into(),
         ]);
     }
     for (id, u, o) in &result.endpoints {
@@ -194,7 +197,12 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
         format!("{}", opt_cell("603-nohtab").cycles),
         format!("{}", opt_cell("603-swload").cycles),
         String::new(),
-        if result.nohtab_beats_swload { "matches paper" } else { "INVERTED" }.into(),
+        if result.nohtab_beats_swload {
+            "matches paper"
+        } else {
+            "INVERTED"
+        }
+        .into(),
     ]);
     t.push_row(vec![
         "(fast board, wall µs)".into(),
@@ -203,7 +211,12 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
         format!("{}", opt_cell("604-200").wall_us),
         format!("{}", opt_cell("604-133").wall_us),
         String::new(),
-        if result.fast_board_wins_wall { "matches paper" } else { "INVERTED" }.into(),
+        if result.fast_board_wins_wall {
+            "matches paper"
+        } else {
+            "INVERTED"
+        }
+        .into(),
     ]);
     (result, t)
 }

@@ -57,7 +57,12 @@ pub fn exp_tune(depth: Depth) -> (TuneGateResult, Table) {
     t.push_row(vec![
         "(gates)".into(),
         format!("wins {}/4", gates.result.wins()),
-        if gates.enough_wins { "≥2: pass" } else { "≥2: FAIL" }.into(),
+        if gates.enough_wins {
+            "≥2: pass"
+        } else {
+            "≥2: FAIL"
+        }
+        .into(),
         if gates.never_loses {
             "bound: pass"
         } else {

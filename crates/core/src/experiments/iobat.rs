@@ -49,12 +49,14 @@ fn run(io_bat: bool, blit_pages: u32, rounds: u32) -> (u64, f64) {
     // The compute process whose TLB suffers.
     let c = k.spawn_process(64).unwrap();
     k.switch_to(c);
-    k.prefault(USER_BASE, 64).expect("experiment workload is well-formed");
+    k.prefault(USER_BASE, 64)
+        .expect("experiment workload is well-formed");
     let mut ws = WorkingSet::new(USER_BASE, 64, 11);
     // Warm round.
     k.switch_to(x);
     for p in 0..blit_pages {
-        k.data_ref(EffectiveAddress(IO_VIRT_BASE + p * PAGE_SIZE), true).expect("experiment workload is well-formed");
+        k.data_ref(EffectiveAddress(IO_VIRT_BASE + p * PAGE_SIZE), true)
+            .expect("experiment workload is well-formed");
     }
     let mut compute_cycles = 0u64;
     let m0 = k.machine.snapshot();
@@ -63,7 +65,8 @@ fn run(io_bat: bool, blit_pages: u32, rounds: u32) -> (u64, f64) {
         // X draws a frame: one store per frame-buffer page touched.
         k.switch_to(x);
         for p in 0..blit_pages {
-            k.data_ref(EffectiveAddress(IO_VIRT_BASE + p * PAGE_SIZE), true).expect("experiment workload is well-formed");
+            k.data_ref(EffectiveAddress(IO_VIRT_BASE + p * PAGE_SIZE), true)
+                .expect("experiment workload is well-formed");
         }
         // The compute process runs its working set.
         k.switch_to(c);

@@ -31,8 +31,8 @@
 pub mod ablate;
 pub mod artifacts;
 pub mod cache;
-pub mod echeck;
 pub mod ecausal;
+pub mod echeck;
 pub mod ematrix;
 pub mod etail;
 pub mod etune;

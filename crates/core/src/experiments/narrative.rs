@@ -165,14 +165,16 @@ pub fn exp_hash_util(_depth: Depth) -> (Vec<HashUtilRow>, Table) {
         for _ in 0..procs {
             let pid = k.spawn_process(ws).expect("spawn");
             k.switch_to(pid);
-            k.prefault(USER_BASE, ws).expect("experiment workload is well-formed");
+            k.prefault(USER_BASE, ws)
+                .expect("experiment workload is well-formed");
         }
         // Re-touch all working sets once so evicted entries get reinserted
         // and the steady state emerges.
         let pids: Vec<u32> = k.tasks.iter().map(|t| t.pid).collect();
         for pid in pids {
             k.switch_to(pid);
-            k.user_read(USER_BASE, ws * PAGE_SIZE).expect("experiment workload is well-formed");
+            k.user_read(USER_BASE, ws * PAGE_SIZE)
+                .expect("experiment workload is well-formed");
         }
         let hist = k.htab.group_histogram();
         HashUtilRow {
@@ -263,7 +265,8 @@ pub fn exp_fast_reload(depth: Depth) -> (FastReloadResult, Table) {
         let mut k = kernel(fast);
         let pid = k.spawn_process(160).expect("spawn");
         k.switch_to(pid);
-        k.prefault(USER_BASE, 160).expect("experiment workload is well-formed");
+        k.prefault(USER_BASE, 160)
+            .expect("experiment workload is well-formed");
         // A working set just beyond TLB reach: the moderate, steady miss
         // rate of ordinary user code (the paper's "user code ... in
         // general"), not a TLB torture test.
@@ -375,18 +378,22 @@ pub fn exp_lazy(depth: Depth) -> (LazyResult, Table) {
         let buf = 4 * PAGE_SIZE;
         for &pid in &[w, r] {
             k.switch_to(pid);
-            k.prefault(UB, 16).expect("experiment workload is well-formed");
+            k.prefault(UB, 16)
+                .expect("experiment workload is well-formed");
         }
-        k.pipe_transfer(p, w, r, UB, UB, buf).expect("experiment workload is well-formed");
+        k.pipe_transfer(p, w, r, UB, UB, buf)
+            .expect("experiment workload is well-formed");
         let start = k.machine.cycles;
         let mut moved = 0u64;
         for _ in 0..rounds {
-            k.pipe_transfer(p, w, r, UB, UB, buf).expect("experiment workload is well-formed");
+            k.pipe_transfer(p, w, r, UB, UB, buf)
+                .expect("experiment workload is well-formed");
             moved += buf as u64;
             // A short-lived process comes and goes (shell, ls, make...).
             let pid = k.spawn_process(32).expect("spawn");
             k.switch_to(pid);
-            k.prefault(UB, 32).expect("experiment workload is well-formed");
+            k.prefault(UB, 32)
+                .expect("experiment workload is well-formed");
             k.exit_current();
         }
         mb_per_sec(moved, k.machine.time_of(k.machine.cycles - start))
@@ -401,7 +408,8 @@ pub fn exp_lazy(depth: Depth) -> (LazyResult, Table) {
         // over one TLB congruence class.
         for (i, &pid) in pids.iter().enumerate() {
             k.switch_to(pid);
-            k.prefault(UB + (i as u32) * PAGE_SIZE, 1).expect("experiment workload is well-formed");
+            k.prefault(UB + (i as u32) * PAGE_SIZE, 1)
+                .expect("experiment workload is well-formed");
         }
         let mut hop_cycles = 0u64;
         let mut hops = 0u64;
@@ -412,7 +420,8 @@ pub fn exp_lazy(depth: Depth) -> (LazyResult, Table) {
                 // A light touch per hop: lat_ctx's 0 KiB variant switches
                 // far more than it computes, so TLB damage (not cache
                 // refill) dominates the per-hop delta.
-                k.user_read(UB + (i as u32) * PAGE_SIZE, 256).expect("experiment workload is well-formed");
+                k.user_read(UB + (i as u32) * PAGE_SIZE, 256)
+                    .expect("experiment workload is well-formed");
             }
             if round >= 2 {
                 hop_cycles += k.machine.cycles - start;
@@ -420,7 +429,8 @@ pub fn exp_lazy(depth: Depth) -> (LazyResult, Table) {
             }
             let pid = k.spawn_process(32).expect("spawn");
             k.switch_to(pid);
-            k.prefault(UB, 32).expect("experiment workload is well-formed");
+            k.prefault(UB, 32)
+                .expect("experiment workload is well-formed");
             k.exit_current();
         }
         k.time_us(hop_cycles) / hops as f64
@@ -504,19 +514,22 @@ pub fn exp_idle_reclaim(depth: Depth) -> (IdleReclaimResult, Table) {
             .collect();
         for &pid in &reader_pids {
             k.switch_to(pid);
-            k.prefault(USER_BASE, ws_pages).expect("experiment workload is well-formed");
+            k.prefault(USER_BASE, ws_pages)
+                .expect("experiment workload is well-formed");
         }
         let round = |k: &mut Kernel, churn_pages: u32| {
             for &pid in &producer_pids {
                 k.switch_to(pid);
                 let addr = k.sys_mmap(None, churn_pages * PAGE_SIZE);
-                k.prefault(addr, churn_pages).expect("experiment workload is well-formed");
+                k.prefault(addr, churn_pages)
+                    .expect("experiment workload is well-formed");
                 k.sys_munmap(addr, churn_pages * PAGE_SIZE);
                 k.run_idle(150_000);
             }
             for &pid in &reader_pids {
                 k.switch_to(pid);
-                k.user_read(USER_BASE, ws_pages * PAGE_SIZE).expect("experiment workload is well-formed");
+                k.user_read(USER_BASE, ws_pages * PAGE_SIZE)
+                    .expect("experiment workload is well-formed");
             }
             k.run_idle(150_000);
         };
@@ -648,12 +661,14 @@ pub fn exp_mmap_cutoff(depth: Depth) -> (Vec<CutoffPoint>, Table) {
             let mut k = Kernel::boot(MachineConfig::ppc603_133(), kcfg);
             let pid = k.spawn_process(64).expect("spawn");
             k.switch_to(pid);
-            k.prefault(USER_BASE, 64).expect("experiment workload is well-formed");
+            k.prefault(USER_BASE, 64)
+                .expect("experiment workload is well-formed");
             k.machine.reset_stats();
             let mut ws = WorkingSet::new(USER_BASE, 64, 5);
             for _ in 0..8 {
                 let addr = k.sys_mmap(None, 32 * PAGE_SIZE);
-                k.prefault(addr, 4).expect("experiment workload is well-formed");
+                k.prefault(addr, 4)
+                    .expect("experiment workload is well-formed");
                 k.sys_munmap(addr, 32 * PAGE_SIZE);
                 ws.run(&mut k, 2_000, 0.2, 1);
             }

@@ -154,7 +154,11 @@ mod tests {
     fn storm_hits_every_failure_mode_and_no_one_panics() {
         let (run, _) = exp_pressure(Depth::Quick);
         let s = &run.stats;
-        assert!(s.sigsegvs >= 4, "wild pointers must SIGSEGV ({})", s.sigsegvs);
+        assert!(
+            s.sigsegvs >= 4,
+            "wild pointers must SIGSEGV ({})",
+            s.sigsegvs
+        );
         assert!(s.sigbus >= 1, "mapping past EOF must SIGBUS ({})", s.sigbus);
         assert!(s.oom_kills > 0, "hogs must trigger the OOM killer");
         assert!(s.reclaimed_pages > 0, "pressure must evict page cache");

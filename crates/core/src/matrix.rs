@@ -102,7 +102,13 @@ pub fn paper_variants() -> Vec<(&'static str, KernelConfig)> {
         ("unopt", KernelConfig::unoptimized()),
         ("opt", opt()),
         // §5.1: kernel mapped by PTEs instead of BATs.
-        ("opt-no-bats", KernelConfig { use_bats: false, ..opt() }),
+        (
+            "opt-no-bats",
+            KernelConfig {
+                use_bats: false,
+                ..opt()
+            },
+        ),
         // §5.2: untuned power-of-two scatter constant (hash hot-spots).
         (
             "opt-untuned-scatter",
@@ -114,19 +120,35 @@ pub fn paper_variants() -> Vec<(&'static str, KernelConfig)> {
         // §6.1: the original C handlers with the MMU turned back on.
         (
             "opt-slow-handlers",
-            KernelConfig { handler: kernel_sim::HandlerStyle::SlowC, ..opt() },
+            KernelConfig {
+                handler: kernel_sim::HandlerStyle::SlowC,
+                ..opt()
+            },
         ),
         // §7: eager per-page flushes instead of lazy VSID retirement.
         (
             "opt-eager-flush",
-            KernelConfig { lazy_flush: false, flush_cutoff_pages: None, ..opt() },
+            KernelConfig {
+                lazy_flush: false,
+                flush_cutoff_pages: None,
+                ..opt()
+            },
         ),
         // §7: no idle-task zombie reclaim.
-        ("opt-no-idle-reclaim", KernelConfig { idle_reclaim: false, ..opt() }),
+        (
+            "opt-no-idle-reclaim",
+            KernelConfig {
+                idle_reclaim: false,
+                ..opt()
+            },
+        ),
         // §9: no idle page clearing, get_free_page clears on demand.
         (
             "opt-clear-on-demand",
-            KernelConfig { page_clearing: kernel_sim::PageClearing::OnDemand, ..opt() },
+            KernelConfig {
+                page_clearing: kernel_sim::PageClearing::OnDemand,
+                ..opt()
+            },
         ),
     ]
 }
@@ -281,7 +303,13 @@ pub fn run_cell(
         .map(|&p| {
             let h = t.latency(p);
             let (p50, p90, p99) = h.percentiles();
-            CellLatency { path: p.name(), count: h.count(), p50, p90, p99 }
+            CellLatency {
+                path: p.name(),
+                count: h.count(),
+                p50,
+                p90,
+                p99,
+            }
         })
         .collect();
     MatrixCell {
@@ -335,7 +363,10 @@ pub fn run_matrix_on_jobs(
     });
     BenchMatrix {
         depth: depth.name(),
-        machines: machines.iter().map(|m| (m.id, m.label.to_string())).collect(),
+        machines: machines
+            .iter()
+            .map(|m| (m.id, m.label.to_string()))
+            .collect(),
         configs: variants
             .iter()
             .map(|(id, cfg)| (*id, cfg.summary()))
@@ -348,7 +379,13 @@ pub fn run_matrix_on_jobs(
 /// The full paper grid: 4 machines × 8 configs × 3 workloads, on every
 /// available core.
 pub fn run_matrix(depth: Depth) -> BenchMatrix {
-    run_matrix_on_jobs(&paper_machines(), &paper_variants(), WORKLOADS, depth, workers())
+    run_matrix_on_jobs(
+        &paper_machines(),
+        &paper_variants(),
+        WORKLOADS,
+        depth,
+        workers(),
+    )
 }
 
 /// A window's TLB and cache counts, one object per unit.
@@ -547,8 +584,7 @@ mod tests {
     #[test]
     fn paper_orderings_hold_on_the_trimmed_grid() {
         let g = grid();
-        let cycles =
-            |m: &str, c: &str, w: &str| g.cell(m, c, w).map(|x| x.cycles).unwrap();
+        let cycles = |m: &str, c: &str, w: &str| g.cell(m, c, w).map(|x| x.cycles).unwrap();
         // Optimization helps on every machine row for the compile.
         for (m, _) in &g.machines {
             assert!(
@@ -557,19 +593,12 @@ mod tests {
             );
         }
         // §6.2: improving the hash table away wins on the 603.
-        assert!(
-            cycles("603-nohtab", "opt", "compile") < cycles("603-swload", "opt", "compile")
-        );
+        assert!(cycles("603-nohtab", "opt", "compile") < cycles("603-swload", "opt", "compile"));
         // The fast board beats the slow 604 on identical work — in wall
         // time: its DRAM costs more *cycles*, so raw cycles would invert.
-        let wall =
-            |m: &str, c: &str, w: &str| g.cell(m, c, w).map(|x| x.wall_us).unwrap();
-        assert!(
-            wall("604-200", "opt", "compile") < wall("604-133", "opt", "compile")
-        );
-        assert!(
-            cycles("604-200", "opt", "compile") != cycles("604-133", "opt", "compile")
-        );
+        let wall = |m: &str, c: &str, w: &str| g.cell(m, c, w).map(|x| x.wall_us).unwrap();
+        assert!(wall("604-200", "opt", "compile") < wall("604-133", "opt", "compile"));
+        assert!(cycles("604-200", "opt", "compile") != cycles("604-133", "opt", "compile"));
     }
 
     #[test]
@@ -587,7 +616,10 @@ mod tests {
         let opt = KernelConfig::optimized();
         let by_id = |want: &str| vs.iter().find(|(id, _)| *id == want).unwrap().1;
         assert!(!by_id("opt-no-bats").use_bats && opt.use_bats);
-        assert_eq!(by_id("opt-slow-handlers").handler, kernel_sim::HandlerStyle::SlowC);
+        assert_eq!(
+            by_id("opt-slow-handlers").handler,
+            kernel_sim::HandlerStyle::SlowC
+        );
         assert!(!by_id("opt-eager-flush").lazy_flush);
         assert!(!by_id("opt-no-idle-reclaim").idle_reclaim);
     }

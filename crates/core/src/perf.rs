@@ -202,7 +202,12 @@ impl PerfData {
     /// weights, and the privilege split.
     pub fn report(&self) -> Vec<Table> {
         let weight_total = self.total_weight().max(1);
-        let exact_total: u64 = self.subsystems.iter().map(|(_, _, e)| e).sum::<u64>().max(1);
+        let exact_total: u64 = self
+            .subsystems
+            .iter()
+            .map(|(_, _, e)| e)
+            .sum::<u64>()
+            .max(1);
 
         let mut by_sub = Table::new(
             format!(
@@ -265,7 +270,12 @@ impl PerfData {
     pub fn annotate(&self) -> String {
         const BAR: usize = 40;
         let weight_total = self.total_weight().max(1);
-        let exact_total: u64 = self.subsystems.iter().map(|(_, _, e)| e).sum::<u64>().max(1);
+        let exact_total: u64 = self
+            .subsystems
+            .iter()
+            .map(|(_, _, e)| e)
+            .sum::<u64>()
+            .max(1);
         let mut rows = self.subsystems.clone();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let pct = |ppm: u64| format!("{}.{:02}%", ppm / 10_000, (ppm % 10_000) / 100);
@@ -395,10 +405,7 @@ mod tests {
         let d = sample();
         assert!(d.interrupts > 0);
         assert!(d.total_cycles > d.baseline_cycles, "sampling costs cycles");
-        assert_eq!(
-            d.pids.iter().map(|(_, w)| w).sum::<u64>(),
-            d.total_weight()
-        );
+        assert_eq!(d.pids.iter().map(|(_, w)| w).sum::<u64>(), d.total_weight());
         assert_eq!(
             d.folded.iter().map(|(_, w)| w).sum::<u64>(),
             d.total_weight()
@@ -441,7 +448,10 @@ mod tests {
         for line in folded.lines() {
             let mut f = line.split(' ');
             assert!(f.next().unwrap().contains("pid"));
-            f.next().unwrap().parse::<u64>().expect("weight is a number");
+            f.next()
+                .unwrap()
+                .parse::<u64>()
+                .expect("weight is a number");
         }
     }
 

@@ -192,7 +192,11 @@ mod tests {
             st.record(i, 1, false, 1, &[]);
         }
         assert_eq!(st.samples.len(), SAMPLE_CAP);
-        assert_eq!(st.total_weight(), SAMPLE_CAP as u64 + 10, "aggregates uncapped");
+        assert_eq!(
+            st.total_weight(),
+            SAMPLE_CAP as u64 + 10,
+            "aggregates uncapped"
+        );
     }
 
     #[test]

@@ -103,7 +103,9 @@ fn htab_delta(now: &HtabStats, then: &HtabStats) -> HtabStats {
         misses: now.misses.saturating_sub(then.misses),
         probes: now.probes.saturating_sub(then.probes),
         inserts: now.inserts.saturating_sub(then.inserts),
-        inserts_into_empty: now.inserts_into_empty.saturating_sub(then.inserts_into_empty),
+        inserts_into_empty: now
+            .inserts_into_empty
+            .saturating_sub(then.inserts_into_empty),
         evictions: now.evictions.saturating_sub(then.evictions),
         overflows: now.overflows.saturating_sub(then.overflows),
         invalidates: now.invalidates.saturating_sub(then.invalidates),
@@ -473,7 +475,10 @@ mod tests {
         let mut s = none;
         s.mmtune_retunes = 1;
         s.reclaimed_pages = 3;
-        assert_eq!(TailCause::classify(&[], &s, &h0), TailCause::RetuneCollision);
+        assert_eq!(
+            TailCause::classify(&[], &s, &h0),
+            TailCause::RetuneCollision
+        );
         // Pressure outranks zombies.
         let mut s = none;
         s.reclaimed_pages = 1;
@@ -506,7 +511,10 @@ mod tests {
             TailCause::SecondaryProbeStorm
         );
         // Live displacement without the storm signature.
-        assert_eq!(TailCause::classify(&[], &s, &h0), TailCause::PtegDisplacement);
+        assert_eq!(
+            TailCause::classify(&[], &s, &h0),
+            TailCause::PtegDisplacement
+        );
         // A plain miss is a Linux-PT reinstall.
         let mut h = h0;
         h.misses = 2;
@@ -519,7 +527,10 @@ mod tests {
             TailCause::classify(&[Subsystem::Signal], &none, &h0),
             TailCause::SignalUnwind
         );
-        assert_eq!(TailCause::classify(&[], &none, &h0), TailCause::Unattributed);
+        assert_eq!(
+            TailCause::classify(&[], &none, &h0),
+            TailCause::Unattributed
+        );
     }
 
     #[test]
@@ -573,7 +584,16 @@ mod tests {
         let mut offered = TailState::new(cfg);
         let mut skipped = TailState::new(cfg);
         let path = LatencyPath::PageFault;
-        let samples = [(5, 10), (9, 20), (5, 30), (7, 40), (5, 50), (9, 5), (9, 60), (8, 70)];
+        let samples = [
+            (5, 10),
+            (9, 20),
+            (5, 30),
+            (7, 40),
+            (5, 50),
+            (9, 5),
+            (9, 60),
+            (8, 70),
+        ];
         for (i, (lat, cyc)) in samples.into_iter().enumerate() {
             let keep = offered.would_retain(path, lat, cyc);
             assert_eq!(keep, skipped.would_retain(path, lat, cyc));
@@ -713,7 +733,10 @@ mod tests {
             &later,
             &htab,
         );
-        assert_eq!(tl.exemplars(LatencyPath::TlbReload)[0].d_stats.evict_live, 2);
+        assert_eq!(
+            tl.exemplars(LatencyPath::TlbReload)[0].d_stats.evict_live,
+            2
+        );
     }
 
     #[test]

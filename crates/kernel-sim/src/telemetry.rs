@@ -311,7 +311,11 @@ mod tests {
     #[test]
     fn series_names_cover_every_exported_series() {
         let mut t = Telemetry::new(TelemetryConfig::default_epochs());
-        t.record(DEFAULT_EPOCH_CYCLES, readings(8, 6), &KernelStats::default());
+        t.record(
+            DEFAULT_EPOCH_CYCLES,
+            readings(8, 6),
+            &KernelStats::default(),
+        );
         let named: Vec<(&str, u64)> = SERIES_NAMES
             .iter()
             .copied()

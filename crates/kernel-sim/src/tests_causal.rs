@@ -122,7 +122,11 @@ fn subsystem_self_time_scaling_affects_only_that_bucket() {
 #[test]
 fn causal_state_is_exposed_and_balanced_at_rest() {
     let causal = CausalConfig::identity();
-    let k = run(MachineConfig::ppc604_185(), KernelConfig::optimized(), Some(causal));
+    let k = run(
+        MachineConfig::ppc604_185(),
+        KernelConfig::optimized(),
+        Some(causal),
+    );
     let st = k.causal.as_ref().expect("causal state installed");
     assert!(k.spans().is_empty());
     assert_eq!(st.scale(Subsystem::User), (1, 1), "identity folds to 1/1");

@@ -113,7 +113,8 @@ fn vsid_wraparound_keeps_contexts_distinct() {
 fn stack_grows_from_its_own_vma() {
     let mut k = boot(KernelConfig::optimized());
     // Stack pages are demand-zero from the stack VMA.
-    k.data_ref(EffectiveAddress(crate::sched::STACK_BASE), true).unwrap();
+    k.data_ref(EffectiveAddress(crate::sched::STACK_BASE), true)
+        .unwrap();
     k.data_ref(
         EffectiveAddress(crate::sched::STACK_BASE + (crate::sched::STACK_PAGES - 1) * PAGE_SIZE),
         true,

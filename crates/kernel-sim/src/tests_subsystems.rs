@@ -115,7 +115,8 @@ fn mmap_places_nonoverlapping_regions() {
     assert!(b >= a + 16 * PAGE_SIZE, "regions must not overlap");
     // Both are usable.
     k.data_ref(EffectiveAddress(a), true).unwrap();
-    k.data_ref(EffectiveAddress(b + 15 * PAGE_SIZE), true).unwrap();
+    k.data_ref(EffectiveAddress(b + 15 * PAGE_SIZE), true)
+        .unwrap();
 }
 
 #[test]
@@ -164,7 +165,8 @@ fn pipe_transfer_moves_everything() {
         k.prefault(USER_BASE, 16).unwrap();
     }
     let p = k.pipe_create().unwrap();
-    k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, 64 * 1024).unwrap();
+    k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, 64 * 1024)
+        .unwrap();
     assert_eq!(k.pipes[p].total_bytes, 64 * 1024);
     assert!(k.stats.ctx_switches > 16, "one switch per ring fill/drain");
 }

@@ -106,7 +106,11 @@ fn fixed_threshold_captures_only_at_or_above() {
     let tl = k.tail.as_ref().unwrap();
     for path in LatencyPath::ALL {
         for e in tl.exemplars(path) {
-            assert!(e.latency >= 200, "{path:?} captured {} < threshold", e.latency);
+            assert!(
+                e.latency >= 200,
+                "{path:?} captured {} < threshold",
+                e.latency
+            );
         }
     }
 }

@@ -82,7 +82,10 @@ fn latency_histograms_cover_all_three_paths() {
         let h = t.latency(path);
         assert!(h.count() > 0, "no samples for {path:?}");
         let (p50, p90, p99) = h.percentiles();
-        assert!(p50 > 0 && p50 <= p90 && p90 <= p99, "{path:?}: {p50}/{p90}/{p99}");
+        assert!(
+            p50 > 0 && p50 <= p90 && p90 <= p99,
+            "{path:?}: {p50}/{p90}/{p99}"
+        );
         assert!(p99 <= h.max());
     }
 }

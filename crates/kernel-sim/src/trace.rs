@@ -303,7 +303,11 @@ impl Histogram {
             cum += n;
             if cum >= rank {
                 // Upper bound of bucket i, clamped to the observed max.
-                let hi = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
+                let hi = if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                };
                 return hi.min(self.max);
             }
         }
@@ -312,7 +316,11 @@ impl Histogram {
 
     /// `(p50, p90, p99)` shorthand.
     pub fn percentiles(&self) -> (u64, u64, u64) {
-        (self.percentile(50), self.percentile(90), self.percentile(99))
+        (
+            self.percentile(50),
+            self.percentile(90),
+            self.percentile(99),
+        )
     }
 
     /// The raw bucket counts (bucket `i` covers `[2^i, 2^(i+1))`).

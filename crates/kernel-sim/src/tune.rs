@@ -588,8 +588,12 @@ mod tests {
             };
             let mut inp = inp;
             inp.scatter = 16;
-            if let Some(a) = m.observe(e * cfg.epoch_cycles, &snap(e * cfg.epoch_cycles, e * 100), &stats, inp)
-            {
+            if let Some(a) = m.observe(
+                e * cfg.epoch_cycles,
+                &snap(e * cfg.epoch_cycles, e * 100),
+                &stats,
+                inp,
+            ) {
                 decisions += 1;
                 if let TuneAction::ResizeHtab { to, .. } = a {
                     groups = to;
@@ -629,9 +633,6 @@ mod tests {
             to: 1,
         });
         let f = m.final_values();
-        assert_eq!(
-            f,
-            vec![(TuneKnob::Bat, 1), (TuneKnob::HtabSize, 512)]
-        );
+        assert_eq!(f, vec![(TuneKnob::Bat, 1), (TuneKnob::HtabSize, 512)]);
     }
 }

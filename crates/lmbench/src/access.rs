@@ -56,7 +56,8 @@ impl WorkingSet {
         for _ in 0..n {
             let ea = self.next_ea();
             let write = self.rng.gen_bool(write_frac);
-            k.data_ref(ppc_mmu::addr::EffectiveAddress(ea), write).expect("benchmark workload is well-formed");
+            k.data_ref(ppc_mmu::addr::EffectiveAddress(ea), write)
+                .expect("benchmark workload is well-formed");
             k.machine.charge(compute as u64);
         }
         k.machine.cycles - start

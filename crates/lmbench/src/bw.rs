@@ -19,16 +19,19 @@ pub fn pipe_bandwidth(k: &mut Kernel) -> f64 {
     let buf_pages = 16;
     for &pid in &[w, r] {
         k.switch_to(pid);
-        k.prefault(USER_BASE, buf_pages).expect("benchmark workload is well-formed");
+        k.prefault(USER_BASE, buf_pages)
+            .expect("benchmark workload is well-formed");
     }
     // Warm one buffer-sized transfer through.
     let buf_bytes = buf_pages * PAGE_SIZE;
-    k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, buf_bytes).expect("benchmark workload is well-formed");
+    k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, buf_bytes)
+        .expect("benchmark workload is well-formed");
     let start = k.machine.cycles;
     let mut moved = 0u64;
     // lmbench moves the data in 64 KiB write()/read() pairs.
     for _ in 0..PIPE_BW_BYTES / buf_bytes {
-        k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, buf_bytes).expect("benchmark workload is well-formed");
+        k.pipe_transfer(p, w, r, USER_BASE, USER_BASE, buf_bytes)
+            .expect("benchmark workload is well-formed");
         moved += buf_bytes as u64;
     }
     let t = k.machine.time_of(k.machine.cycles - start);
@@ -46,18 +49,23 @@ pub fn file_reread(k: &mut Kernel) -> f64 {
     let pid = k.spawn_process(32).expect("spawn");
     k.switch_to(pid);
     let chunk: u32 = 64 * 1024;
-    k.prefault(USER_BASE, chunk / PAGE_SIZE).expect("benchmark workload is well-formed");
-    let f = k.create_file(FILE_RR_BYTES).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, chunk / PAGE_SIZE)
+        .expect("benchmark workload is well-formed");
+    let f = k
+        .create_file(FILE_RR_BYTES)
+        .expect("benchmark workload is well-formed");
     // Warm pass (the "re" in reread).
     let mut off = 0;
     while off < FILE_RR_BYTES {
-        k.sys_read(f, off, USER_BASE, chunk).expect("benchmark workload is well-formed");
+        k.sys_read(f, off, USER_BASE, chunk)
+            .expect("benchmark workload is well-formed");
         off += chunk;
     }
     let start = k.machine.cycles;
     let mut off = 0;
     while off < FILE_RR_BYTES {
-        k.sys_read(f, off, USER_BASE, chunk).expect("benchmark workload is well-formed");
+        k.sys_read(f, off, USER_BASE, chunk)
+            .expect("benchmark workload is well-formed");
         off += chunk;
     }
     let t = k.machine.time_of(k.machine.cycles - start);

@@ -106,11 +106,15 @@ pub struct CompileResult {
 
 /// Runs the compile workload on a booted kernel.
 pub fn kernel_compile(k: &mut Kernel, cfg: CompileConfig) -> CompileResult {
-    let sources = k.create_file(cfg.source_bytes.max(PAGE_SIZE)).expect("benchmark workload is well-formed");
+    let sources = k
+        .create_file(cfg.source_bytes.max(PAGE_SIZE))
+        .expect("benchmark workload is well-formed");
     // The shared wide data set (like mapped libraries / the front end's
     // tables): file-backed so faults do not clear pages.
-    let wide_file = (cfg.wide_pages > 0)
-        .then(|| k.create_file(cfg.wide_pages * PAGE_SIZE).expect("benchmark workload is well-formed"));
+    let wide_file = (cfg.wide_pages > 0).then(|| {
+        k.create_file(cfg.wide_pages * PAGE_SIZE)
+            .expect("benchmark workload is well-formed")
+    });
     let m0 = k.machine.snapshot();
     let k0 = k.stats;
     let h0 = *k.htab.stats();
@@ -124,13 +128,16 @@ pub fn kernel_compile(k: &mut Kernel, cfg: CompileConfig) -> CompileResult {
             .expect("spawn cc1");
         k.switch_to(pid);
         // Read the source file.
-        k.sys_read(sources, 0, USER_BASE, cfg.source_bytes.min(64 * 1024)).expect("benchmark workload is well-formed");
+        k.sys_read(sources, 0, USER_BASE, cfg.source_bytes.min(64 * 1024))
+            .expect("benchmark workload is well-formed");
         // Allocation phase: fresh demand-zero pages (symbol tables, AST...).
-        k.prefault(alloc_base, cfg.alloc_pages).expect("benchmark workload is well-formed");
+        k.prefault(alloc_base, cfg.alloc_pages)
+            .expect("benchmark workload is well-formed");
         // Map and fault the wide data set.
         let wide_base = wide_file.map(|f| {
             let base = k.sys_mmap(Some(f), cfg.wide_pages * PAGE_SIZE);
-            k.prefault(base, cfg.wide_pages).expect("benchmark workload is well-formed");
+            k.prefault(base, cfg.wide_pages)
+                .expect("benchmark workload is well-formed");
             base
         });
         // Compute phase: bursts over the hot arena plus sparse references
@@ -153,7 +160,8 @@ pub fn kernel_compile(k: &mut Kernel, cfg: CompileConfig) -> CompileResult {
             k.run_idle(cfg.idle_slice);
         }
         // Write the object file: stream a result buffer.
-        k.user_write(alloc_base, (cfg.alloc_pages * PAGE_SIZE).min(32 * 1024)).expect("benchmark workload is well-formed");
+        k.user_write(alloc_base, (cfg.alloc_pages * PAGE_SIZE).min(32 * 1024))
+            .expect("benchmark workload is well-formed");
         // Sample the kernel's TLB footprint at the busiest point.
         let kernel_entries = k
             .machine

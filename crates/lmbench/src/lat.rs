@@ -11,7 +11,8 @@ use crate::access::WorkingSet;
 pub fn null_syscall(k: &mut Kernel, iters: u32) -> f64 {
     let pid = k.spawn_process(4).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 4).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, 4)
+        .expect("benchmark workload is well-formed");
     // Warm up the syscall path (I-cache, kernel TLB entries).
     for _ in 0..16 {
         k.sys_null();
@@ -40,7 +41,8 @@ pub fn ctx_switch(k: &mut Kernel, nprocs: u32, ws_pages: u32, rounds: u32) -> f6
     // Fault everything in and warm one full ring round.
     for (i, &pid) in pids.iter().enumerate() {
         k.switch_to(pid);
-        k.prefault(USER_BASE, ws_pages.max(1)).expect("benchmark workload is well-formed");
+        k.prefault(USER_BASE, ws_pages.max(1))
+            .expect("benchmark workload is well-formed");
         let _ = i;
     }
     // Baseline: the same token-passing work in one process, no switching.
@@ -53,11 +55,13 @@ pub fn ctx_switch(k: &mut Kernel, nprocs: u32, ws_pages: u32, rounds: u32) -> f6
     for round in 0..rounds + warm {
         let start = k.machine.cycles;
         for _ in 0..nprocs {
-            k.pipe_write(base_pipe, USER_BASE, 1).expect("benchmark workload is well-formed");
+            k.pipe_write(base_pipe, USER_BASE, 1)
+                .expect("benchmark workload is well-formed");
             if ws_pages > 0 {
                 base_ws.run(k, ws_pages * 2, 0.0, 1);
             }
-            k.pipe_read(base_pipe, USER_BASE, 1).expect("benchmark workload is well-formed");
+            k.pipe_read(base_pipe, USER_BASE, 1)
+                .expect("benchmark workload is well-formed");
         }
         if round >= warm {
             baseline += k.machine.cycles - start;
@@ -65,20 +69,23 @@ pub fn ctx_switch(k: &mut Kernel, nprocs: u32, ws_pages: u32, rounds: u32) -> f6
     }
     // Prime the token.
     k.switch_to(pids[0]);
-    k.pipe_write(pipes[0], USER_BASE, 1).expect("benchmark workload is well-formed");
+    k.pipe_write(pipes[0], USER_BASE, 1)
+        .expect("benchmark workload is well-formed");
     let mut measured = 0u64;
     let mut hops = 0u64;
     for round in 0..rounds + warm {
         let start = k.machine.cycles;
         for i in 0..nprocs as usize {
             k.switch_to(pids[i]);
-            k.pipe_read(pipes[i], USER_BASE, 1).expect("benchmark workload is well-formed");
+            k.pipe_read(pipes[i], USER_BASE, 1)
+                .expect("benchmark workload is well-formed");
             if ws_pages > 0 {
                 // Touch the private working set (2 refs per page, as
                 // lmbench's summing loop does).
                 sets[i].run(k, ws_pages * 2, 0.0, 1);
             }
-            k.pipe_write(pipes[(i + 1) % nprocs as usize], USER_BASE, 1).expect("benchmark workload is well-formed");
+            k.pipe_write(pipes[(i + 1) % nprocs as usize], USER_BASE, 1)
+                .expect("benchmark workload is well-formed");
         }
         if round >= warm {
             measured += k.machine.cycles - start;
@@ -98,19 +105,24 @@ pub fn pipe_latency(k: &mut Kernel, rounds: u32) -> f64 {
     let p_ba = k.pipe_create().expect("benchmark workload is well-formed");
     for &pid in &[a, b] {
         k.switch_to(pid);
-        k.prefault(USER_BASE, 4).expect("benchmark workload is well-formed");
+        k.prefault(USER_BASE, 4)
+            .expect("benchmark workload is well-formed");
     }
     let warm = 4;
     let mut measured = 0u64;
     for round in 0..rounds + warm {
         let start = k.machine.cycles;
         k.switch_to(a);
-        k.pipe_write(p_ab, USER_BASE, 1).expect("benchmark workload is well-formed");
+        k.pipe_write(p_ab, USER_BASE, 1)
+            .expect("benchmark workload is well-formed");
         k.switch_to(b);
-        k.pipe_read(p_ab, USER_BASE, 1).expect("benchmark workload is well-formed");
-        k.pipe_write(p_ba, USER_BASE, 1).expect("benchmark workload is well-formed");
+        k.pipe_read(p_ab, USER_BASE, 1)
+            .expect("benchmark workload is well-formed");
+        k.pipe_write(p_ba, USER_BASE, 1)
+            .expect("benchmark workload is well-formed");
         k.switch_to(a);
-        k.pipe_read(p_ba, USER_BASE, 1).expect("benchmark workload is well-formed");
+        k.pipe_read(p_ba, USER_BASE, 1)
+            .expect("benchmark workload is well-formed");
         if round >= warm {
             measured += k.machine.cycles - start;
         }
@@ -133,8 +145,11 @@ pub fn mmap_latency(k: &mut Kernel, iters: u32) -> f64 {
 pub fn mmap_latency_sized(k: &mut Kernel, iters: u32, bytes: u32) -> f64 {
     let pid = k.spawn_process(4).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 4).expect("benchmark workload is well-formed");
-    let file = k.create_file(bytes).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, 4)
+        .expect("benchmark workload is well-formed");
+    let file = k
+        .create_file(bytes)
+        .expect("benchmark workload is well-formed");
     // Warm-up iteration.
     let addr = k.sys_mmap(Some(file), bytes);
     k.sys_munmap(addr, bytes);
@@ -153,21 +168,26 @@ pub const PSTART_TEXT_PAGES: u32 = 48;
 /// text from the page cache, touch its initial working set, exit — in
 /// milliseconds.
 pub fn process_start(k: &mut Kernel, iters: u32) -> f64 {
-    let binary = k.create_file(PSTART_TEXT_PAGES * PAGE_SIZE).expect("benchmark workload is well-formed");
+    let binary = k
+        .create_file(PSTART_TEXT_PAGES * PAGE_SIZE)
+        .expect("benchmark workload is well-formed");
     let start = k.machine.cycles;
     for _ in 0..iters {
         let pid = k.spawn_process(PSTART_TEXT_PAGES + 8).expect("spawn");
         k.switch_to(pid);
         // exec: read the binary.
-        k.sys_read(binary, 0, USER_BASE, PSTART_TEXT_PAGES * PAGE_SIZE).expect("benchmark workload is well-formed");
+        k.sys_read(binary, 0, USER_BASE, PSTART_TEXT_PAGES * PAGE_SIZE)
+            .expect("benchmark workload is well-formed");
         // Dynamic linking: remap the address space (the §7 "when a
         // dynamically linked Linux process is started, the process must
         // remap its address space to incorporate shared libraries").
         let lib = k.sys_mmap(Some(binary), 24 * PAGE_SIZE);
-        k.prefault(lib, 8).expect("benchmark workload is well-formed");
+        k.prefault(lib, 8)
+            .expect("benchmark workload is well-formed");
         k.sys_munmap(lib, 24 * PAGE_SIZE);
         // First instructions and stack.
-        k.prefault(USER_BASE, 8).expect("benchmark workload is well-formed");
+        k.prefault(USER_BASE, 8)
+            .expect("benchmark workload is well-formed");
         k.exit_current();
     }
     k.time_us(k.machine.cycles - start) / iters as f64 / 1000.0
@@ -177,7 +197,8 @@ pub fn process_start(k: &mut Kernel, iters: u32) -> f64 {
 pub fn fork_latency(k: &mut Kernel, iters: u32) -> f64 {
     let pid = k.spawn_process(32).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 32).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, 32)
+        .expect("benchmark workload is well-formed");
     let parent = pid;
     // Warm one cycle.
     let child = k.sys_fork().expect("fork");
@@ -199,16 +220,22 @@ pub fn fork_latency(k: &mut Kernel, iters: u32) -> f64 {
 pub fn exec_latency(k: &mut Kernel, iters: u32) -> f64 {
     let pid = k.spawn_process(16).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 16).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, 16)
+        .expect("benchmark workload is well-formed");
     let parent = pid;
-    let binary = k.create_file(24 * PAGE_SIZE).expect("benchmark workload is well-formed");
+    let binary = k
+        .create_file(24 * PAGE_SIZE)
+        .expect("benchmark workload is well-formed");
     let once = |k: &mut Kernel| {
         let child = k.sys_fork().expect("fork");
         k.switch_to(child);
-        k.sys_exec(binary, 24, 8).expect("benchmark workload is well-formed");
+        k.sys_exec(binary, 24, 8)
+            .expect("benchmark workload is well-formed");
         // First instructions, data, and stack of the new image.
-        k.prefault(USER_BASE, 8).expect("benchmark workload is well-formed");
-        k.user_write(USER_BASE + 24 * PAGE_SIZE, PAGE_SIZE).expect("benchmark workload is well-formed");
+        k.prefault(USER_BASE, 8)
+            .expect("benchmark workload is well-formed");
+        k.user_write(USER_BASE + 24 * PAGE_SIZE, PAGE_SIZE)
+            .expect("benchmark workload is well-formed");
         k.exit_current();
         k.switch_to(parent);
     };
@@ -225,12 +252,15 @@ pub fn exec_latency(k: &mut Kernel, iters: u32) -> f64 {
 pub fn sig_catch(k: &mut Kernel, iters: u32) -> f64 {
     let pid = k.spawn_process(8).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, 4).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, 4)
+        .expect("benchmark workload is well-formed");
     k.sys_signal_install();
-    k.signal_roundtrip(USER_BASE).expect("benchmark workload is well-formed");
+    k.signal_roundtrip(USER_BASE)
+        .expect("benchmark workload is well-formed");
     let start = k.machine.cycles;
     for _ in 0..iters {
-        k.signal_roundtrip(USER_BASE).expect("benchmark workload is well-formed");
+        k.signal_roundtrip(USER_BASE)
+            .expect("benchmark workload is well-formed");
     }
     k.time_us(k.machine.cycles - start) / iters as f64
 }

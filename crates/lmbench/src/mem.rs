@@ -24,7 +24,8 @@ pub enum MemOp {
 fn setup(k: &mut Kernel, pages: u32) -> u32 {
     let pid = k.spawn_process(pages + 4).expect("spawn");
     k.switch_to(pid);
-    k.prefault(USER_BASE, pages).expect("benchmark workload is well-formed");
+    k.prefault(USER_BASE, pages)
+        .expect("benchmark workload is well-formed");
     USER_BASE
 }
 
@@ -39,7 +40,8 @@ pub fn read_latency_ns(k: &mut Kernel, kb: u32) -> f64 {
     let pass = |k: &mut Kernel| {
         let mut off = 0;
         while off < bytes {
-            k.data_ref(EffectiveAddress(base + off), false).expect("benchmark workload is well-formed");
+            k.data_ref(EffectiveAddress(base + off), false)
+                .expect("benchmark workload is well-formed");
             off += line;
         }
     };
@@ -69,14 +71,18 @@ pub fn bandwidth_mbs(k: &mut Kernel, op: MemOp, kb: u32) -> f64 {
         while off < bytes {
             match op {
                 MemOp::Read => {
-                    k.data_ref(EffectiveAddress(base + off), false).expect("benchmark workload is well-formed");
+                    k.data_ref(EffectiveAddress(base + off), false)
+                        .expect("benchmark workload is well-formed");
                 }
                 MemOp::Write => {
-                    k.data_ref(EffectiveAddress(base + off), true).expect("benchmark workload is well-formed");
+                    k.data_ref(EffectiveAddress(base + off), true)
+                        .expect("benchmark workload is well-formed");
                 }
                 MemOp::Copy => {
-                    k.data_ref(EffectiveAddress(base + off), false).expect("benchmark workload is well-formed");
-                    k.data_ref(EffectiveAddress(dst + off), true).expect("benchmark workload is well-formed");
+                    k.data_ref(EffectiveAddress(base + off), false)
+                        .expect("benchmark workload is well-formed");
+                    k.data_ref(EffectiveAddress(dst + off), true)
+                        .expect("benchmark workload is well-formed");
                 }
             }
             // The unrolled word loop for the rest of the line.

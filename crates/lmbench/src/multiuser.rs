@@ -131,8 +131,11 @@ pub fn run_multiuser(k: &mut Kernel, users: &[User], rounds: u32) -> MultiuserRe
         .map(|(i, u)| {
             let pid = k.spawn_process(u.ws_pages + 8).expect("spawn user");
             k.switch_to(pid);
-            k.prefault(USER_BASE, u.ws_pages).expect("benchmark workload is well-formed");
-            let file = k.create_file(64 * 1024).expect("benchmark workload is well-formed");
+            k.prefault(USER_BASE, u.ws_pages)
+                .expect("benchmark workload is well-formed");
+            let file = k
+                .create_file(64 * 1024)
+                .expect("benchmark workload is well-formed");
             UserState {
                 pid,
                 ws: WorkingSet::new(USER_BASE, u.ws_pages, 42 + i as u64),
@@ -171,7 +174,8 @@ pub fn run_multiuser(k: &mut Kernel, users: &[User], rounds: u32) -> MultiuserRe
                     if s.file_off + bytes > 64 * 1024 {
                         s.file_off = 0;
                     }
-                    k.sys_read(s.file, s.file_off, USER_BASE, bytes).expect("benchmark workload is well-formed");
+                    k.sys_read(s.file, s.file_off, USER_BASE, bytes)
+                        .expect("benchmark workload is well-formed");
                     s.file_off += bytes;
                 }
                 Step::IoWait { cycles } => {
@@ -183,14 +187,16 @@ pub fn run_multiuser(k: &mut Kernel, users: &[User], rounds: u32) -> MultiuserRe
                     if let Ok(child) = k.sys_fork() {
                         k.switch_to(child);
                         let addr = k.sys_mmap(None, pages * PAGE_SIZE);
-                        k.prefault(addr, pages).expect("benchmark workload is well-formed");
+                        k.prefault(addr, pages)
+                            .expect("benchmark workload is well-formed");
                         k.exit_current();
                         k.switch_to(s.pid);
                     }
                 }
                 Step::MapScratch { pages } => {
                     let addr = k.sys_mmap(None, pages * PAGE_SIZE);
-                    k.prefault(addr, pages.min(8)).expect("benchmark workload is well-formed");
+                    k.prefault(addr, pages.min(8))
+                        .expect("benchmark workload is well-formed");
                     k.sys_munmap(addr, pages * PAGE_SIZE);
                 }
             }

@@ -38,7 +38,8 @@ fn run(idle_reclaim: bool) {
             // the whole context, turning its hash-table entries into
             // zombies.
             let addr = k.sys_mmap(None, 320 * PAGE_SIZE);
-            k.prefault(addr, 320).expect("scratch region fits in memory");
+            k.prefault(addr, 320)
+                .expect("scratch region fits in memory");
             k.sys_munmap(addr, 320 * PAGE_SIZE);
             // Re-touch the live working set so its entries keep mattering.
             k.user_read(kernel_sim::sched::USER_BASE, 64 * PAGE_SIZE)

@@ -18,7 +18,8 @@ fn munmap_cost(kcfg: KernelConfig, pages: u32) -> f64 {
     let pid = k.spawn_process(8).unwrap();
     k.switch_to(pid);
     let addr = k.sys_mmap(None, pages * PAGE_SIZE);
-    k.prefault(addr, pages).expect("mapped region fits in memory");
+    k.prefault(addr, pages)
+        .expect("mapped region fits in memory");
     let start = k.machine.cycles;
     k.sys_munmap(addr, pages * PAGE_SIZE);
     k.time_us(k.machine.cycles - start)
