@@ -91,7 +91,6 @@ fn observed_config(depth: Depth) -> KernelConfig {
         tail: Some(TailConfig {
             threshold: Some(1),
             top_n,
-            ..TailConfig::auto()
         }),
         ..KernelConfig::optimized()
     }

@@ -10,32 +10,20 @@
 //! 2. **§6.2** — `603-nohtab` beats `603-swload` with both running the
 //!    otherwise-optimized kernel.
 //! 3. **Per-optimization signs** — each single-toggle ablation
-//!    (`opt-no-X`) is slower than `opt` on the machine the paper measured
-//!    the trick on. The gate machine matters: the matrix itself shows the
-//!    scatter constant only hurts the hardware-walk 604s, and idle-time
-//!    page clearing *inverts* on the 604s' cache — exactly the
+//!    (`opt-no-X`, one per [`OPTIMIZATIONS`] entry) is slower than `opt`
+//!    on the entry's gate machine, the one the paper measured the trick
+//!    on. The gate machine matters: the matrix itself shows the scatter
+//!    constant only hurts the hardware-walk 604s, and idle-time page
+//!    clearing *inverts* on the 604s' cache — exactly the
 //!    machine-dependence the paper's per-machine tables exist to show.
 //! 4. **Clocks** — the 200MHz 604 beats the 133MHz 604 in wall time
 //!    (its slower-in-cycles DRAM means raw cycles would invert).
 
-use crate::matrix::{paper_machines, paper_variants, run_cell, MatrixMachine};
+use kernel_sim::KernelConfig;
+
+use crate::matrix::{machine_row, paper_machines, run_cell, OPTIMIZATIONS};
 use crate::tables::Table;
 use crate::Depth;
-
-/// `(variant id, paper section, gate machine)`: where each optimization's
-/// before/after sign is gated. Sections 5.1/6.1 are gated on the
-/// software-reload 603 (the machine whose reload path they optimize), 5.2
-/// and the §7 pair on the hardware-walk 604 (collision chains and zombie
-/// PTEs cost the table-walker), and §9 on the 603 (the matrix shows the
-/// 604's cache turns idle clearing into a loss — see the module docs).
-pub const ABLATION_GATES: &[(&str, &str, &str)] = &[
-    ("opt-no-bats", "5.1", "603-swload"),
-    ("opt-untuned-scatter", "5.2", "604-133"),
-    ("opt-slow-handlers", "6.1", "603-swload"),
-    ("opt-eager-flush", "7", "604-133"),
-    ("opt-no-idle-reclaim", "7", "604-133"),
-    ("opt-clear-on-demand", "9", "603-swload"),
-];
 
 /// One optimization's before/after on its gate machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,32 +76,15 @@ impl MatrixResult {
     }
 }
 
-fn machine_by_id(machines: &[MatrixMachine], id: &str) -> MatrixMachine {
-    *machines
-        .iter()
-        .find(|m| m.id == id)
-        .unwrap_or_else(|| panic!("unknown matrix machine {id:?}"))
-}
-
 /// Runs the ordering cells and renders the before/after table.
 pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
-    let machines = paper_machines();
-    let variants = paper_variants();
-    let variant = |id: &str| {
-        variants
-            .iter()
-            .find(|(v, _)| *v == id)
-            .unwrap_or_else(|| panic!("unknown matrix variant {id:?}"))
-            .1
-    };
-
     // Endpoints on every machine row (also yields the §6.2 and wall-time
     // cells).
     let mut endpoints = Vec::new();
     let mut opt_cells = Vec::new();
-    for m in &machines {
-        let unopt = run_cell(m, "unopt", variant("unopt"), "compile", depth);
-        let opt = run_cell(m, "opt", variant("opt"), "compile", depth);
+    for m in &paper_machines() {
+        let unopt = run_cell(m, "unopt", KernelConfig::unoptimized(), "compile", depth);
+        let opt = run_cell(m, "opt", KernelConfig::optimized(), "compile", depth);
         endpoints.push((m.id, unopt.cycles, opt.cycles));
         opt_cells.push(opt);
     }
@@ -123,17 +94,17 @@ pub fn exp_matrix(depth: Depth) -> (MatrixResult, Table) {
     let fast_board_wins_wall = opt_cell("604-200").wall_us < opt_cell("604-133").wall_us;
 
     // One ablated cell per optimization, on its gate machine.
-    let rows = ABLATION_GATES
+    let rows = OPTIMIZATIONS
         .iter()
-        .map(|&(config, section, machine)| {
-            let m = machine_by_id(&machines, machine);
-            let ablated = run_cell(&m, "ablated", variant(config), "compile", depth);
-            let opt_cycles = opt_cell(machine).cycles;
+        .map(|o| {
+            let m = machine_row(o.gate);
+            let ablated = run_cell(&m, "ablated", o.ablated(), "compile", depth);
+            let opt_cycles = opt_cell(o.gate).cycles;
             let delta = ablated.cycles as i64 - opt_cycles as i64;
             OptimizationRow {
-                config,
-                section,
-                machine,
+                config: o.variant,
+                section: o.section,
+                machine: o.gate,
                 opt_cycles,
                 ablated_cycles: ablated.cycles,
                 delta,
@@ -240,7 +211,7 @@ mod tests {
             assert!(row.delta.unsigned_abs() > 0);
         }
         assert!(r.ordering_holds());
-        assert_eq!(r.rows.len(), ABLATION_GATES.len());
+        assert_eq!(r.rows.len(), OPTIMIZATIONS.len());
         assert_eq!(r.endpoints.len(), 4);
         let s = t.render();
         assert!(s.contains("matches paper") && !s.contains("INVERTED"));

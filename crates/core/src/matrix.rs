@@ -13,7 +13,10 @@
 //! The E-MATRIX experiment gates that the grid reproduces the paper's
 //! ordering.
 
-use kernel_sim::{FaultInjection, Kernel, KernelConfig, KernelStats, LatencyPath, Subsystem};
+use kernel_sim::{
+    FaultInjection, HandlerStyle, Kernel, KernelConfig, KernelStats, LatencyPath, PageClearing,
+    Subsystem, VsidPolicy,
+};
 use ppc_cache::stats::CacheStats;
 use ppc_machine::{MachineConfig, MonitorSnapshot};
 use ppc_mmu::tlb::TlbStats;
@@ -93,64 +96,111 @@ pub fn machine_row(id: &str) -> MatrixMachine {
         .unwrap_or_else(|| panic!("unknown matrix machine {id:?}"))
 }
 
-/// The optimization columns: the two endpoint kernels plus one ablation
-/// per paper optimization (each flips a single [`KernelConfig`] field off
-/// the optimized kernel, so `opt` vs `opt-no-X` isolates X's contribution).
+/// One paper optimization, declared once: the bench matrix's ablation
+/// column, the E-MATRIX sign gate and the `repro tune` axis all come from
+/// its [`OPTIMIZATIONS`] entry.
+#[derive(Debug, Clone, Copy)]
+pub struct Optimization {
+    /// `repro tune` axis name.
+    pub axis: &'static str,
+    /// `repro tune` choice names: the optimized kernel's, then the ablated
+    /// one's.
+    pub choices: [&'static str; 2],
+    /// Matrix column id of the optimized kernel with this optimization off.
+    pub variant: &'static str,
+    /// Paper section that claims the optimization.
+    pub section: &'static str,
+    /// Machine row E-MATRIX gates the optimization's sign on: the software
+    /// reload 603 for the tricks that shorten its reload path (§5.1, §6.1)
+    /// and for §9, whose idle clearing the 604's cache turns into a loss;
+    /// the hardware-walk 604 for §5.2 and the §7 pair (collision chains and
+    /// zombie PTEs cost the table walker).
+    pub gate: &'static str,
+    /// Turns the optimization off, flipping only its own fields.
+    pub ablate: fn(&mut KernelConfig),
+}
+
+impl Optimization {
+    /// [`KernelConfig::optimized`] with this optimization turned off.
+    pub fn ablated(&self) -> KernelConfig {
+        let mut cfg = KernelConfig::optimized();
+        (self.ablate)(&mut cfg);
+        cfg
+    }
+}
+
+/// The optimizations the paper measures one at a time against the
+/// optimized kernel, in matrix column order.
+pub const OPTIMIZATIONS: [Optimization; 6] = [
+    // Kernel mapped by PTEs instead of BATs.
+    Optimization {
+        axis: "bats",
+        choices: ["on", "off"],
+        variant: "opt-no-bats",
+        section: "5.1",
+        gate: "603-swload",
+        ablate: |c| c.use_bats = false,
+    },
+    // Untuned power-of-two scatter constant (hash hot-spots).
+    Optimization {
+        axis: "scatter",
+        choices: ["897", "16"],
+        variant: "opt-untuned-scatter",
+        section: "5.2",
+        gate: "604-133",
+        ablate: |c| c.vsid_policy = VsidPolicy::ContextCounter { constant: 16 },
+    },
+    // The original C handlers with the MMU turned back on.
+    Optimization {
+        axis: "handler",
+        choices: ["fast_asm", "slow_c"],
+        variant: "opt-slow-handlers",
+        section: "6.1",
+        gate: "603-swload",
+        ablate: |c| c.handler = HandlerStyle::SlowC,
+    },
+    // Eager per-page flushes instead of lazy VSID retirement.
+    Optimization {
+        axis: "flush",
+        choices: ["lazy_cutoff20", "eager"],
+        variant: "opt-eager-flush",
+        section: "7",
+        gate: "604-133",
+        ablate: |c| {
+            c.lazy_flush = false;
+            c.flush_cutoff_pages = None;
+        },
+    },
+    // No idle-task zombie reclaim.
+    Optimization {
+        axis: "idle_reclaim",
+        choices: ["on", "off"],
+        variant: "opt-no-idle-reclaim",
+        section: "7",
+        gate: "604-133",
+        ablate: |c| c.idle_reclaim = false,
+    },
+    // No idle page clearing: get_free_page clears on demand.
+    Optimization {
+        axis: "page_clearing",
+        choices: ["idle_uncached", "on_demand"],
+        variant: "opt-clear-on-demand",
+        section: "9",
+        gate: "603-swload",
+        ablate: |c| c.page_clearing = PageClearing::OnDemand,
+    },
+];
+
+/// The optimization columns: the two endpoint kernels, then one ablation
+/// per [`OPTIMIZATIONS`] entry, so `opt` vs `opt-no-X` isolates X's
+/// contribution.
 pub fn paper_variants() -> Vec<(&'static str, KernelConfig)> {
-    let opt = KernelConfig::optimized;
-    vec![
+    let endpoints = [
         ("unopt", KernelConfig::unoptimized()),
-        ("opt", opt()),
-        // §5.1: kernel mapped by PTEs instead of BATs.
-        (
-            "opt-no-bats",
-            KernelConfig {
-                use_bats: false,
-                ..opt()
-            },
-        ),
-        // §5.2: untuned power-of-two scatter constant (hash hot-spots).
-        (
-            "opt-untuned-scatter",
-            KernelConfig {
-                vsid_policy: kernel_sim::VsidPolicy::ContextCounter { constant: 16 },
-                ..opt()
-            },
-        ),
-        // §6.1: the original C handlers with the MMU turned back on.
-        (
-            "opt-slow-handlers",
-            KernelConfig {
-                handler: kernel_sim::HandlerStyle::SlowC,
-                ..opt()
-            },
-        ),
-        // §7: eager per-page flushes instead of lazy VSID retirement.
-        (
-            "opt-eager-flush",
-            KernelConfig {
-                lazy_flush: false,
-                flush_cutoff_pages: None,
-                ..opt()
-            },
-        ),
-        // §7: no idle-task zombie reclaim.
-        (
-            "opt-no-idle-reclaim",
-            KernelConfig {
-                idle_reclaim: false,
-                ..opt()
-            },
-        ),
-        // §9: no idle page clearing, get_free_page clears on demand.
-        (
-            "opt-clear-on-demand",
-            KernelConfig {
-                page_clearing: kernel_sim::PageClearing::OnDemand,
-                ..opt()
-            },
-        ),
-    ]
+        ("opt", KernelConfig::optimized()),
+    ];
+    let ablations = OPTIMIZATIONS.iter().map(|o| (o.variant, o.ablated()));
+    endpoints.into_iter().chain(ablations).collect()
 }
 
 /// The headline workload names, in matrix order.
@@ -612,15 +662,36 @@ mod tests {
             }
             assert!(!id.is_empty());
         }
-        // Each ablation differs from opt in exactly the intended way.
-        let opt = KernelConfig::optimized();
-        let by_id = |want: &str| vs.iter().find(|(id, _)| *id == want).unwrap().1;
-        assert!(!by_id("opt-no-bats").use_bats && opt.use_bats);
-        assert_eq!(
-            by_id("opt-slow-handlers").handler,
-            kernel_sim::HandlerStyle::SlowC
-        );
-        assert!(!by_id("opt-eager-flush").lazy_flush);
-        assert!(!by_id("opt-no-idle-reclaim").idle_reclaim);
+        // Each ablation differs from opt in exactly its own summary keys,
+        // and names one real column and one real gate row.
+        let keys = |cfg: &KernelConfig| -> Vec<String> {
+            cfg.summary().split(' ').map(String::from).collect()
+        };
+        let opt = keys(&KernelConfig::optimized());
+        let changed = [
+            ("bats", &["bats"][..]),
+            ("scatter", &["vsid"]),
+            ("handler", &["handler"]),
+            ("flush", &["lazy_flush", "cutoff"]),
+            ("idle_reclaim", &["idle_reclaim"]),
+            ("page_clearing", &["clearing"]),
+        ];
+        assert_eq!(OPTIMIZATIONS.len(), changed.len());
+        for (o, (axis, want)) in OPTIMIZATIONS.iter().zip(changed) {
+            assert_eq!(o.axis, axis, "table order");
+            let moved: Vec<String> = keys(&o.ablated())
+                .into_iter()
+                .zip(&opt)
+                .filter(|(a, b)| a != *b)
+                .map(|(a, _)| a[..a.find('=').unwrap()].to_string())
+                .collect();
+            assert_eq!(moved, want, "{} ablates other fields", o.axis);
+            assert_eq!(vs.iter().filter(|(id, _)| *id == o.variant).count(), 1);
+            assert_eq!(
+                vs.iter().find(|(id, _)| *id == o.variant).unwrap().1,
+                o.ablated()
+            );
+            machine_row(o.gate);
+        }
     }
 }

@@ -25,12 +25,6 @@ pub struct PmuConfig {
     pub pmc1: PmcEvent,
     /// PMC2 event select (free for any event even while sampling).
     pub pmc2: PmcEvent,
-    /// `MMCR0[FCS]`: don't count in supervisor state.
-    pub freeze_supervisor: bool,
-    /// `MMCR0[FCP]`: don't count in problem (user) state.
-    pub freeze_problem: bool,
-    /// `MMCR0[THRESHOLD]` for [`PmcEvent::ThresholdExceeded`], in cycles.
-    pub threshold: u32,
 }
 
 impl PmuConfig {
@@ -45,9 +39,6 @@ impl PmuConfig {
             sample_period: period,
             pmc1: PmcEvent::Cycles,
             pmc2: PmcEvent::None,
-            freeze_supervisor: false,
-            freeze_problem: false,
-            threshold: 0,
         }
     }
 
@@ -57,27 +48,22 @@ impl PmuConfig {
             sample_period: 0,
             pmc1,
             pmc2,
-            freeze_supervisor: false,
-            freeze_problem: false,
-            threshold: 0,
         }
     }
 
-    /// The MMCR0 image this configuration programs at boot.
+    /// The MMCR0 image this configuration programs at boot: counting in
+    /// both privilege states, a zero threshold.
     pub fn mmcr0(&self) -> Mmcr0 {
         let sampling = self.sample_period > 0;
         Mmcr0 {
-            freeze: false,
-            freeze_supervisor: self.freeze_supervisor,
-            freeze_problem: self.freeze_problem,
             enint: sampling,
-            threshold: self.threshold,
             pmc1: if sampling {
                 PmcEvent::Cycles
             } else {
                 self.pmc1
             },
             pmc2: self.pmc2,
+            ..Mmcr0::default()
         }
     }
 }
@@ -220,8 +206,6 @@ pub struct KernelConfig {
     /// the same cycles as an untraced one; disabled, the kernel carries no
     /// tracer and every hook is a single branch.
     pub trace: bool,
-    /// Trace-ring capacity (newest-N events kept) when `trace` is on.
-    pub trace_ring_capacity: usize,
     /// Performance-monitor unit programming. `None` boots the machine with
     /// no PMU at all — such runs are cycle-identical to pre-PMU kernels.
     pub pmu: Option<PmuConfig>,
@@ -291,7 +275,6 @@ impl KernelConfig {
             cache_preloads: false,
             fault_injection: None,
             trace: false,
-            trace_ring_capacity: crate::trace::DEFAULT_RING_CAPACITY,
             pmu: None,
             telemetry: None,
             mmtune: None,
@@ -321,7 +304,6 @@ impl KernelConfig {
             cache_preloads: false,
             fault_injection: None,
             trace: false,
-            trace_ring_capacity: crate::trace::DEFAULT_RING_CAPACITY,
             pmu: None,
             telemetry: None,
             mmtune: None,
@@ -410,10 +392,6 @@ impl KernelConfig {
         if let Some(c) = self.flush_cutoff_pages {
             assert!(c > 0, "flush cutoff must be positive");
         }
-        assert!(
-            self.trace_ring_capacity > 0,
-            "trace ring capacity must be positive"
-        );
         if let Some(tc) = self.tail {
             assert!(
                 self.trace,

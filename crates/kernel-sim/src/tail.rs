@@ -33,8 +33,8 @@ use ppc_mmu::HtabStats;
 
 /// Default reservoir depth (exemplars retained per latency path).
 pub const DEFAULT_TOP_N: usize = 8;
-/// Default causal-window length (trailing trace-ring events captured).
-pub const DEFAULT_WINDOW: usize = 16;
+/// Causal-window length: trailing trace-ring events captured per exemplar.
+pub const WINDOW: usize = 16;
 
 /// Tail-forensics configuration ([`crate::KernelConfig::tail`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +47,6 @@ pub struct TailConfig {
     /// Exemplars retained per latency path (a deterministic top-N
     /// reservoir: slowest first, earliest capture wins ties).
     pub top_n: usize,
-    /// Trailing trace-ring events captured per exemplar as the causal
-    /// window.
-    pub window: usize,
 }
 
 impl TailConfig {
@@ -58,7 +55,6 @@ impl TailConfig {
         Self {
             threshold: None,
             top_n: DEFAULT_TOP_N,
-            window: DEFAULT_WINDOW,
         }
     }
 
@@ -80,10 +76,9 @@ impl TailConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the reservoir depth or causal window is zero.
+    /// Panics if the reservoir depth is zero.
     pub fn validate(&self) {
         assert!(self.top_n > 0, "tail reservoir depth must be positive");
-        assert!(self.window > 0, "tail causal window must be positive");
         if let Some(t) = self.threshold {
             assert!(t > 0, "tail threshold must be positive");
         }

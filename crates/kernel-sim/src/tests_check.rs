@@ -151,10 +151,7 @@ fn pte_written_after_a_sweep_is_reported_by_the_next_epoch() {
     // the table just after a heavy sweep cleared every PTEG mark: only the
     // write's own mark brings its group into the next (partial) sweep.
     let result = std::panic::catch_unwind(|| {
-        let check = CheckConfig {
-            epoch_cycles: 4096,
-            ..CheckConfig::full()
-        };
+        let check = CheckConfig { epoch_cycles: 4096 };
         let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg_with(Some(check), None));
         let a = k.spawn_process(8).unwrap();
         k.switch_to(a);
@@ -197,10 +194,7 @@ fn stale_pte_in_a_group_marked_only_by_its_key_is_reported_by_the_next_sweep() {
     // slot is written, so only that mark brings the stale entry's PTEG into
     // the next (partial) sweep.
     let result = std::panic::catch_unwind(|| {
-        let check = CheckConfig {
-            epoch_cycles: 4096,
-            ..CheckConfig::full()
-        };
+        let check = CheckConfig { epoch_cycles: 4096 };
         let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg_with(Some(check), None));
         let a = k.spawn_process(8).unwrap();
         k.switch_to(a);

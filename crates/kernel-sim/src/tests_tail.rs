@@ -83,7 +83,7 @@ fn exemplars_carry_their_causal_context() {
             assert!(e.latency > 0);
             assert!(!e.stack.is_empty(), "stack still holds the exiting span");
             assert!(!e.window.is_empty(), "causal window must not be empty");
-            assert!(e.window.len() <= tl.cfg.window);
+            assert!(e.window.len() <= crate::tail::WINDOW);
             assert!(e.window.windows(2).all(|w| w[0].cycle <= w[1].cycle));
             assert!(e.cycle >= e.latency, "completion cycle bounds the latency");
             assert!(e.mmu.htab_groups > 0);

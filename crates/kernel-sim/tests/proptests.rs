@@ -439,7 +439,7 @@ proptest! {
         use kernel_sim::KernelStats;
         use ppc_mmu::HtabStats;
 
-        let cfg = TailConfig { threshold: Some(1), top_n, window: 4 };
+        let cfg = TailConfig { threshold: Some(1), top_n };
         let run = || {
             let mut tl = TailState::new(cfg);
             for (i, (lat, p)) in offers.iter().enumerate() {
