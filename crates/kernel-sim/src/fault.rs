@@ -6,6 +6,7 @@ use ppc_mmu::translate::AccessType;
 
 use crate::errors::{KResult, KernelError, Signal};
 use crate::fs::PageCacheLookup;
+use crate::inject::InjectSite;
 use crate::kernel::Kernel;
 use crate::layout::KernelPath;
 use crate::linuxpt::{LinuxPte, PTE_RW};
@@ -145,7 +146,7 @@ impl Kernel {
         // "the only overhead is a check to see if there are any pre-cleared
         // pages available" (§9).
         self.machine.charge(4);
-        let mut forced_fail = self.roll_injected_alloc_fail();
+        let mut forced_fail = self.injected(InjectSite::AllocFail);
         let (pa, precleared) = loop {
             if !forced_fail {
                 if let Some(got) = self.frames.get_free_page() {

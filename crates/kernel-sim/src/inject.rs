@@ -92,6 +92,24 @@ impl FaultInjection {
     }
 }
 
+/// A decision point where the injector may plant a fault, one per
+/// [`FaultInjection`] rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectSite {
+    /// An allocation is forced onto the pressure path.
+    AllocFail,
+    /// A hash-table insert is treated as an overflow.
+    HtabOverflow,
+    /// A hash-table lookup during TLB reload is forced to miss.
+    TlbFault,
+    /// A hash-table rehash is chased by an extra TLB flush (chaos only).
+    RehashFlush,
+    /// A retune is followed by a forced reclaim sweep (chaos only).
+    RetuneSweep,
+    /// A fatal-signal unwind flushes the dying context early (chaos only).
+    UnwindFlush,
+}
+
 /// The runtime injector state (xorshift64*, seeded via SplitMix64).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -120,76 +138,43 @@ impl FaultInjector {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    fn roll(&mut self, rate: u16) -> bool {
-        // Always advance the stream so the decision *sequence* (not just the
-        // outcomes) is identical across configs with different rates.
+    /// Should the fault at `site` happen? Every site advances the stream,
+    /// so the decision *sequence* (not just the outcomes) is identical
+    /// across configs with different rates — except a chaos-only site at
+    /// rate 0, which must not: the light and heavy presets never rolled
+    /// there, and consuming randomness would shift every later decision
+    /// and shatter bit-identity with recorded artifacts.
+    pub fn roll(&mut self, site: InjectSite) -> bool {
+        let c = &self.cfg;
+        let (rate, chaos_only) = match site {
+            InjectSite::AllocFail => (c.alloc_fail_per_64k, false),
+            InjectSite::HtabOverflow => (c.htab_overflow_per_64k, false),
+            InjectSite::TlbFault => (c.tlb_fault_per_64k, false),
+            InjectSite::RehashFlush => (c.rehash_flush_per_64k, true),
+            InjectSite::RetuneSweep => (c.retune_sweep_per_64k, true),
+            InjectSite::UnwindFlush => (c.unwind_flush_per_64k, true),
+        };
+        if chaos_only && rate == 0 {
+            return false;
+        }
         let r = self.next_u64() & 0xffff;
-        rate != 0 && r < rate as u64
-    }
-
-    /// Should this allocation be forced onto the pressure path?
-    pub fn roll_alloc_fail(&mut self) -> bool {
-        let rate = self.cfg.alloc_fail_per_64k;
-        self.roll(rate)
-    }
-
-    /// Should this hash-table insert be treated as an overflow?
-    pub fn roll_htab_overflow(&mut self) -> bool {
-        let rate = self.cfg.htab_overflow_per_64k;
-        self.roll(rate)
-    }
-
-    /// Should this hash-table lookup be forced to miss?
-    pub fn roll_tlb_fault(&mut self) -> bool {
-        let rate = self.cfg.tlb_fault_per_64k;
-        self.roll(rate)
-    }
-
-    // The chaos-only families below must NOT advance the stream when their
-    // rate is zero: pre-existing baselines (light/heavy presets) never
-    // rolled at these sites, and consuming randomness here would shift every
-    // later decision and shatter bit-identity with recorded artifacts.
-
-    /// Should this hash-table rehash be chased by an extra TLB flush?
-    pub fn roll_rehash_flush(&mut self) -> bool {
-        let rate = self.cfg.rehash_flush_per_64k;
-        if rate == 0 {
-            return false;
-        }
-        self.roll(rate)
-    }
-
-    /// Should this retune be followed by a forced reclaim sweep?
-    pub fn roll_retune_sweep(&mut self) -> bool {
-        let rate = self.cfg.retune_sweep_per_64k;
-        if rate == 0 {
-            return false;
-        }
-        self.roll(rate)
-    }
-
-    /// Should this fatal-signal unwind flush the dying context early?
-    pub fn roll_unwind_flush(&mut self) -> bool {
-        let rate = self.cfg.unwind_flush_per_64k;
-        if rate == 0 {
-            return false;
-        }
-        self.roll(rate)
+        rate != 0 && r < u64::from(rate)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use InjectSite::*;
 
     #[test]
     fn same_seed_same_decisions() {
         let mut a = FaultInjector::new(FaultInjection::light(42));
         let mut b = FaultInjector::new(FaultInjection::light(42));
         for _ in 0..10_000 {
-            assert_eq!(a.roll_alloc_fail(), b.roll_alloc_fail());
-            assert_eq!(a.roll_htab_overflow(), b.roll_htab_overflow());
-            assert_eq!(a.roll_tlb_fault(), b.roll_tlb_fault());
+            assert_eq!(a.roll(AllocFail), b.roll(AllocFail));
+            assert_eq!(a.roll(HtabOverflow), b.roll(HtabOverflow));
+            assert_eq!(a.roll(TlbFault), b.roll(TlbFault));
         }
     }
 
@@ -197,8 +182,8 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = FaultInjector::new(FaultInjection::heavy(1));
         let mut b = FaultInjector::new(FaultInjection::heavy(2));
-        let fa: Vec<bool> = (0..512).map(|_| a.roll_alloc_fail()).collect();
-        let fb: Vec<bool> = (0..512).map(|_| b.roll_alloc_fail()).collect();
+        let fa: Vec<bool> = (0..512).map(|_| a.roll(AllocFail)).collect();
+        let fb: Vec<bool> = (0..512).map(|_| b.roll(AllocFail)).collect();
         assert_ne!(fa, fb);
     }
 
@@ -214,14 +199,14 @@ mod tests {
             unwind_flush_per_64k: 0,
         });
         let n = 100_000;
-        let hits = (0..n).filter(|_| i.roll_alloc_fail()).count();
+        let hits = (0..n).filter(|_| i.roll(AllocFail)).count();
         assert!((n / 5..n / 3).contains(&hits), "got {hits}/{n}");
         assert!(
-            !(0..1000).any(|_| i.roll_htab_overflow()),
+            !(0..1000).any(|_| i.roll(HtabOverflow)),
             "rate 0 never fires"
         );
         assert!(
-            (0..1000).all(|_| i.roll_tlb_fault()),
+            (0..1000).all(|_| i.roll(TlbFault)),
             "rate 65535 ~always fires"
         );
     }
@@ -234,11 +219,11 @@ mod tests {
         let mut a = FaultInjector::new(FaultInjection::light(42));
         let mut b = FaultInjector::new(FaultInjection::light(42));
         for _ in 0..10_000 {
-            assert!(!a.roll_rehash_flush());
-            assert!(!a.roll_retune_sweep());
-            assert!(!a.roll_unwind_flush());
-            assert_eq!(a.roll_alloc_fail(), b.roll_alloc_fail());
-            assert_eq!(a.roll_tlb_fault(), b.roll_tlb_fault());
+            assert!(!a.roll(RehashFlush));
+            assert!(!a.roll(RetuneSweep));
+            assert!(!a.roll(UnwindFlush));
+            assert_eq!(a.roll(AllocFail), b.roll(AllocFail));
+            assert_eq!(a.roll(TlbFault), b.roll(TlbFault));
         }
     }
 
@@ -246,8 +231,8 @@ mod tests {
     fn chaotic_preset_arms_every_family() {
         let mut i = FaultInjector::new(FaultInjection::chaotic(3));
         let n = 10_000;
-        assert!((0..n).filter(|_| i.roll_rehash_flush()).count() > 0);
-        assert!((0..n).filter(|_| i.roll_retune_sweep()).count() > 0);
-        assert!((0..n).filter(|_| i.roll_unwind_flush()).count() > 0);
+        assert!((0..n).filter(|_| i.roll(RehashFlush)).count() > 0);
+        assert!((0..n).filter(|_| i.roll(RetuneSweep)).count() > 0);
+        assert!((0..n).filter(|_| i.roll(UnwindFlush)).count() > 0);
     }
 }

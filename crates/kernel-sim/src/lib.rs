@@ -95,7 +95,7 @@ pub mod vsid;
 pub use causal::{CausalConfig, CausalPath, CausalState, Ratio};
 pub use check::{CheckConfig, CheckState};
 pub use errors::{KResult, KernelError, Signal};
-pub use inject::{FaultInjection, FaultInjector};
+pub use inject::{FaultInjection, FaultInjector, InjectSite};
 pub use kconfig::{HandlerStyle, KernelConfig, PageClearing, PmuConfig, VsidPolicy};
 pub use kernel::Kernel;
 pub use oracle::{ShadowEntry, ShadowMm};

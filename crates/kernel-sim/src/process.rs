@@ -10,6 +10,7 @@
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
 
 use crate::errors::{KResult, KernelError, Signal};
+use crate::inject::InjectSite;
 use crate::kernel::Kernel;
 use crate::layout::KernelPath;
 use crate::linuxpt::{LinuxPageTables, LinuxPte, PTE_COW, PTE_RW};
@@ -204,7 +205,7 @@ impl Kernel {
             // No overcommit: growth must be coverable by free frames, after
             // giving reclaim a chance to produce some.
             let growth = ((new_end - heap.end) / PAGE_SIZE) as usize;
-            let mut denied = self.roll_injected_alloc_fail();
+            let mut denied = self.injected(InjectSite::AllocFail);
             while !denied && self.frames.free_frames() < growth {
                 if self.memory_pressure_reclaim() == 0 {
                     denied = true;

@@ -10,6 +10,7 @@
 use ppc_mmu::addr::EffectiveAddress;
 
 use crate::errors::{KResult, KernelError, Signal};
+use crate::inject::InjectSite;
 use crate::kernel::Kernel;
 use crate::layout::KernelPath;
 use crate::prof::Subsystem;
@@ -103,7 +104,7 @@ impl Kernel {
         // Chaos site: an injected early context flush during the unwind,
         // before teardown re-flushes. Double-retiring a context must be
         // safe — the oracle and invariants verify it actually is.
-        if self.roll_injected_unwind_flush() {
+        if self.injected(InjectSite::UnwindFlush) {
             self.flush_context(cur);
         }
         self.teardown_task(cur);

@@ -62,19 +62,6 @@ impl WorkingSet {
         }
         k.machine.cycles - start
     }
-
-    /// Touches every page once, sequentially (a streaming phase).
-    pub fn stream_all(&mut self, k: &mut Kernel) -> u64 {
-        let start = k.machine.cycles;
-        for p in 0..self.pages {
-            k.data_ref(
-                ppc_mmu::addr::EffectiveAddress(self.base + p * PAGE_SIZE),
-                false,
-            )
-            .expect("benchmark workload is well-formed");
-        }
-        k.machine.cycles - start
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Suite runner: all LmBench rows for one (machine, kernel) pair.
 
-use kernel_sim::kernel::PathLengths;
 use kernel_sim::{Kernel, KernelConfig};
 use ppc_machine::MachineConfig;
 
@@ -83,17 +82,6 @@ pub fn run_suite_with(boot: impl Fn() -> Kernel, cfg: SuiteConfig) -> LmbenchRes
 /// Runs the suite for a machine + kernel-config pair.
 pub fn run_suite(machine: MachineConfig, kcfg: KernelConfig, cfg: SuiteConfig) -> LmbenchResults {
     run_suite_with(|| Kernel::boot(machine, kcfg), cfg)
-}
-
-/// Runs the suite for a machine + kernel-config + explicit path lengths
-/// (the comparison-OS models).
-pub fn run_suite_paths(
-    machine: MachineConfig,
-    kcfg: KernelConfig,
-    paths: PathLengths,
-    cfg: SuiteConfig,
-) -> LmbenchResults {
-    run_suite_with(|| Kernel::boot_with_paths(machine, kcfg, paths), cfg)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use crate::{Cycles, PhysAddr};
 
 /// The L1 associativity compiled as an instance of the cache code: the
 /// 604's 4-way L1s, which the benchmark runs. Every other L1 (the 603's
-/// 2 ways, the 750's 8) runs the runtime-width instance.
+/// 2 ways) runs the runtime-width instance.
 const L1_INSTANCE: usize = 4;
 
 /// The L2 associativity compiled as an instance: the 1-way board L2.

@@ -118,34 +118,6 @@ impl MachineConfig {
         }
     }
 
-    /// 266 MHz PowerPC 750 — the paper notes its hardware-reload style
-    /// ("when we refer to the 604 we mean the 604 style of TLB reloads (in
-    /// hardware) which includes the 750 and 601"): 32+32 KiB L1, 1 MiB
-    /// back-side L2, 128-entry TLBs per side, hardware hash-table walk.
-    pub fn ppc750_266() -> Self {
-        use ppc_cache::config::CacheConfig;
-        Self {
-            name: "750 266MHz",
-            clock_mhz: 266,
-            mem: MemSystemConfig {
-                icache: CacheConfig {
-                    size_bytes: 32 * 1024,
-                    ways: 8,
-                    ..CacheConfig::ppc604_insn()
-                },
-                dcache: CacheConfig {
-                    size_bytes: 32 * 1024,
-                    ways: 8,
-                    ..CacheConfig::ppc604_data()
-                },
-                l2: Some(CacheConfig::board_l2(1024 * 1024)),
-                l2_hit: 12,
-                bus: Bus::fast_board().scaled(266, 133),
-            },
-            ..Self::ppc604_133()
-        }
-    }
-
     /// A stable machine-readable slug derived from the name, for artifact
     /// headers: lowercase, `MHz` dropped, punctuation collapsed to
     /// single dashes — `"604 133MHz"` → `"604-133"`,
@@ -209,7 +181,6 @@ mod tests {
     fn ids_are_stable_slugs_and_unique() {
         assert_eq!(MachineConfig::ppc604_133().id(), "604-133");
         assert_eq!(MachineConfig::ppc603_133_no_l2().id(), "603-133-no-l2");
-        assert_eq!(MachineConfig::ppc750_266().id(), "750-266");
         let ids: Vec<String> = MachineConfig::all().iter().map(|m| m.id()).collect();
         let mut dedup = ids.clone();
         dedup.sort();

@@ -66,11 +66,6 @@ impl MonitorSnapshot {
     pub fn tlb_misses(&self) -> u64 {
         self.itlb.misses + self.dtlb.misses
     }
-
-    /// Total cache misses, both sides.
-    pub fn cache_misses(&self) -> u64 {
-        self.icache.misses + self.dcache.misses
-    }
 }
 
 #[cfg(test)]

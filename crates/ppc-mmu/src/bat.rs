@@ -198,11 +198,6 @@ impl BatSet {
     pub fn dbat_in_use(&self) -> usize {
         self.dbat.iter().flatten().count()
     }
-
-    /// Number of valid instruction BATs.
-    pub fn ibat_in_use(&self) -> usize {
-        self.ibat.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
