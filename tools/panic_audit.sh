@@ -1,11 +1,13 @@
 #!/bin/sh
-# Gate against undocumented panics creeping into the simulated kernel.
+# Gate against undocumented panics creeping into the simulated path: the
+# kernel and the hardware crates beneath it (MMU, caches, machine).
 #
-# Policy (DESIGN.md §7): host panics in crates/kernel-sim/src are reserved
-# for simulator-internal invariants, and each must be documented — either a
+# Policy (DESIGN.md §7): host panics in crates/kernel-sim/src and the
+# ppc-mmu, ppc-cache and ppc-machine sources are reserved for
+# simulator-internal invariants, and each must be documented — either a
 # `# Panics` rustdoc section on the function or an `expect("...")` message
-# naming the invariant. Bare `panic!` / `.unwrap()` in non-test kernel code
-# is a bug: user-reachable failures must flow through `KResult`.
+# naming the invariant. Bare `panic!` / `.unwrap()` in non-test code is a
+# bug: user-reachable failures must flow through `KResult`.
 #
 # To add a legitimate invariant panic, document it in the code and add its
 # message to the allowlist below.
@@ -17,7 +19,8 @@ cd "$(dirname "$0")/.."
 allow='translation for .* did not converge|MM check violation|MM incremental check diverged|MM invariant violated at mmtune epoch boundary|htab live-entry count diverged'
 
 offenders=$(
-    for f in crates/kernel-sim/src/*.rs; do
+    for f in crates/kernel-sim/src/*.rs crates/ppc-mmu/src/*.rs \
+        crates/ppc-cache/src/*.rs crates/ppc-machine/src/*.rs; do
         case "$f" in
         */tests*.rs) continue ;; # test-only modules may unwrap freely
         esac
@@ -32,7 +35,7 @@ offenders=$(
 )
 
 if [ -n "$offenders" ]; then
-    echo "panic_audit: undocumented panic!/unwrap() in kernel code:" >&2
+    echo "panic_audit: undocumented panic!/unwrap() on the simulated path:" >&2
     printf '%s\n' "$offenders" >&2
     echo "Use KResult for user-reachable failures, or a documented" >&2
     echo 'expect("<invariant>") for true invariants (see DESIGN.md §7).' >&2
