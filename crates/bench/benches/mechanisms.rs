@@ -56,7 +56,7 @@ fn bench_htab(c: &mut Criterion) {
         for pi in 0..8192 {
             h.insert(pte(5, pi % 0x10000));
         }
-        b.iter(|| black_box(h.reclaim_zombies(64, |_| true)));
+        b.iter(|| black_box(h.reclaim_zombies(64, |_| true, |_, _| {})));
     });
     g.finish();
 }

@@ -130,22 +130,22 @@ impl Kernel {
             // in the table; the cost is the scan.
             if self.uses_htab() {
                 let vsids = &mut self.vsids;
-                let (scanned, _cleared) = self.htab.invalidate_matching(|v| {
-                    let hit = old.contains(&v);
-                    if hit {
-                        vsids.note_removed(v);
-                    }
-                    hit
-                });
+                let mem = &mut self.machine.mem;
+                let cached = self.cfg.htab_cached;
                 // The scan reads every slot, one read per PTE; charge it as a
                 // sequential sweep through the data cache.
-                let cached = self.cfg.htab_cached;
-                let cost = self.machine.mem.data_run(
-                    self.htab.slot_pa(0, 0),
-                    scanned,
-                    PTE_BYTES,
-                    AccessKind::Read,
-                    cached,
+                let mut cost: Cycles = 0;
+                self.htab.invalidate_matching(
+                    |v| {
+                        let hit = old.contains(&v);
+                        if hit {
+                            vsids.note_removed(v);
+                        }
+                        hit
+                    },
+                    |pa, slots| {
+                        cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached)
+                    },
                 );
                 self.machine.charge(cost);
             }

@@ -96,19 +96,17 @@ impl Kernel {
     /// §7-rejected on-scarcity reclaim. Returns `(scanned, cleared)` slots.
     pub(crate) fn reclaim_chunk(&mut self, groups: u32, cached: bool) -> (u32, u32) {
         self.t_enter(Subsystem::Reclaim);
-        let start_group = self.htab.reclaim_cursor();
         let vsids = &self.vsids;
-        let (scanned, cleared) = self
-            .htab
-            .reclaim_zombies(groups, |vsid| vsids.is_live(vsid));
+        let mem = &mut self.machine.mem;
+        // Charge the slot reads at the addresses the table scanned, plus
+        // the valid-bit writes for cleared zombies.
+        let mut cost: Cycles = 0;
+        let (scanned, cleared) = self.htab.reclaim_zombies(
+            groups,
+            |vsid| vsids.is_live(vsid),
+            |pa, slots| cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached),
+        );
         self.stats.idle_groups_scanned += (scanned / 8) as u64;
-        // Charge the slot reads at the addresses actually scanned, plus the
-        // valid-bit writes for cleared zombies.
-        let base = self.htab.slot_pa(start_group, 0);
-        let mut cost =
-            self.machine
-                .mem
-                .data_run(base, scanned, PTE_BYTES, AccessKind::Read, cached);
         cost += cleared as Cycles * 2;
         self.machine.charge(cost);
         self.t_event(|| TraceEvent::Reclaim { scanned, cleared });

@@ -198,6 +198,26 @@ fn zombies_accumulate_without_reclaim_and_vanish_with_it() {
 }
 
 #[test]
+fn a_reclaim_sweep_that_wraps_charges_the_table_start_not_past_its_end() {
+    use crate::layout::{HTAB_BYTES, HTAB_PA};
+    let mut k = Kernel::boot(MachineConfig::ppc604_133(), KernelConfig::optimized());
+    let n = k.htab.hash().num_groups();
+    k.reclaim_chunk(n - 8, true);
+    k.machine.mem.dcache.invalidate_all();
+    // PTEGs n-8..n, then 0..24.
+    k.reclaim_chunk(32, true);
+    let pteg = 64;
+    let resident = |pa| k.machine.mem.dcache.contains(pa);
+    let end = HTAB_PA + HTAB_BYTES;
+    assert!(
+        (end..end + 32 * pteg).step_by(32).all(|pa| !resident(pa)),
+        "charged past the table's end"
+    );
+    assert!((HTAB_PA..HTAB_PA + 24 * pteg).step_by(32).all(resident));
+    assert!((end - 8 * pteg..end).step_by(32).all(resident));
+}
+
+#[test]
 fn idle_reclaim_reduces_evictions() {
     // §7: without reclaim, zombies fill the table and "the ratio of hash
     // table reloads to evicts was normally greater than 90%"; with the idle

@@ -111,10 +111,10 @@ proptest! {
                     h.invalidate(Vsid::new(v), p);
                 }
                 2 => {
-                    h.reclaim_zombies(p % 8, |vsid| vsid.raw() % 3 != 0);
+                    h.reclaim_zombies(p % 8, |vsid| vsid.raw() % 3 != 0, |_, _| {});
                 }
                 3 => {
-                    h.invalidate_matching(|vsid| vsid.raw() == v);
+                    h.invalidate_matching(|vsid| vsid.raw() == v, |_, _| {});
                 }
                 4 => {
                     let n = [16, 32, 64][p as usize % 3];
@@ -156,10 +156,10 @@ proptest! {
             h.insert(pte(v, p, 3));
         }
         let valid = h.valid_entries();
-        let (_, cleared) = h.reclaim_zombies(256, |_| true);
+        let (_, cleared) = h.reclaim_zombies(256, |_| true, |_, _| {});
         prop_assert_eq!(cleared, 0, "live entries must survive");
         prop_assert_eq!(h.valid_entries(), valid);
-        let (_, cleared) = h.reclaim_zombies(256, |_| false);
+        let (_, cleared) = h.reclaim_zombies(256, |_| false, |_, _| {});
         prop_assert_eq!(cleared, valid, "every zombie must be reclaimed");
         prop_assert_eq!(h.valid_entries(), 0);
     }
