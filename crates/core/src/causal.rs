@@ -110,8 +110,9 @@ pub struct TargetCurve {
     /// (signed: a virtual speedup that perturbs downstream policy can in
     /// principle cost cycles, and the artifact would say so).
     pub payoff_ppm: [i64; 4],
-    /// `payoff_ppm(25%) / 25` — ppm of end-to-end time bought per 1% of
-    /// target speedup, read off the shallow end of the curve.
+    /// ppm of end-to-end time bought per 1% of target speedup: the
+    /// curve's least-squares slope through the origin
+    /// ([`marginal_ppm_per_pct`]).
     pub marginal_ppm_per_pct: i64,
 }
 
@@ -158,6 +159,22 @@ pub struct CausalReport {
 pub fn causal_mode() -> String {
     let f: Vec<String> = FACTORS.iter().map(u32::to_string).collect();
     format!("grid-f{}", f.join("-"))
+}
+
+/// The least-squares slope through the origin of a payoff curve over the
+/// nonzero [`FACTORS`], in ppm per 1% of speedup: `Σ f·p / Σ f²`,
+/// truncated toward zero. On a linear curve it is the 25% point over 25;
+/// a curve that bends or wobbles reads as its trend, not as its first
+/// point.
+pub fn marginal_ppm_per_pct(payoff_ppm: &[i64; 4]) -> i64 {
+    let (fp, ff) = FACTORS[1..]
+        .iter()
+        .zip(&payoff_ppm[1..])
+        .fold((0, 0), |(fp, ff), (&f, &p)| {
+            let f = i64::from(f);
+            (fp + f * p, ff + f * f)
+        });
+    fp / ff
 }
 
 fn payoff_ppm(baseline: u64, scaled: u64) -> i64 {
@@ -214,7 +231,7 @@ pub fn causal_report_on(
                         target: t.id(),
                         cycles,
                         payoff_ppm: ppm,
-                        marginal_ppm_per_pct: ppm[1] / 25,
+                        marginal_ppm_per_pct: marginal_ppm_per_pct(&ppm),
                     }
                 })
                 .collect();
@@ -441,6 +458,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn marginal_is_the_curves_slope_through_the_origin() {
+        // A linear curve reads as its 25% point over 25.
+        assert_eq!(marginal_ppm_per_pct(&[0, 1075, 2150, 3225]), 43);
+        // A curve that wobbles around zero (604-133/compile's idle
+        // self-time) reads as its trend, 0, not as its first point, -86.
+        assert_eq!(marginal_ppm_per_pct(&[0, -2170, 4581, -2282]), 0);
+        // Truncated toward zero on either side.
+        assert_eq!(marginal_ppm_per_pct(&[0, 30, 60, 90]), 1);
+        assert_eq!(marginal_ppm_per_pct(&[0, -30, -60, -90]), -1);
     }
 
     #[test]
