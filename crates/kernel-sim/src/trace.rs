@@ -14,7 +14,7 @@ use ppc_machine::Cycles;
 use crate::prof::Profiler;
 use crate::task::Pid;
 
-/// Default ring capacity (events kept) when tracing is enabled.
+/// Ring capacity (events kept) of the tracer a traced kernel boots with.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// One kernel event, in the taxonomy the exporters understand.
