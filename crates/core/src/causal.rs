@@ -2,7 +2,7 @@
 //!
 //! Every other observability layer explains cycles the kernel *did* spend;
 //! this one prices optimizations that do not exist yet. For each target —
-//! an instrumented path ([`kernel_sim::CausalPath`]) or a profiler
+//! an instrumented path ([`kernel_sim::Path`]) or a profiler
 //! subsystem's self-time — the harness re-runs the identical deterministic
 //! workload with that target's cycle charges scaled to a virtual speedup
 //! factor and records the exact end-to-end cycle count, downstream
@@ -20,7 +20,8 @@
 //! `identity_ok` field asserts it matched the plain (causal-off) baseline
 //! — every recording carries its own live proof of the identity guarantee.
 
-use kernel_sim::causal::{CausalConfig, CausalPath, Ratio};
+use kernel_sim::causal::{CausalConfig, Ratio};
+use kernel_sim::Path;
 use kernel_sim::{KernelConfig, Subsystem};
 
 use crate::artifact::Json;
@@ -37,7 +38,7 @@ pub const FACTORS: [u32; 4] = [0, 25, 50, 75];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CausalTarget {
     /// Scale the entire extent of an instrumented path.
-    Path(CausalPath),
+    Path(Path),
     /// Scale one profiler subsystem's self-time.
     Sub(Subsystem),
 }
@@ -66,10 +67,7 @@ impl CausalTarget {
 /// whose self-time the ROADMAP's open items speculate about (scheduling,
 /// the idle task — the paper's §9 cautionary tale — and syscall entry).
 pub fn default_targets() -> Vec<CausalTarget> {
-    let mut t: Vec<CausalTarget> = CausalPath::ALL
-        .into_iter()
-        .map(CausalTarget::Path)
-        .collect();
+    let mut t: Vec<CausalTarget> = Path::ALL.into_iter().map(CausalTarget::Path).collect();
     t.extend([
         CausalTarget::Sub(Subsystem::Sched),
         CausalTarget::Sub(Subsystem::Idle),
@@ -390,7 +388,7 @@ mod tests {
             .filter(|m| m.id == "604-133")
             .collect();
         let targets = [
-            CausalTarget::Path(CausalPath::TlbReload),
+            CausalTarget::Path(Path::TlbReload),
             CausalTarget::Sub(Subsystem::Sched),
         ];
         causal_report_on(&machines, &["compile"], &targets, Depth::Quick)
@@ -437,7 +435,7 @@ mod tests {
         // no policy, so 75% off one of them buys three times what 25% buys,
         // up to the floor of each stretch of one ratio.
         let targets = [
-            CausalTarget::Path(CausalPath::SignalDelivery),
+            CausalTarget::Path(Path::SignalDelivery),
             CausalTarget::Sub(Subsystem::Sched),
         ];
         let r = causal_report_on(
@@ -505,7 +503,7 @@ mod tests {
     #[test]
     fn target_ids_and_mode_are_stable() {
         assert_eq!(
-            CausalTarget::Path(CausalPath::HtabRehash).id(),
+            CausalTarget::Path(Path::HtabRehash).id(),
             "path:htab_rehash"
         );
         assert_eq!(CausalTarget::Sub(Subsystem::Idle).id(), "sub:idle");

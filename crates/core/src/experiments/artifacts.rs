@@ -24,7 +24,7 @@
 use kernel_sim::sched::USER_BASE;
 use kernel_sim::telemetry::SERIES_NAMES;
 use kernel_sim::{
-    EpochSample, Kernel, KernelConfig, KernelStats, LatencyPath, Subsystem, TailCause, TailConfig,
+    EpochSample, Kernel, KernelConfig, KernelStats, Path, Subsystem, TailCause, TailConfig,
     TailExemplar, TelemetryConfig, TraceEvent, TraceRecord,
 };
 use ppc_mmu::addr::PAGE_SIZE;
@@ -112,7 +112,7 @@ pub struct TraceArtifacts {
     /// `(subsystem, self cycles)` in [`Subsystem::ALL`] order; sums to
     /// [`TraceArtifacts::total_cycles`] exactly.
     pub attribution: Vec<(&'static str, u64)>,
-    /// One summary per [`LatencyPath`].
+    /// One summary per sampled [`Path`].
     pub latency: Vec<LatencySummary>,
     /// Samples offered to the tail over the run (every latency sample;
     /// the reservoirs retained [`LatencySummary::retained`] of them).
@@ -122,7 +122,7 @@ pub struct TraceArtifacts {
     /// what it is.
     pub causes: Vec<(TailCause, u64, u64)>,
     /// The slowest retained exemplars, one vec per path in
-    /// [`LatencyPath::ALL`] order, slowest first, trimmed to [`DUMP_N`].
+    /// [`Path::SAMPLED`] order, slowest first, trimmed to [`DUMP_N`].
     pub exemplars: Vec<Vec<TailExemplar>>,
     /// Kernel counters for the run.
     pub stats: KernelStats,
@@ -511,7 +511,7 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
         .iter()
         .map(|&s| (s.name(), t.prof.self_cycles(s)))
         .collect();
-    let latency: Vec<LatencySummary> = LatencyPath::ALL
+    let latency: Vec<LatencySummary> = Path::SAMPLED
         .iter()
         .map(|&p| {
             let h = t.latency(p);
@@ -531,7 +531,6 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
             }
         })
         .collect();
-    let medians = std::array::from_fn(|i| latency[i].p50);
 
     let art = TraceArtifacts {
         depth: depth.name(),
@@ -541,8 +540,8 @@ pub fn trace_artifacts(depth: Depth) -> (TraceArtifacts, Vec<Table>) {
         attribution,
         latency,
         captured: tl.captured(),
-        causes: tl.attribution(medians),
-        exemplars: LatencyPath::ALL
+        causes: tl.attribution(t),
+        exemplars: Path::SAMPLED
             .iter()
             .map(|&p| tl.exemplars(p).iter().take(DUMP_N).cloned().collect())
             .collect(),

@@ -28,7 +28,8 @@
 //! `causal::tests::trimmed_grid_is_identity_clean_and_byte_reproducible`
 //! and the causal row of `ARTIFACTS.lock`, not of a second grid here.
 
-use kernel_sim::causal::{CausalConfig, CausalPath, Ratio};
+use kernel_sim::causal::{CausalConfig, Ratio};
+use kernel_sim::Path;
 use kernel_sim::{KernelConfig, Subsystem};
 
 use crate::causal::{causal_report_on, CausalTarget};
@@ -85,7 +86,7 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
     // Gate 1: plain optimized kernel (no mmtune — the rows must differ in
     // reload mechanism only), compile workload, both 603 rows, each run
     // plain and with the reload path virtually zeroed.
-    let zero_reload = CausalConfig::identity().scale_path(CausalPath::TlbReload, Ratio::ZERO);
+    let zero_reload = CausalConfig::identity().scale_path(Path::TlbReload, Ratio::ZERO);
     let plain = KernelConfig::optimized;
     let with_zero = || {
         let mut cfg = plain();
@@ -107,7 +108,7 @@ pub fn exp_causal(depth: Depth) -> (CausalGateResult, Table) {
     // fault storm, reload path vs idle self-time).
     let m604 = [machine_row("604-133")];
     let targets = [
-        CausalTarget::Path(CausalPath::TlbReload),
+        CausalTarget::Path(Path::TlbReload),
         CausalTarget::Sub(Subsystem::Idle),
     ];
     let report = causal_report_on(&m604, &["fault_storm"], &targets, depth);

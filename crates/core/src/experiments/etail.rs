@@ -22,7 +22,7 @@
 //! (`tests_tail`, the observer property test, and the reservoir
 //! determinism proptest), not re-runs here.
 
-use kernel_sim::{Kernel, KernelConfig, LatencyPath, TailCause, TailConfig};
+use kernel_sim::{Kernel, KernelConfig, Path, TailCause, TailConfig};
 use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
 
@@ -87,7 +87,7 @@ pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
         .tracer
         .as_ref()
         .expect("tracer enabled")
-        .latency(LatencyPath::TlbReload)
+        .latency(Path::TlbReload)
         .percentiles()
         .0
         .max(1);
@@ -96,11 +96,7 @@ pub fn exp_tail(depth: Depth) -> (TailGateResult, Table) {
 
     let tl = armed.tail.as_ref().expect("tail armed");
     let t = armed.tracer.as_ref().expect("tracer enabled");
-    let mut p50 = [0u64; 3];
-    for (i, &p) in LatencyPath::ALL.iter().enumerate() {
-        p50[i] = t.latency(p).percentiles().0;
-    }
-    let ranked = tl.attribution(p50);
+    let ranked = tl.attribution(t);
 
     let storm_attributed = ranked
         .first()

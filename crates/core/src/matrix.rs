@@ -14,8 +14,8 @@
 //! ordering.
 
 use kernel_sim::{
-    FaultInjection, HandlerStyle, Kernel, KernelConfig, KernelStats, LatencyPath, PageClearing,
-    Subsystem, VsidPolicy,
+    FaultInjection, HandlerStyle, Kernel, KernelConfig, KernelStats, PageClearing, Path, Subsystem,
+    VsidPolicy,
 };
 use ppc_cache::stats::CacheStats;
 use ppc_machine::{MachineConfig, MonitorSnapshot};
@@ -348,7 +348,7 @@ pub fn run_cell(
         .iter()
         .map(|&s| (s.name(), t.prof.self_cycles(s)))
         .collect();
-    let latency = LatencyPath::ALL
+    let latency = Path::SAMPLED
         .iter()
         .map(|&p| {
             let h = t.latency(p);

@@ -14,7 +14,7 @@
 //!
 //! * **by subsystem** ([`crate::prof::Subsystem`]) — scales *self-time*:
 //!   only charges made while that subsystem is the innermost open span;
-//! * **by instrumented path** ([`CausalPath`]) — scales the *entire dynamic
+//! * **by instrumented path** ([`Path`]) — scales the *entire dynamic
 //!   extent* of the path (TLB reload including nested hash-table inserts,
 //!   page fault, hash-table rehash, flush, signal delivery).
 //!
@@ -26,7 +26,7 @@
 //! all 1/1 ratios is cycle- and counter-identical to `causal = None`,
 //! proven by tests and by the causal artifact's `identity_ok`.
 
-use crate::prof::{Subsystem, NUM_SUBSYSTEMS};
+use crate::prof::{Path, Subsystem, NUM_PATHS, NUM_SUBSYSTEMS};
 
 /// Largest permitted ratio component. Keeping components small bounds the
 /// product of one subsystem ratio and all [`NUM_PATHS`] path ratios below
@@ -92,70 +92,6 @@ impl Default for Ratio {
     }
 }
 
-/// Number of instrumented paths a causal multiplier can target.
-pub const NUM_PATHS: usize = 5;
-
-/// An instrumented path whose *entire dynamic extent* (nested spans
-/// included) a causal multiplier can scale. Paths map onto the latency
-/// paths the tail-forensics layer samples, plus the hash-table rehash the
-/// mmtune controller charges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum CausalPath {
-    /// A hardware TLB miss serviced in software: hash-table search and (on
-    /// miss) Linux page-table walk, including the nested hash-table insert.
-    TlbReload = 0,
-    /// A page fault from entry to return, including the reload it nests in.
-    PageFault = 1,
-    /// An mmtune hash-table resize: reclaim, re-insert traffic, and the
-    /// charged rehash cost.
-    HtabRehash = 2,
-    /// A TLB/hash-table flush (context switch or munmap).
-    Flush = 3,
-    /// Signal delivery: frame push through sigreturn.
-    SignalDelivery = 4,
-}
-
-impl CausalPath {
-    /// Every path, in `repr` order.
-    pub const ALL: [CausalPath; NUM_PATHS] = [
-        CausalPath::TlbReload,
-        CausalPath::PageFault,
-        CausalPath::HtabRehash,
-        CausalPath::Flush,
-        CausalPath::SignalDelivery,
-    ];
-
-    /// Stable lower-case name, used in artifacts and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            CausalPath::TlbReload => "tlb_reload",
-            CausalPath::PageFault => "page_fault",
-            CausalPath::HtabRehash => "htab_rehash",
-            CausalPath::Flush => "flush",
-            CausalPath::SignalDelivery => "signal_delivery",
-        }
-    }
-
-    /// Parses a [`CausalPath::name`] back to the path.
-    pub fn from_name(name: &str) -> Option<CausalPath> {
-        CausalPath::ALL.into_iter().find(|p| p.name() == name)
-    }
-
-    /// The path a span of subsystem `s` roots, if any: pushing a Translate
-    /// span enters the TLB-reload extent, and so on. Rehash has no root
-    /// subsystem — the kernel marks it explicitly around the resize action.
-    pub fn of_span_root(s: Subsystem) -> Option<CausalPath> {
-        match s {
-            Subsystem::Translate => Some(CausalPath::TlbReload),
-            Subsystem::PageFault => Some(CausalPath::PageFault),
-            Subsystem::Flush => Some(CausalPath::Flush),
-            Subsystem::Signal => Some(CausalPath::SignalDelivery),
-            _ => None,
-        }
-    }
-}
-
 /// The full causal-profiling configuration: one multiplier per profiler
 /// subsystem (self-time) and one per instrumented path (dynamic extent).
 /// `Copy` so [`crate::KernelConfig`] stays `Copy`; the all-[`Ratio::ONE`]
@@ -164,7 +100,7 @@ impl CausalPath {
 pub struct CausalConfig {
     /// Self-time multiplier per [`Subsystem`], indexed by `repr`.
     pub subsystem: [Ratio; NUM_SUBSYSTEMS],
-    /// Extent multiplier per [`CausalPath`], indexed by `repr`.
+    /// Extent multiplier per [`Path`], indexed by `repr`.
     pub path: [Ratio; NUM_PATHS],
 }
 
@@ -185,7 +121,7 @@ impl CausalConfig {
     }
 
     /// Identity except path `p` scaled by `r` (builder style).
-    pub fn scale_path(mut self, p: CausalPath, r: Ratio) -> Self {
+    pub fn scale_path(mut self, p: Path, r: Ratio) -> Self {
         self.path[p as usize] = r;
         self
     }
@@ -231,21 +167,21 @@ impl CausalState {
 
     /// A span of subsystem `s` opened: activates the path it roots, if any.
     pub fn enter(&mut self, s: Subsystem) {
-        if let Some(p) = CausalPath::of_span_root(s) {
+        if let Some(p) = Path::of_span_root(s) {
             self.path_mark(p, true);
         }
     }
 
     /// A span of subsystem `s` closed: leaves the path it roots, if any.
     pub fn exit(&mut self, s: Subsystem) {
-        if let Some(p) = CausalPath::of_span_root(s) {
+        if let Some(p) = Path::of_span_root(s) {
             self.path_mark(p, false);
         }
     }
 
     /// Explicitly enters/leaves a path extent that no subsystem roots
-    /// (today: [`CausalPath::HtabRehash`] around the mmtune resize action).
-    pub fn path_mark(&mut self, p: CausalPath, enter: bool) {
+    /// (today: [`Path::HtabRehash`] around the mmtune resize action).
+    pub fn path_mark(&mut self, p: Path, enter: bool) {
         let d = &mut self.path_depth[p as usize];
         if enter {
             *d += 1;
@@ -298,10 +234,10 @@ mod tests {
 
     #[test]
     fn path_names_round_trip() {
-        for p in CausalPath::ALL {
-            assert_eq!(CausalPath::from_name(p.name()), Some(p));
+        for p in Path::ALL {
+            assert_eq!(Path::from_name(p.name()), Some(p));
         }
-        assert_eq!(CausalPath::from_name("no_such_path"), None);
+        assert_eq!(Path::from_name("no_such_path"), None);
     }
 
     #[test]
@@ -331,8 +267,7 @@ mod tests {
 
     #[test]
     fn path_ratio_covers_the_whole_extent() {
-        let cfg =
-            CausalConfig::identity().scale_path(CausalPath::TlbReload, Ratio { num: 1, den: 4 });
+        let cfg = CausalConfig::identity().scale_path(Path::TlbReload, Ratio { num: 1, den: 4 });
         let mut st = CausalState::new(cfg);
         st.enter(Subsystem::Translate);
         assert_eq!(st.scale(Subsystem::Translate), (1, 4));
@@ -351,7 +286,7 @@ mod tests {
     #[test]
     fn subsystem_and_path_ratios_compose_multiplicatively() {
         let cfg = CausalConfig::identity()
-            .scale_path(CausalPath::PageFault, Ratio { num: 1, den: 2 })
+            .scale_path(Path::PageFault, Ratio { num: 1, den: 2 })
             .scale_subsystem(Subsystem::PageFault, Ratio { num: 3, den: 4 });
         let mut st = CausalState::new(cfg);
         st.enter(Subsystem::PageFault);
@@ -360,7 +295,7 @@ mod tests {
 
     #[test]
     fn zero_ratio_reduces_to_zero_over_one() {
-        let cfg = CausalConfig::identity().scale_path(CausalPath::Flush, Ratio::ZERO);
+        let cfg = CausalConfig::identity().scale_path(Path::Flush, Ratio::ZERO);
         let mut st = CausalState::new(cfg);
         st.enter(Subsystem::Flush);
         assert_eq!(st.scale(Subsystem::Flush), (0, 1));
@@ -368,14 +303,13 @@ mod tests {
 
     #[test]
     fn explicit_path_mark_drives_rehash_extent() {
-        let cfg =
-            CausalConfig::identity().scale_path(CausalPath::HtabRehash, Ratio { num: 1, den: 10 });
+        let cfg = CausalConfig::identity().scale_path(Path::HtabRehash, Ratio { num: 1, den: 10 });
         let mut st = CausalState::new(cfg);
         st.enter(Subsystem::Mmtune);
         assert_eq!(st.scale(Subsystem::Mmtune), (1, 1));
-        st.path_mark(CausalPath::HtabRehash, true);
+        st.path_mark(Path::HtabRehash, true);
         assert_eq!(st.scale(Subsystem::Mmtune), (1, 10));
-        st.path_mark(CausalPath::HtabRehash, false);
+        st.path_mark(Path::HtabRehash, false);
         assert_eq!(st.scale(Subsystem::Mmtune), (1, 1));
     }
 
@@ -383,7 +317,7 @@ mod tests {
     #[should_panic(expected = "denominator")]
     fn zero_denominator_is_rejected() {
         CausalConfig::identity()
-            .scale_path(CausalPath::Flush, Ratio { num: 1, den: 0 })
+            .scale_path(Path::Flush, Ratio { num: 1, den: 0 })
             .validate();
     }
 

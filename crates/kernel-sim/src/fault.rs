@@ -2,7 +2,6 @@
 //! memory-pressure path (page-cache eviction, zombie reclaim, OOM killer).
 
 use ppc_mmu::addr::{EffectiveAddress, PhysAddr, PAGE_SIZE};
-use ppc_mmu::translate::AccessType;
 
 use crate::errors::{KResult, KernelError, Signal};
 use crate::fs::PageCacheLookup;
@@ -12,7 +11,7 @@ use crate::layout::KernelPath;
 use crate::linuxpt::{LinuxPte, PTE_RW};
 use crate::prof::Subsystem;
 use crate::task::VmaKind;
-use crate::trace::{LatencyPath, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// PTEG groups swept per direct-reclaim round (four idle steps' worth —
 /// direct reclaim is in a hurry).
@@ -34,67 +33,60 @@ impl Kernel {
     /// both kill the task (see [`Kernel::deliver_fatal_signal`]) and return
     /// the corresponding [`KernelError::Fatal`]. Out of memory after
     /// reclaim either OOM-kills a victim or fails the fault.
-    pub(crate) fn page_fault(&mut self, ea: EffectiveAddress, at: AccessType) -> KResult<()> {
-        // Span bracket around the fallible body so the profiler stack stays
-        // balanced on the fatal-signal early returns.
+    pub(crate) fn page_fault(&mut self, ea: EffectiveAddress) -> KResult<()> {
         self.t_event(|| TraceEvent::PageFault { ea: ea.0 });
-        let t0 = self.t_enter(Subsystem::PageFault);
-        let r = self.page_fault_inner(ea, at);
-        self.t_exit_lat(t0, LatencyPath::PageFault);
-        r
-    }
-
-    fn page_fault_inner(&mut self, ea: EffectiveAddress, _at: AccessType) -> KResult<()> {
-        self.stats.page_faults += 1;
-        let costs = self.machine.cfg.costs;
-        self.machine.charge(costs.exception_entry);
-        // Page faults always run the C handler.
-        let insns = self.paths.fault_c;
-        self.run_kernel_path(KernelPath::FaultHandler, insns);
-        // VMA lookup in the task struct.
-        let cur = self.current.expect("page fault with no current task");
-        let ts = self.tasks[cur].task_struct_pa();
-        for i in 0..4 {
-            self.kdata_ref(ts + 0x80 + i * 4, false);
-        }
-        // The VMA structure itself is slab-resident.
-        let pid = self.tasks[cur].pid;
-        self.kmeta_ref(0x4000 + pid * 17 + (ea.0 >> 24), false);
-        let vma = match self.tasks[cur].find_vma(ea) {
-            Some(v) => *v,
-            None => {
-                self.stats.segfaults += 1;
-                return Err(self.deliver_fatal_signal(Signal::Segv, ea.0));
+        self.span(Subsystem::PageFault, |k| {
+            k.stats.page_faults += 1;
+            let costs = k.machine.cfg.costs;
+            k.machine.charge(costs.exception_entry);
+            // Page faults always run the C handler.
+            let insns = k.paths.fault_c;
+            k.run_kernel_path(KernelPath::FaultHandler, insns);
+            // VMA lookup in the task struct.
+            let cur = k.current.expect("page fault with no current task");
+            let ts = k.tasks[cur].task_struct_pa();
+            for i in 0..4 {
+                k.kdata_ref(ts + 0x80 + i * 4, false);
             }
-        };
-        let page_ea = ea.page_base();
-        let (pa, writable) = match vma.kind {
-            VmaKind::Anon => {
-                let pa = self.get_free_page_charged(true)?;
-                self.tasks[cur].frames.push((page_ea.0, pa));
-                self.check_note_sched_change();
-                (pa, true)
-            }
-            VmaKind::File { file, offset } => {
-                // Page-cache pages are mapped read-only (text and shared
-                // mappings); a store through one is a protection violation.
-                let file_off = offset + (page_ea.0 - vma.start);
-                let pa = match self.files[file].page_at(file_off) {
-                    PageCacheLookup::Present(pa) => pa,
-                    PageCacheLookup::Evicted => self.page_cache_fill(file, file_off)?,
-                    PageCacheLookup::PastEof => {
-                        return Err(self.deliver_fatal_signal(Signal::Bus, ea.0));
-                    }
-                };
-                self.mem_map_ref(pa, false);
-                // Pin the frame: a mapped page-cache page is not evictable.
-                *self.file_map_refs.entry(pa).or_insert(0) += 1;
-                (pa, false)
-            }
-        };
-        self.map_user_page_prot(cur, page_ea, pa, writable)?;
-        self.machine.charge(costs.exception_exit);
-        Ok(())
+            // The VMA structure itself is slab-resident.
+            let pid = k.tasks[cur].pid;
+            k.kmeta_ref(0x4000 + pid * 17 + (ea.0 >> 24), false);
+            let vma = match k.tasks[cur].find_vma(ea) {
+                Some(v) => *v,
+                None => {
+                    k.stats.segfaults += 1;
+                    return Err(k.deliver_fatal_signal(Signal::Segv, ea.0));
+                }
+            };
+            let page_ea = ea.page_base();
+            let (pa, writable) = match vma.kind {
+                VmaKind::Anon => {
+                    let pa = k.get_free_page_charged(true)?;
+                    k.tasks[cur].frames.push((page_ea.0, pa));
+                    k.check_note_sched_change();
+                    (pa, true)
+                }
+                VmaKind::File { file, offset } => {
+                    // Page-cache pages are mapped read-only (text and shared
+                    // mappings); a store through one is a protection violation.
+                    let file_off = offset + (page_ea.0 - vma.start);
+                    let pa = match k.files[file].page_at(file_off) {
+                        PageCacheLookup::Present(pa) => pa,
+                        PageCacheLookup::Evicted => k.page_cache_fill(file, file_off)?,
+                        PageCacheLookup::PastEof => {
+                            return Err(k.deliver_fatal_signal(Signal::Bus, ea.0));
+                        }
+                    };
+                    k.mem_map_ref(pa, false);
+                    // Pin the frame: a mapped page-cache page is not evictable.
+                    *k.file_map_refs.entry(pa).or_insert(0) += 1;
+                    (pa, false)
+                }
+            };
+            k.map_user_page_prot(cur, page_ea, pa, writable)?;
+            k.machine.charge(costs.exception_exit);
+            Ok(())
+        })
     }
 
     /// Installs `pa` writable at `page_ea` in task `idx`'s page tables.
@@ -179,40 +171,35 @@ impl Kernel {
     /// reclaim but synchronous), then eviction of clean, unmapped
     /// page-cache pages. Returns the number of page frames freed.
     pub(crate) fn memory_pressure_reclaim(&mut self) -> usize {
-        self.t_enter(Subsystem::Reclaim);
-        let evicted = self.memory_pressure_reclaim_inner();
-        self.t_exit();
-        evicted
-    }
-
-    fn memory_pressure_reclaim_inner(&mut self) -> usize {
-        self.run_kernel_path(KernelPath::Mm, RECLAIM_PASS_INSNS);
-        let cached = self.cfg.htab_cached;
-        self.reclaim_chunk(PRESSURE_RECLAIM_GROUPS, cached);
-        // Evict clean page-cache pages that no task has mapped. Everything
-        // in the cache is clean (the simulation never dirties file pages),
-        // so eviction is just unhooking the frame.
-        let mut evicted = 0;
-        'files: for fi in 0..self.files.len() {
-            for pi in 0..self.files[fi].pages.len() {
-                let Some(pa) = self.files[fi].pages[pi] else {
-                    continue;
-                };
-                if self.file_map_refs.contains_key(&pa) {
-                    continue;
-                }
-                self.run_kernel_path(KernelPath::Mm, EVICT_PER_PAGE_INSNS);
-                self.mem_map_ref(pa, true);
-                self.files[fi].pages[pi] = None;
-                self.frames.free_page(pa);
-                self.stats.reclaimed_pages += 1;
-                evicted += 1;
-                if evicted >= PRESSURE_EVICT_BATCH {
-                    break 'files;
+        self.span(Subsystem::Reclaim, |k| {
+            k.run_kernel_path(KernelPath::Mm, RECLAIM_PASS_INSNS);
+            let cached = k.cfg.htab_cached;
+            k.reclaim_chunk(PRESSURE_RECLAIM_GROUPS, cached);
+            // Evict clean page-cache pages that no task has mapped. Everything
+            // in the cache is clean (the simulation never dirties file pages),
+            // so eviction is just unhooking the frame.
+            let mut evicted = 0;
+            'files: for fi in 0..k.files.len() {
+                for pi in 0..k.files[fi].pages.len() {
+                    let Some(pa) = k.files[fi].pages[pi] else {
+                        continue;
+                    };
+                    if k.file_map_refs.contains_key(&pa) {
+                        continue;
+                    }
+                    k.run_kernel_path(KernelPath::Mm, EVICT_PER_PAGE_INSNS);
+                    k.mem_map_ref(pa, true);
+                    k.files[fi].pages[pi] = None;
+                    k.frames.free_page(pa);
+                    k.stats.reclaimed_pages += 1;
+                    evicted += 1;
+                    if evicted >= PRESSURE_EVICT_BATCH {
+                        break 'files;
+                    }
                 }
             }
-        }
-        evicted
+            evicted
+        })
     }
 
     /// The OOM killer: picks the *alive, non-current* task holding the most
@@ -221,51 +208,46 @@ impl Kernel {
     /// task holds frames at all, returns `Ok(false)` — genuinely out of
     /// memory.
     pub(crate) fn oom_kill(&mut self) -> KResult<bool> {
-        self.t_enter(Subsystem::Reclaim);
-        let r = self.oom_kill_inner();
-        self.t_exit();
-        r
-    }
-
-    fn oom_kill_inner(&mut self) -> KResult<bool> {
-        self.run_kernel_path(KernelPath::Mm, RECLAIM_PASS_INSNS);
-        // Badness scan: one task-struct read per task considered.
-        let mut victim: Option<(usize, usize)> = None;
-        for idx in 0..self.tasks.len() {
-            if !self.tasks[idx].is_alive() {
-                continue;
-            }
-            let ts = self.tasks[idx].task_struct_pa();
-            self.kdata_ref(ts + 0x40, false);
-            let frames = self.tasks[idx].frames.len();
-            if frames == 0 || Some(idx) == self.current {
-                continue;
-            }
-            if victim.is_none_or(|(_, best)| frames > best) {
-                victim = Some((idx, frames));
-            }
-        }
-        match victim {
-            Some((idx, _)) => {
-                self.stats.oom_kills += 1;
-                let victim_pid = self.tasks[idx].pid;
-                self.t_event(|| TraceEvent::OomKill { victim: victim_pid });
-                self.teardown_task(idx);
-                Ok(true)
-            }
-            None => {
-                let cur = self.current;
-                match cur {
-                    Some(idx) if !self.tasks[idx].frames.is_empty() => {
-                        self.stats.oom_kills += 1;
-                        let victim_pid = self.tasks[idx].pid;
-                        self.t_event(|| TraceEvent::OomKill { victim: victim_pid });
-                        Err(self.deliver_fatal_signal(Signal::Kill, 0))
-                    }
-                    _ => Ok(false),
+        self.span(Subsystem::Reclaim, |k| {
+            k.run_kernel_path(KernelPath::Mm, RECLAIM_PASS_INSNS);
+            // Badness scan: one task-struct read per task considered.
+            let mut victim: Option<(usize, usize)> = None;
+            for idx in 0..k.tasks.len() {
+                if !k.tasks[idx].is_alive() {
+                    continue;
+                }
+                let ts = k.tasks[idx].task_struct_pa();
+                k.kdata_ref(ts + 0x40, false);
+                let frames = k.tasks[idx].frames.len();
+                if frames == 0 || Some(idx) == k.current {
+                    continue;
+                }
+                if victim.is_none_or(|(_, best)| frames > best) {
+                    victim = Some((idx, frames));
                 }
             }
-        }
+            match victim {
+                Some((idx, _)) => {
+                    k.stats.oom_kills += 1;
+                    let victim_pid = k.tasks[idx].pid;
+                    k.t_event(|| TraceEvent::OomKill { victim: victim_pid });
+                    k.teardown_task(idx);
+                    Ok(true)
+                }
+                None => {
+                    let cur = k.current;
+                    match cur {
+                        Some(idx) if !k.tasks[idx].frames.is_empty() => {
+                            k.stats.oom_kills += 1;
+                            let victim_pid = k.tasks[idx].pid;
+                            k.t_event(|| TraceEvent::OomKill { victim: victim_pid });
+                            Err(k.deliver_fatal_signal(Signal::Kill, 0))
+                        }
+                        _ => Ok(false),
+                    }
+                }
+            }
+        })
     }
 
     /// Frees one page frame back to the allocator (a few cycles of list

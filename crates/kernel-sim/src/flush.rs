@@ -50,37 +50,37 @@ impl Kernel {
     pub fn flush_one_page(&mut self, idx: usize, ea: EffectiveAddress) {
         self.stats.flushed_pages += 1;
         self.t_event(|| TraceEvent::Flush { pages: 1 });
-        self.t_enter(Subsystem::Flush);
-        // The per-page flush C path (`flush_hash_page` and friends).
-        let insns = self.paths.flush_per_page;
-        self.run_kernel_path(crate::layout::KernelPath::Mm, insns);
-        let page_index = ea.page_index();
-        // Legality ends here, whether or not a hash table is in use.
-        if self.check.is_some() {
-            let vsid = self.user_vsid(idx, ea);
-            self.check_note_flush_page(vsid, page_index);
-        }
-        if self.uses_htab() {
-            let vsid = self.user_vsid(idx, ea);
-            let cached = self.cfg.htab_cached;
-            let mut cost: Cycles = 0;
-            let machine = &mut self.machine;
-            let (_, cleared) = self.htab.invalidate_with(vsid, page_index, |pa, slots| {
-                cost += machine
-                    .mem
-                    .data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached);
-            });
-            if cleared {
-                self.vsids.note_removed(vsid);
-                // Write the cleared valid bit back.
-                cost += 2;
+        self.span(Subsystem::Flush, |k| {
+            // The per-page flush C path (`flush_hash_page` and friends).
+            let insns = k.paths.flush_per_page;
+            k.run_kernel_path(crate::layout::KernelPath::Mm, insns);
+            let page_index = ea.page_index();
+            // Legality ends here, whether or not a hash table is in use.
+            if k.check.is_some() {
+                let vsid = k.user_vsid(idx, ea);
+                k.check_note_flush_page(vsid, page_index);
             }
-            self.machine.charge(cost);
-        }
-        // tlbie + sync.
-        self.machine.mmu.tlbie(page_index);
-        self.machine.charge(4);
-        self.t_exit();
+            if k.uses_htab() {
+                let vsid = k.user_vsid(idx, ea);
+                let cached = k.cfg.htab_cached;
+                let mut cost: Cycles = 0;
+                let machine = &mut k.machine;
+                let (_, cleared) = k.htab.invalidate_with(vsid, page_index, |pa, slots| {
+                    cost += machine
+                        .mem
+                        .data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached);
+                });
+                if cleared {
+                    k.vsids.note_removed(vsid);
+                    // Write the cleared valid bit back.
+                    cost += 2;
+                }
+                k.machine.charge(cost);
+            }
+            // tlbie + sync.
+            k.machine.mmu.tlbie(page_index);
+            k.machine.charge(4);
+        });
     }
 
     /// Retires task `idx`'s whole translation context.
@@ -92,70 +92,70 @@ impl Kernel {
     pub fn flush_context(&mut self, idx: usize) {
         self.stats.context_bumps += 1;
         self.t_event(|| TraceEvent::ContextBump);
-        self.t_enter(Subsystem::Flush);
-        // The oracle retires the context's legality up front, covering both
-        // branches — and, crucially, *before* the deliberate-bug guard below:
-        // when the bug is armed the kernel skips the VSID bump but the oracle
-        // still retires, so the very next access through a stale entry trips
-        // the checker.
-        {
-            let old = self.tasks[idx].vsids;
-            self.check_note_retire(&old);
-        }
-        if self.cfg.lazy_flush {
-            // Fresh zombies exist: allow the idle reclaim one full sweep.
-            self.reclaim_scan_credit = self.htab.hash().num_groups();
-            if !self.buggy_skip_vsid_flush {
-                let old = self.tasks[idx].vsids;
-                self.vsids.retire(&old);
-                let pid = self.tasks[idx].pid;
-                self.tasks[idx].vsids = self.vsids.alloc_context(pid, &self.htab);
-                // Reload the segment registers if this is the running task.
-                if self.current == Some(idx) {
-                    let vsids = self.tasks[idx].vsids;
-                    for (sr, v) in vsids.iter().enumerate() {
-                        self.machine.mmu.segments.set(sr, *v);
-                    }
-                    self.machine.charge(16 + 3);
-                }
-                self.check_note_sched_change();
+        self.span(Subsystem::Flush, |k| {
+            // The oracle retires the context's legality up front, covering both
+            // branches — and, crucially, *before* the deliberate-bug guard below:
+            // when the bug is armed the kernel skips the VSID bump but the oracle
+            // still retires, so the very next access through a stale entry trips
+            // the checker.
+            {
+                let old = k.tasks[idx].vsids;
+                k.check_note_retire(&old);
             }
-            // The increment of the context counter itself.
-            self.machine.charge(8);
-        } else {
-            let old = self.tasks[idx].vsids;
-            // The scan runs before the old VSIDs retire. Under PID-derived
-            // VSIDs, "retiring" leaves liveness unchanged (the same VSIDs
-            // come right back), so they must come back with no entries left
-            // in the table; the cost is the scan.
-            if self.uses_htab() {
-                let vsids = &mut self.vsids;
-                let mem = &mut self.machine.mem;
-                let cached = self.cfg.htab_cached;
-                // The scan reads every slot, one read per PTE; charge it as a
-                // sequential sweep through the data cache.
-                let mut cost: Cycles = 0;
-                self.htab.invalidate_matching(
-                    |v| {
-                        let hit = old.contains(&v);
-                        if hit {
-                            vsids.note_removed(v);
+            if k.cfg.lazy_flush {
+                // Fresh zombies exist: allow the idle reclaim one full sweep.
+                k.reclaim_scan_credit = k.htab.hash().num_groups();
+                if !k.buggy_skip_vsid_flush {
+                    let old = k.tasks[idx].vsids;
+                    k.vsids.retire(&old);
+                    let pid = k.tasks[idx].pid;
+                    k.tasks[idx].vsids = k.vsids.alloc_context(pid, &k.htab);
+                    // Reload the segment registers if this is the running task.
+                    if k.current == Some(idx) {
+                        let vsids = k.tasks[idx].vsids;
+                        for (sr, v) in vsids.iter().enumerate() {
+                            k.machine.mmu.segments.set(sr, *v);
                         }
-                        hit
-                    },
-                    |pa, slots| {
-                        cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached)
-                    },
-                );
-                self.machine.charge(cost);
+                        k.machine.charge(16 + 3);
+                    }
+                    k.check_note_sched_change();
+                }
+                // The increment of the context counter itself.
+                k.machine.charge(8);
+            } else {
+                let old = k.tasks[idx].vsids;
+                // The scan runs before the old VSIDs retire. Under PID-derived
+                // VSIDs, "retiring" leaves liveness unchanged (the same VSIDs
+                // come right back), so they must come back with no entries left
+                // in the table; the cost is the scan.
+                if k.uses_htab() {
+                    let vsids = &mut k.vsids;
+                    let mem = &mut k.machine.mem;
+                    let cached = k.cfg.htab_cached;
+                    // The scan reads every slot, one read per PTE; charge it as a
+                    // sequential sweep through the data cache.
+                    let mut cost: Cycles = 0;
+                    k.htab.invalidate_matching(
+                        |v| {
+                            let hit = old.contains(&v);
+                            if hit {
+                                vsids.note_removed(v);
+                            }
+                            hit
+                        },
+                        |pa, slots| {
+                            cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached)
+                        },
+                    );
+                    k.machine.charge(cost);
+                }
+                k.vsids.retire(&old);
+                let pid = k.tasks[idx].pid;
+                k.tasks[idx].vsids = k.vsids.alloc_context(pid, &k.htab);
+                k.check_note_sched_change();
+                k.machine.mmu.flush_tlbs();
+                k.machine.charge(32);
             }
-            self.vsids.retire(&old);
-            let pid = self.tasks[idx].pid;
-            self.tasks[idx].vsids = self.vsids.alloc_context(pid, &self.htab);
-            self.check_note_sched_change();
-            self.machine.mmu.flush_tlbs();
-            self.machine.charge(32);
-        }
-        self.t_exit();
+        });
     }
 }

@@ -27,50 +27,50 @@ impl Kernel {
     /// has an empty run queue.
     pub fn run_idle(&mut self, budget: Cycles) {
         self.t_event(|| TraceEvent::Idle { budget });
-        self.t_enter(Subsystem::Idle);
-        let start = self.machine.cycles;
-        let end = start + budget;
-        // Upper bounds on one step of each duty, so a step is only started
-        // if it fits in the remaining stall (the real idle task is simply
-        // preempted; the budget models the end of the I/O wait).
-        const RECLAIM_STEP_BOUND: Cycles = 4_000;
-        const CLEAR_STEP_BOUND: Cycles = 12_000;
-        while self.machine.cycles < end {
-            let before = self.machine.cycles;
-            // The idle loop body itself. With the §10.1 cache lock the loop
-            // runs out of locked lines and costs pure pipeline cycles.
-            if self.cfg.idle_cache_lock {
-                self.machine.charge(8);
-            } else {
-                self.run_kernel_path(KernelPath::Idle, 8);
-            }
-            if self.cfg.idle_reclaim {
-                let remaining = end.saturating_sub(self.machine.cycles);
-                if remaining > RECLAIM_STEP_BOUND {
-                    self.idle_reclaim_step();
+        self.span(Subsystem::Idle, |k| {
+            let start = k.machine.cycles;
+            let end = start + budget;
+            // Upper bounds on one step of each duty, so a step is only started
+            // if it fits in the remaining stall (the real idle task is simply
+            // preempted; the budget models the end of the I/O wait).
+            const RECLAIM_STEP_BOUND: Cycles = 4_000;
+            const CLEAR_STEP_BOUND: Cycles = 12_000;
+            while k.machine.cycles < end {
+                let before = k.machine.cycles;
+                // The idle loop body itself. With the §10.1 cache lock the loop
+                // runs out of locked lines and costs pure pipeline cycles.
+                if k.cfg.idle_cache_lock {
+                    k.machine.charge(8);
+                } else {
+                    k.run_kernel_path(KernelPath::Idle, 8);
+                }
+                if k.cfg.idle_reclaim {
+                    let remaining = end.saturating_sub(k.machine.cycles);
+                    if remaining > RECLAIM_STEP_BOUND {
+                        k.idle_reclaim_step();
+                    }
+                }
+                if k.cfg.page_clearing.idle_clears() {
+                    let remaining = end.saturating_sub(k.machine.cycles);
+                    if remaining > CLEAR_STEP_BOUND {
+                        k.idle_clear_step();
+                    }
+                }
+                // Guarantee forward progress even if every duty was a no-op.
+                // This is a *wait*, not work: the stall models an I/O delay
+                // whose duration the CPU cannot shorten, so it bypasses any
+                // causal charge scale — virtually zeroing the idle task makes
+                // its duties free (more of them fit in the same stall) without
+                // making the device answer sooner, which is exactly the §9
+                // "optimizing the idle task buys nothing" counterfactual
+                // E-CAUSAL quantifies. (Unscaled runs never notice: the loop
+                // body above always charges, so this arm is dormant.)
+                if k.machine.cycles == before {
+                    k.machine.wait(16);
                 }
             }
-            if self.cfg.page_clearing.idle_clears() {
-                let remaining = end.saturating_sub(self.machine.cycles);
-                if remaining > CLEAR_STEP_BOUND {
-                    self.idle_clear_step();
-                }
-            }
-            // Guarantee forward progress even if every duty was a no-op.
-            // This is a *wait*, not work: the stall models an I/O delay
-            // whose duration the CPU cannot shorten, so it bypasses any
-            // causal charge scale — virtually zeroing the idle task makes
-            // its duties free (more of them fit in the same stall) without
-            // making the device answer sooner, which is exactly the §9
-            // "optimizing the idle task buys nothing" counterfactual
-            // E-CAUSAL quantifies. (Unscaled runs never notice: the loop
-            // body above always charges, so this arm is dormant.)
-            if self.machine.cycles == before {
-                self.machine.wait(16);
-            }
-        }
-        self.stats.idle_cycles += self.machine.cycles - start;
-        self.t_exit();
+            k.stats.idle_cycles += k.machine.cycles - start;
+        });
     }
 
     /// One reclaim step: scan [`RECLAIM_GROUPS_PER_STEP`] PTEGs, clearing
@@ -95,23 +95,23 @@ impl Kernel {
     /// and charging the slot reads. Shared by the idle-task scan and the
     /// §7-rejected on-scarcity reclaim. Returns `(scanned, cleared)` slots.
     pub(crate) fn reclaim_chunk(&mut self, groups: u32, cached: bool) -> (u32, u32) {
-        self.t_enter(Subsystem::Reclaim);
-        let vsids = &self.vsids;
-        let mem = &mut self.machine.mem;
-        // Charge the slot reads at the addresses the table scanned, plus
-        // the valid-bit writes for cleared zombies.
-        let mut cost: Cycles = 0;
-        let (scanned, cleared) = self.htab.reclaim_zombies(
-            groups,
-            |vsid| vsids.is_live(vsid),
-            |pa, slots| cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached),
-        );
-        self.stats.idle_groups_scanned += (scanned / 8) as u64;
-        cost += cleared as Cycles * 2;
-        self.machine.charge(cost);
-        self.t_event(|| TraceEvent::Reclaim { scanned, cleared });
-        self.t_exit();
-        (scanned, cleared)
+        self.span(Subsystem::Reclaim, |k| {
+            let vsids = &k.vsids;
+            let mem = &mut k.machine.mem;
+            // Charge the slot reads at the addresses the table scanned, plus
+            // the valid-bit writes for cleared zombies.
+            let mut cost: Cycles = 0;
+            let (scanned, cleared) = k.htab.reclaim_zombies(
+                groups,
+                |vsid| vsids.is_live(vsid),
+                |pa, slots| cost += mem.data_run(pa, slots, PTE_BYTES, AccessKind::Read, cached),
+            );
+            k.stats.idle_groups_scanned += (scanned / 8) as u64;
+            cost += cleared as Cycles * 2;
+            k.machine.charge(cost);
+            k.t_event(|| TraceEvent::Reclaim { scanned, cleared });
+            (scanned, cleared)
+        })
     }
 
     /// One page-clearing step: take a dirty free frame, clear it per policy,

@@ -475,10 +475,8 @@ mod tests {
     fn causal_zero_denominator_is_rejected() {
         let mut c = KernelConfig::optimized();
         let bad = crate::causal::Ratio { num: 1, den: 0 };
-        c.causal = Some(
-            crate::causal::CausalConfig::identity()
-                .scale_path(crate::causal::CausalPath::Flush, bad),
-        );
+        c.causal =
+            Some(crate::causal::CausalConfig::identity().scale_path(crate::prof::Path::Flush, bad));
         c.validate();
     }
 

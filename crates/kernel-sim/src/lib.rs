@@ -92,7 +92,7 @@ pub mod trace;
 pub mod tune;
 pub mod vsid;
 
-pub use causal::{CausalConfig, CausalPath, CausalState, Ratio};
+pub use causal::{CausalConfig, CausalState, Ratio};
 pub use check::{CheckConfig, CheckState};
 pub use errors::{KResult, KernelError, Signal};
 pub use inject::{FaultInjection, FaultInjector, InjectSite};
@@ -101,10 +101,10 @@ pub use kernel::Kernel;
 pub use oracle::{ShadowEntry, ShadowMm};
 pub use os_model::OsModel;
 pub use pmu::{PmuSample, PmuState};
-pub use prof::{Profiler, Subsystem};
+pub use prof::{Path, Profiler, Subsystem};
 pub use stats::KernelStats;
 pub use tail::{TailCause, TailConfig, TailExemplar, TailState};
 pub use task::{Pid, Task};
 pub use telemetry::{EpochSample, MmuReadings, Telemetry, TelemetryConfig};
-pub use trace::{Histogram, LatencyPath, TraceEvent, TraceRecord, TraceRing, Tracer};
+pub use trace::{Histogram, TraceEvent, TraceRecord, TraceRing, Tracer};
 pub use tune::{Mmtune, MmtuneConfig, RetuneDecision, TuneAction, TuneKnob};

@@ -16,7 +16,7 @@ use crate::layout::KernelPath;
 use crate::linuxpt::{LinuxPageTables, LinuxPte, PTE_COW, PTE_RW};
 use crate::prof::Subsystem;
 use crate::task::{Pid, Task, VmaKind};
-use crate::trace::{LatencyPath, TraceEvent};
+use crate::trace::TraceEvent;
 
 impl Kernel {
     /// `fork()`: clones the current task. Anonymous pages are shared
@@ -26,106 +26,97 @@ impl Kernel {
     /// if out of page-table pages (the half-built child is rolled back; the
     /// parent keeps running).
     pub fn sys_fork(&mut self) -> KResult<Pid> {
-        self.t_enter(Subsystem::Exec);
-        let r = self.sys_fork_inner();
-        self.t_exit();
-        r
-    }
-
-    fn sys_fork_inner(&mut self) -> KResult<Pid> {
-        self.syscall_entry();
-        let insns = self.paths.spawn / 2;
-        self.run_kernel_path(KernelPath::Exec, insns);
-        let parent_idx = self.current.expect("fork with no current task");
-        let child_pid = self.alloc_pid();
-        let child_pgd = match self.frames.get_pt_page() {
-            Some(pgd) => pgd,
-            None => {
-                self.syscall_exit();
-                return Err(KernelError::OutOfMemory);
-            }
-        };
-        self.phys.zero_page(child_pgd);
-        self.machine.zero_page_pa(child_pgd, true);
-        let vsids = self.vsids.alloc_context(child_pid, &self.htab);
-        self.check_note_sched_change();
-        let mut child = Task::new(child_pid, vsids, LinuxPageTables::new(child_pgd));
-        child.vmas = self.tasks[parent_idx].vmas.clone();
-        // Share every anonymous frame copy-on-write.
-        let parent_frames: Vec<(u32, PhysAddr)> = self.tasks[parent_idx].frames.clone();
-        let parent_pt = self.tasks[parent_idx].pt;
-        let cached = self.cfg.linux_pt_cached;
-        let mut failed = false;
-        for &(ea_raw, pa) in &parent_frames {
-            let ea = EffectiveAddress(ea_raw);
-            // Downgrade the parent PTE: read-only, COW.
-            parent_pt.update_flags(&mut self.phys, ea, PTE_COW, PTE_RW);
-            let c = self.machine.mem.data_write(
-                parent_pt
-                    .walk(&self.phys, ea)
-                    .pte_entry_pa
-                    .expect("parent page mapped"),
-                cached,
-            );
-            self.machine.charge(c);
-            // Map the same frame read-only in the child.
-            let pte = LinuxPte::present(pa >> 12, PTE_COW);
-            let frames = &mut self.frames;
-            let walk = match child
-                .pt
-                .map(&mut self.phys, ea, pte, || frames.get_pt_page())
-            {
-                Some(w) => w,
+        self.span(Subsystem::Exec, |k| {
+            k.syscall_entry();
+            let insns = k.paths.spawn / 2;
+            k.run_kernel_path(KernelPath::Exec, insns);
+            let parent_idx = k.current.expect("fork with no current task");
+            let child_pid = k.alloc_pid();
+            let child_pgd = match k.frames.get_pt_page() {
+                Some(pgd) => pgd,
                 None => {
-                    failed = true;
-                    break;
+                    k.syscall_exit();
+                    return Err(KernelError::OutOfMemory);
                 }
             };
-            let c = self
-                .machine
-                .mem
-                .data_write(walk.pte_entry_pa.expect("map writes a PTE"), cached);
-            self.machine.charge(c);
-            child.frames.push((ea_raw, pa));
-            *self.shared_frames.entry(pa).or_insert(1) += 1;
-        }
-        if failed {
-            // Roll back: drop the child's share counts and page tables. The
-            // leftover COW downgrades on the parent are harmless — its next
-            // store upgrades the sole-owner page in place.
-            for &(_, pa) in &child.frames {
-                self.release_user_frame(pa, false);
-            }
-            let mut freed = std::collections::HashSet::new();
-            for vma in &child.vmas {
-                let mut ea = vma.start;
-                while ea < vma.end {
-                    let entry = self
-                        .phys
-                        .read_u32(child.pt.pgd_entry_pa(EffectiveAddress(ea)));
-                    if entry & crate::linuxpt::PTE_PRESENT != 0 && freed.insert(entry & !0xfff) {
-                        self.frames.free_pt_page(entry & !0xfff);
-                    }
-                    ea = ea.saturating_add(4 << 20);
-                    if ea == 0 {
+            k.phys.zero_page(child_pgd);
+            k.machine.zero_page_pa(child_pgd, true);
+            let vsids = k.vsids.alloc_context(child_pid, &k.htab);
+            k.check_note_sched_change();
+            let mut child = Task::new(child_pid, vsids, LinuxPageTables::new(child_pgd));
+            child.vmas = k.tasks[parent_idx].vmas.clone();
+            // Share every anonymous frame copy-on-write.
+            let parent_frames: Vec<(u32, PhysAddr)> = k.tasks[parent_idx].frames.clone();
+            let parent_pt = k.tasks[parent_idx].pt;
+            let cached = k.cfg.linux_pt_cached;
+            let mut failed = false;
+            for &(ea_raw, pa) in &parent_frames {
+                let ea = EffectiveAddress(ea_raw);
+                // Downgrade the parent PTE: read-only, COW.
+                parent_pt.update_flags(&mut k.phys, ea, PTE_COW, PTE_RW);
+                let c = k.machine.mem.data_write(
+                    parent_pt
+                        .walk(&k.phys, ea)
+                        .pte_entry_pa
+                        .expect("parent page mapped"),
+                    cached,
+                );
+                k.machine.charge(c);
+                // Map the same frame read-only in the child.
+                let pte = LinuxPte::present(pa >> 12, PTE_COW);
+                let frames = &mut k.frames;
+                let walk = match child.pt.map(&mut k.phys, ea, pte, || frames.get_pt_page()) {
+                    Some(w) => w,
+                    None => {
+                        failed = true;
                         break;
                     }
-                }
+                };
+                let c = k
+                    .machine
+                    .mem
+                    .data_write(walk.pte_entry_pa.expect("map writes a PTE"), cached);
+                k.machine.charge(c);
+                child.frames.push((ea_raw, pa));
+                *k.shared_frames.entry(pa).or_insert(1) += 1;
             }
-            self.frames.free_pt_page(child_pgd);
-            self.flush_context(parent_idx);
-            self.syscall_exit();
-            return Err(KernelError::OutOfMemory);
-        }
-        // The parent's cached translations still say "writable": flush them.
-        self.flush_context(parent_idx);
-        let idx = self.tasks.len();
-        self.tasks.push(child);
-        self.run_queue.push_back(idx);
-        self.check_note_sched_change();
-        self.stats.processes_spawned += 1;
-        self.syscall_exit();
-        Ok(child_pid)
+            if failed {
+                // Roll back: drop the child's share counts and page tables. The
+                // leftover COW downgrades on the parent are harmless — its next
+                // store upgrades the sole-owner page in place.
+                for &(_, pa) in &child.frames {
+                    k.release_user_frame(pa, false);
+                }
+                let mut freed = std::collections::HashSet::new();
+                for vma in &child.vmas {
+                    let mut ea = vma.start;
+                    while ea < vma.end {
+                        let entry = k.phys.read_u32(child.pt.pgd_entry_pa(EffectiveAddress(ea)));
+                        if entry & crate::linuxpt::PTE_PRESENT != 0 && freed.insert(entry & !0xfff)
+                        {
+                            k.frames.free_pt_page(entry & !0xfff);
+                        }
+                        ea = ea.saturating_add(4 << 20);
+                        if ea == 0 {
+                            break;
+                        }
+                    }
+                }
+                k.frames.free_pt_page(child_pgd);
+                k.flush_context(parent_idx);
+                k.syscall_exit();
+                return Err(KernelError::OutOfMemory);
+            }
+            // The parent's cached translations still say "writable": flush them.
+            k.flush_context(parent_idx);
+            let idx = k.tasks.len();
+            k.tasks.push(child);
+            k.run_queue.push_back(idx);
+            k.check_note_sched_change();
+            k.stats.processes_spawned += 1;
+            k.syscall_exit();
+            Ok(child_pid)
+        })
     }
 
     /// `exec(binary, text_pages, heap_pages)`: replaces the current address
@@ -133,51 +124,43 @@ impl Kernel {
     /// anonymous heap and stack. The old space is torn down with the
     /// configured flush policy — the §7 narrative's "doing an exec()" flush.
     pub fn sys_exec(&mut self, binary: usize, text_pages: u32, heap_pages: u32) -> KResult<()> {
-        self.t_enter(Subsystem::Exec);
-        let r = self.sys_exec_inner(binary, text_pages, heap_pages);
-        self.t_exit();
-        r
-    }
-
-    fn sys_exec_inner(&mut self, binary: usize, text_pages: u32, heap_pages: u32) -> KResult<()> {
-        self.syscall_entry();
-        let insns = self.paths.spawn;
-        self.run_kernel_path(KernelPath::Exec, insns);
-        let cur = self.current.expect("exec with no current task");
-        // Tear down the old image.
-        let vmas: Vec<(u32, u32)> = self.tasks[cur]
-            .vmas
-            .iter()
-            .map(|v| (v.start, v.end))
-            .collect();
-        for (start, end) in &vmas {
-            self.unmap_range(cur, *start, *end);
-            self.flush_range(cur, *start, *end);
-        }
-        self.tasks[cur].vmas.clear();
-        // Build the new one: file-backed text, anonymous heap, stack.
-        let task = &mut self.tasks[cur];
-        task.insert_vma(crate::task::Vma {
-            start: crate::sched::USER_BASE,
-            end: crate::sched::USER_BASE + text_pages * PAGE_SIZE,
-            kind: VmaKind::File {
-                file: binary,
-                offset: 0,
-            },
-        });
-        let heap_base = crate::sched::USER_BASE + text_pages * PAGE_SIZE;
-        task.insert_vma(crate::task::Vma {
-            start: heap_base,
-            end: heap_base + heap_pages.max(1) * PAGE_SIZE,
-            kind: VmaKind::Anon,
-        });
-        task.insert_vma(crate::task::Vma {
-            start: crate::sched::STACK_BASE,
-            end: crate::sched::STACK_BASE + crate::sched::STACK_PAGES * PAGE_SIZE,
-            kind: VmaKind::Anon,
-        });
-        self.syscall_exit();
-        Ok(())
+        self.span(Subsystem::Exec, |k| {
+            k.syscall_entry();
+            let insns = k.paths.spawn;
+            k.run_kernel_path(KernelPath::Exec, insns);
+            let cur = k.current.expect("exec with no current task");
+            // Tear down the old image.
+            let vmas: Vec<(u32, u32)> =
+                k.tasks[cur].vmas.iter().map(|v| (v.start, v.end)).collect();
+            for (start, end) in &vmas {
+                k.unmap_range(cur, *start, *end);
+                k.flush_range(cur, *start, *end);
+            }
+            k.tasks[cur].vmas.clear();
+            // Build the new one: file-backed text, anonymous heap, stack.
+            let task = &mut k.tasks[cur];
+            task.insert_vma(crate::task::Vma {
+                start: crate::sched::USER_BASE,
+                end: crate::sched::USER_BASE + text_pages * PAGE_SIZE,
+                kind: VmaKind::File {
+                    file: binary,
+                    offset: 0,
+                },
+            });
+            let heap_base = crate::sched::USER_BASE + text_pages * PAGE_SIZE;
+            task.insert_vma(crate::task::Vma {
+                start: heap_base,
+                end: heap_base + heap_pages.max(1) * PAGE_SIZE,
+                kind: VmaKind::Anon,
+            });
+            task.insert_vma(crate::task::Vma {
+                start: crate::sched::STACK_BASE,
+                end: crate::sched::STACK_BASE + crate::sched::STACK_PAGES * PAGE_SIZE,
+                kind: VmaKind::Anon,
+            });
+            k.syscall_exit();
+            Ok(())
+        })
     }
 
     /// `brk()`: grows (or shrinks) the heap VMA — the second VMA of an
@@ -230,62 +213,55 @@ impl Kernel {
     /// — a store to file-backed text, say — is a genuine write-protection
     /// violation: SIGSEGV is delivered and the task dies.
     pub(crate) fn protection_fault(&mut self, ea: EffectiveAddress) -> KResult<()> {
-        // Span bracket around the fallible body so the profiler stack stays
-        // balanced on the SIGSEGV early return.
-        let t0 = self.t_enter(Subsystem::PageFault);
-        let r = self.protection_fault_inner(ea);
-        self.t_exit_lat(t0, LatencyPath::PageFault);
-        r
-    }
-
-    fn protection_fault_inner(&mut self, ea: EffectiveAddress) -> KResult<()> {
-        let costs = self.machine.cfg.costs;
-        self.machine.charge(costs.exception_entry);
-        let insns = self.paths.fault_c;
-        self.run_kernel_path(KernelPath::FaultHandler, insns);
-        let cur = self.current.expect("protection fault with no current task");
-        let page_ea = ea.page_base();
-        let pt = self.tasks[cur].pt;
-        let walk = pt.walk(&self.phys, page_ea);
-        let pte = match walk.pte {
-            Some(p) if p.is_cow() => p,
-            _ => {
-                self.stats.segfaults += 1;
-                return Err(self.deliver_fatal_signal(Signal::Segv, ea.0));
-            }
-        };
-        self.stats.cow_faults += 1;
-        self.t_event(|| TraceEvent::CowFault { ea: ea.0 });
-        let old_pa = pte.pfn() << 12;
-        let shared = self.shared_frames.get(&old_pa).copied().unwrap_or(1);
-        if shared > 1 {
-            // Copy the frame for this task; the others keep the original.
-            let new_pa = self.get_free_page_charged(false)?;
-            self.machine.copy_pa(old_pa, new_pa, PAGE_SIZE);
-            self.phys.copy_page(old_pa, new_pa);
-            self.release_user_frame(old_pa, false);
-            let task = &mut self.tasks[cur];
-            if let Some(slot) = task.frames.iter_mut().find(|(a, _)| *a == page_ea.0) {
-                slot.1 = new_pa;
+        self.span(Subsystem::PageFault, |k| {
+            let costs = k.machine.cfg.costs;
+            k.machine.charge(costs.exception_entry);
+            let insns = k.paths.fault_c;
+            k.run_kernel_path(KernelPath::FaultHandler, insns);
+            let cur = k.current.expect("protection fault with no current task");
+            let page_ea = ea.page_base();
+            let pt = k.tasks[cur].pt;
+            let walk = pt.walk(&k.phys, page_ea);
+            let pte = match walk.pte {
+                Some(p) if p.is_cow() => p,
+                _ => {
+                    k.stats.segfaults += 1;
+                    return Err(k.deliver_fatal_signal(Signal::Segv, ea.0));
+                }
+            };
+            k.stats.cow_faults += 1;
+            k.t_event(|| TraceEvent::CowFault { ea: ea.0 });
+            let old_pa = pte.pfn() << 12;
+            let shared = k.shared_frames.get(&old_pa).copied().unwrap_or(1);
+            if shared > 1 {
+                // Copy the frame for this task; the others keep the original.
+                let new_pa = k.get_free_page_charged(false)?;
+                k.machine.copy_pa(old_pa, new_pa, PAGE_SIZE);
+                k.phys.copy_page(old_pa, new_pa);
+                k.release_user_frame(old_pa, false);
+                let task = &mut k.tasks[cur];
+                if let Some(slot) = task.frames.iter_mut().find(|(a, _)| *a == page_ea.0) {
+                    slot.1 = new_pa;
+                } else {
+                    task.frames.push((page_ea.0, new_pa));
+                    k.check_note_sched_change();
+                }
+                k.map_user_page(cur, page_ea, new_pa)?;
             } else {
-                task.frames.push((page_ea.0, new_pa));
-                self.check_note_sched_change();
+                // Sole owner left: upgrade in place.
+                k.shared_frames.remove(&old_pa);
+                pt.update_flags(&mut k.phys, page_ea, PTE_RW, PTE_COW);
+                let c = k.machine.mem.data_write(
+                    walk.pte_entry_pa.expect("COW page is mapped"),
+                    k.cfg.linux_pt_cached,
+                );
+                k.machine.charge(c);
             }
-            self.map_user_page(cur, page_ea, new_pa)?;
-        } else {
-            // Sole owner left: upgrade in place.
-            self.shared_frames.remove(&old_pa);
-            pt.update_flags(&mut self.phys, page_ea, PTE_RW, PTE_COW);
-            let c = self.machine.mem.data_write(
-                walk.pte_entry_pa.expect("COW page is mapped"),
-                self.cfg.linux_pt_cached,
-            );
-            self.machine.charge(c);
-        }
-        // The stale read-only translation must go.
-        self.flush_one_page(cur, page_ea);
-        self.machine.charge(costs.exception_exit);
-        Ok(())
+            // The stale read-only translation must go.
+            k.flush_one_page(cur, page_ea);
+            k.machine.charge(costs.exception_exit);
+            Ok(())
+        })
     }
 
     /// Drops one reference to a user frame, freeing it when this was the

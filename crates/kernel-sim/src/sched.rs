@@ -24,41 +24,36 @@ impl Kernel {
     /// at [`USER_BASE`] and a stack. Returns its PID, or `ENOMEM` when the
     /// page-table pool is exhausted.
     pub fn spawn_process(&mut self, ws_pages: u32) -> KResult<Pid> {
-        self.t_enter(Subsystem::Exec);
-        let r = self.spawn_process_inner(ws_pages);
-        self.t_exit();
-        r
-    }
-
-    fn spawn_process_inner(&mut self, ws_pages: u32) -> KResult<Pid> {
-        let insns = self.paths.spawn;
-        self.run_kernel_path(KernelPath::Exec, insns);
-        let pid = self.alloc_pid();
-        let pgd = self.frames.get_pt_page().ok_or(KernelError::OutOfMemory)?;
-        self.phys.zero_page(pgd);
-        self.machine.zero_page_pa(pgd, true);
-        let vsids = self.vsids.alloc_context(pid, &self.htab);
-        let mut task = Task::new(pid, vsids, LinuxPageTables::new(pgd));
-        if ws_pages > 0 {
+        self.span(Subsystem::Exec, |k| {
+            let insns = k.paths.spawn;
+            k.run_kernel_path(KernelPath::Exec, insns);
+            let pid = k.alloc_pid();
+            let pgd = k.frames.get_pt_page().ok_or(KernelError::OutOfMemory)?;
+            k.phys.zero_page(pgd);
+            k.machine.zero_page_pa(pgd, true);
+            let vsids = k.vsids.alloc_context(pid, &k.htab);
+            let mut task = Task::new(pid, vsids, LinuxPageTables::new(pgd));
+            if ws_pages > 0 {
+                task.insert_vma(Vma {
+                    start: USER_BASE,
+                    end: USER_BASE + ws_pages * PAGE_SIZE,
+                    kind: VmaKind::Anon,
+                });
+            }
             task.insert_vma(Vma {
-                start: USER_BASE,
-                end: USER_BASE + ws_pages * PAGE_SIZE,
+                start: STACK_BASE,
+                end: STACK_BASE + STACK_PAGES * PAGE_SIZE,
                 kind: VmaKind::Anon,
             });
-        }
-        task.insert_vma(Vma {
-            start: STACK_BASE,
-            end: STACK_BASE + STACK_PAGES * PAGE_SIZE,
-            kind: VmaKind::Anon,
-        });
-        let idx = self.tasks.len();
-        self.tasks.push(task);
-        self.run_queue.push_back(idx);
-        // One bump covers the VSID allocation too: no span transition
-        // separates the two.
-        self.check_note_sched_change();
-        self.stats.processes_spawned += 1;
-        Ok(pid)
+            let idx = k.tasks.len();
+            k.tasks.push(task);
+            k.run_queue.push_back(idx);
+            // One bump covers the VSID allocation too: no span transition
+            // separates the two.
+            k.check_note_sched_change();
+            k.stats.processes_spawned += 1;
+            Ok(pid)
+        })
     }
 
     /// Finds the task slot for `pid`.
@@ -86,53 +81,53 @@ impl Kernel {
         }
         let to_pid = self.tasks[to].pid;
         self.t_event(|| TraceEvent::CtxSwitch { to: to_pid });
-        self.t_enter(Subsystem::Sched);
-        // The switch body transiently violates SchedInv (the outgoing task
-        // is pushed onto the queue while still `current`); bracket it so the
-        // checker treats it as one atomic step, as the TLA model does. The
-        // bracket's version bumps also cover the switch's run-queue,
-        // segment-register and current-task changes: no span transition
-        // separates those from the bracket.
-        self.check_sched_enter();
-        // The chosen task leaves the ready queue while it runs; the
-        // displaced task goes back on it if still runnable.
-        self.run_queue.retain(|&i| i != to);
-        if let Some(old) = self.current {
-            if self.tasks[old].state == TaskState::Runnable && !self.run_queue.contains(&old) {
-                self.run_queue.push_back(old);
+        self.span(Subsystem::Sched, |k| {
+            // The switch body transiently violates SchedInv (the outgoing task
+            // is pushed onto the queue while still `current`); bracket it so the
+            // checker treats it as one atomic step, as the TLA model does. The
+            // bracket's version bumps also cover the switch's run-queue,
+            // segment-register and current-task changes: no span transition
+            // separates those from the bracket.
+            k.check_sched_enter();
+            // The chosen task leaves the ready queue while it runs; the
+            // displaced task goes back on it if still runnable.
+            k.run_queue.retain(|&i| i != to);
+            if let Some(old) = k.current {
+                if k.tasks[old].state == TaskState::Runnable && !k.run_queue.contains(&old) {
+                    k.run_queue.push_back(old);
+                }
             }
-        }
-        let insns = self.paths.sched;
-        self.run_kernel_path(KernelPath::Schedule, insns);
-        // Save the outgoing task's register state to its task struct.
-        if let Some(old) = self.current {
-            let ts = self.tasks[old].task_struct_pa();
+            let insns = k.paths.sched;
+            k.run_kernel_path(KernelPath::Schedule, insns);
+            // Save the outgoing task's register state to its task struct.
+            if let Some(old) = k.current {
+                let ts = k.tasks[old].task_struct_pa();
+                for i in 0..32 {
+                    k.kdata_ref(ts + i * 4, true);
+                }
+            }
+            // Load the incoming task's state.
+            let ts = k.tasks[to].task_struct_pa();
+            if k.cfg.cache_preloads {
+                // §10.2: software prefetch of the new task struct before use.
+                let c = (0..4).map(|i| k.machine.mem.prefetch(ts + i * 32)).sum();
+                k.machine.charge(c);
+            }
             for i in 0..32 {
-                self.kdata_ref(ts + i * 4, true);
+                k.kdata_ref(ts + i * 4, false);
             }
-        }
-        // Load the incoming task's state.
-        let ts = self.tasks[to].task_struct_pa();
-        if self.cfg.cache_preloads {
-            // §10.2: software prefetch of the new task struct before use.
-            let c = (0..4).map(|i| self.machine.mem.prefetch(ts + i * 32)).sum();
-            self.machine.charge(c);
-        }
-        for i in 0..32 {
-            self.kdata_ref(ts + i * 4, false);
-        }
-        // Reload the user segment registers with the new task's VSIDs: this
-        // is the entire address-space switch (no TLB flush — VSIDs
-        // disambiguate, which is what makes PPC context switches cheap).
-        let vsids = self.tasks[to].vsids;
-        for (sr, v) in vsids.iter().enumerate() {
-            self.machine.mmu.segments.set(sr, *v);
-        }
-        self.machine.charge(16 + 3); // 12 mtsr + isync, rounded as the paper's code does
-        self.current = Some(to);
-        self.stats.ctx_switches += 1;
-        self.check_sched_exit();
-        self.t_exit();
+            // Reload the user segment registers with the new task's VSIDs: this
+            // is the entire address-space switch (no TLB flush — VSIDs
+            // disambiguate, which is what makes PPC context switches cheap).
+            let vsids = k.tasks[to].vsids;
+            for (sr, v) in vsids.iter().enumerate() {
+                k.machine.mmu.segments.set(sr, *v);
+            }
+            k.machine.charge(16 + 3); // 12 mtsr + isync, rounded as the paper's code does
+            k.current = Some(to);
+            k.stats.ctx_switches += 1;
+            k.check_sched_exit();
+        });
     }
 
     /// Voluntarily yields to the next runnable task (round robin).

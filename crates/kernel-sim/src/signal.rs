@@ -15,7 +15,7 @@ use crate::kernel::Kernel;
 use crate::layout::KernelPath;
 use crate::prof::Subsystem;
 use crate::sched::STACK_BASE;
-use crate::trace::{LatencyPath, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Words in a signal frame (saved context + siginfo).
 const SIGFRAME_WORDS: u32 = 40;
@@ -36,41 +36,34 @@ impl Kernel {
     ///
     /// Panics if no task is current.
     pub fn signal_roundtrip(&mut self, handler_ea: u32) -> KResult<()> {
-        // Span bracket around the fallible body so the profiler stack stays
-        // balanced when delivery dies on a fatal signal mid-frame.
         self.t_event(|| TraceEvent::Signal { fatal: false });
-        let t0 = self.t_enter(Subsystem::Signal);
-        let r = self.signal_roundtrip_inner(handler_ea);
-        self.t_exit_lat(t0, LatencyPath::Signal);
-        r
-    }
-
-    fn signal_roundtrip_inner(&mut self, handler_ea: u32) -> KResult<()> {
-        // kill(): queue the signal against the task.
-        self.syscall_entry();
-        let insns = self.paths.signal / 2;
-        self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        let ts = self.cur().task_struct_pa();
-        self.kdata_ref(ts + 0x104, true);
-        self.syscall_exit();
-        // Delivery on the return to user space: build the signal frame on
-        // the user stack...
-        let insns = self.paths.signal / 2;
-        self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        let frame_base = STACK_BASE + 8 * 4096 - SIGFRAME_WORDS * 4;
-        for w in 0..SIGFRAME_WORDS {
-            self.data_ref(EffectiveAddress(frame_base + w * 4), true)?;
-        }
-        // ...run the user handler...
-        self.exec_code(EffectiveAddress(handler_ea), 24)?;
-        self.data_ref(EffectiveAddress(frame_base), false)?;
-        // ...and sigreturn restores the interrupted context.
-        self.syscall_entry();
-        for w in 0..SIGFRAME_WORDS {
-            self.data_ref(EffectiveAddress(frame_base + w * 4), false)?;
-        }
-        self.syscall_exit();
-        Ok(())
+        self.span(Subsystem::Signal, |k| {
+            // kill(): queue the signal against the task.
+            k.syscall_entry();
+            let insns = k.paths.signal / 2;
+            k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            let ts = k.cur().task_struct_pa();
+            k.kdata_ref(ts + 0x104, true);
+            k.syscall_exit();
+            // Delivery on the return to user space: build the signal frame on
+            // the user stack...
+            let insns = k.paths.signal / 2;
+            k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            let frame_base = STACK_BASE + 8 * 4096 - SIGFRAME_WORDS * 4;
+            for w in 0..SIGFRAME_WORDS {
+                k.data_ref(EffectiveAddress(frame_base + w * 4), true)?;
+            }
+            // ...run the user handler...
+            k.exec_code(EffectiveAddress(handler_ea), 24)?;
+            k.data_ref(EffectiveAddress(frame_base), false)?;
+            // ...and sigreturn restores the interrupted context.
+            k.syscall_entry();
+            for w in 0..SIGFRAME_WORDS {
+                k.data_ref(EffectiveAddress(frame_base + w * 4), false)?;
+            }
+            k.syscall_exit();
+            Ok(())
+        })
     }
 
     /// Delivers an *uncaught* fatal signal to the current task: the same
@@ -82,34 +75,29 @@ impl Kernel {
     /// [`KernelError::Fatal`] the interrupted operation propagates.
     pub(crate) fn deliver_fatal_signal(&mut self, signal: Signal, ea: u32) -> KernelError {
         self.t_event(|| TraceEvent::Signal { fatal: true });
-        let t0 = self.t_enter(Subsystem::Signal);
-        let err = self.deliver_fatal_signal_inner(signal, ea);
-        self.t_exit_lat(t0, LatencyPath::Signal);
-        err
-    }
-
-    fn deliver_fatal_signal_inner(&mut self, signal: Signal, ea: u32) -> KernelError {
-        let cur = self.current.expect("fatal signal with no current task");
-        match signal {
-            Signal::Segv => self.stats.sigsegvs += 1,
-            Signal::Bus => self.stats.sigbus += 1,
-            Signal::Kill => {} // counted by the OOM killer
-        }
-        let insns = self.paths.signal;
-        self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        let stack = self.tasks[cur].task_struct_pa() + 0x200;
-        for w in 0..SIGFRAME_WORDS {
-            self.kdata_ref(stack + w * 4, true);
-        }
-        // Chaos site: an injected early context flush during the unwind,
-        // before teardown re-flushes. Double-retiring a context must be
-        // safe — the oracle and invariants verify it actually is.
-        if self.injected(InjectSite::UnwindFlush) {
-            self.flush_context(cur);
-        }
-        self.teardown_task(cur);
-        self.machine.charge(self.machine.cfg.costs.exception_exit);
-        KernelError::Fatal { signal, ea }
+        self.span(Subsystem::Signal, |k| {
+            let cur = k.current.expect("fatal signal with no current task");
+            match signal {
+                Signal::Segv => k.stats.sigsegvs += 1,
+                Signal::Bus => k.stats.sigbus += 1,
+                Signal::Kill => {} // counted by the OOM killer
+            }
+            let insns = k.paths.signal;
+            k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            let stack = k.tasks[cur].task_struct_pa() + 0x200;
+            for w in 0..SIGFRAME_WORDS {
+                k.kdata_ref(stack + w * 4, true);
+            }
+            // Chaos site: an injected early context flush during the unwind,
+            // before teardown re-flushes. Double-retiring a context must be
+            // safe — the oracle and invariants verify it actually is.
+            if k.injected(InjectSite::UnwindFlush) {
+                k.flush_context(cur);
+            }
+            k.teardown_task(cur);
+            k.machine.charge(k.machine.cfg.costs.exception_exit);
+            KernelError::Fatal { signal, ea }
+        })
     }
 }
 

@@ -14,38 +14,38 @@ impl Kernel {
     pub fn syscall_entry(&mut self) {
         self.stats.syscalls += 1;
         // The span covers only the entry half (and `syscall_exit` the exit
-        // half), not the syscall body — bodies are attributed to their own
-        // subsystems, and a body that dies on a fatal signal never reaches
-        // `syscall_exit`, so a body-wide span could never be balanced.
+        // half), not the syscall body: bodies are attributed to their own
+        // subsystems. A body-wide span would balance too, but it would move
+        // the body's unbracketed cycles into `syscall` self-time.
         self.t_event(|| TraceEvent::Syscall);
-        self.t_enter(Subsystem::Syscall);
-        let costs = self.machine.cfg.costs;
-        self.machine.charge(costs.exception_entry);
-        let insns = self.paths.syscall / 2;
-        self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        // File-descriptor table / credentials live in slab memory.
-        if let Some(cur) = self.current {
-            let pid = self.tasks[cur].pid;
-            self.kmeta_ref(0x8000 + pid * 7, false);
-        }
-        // Each IPC hop is another kernel crossing: entry + exit + a short
-        // message-dispatch path (the Mach syscall-emulation round trip).
-        for _ in 0..self.paths.ipc_hops {
-            self.machine
-                .charge(costs.exception_entry + costs.exception_exit);
-            let insns = self.paths.syscall / 2;
-            self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        }
-        self.t_exit();
+        self.span(Subsystem::Syscall, |k| {
+            let costs = k.machine.cfg.costs;
+            k.machine.charge(costs.exception_entry);
+            let insns = k.paths.syscall / 2;
+            k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            // File-descriptor table / credentials live in slab memory.
+            if let Some(cur) = k.current {
+                let pid = k.tasks[cur].pid;
+                k.kmeta_ref(0x8000 + pid * 7, false);
+            }
+            // Each IPC hop is another kernel crossing: entry + exit + a short
+            // message-dispatch path (the Mach syscall-emulation round trip).
+            for _ in 0..k.paths.ipc_hops {
+                k.machine
+                    .charge(costs.exception_entry + costs.exception_exit);
+                let insns = k.paths.syscall / 2;
+                k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            }
+        });
     }
 
     /// Syscall exit: the return half of the path plus exception exit.
     pub fn syscall_exit(&mut self) {
-        self.t_enter(Subsystem::Syscall);
-        let insns = self.paths.syscall / 2;
-        self.run_kernel_path(KernelPath::SyscallEntry, insns);
-        self.machine.charge(self.machine.cfg.costs.exception_exit);
-        self.t_exit();
+        self.span(Subsystem::Syscall, |k| {
+            let insns = k.paths.syscall / 2;
+            k.run_kernel_path(KernelPath::SyscallEntry, insns);
+            k.machine.charge(k.machine.cfg.costs.exception_exit);
+        });
     }
 
     /// The null syscall (`getpid()`), LmBench's "Null syscall" row.

@@ -8,7 +8,7 @@
 //! last-K trace-ring events as a causal window, a read-only MMU-context
 //! snapshot, and the [`crate::KernelStats`] / [`ppc_mmu::HtabStats`] deltas
 //! since the previous instrumented-path completion — and files it in a
-//! deterministic top-N reservoir per [`LatencyPath`].
+//! deterministic top-N reservoir per sampled [`Path`].
 //!
 //! A closed cause taxonomy ([`TailCause`]) classifies each exemplar from its
 //! span stack and stats deltas, and cycles-above-median are attributed per
@@ -23,11 +23,11 @@
 //! ([`TailState`]) hangs off the kernel as `Option<Box<_>>`, so a kernel
 //! without tail forensics carries one pointer and a single `None` branch.
 
-use crate::prof::Subsystem;
+use crate::prof::{Path, Subsystem, NUM_PATHS};
 use crate::stats::KernelStats;
 use crate::task::Pid;
 use crate::telemetry::MmuReadings;
-use crate::trace::{Histogram, LatencyPath, TraceRecord};
+use crate::trace::{Histogram, TraceRecord, Tracer};
 use ppc_machine::Cycles;
 use ppc_mmu::HtabStats;
 
@@ -235,7 +235,7 @@ pub struct TailExemplar {
     /// Task that was current (0 = the kernel itself).
     pub pid: Pid,
     /// The instrumented path the sample belongs to.
-    pub path: LatencyPath,
+    pub path: Path,
     /// Exact latency in cycles.
     pub latency: u64,
     /// The kernel span stack at completion, outermost first — still
@@ -262,8 +262,9 @@ pub struct TailExemplar {
 pub struct TailState {
     /// The configuration the state was armed with.
     pub cfg: TailConfig,
-    /// One reservoir per [`LatencyPath`], sorted slowest-first.
-    reservoirs: [Vec<TailExemplar>; 3],
+    /// One reservoir per [`Path`], indexed by `repr` and sorted
+    /// slowest-first; only the [`Path::SAMPLED`] ones ever fill.
+    reservoirs: [Vec<TailExemplar>; NUM_PATHS],
     /// Kernel counters at the previous instrumented-path completion.
     last_stats: KernelStats,
     /// Hash-table counters at the previous instrumented-path completion.
@@ -283,7 +284,7 @@ impl TailState {
         cfg.validate();
         Self {
             cfg,
-            reservoirs: [Vec::new(), Vec::new(), Vec::new()],
+            reservoirs: Default::default(),
             last_stats: KernelStats::default(),
             last_htab: HtabStats::default(),
             captured: 0,
@@ -317,8 +318,8 @@ impl TailState {
     /// would stay in its path's reservoir: there is room, or it sorts ahead
     /// of the last exemplar retained. The kernel builds an exemplar only
     /// then, and hands every other capture to [`TailState::discard`].
-    pub fn would_retain(&self, path: LatencyPath, lat: u64, cycle: Cycles) -> bool {
-        let res = &self.reservoirs[path.index()];
+    pub fn would_retain(&self, path: Path, lat: u64, cycle: Cycles) -> bool {
+        let res = &self.reservoirs[path as usize];
         res.len() < self.cfg.top_n
             || res
                 .last()
@@ -342,7 +343,7 @@ impl TailState {
     #[allow(clippy::too_many_arguments)]
     pub fn offer(
         &mut self,
-        path: LatencyPath,
+        path: Path,
         lat: u64,
         cycle: Cycles,
         pid: Pid,
@@ -371,15 +372,15 @@ impl TailState {
             d_htab,
             cause,
         };
-        let res = &mut self.reservoirs[path.index()];
+        let res = &mut self.reservoirs[path as usize];
         let pos = res.partition_point(|e| precedes(e, ex.latency, ex.cycle, ex.seq));
         res.insert(pos, ex);
         res.truncate(self.cfg.top_n);
     }
 
     /// The retained exemplars for `path`, slowest first.
-    pub fn exemplars(&self, path: LatencyPath) -> &[TailExemplar] {
-        &self.reservoirs[path.index()]
+    pub fn exemplars(&self, path: Path) -> &[TailExemplar] {
+        &self.reservoirs[path as usize]
     }
 
     /// Drains the reservoirs and the capture counter, keeping the arming
@@ -388,7 +389,7 @@ impl TailState {
     /// instead of compulsory cold misses (E-TAIL does exactly that).
     /// Host-side only: resetting never charges cycles or touches counters.
     pub fn reset(&mut self) {
-        self.reservoirs = [Vec::new(), Vec::new(), Vec::new()];
+        self.reservoirs = Default::default();
         self.captured = 0;
     }
 
@@ -398,19 +399,18 @@ impl TailState {
     }
 
     /// Cycles-above-median attribution: for every retained exemplar, the
-    /// cycles its latency exceeds its path's median (`p50`, indexed like
-    /// [`LatencyPath::ALL`]) are charged to its cause. Returns
-    /// `(cause, cycles_above_median, exemplars)` ranked by cycles
-    /// descending, taxonomy order breaking ties; causes with no exemplars
-    /// are omitted.
-    pub fn attribution(&self, p50: [u64; 3]) -> Vec<(TailCause, u64, u64)> {
+    /// cycles its latency exceeds its path's median in `tracer`'s histogram
+    /// are charged to its cause. Returns `(cause, cycles_above_median,
+    /// exemplars)` ranked by cycles descending, taxonomy order breaking
+    /// ties; causes with no exemplars are omitted.
+    pub fn attribution(&self, tracer: &Tracer) -> Vec<(TailCause, u64, u64)> {
         let mut cycles = [0u64; NUM_CAUSES];
         let mut counts = [0u64; NUM_CAUSES];
-        for path in LatencyPath::ALL {
-            let i = path.index();
+        for path in Path::SAMPLED {
+            let p50 = tracer.latency(path).percentile(50);
             for e in self.exemplars(path) {
                 let r = e.cause.rank();
-                cycles[r] += e.latency.saturating_sub(p50[i]);
+                cycles[r] += e.latency.saturating_sub(p50);
                 counts[r] += 1;
             }
         }
@@ -428,7 +428,7 @@ impl TailState {
 mod tests {
     use super::*;
 
-    fn offer_simple(tl: &mut TailState, path: LatencyPath, lat: u64, cycle: Cycles) {
+    fn offer_simple(tl: &mut TailState, path: Path, lat: u64, cycle: Cycles) {
         let stats = tl.last_stats;
         let htab = tl.last_htab;
         tl.offer(
@@ -555,15 +555,15 @@ mod tests {
             ..TailConfig::fixed(1)
         });
         for (lat, cyc) in [(10, 100), (50, 200), (20, 300), (40, 400), (60, 500)] {
-            offer_simple(&mut tl, LatencyPath::TlbReload, lat, cyc);
+            offer_simple(&mut tl, Path::TlbReload, lat, cyc);
         }
         let lats: Vec<u64> = tl
-            .exemplars(LatencyPath::TlbReload)
+            .exemplars(Path::TlbReload)
             .iter()
             .map(|e| e.latency)
             .collect();
         assert_eq!(lats, vec![60, 50, 40]);
-        assert!(tl.exemplars(LatencyPath::PageFault).is_empty());
+        assert!(tl.exemplars(Path::PageFault).is_empty());
         assert_eq!(tl.captured(), 5);
     }
 
@@ -578,7 +578,7 @@ mod tests {
         };
         let mut offered = TailState::new(cfg);
         let mut skipped = TailState::new(cfg);
-        let path = LatencyPath::PageFault;
+        let path = Path::PageFault;
         let samples = [
             (5, 10),
             (9, 20),
@@ -612,10 +612,10 @@ mod tests {
             ..TailConfig::fixed(1)
         });
         for cyc in [100, 200, 300, 400] {
-            offer_simple(&mut tl, LatencyPath::PageFault, 7, cyc);
+            offer_simple(&mut tl, Path::PageFault, 7, cyc);
         }
         let cycles: Vec<Cycles> = tl
-            .exemplars(LatencyPath::PageFault)
+            .exemplars(Path::PageFault)
             .iter()
             .map(|e| e.cycle)
             .collect();
@@ -633,7 +633,7 @@ mod tests {
         tl.note(&stats, &htab);
         stats.evict_live = 9;
         tl.offer(
-            LatencyPath::TlbReload,
+            Path::TlbReload,
             10,
             1000,
             1,
@@ -643,7 +643,7 @@ mod tests {
             &stats,
             &htab,
         );
-        let e = &tl.exemplars(LatencyPath::TlbReload)[0];
+        let e = &tl.exemplars(Path::TlbReload)[0];
         assert_eq!(e.d_stats.evict_live, 5, "delta, not the running total");
         assert_eq!(e.cause, TailCause::PtegDisplacement);
     }
@@ -658,7 +658,7 @@ mod tests {
         };
         let htab = HtabStats::default();
         tl.offer(
-            LatencyPath::TlbReload,
+            Path::TlbReload,
             100,
             10,
             1,
@@ -670,7 +670,7 @@ mod tests {
         );
         stats.evict_live = 2;
         tl.offer(
-            LatencyPath::TlbReload,
+            Path::TlbReload,
             80,
             20,
             1,
@@ -681,7 +681,7 @@ mod tests {
             &htab,
         );
         tl.offer(
-            LatencyPath::TlbReload,
+            Path::TlbReload,
             90,
             30,
             1,
@@ -691,7 +691,10 @@ mod tests {
             &stats,
             &htab,
         );
-        let ranked = tl.attribution([50, 0, 0]);
+        // A tracer whose reload median is 50; the other paths are empty.
+        let mut t = Tracer::new(1, 0);
+        t.record_latency(Path::TlbReload, 50);
+        let ranked = tl.attribution(&t);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].0, TailCause::PtegDisplacement);
         assert_eq!(ranked[0].1, (100 - 50) + (80 - 50));
@@ -708,17 +711,17 @@ mod tests {
             ..Default::default()
         };
         let htab = HtabStats::default();
-        offer_simple(&mut tl, LatencyPath::TlbReload, 10, 100);
+        offer_simple(&mut tl, Path::TlbReload, 10, 100);
         tl.note(&stats, &htab);
         tl.reset();
-        assert!(tl.exemplars(LatencyPath::TlbReload).is_empty());
+        assert!(tl.exemplars(Path::TlbReload).is_empty());
         assert_eq!(tl.captured(), 0);
         // The delta window survives: the next offer diffs against the
         // last noted counters, not against zero.
         let mut later = stats;
         later.evict_live = 9;
         tl.offer(
-            LatencyPath::TlbReload,
+            Path::TlbReload,
             20,
             200,
             1,
@@ -728,10 +731,7 @@ mod tests {
             &later,
             &htab,
         );
-        assert_eq!(
-            tl.exemplars(LatencyPath::TlbReload)[0].d_stats.evict_live,
-            2
-        );
+        assert_eq!(tl.exemplars(Path::TlbReload)[0].d_stats.evict_live, 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! sparkline) wants.
 //!
 //! Sampling piggybacks on the existing span-transition hook
-//! (`Kernel::t_enter`/`t_exit`): whenever the cycle ledger crosses an epoch
+//! (`Kernel::span`): whenever the cycle ledger crosses an epoch
 //! boundary, the sampler reads the kernel's own structures — the hash
 //! table, the TLBs, the VSID liveness set, the counter deltas since the
 //! previous sample — and appends one [`EpochSample`]. Like the tracer, it

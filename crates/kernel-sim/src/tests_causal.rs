@@ -4,10 +4,10 @@
 
 use ppc_machine::MachineConfig;
 
-use crate::causal::{CausalConfig, CausalPath, Ratio};
+use crate::causal::{CausalConfig, Ratio};
 use crate::kconfig::{KernelConfig, PmuConfig};
 use crate::kernel::Kernel;
-use crate::prof::Subsystem;
+use crate::prof::{Path, Subsystem};
 use crate::tests_observers::{assert_invisible, workload, CAUSAL};
 use crate::tune::MmtuneConfig;
 
@@ -41,7 +41,7 @@ fn all_one_causal_is_cycle_and_counter_identical_across_matrix_sample() {
 fn zeroing_everything_freezes_the_clock_but_not_the_state() {
     let zero = CausalConfig {
         subsystem: [Ratio::ZERO; crate::prof::NUM_SUBSYSTEMS],
-        path: [Ratio::ZERO; crate::causal::NUM_PATHS],
+        path: [Ratio::ZERO; crate::prof::NUM_PATHS],
     };
     let cfg = KernelConfig::optimized();
     let k = run(MachineConfig::ppc604_185(), cfg, Some(zero));
@@ -64,7 +64,7 @@ fn zeroing_everything_freezes_the_clock_but_not_the_state() {
 #[test]
 fn scaled_run_is_deterministic() {
     let causal = CausalConfig::identity()
-        .scale_path(CausalPath::TlbReload, Ratio { num: 1, den: 2 })
+        .scale_path(Path::TlbReload, Ratio { num: 1, den: 2 })
         .scale_subsystem(Subsystem::Sched, Ratio { num: 3, den: 4 });
     let cfg = KernelConfig::optimized();
     let a = run(MachineConfig::ppc604_185(), cfg, Some(causal));
@@ -77,8 +77,7 @@ fn scaled_run_is_deterministic() {
 fn speeding_up_a_hot_path_speeds_up_the_run_monotonically() {
     let cfg = KernelConfig::unoptimized();
     let cycles_at = |f: u32| {
-        let causal =
-            CausalConfig::identity().scale_path(CausalPath::TlbReload, Ratio::speedup_pct(f));
+        let causal = CausalConfig::identity().scale_path(Path::TlbReload, Ratio::speedup_pct(f));
         run(MachineConfig::ppc604_185(), cfg, Some(causal))
             .machine
             .cycles

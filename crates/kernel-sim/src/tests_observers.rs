@@ -8,11 +8,11 @@ use ppc_machine::MachineConfig;
 use ppc_mmu::addr::PAGE_SIZE;
 use proptest::prelude::*;
 
-use crate::causal::{CausalConfig, Ratio, NUM_PATHS};
+use crate::causal::{CausalConfig, Ratio};
 use crate::check::CheckConfig;
 use crate::kconfig::{KernelConfig, PmuConfig};
 use crate::kernel::Kernel;
-use crate::prof::NUM_SUBSYSTEMS;
+use crate::prof::{NUM_PATHS, NUM_SUBSYSTEMS};
 use crate::sched::USER_BASE;
 use crate::tail::TailConfig;
 use crate::telemetry::TelemetryConfig;

@@ -6,9 +6,9 @@ use ppc_machine::MachineConfig;
 
 use crate::kconfig::KernelConfig;
 use crate::kernel::Kernel;
+use crate::prof::Path;
 use crate::tail::TailConfig;
 use crate::tests_observers::{assert_invisible, workload, TAIL};
-use crate::trace::LatencyPath;
 
 /// A traced run with tail forensics optionally armed.
 fn run_traced(machine: MachineConfig, mut cfg: KernelConfig, tail: Option<TailConfig>) -> Kernel {
@@ -55,7 +55,7 @@ fn same_seed_runs_capture_identical_exemplars() {
     );
     let (ta, tb) = (a.tail.as_ref().unwrap(), b.tail.as_ref().unwrap());
     assert_eq!(ta.captured(), tb.captured());
-    for path in LatencyPath::ALL {
+    for path in Path::SAMPLED {
         assert_eq!(ta.exemplars(path), tb.exemplars(path), "{path:?}");
     }
 }
@@ -70,7 +70,7 @@ fn exemplars_carry_their_causal_context() {
     let tl = k.tail.as_ref().unwrap();
     let t = k.tracer.as_ref().unwrap();
     let mut total = 0;
-    for path in LatencyPath::ALL {
+    for path in Path::SAMPLED {
         let ex = tl.exemplars(path);
         total += ex.len();
         // Slowest first; the overall maximum always arms in auto mode, so
@@ -104,7 +104,7 @@ fn fixed_threshold_captures_only_at_or_above() {
         Some(TailConfig::fixed(200)),
     );
     let tl = k.tail.as_ref().unwrap();
-    for path in LatencyPath::ALL {
+    for path in Path::SAMPLED {
         for e in tl.exemplars(path) {
             assert!(
                 e.latency >= 200,
@@ -129,7 +129,7 @@ fn exact_p99_is_bounded_by_the_bucket_p99() {
     );
     let tl = k.tail.as_ref().unwrap();
     let t = k.tracer.as_ref().unwrap();
-    for path in LatencyPath::ALL {
+    for path in Path::SAMPLED {
         let h = t.latency(path);
         let bound = h.percentile(99);
         for e in tl.exemplars(path) {

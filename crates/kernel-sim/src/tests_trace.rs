@@ -7,10 +7,10 @@ use ppc_mmu::addr::PAGE_SIZE;
 
 use crate::kconfig::KernelConfig;
 use crate::kernel::Kernel;
-use crate::prof::Subsystem;
+use crate::prof::{Path, Subsystem};
 use crate::sched::USER_BASE;
 use crate::tests_observers::{assert_invisible, workload, TELEMETRY, TRACE};
-use crate::trace::{LatencyPath, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// A traced run of the shared observer workload.
 fn run() -> Kernel {
@@ -78,8 +78,14 @@ fn ring_captures_the_workloads_events() {
 fn latency_histograms_cover_all_three_paths() {
     let k = run();
     let t = k.tracer.as_ref().unwrap();
-    for path in LatencyPath::ALL {
+    // The workload runs flush spans, yet only the sampled paths record.
+    assert!(t.prof.self_cycles(Subsystem::Flush) > 0);
+    for path in Path::ALL {
         let h = t.latency(path);
+        if !Path::SAMPLED.contains(&path) {
+            assert_eq!(h.count(), 0, "{path:?} is not sampled");
+            continue;
+        }
         assert!(h.count() > 0, "no samples for {path:?}");
         let (p50, p90, p99) = h.percentiles();
         assert!(
@@ -117,10 +123,15 @@ fn fatal_signal_paths_keep_the_span_stack_balanced() {
     let pid = k.spawn_process(4).unwrap();
     k.switch_to(pid);
     k.user_write(USER_BASE, PAGE_SIZE).unwrap();
+    let count = |k: &Kernel, p| k.tracer.as_ref().unwrap().latency(p).count();
+    let before = [Path::PageFault, Path::SignalDelivery].map(|p| count(&k, p));
     // SIGSEGV: the page-fault span unwinds through the error return.
     k.user_write(0x6000_0000, 4).unwrap_err();
     assert_eq!(k.stats.sigsegvs, 1);
     assert!(k.spans().is_empty(), "spans must unwind on fatal signals");
+    // Both spans closed through the error and each took its sample.
+    let after = [Path::PageFault, Path::SignalDelivery].map(|p| count(&k, p));
+    assert_eq!(after, before.map(|n| n + 1));
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().unwrap();
     t.prof.finish(now);
@@ -129,6 +140,31 @@ fn fatal_signal_paths_keep_the_span_stack_balanced() {
         .ring
         .iter()
         .any(|r| matches!(r.event, TraceEvent::Signal { fatal: true })));
+}
+
+#[test]
+fn a_span_samples_only_the_sampled_path_it_roots() {
+    let mut cfg = KernelConfig::optimized();
+    cfg.trace = true;
+    let mut k = Kernel::boot(MachineConfig::ppc604_185(), cfg);
+    let counts = |k: &Kernel| Path::ALL.map(|p| k.tracer.as_ref().unwrap().latency(p).count());
+    for s in Subsystem::ALL {
+        let mut expect = counts(&k);
+        // Flush roots Path::Flush, which is not sampled.
+        let sampled = match s {
+            Subsystem::Translate => Some(Path::TlbReload),
+            Subsystem::PageFault => Some(Path::PageFault),
+            Subsystem::Signal => Some(Path::SignalDelivery),
+            _ => None,
+        };
+        if let Some(p) = sampled {
+            expect[p as usize] += 1;
+        }
+        k.span(s, |_| ());
+        assert_eq!(counts(&k), expect, "{s:?}");
+    }
+    assert_eq!(Path::of_span_root(Subsystem::Flush), Some(Path::Flush));
+    assert!(k.spans().is_empty());
 }
 
 #[test]

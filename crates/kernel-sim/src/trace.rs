@@ -11,7 +11,7 @@
 
 use ppc_machine::Cycles;
 
-use crate::prof::Profiler;
+use crate::prof::{Path, Profiler, NUM_PATHS};
 use crate::task::Pid;
 
 /// Ring capacity (events kept) of the tracer a traced kernel boots with.
@@ -329,41 +329,6 @@ impl Histogram {
     }
 }
 
-/// The latency paths the tracer keeps histograms for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencyPath {
-    /// One TLB-miss reload, entry to resolution.
-    TlbReload,
-    /// One page fault, entry to mapped-and-returned.
-    PageFault,
-    /// One signal delivery (caught roundtrip or fatal teardown).
-    Signal,
-}
-
-impl LatencyPath {
-    /// Every path, in export order.
-    pub const ALL: [LatencyPath; 3] = [
-        LatencyPath::TlbReload,
-        LatencyPath::PageFault,
-        LatencyPath::Signal,
-    ];
-
-    /// Position in [`LatencyPath::ALL`]: the index of this path's slot in
-    /// every per-path array (histograms, tail reservoirs, medians).
-    pub(crate) fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyPath::TlbReload => "tlb_reload",
-            LatencyPath::PageFault => "page_fault",
-            LatencyPath::Signal => "signal_delivery",
-        }
-    }
-}
-
 /// The complete tracing state a traced kernel carries: event ring, cycle
 /// profiler, latency histograms and per-PTEG heat counters.
 #[derive(Debug, Clone)]
@@ -372,8 +337,9 @@ pub struct Tracer {
     pub ring: TraceRing,
     /// Subsystem cycle attribution.
     pub prof: Profiler,
-    /// One histogram per [`LatencyPath`].
-    lat: [Histogram; 3],
+    /// One histogram per [`Path`], indexed by `repr`; only the
+    /// [`Path::SAMPLED`] ones ever record.
+    lat: [Histogram; NUM_PATHS],
     /// Hash-table inserts per PTEG (heatmap numerator).
     pub pteg_inserts: Vec<u32>,
     /// Inserts per PTEG that displaced a valid entry (collision heat).
@@ -392,7 +358,7 @@ impl Tracer {
         Self {
             ring: TraceRing::new(capacity),
             prof: Profiler::new(now),
-            lat: [Histogram::new(); 3],
+            lat: [Histogram::new(); NUM_PATHS],
             pteg_inserts: vec![0; groups as usize],
             pteg_collisions: vec![0; groups as usize],
         }
@@ -406,13 +372,13 @@ impl Tracer {
     }
 
     /// Records a latency sample for `path`.
-    pub fn record_latency(&mut self, path: LatencyPath, cycles: Cycles) {
-        self.lat[path.index()].record(cycles);
+    pub fn record_latency(&mut self, path: Path, cycles: Cycles) {
+        self.lat[path as usize].record(cycles);
     }
 
     /// The histogram for `path`.
-    pub fn latency(&self, path: LatencyPath) -> &Histogram {
-        &self.lat[path.index()]
+    pub fn latency(&self, path: Path) -> &Histogram {
+        &self.lat[path as usize]
     }
 
     /// Counts a hash-table insert into `pteg` (and a collision when
@@ -463,13 +429,6 @@ mod tests {
         let cycles: Vec<u64> = r.iter().map(|x| x.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
         assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn latency_path_index_is_its_position_in_all() {
-        for (i, p) in LatencyPath::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i, "{}", p.name());
-        }
     }
 
     #[test]

@@ -435,7 +435,7 @@ proptest! {
     ) {
         use kernel_sim::tail::{TailConfig, TailState};
         use kernel_sim::telemetry::MmuReadings;
-        use kernel_sim::trace::LatencyPath;
+        use kernel_sim::Path;
         use kernel_sim::KernelStats;
         use ppc_mmu::HtabStats;
 
@@ -444,7 +444,7 @@ proptest! {
             let mut tl = TailState::new(cfg);
             for (i, (lat, p)) in offers.iter().enumerate() {
                 tl.offer(
-                    LatencyPath::ALL[*p],
+                    Path::SAMPLED[*p],
                     *lat,
                     // Repeat each cycle stamp twice so cycle ties happen
                     // and the sequence number must break them.
@@ -461,7 +461,7 @@ proptest! {
         };
         let a = run();
         let b = run();
-        for (pi, path) in LatencyPath::ALL.iter().enumerate() {
+        for (pi, path) in Path::SAMPLED.iter().enumerate() {
             prop_assert_eq!(a.exemplars(*path), b.exemplars(*path));
             // Brute-force the specification ordering over every offer.
             let mut expect: Vec<(u64, u64, u64)> = offers
@@ -499,7 +499,7 @@ proptest! {
         ),
         paths in proptest::collection::vec(
             1u32..1001,
-            kernel_sim::causal::NUM_PATHS..kernel_sim::causal::NUM_PATHS + 1,
+            kernel_sim::prof::NUM_PATHS..kernel_sim::prof::NUM_PATHS + 1,
         ),
         optimized in any::<bool>(),
     ) {
