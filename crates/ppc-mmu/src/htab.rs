@@ -498,11 +498,6 @@ impl HashTable {
         (scanned, cleared)
     }
 
-    /// The PTEG the next [`HashTable::reclaim_zombies`] call starts at.
-    pub fn reclaim_cursor(&self) -> u32 {
-        self.reclaim_cursor
-    }
-
     /// Number of slots whose valid bit is set (live + zombie alike). O(1):
     /// the table keeps the count as it writes.
     pub fn valid_entries(&self) -> u32 {
@@ -854,8 +849,7 @@ mod tests {
             scan(&mut h, 4),
             [(h.slot_pa(14, 0), 16), (h.slot_pa(0, 0), 16)]
         );
-        assert_eq!(h.reclaim_cursor(), 2);
-        // A whole-table sweep from the cursor wraps too.
+        // A whole-table sweep from the cursor (now group 2) wraps too.
         assert_eq!(
             scan(&mut h, 99),
             [(h.slot_pa(2, 0), 14 * 8), (h.slot_pa(0, 0), 16)]
@@ -961,7 +955,7 @@ mod tests {
             stats_before,
             "resize must not pollute workload stats"
         );
-        assert_eq!(h.reclaim_cursor(), 0);
+        assert_eq!(h.reclaim_cursor, 0);
         for pi in 0..200 {
             assert!(
                 h.search(Vsid::new(1), pi * 3).pte.is_some(),
