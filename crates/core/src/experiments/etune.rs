@@ -70,7 +70,6 @@ pub fn exp_tune(depth: Depth) -> (TuneGateResult, Table) {
         }
         .into(),
         String::new(),
-        String::new(),
     ]);
     (gates, t)
 }

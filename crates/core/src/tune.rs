@@ -51,8 +51,6 @@ pub struct MachineTune {
     /// Cycles of the winning configuration (`<= static_cycles` by
     /// construction).
     pub tuned_cycles: u64,
-    /// Cells actually run (baseline + one per rejected/accepted candidate).
-    pub evals: u32,
     /// The winning choice per axis, in descent order.
     pub choices: Vec<(&'static str, &'static str)>,
     /// Online retunes the mmtune controller applied in the winning run
@@ -109,7 +107,6 @@ pub fn tune_cell(m: &MatrixMachine, workload: &'static str, depth: Depth) -> Mac
         machine: m.id,
         static_cycles,
         tuned_cycles: best.cycles,
-        evals: 1 + axes.len() as u32,
         choices: axes
             .iter()
             .zip(taken)
@@ -175,7 +172,6 @@ impl TuneResult {
                 .field("static_cycles", o.static_cycles)
                 .field("tuned_cycles", o.tuned_cycles)
                 .field("delta", o.delta())
-                .field("evals", o.evals)
                 .field("retunes", o.mmtune_retunes)
                 .field("config", Json::obj(o.choices.iter().copied()))
         };
@@ -199,7 +195,6 @@ impl TuneResult {
                 "static".into(),
                 "tuned".into(),
                 "delta".into(),
-                "evals".into(),
                 "winning non-default axes".into(),
             ],
         );
@@ -216,7 +211,6 @@ impl TuneResult {
                 format!("{}", o.static_cycles),
                 format!("{}", o.tuned_cycles),
                 format!("{:+}", o.delta()),
-                format!("{}", o.evals),
                 if moved.is_empty() {
                     "(static opt already optimal)".into()
                 } else {
@@ -277,7 +271,6 @@ mod tests {
                 machine: "604-133",
                 static_cycles: 1000,
                 tuned_cycles: 950,
-                evals: 8,
                 choices: axes().iter().map(|(n, c, _)| (*n, c[0])).collect(),
                 mmtune_retunes: 0,
             }],
