@@ -2,10 +2,14 @@
 //! and Other MMU Tricks* (OSDI 1999).
 //!
 //! ```text
-//! cargo run -p bench --release --bin repro -- <experiment|all> \
-//!     [--depth quick|full] [--full] [--markdown|--csv] \
-//!     [--json <path>] [--trace-out <path>]
+//! cargo run -p bench --release --bin repro -- <experiment...|all> [flags]
+//! cargo run -p bench --release --bin repro -- --help
 //! ```
+//!
+//! The `bench` crate declares what `repro` runs and accepts:
+//! `bench::EXPERIMENTS` lists every experiment with its runner, and the
+//! usage lines (`bench::EXPERIMENT_USAGE`, `bench::SUBCOMMANDS`) declare
+//! the flags each command takes. `--help` prints them.
 //!
 //! `--json` writes a machine-readable run report: every rendered table plus
 //! the `metrics.json` payload of the observed reference run (cycle
@@ -15,20 +19,6 @@
 //! `trace_event` timeline. Both artifacts are deterministic, so they diff
 //! across commits.
 //!
-//! Subcommands sit next to the experiments:
-//!
-//! ```text
-//! repro matrix [--json <path>]                    # machine × config × workload grid
-//! repro diff A.json B.json [--json <path>]        # structured artifact comparison
-//! repro chaos [--seed N] [--runs N] [--steps N]   # adversarial fuzzing under the checker
-//!             [--check on|off] [--verbose-from N] [--json <path>]
-//! repro perf record [--workload compile|fault_storm|trace_ref] [--period N]
-//!                   [--config unopt|opt] [--json <path>]
-//! repro perf report [--in <path>] [--folded <path>]
-//! repro perf annotate [--in <path>]
-//! repro causal [--json <path>]                    # exact virtual-speedup payoff curves
-//! ```
-//!
 //! `perf record` samples a matrix workload with the modeled 604 PMU and
 //! writes the `mmu-tricks-perf-v1` artifact; `report`/`annotate` render
 //! one (or record in memory when no `--in` is given); `--folded` exports
@@ -37,113 +27,131 @@
 //! identity axes disagree — only the kernel-config axis may differ between
 //! the two sides.
 //!
-//! A typo'd flag or flag value exits 2 and names it. `matrix`, `tune` and
-//! `causal` run on every available core; their output is byte-identical
-//! for any worker count. `ARTIFACTS.lock` pins every artifact's digest at
-//! quick depth.
+//! A flag the command does not take, a value flag with no value, or a
+//! typo'd flag value exits 2 and names it; a positional argument that is
+//! not an experiment id exits 1. `matrix`, `tune` and `causal` run on
+//! every available core; their output is byte-identical for any worker
+//! count. `ARTIFACTS.lock` pins every artifact's digest at quick depth.
 
-use bench::{
-    depth_from_args, flag_value, positional_args, unknown_flags, ARTIFACTS, EXPERIMENTS,
-    SUBCOMMANDS,
-};
+use bench::{usages, Args, Output, ARTIFACTS, EXPERIMENTS, SUBCOMMANDS};
 use mmu_tricks::artifact::{self, Json};
 use mmu_tricks::chaos::{chaos_report, fleet_json, ChaosConfig};
 use mmu_tricks::diff::{diff_reports, parse_report};
-use mmu_tricks::experiments as ex;
-use mmu_tricks::experiments::TraceArtifacts;
+use mmu_tricks::experiments::trace_artifacts;
 use mmu_tricks::matrix::{run_matrix, WORKLOADS};
 use mmu_tricks::perf::{perf_record, PerfData};
 use mmu_tricks::tables::Table;
 use mmu_tricks::tune::tune_workload;
-use mmu_tricks::{Depth, KernelConfig};
+use mmu_tricks::KernelConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let csv = args.iter().any(|a| a == "--csv");
-    let json_path = flag_value(&args, "--json");
-    let trace_out = flag_value(&args, "--trace-out");
-    let wanted = positional_args(&args);
-    if args.iter().any(|a| a == "--help") || wanted.first() == Some(&"help") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "help") {
         println!("{}", usage_text());
         return;
     }
-    let bad = unknown_flags(&args);
-    if !bad.is_empty() {
-        eprintln!("unknown flag(s): {}\n", bad.join(" "));
+    let args = Args::parse(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}\n");
         usage();
-        std::process::exit(2);
-    }
-    if wanted.is_empty() {
-        eprintln!("missing experiment or subcommand\n");
-        usage();
-        std::process::exit(2);
-    }
-    let depth = depth_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
         std::process::exit(2);
     });
-    match wanted[0] {
-        "chaos" => return chaos_main(&args),
-        "perf" => return perf_main(&args, depth),
-        "matrix" => return matrix_main(&args, depth),
-        "tune" => return tune_main(&args, depth),
-        "diff" => return diff_main(&args, &wanted),
-        "causal" => return causal_main(&args, depth),
-        _ => {}
-    }
-    let run_all = wanted.contains(&"all");
-    let mut ran = 0;
-    let style = if csv {
-        Style::Csv
-    } else if markdown {
-        Style::Markdown
-    } else {
-        Style::Plain
-    };
-    let mut out = RunOutput::default();
-    for (id, _) in EXPERIMENTS {
-        if run_all || wanted.contains(id) {
-            run(id, depth, style, &mut out);
-            ran += 1;
-        }
-    }
-    if ran == 0 {
-        eprintln!("unknown experiment(s): {wanted:?}\n");
-        usage();
-        std::process::exit(1);
-    }
-    if let Some(path) = json_path {
-        let report = out.run_report(depth);
-        write_artifact(&path, &report.write());
-    }
-    if let Some(path) = trace_out {
-        let timeline = out.ensure_artifacts(depth).timeline_json();
-        write_artifact(&path, &timeline.write());
+    match args.positional[0].as_str() {
+        "chaos" => chaos_main(&args),
+        "perf" => perf_main(&args),
+        "matrix" => matrix_main(&args),
+        "tune" => tune_main(&args),
+        "diff" => diff_main(&args),
+        "causal" => causal_main(&args),
+        _ => experiments_main(&args),
     }
 }
 
-/// `repro matrix`: the full machine × config × workload grid.
-fn matrix_main(args: &[String], depth: Depth) {
-    let grid = run_matrix(depth);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &grid.to_json().write()),
+/// `repro <experiment...|all>`: runs the named experiments in
+/// [`EXPERIMENTS`] order and prints what each hands back.
+fn experiments_main(args: &Args) {
+    let wanted = &args.positional;
+    let unknown: Vec<&String> = wanted
+        .iter()
+        .filter(|w| *w != "all" && !EXPERIMENTS.iter().any(|e| e.id == *w))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment(s): {unknown:?}\n");
+        usage();
+        std::process::exit(1);
+    }
+    let run_all = wanted.iter().any(|w| w == "all");
+    let mut tables = Vec::new();
+    let mut observed = None;
+    for e in EXPERIMENTS {
+        if !run_all && !wanted.iter().any(|w| w == e.id) {
+            continue;
+        }
+        for out in (e.run)(args.depth) {
+            match out {
+                Output::Table(t) => {
+                    if args.has("--csv") {
+                        println!("{}", t.render_csv());
+                    } else if args.has("--markdown") {
+                        println!("{}", t.render_markdown());
+                    } else {
+                        println!("{}", t.render());
+                    }
+                    tables.push(t);
+                }
+                Output::Text(text) => println!("{text}"),
+                Output::Observed(run) => observed = Some(*run),
+            }
+        }
+    }
+    // The `--json` run report is the metrics artifact with one object per
+    // printed table appended. Deterministic: no timestamps, no paths.
+    if let Some(path) = args.value("--json") {
+        let run = observed.get_or_insert_with(|| trace_artifacts(args.depth).0);
+        let tables = Json::arr(tables.iter().map(Table::to_json));
+        write_artifact(
+            path,
+            &run.metrics_json().field("experiments", tables).write(),
+        );
+    }
+    if let Some(path) = args.value("--trace-out") {
+        let run = observed.get_or_insert_with(|| trace_artifacts(args.depth).0);
+        write_artifact(path, &run.timeline_json().write());
+    }
+}
+
+/// Writes `artifact` to the `--json` path if one was given, else prints
+/// `tables`.
+fn json_or_tables(args: &Args, artifact: Json, tables: &[Table]) {
+    match args.value("--json") {
+        Some(path) => write_artifact(path, &artifact.write()),
         None => {
-            for t in grid.tables() {
+            for t in tables {
                 println!("{}", t.render());
             }
         }
     }
 }
 
+/// `repro matrix`: the full machine × config × workload grid.
+fn matrix_main(args: &Args) {
+    let grid = run_matrix(args.depth);
+    json_or_tables(args, grid.to_json(), &grid.tables());
+}
+
 /// `repro tune`: offline coordinate descent per machine, emitting the
 /// `mmu-tricks-tune-v1` artifact naming each winning configuration.
-fn tune_main(args: &[String], depth: Depth) {
-    let result = tune_workload(workload_flag(args, "fault_storm"), depth);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &result.to_json().write()),
-        None => println!("{}", result.table().render()),
-    }
+fn tune_main(args: &Args) {
+    let result = tune_workload(workload_flag(args, "fault_storm"), args.depth);
+    json_or_tables(args, result.to_json(), &[result.table()]);
+}
+
+/// `repro causal`: exact what-if profiling — re-runs the deterministic
+/// grid under virtual speedups of each instrumented path and subsystem,
+/// printing payoff curves and the marginal ranking ("1% faster X buys Y
+/// ppm end-to-end"). `--json` writes the `mmu-tricks-causal-v1` artifact.
+fn causal_main(args: &Args) {
+    let (report, tables) = mmu_tricks::causal::causal_report(args.depth);
+    json_or_tables(args, report.to_json(), &tables);
 }
 
 /// Exits 2 naming a flag's bad value: a typo'd value is an error, like a
@@ -155,22 +163,20 @@ fn bad_value(flag: &str, value: &str, expected: &str) -> ! {
 
 /// The matrix workload named by `--workload` (`default` without one),
 /// exiting 2 on any other name.
-fn workload_flag(args: &[String], default: &'static str) -> &'static str {
-    let wl = flag_value(args, "--workload").unwrap_or_else(|| default.into());
+fn workload_flag(args: &Args, default: &'static str) -> &'static str {
+    let wl = args.value("--workload").unwrap_or(default);
     WORKLOADS
         .iter()
         .copied()
         .find(|w| *w == wl)
-        .unwrap_or_else(|| bad_value("--workload", &wl, &WORKLOADS.join("|")))
+        .unwrap_or_else(|| bad_value("--workload", wl, &WORKLOADS.join("|")))
 }
 
 /// Parses a numeric `--flag N`, exiting 2 on garbage.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
+fn numeric_flag<T: std::str::FromStr>(args: &Args, flag: &str, default: T) -> T {
+    match args.value(flag) {
         None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| bad_value(flag, &v, "a number")),
+        Some(v) => v.parse().unwrap_or_else(|_| bad_value(flag, v, "a number")),
     }
 }
 
@@ -178,15 +184,15 @@ fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -
 /// runtime invariants, and the full-spectrum fault injector. Exits nonzero
 /// on the first violation, printing the seed, step, config, and a
 /// one-command repro line.
-fn chaos_main(args: &[String]) {
+fn chaos_main(args: &Args) {
     let seed0: u64 = numeric_flag(args, "--seed", 1);
     let runs: u64 = numeric_flag(args, "--runs", 1);
     let steps: u32 = numeric_flag(args, "--steps", 400);
-    let verbose_from = flag_value(args, "--verbose-from").map(|v| {
+    let verbose_from = args.value("--verbose-from").map(|v| {
         v.parse::<u32>()
-            .unwrap_or_else(|_| bad_value("--verbose-from", &v, "a step number"))
+            .unwrap_or_else(|_| bad_value("--verbose-from", v, "a step number"))
     });
-    let check = match flag_value(args, "--check").as_deref() {
+    let check = match args.value("--check") {
         None | Some("on") => true,
         Some("off") => false,
         Some(other) => bad_value("--check", other, "on|off"),
@@ -220,8 +226,8 @@ fn chaos_main(args: &[String]) {
             }
         }
     }
-    if let Some(path) = flag_value(args, "--json") {
-        write_artifact(&path, &fleet_json(check, steps, &lines).write());
+    if let Some(path) = args.value("--json") {
+        write_artifact(path, &fleet_json(check, steps, &lines).write());
     }
     if failures > 0 {
         eprintln!("{failures} chaos run(s) FAILED");
@@ -230,9 +236,10 @@ fn chaos_main(args: &[String]) {
 }
 
 /// `repro diff A.json B.json`: structured report comparison.
-fn diff_main(args: &[String], wanted: &[&str]) {
-    let (Some(a_path), Some(b_path)) = (wanted.get(1), wanted.get(2)) else {
-        eprintln!("usage: repro diff <a.json> <b.json> [--json <path>] [--limit N]\n");
+fn diff_main(args: &Args) {
+    let (Some(a_path), Some(b_path)) = (args.positional.get(1), args.positional.get(2)) else {
+        eprintln!("repro diff needs two artifact paths\n");
+        usage();
         std::process::exit(1);
     };
     let read = |path: &str| {
@@ -253,14 +260,14 @@ fn diff_main(args: &[String], wanted: &[&str]) {
     println!("config A: {}", d.config_a);
     println!("config B: {}\n", d.config_b);
     println!("{}", d.table(limit).render());
-    if let Some(path) = flag_value(args, "--json") {
-        write_artifact(&path, &d.to_json().write());
+    if let Some(path) = args.value("--json") {
+        write_artifact(path, &d.to_json().write());
     }
 }
 
 /// Maps `--config unopt|opt` to a kernel configuration for `perf record`.
-fn config_preset(args: &[String]) -> KernelConfig {
-    match flag_value(args, "--config").as_deref() {
+fn config_preset(args: &Args) -> KernelConfig {
+    match args.value("--config") {
         None | Some("opt") => KernelConfig::optimized(),
         Some("unopt") => KernelConfig::unoptimized(),
         Some(other) => bad_value("--config", other, "unopt|opt"),
@@ -268,16 +275,16 @@ fn config_preset(args: &[String]) -> KernelConfig {
 }
 
 /// `repro perf <record|report|annotate>`: the sampled-profiling surface.
-fn perf_main(args: &[String], depth: Depth) {
-    let sub = positional_args(args).get(1).copied().unwrap_or("report");
+fn perf_main(args: &Args) {
+    let sub = args.positional.get(1).map_or("report", String::as_str);
     if !["record", "report", "annotate"].contains(&sub) {
         eprintln!("unknown perf subcommand {sub:?} (expected record|report|annotate)\n");
         usage();
         std::process::exit(1);
     }
-    let data = match flag_value(args, "--in") {
+    let data = match args.value("--in") {
         Some(path) => {
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(1);
             });
@@ -290,18 +297,19 @@ fn perf_main(args: &[String], depth: Depth) {
         }
         None => {
             let workload = workload_flag(args, "trace_ref");
-            let period = flag_value(args, "--period")
+            let period = args
+                .value("--period")
                 .map(|p| match p.parse::<u32>() {
                     Ok(n) if n > 0 => n,
-                    _ => bad_value("--period", &p, "a positive cycle count"),
+                    _ => bad_value("--period", p, "a positive cycle count"),
                 })
                 .unwrap_or(4096);
-            perf_record(depth, workload, period, config_preset(args))
+            perf_record(args.depth, workload, period, config_preset(args))
         }
     };
     match sub {
-        "record" => match flag_value(args, "--json") {
-            Some(path) => write_artifact(&path, &data.to_json().write()),
+        "record" => match args.value("--json") {
+            Some(path) => write_artifact(path, &data.to_json().write()),
             None => print!("{}", data.to_json().write()),
         },
         "report" => {
@@ -313,24 +321,8 @@ fn perf_main(args: &[String], depth: Depth) {
         }
         _ => print!("{}", data.annotate()),
     }
-    if let Some(path) = flag_value(args, "--folded") {
-        write_artifact(&path, &data.folded_lines());
-    }
-}
-
-/// `repro causal`: exact what-if profiling — re-runs the deterministic
-/// grid under virtual speedups of each instrumented path and subsystem,
-/// printing payoff curves and the marginal ranking ("1% faster X buys Y
-/// ppm end-to-end"). `--json` writes the `mmu-tricks-causal-v1` artifact.
-fn causal_main(args: &[String], depth: Depth) {
-    let (report, tables) = mmu_tricks::causal::causal_report(depth);
-    match flag_value(args, "--json") {
-        Some(path) => write_artifact(&path, &report.to_json().write()),
-        None => {
-            for t in &tables {
-                println!("{}", t.render());
-            }
-        }
+    if let Some(path) = args.value("--folded") {
+        write_artifact(path, &data.folded_lines());
     }
 }
 
@@ -348,201 +340,51 @@ fn usage() {
     eprintln!("{}", usage_text());
 }
 
+/// What each flag does and its default. The parser never reads this: the
+/// usage lines declare the flags.
+const FLAG_HELP: &str = "\
+--depth     quick (CI-sized, default) or full (paper-sized)
+--full      shorthand for --depth full
+--markdown  render tables as markdown
+--csv       render tables as CSV
+--json      write the artifact (experiments: the metrics.json run report)
+--trace-out write the Chrome trace_event timeline JSON
+--workload  perf, tune: matrix workload (compile, fault_storm, trace_ref; \
+default trace_ref for perf, fault_storm for tune)
+--period    perf: sampling period in cycles (default 4096)
+--config    perf record: kernel preset to sample (unopt, opt; default opt)
+--in        perf report/annotate: read a profile
+--folded    perf: write collapsed stacks (flamegraph input)
+--limit     diff: ranked rows to render (default 25)
+--seed      chaos: first fuzzer seed (default 1)
+--runs      chaos: number of consecutive seeds to run (default 1)
+--steps     chaos: fuzzed operations per run (default 400)
+--check     chaos: shadow-MM oracle + invariants on|off (default on)
+--verbose-from  chaos: print every op from this step on (repro aid)";
+
 /// The full help text. `repro --help` / `repro help` print it to stdout
-/// (exit 0); errors print it to stderr. Subcommands and experiments are
-/// rendered from the registries in the `bench` crate so the listing cannot
-/// drift from the dispatcher.
+/// (exit 0); errors print it to stderr. The usage lines, subcommands and
+/// experiments are rendered from the registries in the `bench` crate, so
+/// the listing cannot drift from what the parser accepts.
 fn usage_text() -> String {
     use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(s, "repro — regenerate the paper's tables and figures\n");
-    let _ = writeln!(
-        s,
-        "usage: repro <experiment...|all> [--depth quick|full] [--full] \
-         [--markdown|--csv] [--json <path>] [--trace-out <path>]"
-    );
-    let _ = writeln!(s, "       repro <subcommand> [flags]   (see below)");
-    let _ = writeln!(s, "       repro help | --help\n");
-    let _ = writeln!(s, "subcommands:");
-    for (name, desc) in SUBCOMMANDS {
-        let _ = writeln!(s, "  {name:<16} {desc}");
+    let mut s = String::from("repro — regenerate the paper's tables and figures\n\n");
+    for (i, line) in usages().enumerate() {
+        let head = if i == 0 { "usage:" } else { "" };
+        let _ = writeln!(s, "{head:<6} {line}");
     }
-    let _ = writeln!(s, "\nsubcommand usage:");
-    let _ = writeln!(s, "  repro matrix [--depth quick|full] [--json <path>]");
-    let _ = writeln!(
-        s,
-        "  repro tune [--workload compile|fault_storm|trace_ref] [--json <path>]"
-    );
-    let _ = writeln!(
-        s,
-        "  repro diff <a.json> <b.json> [--json <path>] [--limit N]"
-    );
-    let _ = writeln!(
-        s,
-        "  repro chaos [--seed N] [--runs N] [--steps N] [--check on|off] \
-         [--verbose-from N] [--json <path>]"
-    );
-    let _ = writeln!(
-        s,
-        "  repro perf <record|report|annotate> [--workload compile|fault_storm|trace_ref] \
-         [--period N] [--config unopt|opt] [--json <path>] [--in <path>] [--folded <path>]"
-    );
-    let _ = writeln!(s, "  repro causal [--depth quick|full] [--json <path>]\n");
-    let _ = writeln!(s, "experiments:");
-    for (id, desc) in EXPERIMENTS {
-        let _ = writeln!(s, "  {id:<16} {desc}");
+    let _ = writeln!(s, "       repro help | --help\n\nsubcommands:");
+    for sub in SUBCOMMANDS {
+        let _ = writeln!(s, "  {:<16} {}", sub.name, sub.summary);
+    }
+    let _ = writeln!(s, "\nexperiments:");
+    for e in EXPERIMENTS {
+        let _ = writeln!(s, "  {:<16} {}", e.id, e.summary);
     }
     let _ = writeln!(s, "\nartifact schemas:");
     for (schema, producer, desc) in ARTIFACTS {
         let _ = writeln!(s, "  {schema:<26} {producer:<30} {desc}");
     }
-    let _ = writeln!(
-        s,
-        "\n--depth     quick (CI-sized, default) or full (paper-sized)"
-    );
-    let _ = writeln!(s, "--full      shorthand for --depth full");
-    let _ = writeln!(s, "--markdown  render tables as markdown");
-    let _ = writeln!(s, "--csv       render tables as CSV");
-    let _ = writeln!(
-        s,
-        "--json      write the artifact (experiments: the metrics.json run report)"
-    );
-    let _ = writeln!(s, "--trace-out write the Chrome trace_event timeline JSON");
-    let _ = writeln!(
-        s,
-        "--workload  perf, tune: matrix workload (compile, fault_storm, trace_ref; \
-         default trace_ref for perf, fault_storm for tune)"
-    );
-    let _ = writeln!(
-        s,
-        "--period    perf: sampling period in cycles (default 4096)"
-    );
-    let _ = writeln!(
-        s,
-        "--config    perf record: kernel preset to sample (unopt, opt; default opt)"
-    );
-    let _ = writeln!(s, "--in        perf report/annotate: read a profile");
-    let _ = writeln!(
-        s,
-        "--folded    perf: write collapsed stacks (flamegraph input)"
-    );
-    let _ = writeln!(s, "--limit     diff: ranked rows to render (default 25)");
-    let _ = writeln!(s, "--seed      chaos: first fuzzer seed (default 1)");
-    let _ = writeln!(
-        s,
-        "--runs      chaos: number of consecutive seeds to run (default 1)"
-    );
-    let _ = writeln!(
-        s,
-        "--steps     chaos: fuzzed operations per run (default 400)"
-    );
-    let _ = writeln!(
-        s,
-        "--check     chaos: shadow-MM oracle + invariants on|off (default on)"
-    );
-    let _ = write!(
-        s,
-        "--verbose-from  chaos: print every op from this step on (repro aid)"
-    );
+    let _ = write!(s, "\n{FLAG_HELP}");
     s
-}
-
-/// Everything a run accumulates for the `--json` / `--trace-out` artifacts.
-#[derive(Default)]
-struct RunOutput {
-    tables: Vec<Table>,
-    artifacts: Option<TraceArtifacts>,
-}
-
-impl RunOutput {
-    /// The traced reference run, computed at most once.
-    fn ensure_artifacts(&mut self, depth: Depth) -> &TraceArtifacts {
-        if self.artifacts.is_none() {
-            self.artifacts = Some(ex::trace_artifacts(depth).0);
-        }
-        self.artifacts.as_ref().unwrap()
-    }
-
-    /// The `--json` run report: the metrics artifact with one object per
-    /// rendered table appended. Deterministic — no timestamps, no paths.
-    fn run_report(&mut self, depth: Depth) -> Json {
-        let tables = Json::arr(self.tables.iter().map(Table::to_json));
-        self.ensure_artifacts(depth)
-            .metrics_json()
-            .field("experiments", tables)
-    }
-}
-
-/// Output rendering selected on the command line.
-#[derive(Clone, Copy)]
-enum Style {
-    Plain,
-    Markdown,
-    Csv,
-}
-
-fn emit(t: &Table, style: Style, out: &mut RunOutput) {
-    match style {
-        Style::Markdown => println!("{}", t.render_markdown()),
-        Style::Csv => println!("{}", t.render_csv()),
-        Style::Plain => println!("{}", t.render()),
-    }
-    out.tables.push(t.clone());
-}
-
-fn run(id: &str, depth: Depth, style: Style, out: &mut RunOutput) {
-    match id {
-        "fig1" => {
-            println!(
-                "{}",
-                ex::translation_walkthrough(0x3012_3abc, 0x123456, 0x54321)
-            );
-        }
-        "bat" => emit(&ex::exp_bat(depth).1, style, out),
-        "hash-util" => emit(&ex::exp_hash_util(depth).1, style, out),
-        "fast-reload" => emit(&ex::exp_fast_reload(depth).1, style, out),
-        "table1" => emit(&ex::table1(depth).1, style, out),
-        "lazy" => emit(&ex::exp_lazy(depth).1, style, out),
-        "idle-reclaim" => emit(&ex::exp_idle_reclaim(depth).1, style, out),
-        "mmap-cutoff" => emit(&ex::exp_mmap_cutoff(depth).1, style, out),
-        "table2" => emit(&ex::table2(depth).1, style, out),
-        "cache-pollution" => emit(&ex::exp_cache_pollution(depth).1, style, out),
-        "page-clear" => emit(&ex::exp_page_clear(depth).1, style, out),
-        "table3" => emit(&ex::table3(depth).1, style, out),
-        "extensions" => emit(&ex::exp_extensions(depth).1, style, out),
-        "trace" => {
-            emit(
-                &ex::trace_compile(depth, mmu_tricks::KernelConfig::unoptimized()).1,
-                style,
-                out,
-            );
-            emit(
-                &ex::trace_compile(depth, mmu_tricks::KernelConfig::optimized()).1,
-                style,
-                out,
-            );
-            let (art, tables) = ex::trace_artifacts(depth);
-            for t in &tables {
-                emit(t, style, out);
-            }
-            out.artifacts = Some(art);
-        }
-        "memhier" => emit(&ex::memory_hierarchy(depth).1, style, out),
-        "ablate-htab-size" => emit(&ex::ablate_htab_size(depth).1, style, out),
-        "ablate-scatter" => emit(&ex::ablate_scatter(depth).1, style, out),
-        "ablate-reclaim" => emit(&ex::ablate_reclaim_policy(depth).1, style, out),
-        "ablate-tlb" => emit(&ex::ablate_tlb_reach(depth).1, style, out),
-        "io-bat" => emit(&ex::exp_io_bat(depth).1, style, out),
-        "ablate-replacement" => emit(&ex::ablate_replacement(depth).1, style, out),
-        "lmbench-extended" => emit(&ex::extended_suite(depth).1, style, out),
-        "multiuser" => emit(&ex::exp_multiuser(depth).1, style, out),
-        "pressure" => emit(&ex::exp_pressure(depth).1, style, out),
-        "pmu" => emit(&ex::exp_pmu(depth).1, style, out),
-        "ematrix" => emit(&ex::exp_matrix(depth).1, style, out),
-        "etune" => emit(&ex::exp_tune(depth).1, style, out),
-        "echeck" => emit(&ex::exp_check(depth).1, style, out),
-        "etail" => emit(&ex::exp_tail(depth).1, style, out),
-        "ecausal" => emit(&ex::exp_causal(depth).1, style, out),
-        other => unreachable!("unknown experiment {other}"),
-    }
 }

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
-use bench::{ARTIFACTS, SUBCOMMANDS};
+use bench::{ARTIFACTS, EXPERIMENTS, SUBCOMMANDS};
 use kernel_sim::fixed_hash::FnvHasher;
 use mmu_tricks::artifact::{self, Json};
 use mmu_tricks::diff::parse_report;
@@ -432,8 +432,24 @@ fn help_usage_and_exit_codes_keep_their_contract() {
     assert!(help.status.success(), "--help exits 0");
     let out = text(&help.stdout);
     assert!(out.contains("usage:"), "--help prints usage on stdout");
-    for (name, _) in SUBCOMMANDS {
-        assert!(out.contains(&format!("\n  {name} ")), "--help lists {name}");
+    for s in SUBCOMMANDS {
+        assert!(
+            out.contains(&format!("\n  {} ", s.name)),
+            "--help lists {}",
+            s.name
+        );
+        assert!(
+            out.contains(s.usage),
+            "--help prints {}'s usage line",
+            s.name
+        );
+    }
+    for e in EXPERIMENTS {
+        assert!(
+            out.contains(&format!("\n  {} ", e.id)),
+            "--help lists {}",
+            e.id
+        );
     }
     for (schema, _, _) in ARTIFACTS {
         assert!(out.contains(schema), "--help lists {schema}");
@@ -442,16 +458,55 @@ fn help_usage_and_exit_codes_keep_their_contract() {
     assert_eq!(none.status.code(), Some(2));
     assert!(none.stdout.is_empty() && text(&none.stderr).contains("usage:"));
     // `tail` and `report` are gone: `repro trace` prints what they did.
-    for name in ["no-such-subcommand", "tail", "report"] {
-        let unknown = repro(&[name]);
-        assert_eq!(unknown.status.code(), Some(1), "repro {name}");
-        assert!(text(&unknown.stderr).contains("unknown experiment"));
+    // Every positional argument must name an experiment, so a typo next
+    // to a real id runs nothing.
+    for args in [
+        &["no-such-subcommand"][..],
+        &["tail"],
+        &["report"],
+        &["fig1", "tabel2"],
+    ] {
+        let unknown = repro(args);
+        let name = args[args.len() - 1];
+        assert_eq!(unknown.status.code(), Some(1), "repro {}", args.join(" "));
+        assert!(unknown.stdout.is_empty(), "repro {} ran", args.join(" "));
+        let err = text(&unknown.stderr);
+        assert!(
+            err.contains("unknown experiment") && err.contains(name),
+            "{err}"
+        );
     }
-    for flag in ["--dpeth", "--jobs", "--out"] {
-        let o = repro(&["matrix", flag, "4"]);
-        assert_eq!(o.status.code(), Some(2), "{flag} must be refused");
-        assert!(text(&o.stderr).contains(flag), "the error names {flag}");
+    // An undeclared flag, a value flag with no value after it, and a flag
+    // the command's usage line does not declare all exit 2 naming the
+    // flag, before anything runs or is written.
+    let cwd = scratch().join("refused");
+    std::fs::create_dir_all(&cwd).expect("create the refusal directory");
+    for (args, flag) in [
+        (&["matrix", "--dpeth", "4"][..], "--dpeth"),
+        (&["matrix", "--jobs", "4"], "--jobs"),
+        (&["matrix", "--out", "4"], "--out"),
+        (&["fig1", "--json"], "--json"),
+        (&["tune", "--depth"], "--depth"),
+        (&["fig1", "--json", "--depth", "full"], "--json"),
+        (&["matrix", "--workload", "compile"], "--workload"),
+        (&["causal", "--workload", "compile"], "--workload"),
+        (&["matrix", "--seed", "3", "--runs", "2"], "--seed"),
+    ] {
+        let o = Command::new(REPRO)
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn the repro binary");
+        let shown = args.join(" ");
+        assert_eq!(o.status.code(), Some(2), "repro {shown} must be refused");
+        assert!(o.stdout.is_empty(), "repro {shown} ran");
+        assert!(
+            text(&o.stderr).contains(flag),
+            "repro {shown}: the error names {flag}"
+        );
     }
+    let written: Vec<_> = std::fs::read_dir(&cwd).expect("read").collect();
+    assert!(written.is_empty(), "a refused command wrote {written:?}");
 }
 
 #[test]

@@ -1,32 +1,8 @@
 //! One runner per table, figure, and quoted experimental result of the
 //! paper. Each returns a structured result carrying the paper's published
 //! values next to the simulator's measurements, plus a [`crate::tables::Table`]
-//! rendering.
-//!
-//! Experiment index (see DESIGN.md §3):
-//!
-//! | id | runner |
-//! |---|---|
-//! | FIG1 | [`fig1::translation_walkthrough`] |
-//! | E-BAT | [`narrative::exp_bat`] |
-//! | E-HASH | [`narrative::exp_hash_util`] |
-//! | E-FAST | [`narrative::exp_fast_reload`] |
-//! | T1 | [`paper_tables::table1`] |
-//! | E-LAZY | [`narrative::exp_lazy`] |
-//! | E-IDLE | [`narrative::exp_idle_reclaim`] |
-//! | E-MMAP | [`narrative::exp_mmap_cutoff`] |
-//! | T2 | [`paper_tables::table2`] |
-//! | E-CACHE | [`cache::exp_cache_pollution`] |
-//! | E-CLEAR | [`cache::exp_page_clear`] |
-//! | T3 | [`paper_tables::table3`] |
-//! | §10 extensions | [`cache::exp_extensions`] |
-//! | E-PRESSURE | [`pressure::exp_pressure`] |
-//! | E-PMU | [`pmu::exp_pmu`] |
-//! | E-MATRIX | [`ematrix::exp_matrix`] |
-//! | E-TUNE | [`etune::exp_tune`] |
-//! | E-CHECK | [`echeck::exp_check`] |
-//! | E-TAIL | [`etail::exp_tail`] |
-//! | E-CAUSAL | [`ecausal::exp_causal`] |
+//! rendering. DESIGN.md §3 indexes them against the paper; `repro` runs
+//! them from `bench::EXPERIMENTS`, the one list of experiments.
 
 pub mod ablate;
 pub mod artifacts;
