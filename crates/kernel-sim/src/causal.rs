@@ -233,14 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn path_names_round_trip() {
-        for p in Path::ALL {
-            assert_eq!(Path::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Path::from_name("no_such_path"), None);
-    }
-
-    #[test]
     fn identity_config_scales_to_one() {
         let st = CausalState::new(CausalConfig::identity());
         assert_eq!(st.scale(Subsystem::User), (1, 1));

@@ -99,11 +99,6 @@ impl Subsystem {
             Subsystem::User => "user",
         }
     }
-
-    /// Parses a [`Subsystem::name`] back to the subsystem.
-    pub fn from_name(name: &str) -> Option<Subsystem> {
-        Subsystem::ALL.iter().copied().find(|s| s.name() == name)
-    }
 }
 
 /// Number of instrumented paths (size of every per-path array).
@@ -157,11 +152,6 @@ impl Path {
             Path::Flush => "flush",
             Path::SignalDelivery => "signal_delivery",
         }
-    }
-
-    /// Parses a [`Path::name`] back to the path.
-    pub fn from_name(name: &str) -> Option<Path> {
-        Path::ALL.into_iter().find(|p| p.name() == name)
     }
 
     /// The path a span of subsystem `s` roots, if any: pushing a Translate
@@ -354,6 +344,17 @@ mod tests {
         assert_eq!(names.len(), NUM_SUBSYSTEMS, "names must be unique");
         for (i, s) in Subsystem::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i, "ALL must be in bucket order");
+        }
+    }
+
+    #[test]
+    fn path_names_and_all_agree() {
+        let mut names: Vec<&str> = Path::ALL.iter().map(|p| p.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), NUM_PATHS, "names must be unique");
+        for (i, p) in Path::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "ALL must be in repr order");
         }
     }
 }
