@@ -71,6 +71,8 @@ fn oracle_catches_deliberate_stale_vsid_bug() {
         msg.contains("stale"),
         "violation is not a staleness report: {msg}"
     );
+    // The TLB-hit audit catches it, not a later hash-table sweep.
+    assert!(msg.contains("dtlb hit"), "not caught at a TLB hit: {msg}");
 }
 
 /// The message of the panic `result` carries.
