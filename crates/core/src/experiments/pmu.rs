@@ -14,14 +14,17 @@
 //!    the unsampled baseline and attributed to the `pmu` bucket.
 //!
 //! The sampled and exact profiles are read from the *same* run, so the
-//! comparison measures sampling error, not run-to-run divergence. That a
+//! comparison measures sampling error, not run-to-run divergence. Each
+//! period's run is a `repro perf` profile ([`perf_sample`]), compared by
+//! the share rule `perf report` prints ([`crate::perf::PerfData::shares`]).
+//! That a
 //! PMU which only counts leaves the run cycle-identical is a kernel-sim
 //! test (`tests_pmu::no_pmu_and_counting_pmu_are_cycle_identical`), and
 //! `check_grid` holds it on this very cell.
 
-use kernel_sim::{KernelConfig, PmuConfig, Subsystem};
+use kernel_sim::KernelConfig;
 
-use crate::matrix::{machine_row, run_workload};
+use crate::perf::{perf_baseline, perf_sample};
 use crate::tables::Table;
 use crate::Depth;
 
@@ -34,8 +37,9 @@ pub struct PmuConvergenceRow {
     pub interrupts: u64,
     /// Weighted samples collected (whole periods observed).
     pub weight: u64,
-    /// Largest absolute share disagreement across subsystems, in ppm of
-    /// total self-time (50 000 ppm = 5 percentage points).
+    /// Largest absolute share disagreement across subsystems, in ppm
+    /// ([`crate::perf::PerfData::max_share_err_ppm`]; 50 000 ppm = 5
+    /// percentage points).
     pub max_share_err_ppm: u64,
     /// Extra cycles over the unsampled baseline (the sampling cost).
     pub overhead_cycles: u64,
@@ -64,52 +68,26 @@ impl PmuResult {
 /// Runs the convergence study on the matrix's `604-133` `trace_ref` cell
 /// and renders the agreement table.
 pub fn exp_pmu(depth: Depth) -> (PmuResult, Table) {
-    let m = machine_row("604-133");
-    let mut base_cfg = KernelConfig::optimized();
-    base_cfg.trace = true;
-    let baseline_cycles = run_workload(&m, base_cfg, "trace_ref", depth).cycles;
-
+    let kcfg = KernelConfig::optimized();
+    let baseline_cycles = perf_baseline(depth, "trace_ref", kcfg);
     let periods: &[u32] = match depth {
         Depth::Quick => &[65_536, 8_192, 1_024],
         Depth::Full => &[262_144, 65_536, 16_384, 4_096, 1_024],
     };
-    let mut rows = Vec::new();
-    for &period in periods {
-        let mut cfg = base_cfg;
-        cfg.pmu = Some(PmuConfig::sampling(period));
-        let mut k = run_workload(&m, cfg, "trace_ref", depth).kernel;
-        let now = k.machine.cycles;
-        let t = k.tracer.as_mut().expect("trace enabled");
-        t.prof.finish(now);
-        // Exact shares exclude the Pmu bucket: the handler freezes counting
-        // while it runs, so the sampler never observes itself.
-        let exact_total: u64 = Subsystem::ALL
-            .iter()
-            .filter(|s| **s != Subsystem::Pmu)
-            .map(|s| t.prof.self_cycles(*s))
-            .sum::<u64>()
-            .max(1);
-        let st = k.pmu.as_ref().expect("pmu enabled");
-        let sampled_total = st.total_weight().max(1);
-        let mut max_err = 0u64;
-        for s in Subsystem::ALL {
-            if s == Subsystem::Pmu {
-                continue;
+    let rows = periods
+        .iter()
+        .map(|&period| {
+            let d = perf_sample(depth, "trace_ref", period, kcfg, baseline_cycles);
+            PmuConvergenceRow {
+                period,
+                interrupts: d.interrupts,
+                weight: d.total_weight(),
+                max_share_err_ppm: d.max_share_err_ppm(),
+                overhead_cycles: d.overhead_cycles(),
+                overhead_ppm: d.overhead_cycles() * 1_000_000 / baseline_cycles.max(1),
             }
-            let exact_ppm = t.prof.self_cycles(s) * 1_000_000 / exact_total;
-            let sampled_ppm = st.by_subsystem[s as usize] * 1_000_000 / sampled_total;
-            max_err = max_err.max(exact_ppm.abs_diff(sampled_ppm));
-        }
-        let overhead = now.saturating_sub(baseline_cycles);
-        rows.push(PmuConvergenceRow {
-            period,
-            interrupts: k.stats.pmu_interrupts,
-            weight: st.total_weight(),
-            max_share_err_ppm: max_err,
-            overhead_cycles: overhead,
-            overhead_ppm: overhead * 1_000_000 / baseline_cycles.max(1),
-        });
-    }
+        })
+        .collect();
 
     let result = PmuResult {
         depth: depth.name(),

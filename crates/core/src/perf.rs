@@ -62,6 +62,16 @@ pub struct PerfData {
     pub folded: Vec<(String, u64)>,
 }
 
+/// A subsystem's share of what the sampler can see, in ppm
+/// ([`PerfData::shares`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Share {
+    /// Of the weighted samples.
+    pub sampled_ppm: u64,
+    /// Of the exact self-cycles outside the `pmu` bucket.
+    pub exact_ppm: u64,
+}
+
 impl PerfData {
     /// Total weighted samples.
     pub fn total_weight(&self) -> u64 {
@@ -71,6 +81,40 @@ impl PerfData {
     /// Cycles the sampling interrupts cost over the unsampled baseline.
     pub fn overhead_cycles(&self) -> u64 {
         self.total_cycles.saturating_sub(self.baseline_cycles)
+    }
+
+    /// Each subsystem's sampled and exact share in ppm, in `subsystems`
+    /// order, by the one rule `report`, `annotate` and E-PMU use: both are
+    /// shares of what the sampler can see. The PM handler freezes counting
+    /// while it runs, so the `pmu` bucket never samples; its exact cycles
+    /// stay out of the exact total and it has no shares (`None`).
+    pub fn shares(&self) -> Vec<Option<Share>> {
+        let seen = |name: &str| name != Subsystem::Pmu.name();
+        let weight_total = self.total_weight().max(1);
+        let exact_total: u64 = self
+            .subsystems
+            .iter()
+            .filter(|(name, _, _)| seen(name))
+            .map(|(_, _, exact)| exact)
+            .sum::<u64>()
+            .max(1);
+        self.subsystems
+            .iter()
+            .map(|(name, weight, exact)| {
+                seen(name).then_some(Share {
+                    sampled_ppm: weight * 1_000_000 / weight_total,
+                    exact_ppm: exact * 1_000_000 / exact_total,
+                })
+            })
+            .collect()
+    }
+
+    /// The largest gap between a subsystem's sampled and exact
+    /// [`shares`](PerfData::shares), in ppm: E-PMU's convergence measure.
+    pub fn max_share_err_ppm(&self) -> u64 {
+        let shares = self.shares().into_iter().flatten();
+        let gaps = shares.map(|s| s.sampled_ppm.abs_diff(s.exact_ppm));
+        gaps.max().unwrap_or(0)
     }
 
     /// The `mmu-tricks-perf-v1` artifact.
@@ -199,16 +243,11 @@ impl PerfData {
     }
 
     /// `perf report`: sampled-vs-exact self-time by subsystem, per-task
-    /// weights, and the privilege split.
+    /// weights, and the privilege split. Subsystem shares are
+    /// [`PerfData::shares`]: the `pmu` row keeps its exact cycles and
+    /// shows no share.
     pub fn report(&self) -> Vec<Table> {
         let weight_total = self.total_weight().max(1);
-        let exact_total: u64 = self
-            .subsystems
-            .iter()
-            .map(|(_, _, e)| e)
-            .sum::<u64>()
-            .max(1);
-
         let mut by_sub = Table::new(
             format!(
                 "perf report: self-time by subsystem ({}, period {})",
@@ -222,15 +261,18 @@ impl PerfData {
                 "exact_share_ppm".into(),
             ],
         );
-        let mut rows = self.subsystems.clone();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for (name, weight, exact) in rows {
+        let mut rows: Vec<_> = self.subsystems.iter().zip(self.shares()).collect();
+        rows.sort_by(|(a, _), (b, _)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        for ((name, weight, exact), share) in rows {
+            let [sampled, exact_share] = share.map_or(["-".into(), "-".into()], |s| {
+                [s.sampled_ppm.to_string(), s.exact_ppm.to_string()]
+            });
             by_sub.push_row(vec![
-                name,
+                name.clone(),
                 format!("{weight}"),
-                format!("{}", weight * 1_000_000 / weight_total),
+                sampled,
                 format!("{exact}"),
-                format!("{}", exact * 1_000_000 / exact_total),
+                exact_share,
             ]);
         }
 
@@ -265,19 +307,10 @@ impl PerfData {
         vec![by_sub, by_task, privilege]
     }
 
-    /// `perf annotate`: ASCII share bars per subsystem, sampled next to
-    /// exact, heaviest first.
+    /// `perf annotate`: ASCII bars of each subsystem's
+    /// [`shares`](PerfData::shares), sampled next to exact, heaviest first.
     pub fn annotate(&self) -> String {
         const BAR: usize = 40;
-        let weight_total = self.total_weight().max(1);
-        let exact_total: u64 = self
-            .subsystems
-            .iter()
-            .map(|(_, _, e)| e)
-            .sum::<u64>()
-            .max(1);
-        let mut rows = self.subsystems.clone();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let pct = |ppm: u64| format!("{}.{:02}%", ppm / 10_000, (ppm % 10_000) / 100);
         let mut s = format!(
             "perf annotate: {} (period {}, {} weighted samples)\n",
@@ -285,19 +318,19 @@ impl PerfData {
             self.period,
             self.total_weight()
         );
-        for (name, weight, exact) in rows {
-            if weight == 0 && exact == 0 {
+        let mut rows: Vec<_> = self.subsystems.iter().zip(self.shares()).collect();
+        rows.sort_by(|(a, _), (b, _)| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        for ((name, weight, exact), share) in rows {
+            if *weight == 0 && *exact == 0 {
                 continue;
             }
-            let sampled_ppm = weight * 1_000_000 / weight_total;
-            let exact_ppm = exact * 1_000_000 / exact_total;
-            let filled = (sampled_ppm as usize * BAR) / 1_000_000;
-            let mut bar = "#".repeat(filled);
-            bar.push_str(&".".repeat(BAR - filled));
+            let filled = share.map_or(0, |s| s.sampled_ppm as usize * BAR / 1_000_000);
+            let [sampled, exact] = share.map_or(["-".into(), "-".into()], |s| {
+                [pct(s.sampled_ppm), pct(s.exact_ppm)]
+            });
+            let bar = "#".repeat(filled) + &".".repeat(BAR - filled);
             s.push_str(&format!(
-                "  {name:<14} |{bar}| sampled {:>7} exact {:>7}\n",
-                pct(sampled_ppm),
-                pct(exact_ppm),
+                "  {name:<14} |{bar}| sampled {sampled:>7} exact {exact:>7}\n"
             ));
         }
         s
@@ -305,22 +338,45 @@ impl PerfData {
 }
 
 /// Records a profile of headline `workload` ([`run_workload`]) on the
-/// 604/133 row under `kcfg`: runs it once with the PMU off (baseline) and
-/// once with cycle sampling at `period`, reading the sampled aggregates
-/// and the exact profile from the same sampled run. The config lands in
-/// the artifact's `config` axis, the one a diff may cross.
+/// 604/133 row under `kcfg`: runs it once with the PMU off
+/// ([`perf_baseline`]) and once with cycle sampling at `period`
+/// ([`perf_sample`]). The config lands in the artifact's `config` axis,
+/// the one a diff may cross.
 pub fn perf_record(depth: Depth, workload: &str, period: u32, kcfg: KernelConfig) -> PerfData {
-    let m = machine_row("604-133");
-    let run = |pmu| {
-        let cfg = KernelConfig {
-            trace: true,
-            pmu,
-            ..kcfg
-        };
-        run_workload(&m, cfg, workload, depth).kernel
+    let baseline_cycles = perf_baseline(depth, workload, kcfg);
+    perf_sample(depth, workload, period, kcfg, baseline_cycles)
+}
+
+/// Cycles of headline `workload` on the 604/133 row under `kcfg`, traced
+/// with the PMU off, boot included: what a profile's sampling cost is
+/// measured against.
+pub fn perf_baseline(depth: Depth, workload: &str, kcfg: KernelConfig) -> u64 {
+    let cfg = KernelConfig {
+        trace: true,
+        pmu: None,
+        ..kcfg
     };
-    let baseline_cycles = run(None).machine.cycles;
-    let mut k = run(Some(PmuConfig::sampling(period)));
+    let run = run_workload(&machine_row("604-133"), cfg, workload, depth);
+    run.kernel.machine.cycles
+}
+
+/// Samples headline `workload` on the 604/133 row under `kcfg` with
+/// cycles at `period`, reading the sampled aggregates and the exact
+/// profile from the same run; `baseline_cycles` is its [`perf_baseline`].
+pub fn perf_sample(
+    depth: Depth,
+    workload: &str,
+    period: u32,
+    kcfg: KernelConfig,
+    baseline_cycles: u64,
+) -> PerfData {
+    let m = machine_row("604-133");
+    let cfg = KernelConfig {
+        trace: true,
+        pmu: Some(PmuConfig::sampling(period)),
+        ..kcfg
+    };
+    let mut k = run_workload(&m, cfg, workload, depth).kernel;
     let now = k.machine.cycles;
     let t = k.tracer.as_mut().expect("perf record always traces");
     t.prof.finish(now);
@@ -453,6 +509,26 @@ mod tests {
                 .parse::<u64>()
                 .expect("weight is a number");
         }
+    }
+
+    #[test]
+    fn shares_leave_out_the_pmu_bucket_the_sampler_never_sees() {
+        let d = perf_record(Depth::Quick, "trace_ref", 1024, KernelConfig::optimized());
+        let shares = d.shares();
+        for ((name, _, _), share) in d.subsystems.iter().zip(&shares) {
+            assert_eq!(share.is_none(), name == "pmu", "{name}");
+        }
+        // Each share rounds down, so each total falls short by under 1 ppm
+        // per subsystem.
+        let seen = || shares.iter().flatten();
+        for total in [
+            seen().map(|s| s.sampled_ppm).sum::<u64>(),
+            seen().map(|s| s.exact_ppm).sum(),
+        ] {
+            assert!((1_000_000 - 12..=1_000_000).contains(&total), "{total}");
+        }
+        // E-PMU's finest quick row reads this run by this rule.
+        assert_eq!(d.max_share_err_ppm(), 4_404);
     }
 
     #[test]
