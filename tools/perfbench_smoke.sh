@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI smoke step for the repository benchmark (`perfbench`, declared in
 # BENCHMARK.json). perfbench is a package of its own, outside the
-# workspace, so no other step builds it: a simulator API change that breaks
-# it must fail here, not first in a benchmark pipeline.
+# workspace, so no other step builds, tests or lints it: a simulator API
+# change that breaks it must fail here, not first in a benchmark pipeline.
 #
-# Runs every BENCHMARK.json workload for 3 s with the BENCHMARK.json
+# First runs perfbench's unit tests and clippy with warnings denied. Then
+# runs every BENCHMARK.json workload for 3 s with the BENCHMARK.json
 # command, once untraced (--trace 0) and once traced (--trace 1), and fails
 # unless the last line of each run reports "correct": true. perfbench
 # exits 0 either way; "correct" carries its own checks: every repetition
@@ -14,6 +15,9 @@
 # the benchmark itself, never against a committed number.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
