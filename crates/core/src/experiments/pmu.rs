@@ -15,12 +15,11 @@
 //!
 //! The sampled and exact profiles are read from the *same* run, so the
 //! comparison measures sampling error, not run-to-run divergence. Each
-//! period's run is a `repro perf` profile ([`perf_sample`]), compared by
+//! period's run is a `repro perf` profile (`perf_sample`), compared by
 //! the share rule `perf report` prints ([`crate::perf::PerfData::shares`]).
-//! That a
-//! PMU which only counts leaves the run cycle-identical is a kernel-sim
-//! test (`tests_pmu::no_pmu_and_counting_pmu_are_cycle_identical`), and
-//! `check_grid` holds it on this very cell.
+//! That a PMU which only counts leaves the run cycle-identical is a
+//! kernel-sim test (`tests_pmu::no_pmu_and_counting_pmu_are_cycle_identical`),
+//! and `check_grid` holds it on this very cell.
 
 use kernel_sim::KernelConfig;
 

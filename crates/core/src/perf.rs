@@ -339,8 +339,8 @@ impl PerfData {
 
 /// Records a profile of headline `workload` ([`run_workload`]) on the
 /// 604/133 row under `kcfg`: runs it once with the PMU off
-/// ([`perf_baseline`]) and once with cycle sampling at `period`
-/// ([`perf_sample`]). The config lands in the artifact's `config` axis,
+/// (`perf_baseline`) and once with cycle sampling at `period`
+/// (`perf_sample`). The config lands in the artifact's `config` axis,
 /// the one a diff may cross.
 pub fn perf_record(depth: Depth, workload: &str, period: u32, kcfg: KernelConfig) -> PerfData {
     let baseline_cycles = perf_baseline(depth, workload, kcfg);
@@ -350,7 +350,7 @@ pub fn perf_record(depth: Depth, workload: &str, period: u32, kcfg: KernelConfig
 /// Cycles of headline `workload` on the 604/133 row under `kcfg`, traced
 /// with the PMU off, boot included: what a profile's sampling cost is
 /// measured against.
-pub fn perf_baseline(depth: Depth, workload: &str, kcfg: KernelConfig) -> u64 {
+pub(crate) fn perf_baseline(depth: Depth, workload: &str, kcfg: KernelConfig) -> u64 {
     let cfg = KernelConfig {
         trace: true,
         pmu: None,
@@ -363,7 +363,7 @@ pub fn perf_baseline(depth: Depth, workload: &str, kcfg: KernelConfig) -> u64 {
 /// Samples headline `workload` on the 604/133 row under `kcfg` with
 /// cycles at `period`, reading the sampled aggregates and the exact
 /// profile from the same run; `baseline_cycles` is its [`perf_baseline`].
-pub fn perf_sample(
+pub(crate) fn perf_sample(
     depth: Depth,
     workload: &str,
     period: u32,
